@@ -299,8 +299,9 @@ class Trace:
         """Write the whole trace as deterministic text files.
 
         steps.csv scales as ticks times agents; long runs produce large
-        files. Floats are written with repr, so identical runs produce
-        byte-identical files.
+        files. Floats are written as the repr of Python floats, which
+        round-trips through float() exactly, so identical runs produce
+        byte-identical files on any numpy version.
         """
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -314,27 +315,25 @@ class Trace:
             fh.write("t,agent_id,step_norm,clamped\n")
             for i in range(self.ticks):
                 t = repr((i + 1) * tau1)
-                row = self.step_norms[i]
-                flags = self.clamped[i]
                 fh.write(
                     "".join(
-                        f"{t},{a},{row[a]!r},{int(flags[a])}\n"
-                        for a in range(row.shape[0])
+                        f"{t},{a},{norm!r},{int(flag)}\n"
+                        for a, (norm, flag) in enumerate(
+                            zip(self.step_norms[i].tolist(), self.clamped[i].tolist())
+                        )
                     )
                 )
 
         with (out / "series.csv").open("w") as fh:
+            norms = self.max_weight_norm.tolist()
             if self.tick_policy_tv is None:
                 fh.write("t,max_weight_norm\n")
-                for i in range(self.ticks):
-                    fh.write(f"{(i + 1) * tau1!r},{self.max_weight_norm[i]!r}\n")
+                for i, norm in enumerate(norms):
+                    fh.write(f"{(i + 1) * tau1!r},{norm!r}\n")
             else:
                 fh.write("t,max_weight_norm,policy_tv\n")
-                for i in range(self.ticks):
-                    fh.write(
-                        f"{(i + 1) * tau1!r},{self.max_weight_norm[i]!r},"
-                        f"{self.tick_policy_tv[i]!r}\n"
-                    )
+                for i, (norm, tv) in enumerate(zip(norms, self.tick_policy_tv.tolist())):
+                    fh.write(f"{(i + 1) * tau1!r},{norm!r},{tv!r}\n")
 
         def write_matrix_snaps(
             path: Path, times: list[float], snaps: list[np.ndarray], prefix: str
@@ -345,7 +344,7 @@ class Trace:
                 fh.write(f"t,agent_id,{header}\n")
                 for t, snap in zip(times, snaps):
                     for a in range(snap.shape[0]):
-                        values = ",".join(repr(v) for v in snap[a])
+                        values = ",".join(map(repr, snap[a].tolist()))
                         fh.write(f"{t!r},{a},{values}\n")
 
         def write_vector_snaps(
@@ -356,7 +355,7 @@ class Trace:
                 header = ",".join(f"{prefix}{j}" for j in range(width))
                 fh.write(f"t,{header}\n")
                 for t, snap in zip(times, snaps):
-                    values = ",".join(repr(v) for v in snap)
+                    values = ",".join(map(repr, snap.tolist()))
                     fh.write(f"{t!r},{values}\n")
 
         write_matrix_snaps(

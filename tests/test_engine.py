@@ -225,3 +225,56 @@ def test_confirm_expectation_rejects_dirty_baseline():
 def test_registry_is_frozen():
     with pytest.raises(AttributeError):
         SCENARIOS["baseline"].duration = 5.0
+
+
+def _csv_columns(path: Path) -> dict[str, list[str]]:
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    return {name: [row[j] for row in rows] for j, name in enumerate(header)}
+
+
+def _assert_cells_equal(cells: list[str], expected) -> None:
+    parsed = np.array([float(cell) for cell in cells])
+    expected = np.asarray(expected, dtype=float).ravel()
+    assert parsed.shape == expected.shape
+    np.testing.assert_array_equal(parsed.view(np.uint64), expected.view(np.uint64))
+
+
+def test_saved_numeric_cells_round_trip_bit_for_bit(tmp_path: Path):
+    trace = run("baseline", duration=20.0, seed=3)
+    assert trace.meta_records
+    trace.save(tmp_path)
+    tau1 = trace.config.tau1
+    ticks = np.arange(1, trace.ticks + 1) * tau1
+
+    steps = _csv_columns(tmp_path / "steps.csv")
+    n = trace.config.n_agents
+    _assert_cells_equal(steps["t"], np.repeat(ticks, n))
+    _assert_cells_equal(steps["step_norm"], trace.step_norms)
+
+    series = _csv_columns(tmp_path / "series.csv")
+    _assert_cells_equal(series["t"], ticks)
+    _assert_cells_equal(series["max_weight_norm"], trace.max_weight_norm)
+    _assert_cells_equal(series["policy_tv"], trace.tick_policy_tv)
+
+    for name, times, snaps in (
+        ("snapshots_weights.csv", trace.snap_times, trace.snap_weights),
+        ("snapshots_embeddings.csv", trace.snap_times, trace.snap_embeddings),
+        ("snapshots_policy.csv", trace.policy_times, trace.policy_snaps),
+        ("snapshots_meta.csv", trace.meta_times, trace.meta_snaps),
+    ):
+        columns = _csv_columns(tmp_path / name)
+        rows_per_snap = snaps[0].shape[0] if snaps[0].ndim == 2 else 1
+        _assert_cells_equal(columns.pop("t"), np.repeat(times, rows_per_snap))
+        columns.pop("agent_id", None)
+        stacked = np.concatenate([np.atleast_2d(s) for s in snaps])
+        for j, cells in enumerate(columns.values()):
+            _assert_cells_equal(cells, stacked[:, j])
+
+    marl = _csv_columns(tmp_path / "marl.csv")
+    for key in ("t", "tv_step", "target_distance", "subopt_proxy"):
+        _assert_cells_equal(marl[key], [rec[key] for rec in trace.marl_records])
+    meta = _csv_columns(tmp_path / "meta.csv")
+    for key in ("t", "step_norm", "grad_norm", "predicted_dpi", "min_margin", "t_adapt"):
+        _assert_cells_equal(meta[key], [rec[key] for rec in trace.meta_records])
