@@ -79,7 +79,7 @@ class EmbeddingEncoder:
                    config.eps_gnn, config.seed)
 
     def encode(self, weights: np.ndarray) -> np.ndarray:
-        """Ideal embeddings: (n_agents, weight_dim) -> (n_agents, embed_dim)."""
+        """Ideal embeddings: (..., n_agents, weight_dim) -> (..., n_agents, embed_dim)."""
         embeddings = np.atleast_2d(np.asarray(weights, dtype=float)) @ self.matrix.T
         if self.squash:
             embeddings = np.tanh(embeddings)
@@ -274,12 +274,17 @@ def policy_matrix(theta: np.ndarray, config: SystemConfig) -> np.ndarray:
 def policy_distributions(
     theta: np.ndarray, embeddings: np.ndarray, config: SystemConfig
 ) -> np.ndarray:
-    """Row-wise action distributions for a batch of aggregate vectors."""
+    """Action distributions along the last axis for a batch of aggregate vectors.
+
+    embeddings may be (n, embed_dim) or a stack (m, n, embed_dim); a stack
+    goes through one matrix product per (n, embed_dim) slice, so each slice
+    matches the unstacked call bit for bit.
+    """
     mat = policy_matrix(theta, config)
     logits = logit_scale(config) * (np.atleast_2d(embeddings) @ mat.T)
-    logits -= logits.max(axis=1, keepdims=True)
+    logits -= logits.max(axis=-1, keepdims=True)
     weights = np.exp(logits)
-    return weights / weights.sum(axis=1, keepdims=True)
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def policy_dist(
@@ -289,7 +294,8 @@ def policy_dist(
 
 
 def tv_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return 0.5 * np.abs(p - q).sum(axis=1)
+    """Total variation between distributions along the last axis."""
+    return 0.5 * np.abs(p - q).sum(axis=-1)
 
 
 def probe_embeddings(config: SystemConfig) -> np.ndarray:

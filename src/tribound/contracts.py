@@ -339,6 +339,53 @@ class Monitor:
             return verdict
         return None
 
+    def observe_block(
+        self,
+        times: Sequence[float],
+        measured: Mapping[str, np.ndarray],
+        margins: Mapping[str, float],
+    ) -> None:
+        """Record conclusive observations of several contracts at many times.
+
+        measured maps each contract to one value per time, and at each time
+        the contracts are taken in the mapping's order. Events, counts and
+        latest() come out exactly as from one observe() call per value, at
+        the contract's margin from margins.
+        """
+        if len(times) == 0:
+            return
+        logged: list[tuple[int, int, ContractVerdict]] = []
+        for order, (contract_id, values) in enumerate(measured.items()):
+            values = np.asarray(values, dtype=float)
+            threshold = self.specs[contract_id].threshold
+            margin_value = margins[contract_id]
+            alarm = margin_value < self.config.margin_alarm
+            passed = values <= threshold + EQUALITY_TOL
+            self.fail_count += int(passed.size - np.count_nonzero(passed))
+            if alarm:
+                self.alarm_count += int(passed.size)
+            changes = (np.flatnonzero(passed[1:] != passed[:-1]) + 1).tolist()
+            if self._last_state.get(contract_id, ()) != (bool(passed[0]), alarm):
+                changes.insert(0, 0)
+            for k in changes:
+                verdict = ContractVerdict(
+                    contract_id=contract_id,
+                    time=float(times[k]),
+                    passed=bool(passed[k]),
+                    measured=float(values[k]),
+                    threshold=threshold,
+                    margin=margin_value,
+                    alarm=alarm,
+                )
+                logged.append((k, order, verdict))
+            self._last_state[contract_id] = (bool(passed[-1]), alarm)
+            self._latest[contract_id] = (
+                float(times[-1]), float(values[-1]), margin_value,
+                bool(passed[-1]), alarm, "",
+            )
+        logged.sort(key=lambda item: item[:2])
+        self.events.extend(verdict for _, _, verdict in logged)
+
     def latest(self, contract_id: str) -> ContractVerdict | None:
         """Most recent evaluation of a contract, logged or not."""
         if contract_id not in self._latest:
@@ -354,6 +401,41 @@ class Monitor:
             alarm=alarm,
             note=note,
         )
+
+
+class SafetyReadout:
+    """NP-C2's measured quantity: how far any danger-probe readout has moved.
+
+    An agent's readout under a probe is the probe, restricted to the frozen
+    coordinates, dotted with the agent's weights. At each tick the contract
+    measures the largest absolute change of any readout since t = 0.
+    """
+
+    def __init__(
+        self, initial_weights: np.ndarray, danger: np.ndarray, frozen_mask: np.ndarray
+    ) -> None:
+        self.frozen_mask = frozen_mask
+        self.frozen_any = bool(frozen_mask.any())
+        self.danger_masked = danger * frozen_mask
+        self.base = initial_weights @ self.danger_masked.T
+        self.frozen_base = initial_weights[:, frozen_mask]
+
+    def deltas(self, block: np.ndarray) -> np.ndarray:
+        """One measurement per tick of a (ticks, n_agents, weight_dim) block.
+
+        Plastic coordinates meet zero probe weights, so while every weight is
+        finite and the frozen columns still equal their initial values, each
+        readout sums the same products in the same order as at t = 0 and the
+        measurement is exactly 0.0. Any other block is measured by the
+        definition; a non-finite weight then yields NaN, a failed check.
+        """
+        if not self.frozen_any:
+            return np.zeros(block.shape[0])
+        if np.isfinite(block).all() and (
+            block[..., self.frozen_mask] == self.frozen_base
+        ).all():
+            return np.zeros(block.shape[0])
+        return np.abs(block @ self.danger_masked.T - self.base).max(axis=(1, 2))
 
 
 def monitor_tick(

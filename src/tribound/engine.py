@@ -40,11 +40,12 @@ from .contracts import (
     CONTRACT_IDS,
     ContractVerdict,
     Monitor,
+    SafetyReadout,
     all_margins,
     ml2_increase,
 )
 from .errors import EnforcementError, TraceQueryError, ValidationError
-from .hebbian import hebbian_tick, modulation_gain, weight_norm_ceiling
+from .hebbian import hebbian_tick, modulation_gain, row_norms, weight_norm_ceiling
 from .meta import (
     MetaCascade,
     adaptation_trial,
@@ -411,6 +412,320 @@ def _resolve_config(
     return cfg
 
 
+# Bytes of fast-tick weights one batch may hold. The per-batch recording
+# then works on arrays of about this size at any swarm size: a whole
+# coordination cycle at 1000 agents x 256 weights would need 205 MB.
+_BATCH_BYTES = 1 << 20
+
+
+class _Run:
+    """State of one run, advanced by three phase methods.
+
+    _fast_block runs fast ticks until the next coordination or meta boundary
+    falls due, the batch buffer is full, or the horizon ends, and records the
+    block; _coordination_step and _meta_step then handle every boundary the
+    block's last tick reached. Gains, rule, margins and policy change only
+    at those boundaries, so every tick of a block shares them.
+    """
+
+    def __init__(self, scenario: Scenario, cfg: SystemConfig, horizon: float) -> None:
+        self.scenario = scenario
+        self.cfg = cfg
+        self.horizon = horizon
+        n = cfg.n_agents
+        self.cascade = MetaCascade(
+            cfg,
+            theta_star=None
+            if scenario.theta_star is None
+            else np.asarray(scenario.theta_star, dtype=float),
+        )
+        if scenario.theta_init is None:
+            self.theta = MetaParams(np.zeros(cfg.meta_dim))
+        else:
+            self.theta = MetaParams(np.asarray(scenario.theta_init, dtype=float))
+        self.rule = self.cascade.rule_for(self.theta.theta)
+
+        self.frozen = frozen_mask_for(cfg)
+        self.weights = initial_weights(cfg)
+        self.encoder = make_encoder(cfg)
+        self.mix = AdjacencyGraph.from_config(cfg).mix_matrix(cfg.lip_gnn)
+        self.target_map = PolicyTarget.from_config(cfg)
+        self.probes = probe_embeddings(cfg)
+        self.reference_policy = np.clip(
+            self.target_map.offset, -cfg.policy_box, cfg.policy_box
+        )
+        danger = unit_rows(
+            stream_rng(cfg.seed, "danger_probes"),
+            cfg.danger_probe_count,
+            cfg.weight_dim,
+        )
+        self.safety = SafetyReadout(self.weights, danger, self.frozen)
+
+        self.policy = PolicyParams(np.zeros(cfg.n_actions * cfg.embed_dim))
+        self.monitor = Monitor(cfg)
+        self.margins = all_margins(self.cascade, self.theta.theta)
+        if scenario.unit_gain:
+            self.gains = np.ones(n)
+        else:
+            self.gains = np.full(n, modulation_gain(0.0, cfg))
+        self.obs_rng = stream_rng(cfg.seed, "observations")
+
+        self.ticks = int(math.floor(horizon / cfg.tau1 + _TIME_TOL))
+        self.step_norms = np.zeros((self.ticks, n))
+        self.clamped = np.zeros((self.ticks, n), dtype=bool)
+        self.max_weight_norm = np.zeros(self.ticks)
+        self.tick_policy_tv = np.zeros(self.ticks) if scenario.record_policy_tv else None
+        batch = max(1, _BATCH_BYTES // (n * cfg.weight_dim * 8))
+        self.block = np.empty((min(batch, self.ticks), n, cfg.weight_dim))
+
+        self.snap_times = [0.0]
+        self.snap_weights = [self.weights.copy()]
+        self.snap_embeddings = [self.encoder.encode(self.weights)]
+        self.policy_times = [0.0]
+        self.policy_snaps = [self.policy.theta.copy()]
+        self.meta_times = [0.0]
+        self.meta_snaps = [self.theta.theta.copy()]
+        self.marl_records: list[dict[str, Any]] = []
+        self.meta_records: list[dict[str, Any]] = []
+        self.k_inner_history: list[int] = []
+        if scenario.record_policy_tv:
+            self.prev_dists = policy_distributions(
+                self.policy.theta, self.snap_embeddings[0], cfg
+            )
+
+        self.marl_k = 1
+        self.meta_k = 1
+        self.halt_reason: str | None = None
+
+    def _observations(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cfg = self.cfg
+        if self.scenario.aligned_observations:
+            norms = row_norms(weights)
+            dirs = np.divide(
+                weights,
+                norms[:, None],
+                out=np.zeros_like(weights),
+                where=norms[:, None] > 0.0,
+            )
+            zero = norms == 0.0
+            if zero.any():
+                dirs[zero, 0] = 1.0
+            return dirs, dirs
+        raw = self.obs_rng.standard_normal((2, cfg.n_agents, cfg.weight_dim))
+        raw_norms = row_norms(raw)[..., None]
+        raw_norms[raw_norms == 0.0] = 1.0
+        radii = self.obs_rng.uniform(size=(2, cfg.n_agents, 1))
+        scaled = raw / raw_norms * radii
+        return scaled[0], scaled[1]
+
+    def _fast_block(self, start: int) -> int:
+        """Run fast ticks from index start; return the index after the last."""
+        cfg = self.cfg
+        stop = min(self.ticks, start + self.block.shape[0])
+        weights = self.weights
+        for i in range(start, stop):
+            x_pre, x_post = self._observations(weights)
+            weights, _, applied_norms, clamp_flags = hebbian_tick(
+                self.rule, cfg, weights, x_pre, x_post, self.gains, self.frozen
+            )
+            self.step_norms[i] = applied_norms
+            self.clamped[i] = clamp_flags
+            self.block[i - start] = weights
+            t = (i + 1) * cfg.tau1
+            if (
+                self.marl_k * cfg.tau2 <= t + _TIME_TOL
+                or self.meta_k * cfg.tau3 <= t + _TIME_TOL
+            ):
+                stop = i + 1
+                break
+        self.weights = weights
+        self._record_block(start, stop)
+        return stop
+
+    def _record_block(self, start: int, stop: int) -> None:
+        """Per-tick norms, NP-C1, NP-C2 and policy TV of ticks start..stop-1."""
+        block = self.block[: stop - start]
+        self.max_weight_norm[start:stop] = row_norms(block).max(axis=1)
+        times = (np.arange(start, stop) + 1) * self.cfg.tau1
+        self.monitor.observe_block(
+            times,
+            {
+                "NP-C1": self.step_norms[start:stop].max(axis=1),
+                "NP-C2": self.safety.deltas(block),
+            },
+            self.margins,
+        )
+        if self.tick_policy_tv is not None:
+            dists = policy_distributions(
+                self.policy.theta, self.encoder.encode(block), self.cfg
+            )
+            previous = np.concatenate((self.prev_dists[None], dists[:-1]))
+            self.tick_policy_tv[start:stop] = tv_rows(dists, previous).max(axis=1)
+            self.prev_dists = dists[-1]
+
+    def _coordination_step(self, ticks_done: int) -> bool:
+        """Every coordination boundary the last tick reached; False on a halt."""
+        cfg = self.cfg
+        t = ticks_done * cfg.tau1
+        while self.marl_k * cfg.tau2 <= t + _TIME_TOL:
+            boundary = self.marl_k * cfg.tau2
+            realized, ideal, error_norms = realized_embeddings(self.weights, self.encoder)
+            aggregated = self.mix @ realized
+            if not self.scenario.unit_gain:
+                signals = modulation(aggregated, aggregated.mean(axis=0), cfg)
+                self.gains = np.asarray(modulation_gain(signals, cfg))
+            try:
+                self.policy, info = marl_step(
+                    self.policy, aggregated, cfg, self.target_map, self.probes
+                )
+            except EnforcementError as exc:
+                self.halt_reason = f"coordination update at t={boundary!r}: {exc}"
+                return False
+            self.monitor.observe(
+                "MARL-C1", boundary, info.tv_step, self.margins["MARL-C1"],
+                force_log=True,
+            )
+            if self.rule.delta < 0.0:
+                ceiling = weight_norm_ceiling(self.rule)
+                gnn_precondition_ok = (
+                    float(self.max_weight_norm[ticks_done - 1]) <= ceiling + 1e-9
+                )
+            else:
+                gnn_precondition_ok = True
+            self.monitor.observe(
+                "GNN-C1",
+                boundary,
+                float(error_norms.max()),
+                self.margins["GNN-C1"],
+                inconclusive=not gnn_precondition_ok,
+                force_log=True,
+                note=""
+                if gnn_precondition_ok
+                else "precondition breach: weight norm beyond the invariant ball",
+            )
+            self.marl_records.append(
+                {
+                    "t": boundary,
+                    "tv_step": info.tv_step,
+                    "halvings": info.halvings,
+                    "target_distance": info.target_distance,
+                    "subopt_proxy": cfg.lip_pi * info.target_distance,
+                }
+            )
+            if self.tick_policy_tv is not None:
+                self.prev_dists = policy_distributions(self.policy.theta, ideal, cfg)
+            self.snap_times.append(boundary)
+            self.snap_weights.append(self.weights.copy())
+            self.snap_embeddings.append(ideal)
+            self.policy_times.append(boundary)
+            self.policy_snaps.append(self.policy.theta.copy())
+            self.marl_k += 1
+        return True
+
+    def _meta_step(self, ticks_done: int) -> None:
+        """Every meta boundary the last tick reached."""
+        cfg = self.cfg
+        t = ticks_done * cfg.tau1
+        while self.meta_k * cfg.tau3 <= t + _TIME_TOL:
+            boundary = self.meta_k * cfg.tau3
+            margins_before = dict(self.margins)
+            candidate, grad_norm = self.cascade.step(self.theta)
+            step_norm = float(np.linalg.norm(candidate.theta - self.theta.theta))
+            verdict = compatibility_check(
+                step_norm, [(cid, self.margins[cid]) for cid in CONTRACT_IDS], cfg
+            )
+            applied = verdict.passed or self.scenario.force_meta
+            if applied:
+                self.theta = candidate
+                self.rule = self.cascade.rule_for(self.theta.theta)
+                self.margins = all_margins(self.cascade, self.theta.theta)
+
+            trial = adaptation_trial(
+                self.cascade, self.theta.theta, self.reference_policy, self.probes, cfg
+            )
+            self.k_inner_history.append(trial.k_inner)
+            self.monitor.observe(
+                "ML-C1", boundary, trial.t_adapt, self.margins["ML-C1"], force_log=True
+            )
+            increase = ml2_increase(self.k_inner_history)
+            if increase is None:
+                self.monitor.observe(
+                    "ML-C2",
+                    boundary,
+                    math.nan,
+                    self.margins["ML-C2"],
+                    inconclusive=True,
+                    force_log=True,
+                    note=f"{len(self.k_inner_history)} trials so far",
+                )
+            else:
+                self.monitor.observe(
+                    "ML-C2", boundary, increase, self.margins["ML-C2"], force_log=True
+                )
+
+            self.meta_records.append(
+                {
+                    "t": boundary,
+                    "step_norm": step_norm,
+                    "grad_norm": grad_norm,
+                    "m1": verdict.m1,
+                    "m2": verdict.m2,
+                    "m3": verdict.m3,
+                    "predicted_dpi": verdict.predicted_dpi,
+                    "min_margin": verdict.min_margin,
+                    "applied": applied,
+                    "k_inner": trial.k_inner,
+                    "t_adapt": trial.t_adapt,
+                    "margins_before": margins_before,
+                    "margins_after": dict(self.margins),
+                }
+            )
+            self.meta_times.append(boundary)
+            self.meta_snaps.append(self.theta.theta.copy())
+            self.meta_k += 1
+
+    def trace(self, ticks_done: int) -> Trace:
+        monitor = self.monitor
+        last_verdicts = {
+            cid: verdict
+            for cid in CONTRACT_IDS
+            if (verdict := monitor.latest(cid)) is not None
+        }
+        tick_policy_tv = self.tick_policy_tv
+        if tick_policy_tv is not None:
+            tick_policy_tv = tick_policy_tv[:ticks_done]
+        return Trace(
+            config=self.cfg,
+            scenario_name=self.scenario.name,
+            expected=self.scenario.expected,
+            seed=self.cfg.seed,
+            duration=self.horizon,
+            ticks=ticks_done,
+            marl_cycles=self.marl_k - 1,
+            meta_cycles=self.meta_k - 1,
+            step_norms=self.step_norms[:ticks_done],
+            clamped=self.clamped[:ticks_done],
+            max_weight_norm=self.max_weight_norm[:ticks_done],
+            tick_policy_tv=tick_policy_tv,
+            snap_times=self.snap_times,
+            snap_weights=self.snap_weights,
+            snap_embeddings=self.snap_embeddings,
+            policy_times=self.policy_times,
+            policy_snaps=self.policy_snaps,
+            meta_times=self.meta_times,
+            meta_snaps=self.meta_snaps,
+            marl_records=self.marl_records,
+            meta_records=self.meta_records,
+            events=monitor.events,
+            last_verdicts=last_verdicts,
+            fail_count=monitor.fail_count,
+            alarm_count=monitor.alarm_count,
+            final_weights=self.weights,
+            halted=self.halt_reason is not None,
+            halt_reason=self.halt_reason,
+        )
+
+
 def run(
     scenario: Scenario | str,
     config: SystemConfig | None = None,
@@ -425,273 +740,14 @@ def run(
     if horizon < 0.0 or not math.isfinite(horizon):
         raise ValidationError("duration must be finite and nonnegative")
 
-    n = cfg.n_agents
-    cascade = MetaCascade(
-        cfg,
-        theta_star=None
-        if scenario.theta_star is None
-        else np.asarray(scenario.theta_star, dtype=float),
-    )
-    if scenario.theta_init is None:
-        theta = MetaParams(np.zeros(cfg.meta_dim))
-    else:
-        theta = MetaParams(np.asarray(scenario.theta_init, dtype=float))
-    rule = cascade.rule_for(theta.theta)
-
-    frozen = frozen_mask_for(cfg)
-    frozen_any = bool(frozen.any())
-    weights = initial_weights(cfg)
-    encoder = make_encoder(cfg)
-    graph = AdjacencyGraph.from_config(cfg)
-    mix = graph.mix_matrix(cfg.lip_gnn)
-    target_map = PolicyTarget.from_config(cfg)
-    probes = probe_embeddings(cfg)
-    reference_policy = np.clip(
-        target_map.offset, -cfg.policy_box, cfg.policy_box
-    )
-    danger = unit_rows(
-        stream_rng(cfg.seed, "danger_probes"), cfg.danger_probe_count, cfg.weight_dim
-    )
-    danger_masked = danger * frozen
-    safety_base = weights @ danger_masked.T if frozen_any else None
-
-    policy = PolicyParams(np.zeros(cfg.n_actions * cfg.embed_dim))
-    monitor = Monitor(cfg)
-    margins = all_margins(cascade, theta.theta)
-
-    if scenario.unit_gain:
-        gains = np.ones(n)
-    else:
-        gains = np.full(n, modulation_gain(0.0, cfg))
-    obs_rng = stream_rng(cfg.seed, "observations")
-
-    ticks_total = int(math.floor(horizon / cfg.tau1 + _TIME_TOL))
-    step_norms = np.zeros((ticks_total, n))
-    clamped = np.zeros((ticks_total, n), dtype=bool)
-    max_weight_norm = np.zeros(ticks_total)
-    tick_policy_tv = np.zeros(ticks_total) if scenario.record_policy_tv else None
-
-    snap_times = [0.0]
-    snap_weights = [weights.copy()]
-    snap_embeddings = [encoder.encode(weights)]
-    policy_times = [0.0]
-    policy_snaps = [policy.theta.copy()]
-    meta_times = [0.0]
-    meta_snaps = [theta.theta.copy()]
-    marl_records: list[dict[str, Any]] = []
-    meta_records: list[dict[str, Any]] = []
-    k_inner_history: list[int] = []
-
-    if scenario.record_policy_tv:
-        prev_dists = policy_distributions(policy.theta, snap_embeddings[0], cfg)
-
-    marl_k = 1
-    meta_k = 1
-    marl_cycles = 0
-    meta_cycles = 0
-    halted = False
-    halt_reason: str | None = None
-
-    weight_norms = np.linalg.norm(weights, axis=1)
-    for i in range(ticks_total):
-        t = (i + 1) * cfg.tau1
-
-        if scenario.aligned_observations:
-            dirs = np.divide(
-                weights,
-                weight_norms[:, None],
-                out=np.zeros_like(weights),
-                where=weight_norms[:, None] > 0.0,
-            )
-            zero = weight_norms == 0.0
-            if zero.any():
-                dirs[zero, 0] = 1.0
-            x_pre = x_post = dirs
-        else:
-            raw = obs_rng.standard_normal((2, n, cfg.weight_dim))
-            raw_norms = np.linalg.norm(raw, axis=2, keepdims=True)
-            raw_norms[raw_norms == 0.0] = 1.0
-            radii = obs_rng.uniform(size=(2, n, 1))
-            scaled = raw / raw_norms * radii
-            x_pre, x_post = scaled[0], scaled[1]
-
-        weights, _, applied_norms, clamp_flags = hebbian_tick(
-            rule, cfg, weights, x_pre, x_post, gains, frozen
-        )
-        step_norms[i] = applied_norms
-        clamped[i] = clamp_flags
-        weight_norms = np.linalg.norm(weights, axis=1)
-        max_weight_norm[i] = weight_norms.max()
-
-        monitor.observe("NP-C1", t, float(applied_norms.max()), margins["NP-C1"])
-        if frozen_any:
-            safety_delta = float(
-                np.abs(weights @ danger_masked.T - safety_base).max()
-            )
-        else:
-            safety_delta = 0.0
-        monitor.observe("NP-C2", t, safety_delta, margins["NP-C2"])
-
-        if scenario.record_policy_tv:
-            ideal_now = encoder.encode(weights)
-            dists = policy_distributions(policy.theta, ideal_now, cfg)
-            tick_policy_tv[i] = float(tv_rows(dists, prev_dists).max())
-            prev_dists = dists
-
-        while marl_k * cfg.tau2 <= t + _TIME_TOL:
-            boundary = marl_k * cfg.tau2
-            realized, ideal, error_norms = realized_embeddings(weights, encoder)
-            aggregated = mix @ realized
-            if not scenario.unit_gain:
-                signals = modulation(aggregated, aggregated.mean(axis=0), cfg)
-                gains = np.asarray(modulation_gain(signals, cfg))
-            try:
-                policy, info = marl_step(policy, aggregated, cfg, target_map, probes)
-            except EnforcementError as exc:
-                halted = True
-                halt_reason = f"coordination update at t={boundary!r}: {exc}"
-                break
-            monitor.observe(
-                "MARL-C1", boundary, info.tv_step, margins["MARL-C1"], force_log=True
-            )
-            gnn_measured = float(error_norms.max())
-            if rule.delta < 0.0:
-                ceiling = weight_norm_ceiling(rule)
-                gnn_precondition_ok = float(weight_norms.max()) <= ceiling + 1e-9
-            else:
-                gnn_precondition_ok = True
-            monitor.observe(
-                "GNN-C1",
-                boundary,
-                gnn_measured,
-                margins["GNN-C1"],
-                inconclusive=not gnn_precondition_ok,
-                force_log=True,
-                note=""
-                if gnn_precondition_ok
-                else "precondition breach: weight norm beyond the invariant ball",
-            )
-            marl_records.append(
-                {
-                    "t": boundary,
-                    "tv_step": info.tv_step,
-                    "halvings": info.halvings,
-                    "target_distance": info.target_distance,
-                    "subopt_proxy": cfg.lip_pi * info.target_distance,
-                }
-            )
-            if scenario.record_policy_tv:
-                prev_dists = policy_distributions(policy.theta, ideal, cfg)
-            snap_times.append(boundary)
-            snap_weights.append(weights.copy())
-            snap_embeddings.append(ideal)
-            policy_times.append(boundary)
-            policy_snaps.append(policy.theta.copy())
-            marl_cycles += 1
-            marl_k += 1
-        if halted:
-            step_norms = step_norms[: i + 1]
-            clamped = clamped[: i + 1]
-            max_weight_norm = max_weight_norm[: i + 1]
-            if tick_policy_tv is not None:
-                tick_policy_tv = tick_policy_tv[: i + 1]
-            ticks_total = i + 1
+    state = _Run(scenario, cfg, horizon)
+    done = 0
+    while done < state.ticks:
+        done = state._fast_block(done)
+        if not state._coordination_step(done):
             break
-
-        while meta_k * cfg.tau3 <= t + _TIME_TOL:
-            boundary = meta_k * cfg.tau3
-            margins_before = dict(margins)
-            candidate, grad_norm = cascade.step(theta)
-            step_norm = float(np.linalg.norm(candidate.theta - theta.theta))
-            verdict = compatibility_check(
-                step_norm, [(cid, margins[cid]) for cid in CONTRACT_IDS], cfg
-            )
-            applied = verdict.passed or scenario.force_meta
-            if applied:
-                theta = candidate
-                rule = cascade.rule_for(theta.theta)
-                margins = all_margins(cascade, theta.theta)
-
-            trial = adaptation_trial(
-                cascade, theta.theta, reference_policy, probes, cfg
-            )
-            k_inner_history.append(trial.k_inner)
-            monitor.observe(
-                "ML-C1", boundary, trial.t_adapt, margins["ML-C1"], force_log=True
-            )
-            increase = ml2_increase(k_inner_history)
-            if increase is None:
-                monitor.observe(
-                    "ML-C2",
-                    boundary,
-                    math.nan,
-                    margins["ML-C2"],
-                    inconclusive=True,
-                    force_log=True,
-                    note=f"{len(k_inner_history)} trials so far",
-                )
-            else:
-                monitor.observe(
-                    "ML-C2", boundary, increase, margins["ML-C2"], force_log=True
-                )
-
-            meta_records.append(
-                {
-                    "t": boundary,
-                    "step_norm": step_norm,
-                    "grad_norm": grad_norm,
-                    "m1": verdict.m1,
-                    "m2": verdict.m2,
-                    "m3": verdict.m3,
-                    "predicted_dpi": verdict.predicted_dpi,
-                    "min_margin": verdict.min_margin,
-                    "applied": applied,
-                    "k_inner": trial.k_inner,
-                    "t_adapt": trial.t_adapt,
-                    "margins_before": margins_before,
-                    "margins_after": dict(margins),
-                }
-            )
-            meta_times.append(boundary)
-            meta_snaps.append(theta.theta.copy())
-            meta_cycles += 1
-            meta_k += 1
-
-    last_verdicts = {
-        cid: verdict
-        for cid in CONTRACT_IDS
-        if (verdict := monitor.latest(cid)) is not None
-    }
-    return Trace(
-        config=cfg,
-        scenario_name=scenario.name,
-        expected=scenario.expected,
-        seed=cfg.seed,
-        duration=horizon,
-        ticks=ticks_total,
-        marl_cycles=marl_cycles,
-        meta_cycles=meta_cycles,
-        step_norms=step_norms,
-        clamped=clamped,
-        max_weight_norm=max_weight_norm,
-        tick_policy_tv=tick_policy_tv,
-        snap_times=snap_times,
-        snap_weights=snap_weights,
-        snap_embeddings=snap_embeddings,
-        policy_times=policy_times,
-        policy_snaps=policy_snaps,
-        meta_times=meta_times,
-        meta_snaps=meta_snaps,
-        marl_records=marl_records,
-        meta_records=meta_records,
-        events=monitor.events,
-        last_verdicts=last_verdicts,
-        fail_count=monitor.fail_count,
-        alarm_count=monitor.alarm_count,
-        final_weights=weights,
-        halted=halted,
-        halt_reason=halt_reason,
-    )
+        state._meta_step(done)
+    return state.trace(done)
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,11 @@ class StepRecord:
     clamped: bool
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, bit for bit as np.linalg.norm."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
 def _logistic(x: np.ndarray | float) -> np.ndarray | float:
     return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
 
@@ -113,10 +118,14 @@ def proposed_steps(
     eta1: float,
 ) -> np.ndarray:
     """Unclamped per-tick weight increments, row per agent."""
-    drive = rule.alpha * (x_pre * x_post) + rule.beta * x_pre + rule.gamma_h * x_post
+    drive = x_pre * x_post
+    drive *= rule.alpha
+    drive += rule.beta * x_pre
+    drive += rule.gamma_h * x_post
     if rule.delta != 0.0:
         drive += rule.delta * weights
-    return eta1 * np.asarray(gains, dtype=float).reshape(-1, 1) * drive
+    drive *= eta1 * np.asarray(gains, dtype=float).reshape(-1, 1)
+    return drive
 
 
 def apply_steps(
@@ -133,27 +142,20 @@ def apply_steps(
     contribute to the step size the clamp contract governs. Frozen columns
     are copied bit-exactly from the previous weights.
     """
-    frozen_any = bool(frozen_mask.any())
-    if frozen_any:
-        masked = steps.copy()
-        masked[:, frozen_mask] = 0.0
-    else:
-        masked = steps
-    proposed_norms = np.linalg.norm(masked, axis=1)
-    clamped = np.zeros(weights.shape[0], dtype=bool)
-    applied = masked
-    applied_norms = proposed_norms
+    masked = steps.copy()
+    np.copyto(masked, 0.0, where=frozen_mask)
+    proposed_norms = row_norms(masked)
     if enforce_clamp:
-        over = proposed_norms > delta_np
-        if np.any(over):
-            scale = np.ones_like(proposed_norms)
-            scale[over] = delta_np / proposed_norms[over]
-            applied = masked * scale[:, None]
-            clamped = over
-            applied_norms = np.where(clamped, delta_np, proposed_norms)
+        clamped = proposed_norms > delta_np
+        # Rows at or under the cap scale by delta_np / delta_np == 1.0 exactly.
+        applied = masked * (delta_np / np.fmax(proposed_norms, delta_np))[:, None]
+        applied_norms = np.minimum(proposed_norms, delta_np)
+    else:
+        clamped = np.zeros(weights.shape[0], dtype=bool)
+        applied = masked
+        applied_norms = proposed_norms
     new_weights = weights + applied
-    if frozen_any:
-        new_weights[:, frozen_mask] = weights[:, frozen_mask]
+    np.copyto(new_weights, weights, where=frozen_mask)
     return new_weights, proposed_norms, applied_norms, clamped
 
 

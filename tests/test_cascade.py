@@ -205,6 +205,25 @@ def test_policy_rows_are_distributions(base_config):
     np.testing.assert_allclose(one.probs, dists[0], rtol=1e-12)
 
 
+@pytest.mark.parametrize("n_agents,squash", [(1, False), (7, True), (30, False), (300, False)])
+def test_stacked_recording_matches_per_slice_bit_for_bit(base_config, n_agents, squash):
+    """The engine records a stack of ticks at once; each slice must match."""
+    cfg = apply_overrides(base_config, {"n_agents": n_agents, "encoder_squash": squash})
+    encoder = make_encoder(cfg)
+    rng = np.random.default_rng(n_agents)
+    stack = rng.standard_normal((5, n_agents, cfg.weight_dim))
+    theta = rng.uniform(-1.0, 1.0, cfg.n_actions * cfg.embed_dim)
+    embeddings = encoder.encode(stack)
+    dists = policy_distributions(theta, embeddings, cfg)
+    tv = tv_rows(dists[1:], dists[:-1])
+    for k in range(stack.shape[0]):
+        ideal = encoder.encode(stack[k])
+        assert embeddings[k].tobytes() == ideal.tobytes()
+        assert dists[k].tobytes() == policy_distributions(theta, ideal, cfg).tobytes()
+        if k:
+            assert tv[k - 1].tobytes() == tv_rows(dists[k], dists[k - 1]).tobytes()
+
+
 def test_policy_dimension_guard(base_config):
     with pytest.raises(StructuralError):
         policy_distributions(

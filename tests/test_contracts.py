@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tribound import (
     CONTRACT_IDS,
@@ -14,6 +16,8 @@ from tribound import (
     apply_overrides,
     check_contract,
     contract_specs,
+    frozen_mask_for,
+    initial_weights,
     margin,
     monitor_tick,
     probe_embeddings,
@@ -22,6 +26,7 @@ from tribound.cascade import PolicyTarget
 from tribound.contracts import (
     EQUALITY_TOL,
     ContractVerdict,
+    SafetyReadout,
     all_margins,
     ml2_increase,
     quantity_margin,
@@ -29,6 +34,7 @@ from tribound.contracts import (
     theta_margin,
 )
 from tribound.meta import adaptation_trial as cascade_trial
+from tribound.seeding import unit_rows
 
 
 def test_contract_ids_and_thresholds(base_config):
@@ -265,3 +271,128 @@ def test_monitor_margin_below_alarm_line(base_config):
     monitor = Monitor(cfg)
     monitor.observe("NP-C1", 0.0, 5e-5, 0.5)
     assert monitor.alarm_count == 1
+
+
+_BLOCK_CONFIG = SystemConfig()
+_THRESHOLDS = {"NP-C1": _BLOCK_CONFIG.delta_np, "NP-C2": EQUALITY_TOL}
+
+
+def _near_threshold(contract_id):
+    threshold = _THRESHOLDS[contract_id]
+    return st.sampled_from(
+        [0.0, math.nan, math.inf, 1.0]
+        + [threshold + k * EQUALITY_TOL for k in (-1, 0, 1, 2)]
+    )
+
+
+_margins = st.sampled_from(
+    [0.0, 0.5 * _BLOCK_CONFIG.margin_alarm, _BLOCK_CONFIG.margin_alarm, 1.0]
+)
+
+
+@given(
+    prior=st.lists(
+        st.tuples(
+            st.sampled_from(["NP-C1", "NP-C2"]),
+            st.data(),
+            _margins,
+            st.booleans(),
+        ),
+        max_size=4,
+    ),
+    block=st.lists(
+        st.tuples(_near_threshold("NP-C1"), _near_threshold("NP-C2")),
+        min_size=1,
+        max_size=12,
+    ),
+    margins=st.fixed_dictionaries({"NP-C1": _margins, "NP-C2": _margins}),
+)
+def test_observe_block_matches_sequential_observe(prior, block, margins):
+    by_tick = Monitor(_BLOCK_CONFIG)
+    by_block = Monitor(_BLOCK_CONFIG)
+    for i, (cid, data, margin_value, inconclusive) in enumerate(prior):
+        measured = data.draw(_near_threshold(cid))
+        for monitor in (by_tick, by_block):
+            monitor.observe(
+                cid, 0.01 * i, measured, margin_value, inconclusive=inconclusive
+            )
+    times = (np.arange(len(block)) + 1) * 0.02
+    for t, (c1, c2) in zip(times.tolist(), block):
+        by_tick.observe("NP-C1", t, c1, margins["NP-C1"])
+        by_tick.observe("NP-C2", t, c2, margins["NP-C2"])
+    by_block.observe_block(
+        times,
+        {
+            "NP-C1": np.array([c1 for c1, _ in block]),
+            "NP-C2": np.array([c2 for _, c2 in block]),
+        },
+        margins,
+    )
+    assert repr(by_block.events) == repr(by_tick.events)
+    assert by_block.fail_count == by_tick.fail_count
+    assert by_block.alarm_count == by_tick.alarm_count
+    for cid in ("NP-C1", "NP-C2"):
+        assert repr(by_block.latest(cid)) == repr(by_tick.latest(cid))
+
+
+def _safety_setup(config):
+    weights = initial_weights(config)
+    frozen = frozen_mask_for(config)
+    danger = unit_rows(
+        np.random.default_rng(7), config.danger_probe_count, config.weight_dim
+    )
+    block = np.stack([weights.copy() for _ in range(4)])
+    plastic = np.flatnonzero(~frozen)
+    block[1:, :, plastic] += np.linspace(-3.0, 3.0, plastic.size)
+    return SafetyReadout(weights, danger, frozen), block, weights, danger * frozen
+
+
+def _safety_by_definition(block, weights, danger_masked):
+    base = weights @ danger_masked.T
+    return np.array([np.abs(w @ danger_masked.T - base).max() for w in block])
+
+
+def test_safety_readout_is_exactly_zero_while_frozen_columns_hold(base_config):
+    readout, block, weights, danger_masked = _safety_setup(base_config)
+    deltas = readout.deltas(block)
+    assert deltas.tolist() == [0.0] * 4
+    np.testing.assert_array_equal(
+        deltas, _safety_by_definition(block, weights, danger_masked)
+    )
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+def test_safety_readout_falls_back_to_the_definition(base_config):
+    readout, block, weights, danger_masked = _safety_setup(base_config)
+    plastic = int(np.flatnonzero(~readout.frozen_mask)[0])
+    block[2, 3, plastic] = math.inf
+    deltas = readout.deltas(block)
+    want = _safety_by_definition(block, weights, danger_masked)
+    np.testing.assert_array_equal(deltas, want)
+    assert math.isnan(deltas[2]) and deltas[[0, 1, 3]].tolist() == [0.0] * 3
+
+    times = [0.02, 0.04, 0.06, 0.08]
+    by_block = Monitor(base_config)
+    by_block.observe_block(times, {"NP-C2": deltas}, {"NP-C2": 0.5})
+    by_tick = Monitor(base_config)
+    for t, value in zip(times, want.tolist()):
+        by_tick.observe("NP-C2", t, value, 0.5)
+    assert repr(by_block.events) == repr(by_tick.events)
+    assert by_block.fail_count == by_tick.fail_count == 1
+    failed = by_block.events[1]
+    assert failed.passed is False and math.isnan(failed.measured)
+
+    moved = _safety_setup(base_config)[1]
+    moved[3, 0, int(np.flatnonzero(readout.frozen_mask)[0])] += 1.0
+    got = readout.deltas(moved)
+    np.testing.assert_array_equal(
+        got, _safety_by_definition(moved, weights, danger_masked)
+    )
+    assert got[3] > 0.0
+
+
+def test_safety_readout_without_frozen_columns(base_config):
+    cfg = apply_overrides(base_config, {"frozen_fraction": 0.0})
+    readout, block, _, _ = _safety_setup(cfg)
+    block[0, 0, 0] = math.nan
+    assert readout.deltas(block).tolist() == [0.0] * 4

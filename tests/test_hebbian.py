@@ -152,6 +152,62 @@ def test_apply_steps_frozen_coordinates_are_bit_exact():
     )
 
 
+def _reference_apply_steps(weights, steps, frozen_mask, delta_np, enforce_clamp):
+    """apply_steps as first written: boolean indexing and linalg.norm."""
+    frozen_any = bool(frozen_mask.any())
+    if frozen_any:
+        masked = steps.copy()
+        masked[:, frozen_mask] = 0.0
+    else:
+        masked = steps
+    proposed_norms = np.linalg.norm(masked, axis=1)
+    clamped = np.zeros(weights.shape[0], dtype=bool)
+    applied = masked
+    applied_norms = proposed_norms
+    if enforce_clamp:
+        over = proposed_norms > delta_np
+        if np.any(over):
+            scale = np.ones_like(proposed_norms)
+            scale[over] = delta_np / proposed_norms[over]
+            applied = masked * scale[:, None]
+            clamped = over
+            applied_norms = np.where(clamped, delta_np, proposed_norms)
+    new_weights = weights + applied
+    if frozen_any:
+        new_weights[:, frozen_mask] = weights[:, frozen_mask]
+    return new_weights, proposed_norms, applied_norms, clamped
+
+
+_step_values = st.one_of(
+    st.floats(min_value=-1e-3, max_value=1e-3, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e-4, math.inf, -math.inf, math.nan]),
+)
+
+
+@given(
+    data=st.data(),
+    n=st.integers(min_value=1, max_value=4),
+    d=st.integers(min_value=1, max_value=6),
+    delta_np=st.sampled_from([1e-4, 5e-324, 1.0]),
+    enforce_clamp=st.booleans(),
+)
+def test_apply_steps_matches_reference_bit_for_bit(data, n, d, delta_np, enforce_clamp):
+    shape = (n, d)
+    weights = np.array(
+        data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0]), min_size=n * d, max_size=n * d))
+    ).reshape(shape)
+    steps = np.array(
+        data.draw(st.lists(_step_values, min_size=n * d, max_size=n * d))
+    ).reshape(shape)
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = _reference_apply_steps(weights, steps, mask, delta_np, enforce_clamp)
+        got = apply_steps(weights, steps, mask, delta_np, enforce_clamp)
+    for w, g in zip(want, got):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=30)
 def test_applied_norms_never_exceed_cap(seed):
