@@ -281,10 +281,12 @@ def policy_distributions(
     matches the unstacked call bit for bit.
     """
     mat = policy_matrix(theta, config)
-    logits = logit_scale(config) * (np.atleast_2d(embeddings) @ mat.T)
+    logits = np.atleast_2d(embeddings) @ mat.T
+    logits *= logit_scale(config)
     logits -= logits.max(axis=-1, keepdims=True)
-    weights = np.exp(logits)
-    return weights / weights.sum(axis=-1, keepdims=True)
+    probs = np.exp(logits, out=logits)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
 
 
 def policy_dist(

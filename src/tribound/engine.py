@@ -8,7 +8,10 @@ trust-region policy step; every slow cycle the meta level proposes one rule
 update, gated by the compatibility check, followed by an adaptation trial.
 A rule update applied at a slow boundary takes effect strictly after that
 boundary. When boundaries coincide, fast work completes first, then
-coordination, then meta.
+coordination, then meta. Between two boundaries nothing the fast ticks
+depend on changes, so the per-tick recording (weight norms, the NP-C1 and
+NP-C2 checks, policy TV) runs once per block of ticks, with the same
+results as tick by tick.
 
 Everything is deterministic given (scenario, config, seed): all randomness
 flows through named seed streams, so repeated runs produce byte-identical
@@ -545,7 +548,6 @@ class _Run:
     def _record_block(self, start: int, stop: int) -> None:
         """Per-tick norms, NP-C1, NP-C2 and policy TV of ticks start..stop-1."""
         block = self.block[: stop - start]
-        self.max_weight_norm[start:stop] = row_norms(block).max(axis=1)
         times = (np.arange(start, stop) + 1) * self.cfg.tau1
         self.monitor.observe_block(
             times,
@@ -562,6 +564,8 @@ class _Run:
             previous = np.concatenate((self.prev_dists[None], dists[:-1]))
             self.tick_policy_tv[start:stop] = tv_rows(dists, previous).max(axis=1)
             self.prev_dists = dists[-1]
+        # Last use of the block: square it in place, not into a second buffer.
+        self.max_weight_norm[start:stop] = row_norms(block, overwrite=True).max(axis=1)
 
     def _coordination_step(self, ticks_done: int) -> bool:
         """Every coordination boundary the last tick reached; False on a halt."""
@@ -691,9 +695,7 @@ class _Run:
             for cid in CONTRACT_IDS
             if (verdict := monitor.latest(cid)) is not None
         }
-        tick_policy_tv = self.tick_policy_tv
-        if tick_policy_tv is not None:
-            tick_policy_tv = tick_policy_tv[:ticks_done]
+        tv = self.tick_policy_tv
         return Trace(
             config=self.cfg,
             scenario_name=self.scenario.name,
@@ -706,7 +708,7 @@ class _Run:
             step_norms=self.step_norms[:ticks_done],
             clamped=self.clamped[:ticks_done],
             max_weight_norm=self.max_weight_norm[:ticks_done],
-            tick_policy_tv=tick_policy_tv,
+            tick_policy_tv=None if tv is None else tv[:ticks_done],
             snap_times=self.snap_times,
             snap_weights=self.snap_weights,
             snap_embeddings=self.snap_embeddings,

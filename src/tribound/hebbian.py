@@ -59,9 +59,13 @@ class StepRecord:
     clamped: bool
 
 
-def row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis, bit for bit as np.linalg.norm."""
-    return np.sqrt(np.add.reduce(x * x, axis=-1))
+def row_norms(x: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Euclidean norms along the last axis, bit for bit as np.linalg.norm.
+
+    With overwrite, x is squared in place instead of into a temporary.
+    """
+    squares = np.multiply(x, x, out=x if overwrite else None)
+    return np.sqrt(np.add.reduce(squares, axis=-1))
 
 
 def _logistic(x: np.ndarray | float) -> np.ndarray | float:
