@@ -501,6 +501,8 @@ class _Run:
         self.halt_reason: str | None = None
 
     def _observations(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One tick's (x_pre, x_post): the weights' unit directions when
+        aligned, else one draw of each scaled into the unit ball."""
         cfg = self.cfg
         if self.scenario.aligned_observations:
             norms = row_norms(weights)

@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -89,8 +90,6 @@ def test_trace_bytes_match_golden_fixture(name: str, golden: dict, tmp_path: Pat
 
 
 def _record() -> None:
-    import tempfile
-
     cases = {}
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
