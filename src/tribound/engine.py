@@ -472,6 +472,10 @@ class _Run:
         else:
             self.gains = np.full(n, modulation_gain(0.0, cfg))
         self.obs_rng = stream_rng(cfg.seed, "observations")
+        # Reused every tick: at large swarm sizes fresh draw-sized arrays
+        # come back from the allocator unmapped and fault in page by page.
+        self.raw_obs = np.empty((2, n, cfg.weight_dim))
+        self.obs = np.empty((2, n, cfg.weight_dim))
 
         self.ticks = int(math.floor(horizon / cfg.tau1 + _TIME_TOL))
         self.step_norms = np.zeros((self.ticks, n))
@@ -516,11 +520,12 @@ class _Run:
             if zero.any():
                 dirs[zero, 0] = 1.0
             return dirs, dirs
-        raw = self.obs_rng.standard_normal((2, cfg.n_agents, cfg.weight_dim))
-        raw_norms = row_norms(raw)[..., None]
+        raw = self.obs_rng.standard_normal(out=self.raw_obs)
+        raw_norms = row_norms(raw, squares=self.obs)[..., None]
         raw_norms[raw_norms == 0.0] = 1.0
         radii = self.obs_rng.uniform(size=(2, cfg.n_agents, 1))
-        scaled = raw / raw_norms * radii
+        scaled = np.divide(raw, raw_norms, out=self.obs)
+        scaled *= radii
         return scaled[0], scaled[1]
 
     def _fast_block(self, start: int) -> int:
@@ -567,7 +572,7 @@ class _Run:
             self.tick_policy_tv[start:stop] = tv_rows(dists, previous).max(axis=1)
             self.prev_dists = dists[-1]
         # Last use of the block: square it in place, not into a second buffer.
-        self.max_weight_norm[start:stop] = row_norms(block, overwrite=True).max(axis=1)
+        self.max_weight_norm[start:stop] = row_norms(block, squares=block).max(axis=1)
 
     def _coordination_step(self, ticks_done: int) -> bool:
         """Every coordination boundary the last tick reached; False on a halt."""

@@ -59,12 +59,13 @@ class StepRecord:
     clamped: bool
 
 
-def row_norms(x: np.ndarray, overwrite: bool = False) -> np.ndarray:
+def row_norms(x: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
     """Euclidean norms along the last axis, bit for bit as np.linalg.norm.
 
-    With overwrite, x is squared in place instead of into a temporary.
+    squares, if given, is an array of x's shape (x itself allowed) that
+    receives x * x in place of a new temporary.
     """
-    squares = np.multiply(x, x, out=x if overwrite else None)
+    squares = np.multiply(x, x, out=squares)
     return np.sqrt(np.add.reduce(squares, axis=-1))
 
 
