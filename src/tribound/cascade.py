@@ -9,9 +9,12 @@ fits. Every map here carries an explicit sensitivity constant so the
 analytic drift bounds compose.
 
 The encoder has an ideal output and a realized one. The realized output
-adds a deterministic hash-derived perturbation bounded by eps_gnn, standing
-in for truncated message passing; the ideal output is what the drift
-metrics see, and the gap is what the approximation-error contract monitors.
+adds a perturbation of norm below eps_gnn to each agent's embedding,
+standing in for truncated message passing. Each coordination cycle draws
+all agents' perturbations at once from the "embedding_error" stream keyed
+by (seed, cycle), so they do not depend on the weights or on how the ideal
+embeddings were rounded. The ideal output is what the drift metrics see,
+and the gap is what the approximation-error contract monitors.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import CalibrationError, EnforcementError, StructuralError
 from .model import PolicyParams, SystemConfig
-from .seeding import hashed_direction, stream_rng, unit_rows
+from .seeding import stream_rng, unit_rows
 
 BACKTRACK_CAP = 60
 _CALIBRATION_TOL = 1e-12
@@ -102,52 +105,25 @@ def embed(w: np.ndarray, encoder: EmbeddingEncoder) -> np.ndarray:
     return encoder.encode(w[None, :])[0]
 
 
-def ideal_embed(w: np.ndarray, encoder: EmbeddingEncoder) -> np.ndarray:
-    return embed(w, encoder)
-
-
-def _embedding_error(ideal: np.ndarray, encoder: EmbeddingEncoder) -> np.ndarray:
-    direction, fraction = hashed_direction(ideal, encoder.seed, ideal.shape[0])
-    return encoder.eps_gnn * fraction * direction
-
-
-def realized_embed(w: np.ndarray, encoder: EmbeddingEncoder) -> np.ndarray:
-    """Ideal embedding plus the bounded deterministic approximation error."""
-    ideal = embed(w, encoder)
-    if encoder.eps_gnn == 0.0:
-        return ideal
-    return ideal + _embedding_error(ideal, encoder)
-
-
-def approx_error(w: np.ndarray, encoder: EmbeddingEncoder) -> float:
-    """Norm of the realized-vs-ideal embedding gap. Always below eps_gnn."""
-    ideal = embed(w, encoder)
-    if encoder.eps_gnn == 0.0:
-        return 0.0
-    return float(np.linalg.norm(_embedding_error(ideal, encoder)))
-
-
-def realized_embeddings(weights: np.ndarray, encoder: EmbeddingEncoder
+def realized_embeddings(weights: np.ndarray, encoder: EmbeddingEncoder, cycle: int
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batch form: (realized, ideal, error_norms) for all agents.
+    """(realized, ideal, error_norms) for all agents at one coordination cycle.
 
-    Each row goes through the single-vector path. The hashed error
-    direction is discontinuous in its payload bytes, so the ideal rows
-    must be computed exactly as embed() computes them; a batched matrix
-    product can differ in the last ulp and select a different direction.
+    ideal is encoder.encode(weights). Agent i's error is
+    eps_gnn * fraction_i * direction_i, with a uniform unit direction and a
+    uniform fraction in [0, 1) drawn for all agents at once from the
+    "embedding_error" stream keyed by (seed, cycle). error_norms are the row
+    norms of realized - ideal, the error as actually added.
     """
-    weights = np.atleast_2d(np.asarray(weights, dtype=float))
-    n = weights.shape[0]
-    ideal = np.stack([embed(weights[i], encoder) for i in range(n)])
+    ideal = encoder.encode(weights)
+    n, dim = ideal.shape
     if encoder.eps_gnn == 0.0:
         return ideal.copy(), ideal, np.zeros(n)
-    realized = ideal.copy()
-    error_norms = np.zeros(n)
-    for i in range(n):
-        error = _embedding_error(ideal[i], encoder)
-        realized[i] = ideal[i] + error
-        error_norms[i] = np.linalg.norm(error)
-    return realized, ideal, error_norms
+    rng = stream_rng(encoder.seed, "embedding_error", cycle)
+    error = unit_rows(rng, n, dim)
+    error *= (encoder.eps_gnn * rng.uniform(size=n))[:, None]
+    realized = ideal + error
+    return realized, ideal, np.linalg.norm(realized - ideal, axis=1)
 
 
 class AdjacencyGraph:

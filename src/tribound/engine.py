@@ -580,7 +580,9 @@ class _Run:
         t = ticks_done * cfg.tau1
         while self.marl_k * cfg.tau2 <= t + _TIME_TOL:
             boundary = self.marl_k * cfg.tau2
-            realized, ideal, error_norms = realized_embeddings(self.weights, self.encoder)
+            realized, ideal, error_norms = realized_embeddings(
+                self.weights, self.encoder, self.marl_k
+            )
             aggregated = self.mix @ realized
             if not self.scenario.unit_gain:
                 signals = modulation(aggregated, aggregated.mean(axis=0), cfg)

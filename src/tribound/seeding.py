@@ -3,11 +3,12 @@
 All randomness in a run flows from one unsigned config seed. Each consumer
 gets its own named stream so adding a draw to one component can never shift
 the values another component sees. Stream ids are a fixed table, not string
-hashes, so the mapping is stable across platforms and releases.
+hashes, so the mapping is stable across platforms and releases. A stream
+drawn afresh at each coordination cycle, such as "embedding_error", takes
+the cycle index as an integer key, so each cycle's draw is fixed by
+(seed, stream, cycle) alone.
 """
 from __future__ import annotations
-
-from hashlib import blake2b
 
 import numpy as np
 
@@ -22,37 +23,18 @@ _STREAM_IDS: dict[str, int] = {
     "meta_target": 8,
     "meta_cascade": 9,
     "adaptation": 10,
+    "embedding_error": 11,
 }
 
 
-def stream_rng(seed: int, stream: str) -> np.random.Generator:
-    """Generator for a named stream, fully determined by (seed, stream)."""
+def stream_rng(seed: int, stream: str, key: int | None = None) -> np.random.Generator:
+    """Generator for a named stream, fully determined by (seed, stream, key)."""
     if stream not in _STREAM_IDS:
         raise KeyError(f"unknown random stream {stream!r}")
-    ss = np.random.SeedSequence([int(seed), _STREAM_IDS[stream]])
-    return np.random.default_rng(ss)
-
-
-def hashed_direction(payload: np.ndarray, seed: int, dim: int) -> tuple[np.ndarray, float]:
-    """Pseudo-random unit direction and fraction in [0, 1), keyed by exact bytes.
-
-    The same (payload, seed) always yields the same pair; nearby payloads yield
-    unrelated pairs. Used for the deterministic embedding-approximation error.
-    """
-    digest = blake2b(
-        payload.tobytes() + int(seed).to_bytes(8, "little", signed=False),
-        digest_size=16,
-    ).digest()
-    sub = np.random.default_rng(int.from_bytes(digest, "little"))
-    direction = sub.standard_normal(dim)
-    norm = float(np.linalg.norm(direction))
-    if norm == 0.0:
-        direction = np.zeros(dim)
-        direction[0] = 1.0
-    else:
-        direction = direction / norm
-    fraction = float(sub.uniform(0.0, 1.0))
-    return direction, fraction
+    entropy = [int(seed), _STREAM_IDS[stream]]
+    if key is not None:
+        entropy.append(int(key))
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tribound import (
     ActionDistribution,
@@ -14,7 +15,6 @@ from tribound import (
     SystemConfig,
     aggregate,
     apply_overrides,
-    approx_error,
     embed,
     make_encoder,
     marl_step,
@@ -23,10 +23,10 @@ from tribound import (
     probe_embeddings,
 )
 from tribound.cascade import (
+    EmbeddingEncoder,
     logit_scale,
     policy_distributions,
     power_opnorm,
-    realized_embed,
     realized_embeddings,
     tv_rows,
 )
@@ -74,36 +74,90 @@ def test_embed_guards_dimension(base_config):
         embed(np.zeros(3), encoder)
 
 
+def _drawn_error(seed: int, cycle: int, n: int, dim: int, eps_gnn: float) -> np.ndarray:
+    """The cycle's error by its formula: eps_gnn * fraction * unit direction."""
+    rng = stream_rng(seed, "embedding_error", cycle)
+    raw = rng.standard_normal((n, dim))
+    direction = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    fraction = rng.uniform(size=n)
+    return eps_gnn * fraction[:, None] * direction
+
+
 def test_realized_embedding_error_is_bounded(base_config):
     encoder = make_encoder(base_config)
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        w = rng.standard_normal(base_config.weight_dim)
-        err = approx_error(w, encoder)
-        assert 0.0 <= err <= base_config.eps_gnn
-        gap = realized_embed(w, encoder) - embed(w, encoder)
-        assert float(np.linalg.norm(gap)) == pytest.approx(err, rel=1e-12)
+    weights = rng.standard_normal((base_config.n_agents, base_config.weight_dim))
+    for cycle in range(1, 21):
+        realized, ideal, errors = realized_embeddings(weights, encoder, cycle)
+        assert np.all(errors >= 0.0)
+        assert np.all(errors < base_config.eps_gnn)
+        np.testing.assert_array_equal(errors, np.linalg.norm(realized - ideal, axis=1))
 
 
 def test_zero_error_budget_means_ideal(base_config):
     cfg = apply_overrides(base_config, {"eps_gnn": 0.0})
     encoder = make_encoder(cfg)
-    w = np.linspace(-1.0, 1.0, cfg.weight_dim)
-    np.testing.assert_array_equal(realized_embed(w, encoder), embed(w, encoder))
-    assert approx_error(w, encoder) == 0.0
+    weights = np.linspace(-1.0, 1.0, 3 * cfg.weight_dim).reshape(3, cfg.weight_dim)
+    realized, ideal, errors = realized_embeddings(weights, encoder, 1)
+    assert realized.tobytes() == ideal.tobytes() == encoder.encode(weights).tobytes()
+    np.testing.assert_array_equal(errors, np.zeros(3))
 
 
 def test_realized_embeddings_batch_matches_single(base_config):
+    """Row i is encode(w_i) plus the i-th error of the cycle's single draw."""
     encoder = make_encoder(base_config)
     rng = np.random.default_rng(1)
     weights = rng.standard_normal((5, base_config.weight_dim))
-    realized, ideal, errors = realized_embeddings(weights, encoder)
+    realized, ideal, errors = realized_embeddings(weights, encoder, 3)
+    drawn = _drawn_error(
+        base_config.seed, 3, 5, base_config.embed_dim, base_config.eps_gnn
+    )
     for i in range(5):
-        np.testing.assert_allclose(
-            realized[i], realized_embed(weights[i], encoder), rtol=1e-14
-        )
         np.testing.assert_allclose(ideal[i], embed(weights[i], encoder), rtol=1e-14)
-        assert errors[i] == pytest.approx(approx_error(weights[i], encoder))
+        np.testing.assert_allclose(realized[i], ideal[i] + drawn[i], rtol=1e-14)
+        assert errors[i] == pytest.approx(float(np.linalg.norm(drawn[i])), rel=1e-12)
+
+
+@st.composite
+def _weight_batches(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    return draw(
+        arrays(np.float64, (n, 64), elements=st.floats(-100.0, 100.0, width=64))
+    )
+
+
+@given(
+    weights=_weight_batches(),
+    eps_gnn=st.floats(min_value=1e-6, max_value=10.0),
+    cycle=st.integers(min_value=1, max_value=10**6),
+    squash=st.booleans(),
+)
+@settings(max_examples=50)
+def test_realized_embeddings_properties(weights, eps_gnn, cycle, squash):
+    base = make_encoder(SystemConfig())
+    encoder = EmbeddingEncoder(base.matrix, base.lip_phi, squash, eps_gnn, base.seed)
+    n, p = weights.shape[0], base.matrix.shape[0]
+    realized, ideal, errors = realized_embeddings(weights, encoder, cycle)
+
+    assert ideal.tobytes() == encoder.encode(weights).tobytes()
+    assert np.all(errors >= 0.0)
+    assert np.all(errors < eps_gnn)
+    np.testing.assert_array_equal(errors, np.linalg.norm(realized - ideal, axis=1))
+
+    # At zero weights the ideal embedding is exactly zero, so realized is
+    # the error itself; at any other weights the same error is added, up to
+    # the rounding of ideal + error.
+    error, _, _ = realized_embeddings(np.zeros_like(weights), encoder, cycle)
+    np.testing.assert_allclose(
+        error, _drawn_error(base.seed, cycle, n, p, eps_gnn), rtol=1e-14, atol=0.0
+    )
+    slack = 2.0 * np.finfo(float).eps * (np.abs(ideal) + np.abs(error))
+    assert np.all(np.abs((realized - ideal) - error) <= slack)
+
+    again = realized_embeddings(weights, encoder, cycle)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(again, (realized, ideal, errors)))
+    other, _, _ = realized_embeddings(np.zeros_like(weights), encoder, cycle + 1)
+    assert not np.array_equal(other, error)
 
 
 def test_ring_graph(base_config):
