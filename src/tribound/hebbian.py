@@ -270,10 +270,13 @@ def eta1_threshold(rule: HebbianRule, config: SystemConfig) -> float:
             "stability threshold requires a negative decay coefficient"
         )
     peak_drive = rule.drive_bound + abs(rule.delta) * stationary_radius(rule)
-    denom = (peak_drive * config.sigma_max) ** 2
-    if denom == 0.0:
+    scale = peak_drive * config.sigma_max
+    if scale == 0.0:
         return math.inf
-    return 2.0 * abs(rule.delta) / denom
+    # Divide twice rather than square: squaring raises OverflowError once
+    # scale passes about 1.3e154, while each division just rounds, to 0.0
+    # or inf where the threshold is beyond the float range.
+    return 2.0 * abs(rule.delta) / scale / scale
 
 
 def intrinsic_step_bound(rule: HebbianRule, config: SystemConfig) -> float:
