@@ -31,6 +31,7 @@ from .bounds import BoundReport, phi_max as phi_max_of, total_bound
 from .cascade import (
     AdjacencyGraph,
     PolicyTarget,
+    logit_scale,
     make_encoder,
     marl_step,
     modulation,
@@ -70,6 +71,7 @@ from .seeding import stream_rng, unit_rows
 
 _TIME_TOL = 1e-9
 SLOPE_TOL = 1e-6
+_EPS = float(np.finfo(float).eps)
 
 EXPECTATIONS = ("none", "growth", "step_violation", "degradation", "alarm")
 
@@ -806,6 +808,13 @@ def _least_squares_slope(times: np.ndarray, values: np.ndarray) -> float:
     return float(t @ (values - values.mean()) / denom)
 
 
+def _rounding_slack(magnitude: float, roundings: int) -> float:
+    """Float error allowance of a value computed through `roundings`
+    rounded operations on operands of size up to `magnitude`: one eps
+    (two units of roundoff) of that size per rounding."""
+    return roundings * _EPS * magnitude
+
+
 def verify(trace: Trace, report: BoundReport | None = None) -> VerificationReport:
     """Replay a recorded trace against the closed-form ceilings.
 
@@ -813,9 +822,12 @@ def verify(trace: Trace, report: BoundReport | None = None) -> VerificationRepor
     embedding drift, per-tick induced policy drift, per-cycle meta movement
     scaled by the cascading sensitivity, and non-accumulation (late-run
     slopes of the weight-norm and suboptimality-proxy streams).
+
+    A ceiling comparison allows for float rounding in proportion to the
+    size of the operands the recorded value was computed from, so a value
+    that equals its ceiling in exact arithmetic passes at any weight scale.
     """
     cfg = trace.config
-    tol = 1e-12
     stable = cfg.delta < 0.0
     if stable and report is None:
         report = total_bound(cfg)
@@ -829,8 +841,10 @@ def verify(trace: Trace, report: BoundReport | None = None) -> VerificationRepor
     else:
         worst = float(trace.step_norms.max()) if trace.step_norms.size else 0.0
         bound = report.delta1_eff
+        # A step norm sums weight_dim squares.
+        slack = _rounding_slack(bound, cfg.weight_dim)
         checks.append(
-            CheckResult("per_tick_step_norm", worst <= bound + tol, worst, bound)
+            CheckResult("per_tick_step_norm", worst <= bound + slack, worst, bound)
         )
 
     pairs = list(zip(trace.snap_times, trace.snap_times[1:]))
@@ -856,11 +870,20 @@ def verify(trace: Trace, report: BoundReport | None = None) -> VerificationRepor
             worst_e = max(worst_e, float(np.linalg.norm(e2 - e1, axis=1).max()))
         bound_w = report.n12 * report.delta1_eff
         bound_e = report.phi_max
+        # Each of a cycle's n12 ticks rounds weights + step at the weights'
+        # size; the drift norm then sums weight_dim squares. An embedding
+        # adds the encoder's weight_dim * embed_dim products per snapshot.
+        w_scale = bound_w + max(float(row_norms(w).max()) for w in trace.snap_weights)
+        slack_w = _rounding_slack(w_scale, report.n12 + cfg.weight_dim)
+        slack_e = _rounding_slack(
+            cfg.lip_phi * w_scale + bound_e,
+            report.n12 + cfg.weight_dim * cfg.embed_dim,
+        )
         note = "" if pairs else "no complete coordination cycle recorded"
         checks.append(
             CheckResult(
                 "weight_drift_per_cycle",
-                worst_w <= bound_w + tol if pairs else None,
+                worst_w <= bound_w + slack_w if pairs else None,
                 worst_w,
                 bound_w,
                 note,
@@ -869,7 +892,7 @@ def verify(trace: Trace, report: BoundReport | None = None) -> VerificationRepor
         checks.append(
             CheckResult(
                 "embedding_drift_per_cycle",
-                worst_e <= bound_e + tol if pairs else None,
+                worst_e <= bound_e + slack_e if pairs else None,
                 worst_e,
                 bound_e,
                 note,
@@ -899,10 +922,19 @@ def verify(trace: Trace, report: BoundReport | None = None) -> VerificationRepor
         )
     else:
         worst = float(trace.tick_policy_tv.max()) if trace.tick_policy_tv.size else 0.0
+        # Probabilities are at most 1, and a logit error moves them by at
+        # most its own size; logits are bounded through the policy box and
+        # the encoder's sensitivity to the weights.
+        weight_norm = float(trace.max_weight_norm.max()) if trace.ticks else 0.0
+        logits = (
+            logit_scale(cfg) * cfg.policy_box * math.sqrt(cfg.embed_dim)
+            * cfg.lip_phi * weight_norm
+        )
+        slack = _rounding_slack(1.0 + logits, cfg.n_actions + cfg.embed_dim)
         checks.append(
             CheckResult(
                 "induced_policy_drift_per_tick",
-                worst <= induced_bound + tol,
+                worst <= induced_bound + slack,
                 worst,
                 induced_bound,
             )
@@ -915,10 +947,12 @@ def verify(trace: Trace, report: BoundReport | None = None) -> VerificationRepor
         worst_meta = max(
             k_cascade * float(np.linalg.norm(b - a)) for a, b in meta_pairs
         )
+        theta_scale = max(float(np.linalg.norm(theta)) for theta in trace.meta_snaps)
+        slack = _rounding_slack(k_cascade * theta_scale + meta_bound, cfg.meta_dim)
         checks.append(
             CheckResult(
                 "meta_effect_per_cycle",
-                worst_meta <= meta_bound + tol,
+                worst_meta <= meta_bound + slack,
                 worst_meta,
                 meta_bound,
             )

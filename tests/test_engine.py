@@ -1,4 +1,5 @@
 """Scenario library, trace recording, determinism, replay verification."""
+import dataclasses
 import filecmp
 import math
 from pathlib import Path
@@ -154,6 +155,35 @@ def test_verify_skips_meta_check_without_meta_cycles(short_baseline):
 def test_verify_against_explicit_report(short_baseline):
     report = verify(short_baseline, total_bound(short_baseline.config))
     assert report.all_passed
+
+
+@pytest.fixture(scope="module")
+def large_weight_baseline():
+    """Every step is clamped, so the true per-cycle drift equals its ceiling."""
+    cfg = apply_overrides(SystemConfig(), {"init_weight_norm": 1e6})
+    return run("baseline", config=cfg, duration=10.0)
+
+
+def test_verify_drift_at_its_ceiling_passes_at_large_weights(large_weight_baseline):
+    check = verify(large_weight_baseline).check("weight_drift_per_cycle")
+    # w2 - w1 cancels at weights of norm 1e6, so the recorded drift reads
+    # a few 1e-10 over the 0.01 ceiling it equals in exact arithmetic.
+    assert check.worst > check.bound == pytest.approx(0.01)
+    assert check.passed is True
+    assert verify(large_weight_baseline).all_passed
+
+
+@pytest.mark.parametrize("init_weight_norm", [None, 1e6])
+def test_verify_fails_a_one_percent_drift_breach(init_weight_norm, short_baseline,
+                                                  large_weight_baseline):
+    trace = short_baseline if init_weight_norm is None else large_weight_baseline
+    exact = total_bound(trace.config)
+    worst = verify(trace, exact).check("weight_drift_per_cycle").worst
+    # Ceilings 1% under the recorded worst drift.
+    tight = dataclasses.replace(exact, delta1_eff=worst / (1.01 * exact.n12))
+    check = verify(trace, tight).check("weight_drift_per_cycle")
+    assert check.worst == pytest.approx(1.01 * check.bound)
+    assert check.passed is False
 
 
 def test_least_squares_slope():
