@@ -28,3 +28,48 @@ def test_malformed_override_fails_without_traceback(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: override 'n_agents' is not of the form key=value")
     assert "Traceback" not in err
+
+
+def test_bounds_passes(capsys):
+    assert main(["bounds"]) == PASS_EXIT
+    out = capsys.readouterr().out
+    assert out.startswith("closed-form quantities at the configured operating point")
+    assert "fast-rate stability threshold" in out
+
+
+def test_bounds_with_huge_gain_ceiling_reports_instead_of_overflowing(capsys):
+    # (peak drive * sigma_max) ** 2 would overflow; the threshold rounds to 0.
+    assert main(["bounds", "--set", "sigma_max=1e200"]) == PASS_EXIT
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    line = next(
+        row for row in captured.out.splitlines()
+        if row.startswith("fast-rate stability threshold")
+    )
+    assert line.split()[-1] == "0"
+
+
+def test_conditions_passes(capsys):
+    assert main(["conditions"]) == PASS_EXIT
+    assert capsys.readouterr().out.startswith("start-time admissibility conditions")
+
+
+def test_sensitivity_passes(capsys):
+    assert main(["sensitivity"]) == PASS_EXIT
+    assert "exact sweep of the total bound" in capsys.readouterr().out
+
+
+def test_counterexample_no_clamp_confirms(capsys):
+    assert main(["counterexample", "no_clamp", "--duration", "10"]) == CONFIRMED_EXIT
+    assert "per-tick cap violated as expected" in capsys.readouterr().out
+
+
+def test_counterexample_slow_marl_confirms(capsys):
+    assert main(["counterexample", "slow_marl", "--duration", "25"]) == CONFIRMED_EXIT
+    assert "guarantee degrades as expected" in capsys.readouterr().out
+
+
+def test_counterexample_crafted_margin_breach_confirms(capsys):
+    argv = ["counterexample", "crafted_margin_breach", "--duration", "20"]
+    assert main(argv) == CONFIRMED_EXIT
+    assert "margin alarm fired as expected" in capsys.readouterr().out
