@@ -1,4 +1,5 @@
-"""Golden fixture: sha256 of every saved trace file and of the verify report.
+"""Golden fixture: sha256 of every saved trace file and of the verify report,
+and of the stdout and --out JSON of the CLI verbs that print run results.
 
 A change that claims to leave behaviour alone must keep this test green. A
 deliberate change of trace bytes or of the random-stream layout rewrites the
@@ -13,8 +14,10 @@ skips, naming the difference, when it runs on another one.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -24,6 +27,7 @@ import numpy as np
 import pytest
 
 from tribound import SystemConfig, apply_overrides, run, verify
+from tribound.cli import main
 
 FIXTURE = Path(__file__).with_name("golden_hashes.json")
 
@@ -44,6 +48,21 @@ CASES: dict[str, tuple[str, dict, float]] = {
     "clamp_off": ("baseline", {"enforce_clamp": False}, 10.0),
     # the trust region cannot fit its cap at t=28, so the run halts there
     "halted": ("baseline", {"delta_pi": 1e-300}, 30.0),
+}
+
+# name -> CLI arguments, run with --out; durations as in tests/test_cli.py
+CLI_CASES: dict[str, list[str]] = {
+    "counterexample_delta_zero": ["counterexample", "delta_zero", "--duration", "20"],
+    "counterexample_no_clamp": ["counterexample", "no_clamp", "--duration", "10"],
+    "counterexample_slow_marl": ["counterexample", "slow_marl", "--duration", "25"],
+    "counterexample_crafted_margin_breach": [
+        "counterexample", "crafted_margin_breach", "--duration", "20"
+    ],
+    # reaches no meta boundary, so the handler reports that and exits 1
+    "counterexample_crafted_margin_breach_short": [
+        "counterexample", "crafted_margin_breach", "--duration", "10"
+    ],
+    "verify_two_seeds": ["verify", "--seeds", "2", "--duration", "10"],
 }
 
 
@@ -73,6 +92,20 @@ def case_hashes(name: str, out_dir: Path) -> dict[str, str]:
     return hashes
 
 
+def cli_hashes(name: str, out_dir: Path) -> dict[str, str]:
+    """Exit code, and sha256 of stdout and of every file written to --out."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main([*CLI_CASES[name], "--out", str(out_dir)])
+    hashes = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out_dir.iterdir())
+    }
+    hashes["exit"] = str(code)
+    hashes["stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+    return hashes
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     recorded = json.loads(FIXTURE.read_text())
@@ -81,12 +114,17 @@ def golden() -> dict:
             f"golden hashes recorded on {recorded['numeric_stack']}, "
             f"running on {numeric_stack()}"
         )
-    return recorded["cases"]
+    return recorded
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trace_bytes_match_golden_fixture(name: str, golden: dict, tmp_path: Path):
-    assert case_hashes(name, tmp_path) == golden[name]
+    assert case_hashes(name, tmp_path) == golden["cases"][name]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_output_matches_golden_fixture(name: str, golden: dict, tmp_path: Path):
+    assert cli_hashes(name, tmp_path) == golden["cli"][name]
 
 
 def _record() -> None:
@@ -94,7 +132,11 @@ def _record() -> None:
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             cases[name] = case_hashes(name, Path(tmp))
-    payload = {"numeric_stack": numeric_stack(), "cases": cases}
+    cli = {}
+    for name in sorted(CLI_CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            cli[name] = cli_hashes(name, Path(tmp))
+    payload = {"numeric_stack": numeric_stack(), "cases": cases, "cli": cli}
     FIXTURE.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(f"wrote {FIXTURE}", file=sys.stderr)
 
