@@ -88,21 +88,9 @@ class EmbeddingEncoder:
             embeddings = np.tanh(embeddings)
         return embeddings
 
-    def operator_norm(self) -> float:
-        rng = stream_rng(0, "calibration")
-        return power_opnorm(self.matrix, rng)
-
 
 def make_encoder(config: SystemConfig) -> EmbeddingEncoder:
     return EmbeddingEncoder.from_config(config)
-
-
-def embed(w: np.ndarray, encoder: EmbeddingEncoder) -> np.ndarray:
-    """Ideal embedding of one weight vector."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or w.shape[0] != encoder.matrix.shape[1]:
-        raise StructuralError("weight vector dimension mismatch")
-    return encoder.encode(w[None, :])[0]
 
 
 def realized_embeddings(weights: np.ndarray, encoder: EmbeddingEncoder, cycle: int
@@ -180,16 +168,6 @@ class AdjacencyGraph:
         return mix
 
 
-def aggregate(
-    embeddings: np.ndarray, graph: AdjacencyGraph, config: SystemConfig
-) -> np.ndarray:
-    """Neighborhood aggregates: one row per agent."""
-    embeddings = np.atleast_2d(np.asarray(embeddings, dtype=float))
-    if embeddings.shape[0] != graph.n:
-        raise StructuralError("one embedding row per agent required")
-    return graph.mix_matrix(config.lip_gnn) @ embeddings
-
-
 def modulation(z_i: np.ndarray, z_mean: np.ndarray, config: SystemConfig
                ) -> np.ndarray | float:
     """Dispersion-driven modulation signal, always in [0, m_max].
@@ -204,26 +182,6 @@ def modulation(z_i: np.ndarray, z_mean: np.ndarray, config: SystemConfig
     if np.ndim(z_i) == 1:
         return float(signal[0])
     return signal
-
-
-@dataclass(frozen=True)
-class ActionDistribution:
-    """Probability vector over the discrete action set."""
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1 or np.any(probs < -1e-12):
-            raise StructuralError("action probabilities must be a nonnegative vector")
-        if abs(float(probs.sum()) - 1.0) > 1e-9:
-            raise StructuralError("action probabilities must sum to 1")
-        object.__setattr__(self, "probs", probs)
-
-    def tv(self, other: "ActionDistribution") -> float:
-        if self.probs.shape != other.probs.shape:
-            raise StructuralError("action counts differ")
-        return 0.5 * float(np.abs(self.probs - other.probs).sum())
 
 
 def logit_scale(config: SystemConfig) -> float:
@@ -263,12 +221,6 @@ def policy_distributions(
     probs = np.exp(logits, out=logits)
     probs /= probs.sum(axis=-1, keepdims=True)
     return probs
-
-
-def policy_dist(
-    z: np.ndarray, params: PolicyParams, config: SystemConfig
-) -> ActionDistribution:
-    return ActionDistribution(policy_distributions(params.theta, z, config)[0])
 
 
 def tv_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:

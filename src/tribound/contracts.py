@@ -7,14 +7,12 @@ and monotone meta improvement (ML-C2). Each check yields a verdict carrying
 the measured quantity, the threshold, a robustness margin, and an alarm flag
 that fires when the margin shrinks below the configured early-warning level.
 
-Margins come in two flavors. A standalone check knows only the monitored
-quantity, so its margin is the distance from the measurement to the
-threshold. The simulation engine instead injects the meta-parameter-space
-margin: the distance from the current meta point to the nearest point whose
-induced rule breaks the contract's invariant (box boundary for every
-contract, plus the decay sign-flip surface for the two contracts whose
-invariants presume the stable fast regime). Both are 1-Lipschitz in their
-argument by construction, so no numerical margin estimation is needed.
+A contract's margin is measured in meta-parameter space: the distance from
+the current meta point to the nearest point whose induced rule breaks the
+contract's invariant (box boundary for every contract, plus the decay
+sign-flip surface for the two contracts whose invariants presume the stable
+fast regime). It is 1-Lipschitz in the meta point by construction, so no
+numerical margin estimation is needed.
 """
 from __future__ import annotations
 
@@ -25,7 +23,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .errors import MarginGeometryError
-from .meta import MetaCascade, adaptation_trial as _cascade_trial
+from .meta import MetaCascade
 from .model import SystemConfig
 
 CONTRACT_IDS = ("NP-C1", "NP-C2", "MARL-C1", "GNN-C1", "ML-C1", "ML-C2")
@@ -105,11 +103,6 @@ class ContractVerdict:
         }
 
 
-def quantity_margin(threshold: float, measured: float) -> float:
-    """Distance from a measurement to its threshold, floored at zero."""
-    return max(threshold - measured, 0.0)
-
-
 def theta_margin(
     cascade: MetaCascade, theta: np.ndarray | Sequence[float], contract_id: str
 ) -> float:
@@ -120,31 +113,6 @@ def theta_margin(
     if contract_id in _FLIP_SENSITIVE:
         constituents.append(cascade.flip_distance(np.asarray(theta, dtype=float)))
     return max(min(constituents), 0.0)
-
-
-def margin(
-    spec: ContractSpec,
-    measured: float | None = None,
-    theta: np.ndarray | Sequence[float] | None = None,
-    cascade: MetaCascade | None = None,
-) -> float:
-    """Robustness margin from whatever geometry is available.
-
-    With a measurement, the quantity-space box distance applies; with a meta
-    point and its cascade, the meta-space distance applies; with both, the
-    minimum. All six contracts have analytic geometry, so there is no
-    sampling fallback.
-    """
-    constituents = []
-    if measured is not None:
-        constituents.append(quantity_margin(spec.threshold, measured))
-    if theta is not None and cascade is not None:
-        constituents.append(theta_margin(cascade, theta, spec.contract_id))
-    if not constituents:
-        raise MarginGeometryError(
-            "margin needs a measurement or a meta point with its cascade"
-        )
-    return min(constituents)
 
 
 def rolling_means(values: Sequence[float], window: int = ML2_WINDOW) -> list[float]:
@@ -162,117 +130,6 @@ def ml2_increase(k_inner: Sequence[float]) -> float | None:
     if len(means) < 2:
         return None
     return max(b - a for a, b in zip(means, means[1:]))
-
-
-def _conclusive(
-    spec: ContractSpec,
-    time: float,
-    measured: float,
-    margin_value: float,
-    margin_alarm: float,
-    note: str = "",
-) -> ContractVerdict:
-    passed = measured <= spec.threshold + EQUALITY_TOL
-    return ContractVerdict(
-        contract_id=spec.contract_id,
-        time=time,
-        passed=passed,
-        measured=measured,
-        threshold=spec.threshold,
-        margin=margin_value,
-        alarm=margin_value < margin_alarm,
-        note=note,
-    )
-
-
-def _inconclusive(spec: ContractSpec, time: float, note: str) -> ContractVerdict:
-    return ContractVerdict(
-        contract_id=spec.contract_id,
-        time=time,
-        passed=None,
-        measured=math.nan,
-        threshold=spec.threshold,
-        margin=0.0,
-        alarm=False,
-        note=note,
-    )
-
-
-def check_contract(
-    spec: ContractSpec,
-    evidence: Mapping[str, Any],
-    config: SystemConfig,
-    time: float = 0.0,
-    theta: np.ndarray | Sequence[float] | None = None,
-    cascade: MetaCascade | None = None,
-) -> ContractVerdict:
-    """Evaluate one contract against a slice of trace evidence.
-
-    Evidence keys by contract: step_norms (NP-C1), safety_deltas (NP-C2),
-    tv_steps (MARL-C1), approx_errors and optionally weight_norms (GNN-C1),
-    t_adapt (ML-C1), k_inner (ML-C2). Missing or empty evidence yields an
-    inconclusive verdict.
-    """
-    key = {
-        "NP-C1": "step_norms",
-        "NP-C2": "safety_deltas",
-        "MARL-C1": "tv_steps",
-        "GNN-C1": "approx_errors",
-        "ML-C1": "t_adapt",
-        "ML-C2": "k_inner",
-    }[spec.contract_id]
-    if key not in evidence:
-        return _inconclusive(spec, time, f"evidence key {key!r} missing")
-
-    if spec.contract_id == "ML-C2":
-        series = list(evidence[key])
-        increase = ml2_increase(series)
-        if increase is None:
-            return _inconclusive(
-                spec, time,
-                f"need at least {ML2_WINDOW + 1} trials, have {len(series)}",
-            )
-        measured = increase
-    elif spec.contract_id == "ML-C1":
-        raw = evidence[key]
-        values = list(np.atleast_1d(np.asarray(raw, dtype=float)))
-        if not values:
-            return _inconclusive(spec, time, "no adaptation trials recorded")
-        measured = float(values[-1])
-    else:
-        values = np.asarray(evidence[key], dtype=float).ravel()
-        if values.size == 0:
-            return _inconclusive(spec, time, f"evidence key {key!r} empty")
-        measured = float(values.max())
-
-    note = ""
-    if spec.contract_id == "GNN-C1" and "weight_norms" in evidence:
-        norms = np.asarray(evidence["weight_norms"], dtype=float)
-        w_max = evidence.get("w_max")
-        if w_max is not None and norms.size and float(norms.max()) > w_max + 1e-9:
-            return _inconclusive(
-                spec, time, "precondition breach: weight norm beyond the invariant ball"
-            )
-
-    margin_value = margin(spec, measured=measured, theta=theta, cascade=cascade)
-    return _conclusive(spec, time, measured, margin_value, config.margin_alarm, note)
-
-
-def adaptation_trial(
-    config: SystemConfig, changed_env: bool = True
-) -> tuple[float, int]:
-    """Standalone adaptation trial at the config's initial meta point."""
-    from .cascade import PolicyTarget, probe_embeddings
-
-    cascade = MetaCascade(config)
-    target_map = PolicyTarget.from_config(config)
-    reference = np.clip(target_map.offset, -config.policy_box, config.policy_box)
-    probes = probe_embeddings(config)
-    theta = np.zeros(config.meta_dim)
-    result = _cascade_trial(
-        cascade, theta, reference, probes, config, changed_env=changed_env
-    )
-    return result.t_adapt, result.k_inner
 
 
 class Monitor:
@@ -436,29 +293,6 @@ class SafetyReadout:
         ).all():
             return np.zeros(block.shape[0])
         return np.abs(block @ self.danger_masked.T - self.base).max(axis=(1, 2))
-
-
-def monitor_tick(
-    monitor: Monitor,
-    time: float,
-    quantities: Mapping[str, float],
-    margins: Mapping[str, float],
-) -> list[ContractVerdict]:
-    """Evaluate every contract with a quantity due at this boundary."""
-    verdicts = []
-    for contract_id in CONTRACT_IDS:
-        if contract_id not in quantities:
-            continue
-        verdict = monitor.observe(
-            contract_id,
-            time,
-            quantities[contract_id],
-            margins[contract_id],
-            force_log=True,
-        )
-        assert verdict is not None
-        verdicts.append(verdict)
-    return verdicts
 
 
 def all_margins(

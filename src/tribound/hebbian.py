@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModulationBoundError, StructuralError, UnboundedRegimeError
-from .model import AgentState, Observation, SystemConfig
+from .errors import ModulationBoundError, UnboundedRegimeError
+from .model import SystemConfig
 
 
 @dataclass(frozen=True)
@@ -46,17 +46,6 @@ class HebbianRule:
 
 def rule_from_config(config: SystemConfig) -> HebbianRule:
     return HebbianRule(config.alpha, config.beta, config.gamma_h, config.delta)
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """Bookkeeping for one applied fast step of one agent."""
-
-    tick: int
-    agent_id: int
-    proposed_norm: float
-    applied_norm: float
-    clamped: bool
 
 
 def row_norms(x: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
@@ -91,27 +80,6 @@ def modulation_gain(
     if np.ndim(m_signal) == 0:
         return float(gain)
     return gain
-
-
-def hebbian_delta(
-    obs: Observation,
-    w: np.ndarray,
-    m_signal: float,
-    rule: HebbianRule,
-    config: SystemConfig,
-) -> np.ndarray:
-    """Modulated update direction for one agent, before the learning rate."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != obs.x_pre.shape:
-        raise StructuralError("weight and observation dimensions disagree")
-    gain = modulation_gain(m_signal, config)
-    drive = (
-        rule.alpha * (obs.x_pre * obs.x_post)
-        + rule.beta * obs.x_pre
-        + rule.gamma_h * obs.x_post
-        + rule.delta * w
-    )
-    return gain * drive
 
 
 def proposed_steps(
@@ -183,64 +151,6 @@ def hebbian_tick(
     return apply_steps(
         weights, steps, frozen_mask, config.delta_np, config.enforce_clamp
     )
-
-
-def hebbian_step(
-    agent: AgentState,
-    obs: Observation,
-    m_signal: float,
-    config: SystemConfig,
-    enforce_clamp: bool | None = None,
-    rule: HebbianRule | None = None,
-    tick: int = 0,
-) -> tuple[AgentState, StepRecord]:
-    """One fast step for one agent.
-
-    enforce_clamp and rule default to the config's settings; the engine
-    passes the current meta-modified rule explicitly.
-    """
-    if rule is None:
-        rule = rule_from_config(config)
-    if enforce_clamp is None:
-        enforce_clamp = config.enforce_clamp
-    gain = modulation_gain(m_signal, config)
-    steps = proposed_steps(
-        rule,
-        agent.weights[None, :],
-        obs.x_pre[None, :],
-        obs.x_post[None, :],
-        float(gain),
-        config.eta1,
-    )
-    new_weights, proposed, applied, clamped = apply_steps(
-        agent.weights[None, :], steps, agent.frozen_mask, config.delta_np,
-        enforce_clamp,
-    )
-    record = StepRecord(
-        tick=tick,
-        agent_id=agent.agent_id,
-        proposed_norm=float(proposed[0]),
-        applied_norm=float(applied[0]),
-        clamped=bool(clamped[0]),
-    )
-    next_state = AgentState(
-        agent_id=agent.agent_id,
-        weights=new_weights[0],
-        frozen_mask=agent.frozen_mask,
-    )
-    return next_state, record
-
-
-def safety_output(agent: AgentState, probe: np.ndarray) -> float:
-    """Scalar safety readout: probe applied to the frozen coordinates only.
-
-    Plastic coordinates contribute nothing, so the readout is constant for
-    the lifetime of a run by construction.
-    """
-    probe = np.asarray(probe, dtype=float)
-    if probe.shape != agent.weights.shape:
-        raise StructuralError("probe dimension mismatch")
-    return float(probe[agent.frozen_mask] @ agent.weights[agent.frozen_mask])
 
 
 def stationary_radius(rule: HebbianRule) -> float:

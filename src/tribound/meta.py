@@ -206,21 +206,6 @@ class MetaCascade:
         return MetaParams(candidate), float(np.linalg.norm(grad))
 
 
-def theta_to_rule(theta: MetaParams | np.ndarray, cascade: MetaCascade) -> HebbianRule:
-    """Synaptic rule induced by a meta point."""
-    values = theta.theta if isinstance(theta, MetaParams) else theta
-    return cascade.rule_for(values)
-
-
-def meta_step(
-    theta: MetaParams, config: SystemConfig, cascade: MetaCascade | None = None
-) -> tuple[MetaParams, float]:
-    """One slow step against the config's seeded target."""
-    if cascade is None:
-        cascade = MetaCascade(config)
-    return cascade.step(theta)
-
-
 def adaptation_trial(
     cascade: MetaCascade,
     theta: np.ndarray,

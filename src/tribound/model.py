@@ -70,7 +70,7 @@ import dataclasses
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import sha256
 from typing import Any, Mapping
 
@@ -365,52 +365,6 @@ def validate_conditions(config: SystemConfig) -> ConditionReport:
     )
 
     return ConditionReport(checks=(s1, s2, s3, s4, s5))
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One tick's pre- and postsynaptic activity for a single agent.
-
-    Activity vectors are normalized at the sensor boundary, so norms above
-    one (beyond float tolerance) are a structural fault, not data.
-    """
-
-    x_pre: np.ndarray
-    x_post: np.ndarray
-
-    def __post_init__(self) -> None:
-        pre = np.asarray(self.x_pre, dtype=float)
-        post = np.asarray(self.x_post, dtype=float)
-        if pre.shape != post.shape or pre.ndim != 1:
-            raise StructuralError("observation vectors must be 1-d and same shape")
-        if not (np.all(np.isfinite(pre)) and np.all(np.isfinite(post))):
-            raise StructuralError("observation vectors must be finite")
-        limit = 1.0 + 1e-9
-        if np.linalg.norm(pre) > limit or np.linalg.norm(post) > limit:
-            raise StructuralError("observation norms must not exceed 1")
-        object.__setattr__(self, "x_pre", pre)
-        object.__setattr__(self, "x_post", post)
-
-
-@dataclass(frozen=True)
-class AgentState:
-    """Synaptic weight vector plus the mask of frozen safety coordinates."""
-
-    agent_id: int
-    weights: np.ndarray
-    frozen_mask: np.ndarray
-
-    def __post_init__(self) -> None:
-        weights = np.asarray(self.weights, dtype=float)
-        mask = np.asarray(self.frozen_mask)
-        if weights.ndim != 1 or mask.shape != weights.shape:
-            raise StructuralError("weights and frozen_mask must be 1-d and same shape")
-        if mask.dtype != np.bool_:
-            raise StructuralError("frozen_mask must be boolean")
-        if not np.all(np.isfinite(weights)):
-            raise StructuralError("weights must be finite")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "frozen_mask", mask)
 
 
 @dataclass(frozen=True)

@@ -7,19 +7,15 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tribound import (
-    ActionDistribution,
     AdjacencyGraph,
     PolicyParams,
     PolicyTarget,
     StructuralError,
     SystemConfig,
-    aggregate,
     apply_overrides,
-    embed,
     make_encoder,
     marl_step,
     modulation,
-    policy_dist,
     probe_embeddings,
 )
 from tribound.cascade import (
@@ -62,16 +58,21 @@ def test_encoder_lipschitz(seed, squash):
     cfg = apply_overrides(SystemConfig(), {"encoder_squash": squash})
     encoder = make_encoder(cfg)
     rng = np.random.default_rng(seed)
-    w1 = rng.standard_normal(cfg.weight_dim) * 10.0
-    w2 = rng.standard_normal(cfg.weight_dim) * 10.0
-    gap = float(np.linalg.norm(embed(w1, encoder) - embed(w2, encoder)))
-    assert gap <= cfg.lip_phi * float(np.linalg.norm(w1 - w2)) + 1e-9
+    w1 = rng.standard_normal((5, cfg.weight_dim)) * 10.0
+    w2 = rng.standard_normal((5, cfg.weight_dim)) * 10.0
+    gaps = np.linalg.norm(encoder.encode(w1) - encoder.encode(w2), axis=1)
+    assert np.all(gaps <= cfg.lip_phi * np.linalg.norm(w1 - w2, axis=1) + 1e-9)
 
 
 def test_embed_guards_dimension(base_config):
+    """encode maps rows of weight_dim to rows of embed_dim and refuses other widths."""
     encoder = make_encoder(base_config)
-    with pytest.raises(StructuralError):
-        embed(np.zeros(3), encoder)
+    weights = np.ones((3, base_config.weight_dim))
+    assert encoder.encode(weights).shape == (3, base_config.embed_dim)
+    assert encoder.encode(weights[0]).shape == (1, base_config.embed_dim)
+    for width in (1, 3, base_config.weight_dim + 1):
+        with pytest.raises(ValueError):
+            encoder.encode(np.zeros((2, width)))
 
 
 def _drawn_error(seed: int, cycle: int, n: int, dim: int, eps_gnn: float) -> np.ndarray:
@@ -113,7 +114,9 @@ def test_realized_embeddings_batch_matches_single(base_config):
         base_config.seed, 3, 5, base_config.embed_dim, base_config.eps_gnn
     )
     for i in range(5):
-        np.testing.assert_allclose(ideal[i], embed(weights[i], encoder), rtol=1e-14)
+        single = encoder.encode(weights[i : i + 1])[0]
+        np.testing.assert_allclose(ideal[i], single, rtol=1e-14)
+        np.testing.assert_allclose(single, encoder.matrix @ weights[i], rtol=1e-12)
         np.testing.assert_allclose(realized[i], ideal[i] + drawn[i], rtol=1e-14)
         assert errors[i] == pytest.approx(float(np.linalg.norm(drawn[i])), rel=1e-12)
 
@@ -192,16 +195,6 @@ def test_mix_matrix_row_gain(base_config):
     assert float(row_norms.min()) >= 0.0
 
 
-def test_aggregate_shape_guard(base_config):
-    graph = AdjacencyGraph.from_config(base_config)
-    with pytest.raises(StructuralError):
-        aggregate(np.zeros((3, base_config.embed_dim)), graph, base_config)
-    out = aggregate(
-        np.ones((base_config.n_agents, base_config.embed_dim)), graph, base_config
-    )
-    assert out.shape == (base_config.n_agents, base_config.embed_dim)
-
-
 def test_modulation_signal_band(base_config):
     rng = np.random.default_rng(4)
     z = rng.standard_normal((10, base_config.embed_dim)) * 100.0
@@ -212,28 +205,16 @@ def test_modulation_signal_band(base_config):
     assert modulation(z[0], z[0], base_config) == 0.0
 
 
-def test_action_distribution_guards():
-    with pytest.raises(StructuralError):
-        ActionDistribution(np.array([0.5, 0.6]))
-    with pytest.raises(StructuralError):
-        ActionDistribution(np.array([-0.1, 1.1]))
-    p = ActionDistribution(np.array([0.25, 0.75]))
-    q = ActionDistribution(np.array([0.75, 0.25]))
-    assert p.tv(p) == 0.0
-    assert p.tv(q) == pytest.approx(0.5)
-    with pytest.raises(StructuralError):
-        p.tv(ActionDistribution(np.array([1.0])))
-
-
 @given(st.integers(min_value=0, max_value=10_000))
 def test_tv_is_a_metric_sample(seed):
     rng = np.random.default_rng(seed)
     raw = rng.uniform(size=(2, 6))
     p, q = raw / raw.sum(axis=1, keepdims=True)
-    dp = ActionDistribution(p)
-    dq = ActionDistribution(q)
-    assert 0.0 <= dp.tv(dq) <= 1.0
-    assert dp.tv(dq) == pytest.approx(dq.tv(dp), rel=1e-14)
+    tv = float(tv_rows(p, q))
+    assert tv_rows(p, p) == 0.0
+    assert 0.0 <= tv <= 1.0
+    assert tv == pytest.approx(0.5 * float(np.abs(p - q).sum()), rel=1e-14)
+    assert tv == float(tv_rows(q, p))
 
 
 def test_logit_scale_formula(base_config):
@@ -255,8 +236,14 @@ def test_policy_rows_are_distributions(base_config):
     assert dists.shape == (7, base_config.n_actions)
     assert np.all(dists >= 0.0)
     np.testing.assert_allclose(dists.sum(axis=1), 1.0, rtol=1e-12)
-    one = policy_dist(z[0], PolicyParams(theta), base_config)
-    np.testing.assert_allclose(one.probs, dists[0], rtol=1e-12)
+    one = policy_distributions(theta, z[0], base_config)
+    assert one.shape == (1, base_config.n_actions)
+    np.testing.assert_allclose(one[0], dists[0], rtol=1e-12)
+    logits = logit_scale(base_config) * (
+        theta.reshape(base_config.n_actions, base_config.embed_dim) @ z[0]
+    )
+    want = np.exp(logits - logits.max())
+    np.testing.assert_allclose(one[0], want / want.sum(), rtol=1e-12)
 
 
 @pytest.mark.parametrize("n_agents,squash", [(1, False), (7, True), (30, False), (300, False)])

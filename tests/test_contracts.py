@@ -1,4 +1,4 @@
-"""Contract specs, margins, offline checks, and the streaming monitor."""
+"""Contract specs, margins, verdicts, and the streaming monitor."""
 import math
 
 import numpy as np
@@ -12,29 +12,33 @@ from tribound import (
     MetaCascade,
     Monitor,
     SystemConfig,
-    adaptation_trial,
     apply_overrides,
-    check_contract,
     contract_specs,
     frozen_mask_for,
     initial_weights,
-    margin,
-    monitor_tick,
     probe_embeddings,
+    run,
+    total_bound,
 )
-from tribound.cascade import PolicyTarget
+from tribound.cascade import PolicyTarget, policy_distributions, tv_rows
 from tribound.contracts import (
     EQUALITY_TOL,
     ContractVerdict,
     SafetyReadout,
     all_margins,
     ml2_increase,
-    quantity_margin,
     rolling_means,
     theta_margin,
 )
-from tribound.meta import adaptation_trial as cascade_trial
-from tribound.seeding import unit_rows
+from tribound.meta import (
+    ADAPT_BASE_PERTURBATION,
+    ADAPT_CAP,
+    ADAPT_INNER_RATE,
+    ADAPT_TV_TOL,
+    AdaptationResult,
+    adaptation_trial,
+)
+from tribound.seeding import stream_rng, unit_rows
 
 
 def test_contract_ids_and_thresholds(base_config):
@@ -50,9 +54,14 @@ def test_contract_ids_and_thresholds(base_config):
         assert spec.quantity and spec.description
 
 
-def test_quantity_margin():
-    assert quantity_margin(1.0, 0.25) == 0.75
-    assert quantity_margin(1.0, 2.0) == 0.0
+def test_quantity_margin(base_config):
+    """A margin is a distance to the failure set, floored at zero outside."""
+    cascade = MetaCascade(base_config)
+    inside = np.array([0.25, 0.0, 0.0, 0.0])
+    outside = np.array([2.0, 0.0, 0.0, 0.0])
+    assert theta_margin(cascade, inside, "NP-C2") == 0.75
+    for cid in CONTRACT_IDS:
+        assert theta_margin(cascade, outside, cid) == 0.0
 
 
 def test_theta_margin_geometry(base_config):
@@ -67,17 +76,25 @@ def test_theta_margin_geometry(base_config):
 
 
 def test_margin_dispatch(base_config):
-    specs = contract_specs(base_config)
+    """NP-C1 and GNN-C1 take the nearer of the box and the decay flip; the
+    other four take the box alone."""
     cascade = MetaCascade(base_config)
+    row = cascade.matrix[3]
+    # Away from the flip surface and 0.01 inside the box: the box is nearer.
+    deep = -0.99 * row / float(np.abs(row).max())
+    box = cascade.box_distance(deep)
+    assert box == pytest.approx(0.01, rel=1e-9)
+    assert cascade.flip_distance(deep) > box
+    # At the origin the flip surface is nearer than the box.
     zero = np.zeros(base_config.meta_dim)
-    by_quantity = margin(specs["MARL-C1"], measured=0.002)
-    assert by_quantity == pytest.approx(0.008, rel=1e-12)
-    by_theta = margin(specs["MARL-C1"], theta=zero, cascade=cascade)
-    assert by_theta == base_config.theta_box
-    both = margin(specs["MARL-C1"], measured=0.002, theta=zero, cascade=cascade)
-    assert both == min(by_quantity, by_theta)
-    with pytest.raises(MarginGeometryError):
-        margin(specs["MARL-C1"])
+    flip = cascade.flip_distance(zero)
+    assert flip < cascade.box_distance(zero)
+    for theta, flip_sensitive in ((deep, box), (zero, flip)):
+        margins = all_margins(cascade, theta)
+        assert margins == {cid: theta_margin(cascade, theta, cid) for cid in CONTRACT_IDS}
+        assert margins["NP-C1"] == margins["GNN-C1"] == flip_sensitive
+        for cid in ("NP-C2", "MARL-C1", "ML-C1", "ML-C2"):
+            assert margins[cid] == cascade.box_distance(theta)
 
 
 def test_all_margins(base_config):
@@ -117,101 +134,126 @@ def test_verdict_record_keys(base_config):
     assert record["note"] == "x"
 
 
+def _origin_margins(config):
+    return all_margins(MetaCascade(config), np.zeros(config.meta_dim))
+
+
 def test_check_contract_step_norms(base_config):
-    spec = contract_specs(base_config)["NP-C1"]
-    ok = check_contract(spec, {"step_norms": [5e-5, 1e-4]}, base_config)
+    monitor = Monitor(base_config)
+    margin_value = _origin_margins(base_config)["NP-C1"]
+    ok = monitor.observe("NP-C1", 0.02, max([5e-5, 1e-4]), margin_value, force_log=True)
     assert ok.passed is True
-    assert ok.measured == 1e-4
-    bad = check_contract(spec, {"step_norms": [5e-5, 2e-4]}, base_config)
-    assert bad.passed is False
-    missing = check_contract(spec, {}, base_config)
-    assert missing.passed is None and math.isnan(missing.measured)
-    empty = check_contract(spec, {"step_norms": []}, base_config)
-    assert empty.passed is None
+    assert ok.measured == 1e-4 and ok.threshold == base_config.delta_np
+    bad = monitor.observe("NP-C1", 0.04, max([5e-5, 2e-4]), margin_value, force_log=True)
+    assert bad.passed is False and monitor.fail_count == 1
+    undecided = monitor.observe(
+        "NP-C1", 0.06, 1e-4, margin_value, inconclusive=True, force_log=True
+    )
+    assert undecided.passed is None and math.isnan(undecided.measured)
+    assert undecided.margin == 0.0 and undecided.alarm is False
+    assert monitor.fail_count == 1
 
 
 def test_check_contract_tolerates_exact_threshold(base_config):
-    spec = contract_specs(base_config)["NP-C1"]
-    edge = check_contract(
-        spec, {"step_norms": [base_config.delta_np + EQUALITY_TOL]}, base_config
-    )
-    assert edge.passed is True
+    """A value exactly at its threshold, within EQUALITY_TOL, passes."""
+    monitor = Monitor(base_config)
+    delta_np = base_config.delta_np
+    for value, passed in (
+        (delta_np, True),
+        (delta_np + EQUALITY_TOL, True),
+        (delta_np + 2.0 * EQUALITY_TOL, False),
+    ):
+        verdict = monitor.observe("NP-C1", 0.0, value, 0.5, force_log=True)
+        assert verdict.passed is passed
 
 
 def test_check_contract_safety(base_config):
-    spec = contract_specs(base_config)["NP-C2"]
-    assert check_contract(spec, {"safety_deltas": [0.0]}, base_config).passed is True
-    assert check_contract(spec, {"safety_deltas": [1e-9]}, base_config).passed is False
+    monitor = Monitor(base_config)
+    assert monitor.observe("NP-C2", 0.0, 0.0, 0.5, force_log=True).passed is True
+    assert monitor.observe("NP-C2", 0.0, 1e-9, 0.5, force_log=True).passed is False
 
 
 def test_check_contract_gnn_precondition(base_config):
-    spec = contract_specs(base_config)["GNN-C1"]
-    fine = check_contract(
-        spec,
-        {"approx_errors": [0.01], "weight_norms": [1.0], "w_max": 71.0},
-        base_config,
+    """Weights beyond the invariant ball make GNN-C1 inconclusive, not failed."""
+    cfg = apply_overrides(base_config, {"init_weight_norm": 1e6})
+    assert total_bound(cfg).w_max == 71.0
+    trace = run("baseline", config=cfg, duration=5.0)
+    assert float(trace.max_weight_norm.min()) > 71.0
+    gnn = [v for v in trace.events if v.contract_id == "GNN-C1"]
+    assert [v.time for v in gnn] == [2.0, 4.0]
+    for verdict in (*gnn, trace.last_verdicts["GNN-C1"]):
+        assert verdict.passed is None
+        assert verdict.note == "precondition breach: weight norm beyond the invariant ball"
+        assert math.isnan(verdict.measured) and verdict.alarm is False
+    # Inside the ball the same contract is decided.
+    inside = run("baseline", config=base_config, duration=5.0)
+    assert all(
+        v.passed is True and v.note == ""
+        for v in inside.events
+        if v.contract_id == "GNN-C1"
     )
-    assert fine.passed is True
-    breached = check_contract(
-        spec,
-        {"approx_errors": [0.01], "weight_norms": [80.0], "w_max": 71.0},
-        base_config,
-    )
-    assert breached.passed is None
-    assert "precondition" in breached.note
 
 
 def test_check_contract_adaptation(base_config):
-    ml1 = contract_specs(base_config)["ML-C1"]
-    verdict = check_contract(ml1, {"t_adapt": 0.12}, base_config)
-    assert verdict.passed is True and verdict.measured == 0.12
-    slow = check_contract(ml1, {"t_adapt": [0.2, 9.0]}, base_config)
+    monitor = Monitor(base_config)
+    margins = _origin_margins(base_config)
+    fast = monitor.observe("ML-C1", 20.0, 0.12, margins["ML-C1"], force_log=True)
+    assert fast.passed is True and fast.measured == 0.12
+    slow = monitor.observe("ML-C1", 40.0, 9.0, margins["ML-C1"], force_log=True)
     assert slow.passed is False
-    ml2 = contract_specs(base_config)["ML-C2"]
-    few = check_contract(ml2, {"k_inner": [3, 3, 3]}, base_config)
-    assert few.passed is None and "trials" in few.note
-    flat = check_contract(ml2, {"k_inner": [3, 3, 3, 3]}, base_config)
-    assert flat.passed is True
-    worse = check_contract(ml2, {"k_inner": [1, 1, 1, 30, 30, 30]}, base_config)
-    assert worse.passed is False
+    # ML-C2 needs ML2_WINDOW + 1 trials before it can be decided.
+    assert ml2_increase([3, 3, 3]) is None
+    flat = ml2_increase([3, 3, 3, 3])
+    assert monitor.observe("ML-C2", 60.0, flat, margins["ML-C2"], force_log=True).passed
+    worse = ml2_increase([1, 1, 1, 30, 30, 30])
+    verdict = monitor.observe("ML-C2", 80.0, worse, margins["ML-C2"], force_log=True)
+    assert verdict.passed is False
 
 
 def test_check_contract_with_theta_margin(base_config):
-    """With both geometries the margin is the minimum of the two.
-
-    A clamped step sits exactly on its threshold, so the quantity margin
-    degenerates to zero and wins the minimum; live monitoring therefore
-    passes meta-space margins only.
-    """
-    spec = contract_specs(base_config)["NP-C1"]
+    """The verdict carries the meta-space margin it was given, and the alarm
+    fires when that margin falls under margin_alarm, whatever the measurement."""
     cascade = MetaCascade(base_config)
-    zero = np.zeros(base_config.meta_dim)
-    verdict = check_contract(
-        spec, {"step_norms": [1e-4]}, base_config, theta=zero, cascade=cascade
-    )
-    assert verdict.margin == 0.0
-    assert verdict.alarm is True
-    slack = check_contract(
-        spec, {"step_norms": [2e-5]}, base_config, theta=zero, cascade=cascade
-    )
-    assert slack.margin == pytest.approx(8e-5, rel=1e-12)
-    # quantity margins live on the threshold's scale, under the alarm line
-    assert slack.alarm is True
+    monitor = Monitor(base_config)
+    origin = all_margins(cascade, np.zeros(base_config.meta_dim))
+    verdict = monitor.observe("NP-C1", 0.02, 1e-4, origin["NP-C1"], force_log=True)
+    assert verdict.margin == cascade.flip_distance(np.zeros(base_config.meta_dim))
+    assert verdict.passed is True and verdict.alarm is False
+    edge = np.array([1.0 - 5e-4, 0.0, 0.0, 0.0])
+    near = all_margins(cascade, edge)
+    assert near["MARL-C1"] == pytest.approx(5e-4, rel=1e-9)
+    alarmed = monitor.observe("MARL-C1", 2.0, 0.0, near["MARL-C1"], force_log=True)
+    assert alarmed.passed is True and alarmed.alarm is True
+    assert monitor.alarm_count == 1
 
 
 def test_standalone_adaptation_trial(base_config):
-    t_adapt, k_inner = adaptation_trial(base_config)
-    cascade = MetaCascade(base_config)
-    target_map = PolicyTarget.from_config(base_config)
+    """The adaptation trial at the config's initial meta point, against the
+    recovery loop written out."""
+    cfg = base_config
+    cascade = MetaCascade(cfg)
     reference = np.clip(
-        target_map.offset, -base_config.policy_box, base_config.policy_box
+        PolicyTarget.from_config(cfg).offset, -cfg.policy_box, cfg.policy_box
     )
-    want = cascade_trial(
-        cascade, np.zeros(base_config.meta_dim), reference,
-        probe_embeddings(base_config), base_config,
-    )
-    assert (t_adapt, k_inner) == (want.t_adapt, want.k_inner)
-    assert adaptation_trial(base_config, changed_env=False) == (0.0, 0)
+    probes = probe_embeddings(cfg)
+    theta = np.zeros(cfg.meta_dim)
+    result = adaptation_trial(cascade, theta, reference, probes, cfg)
+
+    distance = float(np.linalg.norm(theta - cascade.theta_star))
+    magnitude = ADAPT_BASE_PERTURBATION * (1.0 + distance / cfg.theta_box)
+    direction = stream_rng(cfg.seed, "adaptation").standard_normal(reference.shape[0])
+    direction /= float(np.linalg.norm(direction))
+    current = np.clip(reference + magnitude * direction, -cfg.policy_box, cfg.policy_box)
+    target = policy_distributions(reference, probes, cfg)
+    k_inner = 0
+    while tv_rows(policy_distributions(current, probes, cfg), target).max() > ADAPT_TV_TOL:
+        current = current + ADAPT_INNER_RATE * (reference - current)
+        k_inner += 1
+    assert 0 < k_inner < ADAPT_CAP
+    assert result == AdaptationResult(k_inner * cfg.tau1, k_inner)
+    assert adaptation_trial(
+        cascade, theta, reference, probes, cfg, changed_env=False
+    ) == AdaptationResult(0.0, 0)
 
 
 def test_monitor_counts_every_observation(base_config):
@@ -256,14 +298,19 @@ def test_monitor_force_log_and_inconclusive(base_config):
 
 
 def test_monitor_tick_logs_everything(base_config):
+    """Force-logged observations at a boundary log one verdict each, even
+    when nothing changed since the last one."""
     monitor = Monitor(base_config)
-    cascade = MetaCascade(base_config)
-    margins = all_margins(cascade, np.zeros(base_config.meta_dim))
+    margins = _origin_margins(base_config)
     quantities = {"NP-C1": 5e-5, "NP-C2": 0.0}
-    verdicts = monitor_tick(monitor, 0.02, quantities, margins)
-    assert {v.contract_id for v in verdicts} == {"NP-C1", "NP-C2"}
-    again = monitor_tick(monitor, 0.04, quantities, margins)
-    assert len(again) == 2 and len(monitor.events) == 4
+    for t in (0.02, 0.04):
+        verdicts = [
+            monitor.observe(cid, t, value, margins[cid], force_log=True)
+            for cid, value in quantities.items()
+        ]
+        assert [v.contract_id for v in verdicts] == ["NP-C1", "NP-C2"]
+        assert all(v.time == t and v.passed for v in verdicts)
+    assert len(monitor.events) == 4
 
 
 def test_monitor_margin_below_alarm_line(base_config):

@@ -6,11 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tribound import (
-    AgentState,
     HebbianRule,
     ModulationBoundError,
-    Observation,
-    StructuralError,
     SystemConfig,
     UnboundedRegimeError,
     apply_overrides,
@@ -18,14 +15,11 @@ from tribound import (
     effective_step_bound,
     eta1_threshold,
     frozen_mask_for,
-    hebbian_delta,
-    hebbian_step,
     hebbian_tick,
     intrinsic_step_bound,
     modulation_gain,
     proposed_steps,
     rule_from_config,
-    safety_output,
     stationary_radius,
     weight_bounds,
     weight_norm_ceiling,
@@ -78,22 +72,27 @@ def test_modulation_gain_monotone(signal, eps):
 
 
 def test_hebbian_delta_matches_formula(base_config):
+    """At unit rate a proposed step is the modulated update direction."""
     rng = np.random.default_rng(7)
-    w = rng.standard_normal(64)
-    pre = rng.standard_normal(64)
+    w = rng.standard_normal((1, 64))
+    pre = rng.standard_normal((1, 64))
     pre /= 2.0 * np.linalg.norm(pre)
-    post = rng.standard_normal(64)
+    post = rng.standard_normal((1, 64))
     post /= 4.0 * np.linalg.norm(post)
-    obs = Observation(pre, post)
-    got = hebbian_delta(obs, w, 1.0, BASE_RULE, base_config)
     gain = modulation_gain(1.0, base_config)
+    got = proposed_steps(BASE_RULE, w, pre, post, gain, 1.0)
     want = gain * (0.5 * pre * post + 0.1 * pre + 0.1 * post - 0.01 * w)
     np.testing.assert_allclose(got, want, rtol=1e-14)
-    with pytest.raises(StructuralError):
-        hebbian_delta(obs, np.zeros(3), 1.0, BASE_RULE, base_config)
+    # Without decay the weights do not enter the step.
+    no_decay = HebbianRule(0.5, 0.1, 0.1, 0.0)
+    np.testing.assert_array_equal(
+        proposed_steps(no_decay, w, pre, post, gain, 1.0),
+        proposed_steps(no_decay, np.zeros_like(w), pre, post, gain, 1.0),
+    )
 
 
 def test_proposed_steps_matches_single_agent(base_config):
+    """Row i is agent i's own step: its gain, its activity, its weights."""
     rng = np.random.default_rng(3)
     n, d = 5, 64
     weights = rng.standard_normal((n, d))
@@ -101,8 +100,8 @@ def test_proposed_steps_matches_single_agent(base_config):
     post = rng.standard_normal((n, d)) * 0.05
     gains = rng.uniform(0.5, 1.5, size=n)
     steps = proposed_steps(BASE_RULE, weights, pre, post, gains, base_config.eta1)
+    assert steps.shape == (n, d)
     for i in range(n):
-        obs = Observation(pre[i], post[i])
         drive = (
             0.5 * pre[i] * post[i] + 0.1 * pre[i] + 0.1 * post[i]
             - 0.01 * weights[i]
@@ -110,7 +109,12 @@ def test_proposed_steps_matches_single_agent(base_config):
         np.testing.assert_allclose(
             steps[i], base_config.eta1 * gains[i] * drive, rtol=1e-14
         )
-        assert obs.x_pre.shape == (d,)
+    # A scalar gain applies to every row alike.
+    eta1 = base_config.eta1
+    np.testing.assert_array_equal(
+        proposed_steps(BASE_RULE, weights, pre, post, 1.25, eta1),
+        proposed_steps(BASE_RULE, weights, pre, post, np.full(n, 1.25), eta1),
+    )
 
 
 def test_apply_steps_clamps_norm():
@@ -239,45 +243,24 @@ def test_hebbian_tick_shapes(base_config):
     assert proposed.shape == applied.shape == clamped.shape == (cfg.n_agents,)
 
 
-def test_hebbian_step_matches_tick(base_config):
-    cfg = base_config
-    rng = np.random.default_rng(2)
-    mask = frozen_mask_for(cfg)
-    w = rng.standard_normal(cfg.weight_dim)
-    pre = rng.standard_normal(cfg.weight_dim)
-    pre /= 2.0 * np.linalg.norm(pre)
-    post = rng.standard_normal(cfg.weight_dim)
-    post /= 2.0 * np.linalg.norm(post)
-    agent = AgentState(3, w, mask)
-    state, record = hebbian_step(agent, Observation(pre, post), 0.0, cfg, tick=9)
-    gain = modulation_gain(0.0, cfg)
-    expected, _, applied, clamped = hebbian_tick(
-        rule_from_config(cfg), cfg, w[None, :], pre[None, :], post[None, :],
-        float(gain), mask,
-    )
-    np.testing.assert_array_equal(state.weights, expected[0])
-    assert record.tick == 9 and record.agent_id == 3
-    assert record.applied_norm == applied[0]
-    assert record.clamped == bool(clamped[0])
-
-
 def test_safety_output_constant_under_plastic_updates(base_config):
     """Frozen readout never moves, whatever happens to plastic coordinates."""
     cfg = base_config
     mask = frozen_mask_for(cfg)
     rng = np.random.default_rng(5)
-    w = rng.standard_normal(cfg.weight_dim)
+    weights = rng.standard_normal((3, cfg.weight_dim))
     probe = rng.standard_normal(cfg.weight_dim)
     probe /= np.linalg.norm(probe)
-    agent = AgentState(0, w, mask)
-    before = safety_output(agent, probe)
-    pre = rng.standard_normal(cfg.weight_dim)
-    pre /= 2.0 * np.linalg.norm(pre)
+    before = weights[:, mask] @ probe[mask]
+    pre = rng.standard_normal((3, cfg.weight_dim))
+    pre /= 2.0 * np.linalg.norm(pre, axis=1, keepdims=True)
+    start = weights
     for _ in range(50):
-        agent, _ = hebbian_step(agent, Observation(pre, pre), 1.0, cfg)
-    assert safety_output(agent, probe) == before
-    with pytest.raises(StructuralError):
-        safety_output(agent, probe[:-1])
+        weights, _, _, _ = hebbian_tick(
+            rule_from_config(cfg), cfg, weights, pre, pre, cfg.sigma_max, mask
+        )
+    assert not np.array_equal(weights[:, ~mask], start[:, ~mask])
+    assert (weights[:, mask] @ probe[mask]).tobytes() == before.tobytes()
 
 
 def test_stationary_radius_and_ceiling():

@@ -13,10 +13,8 @@ from tribound import (
     cascading_sensitivity,
     compatibility_check,
     max_meta_rate,
-    meta_step,
     probe_embeddings,
     rule_from_config,
-    theta_to_rule,
 )
 from tribound.meta import (
     ADAPT_CAP,
@@ -130,20 +128,29 @@ def test_meta_step_moves_toward_target(base_config):
 
 
 def test_meta_step_module_level(base_config):
-    theta = MetaParams(np.zeros(base_config.meta_dim))
-    new, grad_norm = meta_step(theta, base_config)
+    """One step against the config's seeded target, by its formula."""
     cascade = MetaCascade(base_config)
-    want, want_norm = cascade.step(theta)
-    np.testing.assert_array_equal(new.theta, want.theta)
-    assert grad_norm == want_norm
+    np.testing.assert_array_equal(cascade.theta_star, meta_target(base_config))
+    theta = MetaParams(np.zeros(base_config.meta_dim))
+    new, grad_norm = cascade.step(theta)
+    grad = theta.theta - cascade.theta_star  # norm 0.004, under g_max
+    assert grad_norm == float(np.linalg.norm(grad))
+    np.testing.assert_array_equal(new.theta, theta.theta - base_config.eta3 * grad)
 
 
 def test_theta_to_rule_accepts_both_forms(base_config):
+    """rule_for takes an array or a sequence and shifts the base rule linearly."""
     cascade = MetaCascade(base_config)
     point = np.array([0.01, -0.02, 0.0, 0.005])
-    a = theta_to_rule(point, cascade)
-    b = theta_to_rule(MetaParams(point), cascade)
-    assert a == b
+    rule = cascade.rule_for(point)
+    assert rule == cascade.rule_for(list(point))
+    assert rule == cascade.rule_for(MetaParams(point).theta)
+    base = rule_from_config(base_config)
+    shift = cascade.matrix @ point
+    assert rule.alpha == pytest.approx(base.alpha + shift[0], rel=1e-14)
+    assert rule.beta == pytest.approx(base.beta + shift[1], rel=1e-14)
+    assert rule.gamma_h == pytest.approx(base.gamma_h + shift[2], rel=1e-14)
+    assert rule.delta == min(base.delta + shift[3], max(base.delta, -DELTA_GUARD))
 
 
 def test_target_dimension_guard(base_config):

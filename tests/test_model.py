@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tribound import (
-    AgentState,
     MetaParams,
-    Observation,
     PolicyParams,
     SchemaError,
     StructuralError,
@@ -186,26 +184,6 @@ def test_initial_weights_norms_for_any_seed(seed):
     )
     norms = np.linalg.norm(initial_weights(cfg), axis=1)
     np.testing.assert_allclose(norms, 2.5, rtol=1e-12)
-
-
-def test_observation_guards():
-    ok = Observation(np.zeros(4), np.full(4, 0.5))
-    assert ok.x_pre.shape == (4,)
-    with pytest.raises(StructuralError):
-        Observation(np.ones(4), np.ones(4))
-    with pytest.raises(StructuralError):
-        Observation(np.zeros(4), np.zeros(3))
-    with pytest.raises(StructuralError):
-        Observation(np.array([np.nan, 0.0]), np.zeros(2))
-
-
-def test_agent_state_guards():
-    state = AgentState(0, np.zeros(4), np.array([True, False, False, False]))
-    assert state.frozen_mask.dtype == np.bool_
-    with pytest.raises(StructuralError):
-        AgentState(0, np.zeros(4), np.zeros(4))
-    with pytest.raises(StructuralError):
-        AgentState(0, np.array([np.inf, 0.0]), np.array([False, False]))
 
 
 def test_policy_params_box(base_config):
