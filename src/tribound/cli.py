@@ -18,7 +18,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -341,42 +341,28 @@ def _tick_value(trace: Trace, t: float) -> float:
     return float(trace.max_weight_norm[index])
 
 
-def _counterexample_delta_zero(args: argparse.Namespace, config: SystemConfig) -> tuple[int, dict[str, Any]]:
-    scenario = get_scenario("delta_zero")
-    trace = run(scenario, config=config, seed=args.seed, duration=args.duration)
-    cfg = trace.config
+def _report_delta_zero(trace: Trace, config: SystemConfig) -> dict[str, Any]:
     horizons = [t for t in (100.0, 1000.0, 10000.0) if t <= trace.duration + 1e-9]
-    rows = []
-    table = []
-    for t in horizons:
-        envelope = growth_envelope(cfg, t)
-        measured = _tick_value(trace, t)
-        rows.append({"t": t, "envelope": envelope, "measured": measured})
-        table.append([t, envelope, measured])
+    rows = [
+        {
+            "t": t,
+            "envelope": growth_envelope(trace.config, t),
+            "measured": _tick_value(trace, t),
+        }
+        for t in horizons
+    ]
     print("zero-decay growth: measured max weight norm vs analytic envelope")
-    print(_table(["t_seconds", "envelope", "measured"], table))
-    _print_verification(trace)
-    confirmed = confirm_expectation(scenario, trace, base_config=config)
-    payload = {
-        "scenario": scenario.name,
-        "rows": rows,
-        "confirmed": confirmed,
-        "fail_count": trace.fail_count,
-    }
     print(
-        "\nverdict: "
-        + (
-            "unbounded growth confirmed; no stationary regime exists"
-            if confirmed
-            else "expected growth NOT reproduced"
+        _table(
+            ["t_seconds", "envelope", "measured"],
+            [[row["t"], row["envelope"], row["measured"]] for row in rows],
         )
     )
-    return (CONFIRMED_EXIT if confirmed else UNEXPECTED_EXIT), payload
+    _print_verification(trace)
+    return {"rows": rows, "fail_count": trace.fail_count}
 
 
-def _counterexample_no_clamp(args: argparse.Namespace, config: SystemConfig) -> tuple[int, dict[str, Any]]:
-    scenario = get_scenario("no_clamp")
-    trace = run(scenario, config=config, seed=args.seed, duration=args.duration)
+def _report_no_clamp(trace: Trace, config: SystemConfig) -> dict[str, Any]:
     cfg = trace.config
     clamped_cfg = apply_overrides(cfg, {"enforce_clamp": True})
     phi_off = phi_max(cfg)
@@ -398,34 +384,19 @@ def _counterexample_no_clamp(args: argparse.Namespace, config: SystemConfig) -> 
             ],
         )
     )
-    confirmed = confirm_expectation(scenario, trace, base_config=config)
-    payload = {
-        "scenario": scenario.name,
+    return {
         "phi_with_clamp": phi_on,
         "phi_without_clamp": phi_off,
         "step_ratio": ratio,
         "scaled_total": scaled_total,
         "fail_count": trace.fail_count,
-        "confirmed": confirmed,
     }
-    print(
-        "\nverdict: "
-        + (
-            "per-tick cap violated as expected; drift ceiling scales by the step ratio"
-            if confirmed
-            else "expected cap violation NOT reproduced"
-        )
-    )
-    return (CONFIRMED_EXIT if confirmed else UNEXPECTED_EXIT), payload
 
 
-def _counterexample_slow_marl(args: argparse.Namespace, config: SystemConfig) -> tuple[int, dict[str, Any]]:
-    scenario = get_scenario("slow_marl")
-    trace = run(scenario, config=config, seed=args.seed, duration=args.duration)
-    cfg = trace.config
-    phi_slow = phi_max(cfg)
+def _report_slow_marl(trace: Trace, config: SystemConfig) -> dict[str, Any]:
+    phi_slow = phi_max(trace.config)
     phi_base = phi_max(config)
-    total_slow = total_bound(cfg).eps_total
+    total_slow = total_bound(trace.config).eps_total
     total_base = total_bound(config).eps_total
     print("timescale stretch: drift ceiling and total bound degradation")
     print(
@@ -443,32 +414,18 @@ def _counterexample_slow_marl(args: argparse.Namespace, config: SystemConfig) ->
         )
     )
     _print_verification(trace)
-    confirmed = confirm_expectation(scenario, trace, base_config=config)
-    payload = {
-        "scenario": scenario.name,
+    return {
         "phi_base": phi_base,
         "phi_slow": phi_slow,
         "total_base": total_base,
         "total_slow": total_slow,
-        "confirmed": confirmed,
     }
-    print(
-        "\nverdict: "
-        + (
-            "contracts hold per cycle but the guarantee degrades as expected"
-            if confirmed
-            else "expected degradation NOT reproduced"
-        )
-    )
-    return (CONFIRMED_EXIT if confirmed else UNEXPECTED_EXIT), payload
 
 
-def _counterexample_margin_breach(args: argparse.Namespace, config: SystemConfig) -> tuple[int, dict[str, Any]]:
-    scenario = get_scenario("crafted_margin_breach")
-    trace = run(scenario, config=config, seed=args.seed, duration=args.duration)
+def _report_margin_breach(trace: Trace, config: SystemConfig) -> dict[str, Any] | None:
     if not trace.meta_records:
         print("no meta boundary reached; lengthen the run")
-        return UNEXPECTED_EXIT, {"scenario": scenario.name, "confirmed": False}
+        return None
     rec = trace.meta_records[0]
     print("gate response to a meta step crafted to reach the box boundary")
     print(
@@ -486,31 +443,49 @@ def _counterexample_margin_breach(args: argparse.Namespace, config: SystemConfig
             ],
         )
     )
-    confirmed = confirm_expectation(scenario, trace, base_config=config)
-    payload = {
-        "scenario": scenario.name,
+    return {
         "meta_record": {
             k: v for k, v in rec.items() if k not in ("margins_before", "margins_after")
         },
         "alarm_count": trace.alarm_count,
-        "confirmed": confirmed,
     }
-    print(
-        "\nverdict: "
-        + (
-            "gate rejected the step and the margin alarm fired as expected"
-            if confirmed
-            else "expected detection NOT reproduced"
-        )
-    )
-    return (CONFIRMED_EXIT if confirmed else UNEXPECTED_EXIT), payload
+
+
+@dataclasses.dataclass(frozen=True)
+class _Counterexample:
+    """How one counterexample reports its run.
+
+    report prints the scenario's own tables and returns its JSON payload, or
+    None when the run holds nothing to confirm; confirmed and not_reproduced
+    are the two verdict lines.
+    """
+
+    report: Callable[[Trace, SystemConfig], dict[str, Any] | None]
+    confirmed: str
+    not_reproduced: str
 
 
 _COUNTEREXAMPLES = {
-    "delta_zero": _counterexample_delta_zero,
-    "no_clamp": _counterexample_no_clamp,
-    "slow_marl": _counterexample_slow_marl,
-    "crafted_margin_breach": _counterexample_margin_breach,
+    "delta_zero": _Counterexample(
+        _report_delta_zero,
+        "unbounded growth confirmed; no stationary regime exists",
+        "expected growth NOT reproduced",
+    ),
+    "no_clamp": _Counterexample(
+        _report_no_clamp,
+        "per-tick cap violated as expected; drift ceiling scales by the step ratio",
+        "expected cap violation NOT reproduced",
+    ),
+    "slow_marl": _Counterexample(
+        _report_slow_marl,
+        "contracts hold per cycle but the guarantee degrades as expected",
+        "expected degradation NOT reproduced",
+    ),
+    "crafted_margin_breach": _Counterexample(
+        _report_margin_breach,
+        "gate rejected the step and the margin alarm fired as expected",
+        "expected detection NOT reproduced",
+    ),
 }
 
 
@@ -521,7 +496,18 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
             f"unknown counterexample {args.name!r}; "
             f"available: {', '.join(_COUNTEREXAMPLES)}"
         )
-    status, payload = _COUNTEREXAMPLES[args.name](args, config)
+    example = _COUNTEREXAMPLES[args.name]
+    scenario = get_scenario(args.name)
+    trace = run(scenario, config=config, seed=args.seed, duration=args.duration)
+    payload = example.report(trace, config)
+    if payload is None:
+        status, payload = UNEXPECTED_EXIT, {"confirmed": False}
+    else:
+        confirmed = confirm_expectation(scenario, trace, base_config=config)
+        payload["confirmed"] = confirmed
+        print("\nverdict: " + (example.confirmed if confirmed else example.not_reproduced))
+        status = CONFIRMED_EXIT if confirmed else UNEXPECTED_EXIT
+    payload["scenario"] = scenario.name
     if args.out:
         _write_json(args.out, f"counterexample_{args.name}.json", payload)
     return status

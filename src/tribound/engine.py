@@ -186,6 +186,7 @@ def get_scenario(name: str) -> Scenario:
         ) from None
 
 
+@dataclass(eq=False, kw_only=True)
 class Trace:
     """Everything one run recorded.
 
@@ -195,66 +196,34 @@ class Trace:
     nearest recorded times named.
     """
 
-    def __init__(
-        self,
-        *,
-        config: SystemConfig,
-        scenario_name: str,
-        expected: str,
-        seed: int,
-        duration: float,
-        ticks: int,
-        marl_cycles: int,
-        meta_cycles: int,
-        step_norms: np.ndarray,
-        clamped: np.ndarray,
-        max_weight_norm: np.ndarray,
-        tick_policy_tv: np.ndarray | None,
-        snap_times: list[float],
-        snap_weights: list[np.ndarray],
-        snap_embeddings: list[np.ndarray],
-        policy_times: list[float],
-        policy_snaps: list[np.ndarray],
-        meta_times: list[float],
-        meta_snaps: list[np.ndarray],
-        marl_records: list[dict[str, Any]],
-        meta_records: list[dict[str, Any]],
-        events: list[ContractVerdict],
-        last_verdicts: dict[str, ContractVerdict],
-        fail_count: int,
-        alarm_count: int,
-        final_weights: np.ndarray,
-        halted: bool,
-        halt_reason: str | None,
-    ) -> None:
-        self.config = config
-        self.scenario_name = scenario_name
-        self.expected = expected
-        self.seed = seed
-        self.duration = duration
-        self.ticks = ticks
-        self.marl_cycles = marl_cycles
-        self.meta_cycles = meta_cycles
-        self.step_norms = step_norms
-        self.clamped = clamped
-        self.max_weight_norm = max_weight_norm
-        self.tick_policy_tv = tick_policy_tv
-        self.snap_times = snap_times
-        self.snap_weights = snap_weights
-        self.snap_embeddings = snap_embeddings
-        self.policy_times = policy_times
-        self.policy_snaps = policy_snaps
-        self.meta_times = meta_times
-        self.meta_snaps = meta_snaps
-        self.marl_records = marl_records
-        self.meta_records = meta_records
-        self.events = events
-        self.last_verdicts = last_verdicts
-        self.fail_count = fail_count
-        self.alarm_count = alarm_count
-        self.final_weights = final_weights
-        self.halted = halted
-        self.halt_reason = halt_reason
+    config: SystemConfig
+    scenario_name: str
+    expected: str
+    seed: int
+    duration: float
+    ticks: int
+    marl_cycles: int
+    meta_cycles: int
+    step_norms: np.ndarray
+    clamped: np.ndarray
+    max_weight_norm: np.ndarray
+    tick_policy_tv: np.ndarray | None
+    snap_times: list[float]
+    snap_weights: list[np.ndarray]
+    snap_embeddings: list[np.ndarray]
+    policy_times: list[float]
+    policy_snaps: list[np.ndarray]
+    meta_times: list[float]
+    meta_snaps: list[np.ndarray]
+    marl_records: list[dict[str, Any]]
+    meta_records: list[dict[str, Any]]
+    events: list[ContractVerdict]
+    last_verdicts: dict[str, ContractVerdict]
+    fail_count: int
+    alarm_count: int
+    final_weights: np.ndarray
+    halted: bool
+    halt_reason: str | None
 
     def tick_time(self, index: int) -> float:
         return (index + 1) * self.config.tau1
