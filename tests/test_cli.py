@@ -1,4 +1,5 @@
 """Exit codes of the command-line verbs, run in-process through main(argv)."""
+import json
 from pathlib import Path
 
 from tribound.cli import CONFIRMED_EXIT, PASS_EXIT, UNEXPECTED_EXIT, main
@@ -73,3 +74,24 @@ def test_counterexample_crafted_margin_breach_confirms(capsys):
     argv = ["counterexample", "crafted_margin_breach", "--duration", "20"]
     assert main(argv) == CONFIRMED_EXIT
     assert "margin alarm fired as expected" in capsys.readouterr().out
+
+
+def test_verify_exits_one_on_a_contract_breach(tmp_path: Path, capsys):
+    """Without the clamp, NP-C1 fails while every ceiling still holds; the
+    weight norms settle, so this is not the start-up transient."""
+    argv = [
+        "verify", "--duration", "10", "--seeds", "1",
+        "--set", "enforce_clamp=false", "--out", str(tmp_path),
+    ]
+    assert main(argv) == UNEXPECTED_EXIT
+    out = capsys.readouterr().out
+    assert "verdict: at least one seed breached a ceiling or contract" in out
+    report = json.loads((tmp_path / "verify.json").read_text())
+    assert report["fail_total"] > 0
+    assert out.startswith(
+        f"replayed 1 seeds of scenario 'baseline'; {report['fail_total']} contract failures"
+    )
+    accumulation = report["checks"]["non_accumulation"]
+    assert (accumulation["pass"], accumulation["fail"]) == (1, 0)
+    # The breach is the contract failures alone: every ceiling holds.
+    assert all(check["fail"] == 0 for check in report["checks"].values())
