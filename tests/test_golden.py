@@ -54,6 +54,10 @@ CASES: dict[str, tuple[str, dict, float]] = {
 CLI_CASES: dict[str, list[str]] = {
     "counterexample_delta_zero": ["counterexample", "delta_zero", "--duration", "20"],
     "counterexample_no_clamp": ["counterexample", "no_clamp", "--duration", "10"],
+    # a cap this wide is never breached, so the expectation is not reproduced
+    "counterexample_no_clamp_not_reproduced": [
+        "counterexample", "no_clamp", "--duration", "10", "--set", "delta_np=1"
+    ],
     "counterexample_slow_marl": ["counterexample", "slow_marl", "--duration", "25"],
     "counterexample_crafted_margin_breach": [
         "counterexample", "crafted_margin_breach", "--duration", "20"
