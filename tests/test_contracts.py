@@ -228,31 +228,37 @@ def test_check_contract_with_theta_margin(base_config):
 
 
 def test_standalone_adaptation_trial(base_config):
-    """The adaptation trial at the config's initial meta point, against the
-    recovery loop written out."""
+    """The adaptation trial at the config's initial meta point and at two
+    points farther from the target, against the recovery loop written out."""
     cfg = base_config
     cascade = MetaCascade(cfg)
     reference = np.clip(
         PolicyTarget.from_config(cfg).offset, -cfg.policy_box, cfg.policy_box
     )
     probes = probe_embeddings(cfg)
-    theta = np.zeros(cfg.meta_dim)
-    result = adaptation_trial(cascade, theta, reference, probes, cfg)
-
-    distance = float(np.linalg.norm(theta - cascade.theta_star))
-    magnitude = ADAPT_BASE_PERTURBATION * (1.0 + distance / cfg.theta_box)
-    direction = stream_rng(cfg.seed, "adaptation").standard_normal(reference.shape[0])
-    direction /= float(np.linalg.norm(direction))
-    current = np.clip(reference + magnitude * direction, -cfg.policy_box, cfg.policy_box)
     target = policy_distributions(reference, probes, cfg)
-    k_inner = 0
-    while tv_rows(policy_distributions(current, probes, cfg), target).max() > ADAPT_TV_TOL:
-        current = current + ADAPT_INNER_RATE * (reference - current)
-        k_inner += 1
-    assert 0 < k_inner < ADAPT_CAP
-    assert result == AdaptationResult(k_inner * cfg.tau1, k_inner)
+
+    def gap(policy):
+        return tv_rows(policy_distributions(policy, probes, cfg), target).max()
+
+    far = (np.array([0.9, 0.0, 0.0, 0.0]), np.array([-0.9, 0.9, -0.9, 0.9]))
+    for theta in (np.zeros(4), *far):
+        distance = float(np.linalg.norm(theta - cascade.theta_star))
+        magnitude = ADAPT_BASE_PERTURBATION * (1.0 + distance / cfg.theta_box)
+        direction = stream_rng(cfg.seed, "adaptation").standard_normal(reference.size)
+        direction /= float(np.linalg.norm(direction))
+        current = np.clip(
+            reference + magnitude * direction, -cfg.policy_box, cfg.policy_box
+        )
+        k_inner = 0
+        while gap(current) > ADAPT_TV_TOL:
+            current = current + ADAPT_INNER_RATE * (reference - current)
+            k_inner += 1
+        assert 0 < k_inner < ADAPT_CAP
+        result = adaptation_trial(cascade, theta, reference, probes, cfg)
+        assert result == AdaptationResult(k_inner * cfg.tau1, k_inner)
     assert adaptation_trial(
-        cascade, theta, reference, probes, cfg, changed_env=False
+        cascade, np.zeros(4), reference, probes, cfg, changed_env=False
     ) == AdaptationResult(0.0, 0)
 
 
