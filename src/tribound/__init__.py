@@ -2,38 +2,17 @@
 coupled learning dynamics: fast per-agent synaptic updates, mid-rate swarm
 coordination of a shared policy, and slow meta updates of the synaptic rule,
 with runtime contract monitors and a replay of each trace against the
-closed-form ceilings."""
+closed-form ceilings.
 
-from .bounds import (
-    BoundReport,
-    SensitivityRow,
-    effective_horizon,
-    elasticity_sweep,
-    eps_coord,
-    eps_hebb,
-    eps_meta,
-    eta1_max,
-    growth_envelope,
-    n12,
-    phi_max,
-    total_bound,
-)
-from .cascade import (
-    AdjacencyGraph,
-    EmbeddingEncoder,
-    PolicyTarget,
-    make_encoder,
-    marl_step,
-    modulation,
-    probe_embeddings,
-)
-from .contracts import (
-    CONTRACT_IDS,
-    ContractSpec,
-    ContractVerdict,
-    Monitor,
-    contract_specs,
-)
+The package root exports what the CLI is built from and what a trace
+analysis needs. The per-level internals (the fast update in hebbian, the
+coordination step in cascade, the meta level in meta, the Monitor in
+contracts, and the individual bound terms in bounds) are imported from
+their own modules.
+"""
+
+from .bounds import BoundReport, SensitivityRow, elasticity_sweep, total_bound
+from .contracts import CONTRACT_IDS, ContractVerdict
 from .engine import (
     SCENARIOS,
     Scenario,
@@ -57,40 +36,13 @@ from .errors import (
     UnboundedRegimeError,
     ValidationError,
 )
-from .hebbian import (
-    HebbianRule,
-    apply_steps,
-    effective_step_bound,
-    eta1_threshold,
-    hebbian_tick,
-    intrinsic_step_bound,
-    modulation_gain,
-    proposed_steps,
-    rule_from_config,
-    stationary_radius,
-    weight_bounds,
-    weight_norm_ceiling,
-)
-from .meta import (
-    CompatibilityVerdict,
-    MetaCascade,
-    cascading_sensitivity,
-    compatibility_check,
-    max_meta_rate,
-)
 from .model import (
-    ConditionCheck,
     ConditionReport,
-    MetaParams,
-    PolicyParams,
     SystemConfig,
     apply_overrides,
     config_from_dict,
     config_hash,
     config_to_dict,
-    config_to_json,
-    frozen_mask_for,
-    initial_weights,
     load_config,
     load_config_path,
     validate,
@@ -100,25 +52,14 @@ from .model import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjacencyGraph",
     "BoundReport",
     "CONTRACT_IDS",
     "CalibrationError",
-    "CompatibilityVerdict",
-    "ConditionCheck",
     "ConditionReport",
-    "ContractSpec",
     "ContractVerdict",
-    "EmbeddingEncoder",
     "EnforcementError",
-    "HebbianRule",
     "MarginGeometryError",
-    "MetaCascade",
-    "MetaParams",
     "ModulationBoundError",
-    "Monitor",
-    "PolicyParams",
-    "PolicyTarget",
     "SCENARIOS",
     "Scenario",
     "SchemaError",
@@ -132,48 +73,18 @@ __all__ = [
     "ValidationError",
     "VerificationReport",
     "apply_overrides",
-    "apply_steps",
-    "cascading_sensitivity",
-    "compatibility_check",
     "config_from_dict",
     "config_hash",
     "config_to_dict",
-    "config_to_json",
     "confirm_expectation",
-    "contract_specs",
-    "effective_horizon",
-    "effective_step_bound",
     "elasticity_sweep",
-    "eps_coord",
-    "eps_hebb",
-    "eps_meta",
-    "eta1_max",
-    "eta1_threshold",
-    "frozen_mask_for",
     "get_scenario",
-    "growth_envelope",
-    "hebbian_tick",
-    "initial_weights",
-    "intrinsic_step_bound",
     "load_config",
     "load_config_path",
-    "make_encoder",
-    "marl_step",
-    "max_meta_rate",
-    "modulation",
-    "modulation_gain",
-    "n12",
-    "phi_max",
-    "probe_embeddings",
-    "proposed_steps",
-    "rule_from_config",
     "run",
     "scenario_names",
-    "stationary_radius",
     "total_bound",
     "validate",
     "validate_conditions",
     "verify",
-    "weight_bounds",
-    "weight_norm_ceiling",
 ]

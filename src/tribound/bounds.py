@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import hebbian
+from .contracts import all_margins
 from .errors import ValidationError
 from .meta import MetaCascade, cascading_sensitivity, max_meta_rate
 from .model import SystemConfig
@@ -123,18 +124,16 @@ class BoundReport:
 def total_bound(config: SystemConfig, h_eff_override: int | None = None) -> BoundReport:
     """Assemble the full report. Requires the stable (negative decay) regime."""
     rule = hebbian.rule_from_config(config)
-    w0, w_max = hebbian.weight_bounds(rule)
+    w0 = hebbian.stationary_radius(rule)
     h_eff = _resolve_horizon(config, h_eff_override)
     hebb = eps_hebb(config)
     coord = eps_coord(config, h_eff_override=h_eff)
     meta = eps_meta(config, h_eff_override=h_eff)
-    cascade = MetaCascade(config)
-    theta0 = [0.0] * config.meta_dim
-    min_margin = min(cascade.box_distance(theta0), cascade.flip_distance(theta0))
+    min_margin = min(all_margins(MetaCascade(config), [0.0] * config.meta_dim).values())
     j_star = h_eff * config.n_agents * config.r_max
     return BoundReport(
         w0=w0,
-        w_max=w_max,
+        w_max=hebbian.weight_norm_ceiling(rule),
         eta1_bar=hebbian.eta1_threshold(rule, config),
         delta1_int=hebbian.intrinsic_step_bound(rule, config),
         delta1_eff=hebbian.effective_step_bound(rule, config),

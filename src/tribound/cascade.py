@@ -60,10 +60,9 @@ class EmbeddingEncoder:
     1-Lipschitz, so the declared sensitivity still holds.
     """
 
-    def __init__(self, matrix: np.ndarray, lip_phi: float, squash: bool,
-                 eps_gnn: float, seed: int) -> None:
+    def __init__(self, matrix: np.ndarray, squash: bool, eps_gnn: float,
+                 seed: int) -> None:
         self.matrix = np.asarray(matrix, dtype=float)
-        self.lip_phi = float(lip_phi)
         self.squash = bool(squash)
         self.eps_gnn = float(eps_gnn)
         self.seed = int(seed)
@@ -78,8 +77,8 @@ class EmbeddingEncoder:
         if norm == 0.0:
             raise CalibrationError("degenerate encoder draw has zero operator norm")
         matrix = raw * (config.lip_phi / norm)
-        return cls(matrix, config.lip_phi, config.encoder_squash,
-                   config.eps_gnn, config.seed)
+        return cls(matrix, config.encoder_squash, config.eps_gnn,
+                   config.seed)
 
     def encode(self, weights: np.ndarray) -> np.ndarray:
         """Ideal embeddings: (..., n_agents, weight_dim) -> (..., n_agents, embed_dim)."""
@@ -168,20 +167,13 @@ class AdjacencyGraph:
         return mix
 
 
-def modulation(z_i: np.ndarray, z_mean: np.ndarray, config: SystemConfig
-               ) -> np.ndarray | float:
-    """Dispersion-driven modulation signal, always in [0, m_max].
+def modulation(z: np.ndarray, z_mean: np.ndarray, config: SystemConfig) -> np.ndarray:
+    """Dispersion-driven modulation signal of each row of z, always in [0, m_max].
 
     The squashing function saturates to 1.0 in floats at large deviations,
     so the upper end of the band is attained.
     """
-    deviation = np.linalg.norm(
-        np.atleast_2d(z_i) - np.asarray(z_mean, dtype=float)[None, :], axis=1
-    )
-    signal = config.m_max * np.tanh(deviation)
-    if np.ndim(z_i) == 1:
-        return float(signal[0])
-    return signal
+    return config.m_max * np.tanh(np.linalg.norm(z - z_mean, axis=1))
 
 
 def logit_scale(config: SystemConfig) -> float:
@@ -275,8 +267,8 @@ def marl_step(
     params: PolicyParams,
     aggregated: np.ndarray,
     config: SystemConfig,
-    target_map: PolicyTarget | None = None,
-    probes: np.ndarray | None = None,
+    target_map: PolicyTarget,
+    probes: np.ndarray,
 ) -> tuple[PolicyParams, MarlStepInfo]:
     """One coordination update of the shared policy.
 
@@ -285,10 +277,6 @@ def marl_step(
     halving until the worst-case total-variation move over the probe set
     fits under the trust-region cap.
     """
-    if target_map is None:
-        target_map = PolicyTarget.from_config(config)
-    if probes is None:
-        probes = probe_embeddings(config)
     aggregated = np.atleast_2d(np.asarray(aggregated, dtype=float))
     mean_aggregate = aggregated.mean(axis=0)
     theta = params.theta

@@ -125,6 +125,15 @@ def _report_dict(report: Any) -> dict[str, Any]:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     config = _build_config(args)
+    if args.n:
+        try:
+            n_values = [int(part) for part in args.n.split(",") if part.strip()]
+        except ValueError:
+            raise TriboundError(
+                f"--n expects comma-separated integers, got {args.n!r}"
+            ) from None
+    else:
+        n_values = [config.n_agents]
     report = total_bound(config)
     print("closed-form quantities at the configured operating point")
     print(
@@ -145,10 +154,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             ],
         )
     )
-    if args.n:
-        n_values = [int(part) for part in args.n.split(",") if part.strip()]
-    else:
-        n_values = [config.n_agents]
     rows = []
     per_n = []
     for n in n_values:

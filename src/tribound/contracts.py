@@ -33,44 +33,22 @@ ML2_WINDOW = 3
 _FLIP_SENSITIVE = ("NP-C1", "GNN-C1")
 
 
-@dataclass(frozen=True)
-class ContractSpec:
-    """Identity, threshold, and monitored quantity of one contract."""
+def contract_thresholds(config: SystemConfig) -> dict[str, float]:
+    """Each contract's threshold on its measured quantity, in CONTRACT_IDS order.
 
-    contract_id: str
-    threshold: float
-    quantity: str
-    description: str
-
-
-def contract_specs(config: SystemConfig) -> dict[str, ContractSpec]:
-    specs = (
-        ContractSpec(
-            "NP-C1", config.delta_np, "max per-tick weight step norm",
-            "every applied fast step stays under the step cap",
-        ),
-        ContractSpec(
-            "NP-C2", EQUALITY_TOL, "max safety-readout deviation from start",
-            "danger-probe safety outputs never move",
-        ),
-        ContractSpec(
-            "MARL-C1", config.delta_pi, "max per-cycle policy total variation",
-            "every coordination update stays inside the trust region",
-        ),
-        ContractSpec(
-            "GNN-C1", config.eps_gnn, "max embedding approximation error",
-            "realized embeddings stay near the ideal ones",
-        ),
-        ContractSpec(
-            "ML-C1", config.t_critical, "latest adaptation-trial duration",
-            "recovery after an environment change meets the deadline",
-        ),
-        ContractSpec(
-            "ML-C2", 0.0, "max increase of windowed inner-step means",
-            "adaptation effort does not trend upward",
-        ),
-    )
-    return {spec.contract_id: spec for spec in specs}
+    NP-C1 caps the per-tick weight step norm, NP-C2 the safety-readout
+    deviation from start, MARL-C1 the per-cycle policy total variation,
+    GNN-C1 the embedding approximation error, ML-C1 the adaptation-trial
+    duration, and ML-C2 the increase of windowed inner-step means.
+    """
+    return {
+        "NP-C1": config.delta_np,
+        "NP-C2": EQUALITY_TOL,
+        "MARL-C1": config.delta_pi,
+        "GNN-C1": config.eps_gnn,
+        "ML-C1": config.t_critical,
+        "ML-C2": 0.0,
+    }
 
 
 @dataclass(frozen=True)
@@ -115,12 +93,12 @@ def theta_margin(
     return max(min(constituents), 0.0)
 
 
-def rolling_means(values: Sequence[float], window: int = ML2_WINDOW) -> list[float]:
-    if len(values) < window:
+def rolling_means(values: Sequence[float]) -> list[float]:
+    if len(values) < ML2_WINDOW:
         return []
     return [
-        float(np.mean(values[i : i + window]))
-        for i in range(len(values) - window + 1)
+        float(np.mean(values[i : i + ML2_WINDOW]))
+        for i in range(len(values) - ML2_WINDOW + 1)
     ]
 
 
@@ -137,21 +115,21 @@ class Monitor:
 
     Every observation is counted; the event log keeps only pass/alarm state
     transitions plus explicitly forced records (cycle summaries), so long
-    runs with steady verdicts stay small on disk. Verdict objects are only
-    materialized for logged observations; latest() rebuilds the most recent
-    evaluation of a contract on demand.
+    runs with steady verdicts stay small on disk. latest() returns the most
+    recent verdict of a contract, logged or not.
     """
 
-    def __init__(
-        self, config: SystemConfig, specs: dict[str, ContractSpec] | None = None
-    ) -> None:
+    def __init__(self, config: SystemConfig) -> None:
         self.config = config
-        self.specs = specs if specs is not None else contract_specs(config)
+        self.thresholds = contract_thresholds(config)
         self.events: list[ContractVerdict] = []
         self.fail_count = 0
         self.alarm_count = 0
-        self._last_state: dict[str, tuple[bool | None, bool]] = {}
-        self._latest: dict[str, tuple[float, float, float, bool | None, bool, str]] = {}
+        self._latest: dict[str, ContractVerdict] = {}
+
+    def _state_changed(self, contract_id: str, passed: bool | None, alarm: bool) -> bool:
+        last = self._latest.get(contract_id)
+        return last is None or (last.passed, last.alarm) != (passed, alarm)
 
     def observe(
         self,
@@ -163,35 +141,32 @@ class Monitor:
         force_log: bool = False,
         note: str = "",
     ) -> ContractVerdict | None:
-        spec = self.specs[contract_id]
+        threshold = self.thresholds[contract_id]
         if inconclusive:
             passed: bool | None = None
             alarm = False
             measured = math.nan
             margin_value = 0.0
         else:
-            passed = measured <= spec.threshold + EQUALITY_TOL
+            passed = measured <= threshold + EQUALITY_TOL
             alarm = margin_value < self.config.margin_alarm
             if not passed:
                 self.fail_count += 1
             if alarm:
                 self.alarm_count += 1
-        self._latest[contract_id] = (
-            time, measured, margin_value, passed, alarm, note,
+        logged = force_log or self._state_changed(contract_id, passed, alarm)
+        verdict = ContractVerdict(
+            contract_id=contract_id,
+            time=time,
+            passed=passed,
+            measured=measured,
+            threshold=threshold,
+            margin=margin_value,
+            alarm=alarm,
+            note=note,
         )
-        state = (passed, alarm)
-        if force_log or self._last_state.get(contract_id, ()) != state:
-            self._last_state[contract_id] = state
-            verdict = ContractVerdict(
-                contract_id=contract_id,
-                time=time,
-                passed=passed,
-                measured=measured,
-                threshold=spec.threshold,
-                margin=margin_value,
-                alarm=alarm,
-                note=note,
-            )
+        self._latest[contract_id] = verdict
+        if logged:
             self.events.append(verdict)
             return verdict
         return None
@@ -207,14 +182,15 @@ class Monitor:
         measured maps each contract to one value per time, and at each time
         the contracts are taken in the mapping's order. Events, counts and
         latest() come out exactly as from one observe() call per value, at
-        the contract's margin from margins.
+        the contract's margin from margins. Verdicts are built only for the
+        logged transitions and for each contract's last value.
         """
         if len(times) == 0:
             return
         logged: list[tuple[int, int, ContractVerdict]] = []
         for order, (contract_id, values) in enumerate(measured.items()):
             values = np.asarray(values, dtype=float)
-            threshold = self.specs[contract_id].threshold
+            threshold = self.thresholds[contract_id]
             margin_value = margins[contract_id]
             alarm = margin_value < self.config.margin_alarm
             passed = values <= threshold + EQUALITY_TOL
@@ -222,10 +198,10 @@ class Monitor:
             if alarm:
                 self.alarm_count += int(passed.size)
             changes = (np.flatnonzero(passed[1:] != passed[:-1]) + 1).tolist()
-            if self._last_state.get(contract_id, ()) != (bool(passed[0]), alarm):
+            if self._state_changed(contract_id, bool(passed[0]), alarm):
                 changes.insert(0, 0)
-            for k in changes:
-                verdict = ContractVerdict(
+            verdicts = [
+                ContractVerdict(
                     contract_id=contract_id,
                     time=float(times[k]),
                     passed=bool(passed[k]),
@@ -234,30 +210,16 @@ class Monitor:
                     margin=margin_value,
                     alarm=alarm,
                 )
-                logged.append((k, order, verdict))
-            self._last_state[contract_id] = (bool(passed[-1]), alarm)
-            self._latest[contract_id] = (
-                float(times[-1]), float(values[-1]), margin_value,
-                bool(passed[-1]), alarm, "",
-            )
+                for k in changes + [passed.size - 1]
+            ]
+            self._latest[contract_id] = verdicts.pop()
+            logged.extend((k, order, v) for k, v in zip(changes, verdicts))
         logged.sort(key=lambda item: item[:2])
         self.events.extend(verdict for _, _, verdict in logged)
 
     def latest(self, contract_id: str) -> ContractVerdict | None:
         """Most recent evaluation of a contract, logged or not."""
-        if contract_id not in self._latest:
-            return None
-        time, measured, margin_value, passed, alarm, note = self._latest[contract_id]
-        return ContractVerdict(
-            contract_id=contract_id,
-            time=time,
-            passed=passed,
-            measured=measured,
-            threshold=self.specs[contract_id].threshold,
-            margin=margin_value,
-            alarm=alarm,
-            note=note,
-        )
+        return self._latest.get(contract_id)
 
 
 class SafetyReadout:

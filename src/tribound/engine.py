@@ -225,9 +225,6 @@ class Trace:
     halted: bool
     halt_reason: str | None
 
-    def tick_time(self, index: int) -> float:
-        return (index + 1) * self.config.tau1
-
     @staticmethod
     def _lookup(times: list[float], t: float, kind: str) -> int:
         tol = _TIME_TOL * max(1.0, abs(t))
@@ -761,12 +758,6 @@ class VerificationReport:
     @property
     def all_passed(self) -> bool:
         return all(result.passed is not False for result in self.checks)
-
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(r for r in self.checks if r.passed is False)
-
-    def skipped(self) -> tuple[CheckResult, ...]:
-        return tuple(r for r in self.checks if r.passed is None)
 
 
 def _least_squares_slope(times: np.ndarray, values: np.ndarray) -> float:

@@ -167,12 +167,6 @@ def weight_norm_ceiling(rule: HebbianRule) -> float:
     return stationary_radius(rule) + 1.0
 
 
-def weight_bounds(rule: HebbianRule) -> tuple[float, float]:
-    """(stationary radius, invariant-ball radius) for a stable rule."""
-    w0 = stationary_radius(rule)
-    return w0, w0 + 1.0
-
-
 def eta1_threshold(rule: HebbianRule, config: SystemConfig) -> float:
     """Largest fast rate keeping the one-tick map contractive on the ball."""
     if rule.delta >= 0.0:

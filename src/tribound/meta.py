@@ -184,10 +184,6 @@ class MetaCascade:
             return np.inf if raw_delta < 0.0 else 0.0
         return max(0.0, -raw_delta) / row_norm
 
-    def loss(self, theta: np.ndarray) -> float:
-        diff = np.asarray(theta, dtype=float) - self.theta_star
-        return 0.5 * float(diff @ diff)
-
     def clipped_gradient(self, theta: np.ndarray) -> np.ndarray:
         grad = np.asarray(theta, dtype=float) - self.theta_star
         norm = float(np.linalg.norm(grad))
@@ -212,7 +208,6 @@ def adaptation_trial(
     reference_policy: np.ndarray,
     probes: np.ndarray,
     config: SystemConfig,
-    changed_env: bool = True,
 ) -> AdaptationResult:
     """Measure recovery time after a simulated environment shift.
 
@@ -220,13 +215,10 @@ def adaptation_trial(
     magnitude grows with the meta parameters' distance from their target,
     then runs a fixed-rate inner recovery loop until the worst-case
     total-variation gap to the reference drops under tolerance. Adaptation
-    time is the iteration count times the fast period. Without an
-    environment change there is nothing to recover from.
+    time is the iteration count times the fast period.
     """
     from .cascade import policy_distributions, tv_rows
 
-    if not changed_env:
-        return AdaptationResult(0.0, 0)
     distance = float(np.linalg.norm(np.asarray(theta, dtype=float) - cascade.theta_star))
     magnitude = ADAPT_BASE_PERTURBATION * (1.0 + distance / config.theta_box)
     rng = stream_rng(config.seed, "adaptation")

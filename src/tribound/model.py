@@ -69,6 +69,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import typing
 import warnings
 from dataclasses import dataclass
 from hashlib import sha256
@@ -142,14 +143,10 @@ class SystemConfig:
     enforce_clamp: bool = True
 
 
-_BOOL_FIELDS = {"encoder_squash", "enforce_clamp"}
-_INT_FIELDS = {
-    "n_agents", "weight_dim", "embed_dim", "n_actions", "meta_dim",
-    "h_mission", "seed", "probe_state_count", "danger_probe_count",
-    "ring_neighbors",
-}
-_STR_FIELDS = {"graph_topology"}
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SystemConfig))
+# Each field's declared type: bool, int, float or str.
+_FIELD_TYPES = typing.get_type_hints(SystemConfig)
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 _POSITIVE_INT = (
     "n_agents", "weight_dim", "embed_dim", "n_actions", "meta_dim",
@@ -166,40 +163,25 @@ _FINITE_FLOAT = ("alpha", "beta", "gamma_h", "delta")
 
 
 def _coerce(name: str, value: Any) -> Any:
-    if name in _BOOL_FIELDS:
-        if not isinstance(value, bool):
-            raise SchemaError(f"config key {name!r} expects a boolean, got {value!r}")
-        return value
-    if name in _INT_FIELDS:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaError(f"config key {name!r} expects an integer, got {value!r}")
-        return value
-    if name in _STR_FIELDS:
-        if not isinstance(value, str):
-            raise SchemaError(f"config key {name!r} expects a string, got {value!r}")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"config key {name!r} expects a number, got {value!r}")
-    return float(value)
+    kind = _FIELD_TYPES[name]
+    accepted = (int, float) if kind is float else kind
+    # bool is an int subclass; only a bool field takes True or False.
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        raise SchemaError(
+            f"config key {name!r} expects {_EXPECTED[kind]}, got {value!r}"
+        )
+    return float(value) if kind is float else value
 
 
 def config_from_dict(data: Mapping[str, Any]) -> SystemConfig:
     """Build and validate a config from a plain mapping. Unknown keys are fatal."""
-    unknown = sorted(set(data) - set(_FIELD_NAMES))
-    if unknown:
-        raise SchemaError(f"unknown config keys: {', '.join(unknown)}")
-    kwargs = {name: _coerce(name, value) for name, value in data.items()}
-    config = SystemConfig(**kwargs)
-    validate(config)
-    return config
+    return apply_overrides(SystemConfig(), data)
 
 
 def load_config(source: str) -> SystemConfig:
     """Parse a JSON config document. An empty document yields all defaults."""
     if not source.strip():
-        config = SystemConfig()
-        validate(config)
-        return config
+        return config_from_dict({})
     try:
         data = json.loads(source)
     except json.JSONDecodeError as exc:
@@ -212,8 +194,15 @@ def load_config(source: str) -> SystemConfig:
 
 
 def load_config_path(path: str) -> SystemConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        return load_config(handle.read())
+    """Parse the JSON config file at path; an unreadable file is a SchemaError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            source = handle.read()
+    except OSError as exc:
+        raise SchemaError(f"cannot read config file {path!r}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"config file {path!r} is not UTF-8 text: {exc}") from exc
+    return load_config(source)
 
 
 def apply_overrides(config: SystemConfig, overrides: Mapping[str, Any]) -> SystemConfig:
@@ -378,12 +367,6 @@ class PolicyParams:
         if theta.ndim != 1 or not np.all(np.isfinite(theta)):
             raise StructuralError("policy parameters must be a finite 1-d vector")
         object.__setattr__(self, "theta", theta)
-
-    def check_box(self, config: SystemConfig) -> None:
-        if self.theta.shape[0] != config.n_actions * config.embed_dim:
-            raise StructuralError("policy parameter dimension mismatch")
-        if np.max(np.abs(self.theta), initial=0.0) > config.policy_box + 1e-12:
-            raise StructuralError("policy parameters outside the admissible box")
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,59 @@
+"""The package root exports exactly what the CLI and a trace analysis use."""
+import tribound
+
+ROOT_API = [
+    "BoundReport",
+    "CONTRACT_IDS",
+    "CalibrationError",
+    "ConditionReport",
+    "ContractVerdict",
+    "EnforcementError",
+    "MarginGeometryError",
+    "ModulationBoundError",
+    "SCENARIOS",
+    "Scenario",
+    "SchemaError",
+    "SensitivityRow",
+    "StructuralError",
+    "SystemConfig",
+    "Trace",
+    "TraceQueryError",
+    "TriboundError",
+    "UnboundedRegimeError",
+    "ValidationError",
+    "VerificationReport",
+    "apply_overrides",
+    "config_from_dict",
+    "config_hash",
+    "config_to_dict",
+    "confirm_expectation",
+    "elasticity_sweep",
+    "get_scenario",
+    "load_config",
+    "load_config_path",
+    "run",
+    "scenario_names",
+    "total_bound",
+    "validate",
+    "validate_conditions",
+    "verify",
+]
+
+
+def test_root_exports_exactly_the_pinned_names():
+    assert tribound.__all__ == ROOT_API
+
+
+def test_every_exported_name_resolves():
+    namespace: dict = {}
+    exec("from tribound import *", namespace)
+    for name in ROOT_API:
+        assert namespace[name] is getattr(tribound, name)
+
+
+def test_every_error_is_exported():
+    errors = {
+        name for name, value in vars(tribound.errors).items()
+        if isinstance(value, type) and issubclass(value, tribound.TriboundError)
+    }
+    assert errors <= set(ROOT_API)

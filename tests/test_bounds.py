@@ -11,8 +11,13 @@ from tribound import (
     UnboundedRegimeError,
     ValidationError,
     apply_overrides,
-    effective_horizon,
     elasticity_sweep,
+    total_bound,
+)
+from tribound.bounds import (
+    REFERENCE_BASE_TOTAL,
+    SWEEPABLE,
+    effective_horizon,
     eps_coord,
     eps_hebb,
     eps_meta,
@@ -20,9 +25,7 @@ from tribound import (
     growth_envelope,
     n12,
     phi_max,
-    total_bound,
 )
-from tribound.bounds import REFERENCE_BASE_TOTAL, SWEEPABLE
 
 
 def expected_coord(n_agents: int, h_eff: int = 10) -> float:

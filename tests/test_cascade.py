@@ -6,26 +6,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tribound import (
+from tribound import StructuralError, SystemConfig, apply_overrides
+from tribound.cascade import (
     AdjacencyGraph,
-    PolicyParams,
+    EmbeddingEncoder,
     PolicyTarget,
-    StructuralError,
-    SystemConfig,
-    apply_overrides,
+    logit_scale,
     make_encoder,
     marl_step,
     modulation,
-    probe_embeddings,
-)
-from tribound.cascade import (
-    EmbeddingEncoder,
-    logit_scale,
     policy_distributions,
     power_opnorm,
+    probe_embeddings,
     realized_embeddings,
     tv_rows,
 )
+from tribound.model import PolicyParams
 from tribound.seeding import stream_rng
 
 
@@ -138,7 +134,7 @@ def _weight_batches(draw):
 @settings(max_examples=50)
 def test_realized_embeddings_properties(weights, eps_gnn, cycle, squash):
     base = make_encoder(SystemConfig())
-    encoder = EmbeddingEncoder(base.matrix, base.lip_phi, squash, eps_gnn, base.seed)
+    encoder = EmbeddingEncoder(base.matrix, squash, eps_gnn, base.seed)
     n, p = weights.shape[0], base.matrix.shape[0]
     realized, ideal, errors = realized_embeddings(weights, encoder, cycle)
 
@@ -200,9 +196,10 @@ def test_modulation_signal_band(base_config):
     z = rng.standard_normal((10, base_config.embed_dim)) * 100.0
     signals = modulation(z, z.mean(axis=0), base_config)
     assert np.all(signals >= 0.0) and np.all(signals <= base_config.m_max)
-    one = modulation(z[0], z.mean(axis=0), base_config)
-    assert one == pytest.approx(float(signals[0]), rel=1e-12)
-    assert modulation(z[0], z[0], base_config) == 0.0
+    assert signals.shape == (10,)
+    one = modulation(z[:1], z.mean(axis=0), base_config)
+    assert one.tolist() == [signals[0]]
+    assert modulation(z[:1], z[0], base_config).tolist() == [0.0]
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -314,7 +311,7 @@ def test_marl_step_respects_trust_region(base_config):
     assert info.tv_step <= cfg.delta_pi
     assert info.halvings >= 0
     assert info.target_distance >= 0.0
-    new_params.check_box(cfg)
+    assert np.abs(new_params.theta).max() <= cfg.policy_box
 
 
 def test_marl_step_converges_toward_target(base_config):
@@ -332,9 +329,10 @@ def test_marl_step_converges_toward_target(base_config):
 
 
 def test_marl_step_default_target(base_config):
-    params = PolicyParams(
-        np.zeros(base_config.n_actions * base_config.embed_dim)
-    )
-    aggregated = np.zeros((base_config.n_agents, base_config.embed_dim))
-    _, info = marl_step(params, aggregated, base_config)
-    assert info.tv_step <= base_config.delta_pi
+    """The config's seeded target and probes, as the engine passes them."""
+    cfg = base_config
+    params = PolicyParams(np.zeros(cfg.n_actions * cfg.embed_dim))
+    aggregated = np.zeros((cfg.n_agents, cfg.embed_dim))
+    target_map = PolicyTarget.from_config(cfg)
+    _, info = marl_step(params, aggregated, cfg, target_map, probe_embeddings(cfg))
+    assert info.tv_step <= cfg.delta_pi

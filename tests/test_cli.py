@@ -95,3 +95,36 @@ def test_verify_exits_one_on_a_contract_breach(tmp_path: Path, capsys):
     assert (accumulation["pass"], accumulation["fail"]) == (1, 0)
     # The breach is the contract failures alone: every ceiling holds.
     assert all(check["fail"] == 0 for check in report["checks"].values())
+
+
+def _assert_clean_error(capsys, start: str) -> None:
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {start}")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_missing_config_file_fails_without_traceback(tmp_path: Path, capsys):
+    path = tmp_path / "absent.json"
+    assert main(["bounds", "--config", str(path)]) == UNEXPECTED_EXIT
+    _assert_clean_error(capsys, f"cannot read config file {str(path)!r}")
+
+
+def test_directory_as_config_fails_without_traceback(tmp_path: Path, capsys):
+    assert main(["bounds", "--config", str(tmp_path)]) == UNEXPECTED_EXIT
+    _assert_clean_error(capsys, f"cannot read config file {str(tmp_path)!r}")
+
+
+def test_non_utf8_config_fails_without_traceback(tmp_path: Path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"graph_topology": "r\xe9ng"}')
+    assert main(["bounds", "--config", str(path)]) == UNEXPECTED_EXIT
+    _assert_clean_error(capsys, f"config file {str(path)!r} is not UTF-8 text")
+
+
+def test_bounds_rejects_non_integer_swarm_sizes(capsys):
+    for value in ("abc", "10,x"):
+        assert main(["bounds", "--n", value]) == UNEXPECTED_EXIT
+        _assert_clean_error(
+            capsys, f"--n expects comma-separated integers, got {value!r}"
+        )

@@ -1,4 +1,4 @@
-"""Contract specs, margins, verdicts, and the streaming monitor."""
+"""Contract thresholds, margins, verdicts, and the streaming monitor."""
 import math
 
 import numpy as np
@@ -8,24 +8,26 @@ from hypothesis import strategies as st
 
 from tribound import (
     CONTRACT_IDS,
+    ContractVerdict,
     MarginGeometryError,
-    MetaCascade,
-    Monitor,
     SystemConfig,
     apply_overrides,
-    contract_specs,
-    frozen_mask_for,
-    initial_weights,
-    probe_embeddings,
     run,
     total_bound,
 )
-from tribound.cascade import PolicyTarget, policy_distributions, tv_rows
+from tribound.cascade import (
+    PolicyTarget,
+    policy_distributions,
+    probe_embeddings,
+    tv_rows,
+)
 from tribound.contracts import (
     EQUALITY_TOL,
-    ContractVerdict,
+    ML2_WINDOW,
+    Monitor,
     SafetyReadout,
     all_margins,
+    contract_thresholds,
     ml2_increase,
     rolling_means,
     theta_margin,
@@ -36,22 +38,24 @@ from tribound.meta import (
     ADAPT_INNER_RATE,
     ADAPT_TV_TOL,
     AdaptationResult,
+    MetaCascade,
     adaptation_trial,
 )
+from tribound.model import frozen_mask_for, initial_weights
 from tribound.seeding import stream_rng, unit_rows
 
 
 def test_contract_ids_and_thresholds(base_config):
-    specs = contract_specs(base_config)
-    assert tuple(specs) == CONTRACT_IDS
-    assert specs["NP-C1"].threshold == base_config.delta_np
-    assert specs["NP-C2"].threshold == 1e-12
-    assert specs["MARL-C1"].threshold == base_config.delta_pi
-    assert specs["GNN-C1"].threshold == base_config.eps_gnn
-    assert specs["ML-C1"].threshold == base_config.t_critical
-    assert specs["ML-C2"].threshold == 0.0
-    for spec in specs.values():
-        assert spec.quantity and spec.description
+    thresholds = contract_thresholds(base_config)
+    assert tuple(thresholds) == CONTRACT_IDS
+    assert thresholds == {
+        "NP-C1": base_config.delta_np,
+        "NP-C2": 1e-12,
+        "MARL-C1": base_config.delta_pi,
+        "GNN-C1": base_config.eps_gnn,
+        "ML-C1": base_config.t_critical,
+        "ML-C2": 0.0,
+    }
 
 
 def test_quantity_margin(base_config):
@@ -107,8 +111,9 @@ def test_all_margins(base_config):
 
 
 def test_rolling_means():
-    assert rolling_means([1.0, 2.0], window=3) == []
-    assert rolling_means([1.0, 2.0, 3.0, 4.0], window=3) == [2.0, 3.0]
+    assert ML2_WINDOW == 3
+    assert rolling_means([1.0, 2.0]) == []
+    assert rolling_means([1.0, 2.0, 3.0, 4.0]) == [2.0, 3.0]
 
 
 def test_ml2_increase():
@@ -121,10 +126,10 @@ def test_ml2_increase():
 
 
 def test_verdict_record_keys(base_config):
-    spec = contract_specs(base_config)["NP-C1"]
     verdict = ContractVerdict(
         contract_id="NP-C1", time=1.0, passed=True, measured=math.nan,
-        threshold=spec.threshold, margin=0.5, alarm=False, note="x",
+        threshold=contract_thresholds(base_config)["NP-C1"], margin=0.5,
+        alarm=False, note="x",
     )
     record = verdict.to_record()
     assert record["id"] == "NP-C1"
@@ -257,9 +262,6 @@ def test_standalone_adaptation_trial(base_config):
         assert 0 < k_inner < ADAPT_CAP
         result = adaptation_trial(cascade, theta, reference, probes, cfg)
         assert result == AdaptationResult(k_inner * cfg.tau1, k_inner)
-    assert adaptation_trial(
-        cascade, np.zeros(4), reference, probes, cfg, changed_env=False
-    ) == AdaptationResult(0.0, 0)
 
 
 def test_monitor_counts_every_observation(base_config):

@@ -6,24 +6,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tribound import (
-    HebbianRule,
     ModulationBoundError,
     SystemConfig,
     UnboundedRegimeError,
     apply_overrides,
+)
+from tribound.hebbian import (
+    HebbianRule,
     apply_steps,
     effective_step_bound,
     eta1_threshold,
-    frozen_mask_for,
     hebbian_tick,
     intrinsic_step_bound,
     modulation_gain,
     proposed_steps,
     rule_from_config,
     stationary_radius,
-    weight_bounds,
     weight_norm_ceiling,
 )
+from tribound.model import frozen_mask_for
 
 BASE_RULE = HebbianRule(0.5, 0.1, 0.1, -0.01)
 
@@ -266,7 +267,6 @@ def test_safety_output_constant_under_plastic_updates(base_config):
 def test_stationary_radius_and_ceiling():
     assert stationary_radius(BASE_RULE) == 70.0
     assert weight_norm_ceiling(BASE_RULE) == 71.0
-    assert weight_bounds(BASE_RULE) == (70.0, 71.0)
     with pytest.raises(UnboundedRegimeError):
         stationary_radius(HebbianRule(0.5, 0.1, 0.1, 0.0))
 

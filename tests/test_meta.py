@@ -3,27 +3,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tribound import (
-    MetaCascade,
-    MetaParams,
-    StructuralError,
-    SystemConfig,
-    ValidationError,
-    apply_overrides,
-    cascading_sensitivity,
-    compatibility_check,
-    max_meta_rate,
-    probe_embeddings,
-    rule_from_config,
-)
+from tribound import StructuralError, SystemConfig, ValidationError, apply_overrides
+from tribound.cascade import probe_embeddings
+from tribound.hebbian import rule_from_config
 from tribound.meta import (
     ADAPT_CAP,
     DELTA_GUARD,
-    AdaptationResult,
+    MetaCascade,
     adaptation_trial,
+    cascading_sensitivity,
+    compatibility_check,
+    max_meta_rate,
     meta_target,
     sensitivity_matrix,
 )
+from tribound.model import MetaParams
 
 
 def test_meta_target_radius(base_config):
@@ -191,16 +185,6 @@ def test_gate_never_reaches_failure_set(margin_value):
     verdict = compatibility_check(step, [("NP-C1", margin_value)], cfg)
     if verdict.passed:
         assert step < margin_value
-
-
-def test_adaptation_trial_without_change(base_config):
-    cascade = MetaCascade(base_config)
-    probes = probe_embeddings(base_config)
-    result = adaptation_trial(
-        cascade, np.zeros(4), np.zeros(128), probes, base_config,
-        changed_env=False,
-    )
-    assert result == AdaptationResult(0.0, 0)
 
 
 def test_adaptation_trial_recovers(base_config):

@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tribound import (
-    MetaParams,
-    PolicyParams,
     SchemaError,
     StructuralError,
     SystemConfig,
@@ -16,12 +14,16 @@ from tribound import (
     config_from_dict,
     config_hash,
     config_to_dict,
-    config_to_json,
-    frozen_mask_for,
-    initial_weights,
     load_config,
     validate,
     validate_conditions,
+)
+from tribound.model import (
+    MetaParams,
+    PolicyParams,
+    config_to_json,
+    frozen_mask_for,
+    initial_weights,
 )
 
 
@@ -186,17 +188,14 @@ def test_initial_weights_norms_for_any_seed(seed):
     np.testing.assert_allclose(norms, 2.5, rtol=1e-12)
 
 
-def test_policy_params_box(base_config):
-    dim = base_config.n_actions * base_config.embed_dim
-    PolicyParams(np.zeros(dim)).check_box(base_config)
-    with pytest.raises(StructuralError):
-        PolicyParams(np.zeros(dim - 1)).check_box(base_config)
-    outside = np.zeros(dim)
-    outside[0] = base_config.policy_box * 2
-    with pytest.raises(StructuralError):
-        PolicyParams(outside).check_box(base_config)
+def test_policy_params_box():
+    """Policy parameters are a finite 1-d vector."""
+    theta = PolicyParams([1.0, 2.0]).theta
+    assert theta.dtype == float and theta.tolist() == [1.0, 2.0]
     with pytest.raises(StructuralError):
         PolicyParams(np.array([1.0, np.nan]))
+    with pytest.raises(StructuralError):
+        PolicyParams(np.zeros((2, 2)))
 
 
 def test_meta_params_guard():
