@@ -38,6 +38,7 @@ from .engine import (
     scenario_names,
     verify,
 )
+from .contracts import CONTRACT_IDS
 from .errors import TriboundError
 from .hebbian import intrinsic_step_bound, rule_from_config
 from .model import (
@@ -132,6 +133,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             raise TriboundError(
                 f"--n expects comma-separated integers, got {args.n!r}"
             ) from None
+        if not n_values:
+            raise TriboundError(f"--n names no swarm size, got {args.n!r}")
     else:
         n_values = [config.n_agents]
     report = total_bound(config)
@@ -242,7 +245,7 @@ def _print_run_summary(trace: Trace) -> None:
     if trace.halt_reason:
         print(f"halt reason: {trace.halt_reason}")
     rows = []
-    for cid in ("NP-C1", "NP-C2", "MARL-C1", "GNN-C1", "ML-C1", "ML-C2"):
+    for cid in CONTRACT_IDS:
         verdict = trace.last_verdicts.get(cid)
         if verdict is None:
             rows.append([cid, "never evaluated", None, None, None, None])

@@ -128,3 +128,9 @@ def test_bounds_rejects_non_integer_swarm_sizes(capsys):
         _assert_clean_error(
             capsys, f"--n expects comma-separated integers, got {value!r}"
         )
+
+
+def test_bounds_rejects_an_empty_swarm_size_list(capsys):
+    for value in (",", " , "):
+        assert main(["bounds", "--n", value]) == UNEXPECTED_EXIT
+        _assert_clean_error(capsys, f"--n names no swarm size, got {value!r}")
