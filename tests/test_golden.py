@@ -7,7 +7,9 @@ fixture in its own commit, declared in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 
-The hashes are pinned to the numeric stack they were recorded on: matrix
+Before it rewrites the fixture, that command prints each case whose hashes
+changed against the recorded ones, with the files that changed, so the
+declaration can list them. The hashes are pinned to the numeric stack they were recorded on: matrix
 products go through BLAS, whose summation order depends on its version and
 on the CPU kernels it selects. The fixture records that stack, and the test
 skips, naming the difference, when it runs on another one.
@@ -131,6 +133,42 @@ def test_cli_output_matches_golden_fixture(name: str, golden: dict, tmp_path: Pa
     assert cli_hashes(name, tmp_path) == golden["cli"][name]
 
 
+def changed_hashes(old: dict, new: dict) -> list[str]:
+    """One line per case whose hashes differ: the case and its changed files."""
+    lines = []
+    for section in ("cases", "cli"):
+        before, after = old.get(section, {}), new[section]
+        for name in sorted(before.keys() | after.keys()):
+            was, now = before.get(name), after.get(name)
+            if was is None or now is None:
+                lines.append(f"{section}/{name}: {'added' if was is None else 'removed'}")
+                continue
+            files = sorted(
+                key for key in was.keys() | now.keys() if was.get(key) != now.get(key)
+            )
+            if files:
+                lines.append(f"{section}/{name}: {', '.join(files)}")
+    return lines
+
+
+def test_changed_hashes_names_each_changed_case_and_file():
+    old = {
+        "cases": {"a": {"x.csv": "1", "y.csv": "2"}, "b": {"x.csv": "1"}},
+        "cli": {"c": {"exit": "0", "stdout": "3"}, "gone": {"exit": "0"}},
+    }
+    new = {
+        "cases": {"a": {"x.csv": "1", "y.csv": "9"}, "b": {"x.csv": "1"}},
+        "cli": {"c": {"exit": "2", "stdout": "4"}, "fresh": {"exit": "0"}},
+    }
+    assert changed_hashes(old, new) == [
+        "cases/a: y.csv",
+        "cli/c: exit, stdout",
+        "cli/fresh: added",
+        "cli/gone: removed",
+    ]
+    assert changed_hashes(new, new) == []
+
+
 def _record() -> None:
     cases = {}
     for name in sorted(CASES):
@@ -141,6 +179,17 @@ def _record() -> None:
         with tempfile.TemporaryDirectory() as tmp:
             cli[name] = cli_hashes(name, Path(tmp))
     payload = {"numeric_stack": numeric_stack(), "cases": cases, "cli": cli}
+    if FIXTURE.exists():
+        recorded = json.loads(FIXTURE.read_text())
+        if recorded["numeric_stack"] != payload["numeric_stack"]:
+            print(
+                f"numeric stack differs from the recorded {recorded['numeric_stack']}",
+                file=sys.stderr,
+            )
+        changes = changed_hashes(recorded, payload)
+        print(f"{len(changes)} case(s) changed against {FIXTURE.name}", file=sys.stderr)
+        for line in changes:
+            print(f"  {line}", file=sys.stderr)
     FIXTURE.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(f"wrote {FIXTURE}", file=sys.stderr)
 
