@@ -49,7 +49,13 @@ from .contracts import (
     ml2_increase,
 )
 from .errors import EnforcementError, TraceQueryError, ValidationError
-from .hebbian import hebbian_tick, modulation_gain, row_norms, weight_norm_ceiling
+from .hebbian import (
+    FastWorkspace,
+    hebbian_tick,
+    modulation_gain,
+    row_norms,
+    weight_norm_ceiling,
+)
 from .meta import (
     MetaCascade,
     adaptation_trial,
@@ -431,6 +437,7 @@ class _Run:
             cfg.weight_dim,
         )
         self.safety = SafetyReadout(self.weights, danger, self.frozen)
+        self.work = FastWorkspace(n, self.frozen)
 
         self.policy = PolicyParams(np.zeros(cfg.n_actions * cfg.embed_dim))
         self.monitor = Monitor(cfg)
@@ -500,15 +507,16 @@ class _Run:
         """Run fast ticks from index start; return the index after the last."""
         cfg = self.cfg
         stop = min(self.ticks, start + self.block.shape[0])
+        self.work.set_gains(cfg.eta1, self.gains)
         weights = self.weights
         for i in range(start, stop):
             x_pre, x_post = self._observations(weights)
-            weights, _, applied_norms, clamp_flags = hebbian_tick(
-                self.rule, cfg, weights, x_pre, x_post, self.gains, self.frozen
+            new_weights = self.block[i - start]
+            hebbian_tick(
+                self.rule, cfg, weights, x_pre, x_post, self.work,
+                new_weights, self.step_norms[i], self.clamped[i],
             )
-            self.step_norms[i] = applied_norms
-            self.clamped[i] = clamp_flags
-            self.block[i - start] = weights
+            weights = new_weights
             t = (i + 1) * cfg.tau1
             if (
                 self.marl_k * cfg.tau2 <= t + _TIME_TOL
@@ -516,7 +524,8 @@ class _Run:
             ):
                 stop = i + 1
                 break
-        self.weights = weights
+        # Copied out before _record_block squares the block in place.
+        self.weights = weights.copy()
         self._record_block(start, stop)
         return stop
 

@@ -82,54 +82,79 @@ def modulation_gain(
     return gain
 
 
+class FastWorkspace:
+    """Arrays hebbian_tick reuses every tick, for one swarm shape.
+
+    The frozen coordinates must be a leading prefix of each weight row, as
+    model.frozen_mask_for makes them, so masking is a slice write. rates is
+    eta1 times each agent's gain, as a column; set_gains refreshes it when
+    the gains change. After a tick, steps holds each agent's applied step.
+    """
+
+    def __init__(self, n_agents: int, frozen_mask: np.ndarray) -> None:
+        frozen = int(np.count_nonzero(frozen_mask))
+        if not frozen_mask[:frozen].all():
+            raise ValueError("frozen coordinates must be a leading prefix")
+        self.frozen = frozen
+        shape = (n_agents, frozen_mask.size)
+        self.steps = np.empty(shape)
+        self.scratch = np.empty(shape)
+        self.rates = np.empty((n_agents, 1))
+        self.factors = np.empty(n_agents)
+
+    def set_gains(self, eta1: float, gains: np.ndarray | float) -> None:
+        np.multiply(eta1, gains, out=self.rates[:, 0])
+
+
 def proposed_steps(
     rule: HebbianRule,
     weights: np.ndarray,
     x_pre: np.ndarray,
     x_post: np.ndarray,
-    gains: np.ndarray | float,
-    eta1: float,
+    work: FastWorkspace,
 ) -> np.ndarray:
-    """Unclamped per-tick weight increments, row per agent."""
-    drive = x_pre * x_post
+    """Unclamped per-tick weight increments, row per agent, in work.steps."""
+    drive, term = work.steps, work.scratch
+    np.multiply(x_pre, x_post, out=drive)
     drive *= rule.alpha
-    drive += rule.beta * x_pre
-    drive += rule.gamma_h * x_post
+    drive += np.multiply(rule.beta, x_pre, out=term)
+    drive += np.multiply(rule.gamma_h, x_post, out=term)
     if rule.delta != 0.0:
-        drive += rule.delta * weights
-    drive *= eta1 * np.asarray(gains, dtype=float).reshape(-1, 1)
+        drive += np.multiply(rule.delta, weights, out=term)
+    drive *= work.rates
     return drive
 
 
 def apply_steps(
     weights: np.ndarray,
-    steps: np.ndarray,
-    frozen_mask: np.ndarray,
+    work: FastWorkspace,
     delta_np: float,
     enforce_clamp: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Mask frozen coordinates, clamp step norms, apply.
+    new_weights: np.ndarray,
+    step_norms: np.ndarray,
+    clamped: np.ndarray,
+) -> None:
+    """Mask frozen coordinates of work.steps, clamp step norms, apply.
 
-    Returns (new_weights, proposed_norms, applied_norms, clamped). Norms are
-    taken after masking: the frozen coordinates never move, so they cannot
+    Writes the new weights, the applied step norms and the clamp flags into
+    the given arrays; new_weights must not overlap weights. Norms are taken
+    after masking: the frozen coordinates never move, so they cannot
     contribute to the step size the clamp contract governs. Frozen columns
     are copied bit-exactly from the previous weights.
     """
-    masked = steps.copy()
-    np.copyto(masked, 0.0, where=frozen_mask)
-    proposed_norms = row_norms(masked)
+    steps, frozen = work.steps, work.frozen
+    steps[:, :frozen] = 0.0
+    step_norms[...] = row_norms(steps, squares=work.scratch)
     if enforce_clamp:
-        clamped = proposed_norms > delta_np
+        np.greater(step_norms, delta_np, out=clamped)
         # Rows at or under the cap scale by delta_np / delta_np == 1.0 exactly.
-        applied = masked * (delta_np / np.fmax(proposed_norms, delta_np))[:, None]
-        applied_norms = np.minimum(proposed_norms, delta_np)
+        factors = np.fmax(step_norms, delta_np, out=work.factors)
+        steps *= np.divide(delta_np, factors, out=factors)[:, None]
+        np.minimum(step_norms, delta_np, out=step_norms)
     else:
-        clamped = np.zeros(weights.shape[0], dtype=bool)
-        applied = masked
-        applied_norms = proposed_norms
-    new_weights = weights + applied
-    np.copyto(new_weights, weights, where=frozen_mask)
-    return new_weights, proposed_norms, applied_norms, clamped
+        clamped[...] = False
+    np.add(weights, steps, out=new_weights)
+    new_weights[:, :frozen] = weights[:, :frozen]
 
 
 def hebbian_tick(
@@ -138,18 +163,21 @@ def hebbian_tick(
     weights: np.ndarray,
     x_pre: np.ndarray,
     x_post: np.ndarray,
-    gains: np.ndarray | float,
-    frozen_mask: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One fast tick for the whole swarm.
+    work: FastWorkspace,
+    new_weights: np.ndarray,
+    step_norms: np.ndarray,
+    clamped: np.ndarray,
+) -> None:
+    """One fast tick for the whole swarm, written into the given arrays.
 
-    weights, x_pre, x_post: (n_agents, weight_dim). gains: scalar or
-    (n_agents,). Returns (new_weights, proposed_norms, applied_norms,
-    clamped).
+    weights, x_pre, x_post, new_weights: (n_agents, weight_dim); step_norms
+    and clamped: (n_agents,), receiving the applied step norms and the clamp
+    flags. The gains are the ones last given to work.set_gains.
     """
-    steps = proposed_steps(rule, weights, x_pre, x_post, gains, config.eta1)
-    return apply_steps(
-        weights, steps, frozen_mask, config.delta_np, config.enforce_clamp
+    proposed_steps(rule, weights, x_pre, x_post, work)
+    apply_steps(
+        weights, work, config.delta_np, config.enforce_clamp,
+        new_weights, step_norms, clamped,
     )
 
 

@@ -1,4 +1,5 @@
 """Fast-timescale update rule: drives, gains, clamping, invariant ball."""
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from tribound import (
     apply_overrides,
 )
 from tribound.hebbian import (
+    FastWorkspace,
     HebbianRule,
     apply_steps,
     effective_step_bound,
@@ -29,6 +31,38 @@ from tribound.model import frozen_mask_for
 BASE_RULE = HebbianRule(0.5, 0.1, 0.1, -0.01)
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+
+def _workspace(n, d, gains=1.0, eta1=1.0, frozen=0):
+    mask = np.zeros(d, dtype=bool)
+    mask[:frozen] = True
+    work = FastWorkspace(n, mask)
+    work.set_gains(eta1, gains)
+    return work
+
+
+def _apply(weights, steps, frozen, delta_np, enforce_clamp):
+    """apply_steps on given steps; returns (new_weights, step_norms, clamped)."""
+    n, d = weights.shape
+    work = _workspace(n, d, frozen=frozen)
+    work.steps[...] = steps
+    new = np.empty((n, d))
+    norms = np.empty(n)
+    clamped = np.empty(n, dtype=bool)
+    apply_steps(weights, work, delta_np, enforce_clamp, new, norms, clamped)
+    return new, norms, clamped
+
+
+def _tick(rule, cfg, weights, pre, post, gains, mask):
+    """hebbian_tick into fresh arrays; returns (new_weights, step_norms, clamped)."""
+    n = weights.shape[0]
+    work = FastWorkspace(n, mask)
+    work.set_gains(cfg.eta1, gains)
+    new = np.empty_like(weights)
+    norms = np.empty(n)
+    clamped = np.empty(n, dtype=bool)
+    hebbian_tick(rule, cfg, weights, pre, post, work, new, norms, clamped)
+    return new, norms, clamped
 
 
 def test_rule_from_config(base_config):
@@ -81,14 +115,16 @@ def test_hebbian_delta_matches_formula(base_config):
     post = rng.standard_normal((1, 64))
     post /= 4.0 * np.linalg.norm(post)
     gain = modulation_gain(1.0, base_config)
-    got = proposed_steps(BASE_RULE, w, pre, post, gain, 1.0)
+    work = _workspace(1, 64, gain)
+    got = proposed_steps(BASE_RULE, w, pre, post, work)
+    assert got is work.steps
     want = gain * (0.5 * pre * post + 0.1 * pre + 0.1 * post - 0.01 * w)
     np.testing.assert_allclose(got, want, rtol=1e-14)
     # Without decay the weights do not enter the step.
     no_decay = HebbianRule(0.5, 0.1, 0.1, 0.0)
     np.testing.assert_array_equal(
-        proposed_steps(no_decay, w, pre, post, gain, 1.0),
-        proposed_steps(no_decay, np.zeros_like(w), pre, post, gain, 1.0),
+        proposed_steps(no_decay, w, pre, post, work).copy(),
+        proposed_steps(no_decay, np.zeros_like(w), pre, post, work),
     )
 
 
@@ -100,7 +136,8 @@ def test_proposed_steps_matches_single_agent(base_config):
     pre = rng.standard_normal((n, d)) * 0.05
     post = rng.standard_normal((n, d)) * 0.05
     gains = rng.uniform(0.5, 1.5, size=n)
-    steps = proposed_steps(BASE_RULE, weights, pre, post, gains, base_config.eta1)
+    eta1 = base_config.eta1
+    steps = proposed_steps(BASE_RULE, weights, pre, post, _workspace(n, d, gains, eta1))
     assert steps.shape == (n, d)
     for i in range(n):
         drive = (
@@ -111,10 +148,11 @@ def test_proposed_steps_matches_single_agent(base_config):
             steps[i], base_config.eta1 * gains[i] * drive, rtol=1e-14
         )
     # A scalar gain applies to every row alike.
-    eta1 = base_config.eta1
     np.testing.assert_array_equal(
-        proposed_steps(BASE_RULE, weights, pre, post, 1.25, eta1),
-        proposed_steps(BASE_RULE, weights, pre, post, np.full(n, 1.25), eta1),
+        proposed_steps(BASE_RULE, weights, pre, post, _workspace(n, d, 1.25, eta1)),
+        proposed_steps(
+            BASE_RULE, weights, pre, post, _workspace(n, d, np.full(n, 1.25), eta1)
+        ),
     )
 
 
@@ -125,10 +163,9 @@ def test_apply_steps_clamps_norm():
         [6e-4, 8e-4, 0.0, 0.0],    # norm 1e-3, clamped to 1e-4
         [0.0, 0.0, 0.0, 0.0],
     ])
-    mask = np.zeros(4, dtype=bool)
-    new, proposed, applied, clamped = apply_steps(weights, steps, mask, 1e-4, True)
+    new, applied, clamped = _apply(weights, steps, 0, 1e-4, True)
     assert clamped.tolist() == [False, True, False]
-    assert proposed[1] == pytest.approx(1e-3)
+    assert applied[0] == pytest.approx(5e-5)
     assert applied[1] == 1e-4
     assert np.linalg.norm(new[1]) == pytest.approx(1e-4, rel=1e-12)
     np.testing.assert_array_equal(new[0], steps[0])
@@ -136,11 +173,9 @@ def test_apply_steps_clamps_norm():
 
 def test_apply_steps_without_clamp():
     steps = np.full((2, 4), 1.0)
-    new, proposed, applied, clamped = apply_steps(
-        np.zeros((2, 4)), steps, np.zeros(4, dtype=bool), 1e-4, False
-    )
+    new, applied, clamped = _apply(np.zeros((2, 4)), steps, 0, 1e-4, False)
     assert not clamped.any()
-    np.testing.assert_array_equal(applied, proposed)
+    np.testing.assert_array_equal(applied, [2.0, 2.0])
     np.testing.assert_array_equal(new, steps)
 
 
@@ -148,13 +183,16 @@ def test_apply_steps_frozen_coordinates_are_bit_exact():
     rng = np.random.default_rng(11)
     weights = rng.standard_normal((4, 6))
     steps = rng.standard_normal((4, 6))
-    mask = np.array([True, True, False, False, False, False])
-    new, proposed, _, _ = apply_steps(weights, steps, mask, 1e-4, True)
-    np.testing.assert_array_equal(new[:, :2], weights[:, :2])
-    # masked coordinates do not count toward the clamped step size
+    for enforce_clamp in (True, False):
+        new, applied, _ = _apply(weights, steps, 2, 1e-4, enforce_clamp)
+        np.testing.assert_array_equal(new[:, :2], weights[:, :2])
+    # masked coordinates do not count toward the step size
     np.testing.assert_allclose(
-        proposed, np.linalg.norm(steps[:, 2:], axis=1), rtol=1e-14
+        applied, np.linalg.norm(steps[:, 2:], axis=1), rtol=1e-14
     )
+    # the frozen coordinates must lead each row
+    with pytest.raises(ValueError, match="leading prefix"):
+        FastWorkspace(4, np.array([False, True, False, False, False, False]))
 
 
 def _reference_apply_steps(weights, steps, frozen_mask, delta_np, enforce_clamp):
@@ -204,10 +242,93 @@ def test_apply_steps_matches_reference_bit_for_bit(data, n, d, delta_np, enforce
     steps = np.array(
         data.draw(st.lists(_step_values, min_size=n * d, max_size=n * d))
     ).reshape(shape)
-    mask = np.array(data.draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    frozen = data.draw(st.integers(min_value=0, max_value=d))
+    mask = np.arange(d) < frozen
     with np.errstate(invalid="ignore", over="ignore"):
-        want = _reference_apply_steps(weights, steps, mask, delta_np, enforce_clamp)
-        got = apply_steps(weights, steps, mask, delta_np, enforce_clamp)
+        new, _, applied_norms, clamped = _reference_apply_steps(
+            weights, steps, mask, delta_np, enforce_clamp
+        )
+        got = _apply(weights, steps, frozen, delta_np, enforce_clamp)
+    for w, g in zip((new, applied_norms, clamped), got):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def _allocating_hebbian_tick(rule, weights, x_pre, x_post, gains, eta1, frozen_mask, delta_np, enforce_clamp):
+    """hebbian_tick as it was before the reused buffers: fresh arrays each
+    step, copyto(where=) masking, per-tick eta1 * gains. Returns
+    (new_weights, applied_norms, clamped)."""
+    drive = x_pre * x_post
+    drive *= rule.alpha
+    drive += rule.beta * x_pre
+    drive += rule.gamma_h * x_post
+    if rule.delta != 0.0:
+        drive += rule.delta * weights
+    drive *= eta1 * np.asarray(gains, dtype=float).reshape(-1, 1)
+    masked = drive.copy()
+    np.copyto(masked, 0.0, where=frozen_mask)
+    proposed_norms = np.sqrt(np.add.reduce(masked * masked, axis=-1))
+    if enforce_clamp:
+        clamped = proposed_norms > delta_np
+        applied = masked * (delta_np / np.fmax(proposed_norms, delta_np))[:, None]
+        applied_norms = np.minimum(proposed_norms, delta_np)
+    else:
+        clamped = np.zeros(weights.shape[0], dtype=bool)
+        applied = masked
+        applied_norms = proposed_norms
+    new_weights = weights + applied
+    np.copyto(new_weights, weights, where=frozen_mask)
+    return new_weights, applied_norms, clamped
+
+
+_activity_values = st.one_of(
+    st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e-300, math.inf, math.nan]),
+)
+
+
+@given(
+    data=st.data(),
+    n=st.integers(min_value=1, max_value=4),
+    d=st.integers(min_value=1, max_value=6),
+    rule=st.builds(
+        HebbianRule,
+        st.sampled_from([0.5, 0.0, -1.5]),
+        st.sampled_from([0.1, 0.0, -0.3]),
+        st.sampled_from([0.1, 0.0, 2.0]),
+        st.sampled_from([-0.01, 0.0, 0.2]),
+    ),
+    eta1=st.sampled_from([1e-3, 1.0, 1e300]),
+    delta_np=st.sampled_from([1e-4, 5e-324, 1.0]),
+    enforce_clamp=st.booleans(),
+    scalar_gain=st.booleans(),
+)
+def test_hebbian_tick_matches_allocating_tick_bit_for_bit(
+    data, n, d, rule, eta1, delta_np, enforce_clamp, scalar_gain
+):
+    def matrix(values):
+        return np.array(
+            data.draw(st.lists(values, min_size=n * d, max_size=n * d))
+        ).reshape(n, d)
+
+    weights = matrix(st.sampled_from([0.0, -0.0, 1.5, -2.0, 70.0, math.inf]))
+    x_pre = matrix(_activity_values)
+    x_post = matrix(_activity_values)
+    gain_values = st.floats(min_value=0.0, max_value=1.5)
+    gains = (
+        data.draw(gain_values)
+        if scalar_gain
+        else np.array(data.draw(st.lists(gain_values, min_size=n, max_size=n)))
+    )
+    mask = np.arange(d) < data.draw(st.integers(min_value=0, max_value=d))
+    cfg = dataclasses.replace(
+        SystemConfig(), eta1=eta1, delta_np=delta_np, enforce_clamp=enforce_clamp
+    )
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = _allocating_hebbian_tick(
+            rule, weights, x_pre, x_post, gains, eta1, mask, delta_np, enforce_clamp
+        )
+        got = _tick(rule, cfg, weights, x_pre, x_post, gains, mask)
     for w, g in zip(want, got):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
@@ -225,23 +346,26 @@ def test_applied_norms_never_exceed_cap(seed):
     pre /= np.maximum(np.linalg.norm(pre, axis=1, keepdims=True), 1.0)
     post = rng.standard_normal((4, 8))
     post /= np.maximum(np.linalg.norm(post, axis=1, keepdims=True), 1.0)
-    steps = proposed_steps(rule, weights, pre, post, cfg.sigma_max, cfg.eta1)
-    _, _, applied, _ = apply_steps(
-        weights, steps, np.zeros(8, dtype=bool), cfg.delta_np, True
-    )
+    steps = proposed_steps(rule, weights, pre, post, _workspace(4, 8, cfg.sigma_max, cfg.eta1))
+    _, applied, _ = _apply(weights, steps, 0, cfg.delta_np, True)
     assert float(applied.max()) <= cfg.delta_np + 1e-12
 
 
 def test_hebbian_tick_shapes(base_config):
     cfg = base_config
     rule = rule_from_config(cfg)
-    weights = np.zeros((cfg.n_agents, cfg.weight_dim))
-    acts = np.zeros((cfg.n_agents, cfg.weight_dim))
-    new, proposed, applied, clamped = hebbian_tick(
-        rule, cfg, weights, acts, acts, 1.0, frozen_mask_for(cfg)
-    )
-    assert new.shape == weights.shape
-    assert proposed.shape == applied.shape == clamped.shape == (cfg.n_agents,)
+    n, d = cfg.n_agents, cfg.weight_dim
+    weights = np.zeros((n, d))
+    acts = np.zeros((n, d))
+    work = FastWorkspace(n, frozen_mask_for(cfg))
+    work.set_gains(cfg.eta1, 1.0)
+    new = np.full((n, d), np.nan)
+    norms = np.full(n, np.nan)
+    clamped = np.ones(n, dtype=bool)
+    assert hebbian_tick(rule, cfg, weights, acts, acts, work, new, norms, clamped) is None
+    np.testing.assert_array_equal(new, weights)
+    np.testing.assert_array_equal(norms, np.zeros(n))
+    assert not clamped.any()
 
 
 def test_safety_output_constant_under_plastic_updates(base_config):
@@ -257,7 +381,7 @@ def test_safety_output_constant_under_plastic_updates(base_config):
     pre /= 2.0 * np.linalg.norm(pre, axis=1, keepdims=True)
     start = weights
     for _ in range(50):
-        weights, _, _, _ = hebbian_tick(
+        weights, _, _ = _tick(
             rule_from_config(cfg), cfg, weights, pre, pre, cfg.sigma_max, mask
         )
     assert not np.array_equal(weights[:, ~mask], start[:, ~mask])
@@ -316,7 +440,5 @@ def test_invariant_ball_holds_without_clamp(seed):
         pre /= np.linalg.norm(pre, axis=1, keepdims=True)
         post = rng.standard_normal((3, 16))
         post /= np.linalg.norm(post, axis=1, keepdims=True)
-        weights, _, _, _ = hebbian_tick(
-            rule, cfg, weights, pre, post, cfg.sigma_max, mask
-        )
+        weights, _, _ = _tick(rule, cfg, weights, pre, post, cfg.sigma_max, mask)
         assert float(np.linalg.norm(weights, axis=1).max()) <= ceiling + 1e-9
