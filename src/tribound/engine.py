@@ -15,7 +15,11 @@ results as tick by tick.
 
 Everything is deterministic given (scenario, config, seed): all randomness
 flows through named seed streams, so repeated runs produce byte-identical
-traces.
+traces. Drawn observations come from the SFC64 "observations" stream a
+chunk of ticks at a time (_OBS_CHUNK_VALUES): one fill of normals, one
+uniform draw of radii, each row scaled into the unit ball. The chunk length
+follows from the swarm shape alone and every chunk is drawn in full, so the
+horizon and the batch size never move a draw.
 """
 from __future__ import annotations
 
@@ -389,6 +393,14 @@ def _resolve_config(
     return cfg
 
 
+# Observation values drawn at once, for a chunk of
+# max(1, _OBS_CHUNK_VALUES // (2 * n_agents * weight_dim)) fast ticks. Part
+# of the "observations" stream layout: the chunk length depends on the swarm
+# shape alone, never on _BATCH_BYTES or the horizon, and every chunk is
+# drawn in full, so a run's observations depend on (seed, n_agents,
+# weight_dim) only.
+_OBS_CHUNK_VALUES = 1 << 16
+
 # Bytes of fast-tick weights one batch may hold. The per-batch recording
 # then works on arrays of about this size at any swarm size: a whole
 # coordination cycle at 1000 agents x 256 weights would need 205 MB.
@@ -447,10 +459,12 @@ class _Run:
         else:
             self.gains = np.full(n, modulation_gain(0.0, cfg))
         self.obs_rng = stream_rng(cfg.seed, "observations")
-        # Reused every tick: at large swarm sizes fresh draw-sized arrays
-        # come back from the allocator unmapped and fault in page by page.
-        self.raw_obs = np.empty((2, n, cfg.weight_dim))
-        self.obs = np.empty((2, n, cfg.weight_dim))
+        if not scenario.aligned_observations:
+            chunk = max(1, _OBS_CHUNK_VALUES // (2 * n * cfg.weight_dim))
+            # Reused for every chunk: at large swarm sizes fresh draw-sized
+            # arrays come back from the allocator unmapped and fault in page
+            # by page.
+            self.obs = np.empty((chunk, 2, n, cfg.weight_dim))
 
         self.ticks = int(math.floor(horizon / cfg.tau1 + _TIME_TOL))
         self.step_norms = np.zeros((self.ticks, n))
@@ -479,10 +493,12 @@ class _Run:
         self.meta_k = 1
         self.halt_reason: str | None = None
 
-    def _observations(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One tick's (x_pre, x_post): the weights' unit directions when
-        aligned, else one draw of each scaled into the unit ball."""
-        cfg = self.cfg
+    def _observations(
+        self, i: int, weights: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Tick i's (x_pre, x_post): the weights' unit directions when
+        aligned, else tick i's rows of the drawn chunk, which is drawn at
+        its first tick."""
         if self.scenario.aligned_observations:
             norms = row_norms(weights)
             dirs = np.divide(
@@ -495,13 +511,21 @@ class _Run:
             if zero.any():
                 dirs[zero, 0] = 1.0
             return dirs, dirs
-        raw = self.obs_rng.standard_normal(out=self.raw_obs)
-        raw_norms = row_norms(raw, squares=self.obs)[..., None]
-        raw_norms[raw_norms == 0.0] = 1.0
-        radii = self.obs_rng.uniform(size=(2, cfg.n_agents, 1))
-        scaled = np.divide(raw, raw_norms, out=self.obs)
-        scaled *= radii
-        return scaled[0], scaled[1]
+        row = i % self.obs.shape[0]
+        if row == 0:
+            self._draw_observations()
+        return self.obs[row, 0], self.obs[row, 1]
+
+    def _draw_observations(self) -> None:
+        """Fill the chunk buffer: normal directions, each scaled to a
+        uniform radius in [0, 1)."""
+        obs = self.obs_rng.standard_normal(out=self.obs)
+        # einsum sums the squares in one pass, without a squares buffer.
+        norms = np.sqrt(np.einsum("...i,...i->...", obs, obs))
+        norms[norms == 0.0] = 1.0
+        scale = self.obs_rng.uniform(size=norms.shape)
+        scale /= norms
+        obs *= scale[..., None]
 
     def _fast_block(self, start: int) -> int:
         """Run fast ticks from index start; return the index after the last."""
@@ -510,7 +534,7 @@ class _Run:
         self.work.set_gains(cfg.eta1, self.gains)
         weights = self.weights
         for i in range(start, stop):
-            x_pre, x_post = self._observations(weights)
+            x_pre, x_post = self._observations(i, weights)
             new_weights = self.block[i - start]
             hebbian_tick(
                 self.rule, cfg, weights, x_pre, x_post, self.work,

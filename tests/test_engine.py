@@ -21,8 +21,11 @@ from tribound import (
     total_bound,
     verify,
 )
+from tribound import engine
 from tribound.engine import SLOPE_TOL, _least_squares_slope
+from tribound.hebbian import hebbian_tick
 from tribound.model import initial_weights
+from tribound.seeding import stream_rng
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +116,57 @@ def test_saved_traces_are_byte_identical(tmp_path: Path):
     match, mismatch, errors = filecmp.cmpfiles(a_dir, b_dir, files, shallow=False)
     assert mismatch == [] and errors == []
     assert sorted(match) == files
+
+
+WIDE = {"n_agents": 300, "tau2": 0.2, "tau3": 2.0}
+
+
+@pytest.mark.parametrize(
+    "overrides, duration",
+    [({}, 0.3), ({}, 3.3), (WIDE, 0.5)],
+    ids=["baseline_first_chunk", "baseline", "300_agents"],
+)
+def test_a_longer_run_starts_like_a_shorter_one(overrides, duration):
+    """Observations are drawn in whole chunks, so the horizon never shifts
+    them. At 30x64 a chunk is 17 ticks: 0.3 s (15 ticks) ends inside the
+    first, 3.3 s (165 ticks) inside the tenth."""
+    cfg = apply_overrides(SystemConfig(), overrides)
+    short = run("baseline", config=cfg, duration=duration)
+    long = run("baseline", config=cfg, duration=2.0 * duration)
+    ticks = short.ticks
+    assert long.ticks == 2 * ticks
+    for name in ("step_norms", "clamped", "max_weight_norm"):
+        head = getattr(long, name)[:ticks]
+        assert head.tobytes() == getattr(short, name).tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "overrides", [{}, WIDE, {"n_agents": 1, "weight_dim": 2}], ids=["30x64", "300x64", "1x2"]
+)
+def test_drawn_observations_lie_in_the_unit_ball(overrides, monkeypatch):
+    largest = []
+
+    def spy(rule, config, weights, x_pre, x_post, *rest):
+        largest.append(max(np.linalg.norm(x_pre, axis=1).max(), np.linalg.norm(x_post, axis=1).max()))
+        return hebbian_tick(rule, config, weights, x_pre, x_post, *rest)
+
+    monkeypatch.setattr(engine, "hebbian_tick", spy)
+    cfg = apply_overrides(SystemConfig(), overrides)
+    trace = run("baseline", config=cfg, duration=1.0)
+    assert len(largest) == trace.ticks == 50
+    assert 0.0 < min(largest) and max(largest) <= 1.0
+
+
+def test_only_the_observation_stream_uses_sfc64():
+    for stream in ("weight_init", "observations", "encoder", "embedding_error"):
+        rng = stream_rng(3, stream, 4 if stream == "embedding_error" else None)
+        expected = np.random.SFC64 if stream == "observations" else np.random.PCG64
+        assert type(rng.bit_generator) is expected
+    # A PCG64 stream draws what default_rng draws from the same entropy.
+    np.testing.assert_array_equal(
+        stream_rng(3, "weight_init").standard_normal(4),
+        np.random.default_rng(np.random.SeedSequence([3, 1])).standard_normal(4),
+    )
 
 
 def test_user_config_flows_into_scenario():

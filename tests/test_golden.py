@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tribound import SystemConfig, apply_overrides, run, verify
+from tribound import SystemConfig, apply_overrides, engine, run, verify
 from tribound.cli import main
 
 FIXTURE = Path(__file__).with_name("golden_hashes.json")
@@ -131,6 +131,17 @@ def test_trace_bytes_match_golden_fixture(name: str, golden: dict, tmp_path: Pat
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_output_matches_golden_fixture(name: str, golden: dict, tmp_path: Path):
     assert cli_hashes(name, tmp_path) == golden["cli"][name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_batch_size_leaves_the_saved_trace_byte_identical(
+    name: str, tmp_path: Path, monkeypatch
+):
+    """Runs on any numeric stack: it compares two runs, not the fixture."""
+    want = case_hashes(name, tmp_path / "default")
+    # A batch of 3 ticks at 30x64, and of 1 tick at 300x64.
+    monkeypatch.setattr(engine, "_BATCH_BYTES", 3 * 30 * 64 * 8)
+    assert case_hashes(name, tmp_path / "small") == want
 
 
 def changed_hashes(old: dict, new: dict) -> list[str]:
