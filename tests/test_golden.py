@@ -48,7 +48,7 @@ CASES: dict[str, tuple[str, dict, float]] = {
     # several batches of fast ticks per coordination cycle
     "wide_swarm": ("baseline", {"n_agents": 300, "tau2": 0.2, "tau3": 2.0}, 2.0),
     "clamp_off": ("baseline", {"enforce_clamp": False}, 10.0),
-    # the trust region cannot fit its cap at t=28, so the run halts there
+    # the trust region cannot fit its cap at t=24, so the run halts there
     "halted": ("baseline", {"delta_pi": 1e-300}, 30.0),
 }
 
