@@ -30,6 +30,7 @@ from .bounds import (
     phi_max,
     total_bound,
 )
+from .contracts import CONTRACT_IDS
 from .engine import (
     Trace,
     confirm_expectation,
@@ -38,7 +39,6 @@ from .engine import (
     scenario_names,
     verify,
 )
-from .contracts import CONTRACT_IDS
 from .errors import TriboundError
 from .hebbian import intrinsic_step_bound, rule_from_config
 from .model import (
