@@ -141,13 +141,16 @@ def test_a_longer_run_starts_like_a_shorter_one(overrides, duration):
 
 
 @pytest.mark.parametrize(
-    "overrides", [{}, WIDE, {"n_agents": 1, "weight_dim": 2}], ids=["30x64", "300x64", "1x2"]
+    "overrides",
+    [{}, WIDE, {"n_agents": 1, "weight_dim": 2}],
+    ids=["30x64", "300x64", "1x2"],
 )
 def test_drawn_observations_lie_in_the_unit_ball(overrides, monkeypatch):
     largest = []
 
     def spy(rule, config, weights, x_pre, x_post, *rest):
-        largest.append(max(np.linalg.norm(x_pre, axis=1).max(), np.linalg.norm(x_post, axis=1).max()))
+        both = np.stack((x_pre, x_post))
+        largest.append(float(np.linalg.norm(both, axis=-1).max()))
         return hebbian_tick(rule, config, weights, x_pre, x_post, *rest)
 
     monkeypatch.setattr(engine, "hebbian_tick", spy)

@@ -9,7 +9,9 @@ fixture in its own commit, declared in CHANGES.md:
 
 Before it rewrites the fixture, that command prints each case whose hashes
 changed against the recorded ones, with the files that changed, so the
-declaration can list them. The hashes are pinned to the numeric stack they were recorded on: matrix
+declaration can list them.
+
+The hashes are pinned to the numeric stack they were recorded on: matrix
 products go through BLAS, whose summation order depends on its version and
 on the CPU kernels it selects. The fixture records that stack, and the test
 skips, naming the difference, when it runs on another one.
@@ -152,7 +154,8 @@ def changed_hashes(old: dict, new: dict) -> list[str]:
         for name in sorted(before.keys() | after.keys()):
             was, now = before.get(name), after.get(name)
             if was is None or now is None:
-                lines.append(f"{section}/{name}: {'added' if was is None else 'removed'}")
+                change = "added" if was is None else "removed"
+                lines.append(f"{section}/{name}: {change}")
                 continue
             files = sorted(
                 key for key in was.keys() | now.keys() if was.get(key) != now.get(key)

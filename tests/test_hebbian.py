@@ -254,7 +254,9 @@ def test_apply_steps_matches_reference_bit_for_bit(data, n, d, delta_np, enforce
         assert g.tobytes() == w.tobytes()
 
 
-def _allocating_hebbian_tick(rule, weights, x_pre, x_post, gains, eta1, frozen_mask, delta_np, enforce_clamp):
+def _allocating_hebbian_tick(
+    rule, weights, x_pre, x_post, gains, eta1, frozen_mask, delta_np, enforce_clamp
+):
     """hebbian_tick as it was before the reused buffers: fresh arrays each
     step, copyto(where=) masking, per-tick eta1 * gains. Returns
     (new_weights, applied_norms, clamped)."""
@@ -346,7 +348,8 @@ def test_applied_norms_never_exceed_cap(seed):
     pre /= np.maximum(np.linalg.norm(pre, axis=1, keepdims=True), 1.0)
     post = rng.standard_normal((4, 8))
     post /= np.maximum(np.linalg.norm(post, axis=1, keepdims=True), 1.0)
-    steps = proposed_steps(rule, weights, pre, post, _workspace(4, 8, cfg.sigma_max, cfg.eta1))
+    work = _workspace(4, 8, cfg.sigma_max, cfg.eta1)
+    steps = proposed_steps(rule, weights, pre, post, work)
     _, applied, _ = _apply(weights, steps, 0, cfg.delta_np, True)
     assert float(applied.max()) <= cfg.delta_np + 1e-12
 
@@ -362,7 +365,8 @@ def test_hebbian_tick_shapes(base_config):
     new = np.full((n, d), np.nan)
     norms = np.full(n, np.nan)
     clamped = np.ones(n, dtype=bool)
-    assert hebbian_tick(rule, cfg, weights, acts, acts, work, new, norms, clamped) is None
+    returned = hebbian_tick(rule, cfg, weights, acts, acts, work, new, norms, clamped)
+    assert returned is None
     np.testing.assert_array_equal(new, weights)
     np.testing.assert_array_equal(norms, np.zeros(n))
     assert not clamped.any()
