@@ -71,6 +71,8 @@ CLI_CASES: dict[str, list[str]] = {
         "counterexample", "crafted_margin_breach", "--duration", "10"
     ],
     "verify_two_seeds": ["verify", "--seeds", "2", "--duration", "10"],
+    "simulate_baseline": ["simulate", "--duration", "20"],
+    "simulate_no_clamp": ["simulate", "--scenario", "no_clamp", "--duration", "10"],
 }
 
 
@@ -101,13 +103,15 @@ def case_hashes(name: str, out_dir: Path) -> dict[str, str]:
 
 
 def cli_hashes(name: str, out_dir: Path) -> dict[str, str]:
-    """Exit code, and sha256 of stdout and of every file written to --out."""
+    """Exit code, and sha256 of stdout and of every file written to --out,
+    keyed by its path relative to --out (simulate writes a subdirectory)."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = main([*CLI_CASES[name], "--out", str(out_dir)])
     hashes = {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(out_dir.iterdir())
+        path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out_dir.rglob("*"))
+        if path.is_file()
     }
     hashes["exit"] = str(code)
     hashes["stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
