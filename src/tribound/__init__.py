@@ -16,7 +16,6 @@ from .contracts import CONTRACT_IDS, ContractVerdict
 from .engine import (
     SCENARIOS,
     Scenario,
-    Trace,
     VerificationReport,
     confirm_expectation,
     get_scenario,
@@ -48,6 +47,7 @@ from .model import (
     validate,
     validate_conditions,
 )
+from .trace import Trace
 
 __version__ = "0.1.0"
 

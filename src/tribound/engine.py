@@ -23,11 +23,9 @@ horizon and the batch size never move a draw.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Mapping
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -46,13 +44,12 @@ from .cascade import (
 )
 from .contracts import (
     CONTRACT_IDS,
-    ContractVerdict,
     Monitor,
     SafetyReadout,
     all_margins,
     ml2_increase,
 )
-from .errors import EnforcementError, TraceQueryError, ValidationError
+from .errors import EnforcementError, ValidationError
 from .hebbian import (
     FastWorkspace,
     hebbian_tick,
@@ -71,15 +68,13 @@ from .model import (
     PolicyParams,
     SystemConfig,
     apply_overrides,
-    config_hash,
-    config_to_dict,
     frozen_mask_for,
     initial_weights,
     validate,
 )
 from .seeding import stream_rng, unit_rows
+from .trace import TIME_TOL, Trace
 
-_TIME_TOL = 1e-9
 SLOPE_TOL = 1e-6
 _EPS = float(np.finfo(float).eps)
 
@@ -196,192 +191,6 @@ def get_scenario(name: str) -> Scenario:
         ) from None
 
 
-@dataclass(eq=False, kw_only=True)
-class Trace:
-    """Everything one run recorded.
-
-    Per-tick streams are dense arrays; weight, embedding, policy, and meta
-    snapshots are taken at t = 0 and at every boundary of the owning loop.
-    Snapshot queries must hit a recorded time; a miss raises with the
-    nearest recorded times named.
-    """
-
-    config: SystemConfig
-    scenario_name: str
-    expected: str
-    seed: int
-    duration: float
-    ticks: int
-    marl_cycles: int
-    meta_cycles: int
-    step_norms: np.ndarray
-    clamped: np.ndarray
-    max_weight_norm: np.ndarray
-    tick_policy_tv: np.ndarray | None
-    snap_times: list[float]
-    snap_weights: list[np.ndarray]
-    snap_embeddings: list[np.ndarray]
-    policy_times: list[float]
-    policy_snaps: list[np.ndarray]
-    meta_times: list[float]
-    meta_snaps: list[np.ndarray]
-    marl_records: list[dict[str, Any]]
-    meta_records: list[dict[str, Any]]
-    events: list[ContractVerdict]
-    last_verdicts: dict[str, ContractVerdict]
-    fail_count: int
-    alarm_count: int
-    final_weights: np.ndarray
-    halted: bool
-    halt_reason: str | None
-
-    @staticmethod
-    def _lookup(times: list[float], t: float, kind: str) -> int:
-        tol = _TIME_TOL * max(1.0, abs(t))
-        for i, recorded in enumerate(times):
-            if abs(recorded - t) <= tol:
-                return i
-        below = max((x for x in times if x < t), default=None)
-        above = min((x for x in times if x > t), default=None)
-        raise TraceQueryError(
-            f"no {kind} snapshot at t={t!r}; nearest recorded times: "
-            f"{below!r} below, {above!r} above"
-        )
-
-    def weights_at(self, t: float) -> np.ndarray:
-        return self.snap_weights[self._lookup(self.snap_times, t, "weight")]
-
-    def embeddings_at(self, t: float) -> np.ndarray:
-        return self.snap_embeddings[self._lookup(self.snap_times, t, "embedding")]
-
-    def policy_at(self, t: float) -> np.ndarray:
-        return self.policy_snaps[self._lookup(self.policy_times, t, "policy")]
-
-    def meta_at(self, t: float) -> np.ndarray:
-        return self.meta_snaps[self._lookup(self.meta_times, t, "meta")]
-
-    def metadata(self) -> dict[str, Any]:
-        return {
-            "scenario": self.scenario_name,
-            "expected": self.expected,
-            "seed": self.seed,
-            "duration": self.duration,
-            "ticks": self.ticks,
-            "marl_cycles": self.marl_cycles,
-            "meta_cycles": self.meta_cycles,
-            "fail_count": self.fail_count,
-            "alarm_count": self.alarm_count,
-            "halted": self.halted,
-            "halt_reason": self.halt_reason,
-            "config": config_to_dict(self.config),
-            "config_hash": config_hash(self.config),
-        }
-
-    def save(self, out_dir: str | Path) -> None:
-        """Write the whole trace as deterministic text files.
-
-        steps.csv scales as ticks times agents; long runs produce large
-        files. Floats are written as the repr of Python floats, which
-        round-trips through float() exactly, so identical runs produce
-        byte-identical files on any numpy version.
-        """
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        tau1 = self.config.tau1
-
-        (out / "run.json").write_text(
-            json.dumps(self.metadata(), sort_keys=True, indent=2) + "\n"
-        )
-
-        with (out / "steps.csv").open("w") as fh:
-            fh.write("t,agent_id,step_norm,clamped\n")
-            for i in range(self.ticks):
-                t = repr((i + 1) * tau1)
-                fh.write(
-                    "".join(
-                        f"{t},{a},{norm!r},{int(flag)}\n"
-                        for a, (norm, flag) in enumerate(
-                            zip(self.step_norms[i].tolist(), self.clamped[i].tolist())
-                        )
-                    )
-                )
-
-        with (out / "series.csv").open("w") as fh:
-            norms = self.max_weight_norm.tolist()
-            if self.tick_policy_tv is None:
-                fh.write("t,max_weight_norm\n")
-                for i, norm in enumerate(norms):
-                    fh.write(f"{(i + 1) * tau1!r},{norm!r}\n")
-            else:
-                fh.write("t,max_weight_norm,policy_tv\n")
-                for i, (norm, tv) in enumerate(zip(norms, self.tick_policy_tv.tolist())):
-                    fh.write(f"{(i + 1) * tau1!r},{norm!r},{tv!r}\n")
-
-        def write_matrix_snaps(
-            path: Path, times: list[float], snaps: list[np.ndarray], prefix: str
-        ) -> None:
-            with path.open("w") as fh:
-                width = snaps[0].shape[1] if snaps else 0
-                header = ",".join(f"{prefix}{j}" for j in range(width))
-                fh.write(f"t,agent_id,{header}\n")
-                for t, snap in zip(times, snaps):
-                    for a in range(snap.shape[0]):
-                        values = ",".join(map(repr, snap[a].tolist()))
-                        fh.write(f"{t!r},{a},{values}\n")
-
-        def write_vector_snaps(
-            path: Path, times: list[float], snaps: list[np.ndarray], prefix: str
-        ) -> None:
-            with path.open("w") as fh:
-                width = snaps[0].shape[0] if snaps else 0
-                header = ",".join(f"{prefix}{j}" for j in range(width))
-                fh.write(f"t,{header}\n")
-                for t, snap in zip(times, snaps):
-                    values = ",".join(map(repr, snap.tolist()))
-                    fh.write(f"{t!r},{values}\n")
-
-        write_matrix_snaps(
-            out / "snapshots_weights.csv", self.snap_times, self.snap_weights, "w"
-        )
-        write_matrix_snaps(
-            out / "snapshots_embeddings.csv",
-            self.snap_times,
-            self.snap_embeddings,
-            "e",
-        )
-        write_vector_snaps(
-            out / "snapshots_policy.csv", self.policy_times, self.policy_snaps, "p"
-        )
-        write_vector_snaps(
-            out / "snapshots_meta.csv", self.meta_times, self.meta_snaps, "m"
-        )
-
-        with (out / "marl.csv").open("w") as fh:
-            fh.write("t,tv_step,halvings,target_distance,subopt_proxy\n")
-            for rec in self.marl_records:
-                fh.write(
-                    f"{rec['t']!r},{rec['tv_step']!r},{rec['halvings']},"
-                    f"{rec['target_distance']!r},{rec['subopt_proxy']!r}\n"
-                )
-
-        with (out / "meta.csv").open("w") as fh:
-            fh.write(
-                "t,step_norm,grad_norm,m1,m2,m3,predicted_dpi,min_margin,"
-                "applied,k_inner,t_adapt\n"
-            )
-            for rec in self.meta_records:
-                fh.write(
-                    f"{rec['t']!r},{rec['step_norm']!r},{rec['grad_norm']!r},"
-                    f"{int(rec['m1'])},{int(rec['m2'])},{int(rec['m3'])},"
-                    f"{rec['predicted_dpi']!r},{rec['min_margin']!r},"
-                    f"{int(rec['applied'])},{rec['k_inner']},{rec['t_adapt']!r}\n"
-                )
-
-        with (out / "events.jsonl").open("w") as fh:
-            for verdict in self.events:
-                fh.write(json.dumps(verdict.to_record(), sort_keys=True) + "\n")
-
-
 def _resolve_config(
     scenario: Scenario, config: SystemConfig | None, seed: int | None
 ) -> SystemConfig:
@@ -466,11 +275,14 @@ class _Run:
             # by page.
             self.obs = np.empty((chunk, 2, n, cfg.weight_dim))
 
-        self.ticks = int(math.floor(horizon / cfg.tau1 + _TIME_TOL))
-        self.step_norms = np.zeros((self.ticks, n))
-        self.clamped = np.zeros((self.ticks, n), dtype=bool)
-        self.max_weight_norm = np.zeros(self.ticks)
-        self.tick_policy_tv = np.zeros(self.ticks) if scenario.record_policy_tv else None
+        self.ticks = int(math.floor(horizon / cfg.tau1 + TIME_TOL))
+        try:
+            self.step_norms = np.zeros((self.ticks, n))
+            self.clamped = np.zeros((self.ticks, n), dtype=bool)
+            self.max_weight_norm = np.zeros(self.ticks)
+            self.tick_policy_tv = np.zeros(self.ticks) if scenario.record_policy_tv else None
+        except (ValueError, MemoryError) as exc:
+            raise ValidationError(f"{self.ticks:.3g} ticks x {n} agents: {exc}") from None
         batch = max(1, _BATCH_BYTES // (n * cfg.weight_dim * 8))
         self.block = np.empty((min(batch, self.ticks), n, cfg.weight_dim))
 
@@ -541,11 +353,8 @@ class _Run:
                 new_weights, self.step_norms[i], self.clamped[i],
             )
             weights = new_weights
-            t = (i + 1) * cfg.tau1
-            if (
-                self.marl_k * cfg.tau2 <= t + _TIME_TOL
-                or self.meta_k * cfg.tau3 <= t + _TIME_TOL
-            ):
+            t = (i + 1) * cfg.tau1 * (1.0 + TIME_TOL)
+            if self.marl_k * cfg.tau2 <= t or self.meta_k * cfg.tau3 <= t:
                 stop = i + 1
                 break
         # Copied out before _record_block squares the block in place.
@@ -578,8 +387,8 @@ class _Run:
     def _coordination_step(self, ticks_done: int) -> bool:
         """Every coordination boundary the last tick reached; False on a halt."""
         cfg = self.cfg
-        t = ticks_done * cfg.tau1
-        while self.marl_k * cfg.tau2 <= t + _TIME_TOL:
+        t = ticks_done * cfg.tau1 * (1.0 + TIME_TOL)
+        while self.marl_k * cfg.tau2 <= t:
             boundary = self.marl_k * cfg.tau2
             realized, ideal, error_norms = realized_embeddings(
                 self.weights, self.encoder, self.marl_k
@@ -639,8 +448,8 @@ class _Run:
     def _meta_step(self, ticks_done: int) -> None:
         """Every meta boundary the last tick reached."""
         cfg = self.cfg
-        t = ticks_done * cfg.tau1
-        while self.meta_k * cfg.tau3 <= t + _TIME_TOL:
+        t = ticks_done * cfg.tau1 * (1.0 + TIME_TOL)
+        while self.meta_k * cfg.tau3 <= t:
             boundary = self.meta_k * cfg.tau3
             margins_before = dict(self.margins)
             candidate, grad_norm = self.cascade.step(self.theta)
@@ -662,20 +471,16 @@ class _Run:
                 "ML-C1", boundary, trial.t_adapt, self.margins["ML-C1"], force_log=True
             )
             increase = ml2_increase(self.k_inner_history)
-            if increase is None:
-                self.monitor.observe(
-                    "ML-C2",
-                    boundary,
-                    math.nan,
-                    self.margins["ML-C2"],
-                    inconclusive=True,
-                    force_log=True,
-                    note=f"{len(self.k_inner_history)} trials so far",
-                )
-            else:
-                self.monitor.observe(
-                    "ML-C2", boundary, increase, self.margins["ML-C2"], force_log=True
-                )
+            undecided = increase is None
+            self.monitor.observe(
+                "ML-C2",
+                boundary,
+                math.nan if undecided else increase,
+                self.margins["ML-C2"],
+                inconclusive=undecided,
+                force_log=True,
+                note=f"{len(self.k_inner_history)} trials so far" if undecided else "",
+            )
 
             self.meta_records.append(
                 {
@@ -766,9 +571,9 @@ def run(
 class CheckResult:
     """One trace-against-bound comparison.
 
-    passed is None when the check does not apply to this run (for example
-    the closed-form bounds are undefined in the unstable regime, or the
-    needed stream was not recorded).
+    passed is None, and worst NaN, when the run holds no evidence for the
+    check (for example the closed-form bounds are undefined in the unstable
+    regime, or the needed stream is empty or was not recorded).
     """
 
     check_id: str
@@ -808,195 +613,151 @@ def _rounding_slack(magnitude: float, roundings: int) -> float:
     return roundings * _EPS * magnitude
 
 
+# What a check needs of a trace, and the note of a check skipped without it.
+_POLICY_TV = (lambda trace: trace.tick_policy_tv is not None,
+              "per-tick policy drift not recorded")
+_STABLE = (lambda trace: trace.config.delta < 0.0,
+           "closed-form ceiling undefined in the unstable regime")
+_TICKS = (lambda trace: trace.ticks > 0, "no fast ticks recorded")
+_CYCLE = (lambda trace: trace.marl_cycles > 0, "no complete coordination cycle recorded")
+_META_CYCLE = (lambda trace: trace.meta_cycles > 0, "no complete meta cycle recorded")
+
+# The closed-form quantities in the unstable regime, where none exists: a
+# ceiling computed from them is NaN.
+_UNDEFINED = BoundReport(*[math.nan] * len(fields(BoundReport)))
+
+# What a replay returns: (worst, slack), where slack is the float error
+# allowed above the ceiling, or the note of a skip only the replay can see.
+_Outcome = tuple[float, float] | str
+
+
+def _step_norm(trace: Trace, report: BoundReport, bound: float) -> _Outcome:
+    # A step norm sums weight_dim squares.
+    return float(trace.step_norms.max()), _rounding_slack(bound, trace.config.weight_dim)
+
+
+def _largest_row_change(snaps: list[np.ndarray]) -> float:
+    """Largest row-norm change between consecutive snapshots, or NaN."""
+    return float(
+        np.max([np.linalg.norm(b - a, axis=1).max() for a, b in zip(snaps, snaps[1:])])
+    )
+
+
+def _weight_scale(trace: Trace, report: BoundReport) -> float:
+    """Size of the weights a cycle's drift is computed from."""
+    largest = max(float(row_norms(w).max()) for w in trace.snap_weights)
+    return report.n12 * report.delta1_eff + largest
+
+
+def _weight_drift(trace: Trace, report: BoundReport, bound: float) -> _Outcome:
+    # Each of a cycle's n12 ticks rounds weights + step at the weights'
+    # size; the drift norm then sums weight_dim squares.
+    roundings = report.n12 + trace.config.weight_dim
+    slack = _rounding_slack(_weight_scale(trace, report), roundings)
+    return _largest_row_change(trace.snap_weights), slack
+
+
+def _embedding_drift(trace: Trace, report: BoundReport, bound: float) -> _Outcome:
+    # An embedding adds the encoder's weight_dim * embed_dim products per
+    # snapshot to the weights' roundings.
+    cfg = trace.config
+    slack = _rounding_slack(
+        cfg.lip_phi * _weight_scale(trace, report) + bound,
+        report.n12 + cfg.weight_dim * cfg.embed_dim,
+    )
+    return _largest_row_change(trace.snap_embeddings), slack
+
+
+def _policy_drift(trace: Trace, report: BoundReport, bound: float) -> _Outcome:
+    # Probabilities are at most 1, and a logit error moves them by at most
+    # its own size; logits are bounded through the policy box and the
+    # encoder's sensitivity to the weights.
+    cfg = trace.config
+    logits = (
+        logit_scale(cfg) * cfg.policy_box * math.sqrt(cfg.embed_dim)
+        * cfg.lip_phi * float(trace.max_weight_norm.max())
+    )
+    slack = _rounding_slack(1.0 + logits, cfg.n_actions + cfg.embed_dim)
+    return float(trace.tick_policy_tv.max()), slack
+
+
+def _meta_effect(trace: Trace, report: BoundReport, bound: float) -> _Outcome:
+    k_cascade = cascading_sensitivity(trace.config)
+    snaps = trace.meta_snaps
+    worst = max(k_cascade * float(np.linalg.norm(b - a)) for a, b in zip(snaps, snaps[1:]))
+    theta_scale = max(float(np.linalg.norm(theta)) for theta in snaps)
+    slack = _rounding_slack(k_cascade * theta_scale + bound, trace.config.meta_dim)
+    return worst, slack
+
+
+def _late_slope(trace: Trace, report: BoundReport, bound: float) -> _Outcome:
+    """The larger late-half slope of the max weight norm per tick and of the
+    suboptimality proxy per coordination cycle."""
+    slopes: list[float] = []
+    half = trace.duration / 2.0
+    times = (np.arange(trace.ticks) + 1) * trace.config.tau1
+    late = times >= half
+    if int(late.sum()) >= 2:
+        slopes.append(_least_squares_slope(times[late], trace.max_weight_norm[late]))
+    late_marl = [
+        (rec["t"], rec["subopt_proxy"]) for rec in trace.marl_records if rec["t"] >= half
+    ]
+    if len(late_marl) >= 2:
+        slopes.append(_least_squares_slope(*(np.array(col) for col in zip(*late_marl))))
+    if not slopes:
+        return "run too short for a late-half slope"
+    return max(slopes), 0.0
+
+
+# The replay table: (check id, ceiling, replay, requirements). The replay
+# runs only on a trace that meets every requirement; the first unmet one
+# names the skip.
+_CHECKS: tuple[tuple[str, Callable, Callable, tuple], ...] = (
+    ("per_tick_step_norm", lambda cfg, r: r.delta1_eff, _step_norm, (_STABLE, _TICKS)),
+    ("weight_drift_per_cycle", lambda cfg, r: r.n12 * r.delta1_eff, _weight_drift,
+     (_STABLE, _CYCLE)),
+    ("embedding_drift_per_cycle", lambda cfg, r: r.phi_max, _embedding_drift,
+     (_STABLE, _CYCLE)),
+    ("induced_policy_drift_per_tick",
+     lambda cfg, r: cfg.lip_pi * cfg.lip_phi * cfg.delta_np, _policy_drift,
+     (_POLICY_TV, _STABLE, _TICKS)),
+    ("meta_effect_per_cycle",
+     lambda cfg, r: cascading_sensitivity(cfg) * cfg.eta3 * cfg.g_max, _meta_effect,
+     (_META_CYCLE,)),
+    ("non_accumulation", lambda cfg, r: SLOPE_TOL, _late_slope, ()),
+)
+
+
 def verify(trace: Trace, report: BoundReport | None = None) -> VerificationReport:
     """Replay a recorded trace against the closed-form ceilings.
 
     Six checks: per-tick step norms, per-cycle weight drift, per-cycle
     embedding drift, per-tick induced policy drift, per-cycle meta movement
     scaled by the cascading sensitivity, and non-accumulation (late-run
-    slopes of the weight-norm and suboptimality-proxy streams).
+    slopes of the weight-norm and suboptimality-proxy streams). A check
+    without evidence, such as a per-tick check of a run with no ticks, is
+    skipped: passed is None and worst is NaN.
 
     A ceiling comparison allows for float rounding in proportion to the
     size of the operands the recorded value was computed from, so a value
     that equals its ceiling in exact arithmetic passes at any weight scale.
     """
     cfg = trace.config
-    stable = cfg.delta < 0.0
-    if stable and report is None:
+    if not _STABLE[0](trace):
+        report = _UNDEFINED
+    elif report is None:
         report = total_bound(cfg)
-    checks: list[CheckResult] = []
-    unstable_note = "closed-form ceiling undefined in the unstable regime"
-
-    if not stable:
-        checks.append(
-            CheckResult("per_tick_step_norm", None, math.nan, math.nan, unstable_note)
-        )
-    else:
-        worst = float(trace.step_norms.max()) if trace.step_norms.size else 0.0
-        bound = report.delta1_eff
-        # A step norm sums weight_dim squares.
-        slack = _rounding_slack(bound, cfg.weight_dim)
-        checks.append(
-            CheckResult("per_tick_step_norm", worst <= bound + slack, worst, bound)
-        )
-
-    pairs = list(zip(trace.snap_times, trace.snap_times[1:]))
-    if not stable:
-        checks.append(
-            CheckResult(
-                "weight_drift_per_cycle", None, math.nan, math.nan, unstable_note
-            )
-        )
-        checks.append(
-            CheckResult(
-                "embedding_drift_per_cycle", None, math.nan, math.nan, unstable_note
-            )
-        )
-    else:
-        worst_w = 0.0
-        worst_e = 0.0
-        for (w1, w2), (e1, e2) in zip(
-            zip(trace.snap_weights, trace.snap_weights[1:]),
-            zip(trace.snap_embeddings, trace.snap_embeddings[1:]),
-        ):
-            worst_w = max(worst_w, float(np.linalg.norm(w2 - w1, axis=1).max()))
-            worst_e = max(worst_e, float(np.linalg.norm(e2 - e1, axis=1).max()))
-        bound_w = report.n12 * report.delta1_eff
-        bound_e = report.phi_max
-        # Each of a cycle's n12 ticks rounds weights + step at the weights'
-        # size; the drift norm then sums weight_dim squares. An embedding
-        # adds the encoder's weight_dim * embed_dim products per snapshot.
-        w_scale = bound_w + max(float(row_norms(w).max()) for w in trace.snap_weights)
-        slack_w = _rounding_slack(w_scale, report.n12 + cfg.weight_dim)
-        slack_e = _rounding_slack(
-            cfg.lip_phi * w_scale + bound_e,
-            report.n12 + cfg.weight_dim * cfg.embed_dim,
-        )
-        note = "" if pairs else "no complete coordination cycle recorded"
-        checks.append(
-            CheckResult(
-                "weight_drift_per_cycle",
-                worst_w <= bound_w + slack_w if pairs else None,
-                worst_w,
-                bound_w,
-                note,
-            )
-        )
-        checks.append(
-            CheckResult(
-                "embedding_drift_per_cycle",
-                worst_e <= bound_e + slack_e if pairs else None,
-                worst_e,
-                bound_e,
-                note,
-            )
-        )
-
-    induced_bound = cfg.lip_pi * cfg.lip_phi * cfg.delta_np
-    if trace.tick_policy_tv is None:
-        checks.append(
-            CheckResult(
-                "induced_policy_drift_per_tick",
-                None,
-                math.nan,
-                induced_bound,
-                "per-tick policy drift not recorded",
-            )
-        )
-    elif not stable:
-        checks.append(
-            CheckResult(
-                "induced_policy_drift_per_tick",
-                None,
-                math.nan,
-                induced_bound,
-                unstable_note,
-            )
-        )
-    else:
-        worst = float(trace.tick_policy_tv.max()) if trace.tick_policy_tv.size else 0.0
-        # Probabilities are at most 1, and a logit error moves them by at
-        # most its own size; logits are bounded through the policy box and
-        # the encoder's sensitivity to the weights.
-        weight_norm = float(trace.max_weight_norm.max()) if trace.ticks else 0.0
-        logits = (
-            logit_scale(cfg) * cfg.policy_box * math.sqrt(cfg.embed_dim)
-            * cfg.lip_phi * weight_norm
-        )
-        slack = _rounding_slack(1.0 + logits, cfg.n_actions + cfg.embed_dim)
-        checks.append(
-            CheckResult(
-                "induced_policy_drift_per_tick",
-                worst <= induced_bound + slack,
-                worst,
-                induced_bound,
-            )
-        )
-
-    k_cascade = cascading_sensitivity(cfg)
-    meta_bound = k_cascade * cfg.eta3 * cfg.g_max
-    meta_pairs = list(zip(trace.meta_snaps, trace.meta_snaps[1:]))
-    if meta_pairs:
-        worst_meta = max(
-            k_cascade * float(np.linalg.norm(b - a)) for a, b in meta_pairs
-        )
-        theta_scale = max(float(np.linalg.norm(theta)) for theta in trace.meta_snaps)
-        slack = _rounding_slack(k_cascade * theta_scale + meta_bound, cfg.meta_dim)
-        checks.append(
-            CheckResult(
-                "meta_effect_per_cycle",
-                worst_meta <= meta_bound + slack,
-                worst_meta,
-                meta_bound,
-            )
-        )
-    else:
-        checks.append(
-            CheckResult(
-                "meta_effect_per_cycle",
-                None,
-                math.nan,
-                meta_bound,
-                "no complete meta cycle recorded",
-            )
-        )
-
-    slopes: list[float] = []
-    half = trace.duration / 2.0
-    if trace.ticks >= 2:
-        times = (np.arange(trace.ticks) + 1) * cfg.tau1
-        late = times >= half
-        if int(late.sum()) >= 2:
-            slopes.append(
-                _least_squares_slope(times[late], trace.max_weight_norm[late])
-            )
-    late_marl = [
-        (rec["t"], rec["subopt_proxy"])
-        for rec in trace.marl_records
-        if rec["t"] >= half
-    ]
-    if len(late_marl) >= 2:
-        marl_t = np.array([t for t, _ in late_marl])
-        marl_v = np.array([v for _, v in late_marl])
-        slopes.append(_least_squares_slope(marl_t, marl_v))
-    if slopes:
-        worst_slope = max(slopes)
-        checks.append(
-            CheckResult(
-                "non_accumulation", worst_slope <= SLOPE_TOL, worst_slope, SLOPE_TOL
-            )
-        )
-    else:
-        checks.append(
-            CheckResult(
-                "non_accumulation",
-                None,
-                math.nan,
-                SLOPE_TOL,
-                "run too short for a late-half slope",
-            )
-        )
-
+    checks = []
+    for check_id, ceiling, replay, requires in _CHECKS:
+        bound = ceiling(cfg, report)
+        unmet = next((note for holds, note in requires if not holds(trace)), None)
+        outcome = replay(trace, report, bound) if unmet is None else unmet
+        if isinstance(outcome, str):
+            passed, worst, note = None, math.nan, outcome
+        else:
+            (worst, slack), note = outcome, ""
+            passed = worst <= bound + slack
+        checks.append(CheckResult(check_id, passed, worst, bound, note))
     return VerificationReport(checks=tuple(checks))
 
 

@@ -363,3 +363,58 @@ def test_saved_numeric_cells_round_trip_bit_for_bit(tmp_path: Path):
     meta = _csv_columns(tmp_path / "meta.csv")
     for key in ("t", "step_norm", "grad_norm", "predicted_dpi", "min_margin", "t_adapt"):
         _assert_cells_equal(meta[key], [rec[key] for rec in trace.meta_records])
+
+
+_UNSTABLE = "closed-form ceiling undefined in the unstable regime"
+
+
+@pytest.fixture(scope="module")
+def skip_traces():
+    """Runs that lack the evidence of one check or another, by what they lack."""
+    unstable = apply_overrides(SystemConfig(), {"delta": 0.0})
+    return {
+        "no_ticks": run("baseline", duration=0.0),
+        "no_cycle": run("baseline", duration=1.0),
+        "unstable": run("baseline", config=unstable, duration=4.0),
+        # also unstable: the missing stream names the skip
+        "untracked": run("delta_zero", duration=1.0),
+    }
+
+
+@pytest.mark.parametrize(
+    "check_id, lacking, bound, note",
+    [
+        ("per_tick_step_norm", "unstable", math.nan, _UNSTABLE),
+        ("per_tick_step_norm", "no_ticks", 1e-4, "no fast ticks recorded"),
+        ("weight_drift_per_cycle", "unstable", math.nan, _UNSTABLE),
+        ("weight_drift_per_cycle", "no_cycle", 0.01,
+         "no complete coordination cycle recorded"),
+        ("embedding_drift_per_cycle", "unstable", math.nan, _UNSTABLE),
+        ("embedding_drift_per_cycle", "no_cycle", 0.05,
+         "no complete coordination cycle recorded"),
+        ("induced_policy_drift_per_tick", "untracked", 1.5e-3,
+         "per-tick policy drift not recorded"),
+        ("induced_policy_drift_per_tick", "unstable", 1.5e-3, _UNSTABLE),
+        ("induced_policy_drift_per_tick", "no_ticks", 1.5e-3, "no fast ticks recorded"),
+        ("meta_effect_per_cycle", "no_cycle", 3e-4, "no complete meta cycle recorded"),
+        ("non_accumulation", "no_ticks", SLOPE_TOL,
+         "run too short for a late-half slope"),
+    ],
+)
+def test_verify_skips_a_check_without_evidence(check_id, lacking, bound, note,
+                                                 skip_traces):
+    check = verify(skip_traces[lacking]).check(check_id)
+    assert (check.passed, check.note) == (None, note)
+    assert check.bound == pytest.approx(bound, rel=1e-12, nan_ok=True)
+    assert math.isnan(check.worst)
+
+
+def test_a_run_without_ticks_has_no_conclusive_check(skip_traces):
+    assert all(c.passed is None for c in verify(skip_traces["no_ticks"]).checks)
+
+
+def test_a_tick_count_numpy_cannot_allocate_is_a_validation_error():
+    # 1e302 ticks: numpy rejects the shape before it allocates anything.
+    cfg = apply_overrides(SystemConfig(), {"tau1": 1e-300})
+    with pytest.raises(ValidationError, match=r"^1e\+302 ticks x 30 agents: "):
+        run("baseline", config=cfg)
