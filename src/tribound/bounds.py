@@ -93,9 +93,10 @@ def eta1_max(config: SystemConfig) -> float:
     """Fast-rate cap keeping per-cycle embedding drift under its target."""
     rule = hebbian.rule_from_config(config)
     peak = rule.drive_bound + abs(rule.delta) * hebbian.weight_norm_ceiling(rule)
-    return config.eps_phi_star * config.tau1 / (
-        config.lip_phi * config.tau2 * config.sigma_max * peak
-    )
+    scale = config.lip_phi * config.tau2 * config.sigma_max * peak
+    if scale == 0.0:
+        return math.inf
+    return config.eps_phi_star * config.tau1 / scale
 
 
 @dataclass(frozen=True)
