@@ -32,7 +32,7 @@ from .bounds import (
 )
 from .contracts import CONTRACT_IDS
 from .engine import (
-    Trace,
+    VerificationReport,
     confirm_expectation,
     get_scenario,
     run,
@@ -47,6 +47,7 @@ from .model import (
     load_config_path,
     validate_conditions,
 )
+from .trace import Trace
 
 PASS_EXIT = 0
 UNEXPECTED_EXIT = 1
@@ -78,6 +79,11 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     for row in cells:
         lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip())
     return "\n".join(lines)
+
+
+def _status(passed: bool | None, undecided: str) -> str:
+    """The status word of a check: pass, fail, or `undecided` for None."""
+    return undecided if passed is None else ("pass" if passed else "fail")
 
 
 def _parse_overrides(pairs: list[str] | None) -> dict[str, Any]:
@@ -118,10 +124,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="override one config key (repeatable)",
     )
     parser.add_argument("--out", metavar="DIR", help="write machine-readable artifacts")
-
-
-def _report_dict(report: Any) -> dict[str, Any]:
-    return dataclasses.asdict(report)
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -174,7 +176,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                 100.0 * rep.relative_subopt,
             ]
         )
-        per_n.append({"n_agents": n, **_report_dict(rep)})
+        per_n.append({"n_agents": n, **dataclasses.asdict(rep)})
     print()
     print("suboptimality decomposition by swarm size")
     print(
@@ -196,7 +198,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         _write_json(
             args.out,
             "bounds.json",
-            {"base": _report_dict(report), "per_n": per_n},
+            {"base": dataclasses.asdict(report), "per_n": per_n},
         )
     return PASS_EXIT
 
@@ -204,12 +206,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_conditions(args: argparse.Namespace) -> int:
     config = _build_config(args)
     report = validate_conditions(config)
-    rows = []
-    for check in report.checks:
-        status = "assumed" if check.passed is None else ("pass" if check.passed else "fail")
-        rows.append(
-            [check.condition_id, status, check.measured, check.threshold, check.note]
-        )
+    rows = [
+        [c.condition_id, _status(c.passed, "assumed"), c.measured, c.threshold, c.note]
+        for c in report.checks
+    ]
     print("start-time admissibility conditions")
     print(_table(["condition", "status", "measured", "threshold", "note"], rows))
     if args.out:
@@ -218,7 +218,7 @@ def cmd_conditions(args: argparse.Namespace) -> int:
             "conditions.json",
             {
                 "all_passed": report.all_passed,
-                "checks": [_report_dict(c) for c in report.checks],
+                "checks": [dataclasses.asdict(c) for c in report.checks],
             },
         )
     return PASS_EXIT if report.all_passed else UNEXPECTED_EXIT
@@ -246,40 +246,47 @@ def _print_run_summary(trace: Trace) -> None:
         print(f"halt reason: {trace.halt_reason}")
     rows = []
     for cid in CONTRACT_IDS:
-        verdict = trace.last_verdicts.get(cid)
-        if verdict is None:
+        v = trace.last_verdicts.get(cid)
+        if v is None:
             rows.append([cid, "never evaluated", None, None, None, None])
-            continue
-        status = (
-            "inconclusive"
-            if verdict.passed is None
-            else ("pass" if verdict.passed else "fail")
-        )
-        rows.append(
-            [
-                cid,
-                status,
-                verdict.measured,
-                verdict.threshold,
-                verdict.margin,
-                verdict.alarm,
-            ]
-        )
+        else:
+            status = _status(v.passed, "inconclusive")
+            rows.append([cid, status, v.measured, v.threshold, v.margin, v.alarm])
     print()
     print("latest contract verdicts")
     print(_table(["contract", "status", "measured", "threshold", "margin", "alarm"], rows))
 
 
-def _print_verification(trace: Trace) -> bool:
+def _print_verification(trace: Trace) -> VerificationReport:
     report = verify(trace)
-    rows = []
-    for check in report.checks:
-        status = "skipped" if check.passed is None else ("pass" if check.passed else "fail")
-        rows.append([check.check_id, status, check.worst, check.bound, check.note])
+    rows = [
+        [c.check_id, _status(c.passed, "skipped"), c.worst, c.bound, c.note]
+        for c in report.checks
+    ]
     print()
     print("trace replay against the closed-form ceilings")
     print(_table(["check", "status", "worst", "ceiling", "note"], rows))
-    return report.all_passed
+    return report
+
+
+def _verdict(
+    expected: str, clean: bool, conclusive: bool, confirmed: bool,
+    held: str, breached: str, scope: str = "",
+) -> int:
+    """Print the verdict line; return the exit status. A clean run passes
+    only with one conclusive replay check; a violation must be confirmed."""
+    if expected != "none":
+        outcome = "confirmed" if confirmed else "NOT reproduced"
+        line = f"expected outcome ({expected}) {outcome}{scope}"
+        status = CONFIRMED_EXIT if confirmed else UNEXPECTED_EXIT
+    elif not clean:
+        line, status = breached, UNEXPECTED_EXIT
+    elif not conclusive:
+        line, status = "no evidence: every replay check was skipped", UNEXPECTED_EXIT
+    else:
+        line, status = held, PASS_EXIT
+    print(f"\nverdict: {line}")
+    return status
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -287,21 +294,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = get_scenario(args.scenario)
     trace = run(scenario, config=config, seed=args.seed, duration=args.duration)
     _print_run_summary(trace)
-    bounds_ok = _print_verification(trace)
+    report = _print_verification(trace)
     if args.out:
         trace.save(Path(args.out) / f"trace_{scenario.name}")
     confirmed = confirm_expectation(scenario, trace, base_config=config)
-    if scenario.expected == "none":
-        if confirmed and bounds_ok:
-            print("\nverdict: all contracts held and the trace fits the ceilings")
-            return PASS_EXIT
-        print("\nverdict: unexpected contract failure or ceiling breach")
-        return UNEXPECTED_EXIT
-    if confirmed:
-        print(f"\nverdict: expected outcome ({scenario.expected}) confirmed")
-        return CONFIRMED_EXIT
-    print(f"\nverdict: expected outcome ({scenario.expected}) NOT reproduced")
-    return UNEXPECTED_EXIT
+    return _verdict(
+        scenario.expected, confirmed and report.all_passed,
+        any(check.passed is not None for check in report.checks), confirmed,
+        "all contracts held and the trace fits the ceilings",
+        "unexpected contract failure or ceiling breach",
+    )
 
 
 def cmd_sensitivity(args: argparse.Namespace) -> int:
@@ -327,7 +329,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
                     deviation_pct,
                 ]
             )
-            payload.append(_report_dict(row))
+            payload.append(dataclasses.asdict(row))
     print("exact sweep of the total bound against the tabulated reference")
     print(
         _table(
@@ -543,12 +545,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 check.check_id,
                 {"pass": 0, "fail": 0, "skip": 0, "worst": None, "bound": check.bound},
             )
-            if check.passed is None:
-                tally["skip"] += 1
-            elif check.passed:
-                tally["pass"] += 1
-            else:
-                tally["fail"] += 1
+            tally[_status(check.passed, "skip")] += 1
             if check.worst == check.worst:
                 tally["worst"] = (
                     check.worst
@@ -581,17 +578,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "checks": tallies,
             },
         )
-    if scenario.expected == "none":
-        if all_clean:
-            print("\nverdict: every seed fits the ceilings")
-            return PASS_EXIT
-        print("\nverdict: at least one seed breached a ceiling or contract")
-        return UNEXPECTED_EXIT
-    if all(confirmations):
-        print(f"\nverdict: expected outcome ({scenario.expected}) confirmed on every seed")
-        return CONFIRMED_EXIT
-    print(f"\nverdict: expected outcome ({scenario.expected}) NOT reproduced on every seed")
-    return UNEXPECTED_EXIT
+    return _verdict(
+        scenario.expected, all_clean,
+        any(t["pass"] or t["fail"] for t in tallies.values()), all(confirmations),
+        "every seed fits the ceilings",
+        "at least one seed breached a ceiling or contract",
+        " on every seed",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -134,3 +134,18 @@ def test_bounds_rejects_an_empty_swarm_size_list(capsys):
     for value in (",", " , "):
         assert main(["bounds", "--n", value]) == UNEXPECTED_EXIT
         _assert_clean_error(capsys, f"--n names no swarm size, got {value!r}")
+
+
+def test_simulate_without_ticks_has_no_evidence(capsys):
+    assert main(["simulate", "--duration", "0"]) == UNEXPECTED_EXIT
+    assert "verdict: no evidence" in capsys.readouterr().out
+
+
+def test_verify_without_ticks_has_no_evidence(capsys):
+    assert main(["verify", "--seeds", "1", "--duration", "0"]) == UNEXPECTED_EXIT
+    assert "verdict: no evidence" in capsys.readouterr().out
+
+
+def test_a_tick_count_numpy_cannot_allocate_fails_without_traceback(capsys):
+    assert main(["simulate", "--set", "tau1=1e-300"]) == UNEXPECTED_EXIT
+    _assert_clean_error(capsys, "1e+302 ticks x 30 agents: ")
