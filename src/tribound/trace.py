@@ -12,9 +12,9 @@ from .contracts import ContractVerdict
 from .errors import TraceQueryError
 from .model import SystemConfig, config_hash, config_to_dict
 
-# Relative tolerance of the run's clock: a boundary within this fraction of a
-# tick's time falls due at that tick, at any time scale. A snapshot query
-# within it (absolute below one second) hits that snapshot.
+# Relative tolerance of the run's clock, so that it holds at any time scale:
+# a boundary within this fraction of a tick's time falls due at that tick,
+# and a snapshot query within it of a recorded time hits that snapshot.
 TIME_TOL = 1e-9
 
 _MARL_COLUMNS = ("t", "tv_step", "halvings", "target_distance", "subopt_proxy")
@@ -65,7 +65,7 @@ class Trace:
 
     @staticmethod
     def _lookup(times: list[float], t: float, kind: str) -> int:
-        tol = TIME_TOL * max(1.0, abs(t))
+        tol = TIME_TOL * abs(t)
         for i, recorded in enumerate(times):
             if abs(recorded - t) <= tol:
                 return i

@@ -418,3 +418,17 @@ def test_a_tick_count_numpy_cannot_allocate_is_a_validation_error():
     cfg = apply_overrides(SystemConfig(), {"tau1": 1e-300})
     with pytest.raises(ValidationError, match=r"^1e\+302 ticks x 30 agents: "):
         run("baseline", config=cfg)
+
+
+def test_boundaries_and_snapshot_queries_hold_at_tiny_periods():
+    """Clock tolerances are relative: at periods far below 1e-9 s each
+    boundary falls due at its own tick and each query hits its snapshot."""
+    cfg = apply_overrides(
+        SystemConfig(),
+        {"tau1": 1e-12, "tau2": 1e-10, "tau3": 1e-9, "n_agents": 2, "weight_dim": 4},
+    )
+    trace = run("baseline", config=cfg, duration=3e-10)
+    assert (trace.ticks, trace.marl_cycles, trace.meta_cycles) == (300, 3, 0)
+    assert trace.snap_times == [0.0, 1e-10, 2e-10, 3e-10]
+    for t, weights in zip(trace.snap_times, trace.snap_weights):
+        assert trace.weights_at(t) is weights
