@@ -149,3 +149,13 @@ def test_verify_without_ticks_has_no_evidence(capsys):
 def test_a_tick_count_numpy_cannot_allocate_fails_without_traceback(capsys):
     assert main(["simulate", "--set", "tau1=1e-300"]) == UNEXPECTED_EXIT
     _assert_clean_error(capsys, "1e+302 ticks x 30 agents: ")
+
+
+def test_verify_exits_one_when_a_run_halts(capsys):
+    """The trust region cannot fit a cap of 1e-300 and halts the run at
+    t=2.8; simulate and verify both report that as unexpected."""
+    overrides = ["--set", "delta_pi=1e-300", "--set", "tau2=0.2", "--set", "tau3=2.0"]
+    assert main(["simulate", "--duration", "4", *overrides]) == UNEXPECTED_EXIT
+    assert "halted early           yes" in capsys.readouterr().out
+    assert main(["verify", "--seeds", "1", "--duration", "4", *overrides]) == UNEXPECTED_EXIT
+    assert "verdict: at least one seed breached" in capsys.readouterr().out
