@@ -171,7 +171,7 @@ class Trace:
             # The meta gate's flags are written as 0 and 1.
             rows = (
                 [int(v) if isinstance(v, (bool, np.bool_)) else v
-                 for v in map(rec.get, columns)]
+                 for v in (rec[c] for c in columns)]
                 for rec in records
             )
             _write_rows(out / f"{name}.csv", columns, rows)
