@@ -1,12 +1,13 @@
 """Coordination-level dynamics.
 
 Once per coordination cycle the swarm compresses each agent's weight vector
-into an embedding, mixes embeddings over the communication graph, and nudges
-the shared policy toward a target computed from the mean aggregate. The
-policy step runs under a trust region: if the induced total-variation move
-on a fixed probe set exceeds the declared cap, the step is halved until it
-fits. Every map here carries an explicit sensitivity constant so the
-analytic drift bounds compose.
+into an embedding, mixes embeddings over the communication graph (one
+matrix, built from the config by mix_matrix), and nudges the shared policy
+toward a target computed from the mean aggregate. The policy step runs
+under a trust region: if the induced total-variation move on a fixed probe
+set exceeds the declared cap, the step is halved until it fits. Every map
+here carries an explicit sensitivity constant so the analytic drift bounds
+compose.
 
 The encoder has an ideal output and a realized one. The realized output
 adds a perturbation of norm below eps_gnn to each agent's embedding,
@@ -113,58 +114,26 @@ def realized_embeddings(weights: np.ndarray, encoder: EmbeddingEncoder, cycle: i
     return realized, ideal, np.linalg.norm(realized - ideal, axis=1)
 
 
-class AdjacencyGraph:
-    """Communication graph over agents. Ring or complete. Undirected."""
+def mix_matrix(config: SystemConfig) -> np.ndarray:
+    """Aggregation operator over the communication graph: a scaled sum over
+    each agent's closed neighbourhood.
 
-    def __init__(self, neighbors: tuple[tuple[int, ...], ...]) -> None:
-        self.neighbors = neighbors
-        self.n = len(neighbors)
-        self.deg_max = max((len(row) for row in neighbors), default=0)
-        for i, row in enumerate(neighbors):
-            if i in row:
-                raise StructuralError("graph must not contain self loops")
-            for j in row:
-                if j < 0 or j >= self.n:
-                    raise StructuralError("graph neighbor index out of range")
-                if i not in neighbors[j]:
-                    raise StructuralError("graph must be symmetric")
-
-    @classmethod
-    def from_config(cls, config: SystemConfig) -> "AdjacencyGraph":
-        n = config.n_agents
-        if config.graph_topology == "complete":
-            rows = tuple(
-                tuple(j for j in range(n) if j != i) for i in range(n)
-            )
-            return cls(rows)
-        k = min(config.ring_neighbors, n - 1)
-        if k % 2 != 0:
-            k -= 1
-        half = k // 2
-        rows = []
-        for i in range(n):
-            row = set()
-            for off in range(1, half + 1):
-                row.add((i + off) % n)
-                row.add((i - off) % n)
-            row.discard(i)
-            rows.append(tuple(sorted(row)))
-        return cls(tuple(rows))
-
-    def mix_matrix(self, lip_gnn: float) -> np.ndarray:
-        """Aggregation operator: scaled sum over the closed neighborhood.
-
-        The scale lip_gnn / sqrt(deg_max + 1) keeps the stacked-input
-        sensitivity of each output at lip_gnn and the uniform-input gain at
-        lip_gnn * sqrt(deg_max + 1), inside the lip_gnn * sqrt(n) envelope.
-        """
-        scale = lip_gnn / math.sqrt(self.deg_max + 1)
-        mix = np.zeros((self.n, self.n))
-        for i, row in enumerate(self.neighbors):
-            mix[i, i] = scale
-            for j in row:
-                mix[i, j] = scale
-        return mix
+    The graph is complete, or a ring joining each agent to its
+    min(ring_neighbors, n_agents - 1) // 2 nearest agents on either side.
+    The scale lip_gnn / sqrt(deg_max + 1) keeps the stacked-input
+    sensitivity of each output at lip_gnn and the uniform-input gain at
+    lip_gnn * sqrt(deg_max + 1), inside the lip_gnn * sqrt(n) envelope.
+    """
+    n = config.n_agents
+    if config.graph_topology == "complete":
+        closed = np.ones((n, n), dtype=bool)
+    else:
+        agents = np.arange(n)
+        closed = np.eye(n, dtype=bool)
+        for offset in range(1, min(config.ring_neighbors, n - 1) // 2 + 1):
+            closed[agents, (agents + offset) % n] = True
+            closed[agents, (agents - offset) % n] = True
+    return closed * (config.lip_gnn / math.sqrt(closed.sum(axis=1).max()))
 
 
 def modulation(z: np.ndarray, z_mean: np.ndarray, config: SystemConfig) -> np.ndarray:

@@ -31,11 +31,11 @@ import numpy as np
 
 from .bounds import BoundReport, phi_max as phi_max_of, total_bound
 from .cascade import (
-    AdjacencyGraph,
     PolicyTarget,
     logit_scale,
     make_encoder,
     marl_step,
+    mix_matrix,
     modulation,
     policy_distributions,
     probe_embeddings,
@@ -246,7 +246,7 @@ class _Run:
         self.frozen = frozen_mask_for(cfg)
         self.weights = initial_weights(cfg)
         self.encoder = make_encoder(cfg)
-        self.mix = AdjacencyGraph.from_config(cfg).mix_matrix(cfg.lip_gnn)
+        self.mix = mix_matrix(cfg)
         self.target_map = PolicyTarget.from_config(cfg)
         self.probes = probe_embeddings(cfg)
         self.reference_policy = np.clip(

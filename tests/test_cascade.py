@@ -8,12 +8,12 @@ from hypothesis.extra.numpy import arrays
 
 from tribound import StructuralError, SystemConfig, apply_overrides
 from tribound.cascade import (
-    AdjacencyGraph,
     EmbeddingEncoder,
     PolicyTarget,
     logit_scale,
     make_encoder,
     marl_step,
+    mix_matrix,
     modulation,
     policy_distributions,
     power_opnorm,
@@ -159,33 +159,47 @@ def test_realized_embeddings_properties(weights, eps_gnn, cycle, squash):
     assert not np.array_equal(other, error)
 
 
+def _neighbours(mix: np.ndarray, agent: int) -> list[int]:
+    """The agents in one agent's open neighbourhood."""
+    return [j for j in np.flatnonzero(mix[agent]).tolist() if j != agent]
+
+
 def test_ring_graph(base_config):
-    graph = AdjacencyGraph.from_config(base_config)
-    assert graph.n == base_config.n_agents
-    assert all(len(row) == base_config.ring_neighbors for row in graph.neighbors)
-    assert graph.neighbors[0] == (1, 2, 28, 29)
+    mix = mix_matrix(base_config)
+    assert mix.shape == (base_config.n_agents, base_config.n_agents)
+    assert all(
+        len(_neighbours(mix, i)) == base_config.ring_neighbors
+        for i in range(base_config.n_agents)
+    )
+    assert _neighbours(mix, 0) == [1, 2, 28, 29]
 
 
 def test_complete_graph(base_config):
     cfg = apply_overrides(base_config, {"graph_topology": "complete", "n_agents": 5})
-    graph = AdjacencyGraph.from_config(cfg)
-    assert all(len(row) == 4 for row in graph.neighbors)
-    assert graph.deg_max == 4
+    mix = mix_matrix(cfg)
+    assert all(len(_neighbours(mix, i)) == 4 for i in range(5))
+    assert np.all(mix == cfg.lip_gnn / math.sqrt(5))
 
 
-def test_graph_structural_guards():
-    with pytest.raises(StructuralError, match="self loops"):
-        AdjacencyGraph(((0,),))
-    with pytest.raises(StructuralError, match="symmetric"):
-        AdjacencyGraph(((1,), (), ()))
-    with pytest.raises(StructuralError, match="out of range"):
-        AdjacencyGraph(((5,), (0,)))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 12])
+@pytest.mark.parametrize("ring_neighbors", [0, 1, 2, 3, 4, 5, 6, 11])
+def test_ring_mix_matrix_joins_the_nearest_agents(base_config, n, ring_neighbors):
+    """Agents i and j are joined when their distance around the ring is at
+    most min(ring_neighbors, n - 1) // 2; every joined pair and every agent
+    with itself carries lip_gnn / sqrt(deg_max + 1), every other entry 0."""
+    cfg = apply_overrides(base_config, {"n_agents": n, "ring_neighbors": ring_neighbors})
+    reach = min(ring_neighbors, n - 1) // 2
+    joined = np.array(
+        [[min((i - j) % n, (j - i) % n) <= reach for j in range(n)] for i in range(n)]
+    )
+    deg_max = int(joined.sum(axis=1).max()) - 1
+    expected = np.where(joined, cfg.lip_gnn / math.sqrt(deg_max + 1), 0.0)
+    np.testing.assert_array_equal(mix_matrix(cfg), expected)
 
 
 def test_mix_matrix_row_gain(base_config):
     """Per-output sensitivity to the stacked input stays at the declared level."""
-    graph = AdjacencyGraph.from_config(base_config)
-    mix = graph.mix_matrix(base_config.lip_gnn)
+    mix = mix_matrix(base_config)
     row_norms = np.linalg.norm(mix, axis=1)
     assert float(row_norms.max()) == pytest.approx(base_config.lip_gnn, rel=1e-12)
     assert float(row_norms.min()) >= 0.0
