@@ -26,7 +26,6 @@ from .engine import (
 from .errors import (
     CalibrationError,
     EnforcementError,
-    MarginGeometryError,
     ModulationBoundError,
     SchemaError,
     StructuralError,
@@ -58,7 +57,6 @@ __all__ = [
     "ConditionReport",
     "ContractVerdict",
     "EnforcementError",
-    "MarginGeometryError",
     "ModulationBoundError",
     "SCENARIOS",
     "Scenario",

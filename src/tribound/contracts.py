@@ -12,7 +12,8 @@ the current meta point to the nearest point whose induced rule breaks the
 contract's invariant (box boundary for every contract, plus the decay
 sign-flip surface for the two contracts whose invariants presume the stable
 fast regime). It is 1-Lipschitz in the meta point by construction, so no
-numerical margin estimation is needed.
+numerical margin estimation is needed. all_margins measures the two
+distances once per meta point and gives every contract its margin.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .errors import MarginGeometryError
 from .meta import MetaCascade
 from .model import SystemConfig
 
@@ -79,18 +79,6 @@ class ContractVerdict:
             "alarm": self.alarm,
             "note": self.note,
         }
-
-
-def theta_margin(
-    cascade: MetaCascade, theta: np.ndarray | Sequence[float], contract_id: str
-) -> float:
-    """Meta-space distance from theta to the contract's failure set."""
-    if contract_id not in CONTRACT_IDS:
-        raise MarginGeometryError(f"unknown contract id {contract_id!r}")
-    constituents = [cascade.box_distance(np.asarray(theta, dtype=float))]
-    if contract_id in _FLIP_SENSITIVE:
-        constituents.append(cascade.flip_distance(np.asarray(theta, dtype=float)))
-    return max(min(constituents), 0.0)
 
 
 def rolling_means(values: Sequence[float]) -> list[float]:
@@ -260,5 +248,16 @@ class SafetyReadout:
 def all_margins(
     cascade: MetaCascade, theta: np.ndarray | Sequence[float]
 ) -> dict[str, float]:
-    """Meta-space margin of every contract at one meta point."""
-    return {cid: theta_margin(cascade, theta, cid) for cid in CONTRACT_IDS}
+    """Meta-space margin of every contract at one meta point.
+
+    Every contract's failure set includes the box boundary; NP-C1's and
+    GNN-C1's also include the decay sign-flip surface. A margin is the
+    distance to the nearest of these, floored at zero outside the box.
+    """
+    theta = np.asarray(theta, dtype=float)
+    box = cascade.box_distance(theta)
+    nearer = min(box, cascade.flip_distance(theta))
+    return {
+        cid: max(nearer if cid in _FLIP_SENSITIVE else box, 0.0)
+        for cid in CONTRACT_IDS
+    }

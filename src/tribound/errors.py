@@ -41,7 +41,3 @@ class EnforcementError(TriboundError):
 
 class TraceQueryError(TriboundError):
     """Requested time has no recorded snapshot."""
-
-
-class MarginGeometryError(TriboundError):
-    """No failure-set geometry is available for the requested margin."""

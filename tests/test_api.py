@@ -8,7 +8,6 @@ ROOT_API = [
     "ConditionReport",
     "ContractVerdict",
     "EnforcementError",
-    "MarginGeometryError",
     "ModulationBoundError",
     "SCENARIOS",
     "Scenario",

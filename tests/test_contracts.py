@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from tribound import (
     CONTRACT_IDS,
     ContractVerdict,
-    MarginGeometryError,
     SystemConfig,
     apply_overrides,
     run,
@@ -30,7 +29,6 @@ from tribound.contracts import (
     contract_thresholds,
     ml2_increase,
     rolling_means,
-    theta_margin,
 )
 from tribound.meta import (
     ADAPT_BASE_PERTURBATION,
@@ -63,20 +61,18 @@ def test_quantity_margin(base_config):
     cascade = MetaCascade(base_config)
     inside = np.array([0.25, 0.0, 0.0, 0.0])
     outside = np.array([2.0, 0.0, 0.0, 0.0])
-    assert theta_margin(cascade, inside, "NP-C2") == 0.75
-    for cid in CONTRACT_IDS:
-        assert theta_margin(cascade, outside, cid) == 0.0
+    assert all_margins(cascade, inside)["NP-C2"] == 0.75
+    assert all_margins(cascade, outside) == dict.fromkeys(CONTRACT_IDS, 0.0)
 
 
 def test_theta_margin_geometry(base_config):
     cascade = MetaCascade(base_config)
     zero = np.zeros(base_config.meta_dim)
-    assert theta_margin(cascade, zero, "NP-C2") == base_config.theta_box
+    margins = all_margins(cascade, zero)
+    assert margins["NP-C2"] == base_config.theta_box
     flip = cascade.flip_distance(zero)
-    assert theta_margin(cascade, zero, "NP-C1") == pytest.approx(flip, rel=1e-12)
+    assert margins["NP-C1"] == pytest.approx(flip, rel=1e-12)
     assert flip < base_config.theta_box
-    with pytest.raises(MarginGeometryError):
-        theta_margin(cascade, zero, "XX-C9")
 
 
 def test_margin_dispatch(base_config):
@@ -95,7 +91,7 @@ def test_margin_dispatch(base_config):
     assert flip < cascade.box_distance(zero)
     for theta, flip_sensitive in ((deep, box), (zero, flip)):
         margins = all_margins(cascade, theta)
-        assert margins == {cid: theta_margin(cascade, theta, cid) for cid in CONTRACT_IDS}
+        assert tuple(margins) == CONTRACT_IDS
         assert margins["NP-C1"] == margins["GNN-C1"] == flip_sensitive
         for cid in ("NP-C2", "MARL-C1", "ML-C1", "ML-C2"):
             assert margins[cid] == cascade.box_distance(theta)
