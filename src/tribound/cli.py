@@ -231,15 +231,15 @@ def _print_run_summary(trace: Trace) -> None:
             ["quantity", "value"],
             [
                 ["scenario", trace.scenario_name],
-                ["seed", trace.seed],
+                ["seed", trace.config.seed],
                 ["duration (s)", trace.duration],
                 ["fast ticks", trace.ticks],
-                ["coordination cycles", trace.marl_cycles],
-                ["meta cycles", trace.meta_cycles],
+                ["coordination cycles", len(trace.marl_records)],
+                ["meta cycles", len(trace.meta_records)],
                 ["contract failures", trace.fail_count],
                 ["margin alarms", trace.alarm_count],
-                ["final max weight norm", float(np.linalg.norm(trace.final_weights, axis=1).max()) if trace.final_weights.size else 0.0],
-                ["halted early", trace.halted],
+                ["final max weight norm", _max_weight_norm(trace, trace.ticks)],
+                ["halted early", trace.halt_reason is not None],
             ],
         )
     )
@@ -258,8 +258,7 @@ def _print_run_summary(trace: Trace) -> None:
     print(_table(["contract", "status", "measured", "threshold", "margin", "alarm"], rows))
 
 
-def _print_verification(trace: Trace) -> VerificationReport:
-    report = verify(trace)
+def _print_replay(report: VerificationReport) -> None:
     rows = [
         [c.check_id, _status(c.passed, "skipped"), c.worst, c.bound, c.note]
         for c in report.checks
@@ -267,20 +266,20 @@ def _print_verification(trace: Trace) -> VerificationReport:
     print()
     print("trace replay against the closed-form ceilings")
     print(_table(["check", "status", "worst", "ceiling", "note"], rows))
-    return report
 
 
 def _verdict(
-    expected: str, clean: bool, conclusive: bool, confirmed: bool,
+    expected: str, confirmed: bool, conclusive: bool,
     held: str, breached: str, scope: str = "",
 ) -> int:
-    """Print the verdict line; return the exit status. A clean run passes
-    only with one conclusive replay check; a violation must be confirmed."""
+    """Print the verdict line; return the exit status. A run expected to
+    hold passes only when confirmed clean with one conclusive replay check;
+    a violation must be confirmed."""
     if expected != "none":
         outcome = "confirmed" if confirmed else "NOT reproduced"
         line = f"expected outcome ({expected}) {outcome}{scope}"
         status = CONFIRMED_EXIT if confirmed else UNEXPECTED_EXIT
-    elif not clean:
+    elif not confirmed:
         line, status = breached, UNEXPECTED_EXIT
     elif not conclusive:
         line, status = "no evidence: every replay check was skipped", UNEXPECTED_EXIT
@@ -294,14 +293,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = _build_config(args)
     scenario = get_scenario(args.scenario)
     trace = run(scenario, config=config, seed=args.seed, duration=args.duration)
+    report = verify(trace)
     _print_run_summary(trace)
-    report = _print_verification(trace)
+    _print_replay(report)
     if args.out:
         trace.save(Path(args.out) / f"trace_{scenario.name}")
-    confirmed = confirm_expectation(scenario, trace, base_config=config)
     return _verdict(
-        scenario.expected, confirmed and report.all_passed,
-        any(check.passed is not None for check in report.checks), confirmed,
+        scenario.expected, confirm_expectation(scenario, trace, report, config),
+        any(check.passed is not None for check in report.checks),
         "all contracts held and the trace fits the ceilings",
         "unexpected contract failure or ceiling breach",
     )
@@ -347,6 +346,13 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     return PASS_EXIT
 
 
+def _max_weight_norm(trace: Trace, ticks: int) -> float:
+    """Largest agent weight norm after the given number of fast ticks."""
+    if ticks:
+        return float(trace.max_weight_norm[ticks - 1])
+    return float(np.linalg.norm(trace.snap_weights[0], axis=1).max())
+
+
 def _tick_value(trace: Trace, t: float) -> float:
     index = int(round(t / trace.config.tau1)) - 1
     return float(trace.max_weight_norm[index])
@@ -369,7 +375,6 @@ def _report_delta_zero(trace: Trace, config: SystemConfig) -> dict[str, Any]:
             [[row["t"], row["envelope"], row["measured"]] for row in rows],
         )
     )
-    _print_verification(trace)
     return {"rows": rows, "fail_count": trace.fail_count}
 
 
@@ -424,7 +429,6 @@ def _report_slow_marl(trace: Trace, config: SystemConfig) -> dict[str, Any]:
             ],
         )
     )
-    _print_verification(trace)
     return {
         "phi_base": phi_base,
         "phi_slow": phi_slow,
@@ -467,13 +471,15 @@ class _Counterexample:
     """How one counterexample reports its run.
 
     report prints the scenario's own tables and returns its JSON payload, or
-    None when the run holds nothing to confirm; confirmed and not_reproduced
-    are the two verdict lines.
+    None when the run holds nothing to confirm; the replay table follows
+    them when replayed is set. confirmed and not_reproduced are the two
+    verdict lines.
     """
 
     report: Callable[[Trace, SystemConfig], dict[str, Any] | None]
     confirmed: str
     not_reproduced: str
+    replayed: bool = False
 
 
 _COUNTEREXAMPLES = {
@@ -481,6 +487,7 @@ _COUNTEREXAMPLES = {
         _report_delta_zero,
         "unbounded growth confirmed; no stationary regime exists",
         "expected growth NOT reproduced",
+        replayed=True,
     ),
     "no_clamp": _Counterexample(
         _report_no_clamp,
@@ -491,6 +498,7 @@ _COUNTEREXAMPLES = {
         _report_slow_marl,
         "contracts hold per cycle but the guarantee degrades as expected",
         "expected degradation NOT reproduced",
+        replayed=True,
     ),
     "crafted_margin_breach": _Counterexample(
         _report_margin_breach,
@@ -510,11 +518,14 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     example = _COUNTEREXAMPLES[args.name]
     scenario = get_scenario(args.name)
     trace = run(scenario, config=config, seed=args.seed, duration=args.duration)
+    report = verify(trace)
     payload = example.report(trace, config)
+    if example.replayed:
+        _print_replay(report)
     if payload is None:
         status, payload = UNEXPECTED_EXIT, {"confirmed": False}
     else:
-        confirmed = confirm_expectation(scenario, trace, base_config=config)
+        confirmed = confirm_expectation(scenario, trace, report, config)
         payload["confirmed"] = confirmed
         print("\nverdict: " + (example.confirmed if confirmed else example.not_reproduced))
         status = CONFIRMED_EXIT if confirmed else UNEXPECTED_EXIT
@@ -538,10 +549,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         trace = run(
             scenario, config=config, seed=base_seed + offset, duration=args.duration
         )
+        report = verify(trace)
         fail_total += trace.fail_count
         alarm_total += trace.alarm_count
-        confirmations.append(confirm_expectation(scenario, trace, base_config=config))
-        for check in verify(trace).checks:
+        confirmations.append(confirm_expectation(scenario, trace, report, config))
+        for check in report.checks:
             tally = tallies.setdefault(
                 check.check_id,
                 {"pass": 0, "fail": 0, "skip": 0, "worst": None, "bound": check.bound},
@@ -562,9 +574,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"{fail_total} contract failures, {alarm_total} margin alarms"
     )
     print(_table(["check", "pass", "fail", "skip", "worst", "ceiling"], rows))
-    # A scenario expected to hold confirms only a run without contract
-    # failures, alarms or a halt.
-    all_clean = all(confirmations) and all(t["fail"] == 0 for t in tallies.values())
     if args.out:
         _write_json(
             args.out,
@@ -578,8 +587,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             },
         )
     return _verdict(
-        scenario.expected, all_clean,
-        any(t["pass"] or t["fail"] for t in tallies.values()), all(confirmations),
+        scenario.expected, all(confirmations),
+        any(t["pass"] or t["fail"] for t in tallies.values()),
         "every seed fits the ceilings",
         "at least one seed breached a ceiling or contract",
         " on every seed",

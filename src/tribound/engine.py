@@ -289,13 +289,11 @@ class _Run:
         self.snap_times = [0.0]
         self.snap_weights = [self.weights.copy()]
         self.snap_embeddings = [self.encoder.encode(self.weights)]
-        self.policy_times = [0.0]
         self.policy_snaps = [self.policy.theta.copy()]
         self.meta_times = [0.0]
         self.meta_snaps = [self.theta.theta.copy()]
         self.marl_records: list[dict[str, Any]] = []
         self.meta_records: list[dict[str, Any]] = []
-        self.k_inner_history: list[int] = []
         if scenario.record_policy_tv:
             self.prev_dists = policy_distributions(
                 self.policy.theta, self.snap_embeddings[0], cfg
@@ -440,7 +438,6 @@ class _Run:
             self.snap_times.append(boundary)
             self.snap_weights.append(self.weights.copy())
             self.snap_embeddings.append(ideal)
-            self.policy_times.append(boundary)
             self.policy_snaps.append(self.policy.theta.copy())
             self.marl_k += 1
         return True
@@ -466,22 +463,6 @@ class _Run:
             trial = adaptation_trial(
                 self.cascade, self.theta.theta, self.reference_policy, self.probes, cfg
             )
-            self.k_inner_history.append(trial.k_inner)
-            self.monitor.observe(
-                "ML-C1", boundary, trial.t_adapt, self.margins["ML-C1"], force_log=True
-            )
-            increase = ml2_increase(self.k_inner_history)
-            undecided = increase is None
-            self.monitor.observe(
-                "ML-C2",
-                boundary,
-                math.nan if undecided else increase,
-                self.margins["ML-C2"],
-                inconclusive=undecided,
-                force_log=True,
-                note=f"{len(self.k_inner_history)} trials so far" if undecided else "",
-            )
-
             self.meta_records.append(
                 {
                     "t": boundary,
@@ -499,6 +480,20 @@ class _Run:
                     "margins_after": dict(self.margins),
                 }
             )
+            self.monitor.observe(
+                "ML-C1", boundary, trial.t_adapt, self.margins["ML-C1"], force_log=True
+            )
+            increase = ml2_increase([rec["k_inner"] for rec in self.meta_records])
+            undecided = increase is None
+            self.monitor.observe(
+                "ML-C2",
+                boundary,
+                math.nan if undecided else increase,
+                self.margins["ML-C2"],
+                inconclusive=undecided,
+                force_log=True,
+                note=f"{len(self.meta_records)} trials so far" if undecided else "",
+            )
             self.meta_times.append(boundary)
             self.meta_snaps.append(self.theta.theta.copy())
             self.meta_k += 1
@@ -515,11 +510,7 @@ class _Run:
             config=self.cfg,
             scenario_name=self.scenario.name,
             expected=self.scenario.expected,
-            seed=self.cfg.seed,
             duration=self.horizon,
-            ticks=ticks_done,
-            marl_cycles=self.marl_k - 1,
-            meta_cycles=self.meta_k - 1,
             step_norms=self.step_norms[:ticks_done],
             clamped=self.clamped[:ticks_done],
             max_weight_norm=self.max_weight_norm[:ticks_done],
@@ -527,7 +518,6 @@ class _Run:
             snap_times=self.snap_times,
             snap_weights=self.snap_weights,
             snap_embeddings=self.snap_embeddings,
-            policy_times=self.policy_times,
             policy_snaps=self.policy_snaps,
             meta_times=self.meta_times,
             meta_snaps=self.meta_snaps,
@@ -537,8 +527,6 @@ class _Run:
             last_verdicts=last_verdicts,
             fail_count=monitor.fail_count,
             alarm_count=monitor.alarm_count,
-            final_weights=self.weights,
-            halted=self.halt_reason is not None,
             halt_reason=self.halt_reason,
         )
 
@@ -619,8 +607,8 @@ _POLICY_TV = (lambda trace: trace.tick_policy_tv is not None,
 _STABLE = (lambda trace: trace.config.delta < 0.0,
            "closed-form ceiling undefined in the unstable regime")
 _TICKS = (lambda trace: trace.ticks > 0, "no fast ticks recorded")
-_CYCLE = (lambda trace: trace.marl_cycles > 0, "no complete coordination cycle recorded")
-_META_CYCLE = (lambda trace: trace.meta_cycles > 0, "no complete meta cycle recorded")
+_CYCLE = (lambda trace: bool(trace.marl_records), "no complete coordination cycle recorded")
+_META_CYCLE = (lambda trace: bool(trace.meta_records), "no complete meta cycle recorded")
 
 # The closed-form quantities in the unstable regime, where none exists: a
 # ceiling computed from them is NaN.
@@ -762,14 +750,24 @@ def verify(trace: Trace, report: BoundReport | None = None) -> VerificationRepor
 
 
 def confirm_expectation(
-    scenario: Scenario, trace: Trace, base_config: SystemConfig | None = None
+    scenario: Scenario,
+    trace: Trace,
+    report: VerificationReport,
+    base_config: SystemConfig | None = None,
 ) -> bool:
-    """Did the run demonstrate what the scenario exists to demonstrate?"""
+    """Did the run demonstrate what the scenario exists to demonstrate?
+
+    report is verify(trace). A scenario expected to hold confirms only a run
+    without contract failures, alarms, a halt or a failed replay check.
+    """
     base = SystemConfig() if base_config is None else base_config
     if scenario.expected == "none":
-        return trace.fail_count == 0 and trace.alarm_count == 0 and not trace.halted
+        return (
+            trace.fail_count == 0 and trace.alarm_count == 0
+            and trace.halt_reason is None and report.all_passed
+        )
     if scenario.expected == "growth":
-        return verify(trace).check("non_accumulation").passed is False
+        return report.check("non_accumulation").passed is False
     if scenario.expected == "step_violation":
         return any(
             v.contract_id == "NP-C1" and v.passed is False for v in trace.events

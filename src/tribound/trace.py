@@ -28,20 +28,19 @@ _META_COLUMNS = (
 class Trace:
     """Everything one run recorded.
 
-    Per-tick streams are dense arrays; weight, embedding, policy, and meta
-    snapshots are taken at t = 0 and at every boundary of the owning loop.
-    Snapshot queries must hit a recorded time; a miss raises with the
-    nearest recorded times named.
+    Per-tick streams are dense arrays. Weight, embedding and policy
+    snapshots are taken at the snap_times: t = 0 and every coordination
+    boundary; meta snapshots at the meta_times: t = 0 and every meta
+    boundary. Each fact is held once: the seed is config.seed, the cycle
+    counts are the lengths of the record lists, and a run halted when
+    halt_reason is set. Snapshot queries must hit a recorded time; a miss
+    raises with the nearest recorded times named.
     """
 
     config: SystemConfig
     scenario_name: str
     expected: str
-    seed: int
     duration: float
-    ticks: int
-    marl_cycles: int
-    meta_cycles: int
     step_norms: np.ndarray
     clamped: np.ndarray
     max_weight_norm: np.ndarray
@@ -49,7 +48,6 @@ class Trace:
     snap_times: list[float]
     snap_weights: list[np.ndarray]
     snap_embeddings: list[np.ndarray]
-    policy_times: list[float]
     policy_snaps: list[np.ndarray]
     meta_times: list[float]
     meta_snaps: list[np.ndarray]
@@ -59,9 +57,12 @@ class Trace:
     last_verdicts: dict[str, ContractVerdict]
     fail_count: int
     alarm_count: int
-    final_weights: np.ndarray
-    halted: bool
     halt_reason: str | None
+
+    @property
+    def ticks(self) -> int:
+        """Fast ticks run."""
+        return len(self.max_weight_norm)
 
     @staticmethod
     def _lookup(times: list[float], t: float, kind: str) -> int:
@@ -83,7 +84,7 @@ class Trace:
         return self.snap_embeddings[self._lookup(self.snap_times, t, "embedding")]
 
     def policy_at(self, t: float) -> np.ndarray:
-        return self.policy_snaps[self._lookup(self.policy_times, t, "policy")]
+        return self.policy_snaps[self._lookup(self.snap_times, t, "policy")]
 
     def meta_at(self, t: float) -> np.ndarray:
         return self.meta_snaps[self._lookup(self.meta_times, t, "meta")]
@@ -92,14 +93,14 @@ class Trace:
         return {
             "scenario": self.scenario_name,
             "expected": self.expected,
-            "seed": self.seed,
+            "seed": self.config.seed,
             "duration": self.duration,
             "ticks": self.ticks,
-            "marl_cycles": self.marl_cycles,
-            "meta_cycles": self.meta_cycles,
+            "marl_cycles": len(self.marl_records),
+            "meta_cycles": len(self.meta_records),
             "fail_count": self.fail_count,
             "alarm_count": self.alarm_count,
-            "halted": self.halted,
+            "halted": self.halt_reason is not None,
             "halt_reason": self.halt_reason,
             "config": config_to_dict(self.config),
             "config_hash": config_hash(self.config),
@@ -148,7 +149,7 @@ class Trace:
         for name, times, snaps, prefix in (
             ("weights", self.snap_times, self.snap_weights, "w"),
             ("embeddings", self.snap_times, self.snap_embeddings, "e"),
-            ("policy", self.policy_times, self.policy_snaps, "p"),
+            ("policy", self.snap_times, self.policy_snaps, "p"),
             ("meta", self.meta_times, self.meta_snaps, "m"),
         ):
             columns = [f"{prefix}{j}" for j in range(snaps[0].shape[-1])]

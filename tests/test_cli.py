@@ -2,6 +2,9 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from tribound import cli, engine
 from tribound.cli import CONFIRMED_EXIT, PASS_EXIT, UNEXPECTED_EXIT, main
 
 
@@ -159,3 +162,28 @@ def test_verify_exits_one_when_a_run_halts(capsys):
     assert "halted early           yes" in capsys.readouterr().out
     assert main(["verify", "--seeds", "1", "--duration", "4", *overrides]) == UNEXPECTED_EXIT
     assert "verdict: at least one seed breached" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, replays",
+    [
+        (["counterexample", "delta_zero", "--duration", "20"], CONFIRMED_EXIT, 1),
+        (["simulate", "--scenario", "delta_zero", "--duration", "20"], CONFIRMED_EXIT, 1),
+        (
+            ["verify", "--scenario", "delta_zero", "--seeds", "2", "--duration", "20"],
+            CONFIRMED_EXIT,
+            2,
+        ),
+    ],
+    ids=["counterexample", "simulate", "verify"],
+)
+def test_each_run_verb_replays_each_trace_once(monkeypatch, argv, exit_code, replays):
+    calls = []
+    for module in (cli, engine):
+        def counted(*args, _verify=module.verify, **kwargs):
+            calls.append(1)
+            return _verify(*args, **kwargs)
+
+        monkeypatch.setattr(module, "verify", counted)
+    assert main(argv) == exit_code
+    assert len(calls) == replays

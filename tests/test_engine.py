@@ -62,12 +62,12 @@ def test_baseline_trace_shape(short_baseline):
     cfg = trace.config
     assert trace.scenario_name == "baseline"
     assert trace.ticks == 500
-    assert trace.marl_cycles == 5
-    assert trace.meta_cycles == 0
+    assert len(trace.marl_records) == 5
+    assert trace.meta_records == []
     assert trace.step_norms.shape == (500, cfg.n_agents)
     assert trace.max_weight_norm.shape == (500,)
     assert trace.fail_count == 0 and trace.alarm_count == 0
-    assert not trace.halted
+    assert trace.halt_reason is None
     assert trace.snap_times == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
 
 
@@ -77,7 +77,7 @@ def test_baseline_contracts_hold(short_baseline):
     for cid in ("NP-C1", "NP-C2", "MARL-C1", "GNN-C1"):
         verdict = trace.last_verdicts[cid]
         assert verdict.passed is True and not verdict.alarm
-    assert confirm_expectation(get_scenario("baseline"), trace)
+    assert confirm_expectation(get_scenario("baseline"), trace, verify(trace))
 
 
 def test_trace_time_queries(short_baseline):
@@ -95,7 +95,7 @@ def test_runs_are_bit_identical():
     a = run("baseline", duration=4.0, seed=5)
     b = run("baseline", duration=4.0, seed=5)
     np.testing.assert_array_equal(a.step_norms, b.step_norms)
-    np.testing.assert_array_equal(a.final_weights, b.final_weights)
+    np.testing.assert_array_equal(a.snap_weights[-1], b.snap_weights[-1])
     np.testing.assert_array_equal(a.max_weight_norm, b.max_weight_norm)
     assert a.metadata() == b.metadata()
 
@@ -103,7 +103,7 @@ def test_runs_are_bit_identical():
 def test_seed_changes_the_trace():
     a = run("baseline", duration=4.0, seed=5)
     b = run("baseline", duration=4.0, seed=6)
-    assert not np.array_equal(a.final_weights, b.final_weights)
+    assert not np.array_equal(a.snap_weights[-1], b.snap_weights[-1])
 
 
 def test_saved_traces_are_byte_identical(tmp_path: Path):
@@ -259,7 +259,7 @@ def test_delta_zero_growth_confirmed():
     assert growth.worst > SLOPE_TOL
     ceiling_free = report.check("per_tick_step_norm")
     assert ceiling_free.passed is None  # no stable regime, nothing to verify
-    assert confirm_expectation(scenario, trace)
+    assert confirm_expectation(scenario, trace, report)
 
 
 def test_delta_zero_matches_growth_envelope():
@@ -279,14 +279,14 @@ def test_no_clamp_violates_step_contract():
     assert any(
         e.contract_id == "NP-C1" and e.passed is False for e in trace.events
     )
-    assert confirm_expectation(scenario, trace)
+    assert confirm_expectation(scenario, trace, verify(trace))
 
 
 def test_slow_marl_degrades_cycle_ceiling():
     scenario = get_scenario("slow_marl")
     trace = run(scenario, duration=10.0)
     assert trace.config.tau2 == 20.0
-    assert confirm_expectation(scenario, trace)
+    assert confirm_expectation(scenario, trace, verify(trace))
 
 
 def test_crafted_breach_is_detected():
@@ -298,13 +298,23 @@ def test_crafted_breach_is_detected():
     assert record["applied"] is True  # forced through for the exercise
     assert trace.alarm_count > 0
     assert min(record["margins_after"].values()) == 0.0
-    assert confirm_expectation(scenario, trace)
+    assert confirm_expectation(scenario, trace, verify(trace))
 
 
 def test_confirm_expectation_rejects_dirty_baseline():
     scenario = get_scenario("baseline")
     dirty = run("no_clamp", duration=10.0)
-    assert not confirm_expectation(scenario, dirty)
+    assert not confirm_expectation(scenario, dirty, verify(dirty))
+
+
+def test_confirm_expectation_rejects_a_clean_run_with_a_failed_replay(short_baseline):
+    """A run expected to hold confirms only when its replay also passes."""
+    scenario = get_scenario("baseline")
+    report = verify(short_baseline)
+    assert confirm_expectation(scenario, short_baseline, report)
+    failed = dataclasses.replace(report.checks[0], passed=False)
+    breached = engine.VerificationReport((failed, *report.checks[1:]))
+    assert not confirm_expectation(scenario, short_baseline, breached)
 
 
 def test_registry_is_frozen():
@@ -346,7 +356,7 @@ def test_saved_numeric_cells_round_trip_bit_for_bit(tmp_path: Path):
     for name, times, snaps in (
         ("snapshots_weights.csv", trace.snap_times, trace.snap_weights),
         ("snapshots_embeddings.csv", trace.snap_times, trace.snap_embeddings),
-        ("snapshots_policy.csv", trace.policy_times, trace.policy_snaps),
+        ("snapshots_policy.csv", trace.snap_times, trace.policy_snaps),
         ("snapshots_meta.csv", trace.meta_times, trace.meta_snaps),
     ):
         columns = _csv_columns(tmp_path / name)
@@ -428,7 +438,7 @@ def test_boundaries_and_snapshot_queries_hold_at_tiny_periods():
         {"tau1": 1e-12, "tau2": 1e-10, "tau3": 1e-9, "n_agents": 2, "weight_dim": 4},
     )
     trace = run("baseline", config=cfg, duration=3e-10)
-    assert (trace.ticks, trace.marl_cycles, trace.meta_cycles) == (300, 3, 0)
+    assert (trace.ticks, len(trace.marl_records), len(trace.meta_records)) == (300, 3, 0)
     assert trace.snap_times == [0.0, 1e-10, 2e-10, 3e-10]
     for t, weights in zip(trace.snap_times, trace.snap_weights):
         assert trace.weights_at(t) is weights
