@@ -192,7 +192,7 @@ class SensitivityRow:
     parameter: str
     factor: float
     eps_total: float
-    elasticity: float
+    elasticity: float | None
     reference: float | None
     deviation: float | None
 
@@ -216,8 +216,8 @@ def elasticity_sweep(
     """Exact recomputation of the total bound under parameter scaling.
 
     Elasticity is the relative response ratio (total(f)/total(1) - 1)
-    divided by (f - 1). The eta1 sweep deliberately holds the step cap
-    fixed, reproducing clamping dominance.
+    divided by (f - 1), or None when total(1) is 0. The eta1 sweep
+    deliberately holds the step cap fixed, reproducing clamping dominance.
     """
     if parameter not in SWEEPABLE:
         raise ValidationError(
@@ -231,7 +231,10 @@ def elasticity_sweep(
         if factor == 1.0:
             raise ValidationError("sweep factors must differ from 1")
         swept_total = _swept_total(config, parameter, factor)
-        elasticity = (swept_total / base_total - 1.0) / (factor - 1.0)
+        elasticity = (
+            None if base_total == 0.0
+            else (swept_total / base_total - 1.0) / (factor - 1.0)
+        )
         reference = REFERENCE_TOTALS.get((parameter, factor))
         deviation = None
         if reference is not None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -48,7 +49,7 @@ from .model import (
     load_config_path,
     validate_conditions,
 )
-from .trace import Trace
+from .trace import TIME_TOL, Trace
 
 PASS_EXIT = 0
 UNEXPECTED_EXIT = 1
@@ -80,6 +81,12 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     for row in cells:
         lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip())
     return "\n".join(lines)
+
+
+def _ratio(numerator: float, denominator: float) -> float | None:
+    """numerator / denominator, or None (printed "-") when the denominator
+    is 0, as when a bound underflows."""
+    return None if denominator == 0.0 else numerator / denominator
 
 
 def _status(passed: bool | None, undecided: str) -> str:
@@ -172,7 +179,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                 rep.eps_coord,
                 rep.eps_meta,
                 rep.eps_total,
-                100.0 * rep.eps_coord / rep.eps_total,
+                _ratio(100.0 * rep.eps_coord, rep.eps_total),
                 rep.j_star,
                 100.0 * rep.relative_subopt,
             ]
@@ -354,8 +361,9 @@ def _max_weight_norm(trace: Trace, ticks: int) -> float:
 
 
 def _tick_value(trace: Trace, t: float) -> float:
-    index = int(round(t / trace.config.tau1)) - 1
-    return float(trace.max_weight_norm[index])
+    """The max weight norm at the last recorded tick at or before time t."""
+    ticks = int(math.floor(t / trace.config.tau1 + TIME_TOL))
+    return _max_weight_norm(trace, min(ticks, trace.ticks))
 
 
 def _report_delta_zero(trace: Trace, config: SystemConfig) -> dict[str, Any]:
@@ -423,7 +431,7 @@ def _report_slow_marl(trace: Trace, config: SystemConfig) -> dict[str, Any]:
                 ["ceiling at stretched periods", phi_slow],
                 ["total bound at baseline periods", total_base],
                 ["total bound at stretched periods", total_slow],
-                ["degradation factor", total_slow / total_base],
+                ["degradation factor", _ratio(total_slow, total_base)],
                 ["reference factor", "about 10"],
                 ["contract failures in run", trace.fail_count],
             ],

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from tribound import cli, engine
+from tribound import SystemConfig, apply_overrides, cli, engine, run
+from tribound.bounds import SWEEPABLE
 from tribound.cli import CONFIRMED_EXIT, PASS_EXIT, UNEXPECTED_EXIT, main
 
 
@@ -187,3 +188,59 @@ def test_each_run_verb_replays_each_trace_once(monkeypatch, argv, exit_code, rep
         monkeypatch.setattr(module, "verify", counted)
     assert main(argv) == exit_code
     assert len(calls) == replays
+
+
+def test_delta_zero_reads_the_last_tick_before_an_off_grid_horizon(tmp_path: Path, capsys):
+    """At tau1=0.07 the 100 s horizon falls between ticks 1428 and 1429; the
+    run ends at tick 1428, and the table reads that tick."""
+    overrides = ["--set", "tau1=0.07"]
+    argv = ["counterexample", "delta_zero", "--duration", "100", *overrides]
+    assert main([*argv, "--out", str(tmp_path)]) == CONFIRMED_EXIT
+    assert "Traceback" not in capsys.readouterr().err
+    [row] = json.loads((tmp_path / "counterexample_delta_zero.json").read_text())["rows"]
+    config = apply_overrides(SystemConfig(), {"tau1": 0.07})
+    trace = run("delta_zero", config=config, duration=100.0)
+    assert (row["t"], trace.ticks) == (100.0, 1428)
+    assert row["measured"] == trace.max_weight_norm[-1]
+
+
+def _line(out: str, start: str) -> str:
+    return next(line for line in out.splitlines() if line.startswith(start))
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, undefined",
+    [
+        # the decomposition row's coordination share
+        (["bounds"], PASS_EXIT, lambda out: [_line(out, "30 ").split()[5]]),
+        # every elasticity
+        (
+            ["sensitivity"],
+            PASS_EXIT,
+            lambda out: [
+                line.split()[3] for line in out.splitlines()
+                if line.split(" ", 1)[0] in SWEEPABLE
+            ],
+        ),
+        (
+            ["counterexample", "slow_marl", "--duration", "0"],
+            CONFIRMED_EXIT,
+            lambda out: [_line(out, "degradation factor").split()[-1]],
+        ),
+    ],
+    ids=["bounds", "sensitivity", "counterexample_slow_marl"],
+)
+def test_a_total_bound_of_zero_reports_its_ratios_as_undefined(
+    tmp_path: Path, capsys, argv, exit_code, undefined
+):
+    """Every term of the total bound underflows to 0, so the coordination
+    share, the elasticity and the degradation factor divide by 0: each is
+    printed as "-"."""
+    overrides = ["--set", "lip_pi=1e-300", "--set", "r_max=1e-300", "--set", "delta_np=1e-300"]
+    assert main([*argv, *overrides, "--out", str(tmp_path)]) == exit_code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert set(undefined(captured.out)) == {"-"}
+    if argv[0] == "sensitivity":
+        rows = json.loads((tmp_path / "sensitivity.json").read_text())["rows"]
+        assert {row["elasticity"] for row in rows} == {None}
