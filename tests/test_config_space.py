@@ -1,5 +1,6 @@
 """Every config that passes validate() completes or fails with a TriboundError."""
 import contextlib
+import json
 
 import pytest
 from hypothesis import given, reject, strategies as st
@@ -9,11 +10,15 @@ from tribound import (
     TriboundError,
     ValidationError,
     apply_overrides,
+    config_to_dict,
+    elasticity_sweep,
     run,
     total_bound,
     validate_conditions,
     verify,
 )
+from tribound.bounds import SWEEPABLE
+from tribound.cli import main
 from tribound.model import _FINITE_FLOAT, _POSITIVE_FLOAT
 
 # Kept small so that a run of a few hundred ticks stays quick.
@@ -54,13 +59,21 @@ def validated_configs(draw) -> tuple[SystemConfig, float]:
 
 @pytest.mark.filterwarnings("ignore:learning rates do not satisfy")
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@given(validated_configs())
-def test_validated_configs_complete_or_raise_a_tribound_error(drawn):
+@given(drawn=validated_configs())
+def test_validated_configs_complete_or_raise_a_tribound_error(drawn, tmp_path_factory):
     config, duration = drawn
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps(config_to_dict(config)))
     for call in (
         lambda: total_bound(config),
         lambda: validate_conditions(config),
         lambda: verify(run("baseline", config=config, duration=duration)),
+        *(
+            lambda p=parameter: elasticity_sweep(config, p, [2.0, 0.5])
+            for parameter in SWEEPABLE
+        ),
+        # main reports a TriboundError as "error: ..." and returns 1.
+        lambda: main(["bounds", "--config", str(path)]),
     ):
         with contextlib.suppress(TriboundError):
             call()
