@@ -193,8 +193,7 @@ def test_each_run_verb_replays_each_trace_once(monkeypatch, argv, exit_code, rep
 def test_delta_zero_reads_the_last_tick_before_an_off_grid_horizon(tmp_path: Path, capsys):
     """At tau1=0.07 the 100 s horizon falls between ticks 1428 and 1429; the
     run ends at tick 1428, and the table reads that tick."""
-    overrides = ["--set", "tau1=0.07"]
-    argv = ["counterexample", "delta_zero", "--duration", "100", *overrides]
+    argv = ["counterexample", "delta_zero", "--duration", "100", "--set", "tau1=0.07"]
     assert main([*argv, "--out", str(tmp_path)]) == CONFIRMED_EXIT
     assert "Traceback" not in capsys.readouterr().err
     [row] = json.loads((tmp_path / "counterexample_delta_zero.json").read_text())["rows"]
