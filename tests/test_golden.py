@@ -1,5 +1,5 @@
 """Golden fixture: sha256 of every saved trace file and of the verify report,
-and of the stdout and --out JSON of the CLI verbs that print run results.
+and of the exit code, stdout and --out JSON of every CLI verb.
 
 A change that claims to leave behaviour alone must keep this test green. A
 deliberate change of trace bytes or of the random-stream layout rewrites the
@@ -73,6 +73,9 @@ CLI_CASES: dict[str, list[str]] = {
     "verify_two_seeds": ["verify", "--seeds", "2", "--duration", "10"],
     "simulate_baseline": ["simulate", "--duration", "20"],
     "simulate_no_clamp": ["simulate", "--scenario", "no_clamp", "--duration", "10"],
+    "bounds_three_sizes": ["bounds", "--n", "10,30,100"],
+    "conditions": ["conditions"],
+    "sensitivity": ["sensitivity"],
 }
 
 
