@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationError, EnforcementError, StructuralError
-from .model import PolicyParams, SystemConfig
+from .model import SystemConfig
 from .seeding import stream_rng, unit_rows
 
 BACKTRACK_CAP = 60
@@ -68,19 +68,6 @@ class EmbeddingEncoder:
         self.eps_gnn = float(eps_gnn)
         self.seed = int(seed)
 
-    @classmethod
-    def from_config(cls, config: SystemConfig) -> "EmbeddingEncoder":
-        rng = stream_rng(config.seed, "encoder")
-        raw = rng.standard_normal((config.embed_dim, config.weight_dim))
-        raw /= math.sqrt(config.weight_dim)
-        cal_rng = stream_rng(config.seed, "calibration")
-        norm = power_opnorm(raw, cal_rng)
-        if norm == 0.0:
-            raise CalibrationError("degenerate encoder draw has zero operator norm")
-        matrix = raw * (config.lip_phi / norm)
-        return cls(matrix, config.encoder_squash, config.eps_gnn,
-                   config.seed)
-
     def encode(self, weights: np.ndarray) -> np.ndarray:
         """Ideal embeddings: (..., n_agents, weight_dim) -> (..., n_agents, embed_dim)."""
         embeddings = np.atleast_2d(np.asarray(weights, dtype=float)) @ self.matrix.T
@@ -90,7 +77,17 @@ class EmbeddingEncoder:
 
 
 def make_encoder(config: SystemConfig) -> EmbeddingEncoder:
-    return EmbeddingEncoder.from_config(config)
+    """The config's encoder: a seeded matrix calibrated to operator norm lip_phi."""
+    raw = stream_rng(config.seed, "encoder").standard_normal(
+        (config.embed_dim, config.weight_dim)
+    )
+    raw /= math.sqrt(config.weight_dim)
+    norm = power_opnorm(raw, stream_rng(config.seed, "calibration"))
+    if norm == 0.0:
+        raise CalibrationError("degenerate encoder draw has zero operator norm")
+    return EmbeddingEncoder(
+        raw * (config.lip_phi / norm), config.encoder_squash, config.eps_gnn, config.seed
+    )
 
 
 def realized_embeddings(weights: np.ndarray, encoder: EmbeddingEncoder, cycle: int
@@ -233,12 +230,12 @@ class MarlStepInfo:
 
 
 def marl_step(
-    params: PolicyParams,
+    theta: np.ndarray,
     aggregated: np.ndarray,
     config: SystemConfig,
     target_map: PolicyTarget,
     probes: np.ndarray,
-) -> tuple[PolicyParams, MarlStepInfo]:
+) -> tuple[np.ndarray, MarlStepInfo]:
     """One coordination update of the shared policy.
 
     Gradient ascent on the negated squared distance to the target of the
@@ -248,7 +245,6 @@ def marl_step(
     """
     aggregated = np.atleast_2d(np.asarray(aggregated, dtype=float))
     mean_aggregate = aggregated.mean(axis=0)
-    theta = params.theta
     target = target_map(mean_aggregate)
     step = -2.0 * config.eta2 * (theta - target)
     before = policy_distributions(theta, probes, config)
@@ -262,7 +258,7 @@ def marl_step(
                 halvings=halvings,
                 target_distance=float(np.linalg.norm(candidate - target)),
             )
-            return PolicyParams(candidate), info
+            return candidate, info
         step = 0.5 * step
     raise EnforcementError(
         "trust-region backtracking exhausted without fitting the cap"

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -49,7 +48,7 @@ from .model import (
     load_config_path,
     validate_conditions,
 )
-from .trace import TIME_TOL, Trace
+from .trace import Trace, ticks_by
 
 PASS_EXIT = 0
 UNEXPECTED_EXIT = 1
@@ -81,6 +80,13 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     for row in cells:
         lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip())
     return "\n".join(lines)
+
+
+def _quantities(rows: Sequence[tuple[str, str | None, Any]]) -> dict[str, Any]:
+    """Print a quantity table of (label, JSON key or None, value) rows;
+    return the keyed values, the rows' JSON payload."""
+    print(_table(["quantity", "value"], [[label, value] for label, _, value in rows]))
+    return {key: value for _, key, value in rows if key is not None}
 
 
 def _ratio(numerator: float, denominator: float) -> float | None:
@@ -362,8 +368,7 @@ def _max_weight_norm(trace: Trace, ticks: int) -> float:
 
 def _tick_value(trace: Trace, t: float) -> float:
     """The max weight norm at the last recorded tick at or before time t."""
-    ticks = int(math.floor(t / trace.config.tau1 + TIME_TOL))
-    return _max_weight_norm(trace, min(ticks, trace.ticks))
+    return _max_weight_norm(trace, min(ticks_by(t, trace.config.tau1), trace.ticks))
 
 
 def _report_delta_zero(trace: Trace, config: SystemConfig) -> dict[str, Any]:
@@ -389,60 +394,36 @@ def _report_delta_zero(trace: Trace, config: SystemConfig) -> dict[str, Any]:
 def _report_no_clamp(trace: Trace, config: SystemConfig) -> dict[str, Any]:
     cfg = trace.config
     clamped_cfg = apply_overrides(cfg, {"enforce_clamp": True})
-    phi_off = phi_max(cfg)
-    phi_on = phi_max(clamped_cfg)
     ratio = intrinsic_step_bound(rule_from_config(cfg), cfg) / cfg.delta_np
-    scaled_total = ratio * total_bound(clamped_cfg).eps_total
     print("per-cycle embedding drift ceiling with the step clamp disabled")
-    print(
-        _table(
-            ["quantity", "value"],
-            [
-                ["ceiling with clamp", phi_on],
-                ["ceiling without clamp", phi_off],
-                ["intrinsic-to-cap step ratio", ratio],
-                ["reference ratio", "about 21"],
-                ["scaled total bound", scaled_total],
-                ["reference scaled total", "about 1577"],
-                ["per-tick cap failures in run", trace.fail_count],
-            ],
-        )
+    return _quantities(
+        [
+            ("ceiling with clamp", "phi_with_clamp", phi_max(clamped_cfg)),
+            ("ceiling without clamp", "phi_without_clamp", phi_max(cfg)),
+            ("intrinsic-to-cap step ratio", "step_ratio", ratio),
+            ("reference ratio", None, "about 21"),
+            ("scaled total bound", "scaled_total", ratio * total_bound(clamped_cfg).eps_total),
+            ("reference scaled total", None, "about 1577"),
+            ("per-tick cap failures in run", "fail_count", trace.fail_count),
+        ]
     )
-    return {
-        "phi_with_clamp": phi_on,
-        "phi_without_clamp": phi_off,
-        "step_ratio": ratio,
-        "scaled_total": scaled_total,
-        "fail_count": trace.fail_count,
-    }
 
 
 def _report_slow_marl(trace: Trace, config: SystemConfig) -> dict[str, Any]:
-    phi_slow = phi_max(trace.config)
-    phi_base = phi_max(config)
     total_slow = total_bound(trace.config).eps_total
     total_base = total_bound(config).eps_total
     print("timescale stretch: drift ceiling and total bound degradation")
-    print(
-        _table(
-            ["quantity", "value"],
-            [
-                ["ceiling at baseline periods", phi_base],
-                ["ceiling at stretched periods", phi_slow],
-                ["total bound at baseline periods", total_base],
-                ["total bound at stretched periods", total_slow],
-                ["degradation factor", _ratio(total_slow, total_base)],
-                ["reference factor", "about 10"],
-                ["contract failures in run", trace.fail_count],
-            ],
-        )
+    return _quantities(
+        [
+            ("ceiling at baseline periods", "phi_base", phi_max(config)),
+            ("ceiling at stretched periods", "phi_slow", phi_max(trace.config)),
+            ("total bound at baseline periods", "total_base", total_base),
+            ("total bound at stretched periods", "total_slow", total_slow),
+            ("degradation factor", None, _ratio(total_slow, total_base)),
+            ("reference factor", None, "about 10"),
+            ("contract failures in run", None, trace.fail_count),
+        ]
     )
-    return {
-        "phi_base": phi_base,
-        "phi_slow": phi_slow,
-        "total_base": total_base,
-        "total_slow": total_slow,
-    }
 
 
 def _report_margin_breach(trace: Trace, config: SystemConfig) -> dict[str, Any] | None:
@@ -451,27 +432,22 @@ def _report_margin_breach(trace: Trace, config: SystemConfig) -> dict[str, Any] 
         return None
     rec = trace.meta_records[0]
     print("gate response to a meta step crafted to reach the box boundary")
-    print(
-        _table(
-            ["quantity", "value"],
-            [
-                ["candidate step norm", rec["step_norm"]],
-                ["smallest margin before", rec["min_margin"]],
-                ["margins positive (M1)", rec["m1"]],
-                ["step within budget (M2)", rec["m2"]],
-                ["step under margin (M3)", rec["m3"]],
-                ["step forced through", rec["applied"]],
-                ["smallest margin after", min(rec["margins_after"].values())],
-                ["margin alarms in run", trace.alarm_count],
-            ],
-        )
+    payload = _quantities(
+        [
+            ("candidate step norm", None, rec["step_norm"]),
+            ("smallest margin before", None, rec["min_margin"]),
+            ("margins positive (M1)", None, rec["m1"]),
+            ("step within budget (M2)", None, rec["m2"]),
+            ("step under margin (M3)", None, rec["m3"]),
+            ("step forced through", None, rec["applied"]),
+            ("smallest margin after", None, min(rec["margins_after"].values())),
+            ("margin alarms in run", "alarm_count", trace.alarm_count),
+        ]
     )
-    return {
-        "meta_record": {
-            k: v for k, v in rec.items() if k not in ("margins_before", "margins_after")
-        },
-        "alarm_count": trace.alarm_count,
+    payload["meta_record"] = {
+        k: v for k, v in rec.items() if k not in ("margins_before", "margins_after")
     }
+    return payload
 
 
 @dataclasses.dataclass(frozen=True)

@@ -62,10 +62,9 @@ from .meta import (
     adaptation_trial,
     cascading_sensitivity,
     compatibility_check,
+    meta_point,
 )
 from .model import (
-    MetaParams,
-    PolicyParams,
     SystemConfig,
     apply_overrides,
     frozen_mask_for,
@@ -73,7 +72,7 @@ from .model import (
     validate,
 )
 from .seeding import stream_rng, unit_rows
-from .trace import TIME_TOL, Trace
+from .trace import TIME_TOL, Trace, ticks_by
 
 SLOPE_TOL = 1e-6
 _EPS = float(np.finfo(float).eps)
@@ -223,25 +222,20 @@ class _Run:
     falls due, the batch buffer is full, or the horizon ends, and records the
     block; _coordination_step and _meta_step then handle every boundary the
     block's last tick reached. Gains, rule, margins and policy change only
-    at those boundaries, so every tick of a block shares them.
+    at those boundaries, so every tick of a block shares them. Each method
+    records into self.trace, which finish() returns.
     """
 
     def __init__(self, scenario: Scenario, cfg: SystemConfig, horizon: float) -> None:
         self.scenario = scenario
         self.cfg = cfg
-        self.horizon = horizon
         n = cfg.n_agents
-        self.cascade = MetaCascade(
-            cfg,
-            theta_star=None
-            if scenario.theta_star is None
-            else np.asarray(scenario.theta_star, dtype=float),
-        )
+        self.cascade = MetaCascade(cfg, theta_star=scenario.theta_star)
         if scenario.theta_init is None:
-            self.theta = MetaParams(np.zeros(cfg.meta_dim))
+            self.theta = np.zeros(cfg.meta_dim)
         else:
-            self.theta = MetaParams(np.asarray(scenario.theta_init, dtype=float))
-        self.rule = self.cascade.rule_for(self.theta.theta)
+            self.theta = meta_point(scenario.theta_init, cfg, "theta_init")
+        self.rule = self.cascade.rule_for(self.theta)
 
         self.frozen = frozen_mask_for(cfg)
         self.weights = initial_weights(cfg)
@@ -260,9 +254,9 @@ class _Run:
         self.safety = SafetyReadout(self.weights, danger, self.frozen)
         self.work = FastWorkspace(n, self.frozen)
 
-        self.policy = PolicyParams(np.zeros(cfg.n_actions * cfg.embed_dim))
+        self.policy = np.zeros(cfg.n_actions * cfg.embed_dim)
         self.monitor = Monitor(cfg)
-        self.margins = all_margins(self.cascade, self.theta.theta)
+        self.margins = all_margins(self.cascade, self.theta)
         if scenario.unit_gain:
             self.gains = np.ones(n)
         else:
@@ -275,33 +269,39 @@ class _Run:
             # by page.
             self.obs = np.empty((chunk, 2, n, cfg.weight_dim))
 
-        self.ticks = int(math.floor(horizon / cfg.tau1 + TIME_TOL))
+        # The ticks the horizon holds; finish() cuts the per-tick arrays to
+        # the ticks run.
+        self.ticks = ticks_by(horizon, cfg.tau1)
         try:
-            self.step_norms = np.zeros((self.ticks, n))
-            self.clamped = np.zeros((self.ticks, n), dtype=bool)
-            self.max_weight_norm = np.zeros(self.ticks)
-            self.tick_policy_tv = np.zeros(self.ticks) if scenario.record_policy_tv else None
+            step_norms = np.zeros((self.ticks, n))
+            clamped = np.zeros((self.ticks, n), dtype=bool)
+            max_weight_norm = np.zeros(self.ticks)
+            tick_policy_tv = np.zeros(self.ticks) if scenario.record_policy_tv else None
         except (ValueError, MemoryError) as exc:
             raise ValidationError(f"{self.ticks:.3g} ticks x {n} agents: {exc}") from None
         batch = max(1, _BATCH_BYTES // (n * cfg.weight_dim * 8))
         self.block = np.empty((min(batch, self.ticks), n, cfg.weight_dim))
 
-        self.snap_times = [0.0]
-        self.snap_weights = [self.weights.copy()]
-        self.snap_embeddings = [self.encoder.encode(self.weights)]
-        self.policy_snaps = [self.policy.theta.copy()]
-        self.meta_times = [0.0]
-        self.meta_snaps = [self.theta.theta.copy()]
-        self.marl_records: list[dict[str, Any]] = []
-        self.meta_records: list[dict[str, Any]] = []
+        embeddings = self.encoder.encode(self.weights)
+        self.trace = Trace(
+            config=cfg,
+            scenario_name=scenario.name,
+            expected=scenario.expected,
+            duration=horizon,
+            step_norms=step_norms,
+            clamped=clamped,
+            max_weight_norm=max_weight_norm,
+            tick_policy_tv=tick_policy_tv,
+            snap_times=[0.0],
+            snap_weights=[self.weights.copy()],
+            snap_embeddings=[embeddings],
+            policy_snaps=[self.policy.copy()],
+            meta_times=[0.0],
+            meta_snaps=[self.theta.copy()],
+            events=self.monitor.events,
+        )
         if scenario.record_policy_tv:
-            self.prev_dists = policy_distributions(
-                self.policy.theta, self.snap_embeddings[0], cfg
-            )
-
-        self.marl_k = 1
-        self.meta_k = 1
-        self.halt_reason: str | None = None
+            self.prev_dists = policy_distributions(self.policy, embeddings, cfg)
 
     def _observations(
         self, i: int, weights: np.ndarray
@@ -339,20 +339,25 @@ class _Run:
 
     def _fast_block(self, start: int) -> int:
         """Run fast ticks from index start; return the index after the last."""
-        cfg = self.cfg
+        cfg, trace = self.cfg, self.trace
         stop = min(self.ticks, start + self.block.shape[0])
         self.work.set_gains(cfg.eta1, self.gains)
+        # The next coordination or meta boundary; the block ends at the tick
+        # that reaches it.
+        due = min(
+            (len(trace.marl_records) + 1) * cfg.tau2,
+            (len(trace.meta_records) + 1) * cfg.tau3,
+        )
         weights = self.weights
         for i in range(start, stop):
             x_pre, x_post = self._observations(i, weights)
             new_weights = self.block[i - start]
             hebbian_tick(
                 self.rule, cfg, weights, x_pre, x_post, self.work,
-                new_weights, self.step_norms[i], self.clamped[i],
+                new_weights, trace.step_norms[i], trace.clamped[i],
             )
             weights = new_weights
-            t = (i + 1) * cfg.tau1 * (1.0 + TIME_TOL)
-            if self.marl_k * cfg.tau2 <= t or self.meta_k * cfg.tau3 <= t:
+            if due <= (i + 1) * cfg.tau1 * (1.0 + TIME_TOL):
                 stop = i + 1
                 break
         # Copied out before _record_block squares the block in place.
@@ -362,34 +367,33 @@ class _Run:
 
     def _record_block(self, start: int, stop: int) -> None:
         """Per-tick norms, NP-C1, NP-C2 and policy TV of ticks start..stop-1."""
+        trace = self.trace
         block = self.block[: stop - start]
         times = (np.arange(start, stop) + 1) * self.cfg.tau1
         self.monitor.observe_block(
             times,
             {
-                "NP-C1": self.step_norms[start:stop].max(axis=1),
+                "NP-C1": trace.step_norms[start:stop].max(axis=1),
                 "NP-C2": self.safety.deltas(block),
             },
             self.margins,
         )
-        if self.tick_policy_tv is not None:
-            dists = policy_distributions(
-                self.policy.theta, self.encoder.encode(block), self.cfg
-            )
+        if trace.tick_policy_tv is not None:
+            dists = policy_distributions(self.policy, self.encoder.encode(block), self.cfg)
             previous = np.concatenate((self.prev_dists[None], dists[:-1]))
-            self.tick_policy_tv[start:stop] = tv_rows(dists, previous).max(axis=1)
+            trace.tick_policy_tv[start:stop] = tv_rows(dists, previous).max(axis=1)
             self.prev_dists = dists[-1]
         # Last use of the block: square it in place, not into a second buffer.
-        self.max_weight_norm[start:stop] = row_norms(block, squares=block).max(axis=1)
+        trace.max_weight_norm[start:stop] = row_norms(block, squares=block).max(axis=1)
 
     def _coordination_step(self, ticks_done: int) -> bool:
         """Every coordination boundary the last tick reached; False on a halt."""
-        cfg = self.cfg
+        cfg, trace = self.cfg, self.trace
         t = ticks_done * cfg.tau1 * (1.0 + TIME_TOL)
-        while self.marl_k * cfg.tau2 <= t:
-            boundary = self.marl_k * cfg.tau2
+        while (cycle := len(trace.marl_records) + 1) * cfg.tau2 <= t:
+            boundary = cycle * cfg.tau2
             realized, ideal, error_norms = realized_embeddings(
-                self.weights, self.encoder, self.marl_k
+                self.weights, self.encoder, cycle
             )
             aggregated = self.mix @ realized
             if not self.scenario.unit_gain:
@@ -400,7 +404,7 @@ class _Run:
                     self.policy, aggregated, cfg, self.target_map, self.probes
                 )
             except EnforcementError as exc:
-                self.halt_reason = f"coordination update at t={boundary!r}: {exc}"
+                trace.halt_reason = f"coordination update at t={boundary!r}: {exc}"
                 return False
             self.monitor.observe(
                 "MARL-C1", boundary, info.tv_step, self.margins["MARL-C1"],
@@ -409,7 +413,7 @@ class _Run:
             if self.rule.delta < 0.0:
                 ceiling = weight_norm_ceiling(self.rule)
                 gnn_precondition_ok = (
-                    float(self.max_weight_norm[ticks_done - 1]) <= ceiling + 1e-9
+                    float(trace.max_weight_norm[ticks_done - 1]) <= ceiling + 1e-9
                 )
             else:
                 gnn_precondition_ok = True
@@ -424,7 +428,7 @@ class _Run:
                 if gnn_precondition_ok
                 else "precondition breach: weight norm beyond the invariant ball",
             )
-            self.marl_records.append(
+            trace.marl_records.append(
                 {
                     "t": boundary,
                     "tv_step": info.tv_step,
@@ -433,37 +437,36 @@ class _Run:
                     "subopt_proxy": cfg.lip_pi * info.target_distance,
                 }
             )
-            if self.tick_policy_tv is not None:
-                self.prev_dists = policy_distributions(self.policy.theta, ideal, cfg)
-            self.snap_times.append(boundary)
-            self.snap_weights.append(self.weights.copy())
-            self.snap_embeddings.append(ideal)
-            self.policy_snaps.append(self.policy.theta.copy())
-            self.marl_k += 1
+            if trace.tick_policy_tv is not None:
+                self.prev_dists = policy_distributions(self.policy, ideal, cfg)
+            trace.snap_times.append(boundary)
+            trace.snap_weights.append(self.weights.copy())
+            trace.snap_embeddings.append(ideal)
+            trace.policy_snaps.append(self.policy.copy())
         return True
 
     def _meta_step(self, ticks_done: int) -> None:
         """Every meta boundary the last tick reached."""
-        cfg = self.cfg
+        cfg, trace = self.cfg, self.trace
         t = ticks_done * cfg.tau1 * (1.0 + TIME_TOL)
-        while self.meta_k * cfg.tau3 <= t:
-            boundary = self.meta_k * cfg.tau3
+        while (cycle := len(trace.meta_records) + 1) * cfg.tau3 <= t:
+            boundary = cycle * cfg.tau3
             margins_before = dict(self.margins)
             candidate, grad_norm = self.cascade.step(self.theta)
-            step_norm = float(np.linalg.norm(candidate.theta - self.theta.theta))
+            step_norm = float(np.linalg.norm(candidate - self.theta))
             verdict = compatibility_check(
                 step_norm, [(cid, self.margins[cid]) for cid in CONTRACT_IDS], cfg
             )
             applied = verdict.passed or self.scenario.force_meta
             if applied:
                 self.theta = candidate
-                self.rule = self.cascade.rule_for(self.theta.theta)
-                self.margins = all_margins(self.cascade, self.theta.theta)
+                self.rule = self.cascade.rule_for(self.theta)
+                self.margins = all_margins(self.cascade, self.theta)
 
             trial = adaptation_trial(
-                self.cascade, self.theta.theta, self.reference_policy, self.probes, cfg
+                self.cascade, self.theta, self.reference_policy, self.probes, cfg
             )
-            self.meta_records.append(
+            trace.meta_records.append(
                 {
                     "t": boundary,
                     "step_norm": step_norm,
@@ -483,7 +486,7 @@ class _Run:
             self.monitor.observe(
                 "ML-C1", boundary, trial.t_adapt, self.margins["ML-C1"], force_log=True
             )
-            increase = ml2_increase([rec["k_inner"] for rec in self.meta_records])
+            increase = ml2_increase([rec["k_inner"] for rec in trace.meta_records])
             undecided = increase is None
             self.monitor.observe(
                 "ML-C2",
@@ -492,43 +495,28 @@ class _Run:
                 self.margins["ML-C2"],
                 inconclusive=undecided,
                 force_log=True,
-                note=f"{len(self.meta_records)} trials so far" if undecided else "",
+                note=f"{len(trace.meta_records)} trials so far" if undecided else "",
             )
-            self.meta_times.append(boundary)
-            self.meta_snaps.append(self.theta.theta.copy())
-            self.meta_k += 1
+            trace.meta_times.append(boundary)
+            trace.meta_snaps.append(self.theta.copy())
 
-    def trace(self, ticks_done: int) -> Trace:
-        monitor = self.monitor
-        last_verdicts = {
+    def finish(self, ticks_done: int) -> Trace:
+        """The trace, its per-tick arrays cut to the ticks run, with the
+        monitor's counts and latest verdicts."""
+        trace, monitor = self.trace, self.monitor
+        trace.step_norms = trace.step_norms[:ticks_done]
+        trace.clamped = trace.clamped[:ticks_done]
+        trace.max_weight_norm = trace.max_weight_norm[:ticks_done]
+        if trace.tick_policy_tv is not None:
+            trace.tick_policy_tv = trace.tick_policy_tv[:ticks_done]
+        trace.last_verdicts = {
             cid: verdict
             for cid in CONTRACT_IDS
             if (verdict := monitor.latest(cid)) is not None
         }
-        tv = self.tick_policy_tv
-        return Trace(
-            config=self.cfg,
-            scenario_name=self.scenario.name,
-            expected=self.scenario.expected,
-            duration=self.horizon,
-            step_norms=self.step_norms[:ticks_done],
-            clamped=self.clamped[:ticks_done],
-            max_weight_norm=self.max_weight_norm[:ticks_done],
-            tick_policy_tv=None if tv is None else tv[:ticks_done],
-            snap_times=self.snap_times,
-            snap_weights=self.snap_weights,
-            snap_embeddings=self.snap_embeddings,
-            policy_snaps=self.policy_snaps,
-            meta_times=self.meta_times,
-            meta_snaps=self.meta_snaps,
-            marl_records=self.marl_records,
-            meta_records=self.meta_records,
-            events=monitor.events,
-            last_verdicts=last_verdicts,
-            fail_count=monitor.fail_count,
-            alarm_count=monitor.alarm_count,
-            halt_reason=self.halt_reason,
-        )
+        trace.fail_count = monitor.fail_count
+        trace.alarm_count = monitor.alarm_count
+        return trace
 
 
 def run(
@@ -552,7 +540,7 @@ def run(
         if not state._coordination_step(done):
             break
         state._meta_step(done)
-    return state.trace(done)
+    return state.finish(done)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import StructuralError, ValidationError
 from .hebbian import HebbianRule, rule_from_config
-from .model import MetaParams, SystemConfig
+from .model import SystemConfig
 from .seeding import stream_rng
 
 META_LOSS_SMOOTHNESS = 1.0
@@ -46,6 +46,20 @@ def meta_target(config: SystemConfig) -> np.ndarray:
         raw[0] = 1.0
         norm = 1.0
     return 0.004 * raw / norm
+
+
+def meta_point(values, config: SystemConfig, name: str) -> np.ndarray:
+    """values as a meta point: meta_dim finite numbers, else StructuralError."""
+    try:
+        point = np.asarray(values, dtype=float)
+        valid = point.shape == (config.meta_dim,) and bool(np.isfinite(point).all())
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise StructuralError(
+            f"{name} must be {config.meta_dim} finite numbers, got {values!r}"
+        )
+    return point
 
 
 def sensitivity_matrix(config: SystemConfig) -> np.ndarray:
@@ -131,16 +145,14 @@ class MetaCascade:
     here.
     """
 
-    def __init__(self, config: SystemConfig, theta_star: np.ndarray | None = None):
+    def __init__(self, config: SystemConfig, theta_star=None):
         self.config = config
         self.base_rule = rule_from_config(config)
         self.matrix = sensitivity_matrix(config)
         if theta_star is None:
-            theta_star = meta_target(config)
-        theta_star = np.asarray(theta_star, dtype=float)
-        if theta_star.shape != (config.meta_dim,):
-            raise StructuralError("meta target dimension mismatch")
-        self.theta_star = theta_star
+            self.theta_star = meta_target(config)
+        else:
+            self.theta_star = meta_point(theta_star, config, "theta_star")
 
     def raw_coefficients(self, theta: np.ndarray) -> np.ndarray:
         base = np.array(
@@ -191,15 +203,16 @@ class MetaCascade:
             grad = grad * (self.config.g_max / norm)
         return grad
 
-    def step(self, params: MetaParams) -> tuple[MetaParams, float]:
+    def step(self, theta: np.ndarray) -> tuple[np.ndarray, float]:
         """One slow gradient step, clipped and boxed.
 
-        Returns the new parameters and the applied gradient norm.
+        Returns the new meta point and the applied gradient norm.
         """
-        grad = self.clipped_gradient(params.theta)
-        candidate = params.theta - self.config.eta3 * grad
-        candidate = np.clip(candidate, -self.config.theta_box, self.config.theta_box)
-        return MetaParams(candidate), float(np.linalg.norm(grad))
+        grad = self.clipped_gradient(theta)
+        candidate = np.clip(
+            theta - self.config.eta3 * grad, -self.config.theta_box, self.config.theta_box
+        )
+        return candidate, float(np.linalg.norm(grad))
 
 
 def adaptation_trial(

@@ -77,7 +77,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import SchemaError, StructuralError, ValidationError
+from .errors import SchemaError, ValidationError
 from .seeding import stream_rng, unit_rows
 
 
@@ -354,32 +354,6 @@ def validate_conditions(config: SystemConfig) -> ConditionReport:
     )
 
     return ConditionReport(checks=(s1, s2, s3, s4, s5))
-
-
-@dataclass(frozen=True)
-class PolicyParams:
-    """Shared policy parameter vector (flattened action-by-embedding matrix)."""
-
-    theta: np.ndarray
-
-    def __post_init__(self) -> None:
-        theta = np.asarray(self.theta, dtype=float)
-        if theta.ndim != 1 or not np.all(np.isfinite(theta)):
-            raise StructuralError("policy parameters must be a finite 1-d vector")
-        object.__setattr__(self, "theta", theta)
-
-
-@dataclass(frozen=True)
-class MetaParams:
-    """Slow meta-parameter vector driving the synaptic rule."""
-
-    theta: np.ndarray
-
-    def __post_init__(self) -> None:
-        theta = np.asarray(self.theta, dtype=float)
-        if theta.ndim != 1 or not np.all(np.isfinite(theta)):
-            raise StructuralError("meta parameters must be a finite 1-d vector")
-        object.__setattr__(self, "theta", theta)
 
 
 def frozen_mask_for(config: SystemConfig) -> np.ndarray:

@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -16,6 +17,11 @@ from .model import SystemConfig, config_hash, config_to_dict
 # a boundary within this fraction of a tick's time falls due at that tick,
 # and a snapshot query within it of a recorded time hits that snapshot.
 TIME_TOL = 1e-9
+
+
+def ticks_by(t: float, tau1: float) -> int:
+    """Fast ticks done by time t; a tick within TIME_TOL of t counts."""
+    return int(math.floor(t / tau1 + TIME_TOL))
 
 _MARL_COLUMNS = ("t", "tv_step", "halvings", "target_distance", "subopt_proxy")
 _META_COLUMNS = (
@@ -33,7 +39,8 @@ class Trace:
     boundary; meta snapshots at the meta_times: t = 0 and every meta
     boundary. Each fact is held once: the seed is config.seed, the cycle
     counts are the lengths of the record lists, and a run halted when
-    halt_reason is set. Snapshot queries must hit a recorded time; a miss
+    halt_reason is set. The records, events and counts start empty and a
+    run fills them as it goes. Snapshot queries must hit a recorded time; a miss
     raises with the nearest recorded times named.
     """
 
@@ -51,13 +58,13 @@ class Trace:
     policy_snaps: list[np.ndarray]
     meta_times: list[float]
     meta_snaps: list[np.ndarray]
-    marl_records: list[dict[str, Any]]
-    meta_records: list[dict[str, Any]]
-    events: list[ContractVerdict]
-    last_verdicts: dict[str, ContractVerdict]
-    fail_count: int
-    alarm_count: int
-    halt_reason: str | None
+    marl_records: list[dict[str, Any]] = field(default_factory=list)
+    meta_records: list[dict[str, Any]] = field(default_factory=list)
+    events: list[ContractVerdict] = field(default_factory=list)
+    last_verdicts: dict[str, ContractVerdict] = field(default_factory=dict)
+    fail_count: int = 0
+    alarm_count: int = 0
+    halt_reason: str | None = None
 
     @property
     def ticks(self) -> int:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tribound import StructuralError, SystemConfig, apply_overrides
+from tribound import EnforcementError, StructuralError, SystemConfig, apply_overrides
 from tribound.cascade import (
     EmbeddingEncoder,
     PolicyTarget,
@@ -21,7 +21,6 @@ from tribound.cascade import (
     realized_embeddings,
     tv_rows,
 )
-from tribound.model import PolicyParams
 from tribound.seeding import stream_rng
 
 
@@ -318,14 +317,14 @@ def test_marl_step_respects_trust_region(base_config):
     cfg = base_config
     target_map = PolicyTarget.from_config(cfg)
     probes = probe_embeddings(cfg)
-    params = PolicyParams(np.zeros(cfg.n_actions * cfg.embed_dim))
+    params = np.zeros(cfg.n_actions * cfg.embed_dim)
     rng = stream_rng(123, "observations")
     aggregated = rng.standard_normal((cfg.n_agents, cfg.embed_dim))
     new_params, info = marl_step(params, aggregated, cfg, target_map, probes)
     assert info.tv_step <= cfg.delta_pi
     assert info.halvings >= 0
     assert info.target_distance >= 0.0
-    assert np.abs(new_params.theta).max() <= cfg.policy_box
+    assert np.abs(new_params).max() <= cfg.policy_box
 
 
 def test_marl_step_converges_toward_target(base_config):
@@ -333,7 +332,7 @@ def test_marl_step_converges_toward_target(base_config):
     cfg = base_config
     target_map = PolicyTarget.from_config(cfg)
     probes = probe_embeddings(cfg)
-    params = PolicyParams(np.zeros(cfg.n_actions * cfg.embed_dim))
+    params = np.zeros(cfg.n_actions * cfg.embed_dim)
     aggregated = np.zeros((cfg.n_agents, cfg.embed_dim))
     distances = []
     for _ in range(5):
@@ -345,8 +344,23 @@ def test_marl_step_converges_toward_target(base_config):
 def test_marl_step_default_target(base_config):
     """The config's seeded target and probes, as the engine passes them."""
     cfg = base_config
-    params = PolicyParams(np.zeros(cfg.n_actions * cfg.embed_dim))
+    params = np.zeros(cfg.n_actions * cfg.embed_dim)
     aggregated = np.zeros((cfg.n_agents, cfg.embed_dim))
     target_map = PolicyTarget.from_config(cfg)
     _, info = marl_step(params, aggregated, cfg, target_map, probe_embeddings(cfg))
     assert info.tv_step <= cfg.delta_pi
+
+
+def test_marl_step_never_returns_a_non_finite_policy(base_config):
+    """A non-finite candidate moves the policy by a NaN total variation,
+    which fits no cap, so the trust region halts instead."""
+    cfg = base_config
+    dim = cfg.n_actions * cfg.embed_dim
+    target_map = PolicyTarget.from_config(cfg)
+    probes = probe_embeddings(cfg)
+    for theta, aggregated in (
+        (np.full(dim, np.nan), np.zeros((cfg.n_agents, cfg.embed_dim))),
+        (np.zeros(dim), np.full((cfg.n_agents, cfg.embed_dim), np.nan)),
+    ):
+        with pytest.raises(EnforcementError):
+            marl_step(theta, aggregated, cfg, target_map, probes)

@@ -10,6 +10,7 @@ import pytest
 from tribound import (
     SCENARIOS,
     Scenario,
+    StructuralError,
     SystemConfig,
     TraceQueryError,
     ValidationError,
@@ -55,6 +56,23 @@ def test_run_rejects_bad_duration():
         run("baseline", duration=-1.0)
     with pytest.raises(ValidationError):
         run("baseline", duration=math.inf)
+
+
+@pytest.mark.parametrize(
+    "field_name, point",
+    [
+        ("theta_init", (0.0, 0.0)),
+        ("theta_init", (0.0, math.nan, 0.0, 0.0)),
+        ("theta_init", ("a", "b", "c", "d")),
+        ("theta_star", (math.nan,) * 4),
+        ("theta_star", (0.0,) * 5),
+    ],
+    ids=["init_short", "init_nan", "init_text", "star_nan", "star_long"],
+)
+def test_a_scenario_meta_point_must_be_meta_dim_finite_numbers(field_name, point):
+    scenario = Scenario(name="x", description="", **{field_name: point})
+    with pytest.raises(StructuralError, match=f"^{field_name} must be 4 finite numbers"):
+        run(scenario, duration=1.0)
 
 
 def test_baseline_trace_shape(short_baseline):

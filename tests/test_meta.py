@@ -17,7 +17,6 @@ from tribound.meta import (
     meta_target,
     sensitivity_matrix,
 )
-from tribound.model import MetaParams
 
 
 def test_meta_target_radius(base_config):
@@ -105,19 +104,19 @@ def test_clipped_gradient(base_config):
 
 def test_meta_step_stays_in_box(base_config):
     cascade = MetaCascade(base_config, theta_star=np.array([50.0, 0.0, 0.0, 0.0]))
-    theta = MetaParams(np.full(4, base_config.theta_box))
+    theta = np.full(4, base_config.theta_box)
     new, grad_norm = cascade.step(theta)
-    assert float(np.abs(new.theta).max()) <= base_config.theta_box
+    assert float(np.abs(new).max()) <= base_config.theta_box
     assert grad_norm == pytest.approx(base_config.g_max, rel=1e-12)
 
 
 def test_meta_step_moves_toward_target(base_config):
     cascade = MetaCascade(base_config)
-    theta = MetaParams(np.zeros(base_config.meta_dim))
+    theta = np.zeros(base_config.meta_dim)
     for _ in range(3):
-        before = float(np.linalg.norm(theta.theta - cascade.theta_star))
+        before = float(np.linalg.norm(theta - cascade.theta_star))
         theta, _ = cascade.step(theta)
-        after = float(np.linalg.norm(theta.theta - cascade.theta_star))
+        after = float(np.linalg.norm(theta - cascade.theta_star))
         assert after < before
 
 
@@ -125,11 +124,11 @@ def test_meta_step_module_level(base_config):
     """One step against the config's seeded target, by its formula."""
     cascade = MetaCascade(base_config)
     np.testing.assert_array_equal(cascade.theta_star, meta_target(base_config))
-    theta = MetaParams(np.zeros(base_config.meta_dim))
+    theta = np.zeros(base_config.meta_dim)
     new, grad_norm = cascade.step(theta)
-    grad = theta.theta - cascade.theta_star  # norm 0.004, under g_max
+    grad = theta - cascade.theta_star  # norm 0.004, under g_max
     assert grad_norm == float(np.linalg.norm(grad))
-    np.testing.assert_array_equal(new.theta, theta.theta - base_config.eta3 * grad)
+    np.testing.assert_array_equal(new, theta - base_config.eta3 * grad)
 
 
 def test_theta_to_rule_accepts_both_forms(base_config):
@@ -138,7 +137,6 @@ def test_theta_to_rule_accepts_both_forms(base_config):
     point = np.array([0.01, -0.02, 0.0, 0.005])
     rule = cascade.rule_for(point)
     assert rule == cascade.rule_for(list(point))
-    assert rule == cascade.rule_for(MetaParams(point).theta)
     base = rule_from_config(base_config)
     shift = cascade.matrix @ point
     assert rule.alpha == pytest.approx(base.alpha + shift[0], rel=1e-14)

@@ -1,4 +1,4 @@
-"""Config schema, validation, start-time conditions, and state containers."""
+"""Config schema, validation, start-time conditions, and initial state."""
 import math
 
 import numpy as np
@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from tribound import (
     SchemaError,
-    StructuralError,
     SystemConfig,
     ValidationError,
     apply_overrides,
@@ -19,8 +18,6 @@ from tribound import (
     validate_conditions,
 )
 from tribound.model import (
-    MetaParams,
-    PolicyParams,
     config_to_json,
     frozen_mask_for,
     initial_weights,
@@ -186,21 +183,6 @@ def test_initial_weights_norms_for_any_seed(seed):
     )
     norms = np.linalg.norm(initial_weights(cfg), axis=1)
     np.testing.assert_allclose(norms, 2.5, rtol=1e-12)
-
-
-def test_policy_params_box():
-    """Policy parameters are a finite 1-d vector."""
-    theta = PolicyParams([1.0, 2.0]).theta
-    assert theta.dtype == float and theta.tolist() == [1.0, 2.0]
-    with pytest.raises(StructuralError):
-        PolicyParams(np.array([1.0, np.nan]))
-    with pytest.raises(StructuralError):
-        PolicyParams(np.zeros((2, 2)))
-
-
-def test_meta_params_guard():
-    with pytest.raises(StructuralError):
-        MetaParams(np.array([[0.0]]))
 
 
 def test_validate_is_pure(base_config):
