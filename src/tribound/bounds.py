@@ -231,9 +231,10 @@ def elasticity_sweep(
         if factor == 1.0:
             raise ValidationError("sweep factors must differ from 1")
         swept_total = _swept_total(config, parameter, factor)
+        # + 0.0 makes an unchanged total's elasticity 0.0, not -0.0 below 1.
         elasticity = (
             None if base_total == 0.0
-            else (swept_total / base_total - 1.0) / (factor - 1.0)
+            else (swept_total / base_total - 1.0) / (factor - 1.0) + 0.0
         )
         reference = REFERENCE_TOTALS.get((parameter, factor))
         deviation = None

@@ -137,6 +137,13 @@ def test_sweep_exact_elasticities(base_config):
     assert all(row.elasticity == 0.0 for row in eta1_rows)
 
 
+def test_an_unchanged_total_has_elasticity_positive_zero(base_config):
+    """The eta1 sweep leaves the total as it is; below a factor of 1 the
+    zero response divided by f - 1 < 0 must not print as -0."""
+    for row in elasticity_sweep(base_config, "eta1", [2.0, 0.5, 0.25]):
+        assert math.copysign(1.0, row.elasticity) == 1.0, row
+
+
 def test_sweep_doubling_lip_pi_doubles_total(base_config):
     base = total_bound(base_config).eps_total
     rows = elasticity_sweep(base_config, "lip_pi", [2.0])
