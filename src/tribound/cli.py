@@ -524,7 +524,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     scenario = get_scenario(args.scenario)
     if args.seeds < 1:
         raise TriboundError("--seeds must be at least 1")
-    base_seed = 0 if args.seed is None else args.seed
+    base_seed = config.seed if args.seed is None else args.seed
     tallies: dict[str, dict[str, Any]] = {}
     fail_total = 0
     alarm_total = 0
@@ -638,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario name",
     )
     p_ver.add_argument("--seeds", type=int, default=20, help="number of seeds")
-    p_ver.add_argument("--seed", type=int, help="first seed")
+    p_ver.add_argument("--seed", type=int, help="first seed (default: the config's)")
     p_ver.add_argument("--duration", type=float, help="run length in seconds")
     p_ver.set_defaults(func=cmd_verify)
 
@@ -650,7 +650,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TriboundError as exc:
+    except (TriboundError, OSError) as exc:
+        # An OSError here is an --out path that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return UNEXPECTED_EXIT
 

@@ -243,3 +243,32 @@ def test_a_total_bound_of_zero_reports_its_ratios_as_undefined(
     if argv[0] == "sensitivity":
         rows = json.loads((tmp_path / "sensitivity.json").read_text())["rows"]
         assert {row["elasticity"] for row in rows} == {None}
+
+
+def test_verify_starts_at_the_config_seed(tmp_path: Path, capsys):
+    """--set seed=7 replays seed 7, as --seed 7 does; seed 0 differs."""
+    outputs = []
+    for extra in (["--set", "seed=7"], ["--seed", "7"], []):
+        out_dir = tmp_path / str(len(outputs))
+        argv = ["verify", "--seeds", "1", "--duration", "4", "--out", str(out_dir), *extra]
+        code = main(argv)
+        report = (out_dir / "verify.json").read_text()
+        outputs.append((code, capsys.readouterr().out, report))
+    assert outputs[0] == outputs[1]
+    assert outputs[0] != outputs[2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bounds", "--out", "{file}"], ["simulate", "--duration", "0.1", "--out", "{file}/x"]],
+    ids=["bounds", "simulate"],
+)
+def test_an_out_path_that_cannot_be_written_fails_without_traceback(
+    tmp_path: Path, capsys, argv
+):
+    file = tmp_path / "file"
+    file.write_text("")
+    assert main([arg.format(file=file) for arg in argv]) == UNEXPECTED_EXIT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(file) in err
+    assert "Traceback" not in err
