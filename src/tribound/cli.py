@@ -651,7 +651,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (TriboundError, OSError) as exc:
-        # An OSError here is an --out path that cannot be written.
+        # OSError: a file the verb cannot write, such as --out under a file.
         print(f"error: {exc}", file=sys.stderr)
         return UNEXPECTED_EXIT
 

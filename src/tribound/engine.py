@@ -342,8 +342,7 @@ class _Run:
         cfg, trace = self.cfg, self.trace
         stop = min(self.ticks, start + self.block.shape[0])
         self.work.set_gains(cfg.eta1, self.gains)
-        # The next coordination or meta boundary; the block ends at the tick
-        # that reaches it.
+        # The next coordination or meta boundary; its tick ends the block.
         due = min(
             (len(trace.marl_records) + 1) * cfg.tau2,
             (len(trace.meta_records) + 1) * cfg.tau3,

@@ -14,6 +14,7 @@ with how far the meta parameters sit from their target.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -48,7 +49,7 @@ def meta_target(config: SystemConfig) -> np.ndarray:
     return 0.004 * raw / norm
 
 
-def meta_point(values, config: SystemConfig, name: str) -> np.ndarray:
+def meta_point(values: Sequence[float], config: SystemConfig, name: str) -> np.ndarray:
     """values as a meta point: meta_dim finite numbers, else StructuralError."""
     try:
         point = np.asarray(values, dtype=float)
@@ -145,7 +146,7 @@ class MetaCascade:
     here.
     """
 
-    def __init__(self, config: SystemConfig, theta_star=None):
+    def __init__(self, config: SystemConfig, theta_star: Sequence[float] | None = None):
         self.config = config
         self.base_rule = rule_from_config(config)
         self.matrix = sensitivity_matrix(config)

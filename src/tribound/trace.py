@@ -23,6 +23,7 @@ def ticks_by(t: float, tau1: float) -> int:
     """Fast ticks done by time t; a tick within TIME_TOL of t counts."""
     return int(math.floor(t / tau1 + TIME_TOL))
 
+
 _MARL_COLUMNS = ("t", "tv_step", "halvings", "target_distance", "subopt_proxy")
 _META_COLUMNS = (
     "t", "step_norm", "grad_norm", "m1", "m2", "m3", "predicted_dpi", "min_margin",
@@ -40,8 +41,8 @@ class Trace:
     boundary. Each fact is held once: the seed is config.seed, the cycle
     counts are the lengths of the record lists, and a run halted when
     halt_reason is set. The records, events and counts start empty and a
-    run fills them as it goes. Snapshot queries must hit a recorded time; a miss
-    raises with the nearest recorded times named.
+    run fills them as it goes. Snapshot queries must hit a recorded time;
+    a miss raises with the nearest recorded times named.
     """
 
     config: SystemConfig
