@@ -1,4 +1,6 @@
-"""The record of one run, Trace, and its file format, Trace.save."""
+"""The record of one run, Trace, and its file format, Trace.save: run.json,
+raw .npy files for the dense arrays, CSV for the MARL and meta records and
+JSON lines for the contract events."""
 from __future__ import annotations
 
 import json
@@ -115,63 +117,39 @@ class Trace:
         }
 
     def save(self, out_dir: str | Path) -> None:
-        """Write the whole trace as deterministic text files.
+        """Write the whole trace: run.json, the MARL and meta records as CSV,
+        the contract events as JSON lines, and each dense array as one raw
+        .npy file: the per-tick streams, policy_tv only when it was recorded,
+        and each snapshot list stacked along a new first axis, next to its
+        times.
 
-        steps.csv scales as ticks times agents; long runs produce large
-        files. Floats are written as the repr of Python floats, which
-        round-trips through float() exactly, so identical runs produce
-        byte-identical files on any numpy version.
+        An .npy file holds its array's dtype, shape and bytes, so it reads
+        back bit for bit with np.load(path, allow_pickle=False), and
+        identical runs write byte-identical files. Per-tick times are not
+        stored: tick i (from 0) ends at (i + 1) * tau1, as ticks_by counts.
         """
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        tau1 = self.config.tau1
 
         (out / "run.json").write_text(
             json.dumps(self.metadata(), sort_keys=True, indent=2) + "\n"
         )
 
-        with (out / "steps.csv").open("w") as fh:
-            fh.write("t,agent_id,step_norm,clamped\n")
-            for i in range(self.ticks):
-                t = repr((i + 1) * tau1)
-                fh.write(
-                    "".join(
-                        f"{t},{a},{norm!r},{int(flag)}\n"
-                        for a, (norm, flag) in enumerate(
-                            zip(self.step_norms[i].tolist(), self.clamped[i].tolist())
-                        )
-                    )
-                )
-
-        with (out / "series.csv").open("w") as fh:
-            norms = self.max_weight_norm.tolist()
-            if self.tick_policy_tv is None:
-                fh.write("t,max_weight_norm\n")
-                for i, norm in enumerate(norms):
-                    fh.write(f"{(i + 1) * tau1!r},{norm!r}\n")
-            else:
-                fh.write("t,max_weight_norm,policy_tv\n")
-                for i, (norm, tv) in enumerate(zip(norms, self.tick_policy_tv.tolist())):
-                    fh.write(f"{(i + 1) * tau1!r},{norm!r},{tv!r}\n")
-
-        for name, times, snaps, prefix in (
-            ("weights", self.snap_times, self.snap_weights, "w"),
-            ("embeddings", self.snap_times, self.snap_embeddings, "e"),
-            ("policy", self.snap_times, self.policy_snaps, "p"),
-            ("meta", self.meta_times, self.meta_snaps, "m"),
-        ):
-            columns = [f"{prefix}{j}" for j in range(snaps[0].shape[-1])]
-            if snaps[0].ndim == 1:
-                header = ["t", *columns]
-                rows = ((t, *snap.tolist()) for t, snap in zip(times, snaps))
-            else:  # weights and embeddings: one row per agent
-                header = ["t", "agent_id", *columns]
-                rows = (
-                    (t, a, *values)
-                    for t, snap in zip(times, snaps)
-                    for a, values in enumerate(snap.tolist())
-                )
-            _write_rows(out / f"snapshots_{name}.csv", header, rows)
+        arrays = {
+            "step_norms": self.step_norms,
+            "clamped": self.clamped,
+            "max_weight_norm": self.max_weight_norm,
+            "snap_times": np.array(self.snap_times, dtype=np.float64),
+            "weights": np.stack(self.snap_weights),
+            "embeddings": np.stack(self.snap_embeddings),
+            "policy": np.stack(self.policy_snaps),
+            "meta_times": np.array(self.meta_times, dtype=np.float64),
+            "meta": np.stack(self.meta_snaps),
+        }
+        if self.tick_policy_tv is not None:
+            arrays["policy_tv"] = self.tick_policy_tv
+        for name, array in arrays.items():
+            np.save(out / f"{name}.npy", array, allow_pickle=False)
 
         for name, columns, records in (
             ("marl", _MARL_COLUMNS, self.marl_records),

@@ -15,7 +15,7 @@ def test_simulate_baseline_passes(tmp_path: Path, capsys):
     )
     assert code == PASS_EXIT == 0
     assert "verdict: all contracts held" in capsys.readouterr().out
-    assert (tmp_path / "trace_baseline" / "steps.csv").is_file()
+    assert (tmp_path / "trace_baseline" / "step_norms.npy").is_file()
 
 
 def test_counterexample_delta_zero_confirms(capsys):

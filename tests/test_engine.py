@@ -130,7 +130,7 @@ def test_saved_traces_are_byte_identical(tmp_path: Path):
     run("baseline", duration=4.0, seed=1).save(a_dir)
     run("baseline", duration=4.0, seed=1).save(b_dir)
     files = sorted(p.name for p in a_dir.iterdir())
-    assert "run.json" in files and "steps.csv" in files
+    assert "run.json" in files and "step_norms.npy" in files
     match, mismatch, errors = filecmp.cmpfiles(a_dir, b_dir, files, shallow=False)
     assert mismatch == [] and errors == []
     assert sorted(match) == files
@@ -354,36 +354,61 @@ def _assert_cells_equal(cells: list[str], expected) -> None:
     np.testing.assert_array_equal(parsed.view(np.uint64), expected.view(np.uint64))
 
 
-def test_saved_numeric_cells_round_trip_bit_for_bit(tmp_path: Path):
+def _saved_arrays(trace, out_dir: Path) -> dict[str, np.ndarray]:
+    """Save the trace and load every .npy file it wrote, by file stem."""
+    trace.save(out_dir)
+    return {
+        path.stem: np.load(path, allow_pickle=False)
+        for path in sorted(out_dir.glob("*.npy"))
+    }
+
+
+def _saved_layout(trace) -> dict[str, tuple[np.dtype, tuple[int, ...]]]:
+    """The dtype and shape of each .npy file a save of the trace must write."""
+    cfg, ticks = trace.config, trace.ticks
+    snaps, metas = len(trace.snap_times), len(trace.meta_times)
+    f8 = np.dtype(np.float64)
+    layout = {
+        "step_norms": (f8, (ticks, cfg.n_agents)),
+        "clamped": (np.dtype(bool), (ticks, cfg.n_agents)),
+        "max_weight_norm": (f8, (ticks,)),
+        "snap_times": (f8, (snaps,)),
+        "weights": (f8, (snaps, cfg.n_agents, cfg.weight_dim)),
+        "embeddings": (f8, (snaps, cfg.n_agents, cfg.embed_dim)),
+        "policy": (f8, (snaps, trace.policy_snaps[0].size)),
+        "meta_times": (f8, (metas,)),
+        "meta": (f8, (metas, cfg.meta_dim)),
+    }
+    if trace.tick_policy_tv is not None:
+        layout["policy_tv"] = (f8, (ticks,))
+    return layout
+
+
+def test_saved_arrays_round_trip_bit_for_bit(tmp_path: Path):
     trace = run("baseline", duration=20.0, seed=3)
     assert trace.meta_records
-    trace.save(tmp_path)
-    tau1 = trace.config.tau1
-    ticks = np.arange(1, trace.ticks + 1) * tau1
+    saved = _saved_arrays(trace, tmp_path)
+    assert {name: (a.dtype, a.shape) for name, a in saved.items()} == _saved_layout(trace)
 
-    steps = _csv_columns(tmp_path / "steps.csv")
-    n = trace.config.n_agents
-    _assert_cells_equal(steps["t"], np.repeat(ticks, n))
-    _assert_cells_equal(steps["step_norm"], trace.step_norms)
-
-    series = _csv_columns(tmp_path / "series.csv")
-    _assert_cells_equal(series["t"], ticks)
-    _assert_cells_equal(series["max_weight_norm"], trace.max_weight_norm)
-    _assert_cells_equal(series["policy_tv"], trace.tick_policy_tv)
-
-    for name, times, snaps in (
-        ("snapshots_weights.csv", trace.snap_times, trace.snap_weights),
-        ("snapshots_embeddings.csv", trace.snap_times, trace.snap_embeddings),
-        ("snapshots_policy.csv", trace.snap_times, trace.policy_snaps),
-        ("snapshots_meta.csv", trace.meta_times, trace.meta_snaps),
+    for name, expected in (
+        ("step_norms", trace.step_norms),
+        ("clamped", trace.clamped),
+        ("max_weight_norm", trace.max_weight_norm),
+        ("policy_tv", trace.tick_policy_tv),
+        ("snap_times", trace.snap_times),
+        ("weights", np.stack(trace.snap_weights)),
+        ("embeddings", np.stack(trace.snap_embeddings)),
+        ("policy", np.stack(trace.policy_snaps)),
+        ("meta_times", trace.meta_times),
+        ("meta", np.stack(trace.meta_snaps)),
     ):
-        columns = _csv_columns(tmp_path / name)
-        rows_per_snap = snaps[0].shape[0] if snaps[0].ndim == 2 else 1
-        _assert_cells_equal(columns.pop("t"), np.repeat(times, rows_per_snap))
-        columns.pop("agent_id", None)
-        stacked = np.concatenate([np.atleast_2d(s) for s in snaps])
-        for j, cells in enumerate(columns.values()):
-            _assert_cells_equal(cells, stacked[:, j])
+        expected = np.asarray(expected)
+        if expected.dtype == bool:
+            np.testing.assert_array_equal(saved[name], expected)
+        else:
+            np.testing.assert_array_equal(
+                saved[name].view(np.uint64), expected.view(np.uint64)
+            )
 
     marl = _csv_columns(tmp_path / "marl.csv")
     for key in ("t", "tv_step", "target_distance", "subopt_proxy"):
@@ -391,6 +416,32 @@ def test_saved_numeric_cells_round_trip_bit_for_bit(tmp_path: Path):
     meta = _csv_columns(tmp_path / "meta.csv")
     for key in ("t", "step_norm", "grad_norm", "predicted_dpi", "min_margin", "t_adapt"):
         _assert_cells_equal(meta[key], [rec[key] for rec in trace.meta_records])
+
+
+@pytest.mark.parametrize(
+    "scenario, overrides, duration, ticks",
+    [
+        # no tick run: empty per-tick arrays and the t = 0 snapshots alone
+        ("baseline", {}, 0.0, 0),
+        # records no policy TV, so writes no policy_tv.npy
+        ("delta_zero", {}, 1.0, 50),
+        # the golden "halted" case: the trust region halts the run at t=24,
+        # after 1,200 of the 1,500 ticks asked for
+        ("baseline", {"delta_pi": 1e-300}, 30.0, 1200),
+    ],
+    ids=["no_ticks", "no_policy_tv", "halted"],
+)
+def test_saved_arrays_hold_exactly_the_ticks_run(
+    scenario: str, overrides: dict, duration: float, ticks: int, tmp_path: Path
+):
+    trace = run(scenario, config=apply_overrides(SystemConfig(), overrides), duration=duration)
+    assert trace.ticks == ticks
+    saved = _saved_arrays(trace, tmp_path)
+    assert {name: (a.dtype, a.shape) for name, a in saved.items()} == _saved_layout(trace)
+    assert ("policy_tv" in saved) == (trace.tick_policy_tv is not None)
+    if ticks == 0:
+        for name in ("snap_times", "weights", "embeddings", "policy", "meta_times", "meta"):
+            assert len(saved[name]) == 1
 
 
 _UNSTABLE = "closed-form ceiling undefined in the unstable regime"
