@@ -1,9 +1,8 @@
 """Closed-form quantities: independent arithmetic oracles and sweep behavior."""
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from tribound import (
     SystemConfig,
