@@ -1,11 +1,12 @@
 """Closed-form bound calculator.
 
-Everything here is pure arithmetic on a config: the fast-level invariant
-ball and step bounds, per-cycle embedding drift cap, effective horizon,
-the three suboptimality components and their total, the recommended rate
-caps, and the sensitivity sweep. The sweep also carries a tabulated
-reference column so deviations from the published rounded values are
-reported instead of silently absorbed.
+total_bound derives every closed-form quantity of a config once: the
+fast-level invariant ball and step bounds, the per-cycle embedding drift
+cap, the effective horizon, the three suboptimality components and their
+total, and the recommended rate caps. The sensitivity sweep recomputes the
+total under parameter scaling, next to a tabulated reference column so
+deviations from the published rounded values are reported instead of
+silently absorbed.
 """
 from __future__ import annotations
 
@@ -16,87 +17,17 @@ from dataclasses import dataclass
 from . import hebbian
 from .contracts import all_margins
 from .errors import ValidationError
-from .meta import MetaCascade, cascading_sensitivity, max_meta_rate
+from .meta import MetaCascade, cascading_sensitivity
 from .model import SystemConfig
 
 _CEIL_GUARD = 1e-9
 
 
-def _ceil_guarded(x: float) -> int:
+def _ceil_guarded(x: float, name: str) -> int:
     """Ceiling that forgives float noise just below an integer."""
+    if not math.isfinite(x):
+        raise ValidationError(f"{name} is beyond the float range")
     return int(math.ceil(x - _CEIL_GUARD))
-
-
-def _resolve_horizon(config: SystemConfig, override: int | None) -> int:
-    if override is None:
-        return effective_horizon(config)
-    if override < 0:
-        raise ValidationError("effective horizon override must be nonnegative")
-    return override
-
-
-def n12(config: SystemConfig) -> int:
-    """Fast ticks per coordination cycle, rounded up."""
-    return _ceil_guarded(config.tau2 / config.tau1)
-
-
-def effective_horizon(config: SystemConfig) -> int:
-    """Planning horizon: the tightest of discounting, slow cycling, mission.
-
-    All three constituents round up; a larger horizon can only enlarge the
-    error bound, which keeps it an upper bound.
-    """
-    discount_h = _ceil_guarded(1.0 / (1.0 - config.gamma_disc))
-    cycle_h = _ceil_guarded(config.tau3 / config.tau2)
-    return min(discount_h, cycle_h, config.h_mission)
-
-
-def phi_max(config: SystemConfig) -> float:
-    """Worst-case embedding drift over one coordination cycle."""
-    rule = hebbian.rule_from_config(config)
-    return config.lip_phi * n12(config) * hebbian.effective_step_bound(rule, config)
-
-
-def eps_hebb(config: SystemConfig) -> float:
-    """Suboptimality from direct fast-level plasticity under the step cap."""
-    if config.gamma_disc >= 1.0:
-        raise ValidationError("discount factor must be below 1")
-    return (
-        2.0 * config.lip_pi * config.lip_phi * config.delta_np
-        * config.value_grad_bound / (1.0 - config.gamma_disc)
-    )
-
-
-def eps_coord(config: SystemConfig, h_eff_override: int | None = None) -> float:
-    """Suboptimality accumulated by coordination over the horizon."""
-    h_eff = _resolve_horizon(config, h_eff_override)
-    rule = hebbian.rule_from_config(config)
-    drift = (
-        config.lip_gnn * math.sqrt(config.n_agents) * config.lip_phi
-        * n12(config) * hebbian.effective_step_bound(rule, config)
-    )
-    return 2.0 * h_eff * config.lip_pi * (drift + config.eps_gnn) * config.r_max
-
-
-def eps_meta(config: SystemConfig, h_eff_override: int | None = None) -> float:
-    """Suboptimality contributed by slow rule rewriting over the horizon."""
-    h_eff = _resolve_horizon(config, h_eff_override)
-    return (
-        2.0 * h_eff * config.lip_pi * config.lip_phi
-        * config.lip_h_to_w * config.lip_theta_to_h
-        * config.eta3 * config.g_max
-        * (config.tau3 / config.tau1) * config.r_max
-    )
-
-
-def eta1_max(config: SystemConfig) -> float:
-    """Fast-rate cap keeping per-cycle embedding drift under its target."""
-    rule = hebbian.rule_from_config(config)
-    peak = rule.drive_bound + abs(rule.delta) * hebbian.weight_norm_ceiling(rule)
-    scale = config.lip_phi * config.tau2 * config.sigma_max * peak
-    if scale == 0.0:
-        return math.inf
-    return config.eps_phi_star * config.tau1 / scale
 
 
 @dataclass(frozen=True)
@@ -123,33 +54,81 @@ class BoundReport:
 
 
 def total_bound(config: SystemConfig, h_eff_override: int | None = None) -> BoundReport:
-    """Assemble the full report. Requires the stable (negative decay) regime."""
+    """Derive the full report. Requires the stable (negative decay) regime.
+
+    The effective horizon is the tightest of discounting, slow cycling and
+    the mission, each rounded up: a larger horizon can only enlarge the
+    error bound, which keeps it an upper bound. h_eff_override, at least 1,
+    replaces it.
+    """
     rule = hebbian.rule_from_config(config)
     w0 = hebbian.stationary_radius(rule)
-    h_eff = _resolve_horizon(config, h_eff_override)
-    hebb = eps_hebb(config)
-    coord = eps_coord(config, h_eff_override=h_eff)
-    meta = eps_meta(config, h_eff_override=h_eff)
+    w_max = hebbian.weight_norm_ceiling(rule)
+    if config.gamma_disc >= 1.0:
+        raise ValidationError("discount factor must be below 1")
+    if h_eff_override is None:
+        h_eff = min(
+            _ceil_guarded(1.0 / (1.0 - config.gamma_disc), "1 / (1 - gamma_disc)"),
+            _ceil_guarded(config.tau3 / config.tau2, "period ratio tau3 / tau2"),
+            config.h_mission,
+        )
+    elif h_eff_override < 1:
+        raise ValidationError("effective horizon override must be at least 1")
+    else:
+        h_eff = h_eff_override
+    # Fast ticks per coordination cycle, rounded up.
+    n12 = _ceil_guarded(config.tau2 / config.tau1, "period ratio tau2 / tau1")
+    # Largest drive on the invariant ball; the rule alone caps a step at
+    # delta1_int, and the clamp, when active, at delta_np.
+    peak = rule.drive_bound + abs(rule.delta) * w_max
+    delta1_int = config.eta1 * config.sigma_max * peak
+    delta1_eff = min(delta1_int, config.delta_np) if config.enforce_clamp else delta1_int
+    # Suboptimality from direct plasticity, from coordination drift over the
+    # horizon, and from slow rule rewriting over the horizon.
+    eps_hebb = (
+        2.0 * config.lip_pi * config.lip_phi * config.delta_np
+        * config.value_grad_bound / (1.0 - config.gamma_disc)
+    )
+    drift = (
+        config.lip_gnn * math.sqrt(config.n_agents) * config.lip_phi
+        * n12 * delta1_eff
+    )
+    eps_coord = 2.0 * h_eff * config.lip_pi * (drift + config.eps_gnn) * config.r_max
+    eps_meta = (
+        2.0 * h_eff * config.lip_pi * config.lip_phi
+        * config.lip_h_to_w * config.lip_theta_to_h
+        * config.eta3 * config.g_max
+        * (config.tau3 / config.tau1) * config.r_max
+    )
+    eps_total = eps_hebb + eps_coord + eps_meta
+    # The fast rate keeping per-cycle embedding drift under its target, and
+    # the slow rate the smallest contract margin at the origin admits.
+    scale = config.lip_phi * config.tau2 * config.sigma_max * peak
+    eta1_max = math.inf if scale == 0.0 else config.eps_phi_star * config.tau1 / scale
     min_margin = min(all_margins(MetaCascade(config), [0.0] * config.meta_dim).values())
+    if min_margin <= 0.0:
+        raise ValidationError(
+            "minimum margin must be positive: the system is at or inside a failure set"
+        )
     j_star = h_eff * config.n_agents * config.r_max
     return BoundReport(
         w0=w0,
-        w_max=hebbian.weight_norm_ceiling(rule),
+        w_max=w_max,
         eta1_bar=hebbian.eta1_threshold(rule, config),
-        delta1_int=hebbian.intrinsic_step_bound(rule, config),
-        delta1_eff=hebbian.effective_step_bound(rule, config),
-        n12=n12(config),
+        delta1_int=delta1_int,
+        delta1_eff=delta1_eff,
+        n12=n12,
         h_eff=h_eff,
-        phi_max=phi_max(config),
-        eps_hebb=hebb,
-        eps_coord=coord,
-        eps_meta=meta,
-        eps_total=hebb + coord + meta,
+        phi_max=config.lip_phi * n12 * delta1_eff,
+        eps_hebb=eps_hebb,
+        eps_coord=eps_coord,
+        eps_meta=eps_meta,
+        eps_total=eps_total,
         k_cascade=cascading_sensitivity(config),
-        eta1_max_rec=eta1_max(config),
-        eta3_max_rec=max_meta_rate(min_margin, config),
+        eta1_max_rec=eta1_max,
+        eta3_max_rec=min_margin / config.g_max,
         j_star=j_star,
-        relative_subopt=(hebb + coord + meta) / j_star,
+        relative_subopt=eps_total / j_star,
     )
 
 
@@ -159,8 +138,7 @@ def growth_envelope(config: SystemConfig, t: float) -> float:
     Linear accumulation of the non-decay drive at unit gain: one aligned
     step per fast tick for t seconds.
     """
-    rule = hebbian.rule_from_config(config)
-    drive = abs(rule.alpha) + abs(rule.beta) + abs(rule.gamma_h)
+    drive = hebbian.rule_from_config(config).drive_bound
     return config.eta1 * drive * t / config.tau1
 
 
@@ -197,10 +175,11 @@ class SensitivityRow:
     deviation: float | None
 
 
-def _swept_total(config: SystemConfig, parameter: str, factor: float) -> float:
+def _swept_total(
+    config: SystemConfig, base: BoundReport, parameter: str, factor: float
+) -> float:
     if parameter == "h_eff":
-        h_base = effective_horizon(config)
-        h_new = max(1, round(h_base * factor))
+        h_new = max(1, round(base.h_eff * factor))
         return total_bound(config, h_eff_override=h_new).eps_total
     if parameter == "n_agents":
         value: float | int = max(1, round(config.n_agents * factor))
@@ -223,14 +202,15 @@ def elasticity_sweep(
         raise ValidationError(
             f"unknown sweep parameter {parameter!r}; expected one of {SWEEPABLE}"
         )
-    base_total = total_bound(config).eps_total
+    base = total_bound(config)
+    base_total = base.eps_total
     rows = []
     for factor in factors:
         if factor <= 0.0:
             raise ValidationError("sweep factors must be positive")
         if factor == 1.0:
             raise ValidationError("sweep factors must differ from 1")
-        swept_total = _swept_total(config, parameter, factor)
+        swept_total = _swept_total(config, base, parameter, factor)
         # + 0.0 makes an unchanged total's elasticity 0.0, not -0.0 below 1.
         elasticity = (
             None if base_total == 0.0

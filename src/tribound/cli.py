@@ -28,7 +28,6 @@ from .bounds import (
     SWEEPABLE,
     elasticity_sweep,
     growth_envelope,
-    phi_max,
     total_bound,
 )
 from .contracts import CONTRACT_IDS
@@ -41,7 +40,6 @@ from .engine import (
     verify,
 )
 from .errors import TriboundError
-from .hebbian import intrinsic_step_bound, rule_from_config
 from .model import (
     SystemConfig,
     apply_overrides,
@@ -393,16 +391,17 @@ def _report_delta_zero(trace: Trace, config: SystemConfig) -> dict[str, Any]:
 
 def _report_no_clamp(trace: Trace, config: SystemConfig) -> dict[str, Any]:
     cfg = trace.config
-    clamped_cfg = apply_overrides(cfg, {"enforce_clamp": True})
-    ratio = intrinsic_step_bound(rule_from_config(cfg), cfg) / cfg.delta_np
+    free = total_bound(cfg)
+    clamped = total_bound(apply_overrides(cfg, {"enforce_clamp": True}))
+    ratio = free.delta1_int / cfg.delta_np
     print("per-cycle embedding drift ceiling with the step clamp disabled")
     return _quantities(
         [
-            ("ceiling with clamp", "phi_with_clamp", phi_max(clamped_cfg)),
-            ("ceiling without clamp", "phi_without_clamp", phi_max(cfg)),
+            ("ceiling with clamp", "phi_with_clamp", clamped.phi_max),
+            ("ceiling without clamp", "phi_without_clamp", free.phi_max),
             ("intrinsic-to-cap step ratio", "step_ratio", ratio),
             ("reference ratio", None, "about 21"),
-            ("scaled total bound", "scaled_total", ratio * total_bound(clamped_cfg).eps_total),
+            ("scaled total bound", "scaled_total", ratio * clamped.eps_total),
             ("reference scaled total", None, "about 1577"),
             ("per-tick cap failures in run", "fail_count", trace.fail_count),
         ]
@@ -410,16 +409,16 @@ def _report_no_clamp(trace: Trace, config: SystemConfig) -> dict[str, Any]:
 
 
 def _report_slow_marl(trace: Trace, config: SystemConfig) -> dict[str, Any]:
-    total_slow = total_bound(trace.config).eps_total
-    total_base = total_bound(config).eps_total
+    slow = total_bound(trace.config)
+    base = total_bound(config)
     print("timescale stretch: drift ceiling and total bound degradation")
     return _quantities(
         [
-            ("ceiling at baseline periods", "phi_base", phi_max(config)),
-            ("ceiling at stretched periods", "phi_slow", phi_max(trace.config)),
-            ("total bound at baseline periods", "total_base", total_base),
-            ("total bound at stretched periods", "total_slow", total_slow),
-            ("degradation factor", None, _ratio(total_slow, total_base)),
+            ("ceiling at baseline periods", "phi_base", base.phi_max),
+            ("ceiling at stretched periods", "phi_slow", slow.phi_max),
+            ("total bound at baseline periods", "total_base", base.eps_total),
+            ("total bound at stretched periods", "total_slow", slow.eps_total),
+            ("degradation factor", None, _ratio(slow.eps_total, base.eps_total)),
             ("reference factor", None, "about 10"),
             ("contract failures in run", None, trace.fail_count),
         ]

@@ -29,7 +29,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .bounds import BoundReport, phi_max as phi_max_of, total_bound
+from .bounds import BoundReport, total_bound
 from .cascade import (
     PolicyTarget,
     logit_scale,
@@ -760,7 +760,7 @@ def confirm_expectation(
             v.contract_id == "NP-C1" and v.passed is False for v in trace.events
         )
     if scenario.expected == "degradation":
-        return phi_max_of(trace.config) >= 5.0 * phi_max_of(base)
+        return total_bound(trace.config).phi_max >= 5.0 * total_bound(base).phi_max
     if scenario.expected == "alarm":
         m3_failed = any(not rec["m3"] for rec in trace.meta_records)
         return m3_failed and trace.alarm_count > 0

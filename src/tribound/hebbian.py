@@ -4,9 +4,10 @@ Each agent updates a local weight vector once per fast tick. The update
 direction blends a correlation term, plain pre- and postsynaptic terms, and
 a linear decay term, all scaled by a bounded modulation gain that the
 coordination level computes from embedding dispersion. With negative decay
-the dynamics stay inside a computable norm ball; the closed-form quantities
-at the bottom of this module describe that ball and the largest fast rate
-for which the one-tick map remains a contraction on it.
+the dynamics stay inside a computable norm ball. The functions at the
+bottom of this module give that ball for a rule and the largest fast rate
+for which the one-tick map remains a contraction on it; bounds.total_bound
+derives the step bounds from them.
 """
 from __future__ import annotations
 
@@ -210,16 +211,3 @@ def eta1_threshold(rule: HebbianRule, config: SystemConfig) -> float:
     # or inf where the threshold is beyond the float range.
     return 2.0 * abs(rule.delta) / scale / scale
 
-
-def intrinsic_step_bound(rule: HebbianRule, config: SystemConfig) -> float:
-    """Per-tick step norm cap implied by the rule alone, without the clamp."""
-    peak = rule.drive_bound + abs(rule.delta) * weight_norm_ceiling(rule)
-    return config.eta1 * config.sigma_max * peak
-
-
-def effective_step_bound(rule: HebbianRule, config: SystemConfig) -> float:
-    """Per-tick step norm cap as enforced: clamp wins when it is active."""
-    intrinsic = intrinsic_step_bound(rule, config)
-    if config.enforce_clamp:
-        return min(intrinsic, config.delta_np)
-    return intrinsic

@@ -80,15 +80,6 @@ def cascading_sensitivity(config: SystemConfig) -> float:
     return config.lip_pi * config.lip_phi * config.lip_h_to_w * config.lip_theta_to_h
 
 
-def max_meta_rate(min_margin: float, config: SystemConfig) -> float:
-    """Largest admissible slow rate given the smallest current contract margin."""
-    if min_margin <= 0.0:
-        raise ValidationError(
-            "minimum margin must be positive: the system is at or inside a failure set"
-        )
-    return min_margin / config.g_max
-
-
 @dataclass(frozen=True)
 class CompatibilityVerdict:
     """Three-part gate on a candidate meta step.

@@ -13,18 +13,7 @@ from tribound import (
     elasticity_sweep,
     total_bound,
 )
-from tribound.bounds import (
-    REFERENCE_BASE_TOTAL,
-    SWEEPABLE,
-    effective_horizon,
-    eps_coord,
-    eps_hebb,
-    eps_meta,
-    eta1_max,
-    growth_envelope,
-    n12,
-    phi_max,
-)
+from tribound.bounds import REFERENCE_BASE_TOTAL, SWEEPABLE, growth_envelope
 
 
 def expected_coord(n_agents: int, h_eff: int = 10) -> float:
@@ -34,42 +23,42 @@ def expected_coord(n_agents: int, h_eff: int = 10) -> float:
 
 
 def test_n12(base_config):
-    assert n12(base_config) == 100
-    assert n12(apply_overrides(base_config, {"tau2": 2.001})) == 101
+    assert total_bound(base_config).n12 == 100
+    assert total_bound(apply_overrides(base_config, {"tau2": 2.001})).n12 == 101
 
 
 def test_effective_horizon(base_config):
     # min(ceil(1 / 0.01), ceil(20 / 2), 100) = min(100, 10, 100)
-    assert effective_horizon(base_config) == 10
-    assert effective_horizon(apply_overrides(base_config, {"h_mission": 3})) == 3
-    assert effective_horizon(
+    assert total_bound(base_config).h_eff == 10
+    assert total_bound(apply_overrides(base_config, {"h_mission": 3})).h_eff == 3
+    assert total_bound(
         apply_overrides(base_config, {"gamma_disc": 0.5})
-    ) == 2
+    ).h_eff == 2
 
 
 def test_phi_max(base_config):
-    assert phi_max(base_config) == pytest.approx(5.0 * 100 * 1e-4, rel=1e-12)
+    assert total_bound(base_config).phi_max == pytest.approx(5.0 * 100 * 1e-4, rel=1e-12)
 
 
 def test_eps_hebb(base_config):
     want = 2.0 * 3.0 * 5.0 * 1e-4 * 1.0 / (1.0 - 0.99)
-    assert eps_hebb(base_config) == pytest.approx(want, rel=1e-12)
+    assert total_bound(base_config).eps_hebb == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [10, 30, 100])
 def test_eps_coord(base_config, n):
     cfg = apply_overrides(base_config, {"n_agents": n})
-    assert eps_coord(cfg) == pytest.approx(expected_coord(n), rel=1e-12)
+    assert total_bound(cfg).eps_coord == pytest.approx(expected_coord(n), rel=1e-12)
 
 
 def test_eps_meta(base_config):
     # 2 * 10 * 3 * 5 * 1 * 2 * 1e-5 * 1 * (20 / 0.02) * 1
-    assert eps_meta(base_config) == pytest.approx(6.0, rel=1e-12)
+    assert total_bound(base_config).eps_meta == pytest.approx(6.0, rel=1e-12)
 
 
 def test_eta1_max(base_config):
     want = 0.05 * 0.02 / (5.0 * 2.0 * 1.5 * (0.7 + 0.01 * 71.0))
-    assert eta1_max(base_config) == pytest.approx(want, rel=1e-12)
+    assert total_bound(base_config).eta1_max_rec == pytest.approx(want, rel=1e-12)
 
 
 def test_total_bound_report(base_config):
@@ -82,9 +71,10 @@ def test_total_bound_report(base_config):
     assert report.delta1_int == pytest.approx(1.5e-3 * 1.41, rel=1e-12)
     assert report.k_cascade == 30.0
     assert report.j_star == 10 * 30 * 1.0
-    total = eps_hebb(base_config) + eps_coord(base_config) + eps_meta(base_config)
-    assert report.eps_total == pytest.approx(total, rel=1e-14)
-    assert report.relative_subopt == pytest.approx(total / 300.0, rel=1e-14)
+    total = expected_coord(30) + 2.0 * 3.0 * 5.0 * 1e-4 * 1.0 / (1.0 - 0.99) + 6.0
+    assert report.eps_total == pytest.approx(total, rel=1e-12)
+    assert report.eps_total == report.eps_hebb + report.eps_coord + report.eps_meta
+    assert report.relative_subopt == pytest.approx(total / 300.0, rel=1e-12)
     assert report.eps_total == pytest.approx(REFERENCE_BASE_TOTAL, rel=2e-3)
 
 
@@ -97,7 +87,7 @@ def test_horizon_override(base_config):
     report = total_bound(base_config, h_eff_override=20)
     assert report.h_eff == 20
     assert report.eps_coord == pytest.approx(
-        2.0 * eps_coord(base_config), rel=1e-12
+        2.0 * total_bound(base_config).eps_coord, rel=1e-12
     )
 
 
@@ -106,8 +96,9 @@ def test_coord_term_monotone_in_horizon(h1, h2):
     """A longer effective horizon can only enlarge the accumulated error."""
     cfg = SystemConfig()
     lo, hi = sorted((h1, h2))
-    assert eps_coord(cfg, h_eff_override=lo) <= eps_coord(cfg, h_eff_override=hi)
-    assert eps_meta(cfg, h_eff_override=lo) <= eps_meta(cfg, h_eff_override=hi)
+    low, high = (total_bound(cfg, h_eff_override=h) for h in (lo, hi))
+    assert low.eps_coord <= high.eps_coord
+    assert low.eps_meta <= high.eps_meta
 
 
 def test_growth_envelope(base_config):
@@ -157,6 +148,7 @@ def test_sweep_n_agents_rounds_to_integers(base_config):
     )
 
 
-def test_invalid_horizon_override(base_config):
-    with pytest.raises((ValidationError, ValueError)):
-        total_bound(base_config, h_eff_override=-1)
+@pytest.mark.parametrize("h_eff", [-1, 0])
+def test_invalid_horizon_override(base_config, h_eff):
+    with pytest.raises(ValidationError):
+        total_bound(base_config, h_eff_override=h_eff)

@@ -155,6 +155,14 @@ def test_a_tick_count_numpy_cannot_allocate_fails_without_traceback(capsys):
     _assert_clean_error(capsys, "1e+302 ticks x 30 agents: ")
 
 
+@pytest.mark.parametrize("verb", [["bounds"], ["simulate", "--duration", "0"]])
+def test_a_period_ratio_beyond_the_float_range_fails_without_traceback(capsys, verb):
+    # tau2 / tau1 = 1e310 overflows to inf.
+    overrides = ["--set", "tau1=1e-300", "--set", "tau2=1e10", "--set", "tau3=1e11"]
+    assert main([*verb, *overrides]) == UNEXPECTED_EXIT
+    _assert_clean_error(capsys, "period ratio tau2 / tau1 is beyond the float range")
+
+
 def test_verify_exits_one_when_a_run_halts(capsys):
     """The trust region cannot fit a cap of 1e-300 and halts the run at
     t=2.8; simulate and verify both report that as unexpected."""

@@ -11,15 +11,14 @@ from tribound import (
     SystemConfig,
     UnboundedRegimeError,
     apply_overrides,
+    total_bound,
 )
 from tribound.hebbian import (
     FastWorkspace,
     HebbianRule,
     apply_steps,
-    effective_step_bound,
     eta1_threshold,
     hebbian_tick,
-    intrinsic_step_bound,
     modulation_gain,
     proposed_steps,
     rule_from_config,
@@ -412,14 +411,12 @@ def test_eta1_threshold_oracle(base_config):
 def test_step_bounds_oracle(base_config):
     # eta1 * sigma_max * (0.7 + 0.01 * 71) = 1e-3 * 1.5 * 1.41
     want = 1e-3 * 1.5 * 1.41
-    assert intrinsic_step_bound(BASE_RULE, base_config) == pytest.approx(
-        want, rel=1e-12
-    )
-    assert effective_step_bound(BASE_RULE, base_config) == base_config.delta_np
-    unclamped = apply_overrides(base_config, {"enforce_clamp": False})
-    assert effective_step_bound(BASE_RULE, unclamped) == pytest.approx(
-        want, rel=1e-12
-    )
+    report = total_bound(base_config)
+    assert report.delta1_int == pytest.approx(want, rel=1e-12)
+    assert report.delta1_eff == base_config.delta_np
+    unclamped = total_bound(apply_overrides(base_config, {"enforce_clamp": False}))
+    assert unclamped.delta1_int == pytest.approx(want, rel=1e-12)
+    assert unclamped.delta1_eff == pytest.approx(want, rel=1e-12)
 
 
 @given(st.integers(min_value=0, max_value=10_000))

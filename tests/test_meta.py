@@ -3,7 +3,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tribound import StructuralError, SystemConfig, ValidationError, apply_overrides
+from tribound import (
+    StructuralError,
+    SystemConfig,
+    ValidationError,
+    apply_overrides,
+    total_bound,
+)
 from tribound.cascade import probe_embeddings
 from tribound.hebbian import rule_from_config
 from tribound.meta import (
@@ -13,7 +19,6 @@ from tribound.meta import (
     adaptation_trial,
     cascading_sensitivity,
     compatibility_check,
-    max_meta_rate,
     meta_target,
     sensitivity_matrix,
 )
@@ -38,11 +43,13 @@ def test_cascading_sensitivity(base_config):
 
 
 def test_max_meta_rate(base_config):
-    assert max_meta_rate(0.5, base_config) == 0.5
-    with pytest.raises(ValidationError):
-        max_meta_rate(0.0, base_config)
-    with pytest.raises(ValidationError):
-        max_meta_rate(-1.0, base_config)
+    # The smallest margin at the origin, here the box's 1e-3, over g_max.
+    cfg = apply_overrides(base_config, {"theta_box": 1e-3, "g_max": 2.0})
+    assert total_bound(cfg).eta3_max_rec == 5e-4
+    # A decay this close to 0 puts the origin on the sign-flip surface.
+    at_flip = apply_overrides(base_config, {"delta": -5e-324, "lip_theta_to_h": 1e10})
+    with pytest.raises(ValidationError, match="minimum margin must be positive"):
+        total_bound(at_flip)
 
 
 def test_zero_meta_point_reproduces_base_rule(base_config):
