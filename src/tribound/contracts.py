@@ -27,6 +27,7 @@ from .meta import MetaCascade
 from .model import SystemConfig
 
 CONTRACT_IDS = ("NP-C1", "NP-C2", "MARL-C1", "GNN-C1", "ML-C1", "ML-C2")
+# A measured value passes up to this fraction of its threshold above it.
 EQUALITY_TOL = 1e-12
 ML2_WINDOW = 3
 
@@ -136,7 +137,7 @@ class Monitor:
             measured = math.nan
             margin_value = 0.0
         else:
-            passed = measured <= threshold + EQUALITY_TOL
+            passed = measured <= threshold + EQUALITY_TOL * abs(threshold)
             alarm = margin_value < self.config.margin_alarm
             if not passed:
                 self.fail_count += 1
@@ -181,7 +182,7 @@ class Monitor:
             threshold = self.thresholds[contract_id]
             margin_value = margins[contract_id]
             alarm = margin_value < self.config.margin_alarm
-            passed = values <= threshold + EQUALITY_TOL
+            passed = values <= threshold + EQUALITY_TOL * abs(threshold)
             self.fail_count += int(passed.size - np.count_nonzero(passed))
             if alarm:
                 self.alarm_count += int(passed.size)

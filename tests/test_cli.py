@@ -163,6 +163,20 @@ def test_a_period_ratio_beyond_the_float_range_fails_without_traceback(capsys, v
     _assert_clean_error(capsys, "period ratio tau2 / tau1 is beyond the float range")
 
 
+def test_a_step_above_a_tiny_cap_is_a_contract_failure(capsys):
+    """Unclamped steps of about 1.5e-15 break a 1e-15 cap: NP-C1 fails, so
+    no_clamp confirms its step violation."""
+    overrides = [
+        "--set", "delta_np=1e-15", "--set", "eta1=1e-14",
+        "--set", "eta2=1e-15", "--set", "eta3=1e-16",
+    ]
+    argv = ["simulate", "--scenario", "no_clamp", "--duration", "2", *overrides]
+    assert main(argv) == CONFIRMED_EXIT
+    out = capsys.readouterr().out
+    assert _line(out, "contract failures").split()[-1] == "45"
+    assert "verdict: expected outcome (step_violation) confirmed" in out
+
+
 def test_verify_exits_one_when_a_run_halts(capsys):
     """The trust region cannot fit a cap of 1e-300 and halts the run at
     t=2.8; simulate and verify both report that as unexpected."""

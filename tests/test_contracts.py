@@ -156,16 +156,19 @@ def test_check_contract_step_norms(base_config):
 
 
 def test_check_contract_tolerates_exact_threshold(base_config):
-    """A value exactly at its threshold, within EQUALITY_TOL, passes."""
-    monitor = Monitor(base_config)
-    delta_np = base_config.delta_np
-    for value, passed in (
-        (delta_np, True),
-        (delta_np + EQUALITY_TOL, True),
-        (delta_np + 2.0 * EQUALITY_TOL, False),
-    ):
-        verdict = monitor.observe("NP-C1", 0.0, value, 0.5, force_log=True)
-        assert verdict.passed is passed
+    """A value at its threshold, or above it by at most EQUALITY_TOL of the
+    threshold, passes, at a cap of the default size and at a tiny one."""
+    for delta_np in (1e-4, 1e-15):
+        monitor = Monitor(apply_overrides(base_config, {"delta_np": delta_np}))
+        slack = EQUALITY_TOL * delta_np
+        for value, passed in (
+            (delta_np, True),
+            (delta_np + slack, True),
+            (delta_np + 2.0 * slack, False),
+            (1.5 * delta_np, False),
+        ):
+            verdict = monitor.observe("NP-C1", 0.0, value, 0.5, force_log=True)
+            assert verdict.passed is passed, (delta_np, value)
 
 
 def test_check_contract_safety(base_config):
@@ -332,7 +335,7 @@ def _near_threshold(contract_id):
     threshold = _THRESHOLDS[contract_id]
     return st.sampled_from(
         [0.0, math.nan, math.inf, 1.0]
-        + [threshold + k * EQUALITY_TOL for k in (-1, 0, 1, 2)]
+        + [threshold + k * EQUALITY_TOL * threshold for k in (-1, 0, 1, 2)]
     )
 
 
