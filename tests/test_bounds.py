@@ -148,7 +148,7 @@ def test_sweep_n_agents_rounds_to_integers(base_config):
     )
 
 
-@pytest.mark.parametrize("h_eff", [-1, 0])
-def test_invalid_horizon_override(base_config, h_eff):
-    with pytest.raises(ValidationError):
-        total_bound(base_config, h_eff_override=h_eff)
+def test_invalid_horizon_override(base_config):
+    for h_eff in (-1, 0):
+        with pytest.raises(ValidationError):
+            total_bound(base_config, h_eff_override=h_eff)

@@ -74,6 +74,12 @@ def test_validated_configs_complete_or_raise_a_tribound_error(drawn, tmp_path_fa
         ),
         # main reports a TriboundError as "error: ..." and returns 1.
         lambda: main(["bounds", "--config", str(path)]),
+        *(
+            lambda n=name: main(
+                ["counterexample", n, "--config", str(path), "--duration", repr(duration)]
+            )
+            for name in ("no_clamp", "slow_marl")
+        ),
     ):
         with contextlib.suppress(TriboundError):
             call()
