@@ -6,8 +6,8 @@ the values another component sees. Stream ids are a fixed table, not string
 hashes, so the mapping is stable across platforms and releases. The table
 also fixes each stream's bit generator: "observations", which draws the
 fast ticks' activity a chunk of ticks at a time and is most of a run's
-random numbers, uses SFC64, which fills normals faster; every other stream
-uses PCG64. A stream drawn afresh at each coordination cycle, such as
+random numbers, uses SFC64, which fills uniform doubles faster; every
+other stream uses PCG64. A stream drawn afresh at each coordination cycle, such as
 "embedding_error", takes the cycle index as an integer key, so each cycle's
 draw is fixed by (seed, stream, cycle) alone.
 """
