@@ -425,9 +425,9 @@ def test_saved_arrays_round_trip_bit_for_bit(tmp_path: Path):
         ("baseline", {}, 0.0, 0),
         # records no policy TV, so writes no policy_tv.npy
         ("delta_zero", {}, 1.0, 50),
-        # the golden "halted" case: the trust region halts the run at t=24,
-        # after 1,200 of the 1,500 ticks asked for
-        ("baseline", {"delta_pi": 1e-300}, 30.0, 1200),
+        # the golden "halted" case: the trust region halts the run at t=32,
+        # after 1,600 of the 2,000 ticks asked for
+        ("baseline", {"delta_pi": 1e-300}, 40.0, 1600),
     ],
     ids=["no_ticks", "no_policy_tv", "halted"],
 )
@@ -436,6 +436,8 @@ def test_saved_arrays_hold_exactly_the_ticks_run(
 ):
     trace = run(scenario, config=apply_overrides(SystemConfig(), overrides), duration=duration)
     assert trace.ticks == ticks
+    # a run that stops short of its horizon does so because it halted
+    assert (trace.halt_reason is not None) == (ticks < round(duration / trace.config.tau1))
     saved = _saved_arrays(trace, tmp_path)
     assert {name: (a.dtype, a.shape) for name, a in saved.items()} == _saved_layout(trace)
     assert ("policy_tv" in saved) == (trace.tick_policy_tv is not None)
