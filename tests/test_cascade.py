@@ -21,6 +21,7 @@ from tribound.cascade import (
     realized_embeddings,
     tv_rows,
 )
+from tribound.model import initial_weights
 from tribound.seeding import stream_rng
 
 
@@ -87,6 +88,19 @@ def test_realized_embedding_error_is_bounded(base_config):
         realized, ideal, errors = realized_embeddings(weights, encoder, cycle)
         assert np.all(errors >= 0.0)
         assert np.all(errors < base_config.eps_gnn)
+        np.testing.assert_array_equal(errors, np.linalg.norm(realized - ideal, axis=1))
+
+
+@pytest.mark.parametrize("eps_gnn", [1e-15, 1e-12, 1e-6])
+def test_realized_error_stays_within_its_cap(eps_gnn):
+    """ideal + error rounds at the embeddings' scale; at a cap near that
+    rounding, the error as actually added must still stay within it."""
+    cfg = apply_overrides(SystemConfig(), {"eps_gnn": eps_gnn})
+    encoder = make_encoder(cfg)
+    weights = initial_weights(cfg)
+    for cycle in range(1, 201):
+        realized, ideal, errors = realized_embeddings(weights, encoder, cycle)
+        assert errors.max() <= eps_gnn
         np.testing.assert_array_equal(errors, np.linalg.norm(realized - ideal, axis=1))
 
 

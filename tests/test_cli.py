@@ -177,6 +177,14 @@ def test_a_step_above_a_tiny_cap_is_a_contract_failure(capsys):
     assert "verdict: expected outcome (step_violation) confirmed" in out
 
 
+def test_an_embedding_error_cap_near_rounding_holds(capsys):
+    """At eps_gnn=1e-15 the rounding of ideal + error is of the cap's
+    size; the injected error still stays within it, so GNN-C1 holds."""
+    argv = ["simulate", "--duration", "10", "--set", "eps_gnn=1e-15"]
+    assert main(argv) == PASS_EXIT
+    assert _line(capsys.readouterr().out, "contract failures").split()[-1] == "0"
+
+
 def test_verify_exits_one_when_a_run_halts(capsys):
     """The trust region cannot fit a cap of 1e-300 and halts the run at
     t=2.8; simulate and verify both report that as unexpected."""
