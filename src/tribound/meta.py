@@ -111,9 +111,13 @@ def compatibility_check(
         raise ValidationError("compatibility check needs at least one margin")
     values = [m for _, m in margins]
     min_margin = min(values)
+    budget = config.eta3 * config.g_max
+    # The step is a difference of meta points up to theta_box in size, so
+    # its norm carries about one eps of that size per coordinate.
+    slack = config.meta_dim * float(np.finfo(float).eps) * (config.theta_box + budget)
     return CompatibilityVerdict(
         m1=all(m > 0.0 for m in values),
-        m2=delta_theta_norm <= config.eta3 * config.g_max + 1e-12,
+        m2=delta_theta_norm <= budget + slack,
         m3=delta_theta_norm < min_margin,
         predicted_dpi=cascading_sensitivity(config) * delta_theta_norm,
         min_margin=min_margin,

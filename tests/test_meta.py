@@ -181,6 +181,19 @@ def test_compatibility_gate_edge_cases(base_config):
     assert compatibility_check(budget, [("NP-C1", 1.0)], base_config).m2
 
 
+@pytest.mark.parametrize("eta3", [1e-16, 1e-12, 1e-8, 1e-5, 1e-2, 1.0])
+def test_m2_slack_scales_with_its_operands(eta3):
+    """A step equal to the eta3 * g_max budget passes M2 at any rate; at
+    eta3=1e-16 one 5,000 times the budget fails, which an absolute 1e-12
+    slack let through."""
+    rates = {"eta1": max(1e-3, 4.0 * eta3), "eta2": max(1e-4, 2.0 * eta3), "eta3": eta3}
+    cfg = apply_overrides(SystemConfig(), rates)
+    budget = cfg.eta3 * cfg.g_max
+    assert compatibility_check(budget, [("NP-C1", 10.0)], cfg).m2
+    if eta3 == 1e-16:
+        assert not compatibility_check(5_000 * budget, [("NP-C1", 0.5)], cfg).m2
+
+
 @given(st.floats(min_value=1e-8, max_value=0.9))
 @settings(max_examples=30)
 def test_gate_never_reaches_failure_set(margin_value):
