@@ -178,6 +178,26 @@ def test_drawn_observations_lie_in_the_unit_ball(overrides, monkeypatch):
     assert 0.0 < min(largest) and max(largest) <= 1.0
 
 
+def test_drawn_observation_radii_are_uniform(monkeypatch):
+    """Only the direction law is free: the row norms stay uniform on [0, 1).
+    The Kolmogorov-Smirnov distance of 30,000 drawn norms to U[0, 1) is
+    below its 99.9% critical value 1.95 / sqrt(N)."""
+    radii = []
+
+    def spy(rule, config, weights, x_pre, x_post, *rest):
+        radii.append(np.linalg.norm(np.stack((x_pre, x_post)), axis=-1).ravel())
+        return hebbian_tick(rule, config, weights, x_pre, x_post, *rest)
+
+    monkeypatch.setattr(engine, "hebbian_tick", spy)
+    run("baseline", config=apply_overrides(SystemConfig(), WIDE), duration=1.0)
+    r = np.sort(np.concatenate(radii))
+    n = r.size
+    assert n == 30_000
+    ranks = np.arange(1, n + 1)
+    ks = max(float((ranks / n - r).max()), float((r - (ranks - 1) / n).max()))
+    assert ks < 1.95 / math.sqrt(n)
+
+
 def test_only_the_observation_stream_uses_sfc64():
     for stream in ("weight_init", "observations", "encoder", "embedding_error"):
         rng = stream_rng(3, stream, 4 if stream == "embedding_error" else None)
