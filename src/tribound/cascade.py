@@ -98,9 +98,8 @@ def realized_embeddings(weights: np.ndarray, encoder: EmbeddingEncoder, cycle: i
     eps_gnn * fraction_i * direction_i, with a uniform unit direction and a
     uniform fraction in [0, 1) drawn for all agents at once from the
     "embedding_error" stream keyed by (seed, cycle). error_norms are the row
-    norms of realized - ideal, the error as actually added. ideal + error
-    rounds at the embeddings' scale, which can carry a row's error past
-    eps_gnn; such a row's error is halved until it is within, down to zero.
+    norms of realized - ideal, the error as actually added; a row whose
+    rounding carries it past eps_gnn has its error halved until within.
     """
     ideal = encoder.encode(weights)
     n, dim = ideal.shape
@@ -111,12 +110,10 @@ def realized_embeddings(weights: np.ndarray, encoder: EmbeddingEncoder, cycle: i
     error *= (encoder.eps_gnn * rng.uniform(size=n))[:, None]
     realized = ideal + error
     error_norms = np.linalg.norm(realized - ideal, axis=1)
-    over = np.flatnonzero(error_norms > encoder.eps_gnn)
-    while over.size:
+    while (over := error_norms > encoder.eps_gnn).any():
         error[over] *= 0.5
         realized[over] = ideal[over] + error[over]
         error_norms[over] = np.linalg.norm(realized[over] - ideal[over], axis=1)
-        over = over[error_norms[over] > encoder.eps_gnn]
     return realized, ideal, error_norms
 
 

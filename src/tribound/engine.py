@@ -16,12 +16,11 @@ results as tick by tick.
 Everything is deterministic given (scenario, config, seed): all randomness
 flows through named seed streams, so repeated runs produce byte-identical
 traces. Drawn observations come from the SFC64 "observations" stream a
-chunk of ticks at a time (_OBS_CHUNK_VALUES): one uniform fill of
-directions from the cube, one uniform draw of radii, each row scaled into
-the unit ball. The directions are not isotropic, which no bound needs: the
-bounds assume only ||x|| <= 1. The chunk length follows from the swarm
-shape alone and every chunk is drawn in full, so the horizon and the batch
-size never move a draw.
+chunk of ticks at a time (_OBS_CHUNK_VALUES): one uniform fill of cube
+directions (not isotropic; the bounds assume only ||x|| <= 1), one uniform
+draw of radii, each row scaled into the unit ball. The chunk length follows
+from the swarm shape alone and every chunk is drawn in full, so the horizon
+and the batch size never move a draw.
 """
 from __future__ import annotations
 
@@ -330,8 +329,7 @@ class _Run:
 
     def _draw_observations(self) -> None:
         """Fill the chunk buffer: directions from the cube [-0.5, 0.5)^dim,
-        each scaled to a uniform radius in [0, 1). The directions are not
-        isotropic; every bound needs only ||x|| <= 1."""
+        not isotropic, each scaled to a uniform radius in [0, 1)."""
         obs = self.obs_rng.random(out=self.obs)
         obs -= 0.5
         # einsum sums the squares in one pass, without a squares buffer.

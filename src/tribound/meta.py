@@ -112,8 +112,7 @@ def compatibility_check(
     values = [m for _, m in margins]
     min_margin = min(values)
     budget = config.eta3 * config.g_max
-    # The step is a difference of meta points up to theta_box in size, so
-    # its norm carries about one eps of that size per coordinate.
+    # the step is a difference of meta points: one eps of their size per coordinate
     slack = config.meta_dim * float(np.finfo(float).eps) * (config.theta_box + budget)
     return CompatibilityVerdict(
         m1=all(m > 0.0 for m in values),

@@ -7,9 +7,9 @@ hashes, so the mapping is stable across platforms and releases. The table
 also fixes each stream's bit generator: "observations", which draws the
 fast ticks' activity a chunk of ticks at a time and is most of a run's
 random numbers, uses SFC64, which fills uniform doubles faster; every
-other stream uses PCG64. A stream drawn afresh at each coordination cycle, such as
-"embedding_error", takes the cycle index as an integer key, so each cycle's
-draw is fixed by (seed, stream, cycle) alone.
+other stream uses PCG64. A stream drawn afresh at each coordination cycle,
+such as "embedding_error", takes the cycle index as an integer key, so each
+cycle's draw is fixed by (seed, stream, cycle) alone.
 """
 from __future__ import annotations
 
