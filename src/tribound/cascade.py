@@ -29,36 +29,16 @@ from .model import SystemConfig
 from .seeding import stream_rng, unit_rows
 
 BACKTRACK_CAP = 60
-_CALIBRATION_TOL = 1e-12
-_CALIBRATION_MAX_ITER = 20000
-
-
-def power_opnorm(matrix: np.ndarray, rng: np.random.Generator) -> float:
-    """Largest singular value by power iteration on matrix.T @ matrix."""
-    gram = matrix.T @ matrix
-    v = rng.standard_normal(matrix.shape[1])
-    v /= np.linalg.norm(v)
-    value = 0.0
-    for _ in range(_CALIBRATION_MAX_ITER):
-        u = gram @ v
-        norm = np.linalg.norm(u)
-        if norm == 0.0:
-            return 0.0
-        v = u / norm
-        new_value = float(v @ (gram @ v))
-        if abs(new_value - value) <= _CALIBRATION_TOL * max(new_value, 1.0):
-            return math.sqrt(new_value)
-        value = new_value
-    raise CalibrationError("operator norm power iteration did not converge")
 
 
 class EmbeddingEncoder:
-    """Linear weight-to-embedding map with exactly calibrated operator norm.
+    """Linear weight-to-embedding map with calibrated operator norm.
 
-    The raw matrix is seeded noise; calibration rescales it so its operator
-    norm equals the declared encoder sensitivity to float precision. With
-    the optional squash each output coordinate passes through tanh, which is
-    1-Lipschitz, so the declared sensitivity still holds.
+    The raw matrix is seeded noise, rescaled by its exact largest singular
+    value so its operator norm is the declared encoder sensitivity lip_phi
+    up to a few ulps of rounding. With the optional squash each output
+    coordinate passes through tanh, which is 1-Lipschitz, so the declared
+    sensitivity still holds.
     """
 
     def __init__(self, matrix: np.ndarray, squash: bool, eps_gnn: float,
@@ -77,16 +57,18 @@ class EmbeddingEncoder:
 
 
 def make_encoder(config: SystemConfig) -> EmbeddingEncoder:
-    """The config's encoder: a seeded matrix calibrated to operator norm lip_phi."""
+    """The config's encoder: a seeded "encoder" stream matrix rescaled by its
+    largest singular value to operator norm lip_phi, as sensitivity_matrix
+    and PolicyTarget calibrate theirs."""
     raw = stream_rng(config.seed, "encoder").standard_normal(
         (config.embed_dim, config.weight_dim)
     )
-    raw /= math.sqrt(config.weight_dim)
-    norm = power_opnorm(raw, stream_rng(config.seed, "calibration"))
-    if norm == 0.0:
+    spectral = float(np.linalg.svd(raw, compute_uv=False)[0])
+    if spectral == 0.0:
         raise CalibrationError("degenerate encoder draw has zero operator norm")
     return EmbeddingEncoder(
-        raw * (config.lip_phi / norm), config.encoder_squash, config.eps_gnn, config.seed
+        raw * (config.lip_phi / spectral), config.encoder_squash, config.eps_gnn,
+        config.seed,
     )
 
 

@@ -32,7 +32,7 @@ class UnboundedRegimeError(TriboundError):
 
 
 class CalibrationError(TriboundError):
-    """Operator-norm calibration failed to converge to the requested constant."""
+    """A seeded map has zero operator norm, so it cannot be calibrated."""
 
 
 class EnforcementError(TriboundError):

@@ -3,9 +3,11 @@
 All randomness in a run flows from one unsigned config seed. Each consumer
 gets its own named stream so adding a draw to one component can never shift
 the values another component sees. Stream ids are a fixed table, not string
-hashes, so the mapping is stable across platforms and releases. The table
-also fixes each stream's bit generator: "observations", which draws the
-fast ticks' activity a chunk of ticks at a time and is most of a run's
+hashes, so the mapping is stable across platforms and releases. A removed
+stream's id is retired, never reused: id 4, once the encoder calibration's
+power-iteration start, is gone, and no other stream's draws moved. The
+table also fixes each stream's bit generator: "observations", which draws
+the fast ticks' activity a chunk of ticks at a time and is most of a run's
 random numbers, uses SFC64, which fills uniform doubles faster; every
 other stream uses PCG64. A stream drawn afresh at each coordination cycle,
 such as "embedding_error", takes the cycle index as an integer key, so each
@@ -19,7 +21,6 @@ _STREAMS: dict[str, tuple[int, type[np.random.BitGenerator]]] = {
     "weight_init": (1, np.random.PCG64),
     "observations": (2, np.random.SFC64),
     "encoder": (3, np.random.PCG64),
-    "calibration": (4, np.random.PCG64),
     "policy_target": (5, np.random.PCG64),
     "probe_states": (6, np.random.PCG64),
     "danger_probes": (7, np.random.PCG64),

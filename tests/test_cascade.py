@@ -16,7 +16,6 @@ from tribound.cascade import (
     mix_matrix,
     modulation,
     policy_distributions,
-    power_opnorm,
     probe_embeddings,
     realized_embeddings,
     tv_rows,
@@ -25,20 +24,34 @@ from tribound.model import initial_weights
 from tribound.seeding import stream_rng
 
 
-@given(st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=25)
-def test_power_opnorm_matches_svd(seed):
-    rng = np.random.default_rng(seed)
-    matrix = rng.standard_normal((6, 9))
-    want = float(np.linalg.svd(matrix, compute_uv=False)[0])
-    got = power_opnorm(matrix, np.random.default_rng(seed + 1))
-    assert got == pytest.approx(want, rel=1e-9)
+EPS = float(np.finfo(float).eps)
 
 
-def test_encoder_operator_norm_is_calibrated(base_config):
-    encoder = make_encoder(base_config)
-    measured = float(np.linalg.svd(encoder.matrix, compute_uv=False)[0])
-    assert measured == pytest.approx(base_config.lip_phi, rel=1e-9)
+def _calibration_configs():
+    """Seeds 0-9 at embed_dim x weight_dim of 16x64, 16x256 and 64x64."""
+    for embed_dim, weight_dim in ((16, 64), (16, 256), (64, 64)):
+        for seed in range(10):
+            yield apply_overrides(
+                SystemConfig(),
+                {"embed_dim": embed_dim, "weight_dim": weight_dim, "seed": seed},
+            )
+
+
+def test_encoder_operator_norm_is_calibrated():
+    for cfg in _calibration_configs():
+        measured = float(np.linalg.svd(make_encoder(cfg).matrix, compute_uv=False)[0])
+        assert abs(measured / cfg.lip_phi - 1.0) <= 8 * EPS, (cfg.seed, cfg.weight_dim)
+
+
+def test_a_step_along_the_top_singular_vector_moves_within_lip_phi():
+    """The encoder's steepest direction stretches a weight step by at most
+    lip_phi: an operator norm above it breaks every bound built on it."""
+    for cfg in _calibration_configs():
+        encoder = make_encoder(cfg)
+        step = 3.0 * np.linalg.svd(encoder.matrix)[2][0]
+        moved = np.linalg.norm(encoder.encode(step) - encoder.encode(np.zeros_like(step)))
+        ceiling = cfg.lip_phi * float(np.linalg.norm(step)) * (1.0 + 8 * EPS)
+        assert moved <= ceiling, (cfg.seed, cfg.weight_dim, (moved - ceiling) / EPS)
 
 
 def test_encoder_is_deterministic(base_config):
@@ -57,7 +70,7 @@ def test_encoder_lipschitz(seed, squash):
     w1 = rng.standard_normal((5, cfg.weight_dim)) * 10.0
     w2 = rng.standard_normal((5, cfg.weight_dim)) * 10.0
     gaps = np.linalg.norm(encoder.encode(w1) - encoder.encode(w2), axis=1)
-    assert np.all(gaps <= cfg.lip_phi * np.linalg.norm(w1 - w2, axis=1) + 1e-9)
+    assert np.all(gaps <= cfg.lip_phi * np.linalg.norm(w1 - w2, axis=1) * (1.0 + 8 * EPS))
 
 
 def test_embed_guards_dimension(base_config):
