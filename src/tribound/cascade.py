@@ -34,11 +34,12 @@ BACKTRACK_CAP = 60
 class EmbeddingEncoder:
     """Linear weight-to-embedding map with calibrated operator norm.
 
-    The raw matrix is seeded noise, rescaled by its exact largest singular
-    value so its operator norm is the declared encoder sensitivity lip_phi
-    up to a few ulps of rounding. With the optional squash each output
-    coordinate passes through tanh, which is 1-Lipschitz, so the declared
-    sensitivity still holds.
+    The raw matrix is seeded noise, rescaled by its largest singular value
+    from an SVD, as sensitivity_matrix and PolicyTarget rescale theirs, so
+    its operator norm is the declared encoder sensitivity lip_phi up to a
+    few ulps of rounding. With the optional squash each output coordinate
+    passes through tanh, which is 1-Lipschitz, so the declared sensitivity
+    still holds.
     """
 
     def __init__(self, matrix: np.ndarray, squash: bool, eps_gnn: float,
@@ -57,19 +58,15 @@ class EmbeddingEncoder:
 
 
 def make_encoder(config: SystemConfig) -> EmbeddingEncoder:
-    """The config's encoder: a seeded "encoder" stream matrix rescaled by its
-    largest singular value to operator norm lip_phi, as sensitivity_matrix
-    and PolicyTarget calibrate theirs."""
+    """The config's encoder: seeded noise rescaled to operator norm lip_phi."""
     raw = stream_rng(config.seed, "encoder").standard_normal(
         (config.embed_dim, config.weight_dim)
     )
     spectral = float(np.linalg.svd(raw, compute_uv=False)[0])
     if spectral == 0.0:
         raise CalibrationError("degenerate encoder draw has zero operator norm")
-    return EmbeddingEncoder(
-        raw * (config.lip_phi / spectral), config.encoder_squash, config.eps_gnn,
-        config.seed,
-    )
+    return EmbeddingEncoder(raw * (config.lip_phi / spectral), config.encoder_squash,
+                            config.eps_gnn, config.seed)
 
 
 def realized_embeddings(weights: np.ndarray, encoder: EmbeddingEncoder, cycle: int

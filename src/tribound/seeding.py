@@ -3,13 +3,12 @@
 All randomness in a run flows from one unsigned config seed. Each consumer
 gets its own named stream so adding a draw to one component can never shift
 the values another component sees. Stream ids are a fixed table, not string
-hashes, so the mapping is stable across platforms and releases. A removed
-stream's id is retired, never reused: id 4, once the encoder calibration's
-power-iteration start, is gone, and no other stream's draws moved. The
-table also fixes each stream's bit generator: "observations", which draws
-the fast ticks' activity a chunk of ticks at a time and is most of a run's
-random numbers, uses SFC64, which fills uniform doubles faster; every
-other stream uses PCG64. A stream drawn afresh at each coordination cycle,
+hashes, so the mapping is stable across platforms and releases. Id 4 is
+retired: its stream is gone, and the id is never reused. The table fixes each
+stream's bit generator: "observations", which draws the fast ticks'
+activity a chunk of ticks at a time and is most of a run's random
+numbers, uses SFC64, which fills uniform doubles faster; every other
+stream uses PCG64. A stream drawn afresh at each coordination cycle,
 such as "embedding_error", takes the cycle index as an integer key, so each
 cycle's draw is fixed by (seed, stream, cycle) alone.
 """

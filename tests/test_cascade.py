@@ -37,10 +37,14 @@ def _calibration_configs():
             )
 
 
+def _sizes(cfg: SystemConfig) -> str:
+    return f"seed {cfg.seed} at {cfg.embed_dim}x{cfg.weight_dim}"
+
+
 def test_encoder_operator_norm_is_calibrated():
     for cfg in _calibration_configs():
         measured = float(np.linalg.svd(make_encoder(cfg).matrix, compute_uv=False)[0])
-        assert abs(measured / cfg.lip_phi - 1.0) <= 8 * EPS, (cfg.seed, cfg.weight_dim)
+        assert abs(measured / cfg.lip_phi - 1.0) <= 8 * EPS, _sizes(cfg)
 
 
 def test_a_step_along_the_top_singular_vector_moves_within_lip_phi():
@@ -51,7 +55,7 @@ def test_a_step_along_the_top_singular_vector_moves_within_lip_phi():
         step = 3.0 * np.linalg.svd(encoder.matrix)[2][0]
         moved = np.linalg.norm(encoder.encode(step) - encoder.encode(np.zeros_like(step)))
         ceiling = cfg.lip_phi * float(np.linalg.norm(step)) * (1.0 + 8 * EPS)
-        assert moved <= ceiling, (cfg.seed, cfg.weight_dim, (moved - ceiling) / EPS)
+        assert moved <= ceiling, (_sizes(cfg), (moved - ceiling) / EPS)
 
 
 def test_encoder_is_deterministic(base_config):
