@@ -70,10 +70,11 @@ def modulation_gain(
 
     Logistic in the signal, normalized so the gain reaches sigma_max exactly
     at m_max. Signals outside [-m_max, m_max] are a bound violation upstream
-    and rejected here.
+    and rejected here, with no slack: cascade.modulation returns
+    m_max * tanh(.), which rounds to at most m_max at every scale.
     """
     values = np.asarray(m_signal, dtype=float)
-    if np.any(np.abs(values) > config.m_max + 1e-9):
+    if np.any(np.abs(values) > config.m_max):
         raise ModulationBoundError(
             f"modulation signal exceeds the declared bound {config.m_max}"
         )

@@ -96,6 +96,16 @@ def test_modulation_gain_rejects_out_of_band(base_config):
         modulation_gain(np.array([0.0, -5.0]), base_config)
 
 
+@pytest.mark.parametrize("m_max", [1e-12, 4.0, 1e6])
+def test_modulation_gain_rejects_any_signal_past_the_bound(m_max):
+    """The band check is exact at every scale of m_max."""
+    cfg = apply_overrides(SystemConfig(), {"m_max": m_max})
+    assert modulation_gain(m_max, cfg) == pytest.approx(cfg.sigma_max, rel=1e-12)
+    for signal in (1.5 * m_max, np.array([0.0, -1.5 * m_max])):
+        with pytest.raises(ModulationBoundError):
+            modulation_gain(signal, cfg)
+
+
 @given(st.floats(min_value=-4.0, max_value=4.0 - 1e-9), st.floats(min_value=1e-9, max_value=1e-3))
 def test_modulation_gain_monotone(signal, eps):
     """Larger signal, larger gain, never above the calibrated peak."""
