@@ -493,11 +493,6 @@ _COUNTEREXAMPLES = {
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    if args.name not in _COUNTEREXAMPLES:
-        raise TriboundError(
-            f"unknown counterexample {args.name!r}; "
-            f"available: {', '.join(_COUNTEREXAMPLES)}"
-        )
     example = _COUNTEREXAMPLES[args.name]
     scenario = get_scenario(args.name)
     trace = run(scenario, config=config, seed=args.seed, duration=args.duration)
@@ -645,8 +640,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2, which here means a confirmed violation, on a
+        # malformed command line; its message is already on stderr.
+        if exc.code == 2:
+            return UNEXPECTED_EXIT
+        raise
     try:
         return args.func(args)
     except (TriboundError, OSError) as exc:

@@ -108,6 +108,30 @@ def _assert_clean_error(capsys, start: str) -> None:
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["counterexample", "delta_zer0"], "argument name: invalid choice"),
+        (["simulate", "--scenario", "nope"], "argument --scenario: invalid choice"),
+        (["verify", "--seeds", "x"], "argument --seeds: invalid int value"),
+    ],
+)
+def test_a_malformed_command_line_is_unexpected_not_confirmed(argv, message, capsys):
+    """argparse's own exit code, 2, would read as a confirmed violation."""
+    assert main(argv) == UNEXPECTED_EXIT
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.err.startswith("usage: tribound")
+    assert captured.out == ""
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == PASS_EXIT
+    assert capsys.readouterr().out.startswith("usage: tribound")
+
+
 def test_missing_config_file_fails_without_traceback(tmp_path: Path, capsys):
     path = tmp_path / "absent.json"
     assert main(["bounds", "--config", str(path)]) == UNEXPECTED_EXIT
