@@ -9,9 +9,9 @@ update, gated by the compatibility check, followed by an adaptation trial.
 A rule update applied at a slow boundary takes effect strictly after that
 boundary. When boundaries coincide, fast work completes first, then
 coordination, then meta. Between two boundaries nothing the fast ticks
-depend on changes, so the per-tick recording (weight norms, the NP-C1 and
-NP-C2 checks, policy TV) runs once per block of ticks, with the same
-results as tick by tick.
+depend on changes, so the per-tick recording (the clamp flags and the cap
+on the step norms, weight norms, the NP-C1 and NP-C2 checks, policy TV)
+runs once per block of ticks, with the same results as tick by tick.
 
 Everything is deterministic given (scenario, config, seed): all randomness
 flows through named seed streams, so repeated runs produce byte-identical
@@ -53,6 +53,7 @@ from .contracts import (
 from .errors import EnforcementError, ValidationError
 from .hebbian import (
     FastWorkspace,
+    clamp_norms,
     hebbian_tick,
     modulation_gain,
     row_norms,
@@ -263,7 +264,12 @@ class _Run:
         else:
             self.gains = np.full(n, modulation_gain(0.0, cfg))
         self.obs_rng = stream_rng(cfg.seed, "observations")
-        if not scenario.aligned_observations:
+        if scenario.aligned_observations:
+            # Reused every tick: the squares, then the directions.
+            self.dirs = np.empty((n, cfg.weight_dim))
+            self.dir_norms = np.empty(n)
+            self.dir_norm_column = self.dir_norms[:, None]
+        else:
             chunk = max(1, _OBS_CHUNK_VALUES // (2 * n * cfg.weight_dim))
             # Reused for every chunk: at large swarm sizes fresh draw-sized
             # arrays come back from the allocator unmapped and fault in page
@@ -311,16 +317,19 @@ class _Run:
         aligned, else tick i's rows of the drawn chunk, which is drawn at
         its first tick."""
         if self.scenario.aligned_observations:
-            norms = row_norms(weights)
-            dirs = np.divide(
-                weights,
-                norms[:, None],
-                out=np.zeros_like(weights),
-                where=norms[:, None] > 0.0,
-            )
-            zero = norms == 0.0
-            if zero.any():
-                dirs[zero, 0] = 1.0
+            dirs, norms, column = self.dirs, self.dir_norms, self.dir_norm_column
+            squares = np.multiply(weights, weights, out=dirs)
+            np.sqrt(np.add.reduce(squares, axis=-1, out=norms), out=norms)
+            # The least norm is NaN if any is: the fast path needs every
+            # norm > 0.
+            if np.minimum.reduce(norms) > 0.0:
+                np.divide(weights, column, out=dirs)
+            else:
+                # A zero or NaN norm gives the zero direction; a zero row
+                # then points along the first axis.
+                dirs.fill(0.0)
+                np.divide(weights, column, out=dirs, where=column > 0.0)
+                dirs[norms == 0.0, 0] = 1.0
             return dirs, dirs
         row = i % self.obs.shape[0]
         if row == 0:
@@ -349,32 +358,39 @@ class _Run:
             (len(trace.marl_records) + 1) * cfg.tau2,
             (len(trace.meta_records) + 1) * cfg.tau3,
         )
+        ends = np.flatnonzero(
+            due <= np.arange(start + 1, stop + 1) * cfg.tau1 * (1.0 + TIME_TOL)
+        )
+        if ends.size:
+            stop = start + int(ends[0]) + 1
+        observations, rule, work = self._observations, self.rule, self.work
+        block, step_norms = self.block, trace.step_norms
         weights = self.weights
         for i in range(start, stop):
-            x_pre, x_post = self._observations(i, weights)
-            new_weights = self.block[i - start]
+            x_pre, x_post = observations(i, weights)
+            new_weights = block[i - start]
             hebbian_tick(
-                self.rule, cfg, weights, x_pre, x_post, self.work,
-                new_weights, trace.step_norms[i], trace.clamped[i],
+                rule, cfg, weights, x_pre, x_post, work, new_weights, step_norms[i]
             )
             weights = new_weights
-            if due <= (i + 1) * cfg.tau1 * (1.0 + TIME_TOL):
-                stop = i + 1
-                break
         # Copied out before _record_block squares the block in place.
         self.weights = weights.copy()
         self._record_block(start, stop)
         return stop
 
     def _record_block(self, start: int, stop: int) -> None:
-        """Per-tick norms, NP-C1, NP-C2 and policy TV of ticks start..stop-1."""
+        """Clamp flags and applied step norms, weight norms, NP-C1, NP-C2
+        and policy TV of ticks start..stop-1."""
         trace = self.trace
         block = self.block[: stop - start]
+        step_norms = trace.step_norms[start:stop]
+        if self.cfg.enforce_clamp:
+            clamp_norms(step_norms, trace.clamped[start:stop], self.cfg.delta_np)
         times = (np.arange(start, stop) + 1) * self.cfg.tau1
         self.monitor.observe_block(
             times,
             {
-                "NP-C1": trace.step_norms[start:stop].max(axis=1),
+                "NP-C1": step_norms.max(axis=1),
                 "NP-C2": self.safety.deltas(block),
             },
             self.margins,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModulationBoundError, UnboundedRegimeError
-from .model import SystemConfig
+from .model import SystemConfig, frozen_prefix
 
 
 @dataclass(frozen=True)
@@ -89,23 +89,22 @@ class FastWorkspace:
 
     The frozen coordinates must be a leading prefix of each weight row, as
     model.frozen_mask_for makes them, so masking is a slice write. rates is
-    eta1 times each agent's gain, as a column; set_gains refreshes it when
+    eta1 times each agent's gain, repeated along the agent's row, which
+    multiplies faster than a broadcast column; set_gains refreshes it when
     the gains change. After a tick, steps holds each agent's applied step.
     """
 
     def __init__(self, n_agents: int, frozen_mask: np.ndarray) -> None:
-        frozen = int(np.count_nonzero(frozen_mask))
-        if not frozen_mask[:frozen].all():
-            raise ValueError("frozen coordinates must be a leading prefix")
-        self.frozen = frozen
+        self.frozen = frozen_prefix(frozen_mask)
         shape = (n_agents, frozen_mask.size)
         self.steps = np.empty(shape)
         self.scratch = np.empty(shape)
-        self.rates = np.empty((n_agents, 1))
+        self.rates = np.empty(shape)
         self.factors = np.empty(n_agents)
+        self.factor_column = self.factors[:, None]
 
     def set_gains(self, eta1: float, gains: np.ndarray | float) -> None:
-        np.multiply(eta1, gains, out=self.rates[:, 0])
+        np.multiply(eta1, np.reshape(gains, (-1, 1)), out=self.rates)
 
 
 def proposed_steps(
@@ -134,29 +133,41 @@ def apply_steps(
     enforce_clamp: bool,
     new_weights: np.ndarray,
     step_norms: np.ndarray,
-    clamped: np.ndarray,
 ) -> None:
-    """Mask frozen coordinates of work.steps, clamp step norms, apply.
+    """Mask frozen coordinates of work.steps, scale them to the clamp, apply.
 
-    Writes the new weights, the applied step norms and the clamp flags into
-    the given arrays; new_weights must not overlap weights. Norms are taken
-    after masking: the frozen coordinates never move, so they cannot
-    contribute to the step size the clamp contract governs. Frozen columns
-    are copied bit-exactly from the previous weights.
+    Writes the new weights and the proposed step norms into the given
+    arrays; new_weights must not overlap weights. With the clamp on, each
+    step is scaled by delta_np / max(norm, delta_np), and clamp_norms later
+    turns the proposed norms into the applied ones. Norms are taken after
+    masking: the frozen coordinates never move, so they cannot contribute
+    to the step size the clamp contract governs. Frozen columns are copied
+    bit-exactly from the previous weights.
     """
     steps, frozen = work.steps, work.frozen
-    steps[:, :frozen] = 0.0
-    step_norms[...] = row_norms(steps, squares=work.scratch)
+    if frozen:
+        steps[:, :frozen] = 0.0
+    squares = np.multiply(steps, steps, out=work.scratch)
+    np.sqrt(np.add.reduce(squares, axis=-1, out=step_norms), out=step_norms)
     if enforce_clamp:
-        np.greater(step_norms, delta_np, out=clamped)
         # Rows at or under the cap scale by delta_np / delta_np == 1.0 exactly.
         factors = np.fmax(step_norms, delta_np, out=work.factors)
-        steps *= np.divide(delta_np, factors, out=factors)[:, None]
-        np.minimum(step_norms, delta_np, out=step_norms)
-    else:
-        clamped[...] = False
+        np.divide(delta_np, factors, out=factors)
+        steps *= work.factor_column
     np.add(weights, steps, out=new_weights)
-    new_weights[:, :frozen] = weights[:, :frozen]
+    if frozen:
+        new_weights[:, :frozen] = weights[:, :frozen]
+
+
+def clamp_norms(step_norms: np.ndarray, clamped: np.ndarray, delta_np: float) -> None:
+    """The clamp's bookkeeping, for any number of ticks at once.
+
+    step_norms holds proposed norms, as apply_steps writes them; afterwards
+    it holds the applied norms, capped at delta_np, and clamped flags the
+    proposed norms that exceeded delta_np. A NaN norm stays NaN, unflagged.
+    """
+    np.greater(step_norms, delta_np, out=clamped)
+    np.minimum(step_norms, delta_np, out=step_norms)
 
 
 def hebbian_tick(
@@ -168,18 +179,18 @@ def hebbian_tick(
     work: FastWorkspace,
     new_weights: np.ndarray,
     step_norms: np.ndarray,
-    clamped: np.ndarray,
 ) -> None:
     """One fast tick for the whole swarm, written into the given arrays.
 
-    weights, x_pre, x_post, new_weights: (n_agents, weight_dim); step_norms
-    and clamped: (n_agents,), receiving the applied step norms and the clamp
-    flags. The gains are the ones last given to work.set_gains.
+    weights, x_pre, x_post, new_weights: (n_agents, weight_dim); step_norms:
+    (n_agents,), receiving the proposed step norms. The new weights take the
+    clamped steps; with the clamp on, clamp_norms over the recorded norms
+    gives the applied norms and the clamp flags. The gains are the ones last
+    given to work.set_gains.
     """
     proposed_steps(rule, weights, x_pre, x_post, work)
     apply_steps(
-        weights, work, config.delta_np, config.enforce_clamp,
-        new_weights, step_norms, clamped,
+        weights, work, config.delta_np, config.enforce_clamp, new_weights, step_norms
     )
 
 

@@ -365,6 +365,16 @@ def frozen_mask_for(config: SystemConfig) -> np.ndarray:
     return mask
 
 
+def frozen_prefix(frozen_mask: np.ndarray) -> int:
+    """How many leading coordinates a frozen mask covers; every frozen
+    coordinate must lead each row, as frozen_mask_for makes them, so that
+    masking is a slice."""
+    frozen = int(np.count_nonzero(frozen_mask))
+    if not frozen_mask[:frozen].all():
+        raise ValueError("frozen coordinates must be a leading prefix")
+    return frozen
+
+
 def initial_weights(config: SystemConfig) -> np.ndarray:
     """(n_agents, weight_dim) seeded initial weights, each row at init_weight_norm."""
     if config.init_weight_norm == 0.0:

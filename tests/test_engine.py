@@ -310,6 +310,38 @@ def test_delta_zero_matches_growth_envelope():
         assert trace.max_weight_norm[idx] == pytest.approx(want, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "row, want",
+    [
+        ([0.0, -0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([math.nan, 1.0, 2.0], [0.0, 0.0, 0.0]),
+        ([math.inf, 1.0, -2.0], [math.nan, 0.0, -0.0]),
+    ],
+    ids=["zero_row_is_e0", "nan_row_is_zero", "inf_row_is_nan_at_the_inf"],
+)
+def test_aligned_directions_of_edge_rows(row, want):
+    """A zero row points along the first axis, a row with a NaN gets the zero
+    direction, and a row with an inf divides by an inf norm. The other rows
+    are plain unit directions, alone or next to an edge row."""
+    scenario = get_scenario("delta_zero")
+    cfg = engine._resolve_config(
+        scenario, apply_overrides(SystemConfig(), {"weight_dim": 3}), None
+    )
+    state = engine._Run(scenario, cfg, 1.0)
+    weights = np.tile([3.0, 4.0, 0.0], (cfg.n_agents, 1))
+    plain = np.tile([0.6, 0.8, 0.0], (cfg.n_agents, 1))
+    x_pre, x_post = state._observations(0, weights)
+    assert x_pre is x_post
+    assert x_pre.tobytes() == plain.tobytes()
+    weights[2] = row
+    with np.errstate(invalid="ignore"):
+        dirs, _ = state._observations(1, weights)
+    others = np.arange(cfg.n_agents) != 2
+    np.testing.assert_array_equal(dirs[others], plain[others])
+    np.testing.assert_array_equal(dirs[2], want)
+    assert np.signbit(dirs[2]).tolist()[1:] == np.signbit(want).tolist()[1:]
+
+
 def test_no_clamp_violates_step_contract():
     scenario = get_scenario("no_clamp")
     trace = run(scenario, duration=10.0)

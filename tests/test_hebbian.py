@@ -17,6 +17,7 @@ from tribound.hebbian import (
     FastWorkspace,
     HebbianRule,
     apply_steps,
+    clamp_norms,
     eta1_threshold,
     hebbian_tick,
     modulation_gain,
@@ -41,26 +42,32 @@ def _workspace(n, d, gains=1.0, eta1=1.0, frozen=0):
 
 
 def _apply(weights, steps, frozen, delta_np, enforce_clamp):
-    """apply_steps on given steps; returns (new_weights, step_norms, clamped)."""
+    """apply_steps on given steps, then clamp_norms with the clamp on, as the
+    engine records a tick; returns (new_weights, step_norms, clamped)."""
     n, d = weights.shape
     work = _workspace(n, d, frozen=frozen)
     work.steps[...] = steps
     new = np.empty((n, d))
     norms = np.empty(n)
-    clamped = np.empty(n, dtype=bool)
-    apply_steps(weights, work, delta_np, enforce_clamp, new, norms, clamped)
+    clamped = np.zeros(n, dtype=bool)
+    apply_steps(weights, work, delta_np, enforce_clamp, new, norms)
+    if enforce_clamp:
+        clamp_norms(norms, clamped, delta_np)
     return new, norms, clamped
 
 
 def _tick(rule, cfg, weights, pre, post, gains, mask):
-    """hebbian_tick into fresh arrays; returns (new_weights, step_norms, clamped)."""
+    """hebbian_tick into fresh arrays, then clamp_norms with the clamp on;
+    returns (new_weights, step_norms, clamped)."""
     n = weights.shape[0]
     work = FastWorkspace(n, mask)
     work.set_gains(cfg.eta1, gains)
     new = np.empty_like(weights)
     norms = np.empty(n)
-    clamped = np.empty(n, dtype=bool)
-    hebbian_tick(rule, cfg, weights, pre, post, work, new, norms, clamped)
+    clamped = np.zeros(n, dtype=bool)
+    hebbian_tick(rule, cfg, weights, pre, post, work, new, norms)
+    if cfg.enforce_clamp:
+        clamp_norms(norms, clamped, cfg.delta_np)
     return new, norms, clamped
 
 
@@ -345,6 +352,57 @@ def test_hebbian_tick_matches_allocating_tick_bit_for_bit(
         assert g.tobytes() == w.tobytes()
 
 
+@given(
+    data=st.data(),
+    n=st.integers(min_value=1, max_value=3),
+    d=st.integers(min_value=1, max_value=4),
+    k=st.integers(min_value=1, max_value=4),
+    eta1=st.sampled_from([1e-3, 1.0, 1e300]),
+    delta_np=st.sampled_from([1e-4, 5e-324, 1.0]),
+    enforce_clamp=st.booleans(),
+)
+def test_block_clamp_bookkeeping_matches_the_per_tick_reference(
+    data, n, d, k, eta1, delta_np, enforce_clamp
+):
+    """k ticks of hebbian_tick into a (k, n) block, then one clamp_norms
+    over the block, as the engine records it, give each tick's applied norms
+    and flags of the allocating tick, byte for byte, NaN and inf included."""
+
+    def matrix(values):
+        return np.array(
+            data.draw(st.lists(values, min_size=n * d, max_size=n * d))
+        ).reshape(n, d)
+
+    rule = HebbianRule(0.5, 0.1, -0.3, data.draw(st.sampled_from([-0.01, 0.0, 0.2])))
+    gains = np.array(data.draw(st.lists(st.floats(0.0, 1.5), min_size=n, max_size=n)))
+    mask = np.arange(d) < data.draw(st.integers(min_value=0, max_value=d))
+    cfg = dataclasses.replace(
+        SystemConfig(), eta1=eta1, delta_np=delta_np, enforce_clamp=enforce_clamp
+    )
+    work = FastWorkspace(n, mask)
+    work.set_gains(eta1, gains)
+    weights = matrix(st.sampled_from([0.0, -0.0, 1.5, -2.0, 70.0, math.inf]))
+    block = np.empty((k, n, d))
+    norms = np.empty((k, n))
+    clamped = np.zeros((k, n), dtype=bool)
+    want = []
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(k):
+            x_pre = matrix(_activity_values)
+            x_post = matrix(_activity_values)
+            want.append(_allocating_hebbian_tick(
+                rule, weights, x_pre, x_post, gains, eta1, mask, delta_np, enforce_clamp
+            ))
+            hebbian_tick(rule, cfg, weights, x_pre, x_post, work, block[i], norms[i])
+            weights = block[i]
+        if enforce_clamp:
+            clamp_norms(norms, clamped, delta_np)
+    for i, (new, applied, flags) in enumerate(want):
+        assert block[i].tobytes() == new.tobytes()
+        assert norms[i].tobytes() == applied.tobytes()
+        assert clamped[i].tobytes() == flags.tobytes()
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=30)
 def test_applied_norms_never_exceed_cap(seed):
@@ -373,12 +431,10 @@ def test_hebbian_tick_shapes(base_config):
     work.set_gains(cfg.eta1, 1.0)
     new = np.full((n, d), np.nan)
     norms = np.full(n, np.nan)
-    clamped = np.ones(n, dtype=bool)
-    returned = hebbian_tick(rule, cfg, weights, acts, acts, work, new, norms, clamped)
+    returned = hebbian_tick(rule, cfg, weights, acts, acts, work, new, norms)
     assert returned is None
     np.testing.assert_array_equal(new, weights)
     np.testing.assert_array_equal(norms, np.zeros(n))
-    assert not clamped.any()
 
 
 def test_safety_output_constant_under_plastic_updates(base_config):
