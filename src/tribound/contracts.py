@@ -24,7 +24,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .meta import MetaCascade
-from .model import SystemConfig
+from .model import SystemConfig, frozen_prefix
 
 CONTRACT_IDS = ("NP-C1", "NP-C2", "MARL-C1", "GNN-C1", "ML-C1", "ML-C2")
 # A measured value passes up to this fraction of its threshold above it.
@@ -216,17 +216,18 @@ class SafetyReadout:
 
     An agent's readout under a probe is the probe, restricted to the frozen
     coordinates, dotted with the agent's weights. At each tick the contract
-    measures the largest absolute change of any readout since t = 0.
+    measures the largest absolute change of any readout since t = 0. The
+    frozen coordinates must lead each row, so they are compared as a slice.
     """
 
     def __init__(
         self, initial_weights: np.ndarray, danger: np.ndarray, frozen_mask: np.ndarray
     ) -> None:
         self.frozen_mask = frozen_mask
-        self.frozen_any = bool(frozen_mask.any())
+        self.frozen = frozen_prefix(frozen_mask)
         self.danger_masked = danger * frozen_mask
         self.base = initial_weights @ self.danger_masked.T
-        self.frozen_base = initial_weights[:, frozen_mask]
+        self.frozen_base = initial_weights[:, : self.frozen].copy()
 
     def deltas(self, block: np.ndarray) -> np.ndarray:
         """One measurement per tick of a (ticks, n_agents, weight_dim) block.
@@ -237,10 +238,10 @@ class SafetyReadout:
         measurement is exactly 0.0. Any other block is measured by the
         definition; a non-finite weight then yields NaN, a failed check.
         """
-        if not self.frozen_any:
+        if not self.frozen:
             return np.zeros(block.shape[0])
         if np.isfinite(block).all() and (
-            block[..., self.frozen_mask] == self.frozen_base
+            block[..., : self.frozen] == self.frozen_base
         ).all():
             return np.zeros(block.shape[0])
         return np.abs(block @ self.danger_masked.T - self.base).max(axis=(1, 2))
