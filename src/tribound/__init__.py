@@ -11,12 +11,18 @@ contracts, and the individual bound terms in bounds) are imported from
 their own modules.
 """
 
-from .bounds import BoundReport, SensitivityRow, elasticity_sweep, total_bound
+from .bounds import (
+    BoundReport,
+    SensitivityRow,
+    VerificationReport,
+    elasticity_sweep,
+    total_bound,
+    validate_conditions,
+)
 from .contracts import CONTRACT_IDS, ContractVerdict
 from .engine import (
     SCENARIOS,
     Scenario,
-    VerificationReport,
     confirm_expectation,
     get_scenario,
     run,
@@ -35,7 +41,6 @@ from .errors import (
     ValidationError,
 )
 from .model import (
-    ConditionReport,
     SystemConfig,
     apply_overrides,
     config_from_dict,
@@ -44,7 +49,6 @@ from .model import (
     load_config,
     load_config_path,
     validate,
-    validate_conditions,
 )
 from .trace import Trace
 
@@ -54,7 +58,6 @@ __all__ = [
     "BoundReport",
     "CONTRACT_IDS",
     "CalibrationError",
-    "ConditionReport",
     "ContractVerdict",
     "EnforcementError",
     "ModulationBoundError",

@@ -1,4 +1,4 @@
-"""Closed-form bound calculator.
+"""Closed-form bound calculator and the checks made against it.
 
 total_bound derives every closed-form quantity of a config once: the
 fast-level invariant ball and step bounds, the per-cycle embedding drift
@@ -7,6 +7,11 @@ total, and the recommended rate caps. The sensitivity sweep recomputes the
 total under parameter scaling, next to a tabulated reference column so
 deviations from the published rounded values are reported instead of
 silently absorbed.
+
+A config is checked against these quantities twice, and both checks report
+a VerificationReport of CheckResults: before a run by the five start-time
+conditions (validate_conditions), and after it by the trace replay
+(engine.verify).
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from . import hebbian
 from .contracts import all_margins
 from .errors import ValidationError
-from .meta import MetaCascade, cascading_sensitivity
+from .meta import META_LOSS_SMOOTHNESS, MetaCascade, cascading_sensitivity
 from .model import SystemConfig
 
 _CEIL_GUARD = 1e-9
@@ -28,6 +33,40 @@ def _ceil_guarded(x: float, name: str) -> int:
     if not math.isfinite(x):
         raise ValidationError(f"{name} is beyond the float range")
     return int(math.ceil(x - _CEIL_GUARD))
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One check of a config or a trace against its bound.
+
+    passed is None, and worst NaN, when the check cannot be decided: a
+    start-time condition deferred to the runtime monitors, or a replay of a
+    run that holds no evidence for it (for example the closed-form bounds
+    are undefined in the unstable regime, or the needed stream is empty or
+    was not recorded).
+    """
+
+    check_id: str
+    passed: bool | None
+    worst: float
+    bound: float
+    note: str = ""
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    checks: tuple[CheckResult, ...]
+
+    def check(self, check_id: str) -> CheckResult:
+        for result in self.checks:
+            if result.check_id == check_id:
+                return result
+        raise KeyError(check_id)
+
+    @property
+    def all_passed(self) -> bool:
+        """True when no check failed; an undecided check fails nothing."""
+        return all(result.passed is not False for result in self.checks)
 
 
 @dataclass(frozen=True)
@@ -130,6 +169,61 @@ def total_bound(config: SystemConfig, h_eff_override: int | None = None) -> Boun
         j_star=j_star,
         relative_subopt=eps_total / j_star,
     )
+
+
+def validate_conditions(config: SystemConfig) -> VerificationReport:
+    """Evaluate the five start-time conditions on a config. Pure function."""
+    rule = hebbian.rule_from_config(config)
+
+    if config.delta < 0.0:
+        threshold = hebbian.eta1_threshold(rule, config)
+        s1_pass = config.eta1 <= threshold
+        s1_note = f"decay negative; fast rate vs stability threshold {threshold:.6g}"
+    else:
+        threshold = math.nan
+        s1_pass = False
+        s1_note = "decay coefficient is not negative; no stable regime"
+    s1 = CheckResult("S1", s1_pass, config.eta1, threshold, s1_note)
+
+    ratio12 = config.tau1 / config.tau2
+    ratio23 = config.tau2 / config.tau3
+    excess = max(ratio12 - config.rho12, ratio23 - config.rho23)
+    s2 = CheckResult(
+        "S2",
+        ratio12 <= config.rho12 and ratio23 <= config.rho23,
+        excess,
+        0.0,
+        f"period ratios {ratio12:.6g} (cap {config.rho12:.6g}) and "
+        f"{ratio23:.6g} (cap {config.rho23:.6g})",
+    )
+
+    induced = config.lip_pi * config.lip_phi * config.delta_np
+    s3 = CheckResult(
+        "S3",
+        induced <= config.eps_coord_star,
+        induced,
+        config.eps_coord_star,
+        "per-tick induced policy drift vs admissible cap",
+    )
+
+    meta_effect = config.eta3 * META_LOSS_SMOOTHNESS
+    s4 = CheckResult(
+        "S4",
+        meta_effect <= config.eps_meta_star,
+        meta_effect,
+        config.eps_meta_star,
+        "meta step effect vs admissible cap",
+    )
+
+    s5 = CheckResult(
+        "S5",
+        None,
+        math.nan,
+        math.nan,
+        "assumed at start time; enforced at runtime by the contract monitors",
+    )
+
+    return VerificationReport(checks=(s1, s2, s3, s4, s5))
 
 
 def growth_envelope(config: SystemConfig, t: float) -> float:

@@ -26,13 +26,14 @@ import numpy as np
 from .bounds import (
     REFERENCE_BASE_TOTAL,
     SWEEPABLE,
+    VerificationReport,
     elasticity_sweep,
     growth_envelope,
     total_bound,
+    validate_conditions,
 )
 from .contracts import CONTRACT_IDS
 from .engine import (
-    VerificationReport,
     confirm_expectation,
     get_scenario,
     run,
@@ -40,12 +41,7 @@ from .engine import (
     verify,
 )
 from .errors import TriboundError
-from .model import (
-    SystemConfig,
-    apply_overrides,
-    load_config_path,
-    validate_conditions,
-)
+from .model import SystemConfig, apply_overrides, load_config_path
 from .trace import Trace, ticks_by
 
 PASS_EXIT = 0
@@ -219,7 +215,7 @@ def cmd_conditions(args: argparse.Namespace) -> int:
     config = _build_config(args)
     report = validate_conditions(config)
     rows = [
-        [c.condition_id, _status(c.passed, "assumed"), c.measured, c.threshold, c.note]
+        [c.check_id, _status(c.passed, "assumed"), c.worst, c.bound, c.note]
         for c in report.checks
     ]
     print("start-time admissibility conditions")
@@ -364,20 +360,17 @@ def _max_weight_norm(trace: Trace, ticks: int) -> float:
     return float(np.linalg.norm(trace.snap_weights[0], axis=1).max())
 
 
-def _tick_value(trace: Trace, t: float) -> float:
-    """The max weight norm at the last recorded tick at or before time t."""
-    return _max_weight_norm(trace, min(ticks_by(t, trace.config.tau1), trace.ticks))
-
-
 def _report_delta_zero(trace: Trace, config: SystemConfig) -> dict[str, Any]:
-    horizons = [t for t in (100.0, 1000.0, 10000.0) if t <= trace.duration + 1e-9]
+    """One row per horizon whose tick the run reached, read at that tick."""
+    tau1 = trace.config.tau1
     rows = [
         {
             "t": t,
             "envelope": growth_envelope(trace.config, t),
-            "measured": _tick_value(trace, t),
+            "measured": _max_weight_norm(trace, ticks_by(t, tau1)),
         }
-        for t in horizons
+        for t in (100.0, 1000.0, 10000.0)
+        if ticks_by(t, tau1) <= trace.ticks
     ]
     print("zero-decay growth: measured max weight norm vs analytic envelope")
     print(
@@ -443,9 +436,7 @@ def _report_margin_breach(trace: Trace, config: SystemConfig) -> dict[str, Any] 
             ("margin alarms in run", "alarm_count", trace.alarm_count),
         ]
     )
-    payload["meta_record"] = {
-        k: v for k, v in rec.items() if k not in ("margins_before", "margins_after")
-    }
+    payload["meta_record"] = {k: v for k, v in rec.items() if k != "margins_after"}
     return payload
 
 

@@ -30,7 +30,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .bounds import BoundReport, total_bound
+from .bounds import BoundReport, CheckResult, VerificationReport, total_bound
 from .cascade import (
     PolicyTarget,
     logit_scale,
@@ -468,12 +468,9 @@ class _Run:
         t = ticks_done * cfg.tau1 * (1.0 + TIME_TOL)
         while (cycle := len(trace.meta_records) + 1) * cfg.tau3 <= t:
             boundary = cycle * cfg.tau3
-            margins_before = dict(self.margins)
             candidate, grad_norm = self.cascade.step(self.theta)
             step_norm = float(np.linalg.norm(candidate - self.theta))
-            verdict = compatibility_check(
-                step_norm, [(cid, self.margins[cid]) for cid in CONTRACT_IDS], cfg
-            )
+            verdict = compatibility_check(step_norm, list(self.margins.values()), cfg)
             applied = verdict.passed or self.scenario.force_meta
             if applied:
                 self.theta = candidate
@@ -496,7 +493,6 @@ class _Run:
                     "applied": applied,
                     "k_inner": trial.k_inner,
                     "t_adapt": trial.t_adapt,
-                    "margins_before": margins_before,
                     "margins_after": dict(self.margins),
                 }
             )
@@ -558,37 +554,6 @@ def run(
             break
         state._meta_step(done)
     return state.finish(done)
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """One trace-against-bound comparison.
-
-    passed is None, and worst NaN, when the run holds no evidence for the
-    check (for example the closed-form bounds are undefined in the unstable
-    regime, or the needed stream is empty or was not recorded).
-    """
-
-    check_id: str
-    passed: bool | None
-    worst: float
-    bound: float
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple[CheckResult, ...]
-
-    def check(self, check_id: str) -> CheckResult:
-        for result in self.checks:
-            if result.check_id == check_id:
-                return result
-        raise KeyError(check_id)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(result.passed is not False for result in self.checks)
 
 
 def _least_squares_slope(times: np.ndarray, values: np.ndarray) -> float:

@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .cascade import policy_distributions, tv_rows
 from .errors import StructuralError, ValidationError
 from .hebbian import HebbianRule, rule_from_config
 from .model import SystemConfig
@@ -103,19 +104,18 @@ class CompatibilityVerdict:
 
 def compatibility_check(
     delta_theta_norm: float,
-    margins: list[tuple[str, float]],
+    margins: Sequence[float],
     config: SystemConfig,
 ) -> CompatibilityVerdict:
     """Gate a candidate meta step against the current contract margins."""
     if not margins:
         raise ValidationError("compatibility check needs at least one margin")
-    values = [m for _, m in margins]
-    min_margin = min(values)
+    min_margin = min(margins)
     budget = config.eta3 * config.g_max
     # the step is a difference of meta points: one eps of their size per coordinate
     slack = config.meta_dim * float(np.finfo(float).eps) * (config.theta_box + budget)
     return CompatibilityVerdict(
-        m1=all(m > 0.0 for m in values),
+        m1=all(m > 0.0 for m in margins),
         m2=delta_theta_norm <= budget + slack,
         m3=delta_theta_norm < min_margin,
         predicted_dpi=cascading_sensitivity(config) * delta_theta_norm,
@@ -225,8 +225,6 @@ def adaptation_trial(
     total-variation gap to the reference drops under tolerance. Adaptation
     time is the iteration count times the fast period.
     """
-    from .cascade import policy_distributions, tv_rows
-
     distance = float(np.linalg.norm(np.asarray(theta, dtype=float) - cascade.theta_star))
     magnitude = ADAPT_BASE_PERTURBATION * (1.0 + distance / config.theta_box)
     rng = stream_rng(config.seed, "adaptation")

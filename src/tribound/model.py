@@ -1,4 +1,4 @@
-"""Configuration and shared domain types for the tri-level swarm simulator.
+"""Configuration and its validation for the tri-level swarm simulator.
 
 The system couples three learning loops running at separated timescales: a
 fast local synaptic update per agent, a mid-rate coordination update of the
@@ -265,95 +265,6 @@ def validate(config: SystemConfig) -> None:
             "timescale separation is degraded",
             stacklevel=2,
         )
-
-
-@dataclass(frozen=True)
-class ConditionCheck:
-    """Verdict for one start-time admissibility condition.
-
-    passed is None when the condition cannot be decided statically and is
-    deferred to the runtime monitors.
-    """
-
-    condition_id: str
-    passed: bool | None
-    measured: float
-    threshold: float
-    note: str
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    checks: tuple[ConditionCheck, ...]
-
-    def check(self, condition_id: str) -> ConditionCheck:
-        for item in self.checks:
-            if item.condition_id == condition_id:
-                return item
-        raise KeyError(condition_id)
-
-    @property
-    def all_passed(self) -> bool:
-        """True when every statically decidable condition passed."""
-        return all(c.passed for c in self.checks if c.passed is not None)
-
-
-def validate_conditions(config: SystemConfig) -> ConditionReport:
-    """Evaluate the five start-time conditions on a config. Pure function."""
-    from . import hebbian
-    from .meta import META_LOSS_SMOOTHNESS
-
-    rule = hebbian.rule_from_config(config)
-
-    if config.delta < 0.0:
-        threshold = hebbian.eta1_threshold(rule, config)
-        s1_pass = config.eta1 <= threshold
-        s1_note = f"decay negative; fast rate vs stability threshold {threshold:.6g}"
-    else:
-        threshold = math.nan
-        s1_pass = False
-        s1_note = "decay coefficient is not negative; no stable regime"
-    s1 = ConditionCheck("S1", s1_pass, config.eta1, threshold, s1_note)
-
-    ratio12 = config.tau1 / config.tau2
-    ratio23 = config.tau2 / config.tau3
-    excess = max(ratio12 - config.rho12, ratio23 - config.rho23)
-    s2 = ConditionCheck(
-        "S2",
-        ratio12 <= config.rho12 and ratio23 <= config.rho23,
-        excess,
-        0.0,
-        f"period ratios {ratio12:.6g} (cap {config.rho12:.6g}) and "
-        f"{ratio23:.6g} (cap {config.rho23:.6g})",
-    )
-
-    induced = config.lip_pi * config.lip_phi * config.delta_np
-    s3 = ConditionCheck(
-        "S3",
-        induced <= config.eps_coord_star,
-        induced,
-        config.eps_coord_star,
-        "per-tick induced policy drift vs admissible cap",
-    )
-
-    meta_effect = config.eta3 * META_LOSS_SMOOTHNESS
-    s4 = ConditionCheck(
-        "S4",
-        meta_effect <= config.eps_meta_star,
-        meta_effect,
-        config.eps_meta_star,
-        "meta step effect vs admissible cap",
-    )
-
-    s5 = ConditionCheck(
-        "S5",
-        None,
-        math.nan,
-        math.nan,
-        "assumed at start time; enforced at runtime by the contract monitors",
-    )
-
-    return ConditionReport(checks=(s1, s2, s3, s4, s5))
 
 
 def frozen_mask_for(config: SystemConfig) -> np.ndarray:

@@ -5,7 +5,6 @@ ROOT_API = [
     "BoundReport",
     "CONTRACT_IDS",
     "CalibrationError",
-    "ConditionReport",
     "ContractVerdict",
     "EnforcementError",
     "ModulationBoundError",

@@ -257,6 +257,18 @@ def test_delta_zero_reads_the_last_tick_before_an_off_grid_horizon(tmp_path: Pat
     assert row["measured"] == trace.max_weight_norm[-1]
 
 
+def test_delta_zero_prints_no_row_for_a_horizon_the_run_never_reached(
+    tmp_path: Path, capsys
+):
+    """A run of 99.9999999995 s ends at tick 4999, one short of the 100 s
+    horizon's tick 5000, so the table holds no t=100 row."""
+    argv = ["counterexample", "delta_zero", "--duration", "99.9999999995"]
+    assert main([*argv, "--out", str(tmp_path)]) == CONFIRMED_EXIT
+    out = capsys.readouterr().out
+    assert "zero-decay growth" in out
+    assert json.loads((tmp_path / "counterexample_delta_zero.json").read_text())["rows"] == []
+
+
 def _line(out: str, start: str) -> str:
     return next(line for line in out.splitlines() if line.startswith(start))
 

@@ -158,7 +158,7 @@ def test_target_dimension_guard(base_config):
 
 
 def test_compatibility_gate(base_config):
-    margins = [("NP-C1", 0.5), ("MARL-C1", 0.2)]
+    margins = [0.5, 0.2]
     verdict = compatibility_check(0.1, margins, base_config)
     assert not verdict.passed  # 0.1 exceeds the eta3 * g_max budget
     assert verdict.m1 and verdict.m3 and not verdict.m2
@@ -171,14 +171,14 @@ def test_compatibility_gate(base_config):
 def test_compatibility_gate_edge_cases(base_config):
     with pytest.raises(ValidationError):
         compatibility_check(0.0, [], base_config)
-    dead = compatibility_check(1e-6, [("NP-C1", 0.0)], base_config)
+    dead = compatibility_check(1e-6, [0.0], base_config)
     assert not dead.m1
     # a step exactly consuming the margin is rejected: the comparison is strict
-    exact = compatibility_check(1e-5, [("NP-C1", 1e-5)], base_config)
+    exact = compatibility_check(1e-5, [1e-5], base_config)
     assert exact.m2 and not exact.m3
     # the budget comparison tolerates float noise at the boundary
     budget = base_config.eta3 * base_config.g_max
-    assert compatibility_check(budget, [("NP-C1", 1.0)], base_config).m2
+    assert compatibility_check(budget, [1.0], base_config).m2
 
 
 @pytest.mark.parametrize("eta3", [1e-16, 1e-12, 1e-8, 1e-5, 1e-2, 1.0])
@@ -189,9 +189,9 @@ def test_m2_slack_scales_with_its_operands(eta3):
     rates = {"eta1": max(1e-3, 4.0 * eta3), "eta2": max(1e-4, 2.0 * eta3), "eta3": eta3}
     cfg = apply_overrides(SystemConfig(), rates)
     budget = cfg.eta3 * cfg.g_max
-    assert compatibility_check(budget, [("NP-C1", 10.0)], cfg).m2
+    assert compatibility_check(budget, [10.0], cfg).m2
     if eta3 == 1e-16:
-        assert not compatibility_check(5_000 * budget, [("NP-C1", 0.5)], cfg).m2
+        assert not compatibility_check(5_000 * budget, [0.5], cfg).m2
 
 
 @given(st.floats(min_value=1e-8, max_value=0.9))
@@ -200,7 +200,7 @@ def test_gate_never_reaches_failure_set(margin_value):
     """Accepted steps are always strictly smaller than the nearest margin."""
     cfg = SystemConfig()
     step = cfg.eta3 * cfg.g_max
-    verdict = compatibility_check(step, [("NP-C1", margin_value)], cfg)
+    verdict = compatibility_check(step, [margin_value], cfg)
     if verdict.passed:
         assert step < margin_value
 

@@ -122,7 +122,7 @@ def test_rate_ordering_only_warns(base_config):
 
 def test_conditions_baseline_all_pass(base_config):
     report = validate_conditions(base_config)
-    assert [c.condition_id for c in report.checks] == ["S1", "S2", "S3", "S4", "S5"]
+    assert [c.check_id for c in report.checks] == ["S1", "S2", "S3", "S4", "S5"]
     assert report.all_passed
     assert report.check("S1").passed is True
     assert report.check("S5").passed is None
@@ -140,7 +140,7 @@ def test_s1_fails_without_decay(base_config):
     report = validate_conditions(apply_overrides(base_config, {"delta": 0.0}))
     check = report.check("S1")
     assert check.passed is False
-    assert math.isnan(check.threshold)
+    assert math.isnan(check.bound)
 
 
 def test_s2_fails_on_close_periods(base_config):

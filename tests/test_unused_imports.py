@@ -3,7 +3,10 @@ so this test is the check, over the same files as test_python_floor.py.
 
 A name counts as used when the module reads it anywhere, or lists it in its
 __all__ (how the package root re-exports its modules' names). An import kept
-for its side effect says so with `# noqa: F401` on its line."""
+for its side effect says so with `# noqa: F401` on its line.
+
+Under src/ every import also sits at module level: an import inside a
+function hides a dependency that the module layering should carry."""
 import ast
 from pathlib import Path
 
@@ -45,9 +48,30 @@ def unused_imports(source: str) -> list[str]:
     ]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(ROOT)))
+def nested_imports(source: str) -> list[int]:
+    """Line of each import that is not a statement of the module body."""
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    ]
+
+
+def _source_id(path: Path) -> str:
+    return str(path.relative_to(ROOT))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=_source_id)
 def test_module_uses_every_name_it_imports(path: Path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path.is_relative_to(ROOT / "src")], ids=_source_id
+)
+def test_module_imports_only_at_module_level(path: Path):
+    assert nested_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_unused_imports_honours_all_and_noqa():
@@ -61,3 +85,15 @@ def test_unused_imports_honours_all_and_noqa():
         "print(os.path.sep, dumps)\n"
     )
     assert unused_imports(source) == ["2: np", "3: loads"]
+
+
+def test_nested_imports_finds_imports_below_module_level():
+    source = (
+        "import os\n"
+        "def f():\n"
+        "    from json import dumps\n"
+        "    return dumps(os.sep)\n"
+        "class C:\n"
+        "    import math\n"
+    )
+    assert nested_imports(source) == [3, 6]
