@@ -1,4 +1,4 @@
-"""Configuration and its validation for the tri-level swarm simulator.
+"""Configuration of the tri-level swarm simulator, its validation and initial state.
 
 The system couples three learning loops running at separated timescales: a
 fast local synaptic update per agent, a mid-rate coordination update of the
