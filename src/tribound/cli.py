@@ -21,8 +21,6 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from .bounds import (
     REFERENCE_BASE_TOTAL,
     SWEEPABLE,
@@ -41,6 +39,7 @@ from .engine import (
     verify,
 )
 from .errors import TriboundError
+from .hebbian import row_norms
 from .model import SystemConfig, apply_overrides, load_config_path
 from .trace import Trace, ticks_by
 
@@ -357,7 +356,7 @@ def _max_weight_norm(trace: Trace, ticks: int) -> float:
     """Largest agent weight norm after the given number of fast ticks."""
     if ticks:
         return float(trace.max_weight_norm[ticks - 1])
-    return float(np.linalg.norm(trace.snap_weights[0], axis=1).max())
+    return float(row_norms(trace.snap_weights[0]).max())
 
 
 def _report_delta_zero(trace: Trace, config: SystemConfig) -> dict[str, Any]:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .meta import MetaCascade
 from .model import SystemConfig, frozen_prefix
@@ -83,12 +84,11 @@ class ContractVerdict:
 
 
 def rolling_means(values: Sequence[float]) -> list[float]:
+    """Means of every ML2_WINDOW consecutive values, oldest window first."""
     if len(values) < ML2_WINDOW:
         return []
-    return [
-        float(np.mean(values[i : i + ML2_WINDOW]))
-        for i in range(len(values) - ML2_WINDOW + 1)
-    ]
+    windows = sliding_window_view(np.asarray(values, dtype=float), ML2_WINDOW)
+    return windows.mean(axis=-1).tolist()
 
 
 def ml2_increase(k_inner: Sequence[float]) -> float | None:
@@ -102,10 +102,12 @@ def ml2_increase(k_inner: Sequence[float]) -> float | None:
 class Monitor:
     """Stateful verdict collector for a running simulation.
 
-    Every observation is counted; the event log keeps only pass/alarm state
-    transitions plus explicitly forced records (cycle summaries), so long
-    runs with steady verdicts stay small on disk. latest() returns the most
-    recent verdict of a contract, logged or not.
+    Every observation is counted. Cycle contracts, observed one value at a
+    time through observe(), log every verdict; tick contracts, observed in
+    blocks through observe_block(), log only pass/alarm state transitions,
+    so long runs with steady verdicts stay small on disk. A measured value
+    of None is inconclusive: neither a pass nor a fail, and never counted.
+    latest() returns the most recent verdict of a contract, logged or not.
     """
 
     def __init__(self, config: SystemConfig) -> None:
@@ -116,49 +118,63 @@ class Monitor:
         self.alarm_count = 0
         self._latest: dict[str, ContractVerdict] = {}
 
-    def _state_changed(self, contract_id: str, passed: bool | None, alarm: bool) -> bool:
-        last = self._latest.get(contract_id)
-        return last is None or (last.passed, last.alarm) != (passed, alarm)
+    def _judge(
+        self,
+        contract_id: str,
+        times: Sequence[float],
+        values: Sequence[float] | None,
+        margin: float,
+        log_all: bool,
+        note: str = "",
+    ) -> list[tuple[int, ContractVerdict]]:
+        """Judge one contract's values at times, count fails and alarms, and
+        set latest(). Returns (index, verdict) of every value if log_all, else
+        of each value whose pass/alarm state differs from the one before it.
+        values None is one inconclusive verdict at times[0].
+        """
+        threshold = self.thresholds[contract_id]
+        if values is None:
+            values, passed, margin = np.array([math.nan]), np.array([None]), 0.0
+            alarm = False
+        else:
+            values = np.asarray(values, dtype=float)
+            passed = values <= threshold + EQUALITY_TOL * abs(threshold)
+            alarm = margin < self.config.margin_alarm
+            self.fail_count += int(passed.size - np.count_nonzero(passed))
+            if alarm:
+                self.alarm_count += int(passed.size)
+        if log_all:
+            logged = list(range(passed.size))
+        else:
+            logged = (np.flatnonzero(passed[1:] != passed[:-1]) + 1).tolist()
+            last = self._latest.get(contract_id)
+            if last is None or (last.passed, last.alarm) != (passed[0], alarm):
+                logged.insert(0, 0)
+        flags = passed.tolist()
+        verdicts = [
+            ContractVerdict(
+                contract_id, float(times[k]), flags[k], float(values[k]),
+                threshold, margin, alarm, note,
+            )
+            for k in (logged if log_all else logged + [passed.size - 1])
+        ]
+        self._latest[contract_id] = verdicts[-1]
+        return list(zip(logged, verdicts))
 
     def observe(
         self,
         contract_id: str,
         time: float,
-        measured: float,
-        margin_value: float,
-        inconclusive: bool = False,
-        force_log: bool = False,
+        measured: float | None,
+        margin: float,
         note: str = "",
-    ) -> ContractVerdict | None:
-        threshold = self.thresholds[contract_id]
-        if inconclusive:
-            passed: bool | None = None
-            alarm = False
-            measured = math.nan
-            margin_value = 0.0
-        else:
-            passed = measured <= threshold + EQUALITY_TOL * abs(threshold)
-            alarm = margin_value < self.config.margin_alarm
-            if not passed:
-                self.fail_count += 1
-            if alarm:
-                self.alarm_count += 1
-        logged = force_log or self._state_changed(contract_id, passed, alarm)
-        verdict = ContractVerdict(
-            contract_id=contract_id,
-            time=time,
-            passed=passed,
-            measured=measured,
-            threshold=threshold,
-            margin=margin_value,
-            alarm=alarm,
-            note=note,
-        )
-        self._latest[contract_id] = verdict
-        if logged:
-            self.events.append(verdict)
-            return verdict
-        return None
+    ) -> ContractVerdict:
+        """Judge and log one value of a contract at its margin; None is
+        inconclusive."""
+        values = None if measured is None else [measured]
+        [(_, verdict)] = self._judge(contract_id, [time], values, margin, True, note)
+        self.events.append(verdict)
+        return verdict
 
     def observe_block(
         self,
@@ -169,40 +185,17 @@ class Monitor:
         """Record conclusive observations of several contracts at many times.
 
         measured maps each contract to one value per time, and at each time
-        the contracts are taken in the mapping's order. Events, counts and
-        latest() come out exactly as from one observe() call per value, at
-        the contract's margin from margins. Verdicts are built only for the
-        logged transitions and for each contract's last value.
+        the contracts are taken in the mapping's order. Each contract logs
+        its pass/alarm transitions at its margin from margins. The counts,
+        events and latest() do not depend on how the times are split into
+        blocks.
         """
         if len(times) == 0:
             return
         logged: list[tuple[int, int, ContractVerdict]] = []
         for order, (contract_id, values) in enumerate(measured.items()):
-            values = np.asarray(values, dtype=float)
-            threshold = self.thresholds[contract_id]
-            margin_value = margins[contract_id]
-            alarm = margin_value < self.config.margin_alarm
-            passed = values <= threshold + EQUALITY_TOL * abs(threshold)
-            self.fail_count += int(passed.size - np.count_nonzero(passed))
-            if alarm:
-                self.alarm_count += int(passed.size)
-            changes = (np.flatnonzero(passed[1:] != passed[:-1]) + 1).tolist()
-            if self._state_changed(contract_id, bool(passed[0]), alarm):
-                changes.insert(0, 0)
-            verdicts = [
-                ContractVerdict(
-                    contract_id=contract_id,
-                    time=float(times[k]),
-                    passed=bool(passed[k]),
-                    measured=float(values[k]),
-                    threshold=threshold,
-                    margin=margin_value,
-                    alarm=alarm,
-                )
-                for k in changes + [passed.size - 1]
-            ]
-            self._latest[contract_id] = verdicts.pop()
-            logged.extend((k, order, v) for k, v in zip(changes, verdicts))
+            judged = self._judge(contract_id, times, values, margins[contract_id], False)
+            logged.extend((k, order, verdict) for k, verdict in judged)
         logged.sort(key=lambda item: item[:2])
         self.events.extend(verdict for _, _, verdict in logged)
 

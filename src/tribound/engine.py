@@ -423,28 +423,17 @@ class _Run:
             except EnforcementError as exc:
                 trace.halt_reason = f"coordination update at t={boundary!r}: {exc}"
                 return False
-            self.monitor.observe(
-                "MARL-C1", boundary, info.tv_step, self.margins["MARL-C1"],
-                force_log=True,
-            )
+            self.monitor.observe("MARL-C1", boundary, info.tv_step, self.margins["MARL-C1"])
+            # An error bound presumes weights inside the invariant ball, whose
+            # recorded norm sums weight_dim squares.
+            error, note = float(error_norms.max()), ""
             if self.rule.delta < 0.0:
                 ceiling = weight_norm_ceiling(self.rule)
-                gnn_precondition_ok = (
-                    float(trace.max_weight_norm[ticks_done - 1]) <= ceiling + 1e-9
-                )
-            else:
-                gnn_precondition_ok = True
-            self.monitor.observe(
-                "GNN-C1",
-                boundary,
-                float(error_norms.max()),
-                self.margins["GNN-C1"],
-                inconclusive=not gnn_precondition_ok,
-                force_log=True,
-                note=""
-                if gnn_precondition_ok
-                else "precondition breach: weight norm beyond the invariant ball",
-            )
+                slack = _rounding_slack(ceiling, cfg.weight_dim)
+                if float(trace.max_weight_norm[ticks_done - 1]) > ceiling + slack:
+                    error = None
+                    note = "precondition breach: weight norm beyond the invariant ball"
+            self.monitor.observe("GNN-C1", boundary, error, self.margins["GNN-C1"], note)
             trace.marl_records.append(
                 {
                     "t": boundary,
@@ -496,20 +485,10 @@ class _Run:
                     "margins_after": dict(self.margins),
                 }
             )
-            self.monitor.observe(
-                "ML-C1", boundary, trial.t_adapt, self.margins["ML-C1"], force_log=True
-            )
+            self.monitor.observe("ML-C1", boundary, trial.t_adapt, self.margins["ML-C1"])
             increase = ml2_increase([rec["k_inner"] for rec in trace.meta_records])
-            undecided = increase is None
-            self.monitor.observe(
-                "ML-C2",
-                boundary,
-                math.nan if undecided else increase,
-                self.margins["ML-C2"],
-                inconclusive=undecided,
-                force_log=True,
-                note=f"{len(trace.meta_records)} trials so far" if undecided else "",
-            )
+            note = "" if increase is not None else f"{len(trace.meta_records)} trials so far"
+            self.monitor.observe("ML-C2", boundary, increase, self.margins["ML-C2"], note)
             trace.meta_times.append(boundary)
             trace.meta_snaps.append(self.theta.copy())
 

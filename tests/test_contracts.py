@@ -112,6 +112,21 @@ def test_rolling_means():
     assert rolling_means([1.0, 2.0, 3.0, 4.0]) == [2.0, 3.0]
 
 
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 10**6), max_size=40),
+        st.lists(st.floats(-1e12, 1e12), max_size=40),
+    )
+)
+def test_rolling_means_equal_each_window_mean(values):
+    """Bit for bit the mean of each window taken on its own."""
+    want = [
+        float(np.mean(values[i : i + ML2_WINDOW]))
+        for i in range(len(values) - ML2_WINDOW + 1)
+    ]
+    assert rolling_means(values) == want
+
+
 def test_ml2_increase():
     assert ml2_increase([5, 5, 5]) is None
     assert ml2_increase([5, 5, 5, 5]) == 0.0
@@ -142,14 +157,12 @@ def _origin_margins(config):
 def test_check_contract_step_norms(base_config):
     monitor = Monitor(base_config)
     margin_value = _origin_margins(base_config)["NP-C1"]
-    ok = monitor.observe("NP-C1", 0.02, max([5e-5, 1e-4]), margin_value, force_log=True)
+    ok = monitor.observe("NP-C1", 0.02, max([5e-5, 1e-4]), margin_value)
     assert ok.passed is True
     assert ok.measured == 1e-4 and ok.threshold == base_config.delta_np
-    bad = monitor.observe("NP-C1", 0.04, max([5e-5, 2e-4]), margin_value, force_log=True)
+    bad = monitor.observe("NP-C1", 0.04, max([5e-5, 2e-4]), margin_value)
     assert bad.passed is False and monitor.fail_count == 1
-    undecided = monitor.observe(
-        "NP-C1", 0.06, 1e-4, margin_value, inconclusive=True, force_log=True
-    )
+    undecided = monitor.observe("NP-C1", 0.06, None, margin_value)
     assert undecided.passed is None and math.isnan(undecided.measured)
     assert undecided.margin == 0.0 and undecided.alarm is False
     assert monitor.fail_count == 1
@@ -167,14 +180,14 @@ def test_check_contract_tolerates_exact_threshold(base_config):
             (delta_np + 2.0 * slack, False),
             (1.5 * delta_np, False),
         ):
-            verdict = monitor.observe("NP-C1", 0.0, value, 0.5, force_log=True)
+            verdict = monitor.observe("NP-C1", 0.0, value, 0.5)
             assert verdict.passed is passed, (delta_np, value)
 
 
 def test_check_contract_safety(base_config):
     monitor = Monitor(base_config)
-    assert monitor.observe("NP-C2", 0.0, 0.0, 0.5, force_log=True).passed is True
-    assert monitor.observe("NP-C2", 0.0, 1e-9, 0.5, force_log=True).passed is False
+    assert monitor.observe("NP-C2", 0.0, 0.0, 0.5).passed is True
+    assert monitor.observe("NP-C2", 0.0, 1e-9, 0.5).passed is False
 
 
 def test_check_contract_gnn_precondition(base_config):
@@ -198,19 +211,34 @@ def test_check_contract_gnn_precondition(base_config):
     )
 
 
+def test_gnn_precondition_slack_scales_with_the_ceiling(base_config):
+    """Weights 4.6e-10 beyond the ball of radius 71 make GNN-C1 inconclusive:
+    the allowance is rounding error at the ceiling's size, not 1e-9."""
+    cfg = apply_overrides(
+        base_config,
+        {"eta1": 1e-12, "eta2": 1e-13, "eta3": 1e-14, "init_weight_norm": 71 + 5e-10},
+    )
+    assert total_bound(cfg).w_max == 71.0
+    trace = run("baseline", config=cfg, duration=2.0)
+    assert 1e-10 < float(trace.max_weight_norm[-1]) - 71.0 < 1e-9
+    verdict = trace.last_verdicts["GNN-C1"]
+    assert verdict.passed is None and math.isnan(verdict.measured)
+    assert verdict.note == "precondition breach: weight norm beyond the invariant ball"
+
+
 def test_check_contract_adaptation(base_config):
     monitor = Monitor(base_config)
     margins = _origin_margins(base_config)
-    fast = monitor.observe("ML-C1", 20.0, 0.12, margins["ML-C1"], force_log=True)
+    fast = monitor.observe("ML-C1", 20.0, 0.12, margins["ML-C1"])
     assert fast.passed is True and fast.measured == 0.12
-    slow = monitor.observe("ML-C1", 40.0, 9.0, margins["ML-C1"], force_log=True)
+    slow = monitor.observe("ML-C1", 40.0, 9.0, margins["ML-C1"])
     assert slow.passed is False
     # ML-C2 needs ML2_WINDOW + 1 trials before it can be decided.
     assert ml2_increase([3, 3, 3]) is None
     flat = ml2_increase([3, 3, 3, 3])
-    assert monitor.observe("ML-C2", 60.0, flat, margins["ML-C2"], force_log=True).passed
+    assert monitor.observe("ML-C2", 60.0, flat, margins["ML-C2"]).passed
     worse = ml2_increase([1, 1, 1, 30, 30, 30])
-    verdict = monitor.observe("ML-C2", 80.0, worse, margins["ML-C2"], force_log=True)
+    verdict = monitor.observe("ML-C2", 80.0, worse, margins["ML-C2"])
     assert verdict.passed is False
 
 
@@ -220,13 +248,13 @@ def test_check_contract_with_theta_margin(base_config):
     cascade = MetaCascade(base_config)
     monitor = Monitor(base_config)
     origin = all_margins(cascade, np.zeros(base_config.meta_dim))
-    verdict = monitor.observe("NP-C1", 0.02, 1e-4, origin["NP-C1"], force_log=True)
+    verdict = monitor.observe("NP-C1", 0.02, 1e-4, origin["NP-C1"])
     assert verdict.margin == cascade.flip_distance(np.zeros(base_config.meta_dim))
     assert verdict.passed is True and verdict.alarm is False
     edge = np.array([1.0 - 5e-4, 0.0, 0.0, 0.0])
     near = all_margins(cascade, edge)
     assert near["MARL-C1"] == pytest.approx(5e-4, rel=1e-9)
-    alarmed = monitor.observe("MARL-C1", 2.0, 0.0, near["MARL-C1"], force_log=True)
+    alarmed = monitor.observe("MARL-C1", 2.0, 0.0, near["MARL-C1"])
     assert alarmed.passed is True and alarmed.alarm is True
     assert monitor.alarm_count == 1
 
@@ -265,8 +293,7 @@ def test_standalone_adaptation_trial(base_config):
 
 def test_monitor_counts_every_observation(base_config):
     monitor = Monitor(base_config)
-    for i in range(10):
-        monitor.observe("NP-C1", float(i), 2e-4, 0.5)
+    monitor.observe_block(np.arange(10.0), {"NP-C1": np.full(10, 2e-4)}, {"NP-C1": 0.5})
     assert monitor.fail_count == 10
     # steady failing state: only the first observation enters the log
     assert len(monitor.events) == 1
@@ -275,11 +302,10 @@ def test_monitor_counts_every_observation(base_config):
 
 def test_monitor_logs_state_transitions(base_config):
     monitor = Monitor(base_config)
-    monitor.observe("NP-C1", 0.0, 5e-5, 0.5)
-    monitor.observe("NP-C1", 1.0, 5e-5, 0.5)
-    monitor.observe("NP-C1", 2.0, 2e-4, 0.5)
-    monitor.observe("NP-C1", 3.0, 5e-5, 0.5)
+    values = np.array([5e-5, 5e-5, 2e-4, 5e-5])
+    monitor.observe_block(np.arange(4.0), {"NP-C1": values}, {"NP-C1": 0.5})
     assert [e.passed for e in monitor.events] == [True, False, True]
+    assert [e.time for e in monitor.events] == [0.0, 2.0, 3.0]
     assert monitor.fail_count == 1
 
 
@@ -292,27 +318,29 @@ def test_monitor_alarm_accounting(base_config):
     assert monitor.latest("GNN-C1") is None
 
 
-def test_monitor_force_log_and_inconclusive(base_config):
+def test_monitor_observe_logs_every_call_and_none_is_inconclusive(base_config):
     monitor = Monitor(base_config)
     for i in range(3):
-        monitor.observe("GNN-C1", float(i), 0.01, 0.7, force_log=True)
+        monitor.observe("GNN-C1", float(i), 0.01, 0.7)
     assert len(monitor.events) == 3
-    monitor.observe("ML-C2", 3.0, math.nan, 0.7, inconclusive=True, note="warming up")
+    verdict = monitor.observe("ML-C2", 3.0, None, 0.7, note="warming up")
     latest = monitor.latest("ML-C2")
-    assert latest.passed is None and latest.alarm is False
-    assert math.isnan(latest.measured)
+    assert repr(latest) == repr(verdict) == repr(monitor.events[-1])
+    assert latest.passed is None and latest.alarm is False and latest.margin == 0.0
+    assert math.isnan(latest.measured) and math.isnan(verdict.measured)
+    assert latest.note == "warming up"
     assert monitor.fail_count == 0 and monitor.alarm_count == 0
 
 
 def test_monitor_tick_logs_everything(base_config):
-    """Force-logged observations at a boundary log one verdict each, even
-    when nothing changed since the last one."""
+    """Observations at a boundary log one verdict each, even when nothing
+    changed since the last one."""
     monitor = Monitor(base_config)
     margins = _origin_margins(base_config)
     quantities = {"NP-C1": 5e-5, "NP-C2": 0.0}
     for t in (0.02, 0.04):
         verdicts = [
-            monitor.observe(cid, t, value, margins[cid], force_log=True)
+            monitor.observe(cid, t, value, margins[cid])
             for cid, value in quantities.items()
         ]
         assert [v.contract_id for v in verdicts] == ["NP-C1", "NP-C2"]
@@ -361,19 +389,18 @@ _margins = st.sampled_from(
     ),
     margins=st.fixed_dictionaries({"NP-C1": _margins, "NP-C2": _margins}),
 )
-def test_observe_block_matches_sequential_observe(prior, block, margins):
+def test_observe_block_is_invariant_to_block_splits(prior, block, margins):
+    """A block of ticks logs and counts as the same ticks fed one at a time,
+    after any earlier observations, inconclusive ones included."""
     by_tick = Monitor(_BLOCK_CONFIG)
     by_block = Monitor(_BLOCK_CONFIG)
     for i, (cid, data, margin_value, inconclusive) in enumerate(prior):
-        measured = data.draw(_near_threshold(cid))
+        measured = None if inconclusive else data.draw(_near_threshold(cid))
         for monitor in (by_tick, by_block):
-            monitor.observe(
-                cid, 0.01 * i, measured, margin_value, inconclusive=inconclusive
-            )
+            monitor.observe(cid, 0.01 * i, measured, margin_value)
     times = (np.arange(len(block)) + 1) * 0.02
     for t, (c1, c2) in zip(times.tolist(), block):
-        by_tick.observe("NP-C1", t, c1, margins["NP-C1"])
-        by_tick.observe("NP-C2", t, c2, margins["NP-C2"])
+        by_tick.observe_block([t], {"NP-C1": [c1], "NP-C2": [c2]}, margins)
     by_block.observe_block(
         times,
         {
@@ -387,6 +414,25 @@ def test_observe_block_matches_sequential_observe(prior, block, margins):
     assert by_block.alarm_count == by_tick.alarm_count
     for cid in ("NP-C1", "NP-C2"):
         assert repr(by_block.latest(cid)) == repr(by_tick.latest(cid))
+
+
+@given(
+    contract_id=st.sampled_from(["NP-C1", "NP-C2"]),
+    data=st.data(),
+    margin_value=_margins,
+)
+def test_observe_and_a_one_tick_block_judge_alike(contract_id, data, margin_value):
+    """At the EQUALITY_TOL edges, NaN and inf, one value gets the same
+    verdict and counts through observe as through a one-tick block."""
+    value = data.draw(_near_threshold(contract_id))
+    by_value = Monitor(_BLOCK_CONFIG)
+    by_block = Monitor(_BLOCK_CONFIG)
+    by_value.observe(contract_id, 0.02, value, margin_value)
+    by_block.observe_block([0.02], {contract_id: [value]}, {contract_id: margin_value})
+    got, want = by_block.latest(contract_id), by_value.latest(contract_id)
+    assert (got.passed, got.alarm) == (want.passed, want.alarm)
+    assert by_block.fail_count == by_value.fail_count
+    assert by_block.alarm_count == by_value.alarm_count
 
 
 def _safety_setup(config):
@@ -430,7 +476,7 @@ def test_safety_readout_falls_back_to_the_definition(base_config):
     by_block.observe_block(times, {"NP-C2": deltas}, {"NP-C2": 0.5})
     by_tick = Monitor(base_config)
     for t, value in zip(times, want.tolist()):
-        by_tick.observe("NP-C2", t, value, 0.5)
+        by_tick.observe_block([t], {"NP-C2": [value]}, {"NP-C2": 0.5})
     assert repr(by_block.events) == repr(by_tick.events)
     assert by_block.fail_count == by_tick.fail_count == 1
     failed = by_block.events[1]
