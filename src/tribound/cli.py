@@ -32,6 +32,7 @@ from .bounds import (
 )
 from .contracts import CONTRACT_IDS
 from .engine import (
+    Scenario,
     confirm_expectation,
     get_scenario,
     run,
@@ -503,6 +504,29 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     return status
 
 
+def _replay_seed(
+    scenario: Scenario, config: SystemConfig, seed: int, duration: float | None,
+    tallies: dict[str, dict[str, Any]],
+) -> tuple[int, int, bool]:
+    """Run and replay one seed and fold its checks into tallies; return its
+    (contract failures, margin alarms, confirmed). Only scalars leave this
+    call, so the seed's trace is freed before the next seed runs."""
+    trace = run(scenario, config=config, seed=seed, duration=duration)
+    report = verify(trace)
+    for check in report.checks:
+        tally = tallies.setdefault(
+            check.check_id,
+            {"pass": 0, "fail": 0, "skip": 0, "worst": None, "bound": check.bound},
+        )
+        tally[_status(check.passed, "skip")] += 1
+        if check.worst == check.worst:
+            tally["worst"] = (
+                check.worst if tally["worst"] is None else max(tally["worst"], check.worst)
+            )
+    confirmed = confirm_expectation(scenario, trace, report, config)
+    return trace.fail_count, trace.alarm_count, confirmed
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     config = _build_config(args)
     scenario = get_scenario(args.scenario)
@@ -514,25 +538,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     alarm_total = 0
     confirmations = []
     for offset in range(args.seeds):
-        trace = run(
-            scenario, config=config, seed=base_seed + offset, duration=args.duration
+        fails, alarms, confirmed = _replay_seed(
+            scenario, config, base_seed + offset, args.duration, tallies
         )
-        report = verify(trace)
-        fail_total += trace.fail_count
-        alarm_total += trace.alarm_count
-        confirmations.append(confirm_expectation(scenario, trace, report, config))
-        for check in report.checks:
-            tally = tallies.setdefault(
-                check.check_id,
-                {"pass": 0, "fail": 0, "skip": 0, "worst": None, "bound": check.bound},
-            )
-            tally[_status(check.passed, "skip")] += 1
-            if check.worst == check.worst:
-                tally["worst"] = (
-                    check.worst
-                    if tally["worst"] is None
-                    else max(tally["worst"], check.worst)
-                )
+        fail_total += fails
+        alarm_total += alarms
+        confirmations.append(confirmed)
     rows = [
         [cid, t["pass"], t["fail"], t["skip"], t["worst"], t["bound"]]
         for cid, t in tallies.items()

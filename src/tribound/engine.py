@@ -259,10 +259,10 @@ class _Run:
         self.policy = np.zeros(cfg.n_actions * cfg.embed_dim)
         self.monitor = Monitor(cfg)
         self.margins = all_margins(self.cascade, self.theta)
-        if scenario.unit_gain:
-            self.gains = np.ones(n)
-        else:
-            self.gains = np.full(n, modulation_gain(0.0, cfg))
+        # The gains change only at coordination boundaries, which refresh them.
+        self.work.set_gains(
+            cfg.eta1, 1.0 if scenario.unit_gain else modulation_gain(0.0, cfg)
+        )
         self.obs_rng = stream_rng(cfg.seed, "observations")
         if scenario.aligned_observations:
             # Reused every tick: the squares, then the directions.
@@ -290,6 +290,8 @@ class _Run:
         self.block = np.empty((min(batch, self.ticks), n, cfg.weight_dim))
 
         embeddings = self.encoder.encode(self.weights)
+        # self.weights and self.policy are only ever rebound to new arrays,
+        # never written in place, so the snapshots hold them without a copy.
         self.trace = Trace(
             config=cfg,
             scenario_name=scenario.name,
@@ -300,9 +302,9 @@ class _Run:
             max_weight_norm=max_weight_norm,
             tick_policy_tv=tick_policy_tv,
             snap_times=[0.0],
-            snap_weights=[self.weights.copy()],
+            snap_weights=[self.weights],
             snap_embeddings=[embeddings],
-            policy_snaps=[self.policy.copy()],
+            policy_snaps=[self.policy],
             meta_times=[0.0],
             meta_snaps=[self.theta.copy()],
             events=self.monitor.events,
@@ -352,7 +354,6 @@ class _Run:
         """Run fast ticks from index start; return the index after the last."""
         cfg, trace = self.cfg, self.trace
         stop = min(self.ticks, start + self.block.shape[0])
-        self.work.set_gains(cfg.eta1, self.gains)
         # The next coordination or meta boundary; its tick ends the block.
         due = min(
             (len(trace.marl_records) + 1) * cfg.tau2,
@@ -415,7 +416,7 @@ class _Run:
             aggregated = self.mix @ realized
             if not self.scenario.unit_gain:
                 signals = modulation(aggregated, aggregated.mean(axis=0), cfg)
-                self.gains = np.asarray(modulation_gain(signals, cfg))
+                self.work.set_gains(cfg.eta1, modulation_gain(signals, cfg))
             try:
                 self.policy, info = marl_step(
                     self.policy, aggregated, cfg, self.target_map, self.probes
@@ -446,9 +447,9 @@ class _Run:
             if trace.tick_policy_tv is not None:
                 self.prev_dists = policy_distributions(self.policy, ideal, cfg)
             trace.snap_times.append(boundary)
-            trace.snap_weights.append(self.weights.copy())
+            trace.snap_weights.append(self.weights)
             trace.snap_embeddings.append(ideal)
-            trace.policy_snaps.append(self.policy.copy())
+            trace.policy_snaps.append(self.policy)
         return True
 
     def _meta_step(self, ticks_done: int) -> None:
@@ -621,7 +622,9 @@ def _policy_drift(trace: Trace, report: BoundReport, bound: float) -> _Outcome:
 def _meta_effect(trace: Trace, report: BoundReport, bound: float) -> _Outcome:
     k_cascade = cascading_sensitivity(trace.config)
     snaps = trace.meta_snaps
-    worst = max(k_cascade * float(np.linalg.norm(b - a)) for a, b in zip(snaps, snaps[1:]))
+    # np.max, unlike max, returns NaN when any step is NaN.
+    steps = [np.linalg.norm(b - a) for a, b in zip(snaps, snaps[1:])]
+    worst = k_cascade * float(np.max(steps))
     theta_scale = max(float(np.linalg.norm(theta)) for theta in snaps)
     slack = _rounding_slack(k_cascade * theta_scale + bound, trace.config.meta_dim)
     return worst, slack
@@ -643,25 +646,43 @@ def _late_slope(trace: Trace, report: BoundReport, bound: float) -> _Outcome:
         slopes.append(_least_squares_slope(*(np.array(col) for col in zip(*late_marl))))
     if not slopes:
         return "run too short for a late-half slope"
-    return max(slopes), 0.0
+    return float(np.max(slopes)), 0.0
 
 
-# The replay table: (check id, ceiling, replay, requirements). The replay
-# runs only on a trace that meets every requirement; the first unmet one
-# names the skip.
-_CHECKS: tuple[tuple[str, Callable, Callable, tuple], ...] = (
-    ("per_tick_step_norm", lambda cfg, r: r.delta1_eff, _step_norm, (_STABLE, _TICKS)),
+def _recorded(trace: Trace, stream: str) -> np.ndarray:
+    """The values of one recorded stream, named as its Trace field; the
+    suboptimality proxy is a column of the MARL records."""
+    if stream == "subopt_proxy":
+        return np.array([rec[stream] for rec in trace.marl_records], dtype=float)
+    return np.asarray(getattr(trace, stream), dtype=float)
+
+
+def _nan_note(trace: Trace, streams: tuple[str, ...]) -> str:
+    """Why a replay of the given streams compared NaN with its ceiling."""
+    bad = [name for name in streams if not np.isfinite(_recorded(trace, name)).all()]
+    if not bad:
+        return "NaN from finite recorded values: the replay overflowed"
+    return f"non-finite values recorded in {' and '.join(bad)}"
+
+
+# The replay table: (check id, ceiling, replay, requirements, streams read).
+# The replay runs only on a trace that meets every requirement; the first
+# unmet one names the skip.
+_CHECKS: tuple[tuple[str, Callable, Callable, tuple, tuple[str, ...]], ...] = (
+    ("per_tick_step_norm", lambda cfg, r: r.delta1_eff, _step_norm, (_STABLE, _TICKS),
+     ("step_norms",)),
     ("weight_drift_per_cycle", lambda cfg, r: r.n12 * r.delta1_eff, _weight_drift,
-     (_STABLE, _CYCLE)),
+     (_STABLE, _CYCLE), ("snap_weights",)),
     ("embedding_drift_per_cycle", lambda cfg, r: r.phi_max, _embedding_drift,
-     (_STABLE, _CYCLE)),
+     (_STABLE, _CYCLE), ("snap_embeddings", "snap_weights")),
     ("induced_policy_drift_per_tick",
      lambda cfg, r: cfg.lip_pi * cfg.lip_phi * cfg.delta_np, _policy_drift,
-     (_POLICY_TV, _STABLE, _TICKS)),
+     (_POLICY_TV, _STABLE, _TICKS), ("tick_policy_tv", "max_weight_norm")),
     ("meta_effect_per_cycle",
      lambda cfg, r: cascading_sensitivity(cfg) * cfg.eta3 * cfg.g_max, _meta_effect,
-     (_META_CYCLE,)),
-    ("non_accumulation", lambda cfg, r: SLOPE_TOL, _late_slope, ()),
+     (_META_CYCLE,), ("meta_snaps",)),
+    ("non_accumulation", lambda cfg, r: SLOPE_TOL, _late_slope, (),
+     ("max_weight_norm", "subopt_proxy")),
 )
 
 
@@ -673,7 +694,8 @@ def verify(trace: Trace, report: BoundReport | None = None) -> VerificationRepor
     scaled by the cascading sensitivity, and non-accumulation (late-run
     slopes of the weight-norm and suboptimality-proxy streams). A check
     without evidence, such as a per-tick check of a run with no ticks, is
-    skipped: passed is None and worst is NaN.
+    skipped: passed is None and worst is NaN. A check that compares NaN
+    fails, and its note names the non-finite streams it read.
 
     A ceiling comparison allows for float rounding in proportion to the
     size of the operands the recorded value was computed from, so a value
@@ -685,7 +707,7 @@ def verify(trace: Trace, report: BoundReport | None = None) -> VerificationRepor
     elif report is None:
         report = total_bound(cfg)
     checks = []
-    for check_id, ceiling, replay, requires in _CHECKS:
+    for check_id, ceiling, replay, requires, streams in _CHECKS:
         bound = ceiling(cfg, report)
         unmet = next((note for holds, note in requires if not holds(trace)), None)
         outcome = replay(trace, report, bound) if unmet is None else unmet
@@ -694,6 +716,8 @@ def verify(trace: Trace, report: BoundReport | None = None) -> VerificationRepor
         else:
             (worst, slack), note = outcome, ""
             passed = worst <= bound + slack
+            if not passed and math.isnan(worst + slack):
+                note = _nan_note(trace, streams)
         checks.append(CheckResult(check_id, passed, worst, bound, note))
     return VerificationReport(checks=tuple(checks))
 

@@ -16,6 +16,7 @@ from tribound.cascade import (
     mix_matrix,
     modulation,
     policy_distributions,
+    policy_matrix,
     probe_embeddings,
     realized_embeddings,
     tv_rows,
@@ -304,6 +305,48 @@ def test_stacked_recording_matches_per_slice_bit_for_bit(base_config, n_agents, 
         assert dists[k].tobytes() == policy_distributions(theta, ideal, cfg).tobytes()
         if k:
             assert tv[k - 1].tobytes() == tv_rows(dists[k], dists[k - 1]).tobytes()
+
+
+_SPECIAL_LOGIT_FACTORS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def _policy_inputs(draw):
+    """A config and (theta, embeddings) whose logits hold ties, signed
+    zeros, infinities and NaNs."""
+    n_actions = draw(st.integers(1, 9))
+    embed_dim = draw(st.integers(1, 3))
+    cfg = apply_overrides(SystemConfig(), {"n_actions": n_actions, "embed_dim": embed_dim})
+    elements = _SPECIAL_LOGIT_FACTORS | st.sampled_from([1.0, -1.0, 2.5]) | st.floats(-50, 50)
+    theta = draw(arrays(float, n_actions * embed_dim, elements=elements))
+    shape = draw(st.sampled_from([(embed_dim,), (3, embed_dim), (2, 3, embed_dim)]))
+    return cfg, theta, draw(arrays(float, shape, elements=elements))
+
+
+def _max_reduced_distributions(theta, embeddings, config):
+    """policy_distributions with the action-axis max as a last-axis reduction."""
+    logits = np.atleast_2d(embeddings) @ policy_matrix(theta, config).T
+    logits *= logit_scale(config)
+    logits -= logits.max(axis=-1, keepdims=True)
+    probs = np.exp(logits, out=logits)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
+
+
+@given(_policy_inputs())
+@settings(max_examples=200)
+def test_policy_distributions_match_a_last_axis_max_bit_for_bit(inputs):
+    """The column fold that takes the action-axis max changes no output bit,
+    with +-0, +-inf and NaN among the logits, except a NaN's sign: a NaN max
+    reduction returns +NaN, the fold the NaN it met. tv_rows takes the
+    absolute difference, so no recorded value sees that sign."""
+    cfg, theta, embeddings = inputs
+    with np.errstate(all="ignore"):
+        got = policy_distributions(theta, embeddings, cfg)
+        want = _max_reduced_distributions(theta, embeddings, cfg)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def test_policy_dimension_guard(base_config):

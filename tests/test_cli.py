@@ -1,5 +1,8 @@
 """Exit codes of the command-line verbs, run in-process through main(argv)."""
+import gc
 import json
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,53 @@ def test_counterexample_delta_zero_confirms(capsys):
 def test_verify_two_seeds_passes(capsys):
     assert main(["verify", "--seeds", "2", "--duration", "10"]) == PASS_EXIT
     assert "replayed 2 seeds" in capsys.readouterr().out
+
+
+def test_verify_frees_each_trace_before_the_next_seed_runs(monkeypatch, capsys):
+    """With the cycle collector off, each seed's trace is gone, freed by
+    reference counts alone, before the next seed's run starts."""
+    traces = []
+
+    def tracked(*args, _run=cli.run, **kwargs):
+        assert [ref for ref in traces if ref() is not None] == []
+        trace = _run(*args, **kwargs)
+        traces.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(cli, "run", tracked)
+    gc.disable()
+    try:
+        main(["verify", "--seeds", "3", "--duration", "4"])
+    finally:
+        gc.enable()
+    assert len(traces) == 3
+
+
+# A shape whose per-tick streams (1,500 ticks x 300 agents) outweigh the
+# arrays a run works in.
+_TRACE_HEAVY = [
+    "--duration", "30", "--set", "n_agents=300", "--set", "weight_dim=2",
+    "--set", "embed_dim=1", "--set", "n_actions=2",
+]
+
+
+def test_verify_peaks_at_the_memory_of_one_seed(capsys):
+    """Three seeds allocate at their peak within 10% of one seed, though one
+    seed's per-tick streams alone are more than 10% of that peak."""
+    peaks = []
+    for seeds in ("1", "3"):
+        tracemalloc.start()
+        try:
+            main(["verify", "--seeds", seeds, *_TRACE_HEAVY])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    config = apply_overrides(
+        SystemConfig(), {"n_agents": 300, "weight_dim": 2, "embed_dim": 1, "n_actions": 2}
+    )
+    trace = run("baseline", config=config, duration=30.0)
+    assert trace.step_norms.nbytes + trace.clamped.nbytes > 0.1 * peaks[0]
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_malformed_override_fails_without_traceback(capsys):

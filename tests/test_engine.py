@@ -279,6 +279,34 @@ def test_verify_fails_a_one_percent_drift_breach(init_weight_norm, short_baselin
     assert check.passed is False
 
 
+@pytest.mark.parametrize(
+    "stream, failing",
+    [
+        ("max_weight_norm", {"induced_policy_drift_per_tick", "non_accumulation"}),
+        ("subopt_proxy", {"non_accumulation"}),
+    ],
+)
+def test_a_nan_in_a_replayed_stream_fails_with_a_note_naming_it(
+    short_baseline, stream, failing
+):
+    """A NaN planted at the end of a stream fails each check that reads it
+    and names the stream, however the check orders its streams."""
+    if stream == "max_weight_norm":
+        planted = dataclasses.replace(
+            short_baseline, max_weight_norm=short_baseline.max_weight_norm.copy()
+        )
+        planted.max_weight_norm[-1] = math.nan
+    else:
+        records = [dict(rec) for rec in short_baseline.marl_records]
+        records[-1]["subopt_proxy"] = math.nan
+        planted = dataclasses.replace(short_baseline, marl_records=records)
+    report = verify(planted)
+    assert {c.check_id for c in report.checks if c.passed is False} == failing
+    for check_id in failing:
+        assert report.check(check_id).note == f"non-finite values recorded in {stream}"
+    assert math.isnan(report.check("non_accumulation").worst)
+
+
 def test_least_squares_slope():
     t = np.arange(10.0)
     assert _least_squares_slope(t, 3.0 * t + 1.0) == pytest.approx(3.0, rel=1e-12)
