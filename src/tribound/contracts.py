@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .meta import MetaCascade
-from .model import SystemConfig, frozen_prefix
+from .model import SystemConfig
 
 CONTRACT_IDS = ("NP-C1", "NP-C2", "MARL-C1", "GNN-C1", "ML-C1", "ML-C2")
 # A measured value passes up to this fraction of its threshold above it.
@@ -210,15 +210,13 @@ class SafetyReadout:
     An agent's readout under a probe is the probe, restricted to the frozen
     coordinates, dotted with the agent's weights. At each tick the contract
     measures the largest absolute change of any readout since t = 0. The
-    frozen coordinates must lead each row, so they are compared as a slice.
+    frozen coordinates are the leading `frozen` of each row, as
+    model.frozen_count counts them, so they are compared as a slice.
     """
 
-    def __init__(
-        self, initial_weights: np.ndarray, danger: np.ndarray, frozen_mask: np.ndarray
-    ) -> None:
-        self.frozen_mask = frozen_mask
-        self.frozen = frozen_prefix(frozen_mask)
-        self.danger_masked = danger * frozen_mask
+    def __init__(self, initial_weights: np.ndarray, danger: np.ndarray, frozen: int) -> None:
+        self.frozen = frozen
+        self.danger_masked = danger * (np.arange(danger.shape[-1]) < frozen)
         self.base = initial_weights @ self.danger_masked.T
         self.frozen_base = initial_weights[:, : self.frozen].copy()
 

@@ -69,7 +69,7 @@ from .meta import (
 from .model import (
     SystemConfig,
     apply_overrides,
-    frozen_mask_for,
+    frozen_count,
     initial_weights,
     validate,
 )
@@ -239,7 +239,7 @@ class _Run:
             self.theta = meta_point(scenario.theta_init, cfg, "theta_init")
         self.rule = self.cascade.rule_for(self.theta)
 
-        self.frozen = frozen_mask_for(cfg)
+        frozen = frozen_count(cfg)
         self.weights = initial_weights(cfg)
         self.encoder = make_encoder(cfg)
         self.mix = mix_matrix(cfg)
@@ -253,8 +253,8 @@ class _Run:
             cfg.danger_probe_count,
             cfg.weight_dim,
         )
-        self.safety = SafetyReadout(self.weights, danger, self.frozen)
-        self.work = FastWorkspace(n, self.frozen)
+        self.safety = SafetyReadout(self.weights, danger, frozen)
+        self.work = FastWorkspace(n, cfg.weight_dim, frozen)
 
         self.policy = np.zeros(cfg.n_actions * cfg.embed_dim)
         self.monitor = Monitor(cfg)

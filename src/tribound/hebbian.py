@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModulationBoundError, UnboundedRegimeError
-from .model import SystemConfig, frozen_prefix
+from .model import SystemConfig
 
 
 @dataclass(frozen=True)
@@ -87,16 +87,16 @@ def modulation_gain(
 class FastWorkspace:
     """Arrays hebbian_tick reuses every tick, for one swarm shape.
 
-    The frozen coordinates must be a leading prefix of each weight row, as
-    model.frozen_mask_for makes them, so masking is a slice write. rates is
+    The frozen coordinates are the leading `frozen` of each weight row, as
+    model.frozen_count counts them, so masking is a slice write. rates is
     eta1 times each agent's gain, repeated along the agent's row, which
     multiplies faster than a broadcast column; set_gains refreshes it when
     the gains change. After a tick, steps holds each agent's applied step.
     """
 
-    def __init__(self, n_agents: int, frozen_mask: np.ndarray) -> None:
-        self.frozen = frozen_prefix(frozen_mask)
-        shape = (n_agents, frozen_mask.size)
+    def __init__(self, n_agents: int, weight_dim: int, frozen: int) -> None:
+        self.frozen = frozen
+        shape = (n_agents, weight_dim)
         self.steps = np.empty(shape)
         self.scratch = np.empty(shape)
         self.rates = np.empty(shape)

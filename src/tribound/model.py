@@ -267,23 +267,11 @@ def validate(config: SystemConfig) -> None:
         )
 
 
-def frozen_mask_for(config: SystemConfig) -> np.ndarray:
-    """Boolean mask of frozen coordinates: the leading ceil(fraction * d)."""
+def frozen_count(config: SystemConfig) -> int:
+    """How many coordinates are frozen: the leading ceil(fraction * d) of
+    each weight row."""
     count = math.ceil(config.frozen_fraction * config.weight_dim - 1e-12)
-    count = max(0, min(config.weight_dim, count))
-    mask = np.zeros(config.weight_dim, dtype=bool)
-    mask[:count] = True
-    return mask
-
-
-def frozen_prefix(frozen_mask: np.ndarray) -> int:
-    """How many leading coordinates a frozen mask covers; every frozen
-    coordinate must lead each row, as frozen_mask_for makes them, so that
-    masking is a slice."""
-    frozen = int(np.count_nonzero(frozen_mask))
-    if not frozen_mask[:frozen].all():
-        raise ValueError("frozen coordinates must be a leading prefix")
-    return frozen
+    return max(0, min(config.weight_dim, count))
 
 
 def initial_weights(config: SystemConfig) -> np.ndarray:

@@ -39,7 +39,7 @@ from tribound.meta import (
     MetaCascade,
     adaptation_trial,
 )
-from tribound.model import frozen_mask_for, initial_weights
+from tribound.model import frozen_count, initial_weights
 from tribound.seeding import stream_rng, unit_rows
 
 
@@ -437,14 +437,14 @@ def test_observe_and_a_one_tick_block_judge_alike(contract_id, data, margin_valu
 
 def _safety_setup(config):
     weights = initial_weights(config)
-    frozen = frozen_mask_for(config)
+    frozen = frozen_count(config)
+    mask = np.arange(config.weight_dim) < frozen
     danger = unit_rows(
         np.random.default_rng(7), config.danger_probe_count, config.weight_dim
     )
     block = np.stack([weights.copy() for _ in range(4)])
-    plastic = np.flatnonzero(~frozen)
-    block[1:, :, plastic] += np.linspace(-3.0, 3.0, plastic.size)
-    return SafetyReadout(weights, danger, frozen), block, weights, danger * frozen
+    block[1:, :, frozen:] += np.linspace(-3.0, 3.0, config.weight_dim - frozen)
+    return SafetyReadout(weights, danger, frozen), block, weights, danger * mask
 
 
 def _safety_by_definition(block, weights, danger_masked):
@@ -464,8 +464,7 @@ def test_safety_readout_is_exactly_zero_while_frozen_columns_hold(base_config):
 @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
 def test_safety_readout_falls_back_to_the_definition(base_config):
     readout, block, weights, danger_masked = _safety_setup(base_config)
-    plastic = int(np.flatnonzero(~readout.frozen_mask)[0])
-    block[2, 3, plastic] = math.inf
+    block[2, 3, readout.frozen] = math.inf
     deltas = readout.deltas(block)
     want = _safety_by_definition(block, weights, danger_masked)
     np.testing.assert_array_equal(deltas, want)
@@ -483,7 +482,7 @@ def test_safety_readout_falls_back_to_the_definition(base_config):
     assert failed.passed is False and math.isnan(failed.measured)
 
     moved = _safety_setup(base_config)[1]
-    moved[3, 0, int(np.flatnonzero(readout.frozen_mask)[0])] += 1.0
+    moved[3, 0, readout.frozen - 1] += 1.0
     got = readout.deltas(moved)
     np.testing.assert_array_equal(
         got, _safety_by_definition(moved, weights, danger_masked)

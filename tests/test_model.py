@@ -19,7 +19,7 @@ from tribound import (
 )
 from tribound.model import (
     config_to_json,
-    frozen_mask_for,
+    frozen_count,
     initial_weights,
 )
 
@@ -156,12 +156,10 @@ def test_s3_and_s4_track_caps(base_config):
 
 
 def test_frozen_mask(base_config):
-    mask = frozen_mask_for(base_config)
-    assert mask.shape == (64,)
-    assert int(mask.sum()) == 8
-    assert mask[:8].all() and not mask[8:].any()
-    none = frozen_mask_for(apply_overrides(base_config, {"frozen_fraction": 0.0}))
-    assert not none.any()
+    assert frozen_count(base_config) == 8
+    # a fractional count rounds up
+    assert frozen_count(apply_overrides(base_config, {"frozen_fraction": 0.1})) == 7
+    assert frozen_count(apply_overrides(base_config, {"frozen_fraction": 0.0})) == 0
 
 
 def test_initial_weights(base_config):
