@@ -1,13 +1,13 @@
 """The record of one run, Trace, and its file format, Trace.save: run.json,
-raw .npy files for the dense arrays, CSV for the MARL and meta records and
-JSON lines for the contract events."""
+raw .npy files for the dense arrays, and JSON lines for the MARL and meta
+records and the contract events."""
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -24,13 +24,6 @@ TIME_TOL = 1e-9
 def ticks_by(t: float, tau1: float) -> int:
     """Fast ticks done by time t; a tick within TIME_TOL of t counts."""
     return int(math.floor(t / tau1 + TIME_TOL))
-
-
-_MARL_COLUMNS = ("t", "tv_step", "halvings", "target_distance", "subopt_proxy")
-_META_COLUMNS = (
-    "t", "step_norm", "grad_norm", "m1", "m2", "m3", "predicted_dpi", "min_margin",
-    "applied", "k_inner", "t_adapt",
-)
 
 
 @dataclass(eq=False, kw_only=True)
@@ -117,16 +110,18 @@ class Trace:
         }
 
     def save(self, out_dir: str | Path) -> None:
-        """Write the whole trace: run.json, the MARL and meta records as CSV,
-        the contract events as JSON lines, and each dense array as one raw
-        .npy file: the per-tick streams, policy_tv only when it was recorded,
-        and each snapshot list stacked along a new first axis, next to its
-        times.
+        """Write the whole trace: run.json; marl.jsonl, meta.jsonl and
+        events.jsonl, one JSON object per MARL record, meta record and
+        contract event; and each dense array as one raw .npy file: the
+        per-tick streams, policy_tv only when it was recorded, and each
+        snapshot list stacked along a new first axis, next to its times.
 
         An .npy file holds its array's dtype, shape and bytes, so it reads
-        back bit for bit with np.load(path, allow_pickle=False), and
-        identical runs write byte-identical files. Per-tick times are not
-        stored: tick i (from 0) ends at (i + 1) * tau1, as ticks_by counts.
+        back bit for bit with np.load(path, allow_pickle=False). A JSON
+        line keeps bools, ints and floats apart and writes each float as its
+        repr, so json.loads returns the recorded record exactly. Identical
+        runs write byte-identical files. Per-tick times are not stored: tick
+        i (from 0) ends at (i + 1) * tau1, as ticks_by counts.
         """
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -151,27 +146,11 @@ class Trace:
         for name, array in arrays.items():
             np.save(out / f"{name}.npy", array, allow_pickle=False)
 
-        for name, columns, records in (
-            ("marl", _MARL_COLUMNS, self.marl_records),
-            ("meta", _META_COLUMNS, self.meta_records),
+        for name, records in (
+            ("marl", self.marl_records),
+            ("meta", self.meta_records),
+            ("events", (verdict.to_record() for verdict in self.events)),
         ):
-            # The meta gate's flags are written as 0 and 1.
-            rows = (
-                [int(v) if isinstance(v, (bool, np.bool_)) else v
-                 for v in (rec[c] for c in columns)]
-                for rec in records
-            )
-            _write_rows(out / f"{name}.csv", columns, rows)
-
-        with (out / "events.jsonl").open("w") as fh:
-            for verdict in self.events:
-                fh.write(json.dumps(verdict.to_record(), sort_keys=True) + "\n")
-
-
-def _write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """A CSV file of the header and the rows, each cell written as its repr
-    (Python ints and floats only, so a float reads back bit for bit)."""
-    with path.open("w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(repr, row)) + "\n")
+            with (out / f"{name}.jsonl").open("w") as fh:
+                for record in records:
+                    fh.write(json.dumps(record, sort_keys=True) + "\n")

@@ -1,6 +1,7 @@
 """Scenario library, trace recording, determinism, replay verification."""
 import dataclasses
 import filecmp
+import json
 import math
 from pathlib import Path
 
@@ -420,18 +421,21 @@ def test_registry_is_frozen():
         SCENARIOS["baseline"].duration = 5.0
 
 
-def _csv_columns(path: Path) -> dict[str, list[str]]:
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:]]
-    return {name: [row[j] for row in rows] for j, name in enumerate(header)}
+def _saved_records(trace) -> dict[str, list[dict]]:
+    """The records a save of the trace must write to each JSON-lines file."""
+    return {
+        "marl.jsonl": trace.marl_records,
+        "meta.jsonl": trace.meta_records,
+        "events.jsonl": [verdict.to_record() for verdict in trace.events],
+    }
 
 
-def _assert_cells_equal(cells: list[str], expected) -> None:
-    parsed = np.array([float(cell) for cell in cells])
-    expected = np.asarray(expected, dtype=float).ravel()
-    assert parsed.shape == expected.shape
-    np.testing.assert_array_equal(parsed.view(np.uint64), expected.view(np.uint64))
+def _typed(value):
+    """Each leaf as (type, repr): equal only for the same type and, for a
+    float, the same value bit for bit (a float's repr round-trips)."""
+    if isinstance(value, dict):
+        return {key: _typed(item) for key, item in value.items()}
+    return type(value), repr(value)
 
 
 def _saved_arrays(trace, out_dir: Path) -> dict[str, np.ndarray]:
@@ -490,12 +494,13 @@ def test_saved_arrays_round_trip_bit_for_bit(tmp_path: Path):
                 saved[name].view(np.uint64), expected.view(np.uint64)
             )
 
-    marl = _csv_columns(tmp_path / "marl.csv")
-    for key in ("t", "tv_step", "target_distance", "subopt_proxy"):
-        _assert_cells_equal(marl[key], [rec[key] for rec in trace.marl_records])
-    meta = _csv_columns(tmp_path / "meta.csv")
-    for key in ("t", "step_norm", "grad_norm", "predicted_dpi", "min_margin", "t_adapt"):
-        _assert_cells_equal(meta[key], [rec[key] for rec in trace.meta_records])
+    for name, records in _saved_records(trace).items():
+        assert records
+        lines = (tmp_path / name).read_text().splitlines()
+        # a bool written as 1, or an int as 1.0, fails here
+        assert [_typed(json.loads(line)) for line in lines] == [_typed(r) for r in records]
+    for line in (tmp_path / "meta.jsonl").read_text().splitlines():
+        assert "margins_after" in json.loads(line)
 
 
 @pytest.mark.parametrize(
@@ -521,6 +526,15 @@ def test_saved_arrays_hold_exactly_the_ticks_run(
     saved = _saved_arrays(trace, tmp_path)
     assert {name: (a.dtype, a.shape) for name, a in saved.items()} == _saved_layout(trace)
     assert ("policy_tv" in saved) == (trace.tick_policy_tv is not None)
+    # save writes exactly these files, each record file even when it is empty
+    records = _saved_records(trace)
+    assert {path.name for path in tmp_path.iterdir()} == {
+        "run.json", *records, *(f"{name}.npy" for name in saved)
+    }
+    for name, written in records.items():
+        assert len((tmp_path / name).read_text().splitlines()) == len(written)
+    if not trace.meta_records:
+        assert (tmp_path / "meta.jsonl").read_bytes() == b""
     if ticks == 0:
         for name in ("snap_times", "weights", "embeddings", "policy", "meta_times", "meta"):
             assert len(saved[name]) == 1
