@@ -6,11 +6,16 @@ __all__ (how the package root re-exports its modules' names). An import kept
 for its side effect says so with `# noqa: F401` on its line.
 
 Under src/ every import also sits at module level: an import inside a
-function hides a dependency that the module layering should carry."""
+function hides a dependency that the module layering should carry. And
+every exception src/ raises by name is a TriboundError, so that a caller
+catches all of the package's failures with one except clause, apart from
+two lookups that raise KeyError, listed in RAISE_ALLOWED."""
 import ast
 from pathlib import Path
 
 import pytest
+
+from tribound import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(
@@ -58,6 +63,35 @@ def nested_imports(source: str) -> list[int]:
     ]
 
 
+PACKAGE_ERRORS = {
+    name for name, value in vars(errors).items()
+    if isinstance(value, type) and issubclass(value, errors.TriboundError)
+}
+RAISE_ALLOWED = {"seeding.stream_rng: KeyError", "bounds.VerificationReport.check: KeyError"}
+
+
+def foreign_raises(source: str, module: str) -> list[str]:
+    """`scope: name` for each raise that names no package error, its scope
+    the module and the enclosing classes and functions. A bare re-raise
+    names nothing and passes."""
+    found = []
+
+    def visit(node: ast.AST, scope: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                name = ast.unparse(exc)
+                if name not in PACKAGE_ERRORS:
+                    found.append(f"{'.'.join(scope)}: {name}")
+            visit(child, scope)
+
+    visit(ast.parse(source), [module])
+    return found
+
+
 def _source_id(path: Path) -> str:
     return str(path.relative_to(ROOT))
 
@@ -72,6 +106,14 @@ def test_module_uses_every_name_it_imports(path: Path):
 )
 def test_module_imports_only_at_module_level(path: Path):
     assert nested_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path.is_relative_to(ROOT / "src")], ids=_source_id
+)
+def test_module_raises_only_package_errors(path: Path):
+    raised = foreign_raises(path.read_text(encoding="utf-8"), path.stem)
+    assert [found for found in raised if found not in RAISE_ALLOWED] == []
 
 
 def test_unused_imports_honours_all_and_noqa():
@@ -97,3 +139,24 @@ def test_nested_imports_finds_imports_below_module_level():
         "    import math\n"
     )
     assert nested_imports(source) == [3, 6]
+
+
+def test_foreign_raises_names_each_raise_outside_the_package_errors():
+    source = (
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise ValidationError('x')\n"
+        "    try:\n"
+        "        return {}[x]\n"
+        "    except KeyError:\n"
+        "        raise\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        raise ValueError('g') from None\n"
+        "    def h(self):\n"
+        "        raise np.linalg.LinAlgError\n"
+        "raise TriboundError('top')\n"
+    )
+    assert foreign_raises(source, "m") == [
+        "m.C.g: ValueError", "m.C.h: np.linalg.LinAlgError"
+    ]
