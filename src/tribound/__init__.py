@@ -35,7 +35,6 @@ from .errors import (
     ModulationBoundError,
     SchemaError,
     StructuralError,
-    TraceQueryError,
     TriboundError,
     UnboundedRegimeError,
     ValidationError,
@@ -68,7 +67,6 @@ __all__ = [
     "StructuralError",
     "SystemConfig",
     "Trace",
-    "TraceQueryError",
     "TriboundError",
     "UnboundedRegimeError",
     "ValidationError",

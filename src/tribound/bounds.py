@@ -144,7 +144,11 @@ def total_bound(config: SystemConfig, h_eff_override: int | None = None) -> Boun
     # the slow rate the smallest contract margin at the origin admits.
     scale = config.lip_phi * config.tau2 * config.sigma_max * peak
     eta1_max = math.inf if scale == 0.0 else config.eps_phi_star * config.tau1 / scale
-    min_margin = min(all_margins(MetaCascade(config), [0.0] * config.meta_dim).values())
+    try:
+        cascade = MetaCascade(config)
+    except (ValueError, MemoryError) as exc:
+        raise ValidationError(f"meta_dim {config.meta_dim}: {exc}") from None
+    min_margin = min(all_margins(cascade, [0.0] * config.meta_dim).values())
     if min_margin <= 0.0:
         raise ValidationError(
             "minimum margin must be positive: the system is at or inside a failure set"

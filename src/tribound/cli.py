@@ -306,7 +306,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.out:
         trace.save(Path(args.out) / f"trace_{scenario.name}")
     return _verdict(
-        scenario.expected, confirm_expectation(scenario, trace, report, config),
+        scenario.expected, confirm_expectation(trace, report, config),
         any(check.passed is not None for check in report.checks),
         "all contracts held and the trace fits the ceilings",
         "unexpected contract failure or ceiling breach",
@@ -494,7 +494,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     if payload is None:
         status, payload = UNEXPECTED_EXIT, {"confirmed": False}
     else:
-        confirmed = confirm_expectation(scenario, trace, report, config)
+        confirmed = confirm_expectation(trace, report, config)
         payload["confirmed"] = confirmed
         print("\nverdict: " + (example.confirmed if confirmed else example.not_reproduced))
         status = CONFIRMED_EXIT if confirmed else UNEXPECTED_EXIT
@@ -523,7 +523,7 @@ def _replay_seed(
             tally["worst"] = (
                 check.worst if tally["worst"] is None else max(tally["worst"], check.worst)
             )
-    confirmed = confirm_expectation(scenario, trace, report, config)
+    confirmed = confirm_expectation(trace, report, config)
     return trace.fail_count, trace.alarm_count, confirmed
 
 

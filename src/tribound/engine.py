@@ -279,13 +279,10 @@ class _Run:
         # The ticks the horizon holds; finish() cuts the per-tick arrays to
         # the ticks run.
         self.ticks = ticks_by(horizon, cfg.tau1)
-        try:
-            step_norms = np.zeros((self.ticks, n))
-            clamped = np.zeros((self.ticks, n), dtype=bool)
-            max_weight_norm = np.zeros(self.ticks)
-            tick_policy_tv = np.zeros(self.ticks) if scenario.record_policy_tv else None
-        except (ValueError, MemoryError) as exc:
-            raise ValidationError(f"{self.ticks:.3g} ticks x {n} agents: {exc}") from None
+        step_norms = np.zeros((self.ticks, n))
+        clamped = np.zeros((self.ticks, n), dtype=bool)
+        max_weight_norm = np.zeros(self.ticks)
+        tick_policy_tv = np.zeros(self.ticks) if scenario.record_policy_tv else None
         batch = max(1, _BATCH_BYTES // (n * cfg.weight_dim * 8))
         self.block = np.empty((min(batch, self.ticks), n, cfg.weight_dim))
 
@@ -301,11 +298,9 @@ class _Run:
             clamped=clamped,
             max_weight_norm=max_weight_norm,
             tick_policy_tv=tick_policy_tv,
-            snap_times=[0.0],
             snap_weights=[self.weights],
             snap_embeddings=[embeddings],
             policy_snaps=[self.policy],
-            meta_times=[0.0],
             meta_snaps=[self.theta.copy()],
             events=self.monitor.events,
         )
@@ -446,7 +441,6 @@ class _Run:
             )
             if trace.tick_policy_tv is not None:
                 self.prev_dists = policy_distributions(self.policy, ideal, cfg)
-            trace.snap_times.append(boundary)
             trace.snap_weights.append(self.weights)
             trace.snap_embeddings.append(ideal)
             trace.policy_snaps.append(self.policy)
@@ -490,7 +484,6 @@ class _Run:
             increase = ml2_increase([rec["k_inner"] for rec in trace.meta_records])
             note = "" if increase is not None else f"{len(trace.meta_records)} trials so far"
             self.monitor.observe("ML-C2", boundary, increase, self.margins["ML-C2"], note)
-            trace.meta_times.append(boundary)
             trace.meta_snaps.append(self.theta.copy())
 
     def finish(self, ticks_done: int) -> Trace:
@@ -526,7 +519,12 @@ def run(
     if horizon < 0.0 or not math.isfinite(horizon):
         raise ValidationError("duration must be finite and nonnegative")
 
-    state = _Run(scenario, cfg, horizon)
+    try:
+        state = _Run(scenario, cfg, horizon)
+    except (ValueError, MemoryError) as exc:
+        # The swarm shape or the horizon sizes an array numpy cannot allocate.
+        ticks = ticks_by(horizon, cfg.tau1)
+        raise ValidationError(f"{ticks:.3g} ticks x {cfg.n_agents} agents: {exc}") from None
     done = 0
     while done < state.ticks:
         done = state._fast_block(done)
@@ -723,31 +721,29 @@ def verify(trace: Trace, report: BoundReport | None = None) -> VerificationRepor
 
 
 def confirm_expectation(
-    scenario: Scenario,
-    trace: Trace,
-    report: VerificationReport,
-    base_config: SystemConfig | None = None,
+    trace: Trace, report: VerificationReport, base_config: SystemConfig | None = None
 ) -> bool:
-    """Did the run demonstrate what the scenario exists to demonstrate?
+    """Did the run demonstrate what its scenario exists to demonstrate, as
+    recorded in trace.expected?
 
-    report is verify(trace). A scenario expected to hold confirms only a run
-    without contract failures, alarms, a halt or a failed replay check.
+    report is verify(trace). A run expected to hold confirms only without
+    contract failures, alarms, a halt or a failed replay check.
     """
     base = SystemConfig() if base_config is None else base_config
-    if scenario.expected == "none":
+    if trace.expected == "none":
         return (
             trace.fail_count == 0 and trace.alarm_count == 0
             and trace.halt_reason is None and report.all_passed
         )
-    if scenario.expected == "growth":
+    if trace.expected == "growth":
         return report.check("non_accumulation").passed is False
-    if scenario.expected == "step_violation":
+    if trace.expected == "step_violation":
         return any(
             v.contract_id == "NP-C1" and v.passed is False for v in trace.events
         )
-    if scenario.expected == "degradation":
+    if trace.expected == "degradation":
         return total_bound(trace.config).phi_max >= 5.0 * total_bound(base).phi_max
-    if scenario.expected == "alarm":
+    if trace.expected == "alarm":
         m3_failed = any(not rec["m3"] for rec in trace.meta_records)
         return m3_failed and trace.alarm_count > 0
-    raise ValidationError(f"unknown expectation {scenario.expected!r}")
+    raise ValidationError(f"unknown expectation {trace.expected!r}")

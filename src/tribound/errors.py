@@ -37,7 +37,3 @@ class CalibrationError(TriboundError):
 
 class EnforcementError(TriboundError):
     """A contract's enforcement mechanism exhausted its budget."""
-
-
-class TraceQueryError(TriboundError):
-    """Requested time has no recorded snapshot."""

@@ -1,6 +1,7 @@
 """The record of one run, Trace, and its file format, Trace.save: run.json,
 raw .npy files for the dense arrays, and JSON lines for the MARL and meta
-records and the contract events."""
+records and the contract events. Trace holds each fact once; the snapshot
+times it saves are derived from the records' times."""
 from __future__ import annotations
 
 import json
@@ -12,12 +13,10 @@ from typing import Any
 import numpy as np
 
 from .contracts import ContractVerdict
-from .errors import TraceQueryError
 from .model import SystemConfig, config_hash, config_to_dict
 
 # Relative tolerance of the run's clock, so that it holds at any time scale:
-# a boundary within this fraction of a tick's time falls due at that tick,
-# and a snapshot query within it of a recorded time hits that snapshot.
+# a boundary within this fraction of a tick's time falls due at that tick.
 TIME_TOL = 1e-9
 
 
@@ -31,13 +30,13 @@ class Trace:
     """Everything one run recorded.
 
     Per-tick streams are dense arrays. Weight, embedding and policy
-    snapshots are taken at the snap_times: t = 0 and every coordination
-    boundary; meta snapshots at the meta_times: t = 0 and every meta
-    boundary. Each fact is held once: the seed is config.seed, the cycle
-    counts are the lengths of the record lists, and a run halted when
-    halt_reason is set. The records, events and counts start empty and a
-    run fills them as it goes. Snapshot queries must hit a recorded time;
-    a miss raises with the nearest recorded times named.
+    snapshots are taken at t = 0 and at every coordination boundary, meta
+    snapshots at t = 0 and at every meta boundary: snapshot k + 1 is at
+    the time "t" of record k (marl_records for the first three, meta_records
+    for the last). Each fact is held once: the seed is config.seed, the
+    snapshot times and the cycle counts come from the record lists, and a
+    run halted when halt_reason is set. The records, events and counts
+    start empty and a run fills them as it goes.
     """
 
     config: SystemConfig
@@ -48,11 +47,9 @@ class Trace:
     clamped: np.ndarray
     max_weight_norm: np.ndarray
     tick_policy_tv: np.ndarray | None
-    snap_times: list[float]
     snap_weights: list[np.ndarray]
     snap_embeddings: list[np.ndarray]
     policy_snaps: list[np.ndarray]
-    meta_times: list[float]
     meta_snaps: list[np.ndarray]
     marl_records: list[dict[str, Any]] = field(default_factory=list)
     meta_records: list[dict[str, Any]] = field(default_factory=list)
@@ -66,31 +63,6 @@ class Trace:
     def ticks(self) -> int:
         """Fast ticks run."""
         return len(self.max_weight_norm)
-
-    @staticmethod
-    def _lookup(times: list[float], t: float, kind: str) -> int:
-        tol = TIME_TOL * abs(t)
-        for i, recorded in enumerate(times):
-            if abs(recorded - t) <= tol:
-                return i
-        below = max((x for x in times if x < t), default=None)
-        above = min((x for x in times if x > t), default=None)
-        raise TraceQueryError(
-            f"no {kind} snapshot at t={t!r}; nearest recorded times: "
-            f"{below!r} below, {above!r} above"
-        )
-
-    def weights_at(self, t: float) -> np.ndarray:
-        return self.snap_weights[self._lookup(self.snap_times, t, "weight")]
-
-    def embeddings_at(self, t: float) -> np.ndarray:
-        return self.snap_embeddings[self._lookup(self.snap_times, t, "embedding")]
-
-    def policy_at(self, t: float) -> np.ndarray:
-        return self.policy_snaps[self._lookup(self.snap_times, t, "policy")]
-
-    def meta_at(self, t: float) -> np.ndarray:
-        return self.meta_snaps[self._lookup(self.meta_times, t, "meta")]
 
     def metadata(self) -> dict[str, Any]:
         return {
@@ -114,7 +86,8 @@ class Trace:
         events.jsonl, one JSON object per MARL record, meta record and
         contract event; and each dense array as one raw .npy file: the
         per-tick streams, policy_tv only when it was recorded, and each
-        snapshot list stacked along a new first axis, next to its times.
+        snapshot list stacked along a new first axis, next to its times:
+        t = 0, then the "t" of each record of its level.
 
         An .npy file holds its array's dtype, shape and bytes, so it reads
         back bit for bit with np.load(path, allow_pickle=False). A JSON
@@ -134,11 +107,15 @@ class Trace:
             "step_norms": self.step_norms,
             "clamped": self.clamped,
             "max_weight_norm": self.max_weight_norm,
-            "snap_times": np.array(self.snap_times, dtype=np.float64),
+            "snap_times": np.array(
+                [0.0, *(r["t"] for r in self.marl_records)], dtype=np.float64
+            ),
             "weights": np.stack(self.snap_weights),
             "embeddings": np.stack(self.snap_embeddings),
             "policy": np.stack(self.policy_snaps),
-            "meta_times": np.array(self.meta_times, dtype=np.float64),
+            "meta_times": np.array(
+                [0.0, *(r["t"] for r in self.meta_records)], dtype=np.float64
+            ),
             "meta": np.stack(self.meta_snaps),
         }
         if self.tick_policy_tv is not None:

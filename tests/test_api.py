@@ -15,7 +15,6 @@ ROOT_API = [
     "StructuralError",
     "SystemConfig",
     "Trace",
-    "TraceQueryError",
     "TriboundError",
     "UnboundedRegimeError",
     "ValidationError",

@@ -148,6 +148,14 @@ def test_sweep_n_agents_rounds_to_integers(base_config):
     )
 
 
+def test_a_meta_dim_numpy_cannot_allocate_is_a_validation_error(base_config):
+    # 4 x 1e15 floats lie above the 47-bit address space: numpy refuses the
+    # sensitivity matrix before it touches any memory.
+    cfg = apply_overrides(base_config, {"meta_dim": 10**15})
+    with pytest.raises(ValidationError, match=r"^meta_dim 1000000000000000: Unable to allocate"):
+        total_bound(cfg)
+
+
 def test_invalid_horizon_override(base_config):
     for h_eff in (-1, 0):
         with pytest.raises(ValidationError):

@@ -85,6 +85,22 @@ def test_malformed_override_fails_without_traceback(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--set", "meta_dim=1000000000000000"],
+        ["simulate", "--duration", "0", "--set", "weight_dim=1000000000000000"],
+    ],
+    ids=["bounds_meta_dim", "simulate_weight_dim"],
+)
+def test_a_size_numpy_cannot_allocate_fails_without_traceback(argv, capsys):
+    # Above the 47-bit address space: numpy refuses it before touching memory.
+    assert main(argv) == UNEXPECTED_EXIT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Unable to allocate" in err
+    assert "Traceback" not in err
+
+
 def test_bounds_passes(capsys):
     assert main(["bounds"]) == PASS_EXIT
     out = capsys.readouterr().out

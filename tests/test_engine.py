@@ -13,7 +13,6 @@ from tribound import (
     Scenario,
     StructuralError,
     SystemConfig,
-    TraceQueryError,
     ValidationError,
     apply_overrides,
     confirm_expectation,
@@ -87,7 +86,9 @@ def test_baseline_trace_shape(short_baseline):
     assert trace.max_weight_norm.shape == (500,)
     assert trace.fail_count == 0 and trace.alarm_count == 0
     assert trace.halt_reason is None
-    assert trace.snap_times == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
+    assert [rec["t"] for rec in trace.marl_records] == [2.0, 4.0, 6.0, 8.0, 10.0]
+    assert len(trace.snap_weights) == len(trace.marl_records) + 1
+    assert len(trace.meta_snaps) == len(trace.meta_records) + 1
 
 
 def test_baseline_contracts_hold(short_baseline):
@@ -96,18 +97,19 @@ def test_baseline_contracts_hold(short_baseline):
     for cid in ("NP-C1", "NP-C2", "MARL-C1", "GNN-C1"):
         verdict = trace.last_verdicts[cid]
         assert verdict.passed is True and not verdict.alarm
-    assert confirm_expectation(get_scenario("baseline"), trace, verify(trace))
+    assert confirm_expectation(trace, verify(trace))
 
 
 def test_trace_time_queries(short_baseline):
+    """Snapshot 0 is at t = 0 and snapshot k + 1 at the time of record k."""
     trace = short_baseline
-    w0 = trace.weights_at(0.0)
+    w0 = trace.snap_weights[0]
     np.testing.assert_array_equal(w0, initial_weights(trace.config))
-    assert trace.embeddings_at(2.0).shape == (30, 16)
-    assert trace.policy_at(4.0).shape == (128,)
-    assert trace.meta_at(0.0).shape == (4,)
-    with pytest.raises(TraceQueryError, match="nearest recorded"):
-        trace.weights_at(3.0)
+    assert trace.marl_records[0]["t"] == 2.0
+    assert trace.snap_embeddings[1].shape == (30, 16)
+    assert trace.marl_records[1]["t"] == 4.0
+    assert trace.policy_snaps[2].shape == (128,)
+    assert trace.meta_snaps[0].shape == (4,)
 
 
 def test_runs_are_bit_identical():
@@ -326,7 +328,7 @@ def test_delta_zero_growth_confirmed():
     assert growth.worst > SLOPE_TOL
     ceiling_free = report.check("per_tick_step_norm")
     assert ceiling_free.passed is None  # no stable regime, nothing to verify
-    assert confirm_expectation(scenario, trace, report)
+    assert confirm_expectation(trace, report)
 
 
 def test_delta_zero_matches_growth_envelope():
@@ -378,14 +380,14 @@ def test_no_clamp_violates_step_contract():
     assert any(
         e.contract_id == "NP-C1" and e.passed is False for e in trace.events
     )
-    assert confirm_expectation(scenario, trace, verify(trace))
+    assert confirm_expectation(trace, verify(trace))
 
 
 def test_slow_marl_degrades_cycle_ceiling():
     scenario = get_scenario("slow_marl")
     trace = run(scenario, duration=10.0)
     assert trace.config.tau2 == 20.0
-    assert confirm_expectation(scenario, trace, verify(trace))
+    assert confirm_expectation(trace, verify(trace))
 
 
 def test_crafted_breach_is_detected():
@@ -397,23 +399,23 @@ def test_crafted_breach_is_detected():
     assert record["applied"] is True  # forced through for the exercise
     assert trace.alarm_count > 0
     assert min(record["margins_after"].values()) == 0.0
-    assert confirm_expectation(scenario, trace, verify(trace))
+    assert confirm_expectation(trace, verify(trace))
 
 
 def test_confirm_expectation_rejects_dirty_baseline():
-    scenario = get_scenario("baseline")
-    dirty = run("no_clamp", duration=10.0)
-    assert not confirm_expectation(scenario, dirty, verify(dirty))
+    unclamped = apply_overrides(SystemConfig(), {"enforce_clamp": False})
+    dirty = run("baseline", config=unclamped, duration=10.0)
+    assert dirty.expected == "none" and dirty.fail_count > 0
+    assert not confirm_expectation(dirty, verify(dirty))
 
 
 def test_confirm_expectation_rejects_a_clean_run_with_a_failed_replay(short_baseline):
     """A run expected to hold confirms only when its replay also passes."""
-    scenario = get_scenario("baseline")
     report = verify(short_baseline)
-    assert confirm_expectation(scenario, short_baseline, report)
+    assert confirm_expectation(short_baseline, report)
     failed = dataclasses.replace(report.checks[0], passed=False)
     breached = engine.VerificationReport((failed, *report.checks[1:]))
-    assert not confirm_expectation(scenario, short_baseline, breached)
+    assert not confirm_expectation(short_baseline, breached)
 
 
 def test_registry_is_frozen():
@@ -450,7 +452,7 @@ def _saved_arrays(trace, out_dir: Path) -> dict[str, np.ndarray]:
 def _saved_layout(trace) -> dict[str, tuple[np.dtype, tuple[int, ...]]]:
     """The dtype and shape of each .npy file a save of the trace must write."""
     cfg, ticks = trace.config, trace.ticks
-    snaps, metas = len(trace.snap_times), len(trace.meta_times)
+    snaps, metas = len(trace.snap_weights), len(trace.meta_snaps)
     f8 = np.dtype(np.float64)
     layout = {
         "step_norms": (f8, (ticks, cfg.n_agents)),
@@ -479,11 +481,11 @@ def test_saved_arrays_round_trip_bit_for_bit(tmp_path: Path):
         ("clamped", trace.clamped),
         ("max_weight_norm", trace.max_weight_norm),
         ("policy_tv", trace.tick_policy_tv),
-        ("snap_times", trace.snap_times),
+        ("snap_times", [0.0] + [rec["t"] for rec in trace.marl_records]),
         ("weights", np.stack(trace.snap_weights)),
         ("embeddings", np.stack(trace.snap_embeddings)),
         ("policy", np.stack(trace.policy_snaps)),
-        ("meta_times", trace.meta_times),
+        ("meta_times", [0.0] + [rec["t"] for rec in trace.meta_records]),
         ("meta", np.stack(trace.meta_snaps)),
     ):
         expected = np.asarray(expected)
@@ -538,6 +540,9 @@ def test_saved_arrays_hold_exactly_the_ticks_run(
     if ticks == 0:
         for name in ("snap_times", "weights", "embeddings", "policy", "meta_times", "meta"):
             assert len(saved[name]) == 1
+    if trace.halt_reason is not None:
+        marl_times = [0.0] + [rec["t"] for rec in trace.marl_records]
+        assert saved["snap_times"].tolist() == marl_times
 
 
 _UNSTABLE = "closed-form ceiling undefined in the unstable regime"
@@ -595,15 +600,27 @@ def test_a_tick_count_numpy_cannot_allocate_is_a_validation_error():
         run("baseline", config=cfg)
 
 
+@pytest.mark.parametrize(
+    "weight_dim, reason",
+    [(10**15, "Unable to allocate"), (10**19, "Maximum allowed dimension exceeded")],
+    ids=["beyond_memory", "beyond_index"],
+)
+def test_a_swarm_numpy_cannot_allocate_is_a_validation_error(weight_dim, reason):
+    # Both sizes lie above the 47-bit address space: numpy refuses the
+    # (n_agents, weight_dim) weights before it touches any memory.
+    cfg = apply_overrides(SystemConfig(), {"weight_dim": weight_dim})
+    with pytest.raises(ValidationError, match=rf"^5e\+03 ticks x 30 agents: {reason}"):
+        run("baseline", config=cfg)
+
+
 def test_boundaries_and_snapshot_queries_hold_at_tiny_periods():
     """Clock tolerances are relative: at periods far below 1e-9 s each
-    boundary falls due at its own tick and each query hits its snapshot."""
+    boundary falls due at its own tick and takes its snapshot there."""
     cfg = apply_overrides(
         SystemConfig(),
         {"tau1": 1e-12, "tau2": 1e-10, "tau3": 1e-9, "n_agents": 2, "weight_dim": 4},
     )
     trace = run("baseline", config=cfg, duration=3e-10)
     assert (trace.ticks, len(trace.marl_records), len(trace.meta_records)) == (300, 3, 0)
-    assert trace.snap_times == [0.0, 1e-10, 2e-10, 3e-10]
-    for t, weights in zip(trace.snap_times, trace.snap_weights):
-        assert trace.weights_at(t) is weights
+    assert [rec["t"] for rec in trace.marl_records] == [1e-10, 2e-10, 3e-10]
+    assert len(trace.snap_weights) == 4

@@ -9,7 +9,9 @@ Under src/ every import also sits at module level: an import inside a
 function hides a dependency that the module layering should carry. And
 every exception src/ raises by name is a TriboundError, so that a caller
 catches all of the package's failures with one except clause, apart from
-two lookups that raise KeyError, listed in RAISE_ALLOWED."""
+two lookups that raise KeyError, listed in RAISE_ALLOWED. And every
+function, class and method src/ defines is named somewhere in src/, so no
+definition is kept for the tests alone."""
 import ast
 from pathlib import Path
 
@@ -92,6 +94,27 @@ def foreign_raises(source: str, module: str) -> list[str]:
     return found
 
 
+def unnamed_definitions(sources: list[str]) -> list[str]:
+    """Each function, class or method the sources define, dunders apart,
+    that none of them names as a Name, an Attribute, an imported name or a
+    string constant (such as an __all__ entry)."""
+    defined, named = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    return sorted(defined - named)
+
+
 def _source_id(path: Path) -> str:
     return str(path.relative_to(ROOT))
 
@@ -114,6 +137,12 @@ def test_module_imports_only_at_module_level(path: Path):
 def test_module_raises_only_package_errors(path: Path):
     raised = foreign_raises(path.read_text(encoding="utf-8"), path.stem)
     assert [found for found in raised if found not in RAISE_ALLOWED] == []
+
+
+def test_src_defines_nothing_that_only_tests_name():
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES
+               if path.is_relative_to(ROOT / "src")]
+    assert unnamed_definitions(sources) == []
 
 
 def test_unused_imports_honours_all_and_noqa():
@@ -160,3 +189,19 @@ def test_foreign_raises_names_each_raise_outside_the_package_errors():
     assert foreign_raises(source, "m") == [
         "m.C.g: ValueError", "m.C.h: np.linalg.LinAlgError"
     ]
+
+
+def test_unnamed_definitions_counts_names_attributes_imports_and_strings():
+    sources = [
+        "class Kept:\n"
+        "    def __init__(self): self.method()\n"
+        "    def method(self): pass\n"
+        "    def orphan(self): pass\n"
+        "def exported(): pass\n"
+        "def imported(): pass\n"
+        "def unused(): pass\n"
+        "__all__ = ['exported']\n",
+        "from .m import imported\n"
+        "Kept()\n",
+    ]
+    assert unnamed_definitions(sources) == ["orphan", "unused"]
