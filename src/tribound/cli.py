@@ -41,7 +41,7 @@ from .engine import (
 )
 from .errors import TriboundError
 from .hebbian import row_norms
-from .model import SystemConfig, apply_overrides, load_config_path
+from .model import SystemConfig, apply_overrides, initial_weights, load_config_path
 from .trace import Trace, ticks_by
 
 PASS_EXIT = 0
@@ -299,7 +299,7 @@ def _verdict(
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _build_config(args)
     scenario = get_scenario(args.scenario)
-    trace = run(scenario, config=config, seed=args.seed, duration=args.duration)
+    trace = run(scenario, config, args.seed, args.duration, keep_snapshots=bool(args.out))
     report = verify(trace)
     _print_run_summary(trace)
     _print_replay(report)
@@ -357,7 +357,7 @@ def _max_weight_norm(trace: Trace, ticks: int) -> float:
     """Largest agent weight norm after the given number of fast ticks."""
     if ticks:
         return float(trace.max_weight_norm[ticks - 1])
-    return float(row_norms(trace.snap_weights[0]).max())
+    return float(row_norms(initial_weights(trace.config)).max())
 
 
 def _report_delta_zero(trace: Trace, config: SystemConfig) -> dict[str, Any]:
@@ -510,7 +510,7 @@ def _replay_seed(
 ) -> tuple[int, int, bool]:
     """Run and replay one seed and fold its checks into tallies; return its
     (contract failures, margin alarms, confirmed). Only scalars leave this
-    call, so the seed's trace is freed before the next seed runs."""
+    call, so the seed's trace, with no snapshots, is freed before the next seed runs."""
     trace = run(scenario, config=config, seed=seed, duration=duration)
     report = verify(trace)
     for check in report.checks:

@@ -228,7 +228,9 @@ class _Run:
     records into self.trace, which finish() returns.
     """
 
-    def __init__(self, scenario: Scenario, cfg: SystemConfig, horizon: float) -> None:
+    def __init__(
+        self, scenario: Scenario, cfg: SystemConfig, horizon: float, keep: bool
+    ) -> None:
         self.scenario = scenario
         self.cfg = cfg
         n = cfg.n_agents
@@ -289,6 +291,7 @@ class _Run:
         embeddings = self.encoder.encode(self.weights)
         # self.weights and self.policy are only ever rebound to new arrays,
         # never written in place, so the snapshots hold them without a copy.
+        self.last_snaps = (self.weights, embeddings)
         self.trace = Trace(
             config=cfg,
             scenario_name=scenario.name,
@@ -298,10 +301,11 @@ class _Run:
             clamped=clamped,
             max_weight_norm=max_weight_norm,
             tick_policy_tv=tick_policy_tv,
-            snap_weights=[self.weights],
-            snap_embeddings=[embeddings],
+            snap_weights=[self.weights] if keep else None,
+            snap_embeddings=[embeddings] if keep else None,
             policy_snaps=[self.policy],
             meta_snaps=[self.theta.copy()],
+            snap_weight_norm=float(row_norms(self.weights).max()),
             events=self.monitor.events,
         )
         if scenario.record_policy_tv:
@@ -441,8 +445,20 @@ class _Run:
             )
             if trace.tick_policy_tv is not None:
                 self.prev_dists = policy_distributions(self.policy, ideal, cfg)
-            trace.snap_weights.append(self.weights)
-            trace.snap_embeddings.append(ideal)
+            # Folds in snapshot order: np.maximum keeps a NaN change, as np.max
+            # over every change does; max keeps a NaN norm only from snapshot
+            # 0, as max over every snapshot does.
+            pairs = zip(self.last_snaps, (self.weights, ideal))
+            changes = [np.linalg.norm(b - a, axis=1).max() for a, b in pairs]
+            drifts = np.maximum((trace.weight_drift, trace.embedding_drift), changes)
+            trace.weight_drift, trace.embedding_drift = drifts.tolist()
+            # A snapshot's largest row norm is the one recorded at its tick.
+            norm = float(trace.max_weight_norm[ticks_done - 1])
+            trace.snap_weight_norm = max(trace.snap_weight_norm, norm)
+            self.last_snaps = (self.weights, ideal)
+            if trace.snap_weights is not None:
+                trace.snap_weights.append(self.weights)
+                trace.snap_embeddings.append(ideal)
             trace.policy_snaps.append(self.policy)
         return True
 
@@ -510,17 +526,20 @@ def run(
     config: SystemConfig | None = None,
     seed: int | None = None,
     duration: float | None = None,
+    *,
+    keep_snapshots: bool = False,
 ) -> Trace:
-    """Execute one scenario and record the full trace."""
+    """Execute one scenario and record its trace; only with keep_snapshots
+    does it hold the weight and embedding snapshots Trace.save writes."""
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     cfg = _resolve_config(scenario, config, seed)
     horizon = scenario.duration if duration is None else float(duration)
-    if horizon < 0.0 or not math.isfinite(horizon):
-        raise ValidationError("duration must be finite and nonnegative")
+    if horizon < 0.0 or not math.isfinite(horizon / cfg.tau1):
+        raise ValidationError(f"duration {horizon!r} / tau1 {cfg.tau1!r}: not a tick count")
 
     try:
-        state = _Run(scenario, cfg, horizon)
+        state = _Run(scenario, cfg, horizon, keep_snapshots)
     except (ValueError, MemoryError) as exc:
         # The swarm shape or the horizon sizes an array numpy cannot allocate.
         ticks = ticks_by(horizon, cfg.tau1)
@@ -572,17 +591,9 @@ def _step_norm(trace: Trace, report: BoundReport, bound: float) -> _Outcome:
     return float(trace.step_norms.max()), _rounding_slack(bound, trace.config.weight_dim)
 
 
-def _largest_row_change(snaps: list[np.ndarray]) -> float:
-    """Largest row-norm change between consecutive snapshots, or NaN."""
-    return float(
-        np.max([np.linalg.norm(b - a, axis=1).max() for a, b in zip(snaps, snaps[1:])])
-    )
-
-
 def _weight_scale(trace: Trace, report: BoundReport) -> float:
     """Size of the weights a cycle's drift is computed from."""
-    largest = max(float(row_norms(w).max()) for w in trace.snap_weights)
-    return report.n12 * report.delta1_eff + largest
+    return report.n12 * report.delta1_eff + trace.snap_weight_norm
 
 
 def _weight_drift(trace: Trace, report: BoundReport, bound: float) -> _Outcome:
@@ -590,7 +601,7 @@ def _weight_drift(trace: Trace, report: BoundReport, bound: float) -> _Outcome:
     # size; the drift norm then sums weight_dim squares.
     roundings = report.n12 + trace.config.weight_dim
     slack = _rounding_slack(_weight_scale(trace, report), roundings)
-    return _largest_row_change(trace.snap_weights), slack
+    return trace.weight_drift, slack
 
 
 def _embedding_drift(trace: Trace, report: BoundReport, bound: float) -> _Outcome:
@@ -601,7 +612,7 @@ def _embedding_drift(trace: Trace, report: BoundReport, bound: float) -> _Outcom
         cfg.lip_phi * _weight_scale(trace, report) + bound,
         report.n12 + cfg.weight_dim * cfg.embed_dim,
     )
-    return _largest_row_change(trace.snap_embeddings), slack
+    return trace.embedding_drift, slack
 
 
 def _policy_drift(trace: Trace, report: BoundReport, bound: float) -> _Outcome:
@@ -670,9 +681,9 @@ _CHECKS: tuple[tuple[str, Callable, Callable, tuple, tuple[str, ...]], ...] = (
     ("per_tick_step_norm", lambda cfg, r: r.delta1_eff, _step_norm, (_STABLE, _TICKS),
      ("step_norms",)),
     ("weight_drift_per_cycle", lambda cfg, r: r.n12 * r.delta1_eff, _weight_drift,
-     (_STABLE, _CYCLE), ("snap_weights",)),
+     (_STABLE, _CYCLE), ("weight_drift", "snap_weight_norm")),
     ("embedding_drift_per_cycle", lambda cfg, r: r.phi_max, _embedding_drift,
-     (_STABLE, _CYCLE), ("snap_embeddings", "snap_weights")),
+     (_STABLE, _CYCLE), ("embedding_drift", "snap_weight_norm")),
     ("induced_policy_drift_per_tick",
      lambda cfg, r: cfg.lip_pi * cfg.lip_phi * cfg.delta_np, _policy_drift,
      (_POLICY_TV, _STABLE, _TICKS), ("tick_policy_tv", "max_weight_norm")),

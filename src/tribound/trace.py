@@ -13,6 +13,7 @@ from typing import Any
 import numpy as np
 
 from .contracts import ContractVerdict
+from .errors import ValidationError
 from .model import SystemConfig, config_hash, config_to_dict
 
 # Relative tolerance of the run's clock, so that it holds at any time scale:
@@ -33,10 +34,13 @@ class Trace:
     snapshots are taken at t = 0 and at every coordination boundary, meta
     snapshots at t = 0 and at every meta boundary: snapshot k + 1 is at
     the time "t" of record k (marl_records for the first three, meta_records
-    for the last). Each fact is held once: the seed is config.seed, the
-    snapshot times and the cycle counts come from the record lists, and a
-    run halted when halt_reason is set. The records, events and counts
-    start empty and a run fills them as it goes.
+    for the last); snap_weights and snap_embeddings are None unless the run
+    kept them for a save. weight_drift and embedding_drift are the largest
+    row-norm change between consecutive snapshots (NaN if one is),
+    snap_weight_norm the largest row norm of any weight snapshot. Each fact
+    is held once: the seed is config.seed, the snapshot times and the cycle
+    counts come from the record lists, and a run halted when halt_reason is
+    set. The records, events and counts start empty and fill as the run goes.
     """
 
     config: SystemConfig
@@ -47,10 +51,13 @@ class Trace:
     clamped: np.ndarray
     max_weight_norm: np.ndarray
     tick_policy_tv: np.ndarray | None
-    snap_weights: list[np.ndarray]
-    snap_embeddings: list[np.ndarray]
+    snap_weights: list[np.ndarray] | None
+    snap_embeddings: list[np.ndarray] | None
     policy_snaps: list[np.ndarray]
     meta_snaps: list[np.ndarray]
+    snap_weight_norm: float
+    weight_drift: float = 0.0
+    embedding_drift: float = 0.0
     marl_records: list[dict[str, Any]] = field(default_factory=list)
     meta_records: list[dict[str, Any]] = field(default_factory=list)
     events: list[ContractVerdict] = field(default_factory=list)
@@ -96,6 +103,8 @@ class Trace:
         runs write byte-identical files. Per-tick times are not stored: tick
         i (from 0) ends at (i + 1) * tau1, as ticks_by counts.
         """
+        if self.snap_weights is None:
+            raise ValidationError("no snapshots to save: run with keep_snapshots=True")
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
 

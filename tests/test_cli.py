@@ -101,6 +101,14 @@ def test_a_size_numpy_cannot_allocate_fails_without_traceback(argv, capsys):
     assert "Traceback" not in err
 
 
+def test_a_tick_count_that_overflows_fails_without_traceback(capsys):
+    argv = ["simulate", "--set", "tau1=1e-300", "--duration", "1e10"]
+    assert main(argv) == UNEXPECTED_EXIT
+    err = capsys.readouterr().err
+    # the whole of stderr: no traceback
+    assert err == "error: duration 10000000000.0 / tau1 1e-300: not a tick count\n"
+
+
 def test_bounds_passes(capsys):
     assert main(["bounds"]) == PASS_EXIT
     out = capsys.readouterr().out

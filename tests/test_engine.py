@@ -3,6 +3,7 @@ import dataclasses
 import filecmp
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from tribound.seeding import stream_rng
 
 @pytest.fixture(scope="module")
 def short_baseline():
-    return run("baseline", duration=10.0)
+    return run("baseline", duration=10.0, keep_snapshots=True)
 
 
 def test_scenario_registry():
@@ -113,8 +114,8 @@ def test_trace_time_queries(short_baseline):
 
 
 def test_runs_are_bit_identical():
-    a = run("baseline", duration=4.0, seed=5)
-    b = run("baseline", duration=4.0, seed=5)
+    a = run("baseline", duration=4.0, seed=5, keep_snapshots=True)
+    b = run("baseline", duration=4.0, seed=5, keep_snapshots=True)
     np.testing.assert_array_equal(a.step_norms, b.step_norms)
     np.testing.assert_array_equal(a.snap_weights[-1], b.snap_weights[-1])
     np.testing.assert_array_equal(a.max_weight_norm, b.max_weight_norm)
@@ -122,16 +123,16 @@ def test_runs_are_bit_identical():
 
 
 def test_seed_changes_the_trace():
-    a = run("baseline", duration=4.0, seed=5)
-    b = run("baseline", duration=4.0, seed=6)
+    a = run("baseline", duration=4.0, seed=5, keep_snapshots=True)
+    b = run("baseline", duration=4.0, seed=6, keep_snapshots=True)
     assert not np.array_equal(a.snap_weights[-1], b.snap_weights[-1])
 
 
 def test_saved_traces_are_byte_identical(tmp_path: Path):
     a_dir = tmp_path / "a"
     b_dir = tmp_path / "b"
-    run("baseline", duration=4.0, seed=1).save(a_dir)
-    run("baseline", duration=4.0, seed=1).save(b_dir)
+    run("baseline", duration=4.0, seed=1, keep_snapshots=True).save(a_dir)
+    run("baseline", duration=4.0, seed=1, keep_snapshots=True).save(b_dir)
     files = sorted(p.name for p in a_dir.iterdir())
     assert "run.json" in files and "step_norms.npy" in files
     match, mismatch, errors = filecmp.cmpfiles(a_dir, b_dir, files, shallow=False)
@@ -287,27 +288,33 @@ def test_verify_fails_a_one_percent_drift_breach(init_weight_norm, short_baselin
     [
         ("max_weight_norm", {"induced_policy_drift_per_tick", "non_accumulation"}),
         ("subopt_proxy", {"non_accumulation"}),
+        ("weight_drift", {"weight_drift_per_cycle"}),
+        ("snap_weight_norm", {"weight_drift_per_cycle", "embedding_drift_per_cycle"}),
     ],
 )
 def test_a_nan_in_a_replayed_stream_fails_with_a_note_naming_it(
     short_baseline, stream, failing
 ):
-    """A NaN planted at the end of a stream fails each check that reads it
-    and names the stream, however the check orders its streams."""
+    """A NaN planted in a stream (at its end, or as a drift reduction) fails
+    each check that reads it and names the stream, however the check orders
+    its streams."""
     if stream == "max_weight_norm":
         planted = dataclasses.replace(
             short_baseline, max_weight_norm=short_baseline.max_weight_norm.copy()
         )
         planted.max_weight_norm[-1] = math.nan
-    else:
+    elif stream == "subopt_proxy":
         records = [dict(rec) for rec in short_baseline.marl_records]
         records[-1]["subopt_proxy"] = math.nan
         planted = dataclasses.replace(short_baseline, marl_records=records)
+    else:
+        planted = dataclasses.replace(short_baseline, **{stream: math.nan})
     report = verify(planted)
     assert {c.check_id for c in report.checks if c.passed is False} == failing
     for check_id in failing:
         assert report.check(check_id).note == f"non-finite values recorded in {stream}"
-    assert math.isnan(report.check("non_accumulation").worst)
+    if "non_accumulation" in failing:
+        assert math.isnan(report.check("non_accumulation").worst)
 
 
 def test_least_squares_slope():
@@ -358,7 +365,7 @@ def test_aligned_directions_of_edge_rows(row, want):
     cfg = engine._resolve_config(
         scenario, apply_overrides(SystemConfig(), {"weight_dim": 3}), None
     )
-    state = engine._Run(scenario, cfg, 1.0)
+    state = engine._Run(scenario, cfg, 1.0, False)
     weights = np.tile([3.0, 4.0, 0.0], (cfg.n_agents, 1))
     plain = np.tile([0.6, 0.8, 0.0], (cfg.n_agents, 1))
     x_pre, x_post = state._observations(0, weights)
@@ -471,7 +478,7 @@ def _saved_layout(trace) -> dict[str, tuple[np.dtype, tuple[int, ...]]]:
 
 
 def test_saved_arrays_round_trip_bit_for_bit(tmp_path: Path):
-    trace = run("baseline", duration=20.0, seed=3)
+    trace = run("baseline", duration=20.0, seed=3, keep_snapshots=True)
     assert trace.meta_records
     saved = _saved_arrays(trace, tmp_path)
     assert {name: (a.dtype, a.shape) for name, a in saved.items()} == _saved_layout(trace)
@@ -521,7 +528,10 @@ def test_saved_arrays_round_trip_bit_for_bit(tmp_path: Path):
 def test_saved_arrays_hold_exactly_the_ticks_run(
     scenario: str, overrides: dict, duration: float, ticks: int, tmp_path: Path
 ):
-    trace = run(scenario, config=apply_overrides(SystemConfig(), overrides), duration=duration)
+    trace = run(
+        scenario, config=apply_overrides(SystemConfig(), overrides), duration=duration,
+        keep_snapshots=True,
+    )
     assert trace.ticks == ticks
     # a run that stops short of its horizon does so because it halted
     assert (trace.halt_reason is not None) == (ticks < round(duration / trace.config.tau1))
@@ -543,6 +553,33 @@ def test_saved_arrays_hold_exactly_the_ticks_run(
     if trace.halt_reason is not None:
         marl_times = [0.0] + [rec["t"] for rec in trace.marl_records]
         assert saved["snap_times"].tolist() == marl_times
+
+
+def test_save_needs_the_kept_snapshots(tmp_path: Path):
+    trace = run("baseline", duration=1.0)
+    assert trace.snap_weights is None and trace.snap_embeddings is None
+    with pytest.raises(ValidationError, match="keep_snapshots=True"):
+        trace.save(tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_memory_grows_only_by_the_per_tick_arrays():
+    """Without kept snapshots, a run's allocation peak grows from 2 s to 10 s
+    by no more than its per-tick arrays grow, plus 0.5 MB; 40 more cycles of
+    300 x 64 weight and 300 x 16 embedding snapshots would add 7.7 MB."""
+    cfg = apply_overrides(SystemConfig(), {"n_agents": 300, "tau2": 0.2, "tau3": 2.0})
+    peaks, per_tick = [], []
+    for duration in (2.0, 10.0):
+        tracemalloc.start()
+        try:
+            trace = run("baseline", config=cfg, duration=duration)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        arrays = (trace.step_norms, trace.clamped, trace.max_weight_norm, trace.tick_policy_tv)
+        per_tick.append(sum(array.nbytes for array in arrays))
+    assert len(trace.marl_records) == 50
+    assert peaks[1] - peaks[0] <= per_tick[1] - per_tick[0] + 0.5e6
 
 
 _UNSTABLE = "closed-form ceiling undefined in the unstable regime"
@@ -600,6 +637,14 @@ def test_a_tick_count_numpy_cannot_allocate_is_a_validation_error():
         run("baseline", config=cfg)
 
 
+def test_a_tick_count_that_overflows_is_a_validation_error():
+    # 1e10 / 1e-300 is inf: no int holds that many ticks.
+    cfg = apply_overrides(SystemConfig(), {"tau1": 1e-300})
+    message = r"^duration 10000000000\.0 / tau1 1e-300: not a tick count$"
+    with pytest.raises(ValidationError, match=message):
+        run("baseline", config=cfg, duration=1e10)
+
+
 @pytest.mark.parametrize(
     "weight_dim, reason",
     [(10**15, "Unable to allocate"), (10**19, "Maximum allowed dimension exceeded")],
@@ -620,7 +665,7 @@ def test_boundaries_and_snapshot_queries_hold_at_tiny_periods():
         SystemConfig(),
         {"tau1": 1e-12, "tau2": 1e-10, "tau3": 1e-9, "n_agents": 2, "weight_dim": 4},
     )
-    trace = run("baseline", config=cfg, duration=3e-10)
+    trace = run("baseline", config=cfg, duration=3e-10, keep_snapshots=True)
     assert (trace.ticks, len(trace.marl_records), len(trace.meta_records)) == (300, 3, 0)
     assert [rec["t"] for rec in trace.marl_records] == [1e-10, 2e-10, 3e-10]
     assert len(trace.snap_weights) == 4

@@ -32,6 +32,7 @@ import pytest
 
 from tribound import SystemConfig, apply_overrides, engine, run, verify
 from tribound.cli import main
+from tribound.hebbian import row_norms
 
 FIXTURE = Path(__file__).with_name("golden_hashes.json")
 
@@ -92,7 +93,7 @@ def numeric_stack() -> dict[str, object]:
 def case_hashes(name: str, out_dir: Path) -> dict[str, str]:
     scenario, overrides, duration = CASES[name]
     config = apply_overrides(SystemConfig(), overrides)
-    trace = run(scenario, config=config, duration=duration)
+    trace = run(scenario, config=config, duration=duration, keep_snapshots=True)
     trace.save(out_dir)
     hashes = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -151,6 +152,36 @@ def test_batch_size_leaves_the_saved_trace_byte_identical(
     # A batch of 3 ticks at 30x64, and of 1 tick at 300x64.
     monkeypatch.setattr(engine, "_BATCH_BYTES", 3 * 30 * 64 * 8)
     assert case_hashes(name, tmp_path / "small") == want
+
+
+def _checks_by_repr(trace) -> list[tuple]:
+    """Each replay check, its floats by repr, so NaN and -0.0 compare too."""
+    return [
+        (c.check_id, c.passed, repr(c.worst), repr(c.bound), c.note)
+        for c in verify(trace).checks
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_a_run_without_snapshots_verifies_the_same(name: str):
+    """Runs on any numeric stack: the drift reductions a run records equal
+    the expressions the replay once took over the kept snapshots, and a
+    run that keeps no snapshots verifies check by check the same."""
+    scenario, overrides, duration = CASES[name]
+    config = apply_overrides(SystemConfig(), overrides)
+    kept = run(scenario, config=config, duration=duration, keep_snapshots=True)
+    bare = run(scenario, config=config, duration=duration)
+    assert kept.marl_records and bare.snap_weights is None
+    assert _checks_by_repr(bare) == _checks_by_repr(kept)
+    for field, snaps in (
+        ("weight_drift", kept.snap_weights),
+        ("embedding_drift", kept.snap_embeddings),
+    ):
+        changes = [np.linalg.norm(b - a, axis=1).max() for a, b in zip(snaps, snaps[1:])]
+        want = repr(float(np.max(changes)))
+        assert repr(getattr(kept, field)) == repr(getattr(bare, field)) == want
+    want = repr(max(float(row_norms(w).max()) for w in kept.snap_weights))
+    assert repr(kept.snap_weight_norm) == repr(bare.snap_weight_norm) == want
 
 
 def changed_hashes(old: dict, new: dict) -> list[str]:
