@@ -289,6 +289,9 @@ class _Run:
         self.block = np.empty((min(batch, self.ticks), n, cfg.weight_dim))
 
         embeddings = self.encoder.encode(self.weights)
+        # Only the stable regime has drift ceilings to replay the folds
+        # against; elsewhere the drifts are undefined.
+        drift = 0.0 if cfg.delta < 0.0 else math.nan
         # self.weights and self.policy are only ever rebound to new arrays,
         # never written in place, so the snapshots hold them without a copy.
         self.last_snaps = (self.weights, embeddings)
@@ -306,6 +309,8 @@ class _Run:
             policy_snaps=[self.policy],
             meta_snaps=[self.theta.copy()],
             snap_weight_norm=float(row_norms(self.weights).max()),
+            weight_drift=drift,
+            embedding_drift=drift,
             events=self.monitor.events,
         )
         if scenario.record_policy_tv:
@@ -448,14 +453,15 @@ class _Run:
             # Folds in snapshot order: np.maximum keeps a NaN change, as np.max
             # over every change does; max keeps a NaN norm only from snapshot
             # 0, as max over every snapshot does.
-            pairs = zip(self.last_snaps, (self.weights, ideal))
-            changes = [np.linalg.norm(b - a, axis=1).max() for a, b in pairs]
-            drifts = np.maximum((trace.weight_drift, trace.embedding_drift), changes)
-            trace.weight_drift, trace.embedding_drift = drifts.tolist()
+            if cfg.delta < 0.0:
+                pairs = zip(self.last_snaps, (self.weights, ideal))
+                changes = [np.linalg.norm(b - a, axis=1).max() for a, b in pairs]
+                drifts = np.maximum((trace.weight_drift, trace.embedding_drift), changes)
+                trace.weight_drift, trace.embedding_drift = drifts.tolist()
+                self.last_snaps = (self.weights, ideal)
             # A snapshot's largest row norm is the one recorded at its tick.
             norm = float(trace.max_weight_norm[ticks_done - 1])
             trace.snap_weight_norm = max(trace.snap_weight_norm, norm)
-            self.last_snaps = (self.weights, ideal)
             if trace.snap_weights is not None:
                 trace.snap_weights.append(self.weights)
                 trace.snap_embeddings.append(ideal)
