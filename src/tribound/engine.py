@@ -261,13 +261,13 @@ class _Run:
         self.policy = np.zeros(cfg.n_actions * cfg.embed_dim)
         self.monitor = Monitor(cfg)
         self.margins = all_margins(self.cascade, self.theta)
-        # The gains change only at coordination boundaries, which refresh them.
-        self.work.set_gains(
-            cfg.eta1, 1.0 if scenario.unit_gain else modulation_gain(0.0, cfg)
-        )
+        # The gains change only at coordination boundaries and the rule only
+        # at meta boundaries; each refreshes the rate grids.
+        self.gains = 1.0 if scenario.unit_gain else modulation_gain(0.0, cfg)
+        self.work.set_rates(self.rule, cfg.eta1, self.gains)
         self.obs_rng = stream_rng(cfg.seed, "observations")
         if scenario.aligned_observations:
-            # Reused every tick: the squares, then the directions.
+            # Reused every tick: the directions and their norms.
             self.dirs = np.empty((n, cfg.weight_dim))
             self.dir_norms = np.empty(n)
             self.dir_norm_column = self.dir_norms[:, None]
@@ -324,8 +324,8 @@ class _Run:
         its first tick."""
         if self.scenario.aligned_observations:
             dirs, norms, column = self.dirs, self.dir_norms, self.dir_norm_column
-            squares = np.multiply(weights, weights, out=dirs)
-            np.sqrt(np.add.reduce(squares, axis=-1, out=norms), out=norms)
+            # The norms row_norms takes, written in place.
+            np.sqrt(np.vecdot(weights, weights, out=norms), out=norms)
             # The least norm is NaN if any is: the fast path needs every
             # norm > 0.
             if np.minimum.reduce(norms) > 0.0:
@@ -368,17 +368,16 @@ class _Run:
         )
         if ends.size:
             stop = start + int(ends[0]) + 1
-        observations, rule, work = self._observations, self.rule, self.work
+        observations, work = self._observations, self.work
         block, step_norms = self.block, trace.step_norms
         weights = self.weights
         for i in range(start, stop):
             x_pre, x_post = observations(i, weights)
             new_weights = block[i - start]
-            hebbian_tick(
-                rule, cfg, weights, x_pre, x_post, work, new_weights, step_norms[i]
-            )
+            hebbian_tick(cfg, weights, x_pre, x_post, work, new_weights, step_norms[i])
             weights = new_weights
-        # Copied out before _record_block squares the block in place.
+        # Copied out of the block, which the next block overwrites: the
+        # snapshots hold self.weights.
         self.weights = weights.copy()
         self._record_block(start, stop)
         return stop
@@ -405,8 +404,7 @@ class _Run:
             previous = np.concatenate((self.prev_dists[None], dists[:-1]))
             trace.tick_policy_tv[start:stop] = tv_rows(dists, previous).max(axis=1)
             self.prev_dists = dists[-1]
-        # Last use of the block: square it in place, not into a second buffer.
-        trace.max_weight_norm[start:stop] = row_norms(block, squares=block).max(axis=1)
+        trace.max_weight_norm[start:stop] = row_norms(block).max(axis=1)
 
     def _coordination_step(self, ticks_done: int) -> bool:
         """Every coordination boundary the last tick reached; False on a halt."""
@@ -420,7 +418,8 @@ class _Run:
             aggregated = self.mix @ realized
             if not self.scenario.unit_gain:
                 signals = modulation(aggregated, aggregated.mean(axis=0), cfg)
-                self.work.set_gains(cfg.eta1, modulation_gain(signals, cfg))
+                self.gains = modulation_gain(signals, cfg)
+                self.work.set_rates(self.rule, cfg.eta1, self.gains)
             try:
                 self.policy, info = marl_step(
                     self.policy, aggregated, cfg, self.target_map, self.probes
@@ -455,7 +454,7 @@ class _Run:
             # 0, as max over every snapshot does.
             if cfg.delta < 0.0:
                 pairs = zip(self.last_snaps, (self.weights, ideal))
-                changes = [np.linalg.norm(b - a, axis=1).max() for a, b in pairs]
+                changes = [row_norms(b - a).max() for a, b in pairs]
                 drifts = np.maximum((trace.weight_drift, trace.embedding_drift), changes)
                 trace.weight_drift, trace.embedding_drift = drifts.tolist()
                 self.last_snaps = (self.weights, ideal)
@@ -481,6 +480,7 @@ class _Run:
             if applied:
                 self.theta = candidate
                 self.rule = self.cascade.rule_for(self.theta)
+                self.work.set_rates(self.rule, cfg.eta1, self.gains)
                 self.margins = all_margins(self.cascade, self.theta)
 
             trial = adaptation_trial(

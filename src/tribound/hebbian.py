@@ -4,10 +4,12 @@ Each agent updates a local weight vector once per fast tick. The update
 direction blends a correlation term, plain pre- and postsynaptic terms, and
 a linear decay term, all scaled by a bounded modulation gain that the
 coordination level computes from embedding dispersion. With negative decay
-the dynamics stay inside a computable norm ball. The functions at the
-bottom of this module give that ball for a rule and the largest fast rate
-for which the one-tick map remains a contraction on it; bounds.total_bound
-derives the step bounds from them.
+the dynamics stay inside a computable norm ball. A tick runs on the rate
+grids of a FastWorkspace, which hold the coefficients already multiplied by
+each agent's rate, and takes its row norms from row_norms' one pass. The
+functions at the bottom of this module give the ball for a rule and the
+largest fast rate for which the one-tick map remains a contraction on it;
+bounds.total_bound derives the step bounds from them.
 """
 from __future__ import annotations
 
@@ -49,14 +51,14 @@ def rule_from_config(config: SystemConfig) -> HebbianRule:
     return HebbianRule(config.alpha, config.beta, config.gamma_h, config.delta)
 
 
-def row_norms(x: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
-    """Euclidean norms along the last axis, bit for bit as np.linalg.norm.
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, from one np.vecdot pass.
 
-    squares, if given, is an array of x's shape (x itself allowed) that
-    receives x * x in place of a new temporary.
+    vecdot sums the squares in its own order, so a norm may differ from
+    np.linalg.norm's in the last bits: by at most d * eps * ||x|| for rows
+    of d entries, short of overflow or underflow of the squares.
     """
-    squares = np.multiply(x, x, out=squares)
-    return np.sqrt(np.add.reduce(squares, axis=-1))
+    return np.sqrt(np.vecdot(x, x))
 
 
 def _logistic(x: np.ndarray | float) -> np.ndarray | float:
@@ -88,10 +90,14 @@ class FastWorkspace:
     """Arrays hebbian_tick reuses every tick, for one swarm shape.
 
     The frozen coordinates are the leading `frozen` of each weight row, as
-    model.frozen_count counts them, so masking is a slice write. rates is
-    eta1 times each agent's gain, repeated along the agent's row, which
-    multiplies faster than a broadcast column; set_gains refreshes it when
-    the gains change. After a tick, steps holds each agent's applied step.
+    model.frozen_count counts them. set_rates folds the rule and the rates
+    into grids of the weights' shape: alpha, beta, gamma_h and delta are
+    eta1 * gain_i * (the rule's coefficient) along agent i's row, and
+    summed is beta + gamma_h, for activity with x_pre equal to x_post. Each
+    grid is zero on the frozen columns, so no frozen step moves and no
+    per-tick mask runs; a full grid multiplies faster than a broadcast
+    column or a Python float. Call set_rates when the gains or the rule
+    change. After a tick, steps holds each agent's applied step.
     """
 
     def __init__(self, n_agents: int, weight_dim: int, frozen: int) -> None:
@@ -99,31 +105,47 @@ class FastWorkspace:
         shape = (n_agents, weight_dim)
         self.steps = np.empty(shape)
         self.scratch = np.empty(shape)
-        self.rates = np.empty(shape)
+        self.grids = np.zeros((5, *shape))
+        self.alpha, self.beta, self.gamma_h, self.delta, self.summed = self.grids
+        self.decays = False
         self.factors = np.empty(n_agents)
         self.factor_column = self.factors[:, None]
 
-    def set_gains(self, eta1: float, gains: np.ndarray | float) -> None:
-        np.multiply(eta1, np.reshape(gains, (-1, 1)), out=self.rates)
+    def set_rates(
+        self, rule: HebbianRule, eta1: float, gains: np.ndarray | float
+    ) -> None:
+        rates = np.multiply(eta1, np.reshape(gains, (-1, 1)))
+        for grid, coefficient in zip(
+            self.grids, (rule.alpha, rule.beta, rule.gamma_h, rule.delta)
+        ):
+            np.multiply(rates, coefficient, out=grid)
+        np.add(self.beta, self.gamma_h, out=self.summed)
+        self.grids[..., : self.frozen] = 0.0
+        self.decays = rule.delta != 0.0
 
 
 def proposed_steps(
-    rule: HebbianRule,
     weights: np.ndarray,
     x_pre: np.ndarray,
     x_post: np.ndarray,
     work: FastWorkspace,
 ) -> np.ndarray:
-    """Unclamped per-tick weight increments, row per agent, in work.steps."""
-    drive, term = work.steps, work.scratch
-    np.multiply(x_pre, x_post, out=drive)
-    drive *= rule.alpha
-    drive += np.multiply(rule.beta, x_pre, out=term)
-    drive += np.multiply(rule.gamma_h, x_post, out=term)
-    if rule.delta != 0.0:
-        drive += np.multiply(rule.delta, weights, out=term)
-    drive *= work.rates
-    return drive
+    """Unclamped per-tick weight increments, row per agent, in work.steps:
+    x_pre * (alpha * x_post + beta) + gamma_h * x_post + delta * weights
+    over the rate grids. A frozen coordinate's step is +-0 for finite
+    activity and weights."""
+    steps = work.steps
+    np.multiply(work.alpha, x_post, out=steps)
+    if x_pre is x_post:
+        steps += work.summed
+        steps *= x_pre
+    else:
+        steps += work.beta
+        steps *= x_pre
+        steps += np.multiply(work.gamma_h, x_post, out=work.scratch)
+    if work.decays:
+        steps += np.multiply(work.delta, weights, out=work.scratch)
+    return steps
 
 
 def apply_steps(
@@ -134,21 +156,20 @@ def apply_steps(
     new_weights: np.ndarray,
     step_norms: np.ndarray,
 ) -> None:
-    """Mask frozen coordinates of work.steps, scale them to the clamp, apply.
+    """Scale the steps in work.steps to the clamp and apply them.
 
     Writes the new weights and the proposed step norms into the given
     arrays; new_weights must not overlap weights. With the clamp on, each
     step is scaled by delta_np / max(norm, delta_np), and clamp_norms later
-    turns the proposed norms into the applied ones. Norms are taken after
-    masking: the frozen coordinates never move, so they cannot contribute
-    to the step size the clamp contract governs. Frozen columns are copied
-    bit-exactly from the previous weights.
+    turns the proposed norms into the applied ones. The frozen coordinates
+    of the steps are zero, as proposed_steps leaves them, so they add
+    nothing to the step size the clamp contract governs. Frozen columns are
+    copied bit-exactly from the previous weights: adding a zero step would
+    turn a -0.0 weight into +0.0.
     """
     steps, frozen = work.steps, work.frozen
-    if frozen:
-        steps[:, :frozen] = 0.0
-    squares = np.multiply(steps, steps, out=work.scratch)
-    np.sqrt(np.add.reduce(squares, axis=-1, out=step_norms), out=step_norms)
+    # The norms row_norms takes, written in place.
+    np.sqrt(np.vecdot(steps, steps, out=step_norms), out=step_norms)
     if enforce_clamp:
         # Rows at or under the cap scale by delta_np / delta_np == 1.0 exactly.
         factors = np.fmax(step_norms, delta_np, out=work.factors)
@@ -171,7 +192,6 @@ def clamp_norms(step_norms: np.ndarray, clamped: np.ndarray, delta_np: float) ->
 
 
 def hebbian_tick(
-    rule: HebbianRule,
     config: SystemConfig,
     weights: np.ndarray,
     x_pre: np.ndarray,
@@ -185,10 +205,10 @@ def hebbian_tick(
     weights, x_pre, x_post, new_weights: (n_agents, weight_dim); step_norms:
     (n_agents,), receiving the proposed step norms. The new weights take the
     clamped steps; with the clamp on, clamp_norms over the recorded norms
-    gives the applied norms and the clamp flags. The gains are the ones last
-    given to work.set_gains.
+    gives the applied norms and the clamp flags. The rule and the gains are
+    the ones last given to work.set_rates.
     """
-    proposed_steps(rule, weights, x_pre, x_post, work)
+    proposed_steps(weights, x_pre, x_post, work)
     apply_steps(
         weights, work, config.delta_np, config.enforce_clamp, new_weights, step_norms
     )

@@ -25,7 +25,7 @@ from tribound import (
 )
 from tribound import engine
 from tribound.engine import SLOPE_TOL, _least_squares_slope
-from tribound.hebbian import hebbian_tick
+from tribound.hebbian import FastWorkspace, hebbian_tick
 from tribound.model import initial_weights
 from tribound.seeding import stream_rng
 
@@ -170,10 +170,10 @@ def test_a_longer_run_starts_like_a_shorter_one(overrides, duration):
 def test_drawn_observations_lie_in_the_unit_ball(overrides, monkeypatch):
     largest = []
 
-    def spy(rule, config, weights, x_pre, x_post, *rest):
+    def spy(config, weights, x_pre, x_post, *rest):
         both = np.stack((x_pre, x_post))
         largest.append(float(np.linalg.norm(both, axis=-1).max()))
-        return hebbian_tick(rule, config, weights, x_pre, x_post, *rest)
+        return hebbian_tick(config, weights, x_pre, x_post, *rest)
 
     monkeypatch.setattr(engine, "hebbian_tick", spy)
     cfg = apply_overrides(SystemConfig(), overrides)
@@ -188,9 +188,9 @@ def test_drawn_observation_radii_are_uniform(monkeypatch):
     below its 99.9% critical value 1.95 / sqrt(N)."""
     radii = []
 
-    def spy(rule, config, weights, x_pre, x_post, *rest):
+    def spy(config, weights, x_pre, x_post, *rest):
         radii.append(np.linalg.norm(np.stack((x_pre, x_post)), axis=-1).ravel())
-        return hebbian_tick(rule, config, weights, x_pre, x_post, *rest)
+        return hebbian_tick(config, weights, x_pre, x_post, *rest)
 
     monkeypatch.setattr(engine, "hebbian_tick", spy)
     run("baseline", config=apply_overrides(SystemConfig(), WIDE), duration=1.0)
@@ -200,6 +200,27 @@ def test_drawn_observation_radii_are_uniform(monkeypatch):
     ranks = np.arange(1, n + 1)
     ks = max(float((ranks / n - r).max()), float((r - (ranks - 1) / n).max()))
     assert ks < 1.95 / math.sqrt(n)
+
+
+def test_rate_grids_are_refreshed_when_the_gains_or_the_rule_change(monkeypatch):
+    """set_rates runs once at the start, at every coordination boundary
+    (new gains) and at every applied meta update (new rule), and never per
+    tick; after an applied update the grids take the new rule."""
+    rules = []
+    set_rates = FastWorkspace.set_rates
+
+    def spy(work, rule, eta1, gains):
+        rules.append(rule)
+        return set_rates(work, rule, eta1, gains)
+
+    monkeypatch.setattr(FastWorkspace, "set_rates", spy)
+    cfg = apply_overrides(SystemConfig(), {"tau2": 1.0, "tau3": 4.5})
+    trace = run("crafted_margin_breach", config=cfg, duration=10.0)
+    applied = sum(rec["applied"] for rec in trace.meta_records)
+    assert applied == 2 and len(trace.marl_records) == 10
+    assert len(rules) == 1 + len(trace.marl_records) + applied
+    # One rule per meta parameter the run held.
+    assert len(set(rules)) == len({theta.tobytes() for theta in trace.meta_snaps}) == 2
 
 
 def test_only_the_observation_stream_uses_sfc64():

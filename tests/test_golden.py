@@ -166,9 +166,9 @@ def _checks_by_repr(trace) -> list[tuple]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_a_run_without_snapshots_verifies_the_same(name: str):
     """Runs on any numeric stack: the drift reductions a run records equal
-    the expressions the replay once took over the kept snapshots, or NaN in
-    the unstable regime, which has no drift ceiling, and a run that keeps
-    no snapshots verifies check by check the same."""
+    the largest row_norms change over the kept snapshots, or NaN in the
+    unstable regime, which has no drift ceiling, and a run that keeps no
+    snapshots verifies check by check the same."""
     scenario, overrides, duration = CASES[name]
     config = apply_overrides(SystemConfig(), overrides)
     kept = run(scenario, config=config, duration=duration, keep_snapshots=True)
@@ -179,7 +179,7 @@ def test_a_run_without_snapshots_verifies_the_same(name: str):
         ("weight_drift", kept.snap_weights),
         ("embedding_drift", kept.snap_embeddings),
     ):
-        changes = [np.linalg.norm(b - a, axis=1).max() for a, b in zip(snaps, snaps[1:])]
+        changes = [row_norms(b - a).max() for a, b in zip(snaps, snaps[1:])]
         stable = kept.config.delta < 0.0
         want = repr(float(np.max(changes)) if stable else math.nan)
         assert repr(getattr(kept, field)) == repr(getattr(bare, field)) == want

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tribound import (
     ModulationBoundError,
@@ -22,6 +23,7 @@ from tribound.hebbian import (
     hebbian_tick,
     modulation_gain,
     proposed_steps,
+    row_norms,
     rule_from_config,
     stationary_radius,
     weight_norm_ceiling,
@@ -33,18 +35,20 @@ BASE_RULE = HebbianRule(0.5, 0.1, 0.1, -0.01)
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
 
-def _workspace(n, d, gains=1.0, eta1=1.0, frozen=0):
+def _workspace(n, d, rule=BASE_RULE, gains=1.0, eta1=1.0, frozen=0):
     work = FastWorkspace(n, d, frozen)
-    work.set_gains(eta1, gains)
+    work.set_rates(rule, eta1, gains)
     return work
 
 
 def _apply(weights, steps, frozen, delta_np, enforce_clamp):
-    """apply_steps on given steps, then clamp_norms with the clamp on, as the
+    """apply_steps on given steps, their frozen coordinates zeroed as
+    proposed_steps leaves them, then clamp_norms with the clamp on, as the
     engine records a tick; returns (new_weights, step_norms, clamped)."""
     n, d = weights.shape
     work = _workspace(n, d, frozen=frozen)
     work.steps[...] = steps
+    work.steps[:, :frozen] = 0.0
     new = np.empty((n, d))
     norms = np.empty(n)
     clamped = np.zeros(n, dtype=bool)
@@ -58,12 +62,11 @@ def _tick(rule, cfg, weights, pre, post, gains, frozen):
     """hebbian_tick into fresh arrays, then clamp_norms with the clamp on;
     returns (new_weights, step_norms, clamped)."""
     n, d = weights.shape
-    work = FastWorkspace(n, d, frozen)
-    work.set_gains(cfg.eta1, gains)
+    work = _workspace(n, d, rule, gains, cfg.eta1, frozen)
     new = np.empty_like(weights)
     norms = np.empty(n)
     clamped = np.zeros(n, dtype=bool)
-    hebbian_tick(rule, cfg, weights, pre, post, work, new, norms)
+    hebbian_tick(cfg, weights, pre, post, work, new, norms)
     if cfg.enforce_clamp:
         clamp_norms(norms, clamped, cfg.delta_np)
     return new, norms, clamped
@@ -129,16 +132,17 @@ def test_hebbian_delta_matches_formula(base_config):
     post = rng.standard_normal((1, 64))
     post /= 4.0 * np.linalg.norm(post)
     gain = modulation_gain(1.0, base_config)
-    work = _workspace(1, 64, gain)
-    got = proposed_steps(BASE_RULE, w, pre, post, work)
+    work = _workspace(1, 64, BASE_RULE, gain)
+    got = proposed_steps(w, pre, post, work)
     assert got is work.steps
     want = gain * (0.5 * pre * post + 0.1 * pre + 0.1 * post - 0.01 * w)
-    np.testing.assert_allclose(got, want, rtol=1e-14)
+    size = gain * (0.5 * abs(pre * post) + 0.1 * abs(pre) + 0.1 * abs(post) + 0.01 * abs(w))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * size.max())
     # Without decay the weights do not enter the step.
-    no_decay = HebbianRule(0.5, 0.1, 0.1, 0.0)
+    work.set_rates(HebbianRule(0.5, 0.1, 0.1, 0.0), 1.0, gain)
     np.testing.assert_array_equal(
-        proposed_steps(no_decay, w, pre, post, work).copy(),
-        proposed_steps(no_decay, np.zeros_like(w), pre, post, work),
+        proposed_steps(w, pre, post, work).copy(),
+        proposed_steps(np.zeros_like(w), pre, post, work),
     )
 
 
@@ -151,21 +155,18 @@ def test_proposed_steps_matches_single_agent(base_config):
     post = rng.standard_normal((n, d)) * 0.05
     gains = rng.uniform(0.5, 1.5, size=n)
     eta1 = base_config.eta1
-    steps = proposed_steps(BASE_RULE, weights, pre, post, _workspace(n, d, gains, eta1))
+    steps = proposed_steps(weights, pre, post, _workspace(n, d, BASE_RULE, gains, eta1))
     assert steps.shape == (n, d)
     for i in range(n):
-        drive = (
-            0.5 * pre[i] * post[i] + 0.1 * pre[i] + 0.1 * post[i]
-            - 0.01 * weights[i]
-        )
-        np.testing.assert_allclose(
-            steps[i], base_config.eta1 * gains[i] * drive, rtol=1e-14
-        )
+        terms = (0.5 * pre[i] * post[i], 0.1 * pre[i], 0.1 * post[i], -0.01 * weights[i])
+        rate = base_config.eta1 * gains[i]
+        size = rate * max(np.abs(term).max() for term in terms)
+        np.testing.assert_allclose(steps[i], rate * sum(terms), rtol=0.0, atol=1e-14 * size)
     # A scalar gain applies to every row alike.
     np.testing.assert_array_equal(
-        proposed_steps(BASE_RULE, weights, pre, post, _workspace(n, d, 1.25, eta1)),
+        proposed_steps(weights, pre, post, _workspace(n, d, BASE_RULE, 1.25, eta1)),
         proposed_steps(
-            BASE_RULE, weights, pre, post, _workspace(n, d, np.full(n, 1.25), eta1)
+            weights, pre, post, _workspace(n, d, BASE_RULE, np.full(n, 1.25), eta1)
         ),
     )
 
@@ -193,28 +194,33 @@ def test_apply_steps_without_clamp():
     np.testing.assert_array_equal(new, steps)
 
 
-def test_apply_steps_frozen_coordinates_are_bit_exact():
+def test_frozen_coordinates_take_no_step():
     rng = np.random.default_rng(11)
     weights = rng.standard_normal((4, 6))
-    steps = rng.standard_normal((4, 6))
+    pre, post = rng.uniform(-0.5, 0.5, size=(2, 4, 6))
+    work = _workspace(4, 6, BASE_RULE, frozen=2)
+    steps = proposed_steps(weights, pre, post, work)
+    # The grids are zero there, so the steps are too and add nothing to the
+    # step size.
+    np.testing.assert_array_equal(steps[:, :2], 0.0)
     for enforce_clamp in (True, False):
         new, applied, _ = _apply(weights, steps, 2, 1e-4, enforce_clamp)
-        np.testing.assert_array_equal(new[:, :2], weights[:, :2])
-    # masked coordinates do not count toward the step size
+        assert new[:, :2].tobytes() == weights[:, :2].tobytes()
     np.testing.assert_allclose(
         applied, np.linalg.norm(steps[:, 2:], axis=1), rtol=1e-14
     )
 
 
 def _reference_apply_steps(weights, steps, frozen_mask, delta_np, enforce_clamp):
-    """apply_steps as first written: boolean indexing and linalg.norm."""
+    """apply_steps as first written, boolean indexing, with the norms
+    row_norms takes."""
     frozen_any = bool(frozen_mask.any())
     if frozen_any:
         masked = steps.copy()
         masked[:, frozen_mask] = 0.0
     else:
         masked = steps
-    proposed_norms = np.linalg.norm(masked, axis=1)
+    proposed_norms = row_norms(masked)
     clamped = np.zeros(weights.shape[0], dtype=bool)
     applied = masked
     applied_norms = proposed_norms
@@ -241,7 +247,7 @@ _step_values = st.one_of(
 @given(
     data=st.data(),
     n=st.integers(min_value=1, max_value=4),
-    d=st.integers(min_value=1, max_value=6),
+    d=st.integers(min_value=1, max_value=24),
     delta_np=st.sampled_from([1e-4, 5e-324, 1.0]),
     enforce_clamp=st.booleans(),
 )
@@ -268,26 +274,31 @@ def test_apply_steps_matches_reference_bit_for_bit(data, n, d, delta_np, enforce
 def _allocating_hebbian_tick(
     rule, weights, x_pre, x_post, gains, eta1, frozen_mask, delta_np, enforce_clamp
 ):
-    """hebbian_tick as it was before the reused buffers: fresh arrays each
-    step, copyto(where=) masking, per-tick eta1 * gains. Returns
-    (new_weights, applied_norms, clamped)."""
-    drive = x_pre * x_post
-    drive *= rule.alpha
-    drive += rule.beta * x_pre
-    drive += rule.gamma_h * x_post
+    """hebbian_tick in fresh arrays, in the same operations: the rate grids
+    built per call, masked with copyto(where=), the norms as row_norms
+    takes them. Returns (new_weights, applied_norms, clamped)."""
+    rates = eta1 * np.asarray(gains, dtype=float).reshape(-1, 1)
+    alpha, beta, gamma_h, delta = (
+        np.broadcast_to(rates * c, weights.shape).copy()
+        for c in (rule.alpha, rule.beta, rule.gamma_h, rule.delta)
+    )
+    for grid in (alpha, beta, gamma_h, delta):
+        np.copyto(grid, 0.0, where=frozen_mask)
+    steps = alpha * x_post
+    if x_pre is x_post:
+        steps = (steps + (beta + gamma_h)) * x_pre
+    else:
+        steps = (steps + beta) * x_pre + gamma_h * x_post
     if rule.delta != 0.0:
-        drive += rule.delta * weights
-    drive *= eta1 * np.asarray(gains, dtype=float).reshape(-1, 1)
-    masked = drive.copy()
-    np.copyto(masked, 0.0, where=frozen_mask)
-    proposed_norms = np.sqrt(np.add.reduce(masked * masked, axis=-1))
+        steps = steps + delta * weights
+    proposed_norms = row_norms(steps)
     if enforce_clamp:
         clamped = proposed_norms > delta_np
-        applied = masked * (delta_np / np.fmax(proposed_norms, delta_np))[:, None]
+        applied = steps * (delta_np / np.fmax(proposed_norms, delta_np))[:, None]
         applied_norms = np.minimum(proposed_norms, delta_np)
     else:
         clamped = np.zeros(weights.shape[0], dtype=bool)
-        applied = masked
+        applied = steps
         applied_norms = proposed_norms
     new_weights = weights + applied
     np.copyto(new_weights, weights, where=frozen_mask)
@@ -303,7 +314,7 @@ _activity_values = st.one_of(
 @given(
     data=st.data(),
     n=st.integers(min_value=1, max_value=4),
-    d=st.integers(min_value=1, max_value=6),
+    d=st.integers(min_value=1, max_value=24),
     rule=st.builds(
         HebbianRule,
         st.sampled_from([0.5, 0.0, -1.5]),
@@ -315,9 +326,10 @@ _activity_values = st.one_of(
     delta_np=st.sampled_from([1e-4, 5e-324, 1.0]),
     enforce_clamp=st.booleans(),
     scalar_gain=st.booleans(),
+    aligned=st.booleans(),
 )
 def test_hebbian_tick_matches_allocating_tick_bit_for_bit(
-    data, n, d, rule, eta1, delta_np, enforce_clamp, scalar_gain
+    data, n, d, rule, eta1, delta_np, enforce_clamp, scalar_gain, aligned
 ):
     def matrix(values):
         return np.array(
@@ -326,7 +338,7 @@ def test_hebbian_tick_matches_allocating_tick_bit_for_bit(
 
     weights = matrix(st.sampled_from([0.0, -0.0, 1.5, -2.0, 70.0, math.inf]))
     x_pre = matrix(_activity_values)
-    x_post = matrix(_activity_values)
+    x_post = x_pre if aligned else matrix(_activity_values)
     gain_values = st.floats(min_value=0.0, max_value=1.5)
     gains = (
         data.draw(gain_values)
@@ -348,10 +360,92 @@ def test_hebbian_tick_matches_allocating_tick_bit_for_bit(
         assert g.tobytes() == w.tobytes()
 
 
+_EPS = float(np.finfo(float).eps)
+# Below this size a square underflows.
+_UNDERFLOW = math.sqrt(float(np.finfo(float).tiny))
+_SUBNORMAL = float(np.finfo(float).smallest_subnormal)
+
+
+@given(
+    data=st.data(),
+    n=st.integers(min_value=1, max_value=4),
+    d=st.integers(min_value=1, max_value=64),
+    coefficients=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    eta1=st.sampled_from([1e-3, 1.0]),
+    delta_np=st.sampled_from([1e-4, 1e-2, 1e3]),
+    enforce_clamp=st.booleans(),
+    aligned=st.booleans(),
+)
+def test_hebbian_tick_is_the_textbook_update(
+    data, n, d, coefficients, eta1, delta_np, enforce_clamp, aligned
+):
+    """A tick applies rate * (alpha x*y + beta x + gamma_h y + delta w) on
+    the plastic coordinates, scaled to the clamp, within a few roundings of
+    the size of its terms; the frozen coordinates stay bit-exact, -0.0
+    included."""
+    rule = HebbianRule(*coefficients)
+    values = st.one_of(st.floats(-100.0, 100.0), st.sampled_from([0.0, -0.0]))
+    weights = data.draw(arrays(float, (n, d), elements=values))
+    # Activity in the unit ball; aligned activity is one array for both.
+    unit = arrays(float, (n, d), elements=st.floats(-1.0 / math.sqrt(d), 1.0 / math.sqrt(d)))
+    x_pre = data.draw(unit)
+    x_post = x_pre if aligned else data.draw(unit)
+    gains = data.draw(arrays(float, n, elements=st.floats(0.0, 1.5)))
+    frozen = data.draw(st.integers(min_value=0, max_value=d))
+    cfg = dataclasses.replace(
+        SystemConfig(), eta1=eta1, delta_np=delta_np, enforce_clamp=enforce_clamp
+    )
+    new, norms, _ = _tick(rule, cfg, weights, x_pre, x_post, gains, frozen)
+
+    rate = eta1 * gains[:, None]
+    terms = (
+        rule.alpha * x_pre * x_post, rule.beta * x_pre, rule.gamma_h * x_post,
+        rule.delta * weights,
+    )
+    step = rate * sum(terms)
+    size = rate * sum(np.abs(term) for term in terms)
+    step[:, :frozen] = size[:, :frozen] = 0.0
+    want_norms = np.linalg.norm(step, axis=1)
+    factors = np.ones(n)
+    if enforce_clamp:
+        factors = delta_np / np.fmax(want_norms, delta_np)
+        want_norms = np.minimum(want_norms, delta_np)
+    # The float error: a few roundings at the size of the terms, and below
+    # that the squares' underflow (under sqrt(d) * _UNDERFLOW for a norm)
+    # and subnormal roundings. size_rows bounds a row of sizes' norm.
+    size_rows = math.sqrt(d) * size.max(axis=1)
+    floor = math.sqrt(d) * _UNDERFLOW
+    assert np.all(np.abs(norms - want_norms) <= (2 * d + 8) * _EPS * size_rows + floor)
+    want = weights + factors[:, None] * step
+    slack = _EPS * (np.abs(weights) + (2 * d + 16) * (factors * size_rows)[:, None])
+    slack += 16 * _SUBNORMAL
+    assert np.all(np.abs(new - want) <= slack), np.abs(new - want).max()
+    assert new[:, :frozen].tobytes() == weights[:, :frozen].tobytes()
+
+
+@given(
+    data=st.data(),
+    n=st.integers(min_value=1, max_value=4),
+    d=st.integers(min_value=1, max_value=100),
+)
+def test_row_norms_is_within_d_eps_of_linalg_norm(data, n, d):
+    """One vecdot pass sums the squares in another order than
+    np.linalg.norm: short of overflow or underflow of the squares, the
+    norms differ by at most d * eps * ||x||."""
+    magnitude = st.floats(1e-150, 1e150)
+    values = st.one_of(st.just(0.0), magnitude, magnitude.map(lambda v: -v))
+    x = data.draw(arrays(float, (n, d), elements=values))
+    got, want = row_norms(x), np.linalg.norm(x, axis=1)
+    assert got.shape == want.shape == (n,)
+    assert np.all(np.abs(got - want) <= d * _EPS * want)
+    blocks = np.stack((x, -x))
+    assert row_norms(blocks).tobytes() == np.stack((got, got)).tobytes()
+
+
 @given(
     data=st.data(),
     n=st.integers(min_value=1, max_value=3),
-    d=st.integers(min_value=1, max_value=4),
+    d=st.integers(min_value=1, max_value=12),
     k=st.integers(min_value=1, max_value=4),
     eta1=st.sampled_from([1e-3, 1.0, 1e300]),
     delta_np=st.sampled_from([1e-4, 5e-324, 1.0]),
@@ -376,8 +470,7 @@ def test_block_clamp_bookkeeping_matches_the_per_tick_reference(
     cfg = dataclasses.replace(
         SystemConfig(), eta1=eta1, delta_np=delta_np, enforce_clamp=enforce_clamp
     )
-    work = FastWorkspace(n, d, frozen)
-    work.set_gains(eta1, gains)
+    work = _workspace(n, d, rule, gains, eta1, frozen)
     weights = matrix(st.sampled_from([0.0, -0.0, 1.5, -2.0, 70.0, math.inf]))
     block = np.empty((k, n, d))
     norms = np.empty((k, n))
@@ -390,7 +483,7 @@ def test_block_clamp_bookkeeping_matches_the_per_tick_reference(
             want.append(_allocating_hebbian_tick(
                 rule, weights, x_pre, x_post, gains, eta1, mask, delta_np, enforce_clamp
             ))
-            hebbian_tick(rule, cfg, weights, x_pre, x_post, work, block[i], norms[i])
+            hebbian_tick(cfg, weights, x_pre, x_post, work, block[i], norms[i])
             weights = block[i]
         if enforce_clamp:
             clamp_norms(norms, clamped, delta_np)
@@ -412,8 +505,8 @@ def test_applied_norms_never_exceed_cap(seed):
     pre /= np.maximum(np.linalg.norm(pre, axis=1, keepdims=True), 1.0)
     post = rng.standard_normal((4, 8))
     post /= np.maximum(np.linalg.norm(post, axis=1, keepdims=True), 1.0)
-    work = _workspace(4, 8, cfg.sigma_max, cfg.eta1)
-    steps = proposed_steps(rule, weights, pre, post, work)
+    work = _workspace(4, 8, rule, cfg.sigma_max, cfg.eta1)
+    steps = proposed_steps(weights, pre, post, work)
     _, applied, _ = _apply(weights, steps, 0, cfg.delta_np, True)
     assert float(applied.max()) <= cfg.delta_np + 1e-12
 
@@ -424,11 +517,10 @@ def test_hebbian_tick_shapes(base_config):
     n, d = cfg.n_agents, cfg.weight_dim
     weights = np.zeros((n, d))
     acts = np.zeros((n, d))
-    work = FastWorkspace(n, d, frozen_count(cfg))
-    work.set_gains(cfg.eta1, 1.0)
+    work = _workspace(n, d, rule, 1.0, cfg.eta1, frozen_count(cfg))
     new = np.full((n, d), np.nan)
     norms = np.full(n, np.nan)
-    returned = hebbian_tick(rule, cfg, weights, acts, acts, work, new, norms)
+    returned = hebbian_tick(cfg, weights, acts, acts, work, new, norms)
     assert returned is None
     np.testing.assert_array_equal(new, weights)
     np.testing.assert_array_equal(norms, np.zeros(n))
