@@ -289,8 +289,7 @@ class _Run:
         self.block = np.empty((min(batch, self.ticks), n, cfg.weight_dim))
 
         embeddings = self.encoder.encode(self.weights)
-        # Only the stable regime has drift ceilings to replay the folds
-        # against; elsewhere the drifts are undefined.
+        # Only the stable regime has drift ceilings; elsewhere no fold runs.
         drift = 0.0 if cfg.delta < 0.0 else math.nan
         # self.weights and self.policy are only ever rebound to new arrays,
         # never written in place, so the snapshots hold them without a copy.
@@ -309,8 +308,7 @@ class _Run:
             policy_snaps=[self.policy],
             meta_snaps=[self.theta.copy()],
             snap_weight_norm=float(row_norms(self.weights).max()),
-            weight_drift=drift,
-            embedding_drift=drift,
+            weight_drift=drift, embedding_drift=drift,
             events=self.monitor.events,
         )
         if scenario.record_policy_tv:

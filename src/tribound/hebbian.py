@@ -4,10 +4,9 @@ Each agent updates a local weight vector once per fast tick. The update
 direction blends a correlation term, plain pre- and postsynaptic terms, and
 a linear decay term, all scaled by a bounded modulation gain that the
 coordination level computes from embedding dispersion. With negative decay
-the dynamics stay inside a computable norm ball. A tick runs on the rate
-grids of a FastWorkspace, which hold the coefficients already multiplied by
-each agent's rate, and takes its row norms from row_norms' one pass. The
-functions at the bottom of this module give the ball for a rule and the
+the dynamics stay inside a computable norm ball; a tick multiplies by the
+coefficients already scaled by each agent's rate (FastWorkspace). The
+functions at the bottom of this module give that ball for a rule and the
 largest fast rate for which the one-tick map remains a contraction on it;
 bounds.total_bound derives the step bounds from them.
 """
@@ -90,14 +89,13 @@ class FastWorkspace:
     """Arrays hebbian_tick reuses every tick, for one swarm shape.
 
     The frozen coordinates are the leading `frozen` of each weight row, as
-    model.frozen_count counts them. set_rates folds the rule and the rates
-    into grids of the weights' shape: alpha, beta, gamma_h and delta are
-    eta1 * gain_i * (the rule's coefficient) along agent i's row, and
-    summed is beta + gamma_h, for activity with x_pre equal to x_post. Each
-    grid is zero on the frozen columns, so no frozen step moves and no
-    per-tick mask runs; a full grid multiplies faster than a broadcast
-    column or a Python float. Call set_rates when the gains or the rule
-    change. After a tick, steps holds each agent's applied step.
+    model.frozen_count counts them. set_rates, called when the gains or the
+    rule change, fills grids of the weights' shape: alpha, beta, gamma_h and
+    delta hold eta1 * gain_i * the rule's coefficient along agent i's row,
+    summed holds beta + gamma_h for x_pre equal to x_post. A full grid
+    multiplies faster than a broadcast column or a Python float, and its
+    zeros on the frozen columns stand in for a per-tick mask. After a tick,
+    steps holds each agent's applied step.
     """
 
     def __init__(self, n_agents: int, weight_dim: int, frozen: int) -> None:
@@ -111,14 +109,10 @@ class FastWorkspace:
         self.factors = np.empty(n_agents)
         self.factor_column = self.factors[:, None]
 
-    def set_rates(
-        self, rule: HebbianRule, eta1: float, gains: np.ndarray | float
-    ) -> None:
+    def set_rates(self, rule: HebbianRule, eta1: float, gains: np.ndarray | float) -> None:
         rates = np.multiply(eta1, np.reshape(gains, (-1, 1)))
-        for grid, coefficient in zip(
-            self.grids, (rule.alpha, rule.beta, rule.gamma_h, rule.delta)
-        ):
-            np.multiply(rates, coefficient, out=grid)
+        coefficients = np.array([rule.alpha, rule.beta, rule.gamma_h, rule.delta])
+        np.multiply(rates, coefficients[:, None, None], out=self.grids[:4])
         np.add(self.beta, self.gamma_h, out=self.summed)
         self.grids[..., : self.frozen] = 0.0
         self.decays = rule.delta != 0.0
