@@ -37,10 +37,11 @@ class Trace:
     for the last); snap_weights and snap_embeddings are None unless the run
     kept them for a save. weight_drift and embedding_drift are the largest
     row-norm change between consecutive snapshots (NaN if one is, or if
-    config.delta >= 0: no drift ceiling), snap_weight_norm the largest row norm of any weight snapshot. Each fact
-    is held once: the seed is config.seed, the snapshot times and the cycle
-    counts come from the record lists, and a run halted when halt_reason is
-    set. The records, events and counts start empty and fill as the run goes.
+    config.delta >= 0: no drift ceiling), snap_weight_norm the largest row
+    norm of any weight snapshot. Each fact is held once: the seed is
+    config.seed, the snapshot times and the cycle counts come from the
+    record lists, and a run halted when halt_reason is set. The records,
+    events and counts start empty and fill as the run goes.
     """
 
     config: SystemConfig
