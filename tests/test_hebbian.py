@@ -194,7 +194,7 @@ def test_apply_steps_without_clamp():
     np.testing.assert_array_equal(new, steps)
 
 
-def test_frozen_coordinates_take_no_step():
+def test_apply_steps_frozen_coordinates_are_bit_exact():
     rng = np.random.default_rng(11)
     weights = rng.standard_normal((4, 6))
     pre, post = rng.uniform(-0.5, 0.5, size=(2, 4, 6))
