@@ -276,7 +276,10 @@ def _allocating_hebbian_tick(
 ):
     """hebbian_tick in fresh arrays, in the same operations: the rate grids
     built per call, masked with copyto(where=), the norms as row_norms
-    takes them. Returns (new_weights, applied_norms, clamped)."""
+    takes them. The steps accumulate in place, as proposed_steps does: on a
+    one-element array numpy's in-place add keeps the second operand's NaN,
+    the out-of-place add the first's. Returns (new_weights, applied_norms,
+    clamped)."""
     rates = eta1 * np.asarray(gains, dtype=float).reshape(-1, 1)
     alpha, beta, gamma_h, delta = (
         np.broadcast_to(rates * c, weights.shape).copy()
@@ -286,15 +289,19 @@ def _allocating_hebbian_tick(
         np.copyto(grid, 0.0, where=frozen_mask)
     steps = alpha * x_post
     if x_pre is x_post:
-        steps = (steps + (beta + gamma_h)) * x_pre
+        steps += beta + gamma_h
+        steps *= x_pre
     else:
-        steps = (steps + beta) * x_pre + gamma_h * x_post
+        steps += beta
+        steps *= x_pre
+        steps += gamma_h * x_post
     if rule.delta != 0.0:
-        steps = steps + delta * weights
+        steps += delta * weights
     proposed_norms = row_norms(steps)
     if enforce_clamp:
         clamped = proposed_norms > delta_np
-        applied = steps * (delta_np / np.fmax(proposed_norms, delta_np))[:, None]
+        applied = steps
+        applied *= (delta_np / np.fmax(proposed_norms, delta_np))[:, None]
         applied_norms = np.minimum(proposed_norms, delta_np)
     else:
         clamped = np.zeros(weights.shape[0], dtype=bool)
