@@ -3,12 +3,13 @@
 Each agent updates a local weight vector once per fast tick. The update
 direction blends a correlation term, plain pre- and postsynaptic terms, and
 a linear decay term, all scaled by a bounded modulation gain that the
-coordination level computes from embedding dispersion. With negative decay
-the dynamics stay inside a computable norm ball; a tick multiplies by the
-coefficients already scaled by each agent's rate (FastWorkspace). The
-functions at the bottom of this module give that ball for a rule and the
-largest fast rate for which the one-tick map remains a contraction on it;
-bounds.total_bound derives the step bounds from them.
+coordination level computes from embedding dispersion. hebbian_tick is the
+whole tick for the swarm: it multiplies by the coefficients already scaled
+by each agent's rate (FastWorkspace), scales the steps to the clamp and
+applies them. With negative decay the dynamics stay inside a computable
+norm ball. The functions at the bottom of this module give that ball for a
+rule and the largest fast rate for which the one-tick map remains a
+contraction on it; bounds.total_bound derives the step bounds from them.
 """
 from __future__ import annotations
 
@@ -102,7 +103,6 @@ class FastWorkspace:
         self.frozen = frozen
         shape = (n_agents, weight_dim)
         self.steps = np.empty(shape)
-        self.scratch = np.empty(shape)
         self.grids = np.zeros((5, *shape))
         self.alpha, self.beta, self.gamma_h, self.delta, self.summed = self.grids
         self.decays = False
@@ -118,66 +118,10 @@ class FastWorkspace:
         self.decays = rule.delta != 0.0
 
 
-def proposed_steps(
-    weights: np.ndarray,
-    x_pre: np.ndarray,
-    x_post: np.ndarray,
-    work: FastWorkspace,
-) -> np.ndarray:
-    """Unclamped per-tick weight increments, row per agent, in work.steps:
-    x_pre * (alpha * x_post + beta) + gamma_h * x_post + delta * weights
-    over the rate grids. A frozen coordinate's step is +-0 for finite
-    activity and weights."""
-    steps = work.steps
-    np.multiply(work.alpha, x_post, out=steps)
-    if x_pre is x_post:
-        steps += work.summed
-        steps *= x_pre
-    else:
-        steps += work.beta
-        steps *= x_pre
-        steps += np.multiply(work.gamma_h, x_post, out=work.scratch)
-    if work.decays:
-        steps += np.multiply(work.delta, weights, out=work.scratch)
-    return steps
-
-
-def apply_steps(
-    weights: np.ndarray,
-    work: FastWorkspace,
-    delta_np: float,
-    enforce_clamp: bool,
-    new_weights: np.ndarray,
-    step_norms: np.ndarray,
-) -> None:
-    """Scale the steps in work.steps to the clamp and apply them.
-
-    Writes the new weights and the proposed step norms into the given
-    arrays; new_weights must not overlap weights. With the clamp on, each
-    step is scaled by delta_np / max(norm, delta_np), and clamp_norms later
-    turns the proposed norms into the applied ones. The frozen coordinates
-    of the steps are zero, as proposed_steps leaves them, so they add
-    nothing to the step size the clamp contract governs. Frozen columns are
-    copied bit-exactly from the previous weights: adding a zero step would
-    turn a -0.0 weight into +0.0.
-    """
-    steps, frozen = work.steps, work.frozen
-    # The norms row_norms takes, written in place.
-    np.sqrt(np.vecdot(steps, steps, out=step_norms), out=step_norms)
-    if enforce_clamp:
-        # Rows at or under the cap scale by delta_np / delta_np == 1.0 exactly.
-        factors = np.fmax(step_norms, delta_np, out=work.factors)
-        np.divide(delta_np, factors, out=factors)
-        steps *= work.factor_column
-    np.add(weights, steps, out=new_weights)
-    if frozen:
-        new_weights[:, :frozen] = weights[:, :frozen]
-
-
 def clamp_norms(step_norms: np.ndarray, clamped: np.ndarray, delta_np: float) -> None:
     """The clamp's bookkeeping, for any number of ticks at once.
 
-    step_norms holds proposed norms, as apply_steps writes them; afterwards
+    step_norms holds proposed norms, as hebbian_tick writes them; afterwards
     it holds the applied norms, capped at delta_np, and clamped flags the
     proposed norms that exceeded delta_np. A NaN norm stays NaN, unflagged.
     """
@@ -197,15 +141,40 @@ def hebbian_tick(
     """One fast tick for the whole swarm, written into the given arrays.
 
     weights, x_pre, x_post, new_weights: (n_agents, weight_dim); step_norms:
-    (n_agents,), receiving the proposed step norms. The new weights take the
-    clamped steps; with the clamp on, clamp_norms over the recorded norms
-    gives the applied norms and the clamp flags. The rule and the gains are
-    the ones last given to work.set_rates.
+    (n_agents,). The rule and the gains are the ones last given to
+    work.set_rates. The proposed step, in work.steps, is
+    x_pre * (alpha * x_post + beta) + gamma_h * x_post + delta * weights
+    over the rate grids, and step_norms receives its row norms. With the
+    clamp on, each step is then scaled by delta_np / max(norm, delta_np);
+    clamp_norms over the recorded norms gives the applied norms and the
+    clamp flags. new_weights receives weights plus the steps, after holding
+    the grid products, so it must share no memory with weights, x_pre or
+    x_post. The grids are zero on the frozen columns, so a frozen step is
+    +-0 for finite activity and weights and adds nothing to the step size
+    the clamp contract governs; the frozen columns are copied bit-exactly
+    from weights, as adding a zero step would turn a -0.0 weight into +0.0.
     """
-    proposed_steps(weights, x_pre, x_post, work)
-    apply_steps(
-        weights, work, config.delta_np, config.enforce_clamp, new_weights, step_norms
-    )
+    steps, frozen = work.steps, work.frozen
+    np.multiply(work.alpha, x_post, out=steps)
+    if x_pre is x_post:
+        steps += work.summed
+        steps *= x_pre
+    else:
+        steps += work.beta
+        steps *= x_pre
+        steps += np.multiply(work.gamma_h, x_post, out=new_weights)
+    if work.decays:
+        steps += np.multiply(work.delta, weights, out=new_weights)
+    # The norms row_norms takes, written in place.
+    np.sqrt(np.vecdot(steps, steps, out=step_norms), out=step_norms)
+    if config.enforce_clamp:
+        # Rows at or under the cap scale by delta_np / delta_np == 1.0 exactly.
+        factors = np.fmax(step_norms, config.delta_np, out=work.factors)
+        np.divide(config.delta_np, factors, out=factors)
+        steps *= work.factor_column
+    np.add(weights, steps, out=new_weights)
+    if frozen:
+        new_weights[:, :frozen] = weights[:, :frozen]
 
 
 def stationary_radius(rule: HebbianRule) -> float:

@@ -17,12 +17,10 @@ from tribound import (
 from tribound.hebbian import (
     FastWorkspace,
     HebbianRule,
-    apply_steps,
     clamp_norms,
     eta1_threshold,
     hebbian_tick,
     modulation_gain,
-    proposed_steps,
     row_norms,
     rule_from_config,
     stationary_radius,
@@ -41,35 +39,53 @@ def _workspace(n, d, rule=BASE_RULE, gains=1.0, eta1=1.0, frozen=0):
     return work
 
 
-def _apply(weights, steps, frozen, delta_np, enforce_clamp):
-    """apply_steps on given steps, their frozen coordinates zeroed as
-    proposed_steps leaves them, then clamp_norms with the clamp on, as the
-    engine records a tick; returns (new_weights, step_norms, clamped)."""
-    n, d = weights.shape
-    work = _workspace(n, d, frozen=frozen)
-    work.steps[...] = steps
-    work.steps[:, :frozen] = 0.0
-    new = np.empty((n, d))
-    norms = np.empty(n)
-    clamped = np.zeros(n, dtype=bool)
-    apply_steps(weights, work, delta_np, enforce_clamp, new, norms)
-    if enforce_clamp:
-        clamp_norms(norms, clamped, delta_np)
-    return new, norms, clamped
-
-
-def _tick(rule, cfg, weights, pre, post, gains, frozen):
-    """hebbian_tick into fresh arrays, then clamp_norms with the clamp on;
-    returns (new_weights, step_norms, clamped)."""
-    n, d = weights.shape
-    work = _workspace(n, d, rule, gains, cfg.eta1, frozen)
-    new = np.empty_like(weights)
-    norms = np.empty(n)
+def _run_tick(cfg, weights, pre, post, work):
+    """hebbian_tick into output arrays filled with NaN, so a tick that read
+    new_weights before writing it would show, then clamp_norms with the
+    clamp on, as the engine records a tick; returns (new_weights,
+    step_norms, clamped)."""
+    n = weights.shape[0]
+    new = np.full(weights.shape, np.nan)
+    norms = np.full(n, np.nan)
     clamped = np.zeros(n, dtype=bool)
     hebbian_tick(cfg, weights, pre, post, work, new, norms)
     if cfg.enforce_clamp:
         clamp_norms(norms, clamped, cfg.delta_np)
     return new, norms, clamped
+
+
+def _tick(rule, cfg, weights, pre, post, gains, frozen):
+    """_run_tick on a fresh workspace for the rule and gains."""
+    n, d = weights.shape
+    work = _workspace(n, d, rule, gains, cfg.eta1, frozen)
+    return _run_tick(cfg, weights, pre, post, work)
+
+
+def _apply(weights, steps, frozen, delta_np, enforce_clamp):
+    """hebbian_tick on given steps, injected through the grids: the alpha
+    grid holds the steps, their frozen coordinates zeroed as set_rates
+    leaves them, the summed grid is -0.0, every other grid is zero, and one
+    unit-activity array is both x_pre and x_post. x * 1.0 and x + -0.0 are
+    x bit for bit, so the tick proposes exactly the given steps."""
+    n, d = weights.shape
+    work = FastWorkspace(n, d, frozen)
+    work.alpha[...] = steps
+    work.alpha[:, :frozen] = 0.0
+    work.summed[...] = -0.0
+    unit = np.ones((n, d))
+    cfg = dataclasses.replace(
+        SystemConfig(), delta_np=delta_np, enforce_clamp=enforce_clamp
+    )
+    return _run_tick(cfg, weights, unit, unit, work)
+
+
+_NO_CLAMP = dataclasses.replace(SystemConfig(), enforce_clamp=False)
+
+
+def _steps(weights, pre, post, work):
+    """The proposed steps: work.steps after a tick with the clamp off."""
+    _run_tick(_NO_CLAMP, weights, pre, post, work)
+    return work.steps
 
 
 def test_rule_from_config(base_config):
@@ -133,16 +149,18 @@ def test_hebbian_delta_matches_formula(base_config):
     post /= 4.0 * np.linalg.norm(post)
     gain = modulation_gain(1.0, base_config)
     work = _workspace(1, 64, BASE_RULE, gain)
-    got = proposed_steps(w, pre, post, work)
-    assert got is work.steps
+    new, _, _ = _run_tick(_NO_CLAMP, w, pre, post, work)
+    got = work.steps
+    # With the clamp off the tick applies the proposed step as it is.
+    assert new.tobytes() == (w + got).tobytes()
     want = gain * (0.5 * pre * post + 0.1 * pre + 0.1 * post - 0.01 * w)
     size = gain * (0.5 * abs(pre * post) + 0.1 * abs(pre) + 0.1 * abs(post) + 0.01 * abs(w))
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * size.max())
     # Without decay the weights do not enter the step.
     work.set_rates(HebbianRule(0.5, 0.1, 0.1, 0.0), 1.0, gain)
     np.testing.assert_array_equal(
-        proposed_steps(w, pre, post, work).copy(),
-        proposed_steps(np.zeros_like(w), pre, post, work),
+        _steps(w, pre, post, work).copy(),
+        _steps(np.zeros_like(w), pre, post, work),
     )
 
 
@@ -155,7 +173,7 @@ def test_proposed_steps_matches_single_agent(base_config):
     post = rng.standard_normal((n, d)) * 0.05
     gains = rng.uniform(0.5, 1.5, size=n)
     eta1 = base_config.eta1
-    steps = proposed_steps(weights, pre, post, _workspace(n, d, BASE_RULE, gains, eta1))
+    steps = _steps(weights, pre, post, _workspace(n, d, BASE_RULE, gains, eta1))
     assert steps.shape == (n, d)
     for i in range(n):
         terms = (0.5 * pre[i] * post[i], 0.1 * pre[i], 0.1 * post[i], -0.01 * weights[i])
@@ -164,10 +182,8 @@ def test_proposed_steps_matches_single_agent(base_config):
         np.testing.assert_allclose(steps[i], rate * sum(terms), rtol=0.0, atol=1e-14 * size)
     # A scalar gain applies to every row alike.
     np.testing.assert_array_equal(
-        proposed_steps(weights, pre, post, _workspace(n, d, BASE_RULE, 1.25, eta1)),
-        proposed_steps(
-            weights, pre, post, _workspace(n, d, BASE_RULE, np.full(n, 1.25), eta1)
-        ),
+        _steps(weights, pre, post, _workspace(n, d, BASE_RULE, 1.25, eta1)).copy(),
+        _steps(weights, pre, post, _workspace(n, d, BASE_RULE, np.full(n, 1.25), eta1)),
     )
 
 
@@ -199,7 +215,7 @@ def test_apply_steps_frozen_coordinates_are_bit_exact():
     weights = rng.standard_normal((4, 6))
     pre, post = rng.uniform(-0.5, 0.5, size=(2, 4, 6))
     work = _workspace(4, 6, BASE_RULE, frozen=2)
-    steps = proposed_steps(weights, pre, post, work)
+    steps = _steps(weights, pre, post, work)
     # The grids are zero there, so the steps are too and add nothing to the
     # step size.
     np.testing.assert_array_equal(steps[:, :2], 0.0)
@@ -212,8 +228,8 @@ def test_apply_steps_frozen_coordinates_are_bit_exact():
 
 
 def _reference_apply_steps(weights, steps, frozen_mask, delta_np, enforce_clamp):
-    """apply_steps as first written, boolean indexing, with the norms
-    row_norms takes."""
+    """The clamp and apply half of hebbian_tick as first written, boolean
+    indexing, with the norms row_norms takes."""
     frozen_any = bool(frozen_mask.any())
     if frozen_any:
         masked = steps.copy()
@@ -276,7 +292,7 @@ def _allocating_hebbian_tick(
 ):
     """hebbian_tick in fresh arrays, in the same operations: the rate grids
     built per call, masked with copyto(where=), the norms as row_norms
-    takes them. The steps accumulate in place, as proposed_steps does: on a
+    takes them. The steps accumulate in place, as hebbian_tick does: on a
     one-element array numpy's in-place add keeps the second operand's NaN,
     the out-of-place add the first's. Returns (new_weights, applied_norms,
     clamped)."""
@@ -513,7 +529,7 @@ def test_applied_norms_never_exceed_cap(seed):
     post = rng.standard_normal((4, 8))
     post /= np.maximum(np.linalg.norm(post, axis=1, keepdims=True), 1.0)
     work = _workspace(4, 8, rule, cfg.sigma_max, cfg.eta1)
-    steps = proposed_steps(weights, pre, post, work)
+    steps = _steps(weights, pre, post, work)
     _, applied, _ = _apply(weights, steps, 0, cfg.delta_np, True)
     assert float(applied.max()) <= cfg.delta_np + 1e-12
 
