@@ -742,7 +742,9 @@ def confirm_expectation(
     recorded in trace.expected?
 
     report is verify(trace). A run expected to hold confirms only without
-    contract failures, alarms, a halt or a failed replay check.
+    contract failures, alarms, a halt or a failed replay check. A degraded
+    ceiling confirms only with the contracts shown to hold per cycle: at
+    least one coordination cycle, no contract failure and no halt.
     """
     base = SystemConfig() if base_config is None else base_config
     if trace.expected == "none":
@@ -757,7 +759,11 @@ def confirm_expectation(
             v.contract_id == "NP-C1" and v.passed is False for v in trace.events
         )
     if trace.expected == "degradation":
-        return total_bound(trace.config).phi_max >= 5.0 * total_bound(base).phi_max
+        return (
+            bool(trace.marl_records) and trace.fail_count == 0
+            and trace.halt_reason is None
+            and total_bound(trace.config).phi_max >= 5.0 * total_bound(base).phi_max
+        )
     if trace.expected == "alarm":
         m3_failed = any(not rec["m3"] for rec in trace.meta_records)
         return m3_failed and trace.alarm_count > 0

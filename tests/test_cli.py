@@ -148,6 +148,24 @@ def test_counterexample_slow_marl_confirms(capsys):
     assert "guarantee degrades as expected" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--duration", "25", "--set", "enforce_clamp=false"],
+        ["--duration", "0"],
+        ["--duration", "10"],
+    ],
+    ids=["contract_failures", "no_tick", "no_cycle"],
+)
+def test_counterexample_slow_marl_needs_a_clean_cycle(capsys, extra):
+    """The degraded ceiling is closed form; the verdict also says the
+    contracts hold per cycle, so a run with contract failures or without a
+    complete coordination cycle does not confirm it."""
+    assert main(["counterexample", "slow_marl", *extra]) == UNEXPECTED_EXIT
+    out = capsys.readouterr().out
+    assert "verdict: expected degradation NOT reproduced" in out
+
+
 def test_counterexample_crafted_margin_breach_confirms(capsys):
     argv = ["counterexample", "crafted_margin_breach", "--duration", "20"]
     assert main(argv) == CONFIRMED_EXIT
@@ -362,8 +380,9 @@ def _line(out: str, start: str) -> str:
             ],
         ),
         (
+            # No coordination cycle at --duration 0, so nothing to confirm.
             ["counterexample", "slow_marl", "--duration", "0"],
-            CONFIRMED_EXIT,
+            UNEXPECTED_EXIT,
             lambda out: [_line(out, "degradation factor").split()[-1]],
         ),
     ],

@@ -413,7 +413,7 @@ def test_no_clamp_violates_step_contract():
 
 def test_slow_marl_degrades_cycle_ceiling():
     scenario = get_scenario("slow_marl")
-    trace = run(scenario, duration=10.0)
+    trace = run(scenario, duration=25.0)
     assert trace.config.tau2 == 20.0
     assert confirm_expectation(trace, verify(trace))
 
