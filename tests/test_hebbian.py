@@ -182,7 +182,7 @@ def test_proposed_steps_matches_single_agent(base_config):
         np.testing.assert_allclose(steps[i], rate * sum(terms), rtol=0.0, atol=1e-14 * size)
     # A scalar gain applies to every row alike.
     np.testing.assert_array_equal(
-        _steps(weights, pre, post, _workspace(n, d, BASE_RULE, 1.25, eta1)).copy(),
+        _steps(weights, pre, post, _workspace(n, d, BASE_RULE, 1.25, eta1)),
         _steps(weights, pre, post, _workspace(n, d, BASE_RULE, np.full(n, 1.25), eta1)),
     )
 
