@@ -107,7 +107,7 @@ class Monitor:
     blocks through observe_block(), log only pass/alarm state transitions,
     so long runs with steady verdicts stay small on disk. A measured value
     of None is inconclusive: neither a pass nor a fail, and never counted.
-    latest() returns the most recent verdict of a contract, logged or not.
+    latest maps each contract to its most recent verdict, logged or not.
     """
 
     def __init__(self, config: SystemConfig) -> None:
@@ -116,7 +116,7 @@ class Monitor:
         self.events: list[ContractVerdict] = []
         self.fail_count = 0
         self.alarm_count = 0
-        self._latest: dict[str, ContractVerdict] = {}
+        self.latest: dict[str, ContractVerdict] = {}
 
     def _judge(
         self,
@@ -124,13 +124,12 @@ class Monitor:
         times: Sequence[float],
         values: Sequence[float] | None,
         margin: float,
-        log_all: bool,
         note: str = "",
     ) -> list[tuple[int, ContractVerdict]]:
         """Judge one contract's values at times, count fails and alarms, and
-        set latest(). Returns (index, verdict) of every value if log_all, else
-        of each value whose pass/alarm state differs from the one before it.
-        values None is one inconclusive verdict at times[0].
+        set its latest verdict. Returns (index, verdict) of each value whose
+        pass/alarm state differs from the one before it. values None is one
+        inconclusive verdict at times[0].
         """
         threshold = self.thresholds[contract_id]
         if values is None:
@@ -143,22 +142,19 @@ class Monitor:
             self.fail_count += int(passed.size - np.count_nonzero(passed))
             if alarm:
                 self.alarm_count += int(passed.size)
-        if log_all:
-            logged = list(range(passed.size))
-        else:
-            logged = (np.flatnonzero(passed[1:] != passed[:-1]) + 1).tolist()
-            last = self._latest.get(contract_id)
-            if last is None or (last.passed, last.alarm) != (passed[0], alarm):
-                logged.insert(0, 0)
+        logged = (np.flatnonzero(passed[1:] != passed[:-1]) + 1).tolist()
+        last = self.latest.get(contract_id)
+        if last is None or (last.passed, last.alarm) != (passed[0], alarm):
+            logged.insert(0, 0)
         flags = passed.tolist()
         verdicts = [
             ContractVerdict(
                 contract_id, float(times[k]), flags[k], float(values[k]),
                 threshold, margin, alarm, note,
             )
-            for k in (logged if log_all else logged + [passed.size - 1])
+            for k in logged + [passed.size - 1]
         ]
-        self._latest[contract_id] = verdicts[-1]
+        self.latest[contract_id] = verdicts[-1]
         return list(zip(logged, verdicts))
 
     def observe(
@@ -172,7 +168,8 @@ class Monitor:
         """Judge and log one value of a contract at its margin; None is
         inconclusive."""
         values = None if measured is None else [measured]
-        [(_, verdict)] = self._judge(contract_id, [time], values, margin, True, note)
+        self._judge(contract_id, [time], values, margin, note)
+        verdict = self.latest[contract_id]
         self.events.append(verdict)
         return verdict
 
@@ -187,21 +184,17 @@ class Monitor:
         measured maps each contract to one value per time, and at each time
         the contracts are taken in the mapping's order. Each contract logs
         its pass/alarm transitions at its margin from margins. The counts,
-        events and latest() do not depend on how the times are split into
+        events and latest do not depend on how the times are split into
         blocks.
         """
         if len(times) == 0:
             return
         logged: list[tuple[int, int, ContractVerdict]] = []
         for order, (contract_id, values) in enumerate(measured.items()):
-            judged = self._judge(contract_id, times, values, margins[contract_id], False)
+            judged = self._judge(contract_id, times, values, margins[contract_id])
             logged.extend((k, order, verdict) for k, verdict in judged)
         logged.sort(key=lambda item: item[:2])
         self.events.extend(verdict for _, _, verdict in logged)
-
-    def latest(self, contract_id: str) -> ContractVerdict | None:
-        """Most recent evaluation of a contract, logged or not."""
-        return self._latest.get(contract_id)
 
 
 class SafetyReadout:

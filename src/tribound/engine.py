@@ -43,13 +43,7 @@ from .cascade import (
     realized_embeddings,
     tv_rows,
 )
-from .contracts import (
-    CONTRACT_IDS,
-    Monitor,
-    SafetyReadout,
-    all_margins,
-    ml2_increase,
-)
+from .contracts import Monitor, SafetyReadout, all_margins, ml2_increase
 from .errors import EnforcementError, ValidationError
 from .hebbian import (
     FastWorkspace,
@@ -71,7 +65,6 @@ from .model import (
     apply_overrides,
     frozen_count,
     initial_weights,
-    validate,
 )
 from .seeding import stream_rng, unit_rows
 from .trace import TIME_TOL, Trace, ticks_by
@@ -196,11 +189,10 @@ def _resolve_config(
     scenario: Scenario, config: SystemConfig | None, seed: int | None
 ) -> SystemConfig:
     base = SystemConfig() if config is None else config
-    cfg = apply_overrides(base, dict(scenario.overrides)) if scenario.overrides else base
+    overrides = dict(scenario.overrides)
     if seed is not None:
-        cfg = apply_overrides(cfg, {"seed": int(seed)})
-    validate(cfg)
-    return cfg
+        overrides["seed"] = int(seed)
+    return apply_overrides(base, overrides)
 
 
 # Observation values drawn at once, for a chunk of
@@ -309,7 +301,7 @@ class _Run:
             meta_snaps=[self.theta.copy()],
             snap_weight_norm=float(row_norms(self.weights).max()),
             weight_drift=drift, embedding_drift=drift,
-            events=self.monitor.events,
+            events=self.monitor.events, last_verdicts=self.monitor.latest,
         )
         if scenario.record_policy_tv:
             self.prev_dists = policy_distributions(self.policy, embeddings, cfg)
@@ -322,8 +314,7 @@ class _Run:
         its first tick."""
         if self.scenario.aligned_observations:
             dirs, norms, column = self.dirs, self.dir_norms, self.dir_norm_column
-            # The norms row_norms takes, written in place.
-            np.sqrt(np.vecdot(weights, weights, out=norms), out=norms)
+            row_norms(weights, out=norms)
             # The least norm is NaN if any is: the fast path needs every
             # norm > 0.
             if np.minimum.reduce(norms) > 0.0:
@@ -508,20 +499,15 @@ class _Run:
 
     def finish(self, ticks_done: int) -> Trace:
         """The trace, its per-tick arrays cut to the ticks run, with the
-        monitor's counts and latest verdicts."""
-        trace, monitor = self.trace, self.monitor
+        monitor's counts."""
+        trace = self.trace
         trace.step_norms = trace.step_norms[:ticks_done]
         trace.clamped = trace.clamped[:ticks_done]
         trace.max_weight_norm = trace.max_weight_norm[:ticks_done]
         if trace.tick_policy_tv is not None:
             trace.tick_policy_tv = trace.tick_policy_tv[:ticks_done]
-        trace.last_verdicts = {
-            cid: verdict
-            for cid in CONTRACT_IDS
-            if (verdict := monitor.latest(cid)) is not None
-        }
-        trace.fail_count = monitor.fail_count
-        trace.alarm_count = monitor.alarm_count
+        trace.fail_count = self.monitor.fail_count
+        trace.alarm_count = self.monitor.alarm_count
         return trace
 
 

@@ -51,14 +51,15 @@ def rule_from_config(config: SystemConfig) -> HebbianRule:
     return HebbianRule(config.alpha, config.beta, config.gamma_h, config.delta)
 
 
-def row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis, from one np.vecdot pass.
+def row_norms(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean norms along the last axis, from one np.vecdot pass, written
+    into out when given.
 
     vecdot sums the squares in its own order, so a norm may differ from
     np.linalg.norm's in the last bits: by at most d * eps * ||x|| for rows
     of d entries, short of overflow or underflow of the squares.
     """
-    return np.sqrt(np.vecdot(x, x))
+    return np.sqrt(np.vecdot(x, x, out=out), out=out)
 
 
 def _logistic(x: np.ndarray | float) -> np.ndarray | float:
@@ -165,8 +166,7 @@ def hebbian_tick(
         steps += np.multiply(work.gamma_h, x_post, out=new_weights)
     if work.decays:
         steps += np.multiply(work.delta, weights, out=new_weights)
-    # The norms row_norms takes, written in place.
-    np.sqrt(np.vecdot(steps, steps, out=step_norms), out=step_norms)
+    row_norms(steps, out=step_norms)
     if config.enforce_clamp:
         # Rows at or under the cap scale by delta_np / delta_np == 1.0 exactly.
         factors = np.fmax(step_norms, config.delta_np, out=work.factors)

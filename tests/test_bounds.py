@@ -118,6 +118,19 @@ def test_sweep_parameters(base_config):
         elasticity_sweep(base_config, "tau9", [2.0])
 
 
+@pytest.mark.parametrize(
+    "factor, message", [(0.0, "be positive"), (-2.0, "be positive"), (1.0, "differ from 1")]
+)
+def test_sweep_rejects_a_factor(base_config, factor, message):
+    with pytest.raises(ValidationError, match=f"sweep factors must {message}"):
+        elasticity_sweep(base_config, "lip_pi", [factor])
+
+
+def test_total_bound_rejects_an_undiscounted_config_built_directly():
+    with pytest.raises(ValidationError, match="discount factor must be below 1"):
+        total_bound(SystemConfig(gamma_disc=1.0))
+
+
 def test_sweep_exact_elasticities(base_config):
     """Two structural facts: the policy constant is exactly proportional,
     and the fast rate is invisible while the step clamp is active."""

@@ -2,6 +2,7 @@
 import gc
 import json
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -215,6 +216,36 @@ def test_a_malformed_command_line_is_unexpected_not_confirmed(argv, message, cap
     assert message in captured.err
     assert captured.err.startswith("usage: tribound")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--seeds", "0"], "--seeds must be at least 1"),
+        # Not JSON: the value reaches the override parser as a raw string.
+        (["simulate", "--set", "graph_topology=torus"],
+         "graph_topology must be 'ring' or 'complete'"),
+    ],
+)
+def test_an_invalid_argument_value_fails_without_traceback(argv, message, capsys):
+    assert main(argv) == UNEXPECTED_EXIT
+    _assert_clean_error(capsys, message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--duration", "0"],
+        ["verify", "--seeds", "2", "--duration", "0"],
+        ["counterexample", "slow_marl", "--duration", "0"],
+    ],
+)
+def test_a_run_warns_of_unordered_rates_once(argv, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        main([*argv, "--set", "eta1=1e-6"])
+    assert len(caught) == 1
+    assert "timescale separation is degraded" in str(caught[0].message)
 
 
 def test_help_exits_zero(capsys):

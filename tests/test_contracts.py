@@ -313,9 +313,19 @@ def test_monitor_alarm_accounting(base_config):
     monitor = Monitor(base_config)
     monitor.observe("MARL-C1", 0.0, 1e-3, 1e-5)
     assert monitor.alarm_count == 1
-    latest = monitor.latest("MARL-C1")
+    latest = monitor.latest.get("MARL-C1")
     assert latest is not None and latest.alarm and latest.passed
-    assert monitor.latest("GNN-C1") is None
+    assert monitor.latest.get("GNN-C1") is None
+
+
+def test_monitor_an_empty_block_changes_nothing(base_config):
+    monitor = Monitor(base_config)
+    monitor.observe_block([0.02], {"NP-C1": [2e-4]}, {"NP-C1": 1e-5})
+    before = (repr(monitor.events), monitor.fail_count, monitor.alarm_count)
+    latest = dict(monitor.latest)
+    monitor.observe_block([], {"NP-C1": np.array([])}, {"NP-C1": 0.5})
+    assert (repr(monitor.events), monitor.fail_count, monitor.alarm_count) == before
+    assert monitor.latest == latest
 
 
 def test_monitor_observe_logs_every_call_and_none_is_inconclusive(base_config):
@@ -324,7 +334,7 @@ def test_monitor_observe_logs_every_call_and_none_is_inconclusive(base_config):
         monitor.observe("GNN-C1", float(i), 0.01, 0.7)
     assert len(monitor.events) == 3
     verdict = monitor.observe("ML-C2", 3.0, None, 0.7, note="warming up")
-    latest = monitor.latest("ML-C2")
+    latest = monitor.latest.get("ML-C2")
     assert repr(latest) == repr(verdict) == repr(monitor.events[-1])
     assert latest.passed is None and latest.alarm is False and latest.margin == 0.0
     assert math.isnan(latest.measured) and math.isnan(verdict.measured)
@@ -413,7 +423,7 @@ def test_observe_block_is_invariant_to_block_splits(prior, block, margins):
     assert by_block.fail_count == by_tick.fail_count
     assert by_block.alarm_count == by_tick.alarm_count
     for cid in ("NP-C1", "NP-C2"):
-        assert repr(by_block.latest(cid)) == repr(by_tick.latest(cid))
+        assert repr(by_block.latest.get(cid)) == repr(by_tick.latest.get(cid))
 
 
 @given(
@@ -429,7 +439,7 @@ def test_observe_and_a_one_tick_block_judge_alike(contract_id, data, margin_valu
     by_block = Monitor(_BLOCK_CONFIG)
     by_value.observe(contract_id, 0.02, value, margin_value)
     by_block.observe_block([0.02], {contract_id: [value]}, {contract_id: margin_value})
-    got, want = by_block.latest(contract_id), by_value.latest(contract_id)
+    got, want = by_block.latest.get(contract_id), by_value.latest.get(contract_id)
     assert (got.passed, got.alarm) == (want.passed, want.alarm)
     assert by_block.fail_count == by_value.fail_count
     assert by_block.alarm_count == by_value.alarm_count

@@ -52,6 +52,12 @@ def test_scenario_expected_is_validated():
         Scenario(name="x", description="", expected="explodes")
 
 
+@pytest.mark.parametrize("seed", [None, 3])
+def test_run_validates_a_config_built_directly(seed):
+    with pytest.raises(ValidationError, match="n_agents must be a positive integer"):
+        run("baseline", config=SystemConfig(n_agents=0), seed=seed, duration=0.0)
+
+
 def test_run_rejects_bad_duration():
     with pytest.raises(ValidationError):
         run("baseline", duration=-1.0)
@@ -444,6 +450,12 @@ def test_confirm_expectation_rejects_a_clean_run_with_a_failed_replay(short_base
     failed = dataclasses.replace(report.checks[0], passed=False)
     breached = engine.VerificationReport((failed, *report.checks[1:]))
     assert not confirm_expectation(short_baseline, breached)
+
+
+def test_confirm_expectation_rejects_an_unknown_expectation(short_baseline):
+    bogus = dataclasses.replace(short_baseline, expected="bogus")
+    with pytest.raises(ValidationError, match="unknown expectation 'bogus'"):
+        confirm_expectation(bogus, verify(short_baseline))
 
 
 def test_registry_is_frozen():

@@ -108,6 +108,11 @@ def test_json_form_is_canonical(base_config):
         {"graph_topology": "torus"},
         {"n_agents": 0},
         {"eps_gnn": -0.1},
+        {"seed": -1},
+        {"ring_neighbors": -1},
+        {"alpha": math.nan},
+        {"delta": math.inf},
+        {"init_weight_norm": -1.0},
     ],
 )
 def test_validate_rejects(base_config, overrides):
