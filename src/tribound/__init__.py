@@ -26,7 +26,6 @@ from .engine import (
     confirm_expectation,
     get_scenario,
     run,
-    scenario_names,
     verify,
 )
 from .errors import (
@@ -81,7 +80,6 @@ __all__ = [
     "load_config",
     "load_config_path",
     "run",
-    "scenario_names",
     "total_bound",
     "validate",
     "validate_conditions",

@@ -31,14 +31,7 @@ from .bounds import (
     validate_conditions,
 )
 from .contracts import CONTRACT_IDS
-from .engine import (
-    Scenario,
-    confirm_expectation,
-    get_scenario,
-    run,
-    scenario_names,
-    verify,
-)
+from .engine import SCENARIOS, Scenario, confirm_expectation, get_scenario, run, verify
 from .errors import TriboundError
 from .hebbian import row_norms
 from .model import SystemConfig, apply_overrides, initial_weights, load_config_path
@@ -132,6 +125,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="override one config key (repeatable)",
     )
     parser.add_argument("--out", metavar="DIR", help="write machine-readable artifacts")
+
+
+def _add_run_options(parser: argparse.ArgumentParser, seed_help: str) -> None:
+    parser.add_argument("--seed", type=int, help=seed_help)
+    parser.add_argument("--duration", type=float, help="run length in seconds")
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -598,13 +596,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run one scenario under full monitoring")
     _add_common(p_sim)
     p_sim.add_argument(
-        "--scenario",
-        default="baseline",
-        choices=scenario_names(),
-        help="scenario name",
+        "--scenario", default="baseline", choices=tuple(SCENARIOS), help="scenario name"
     )
-    p_sim.add_argument("--seed", type=int, help="master seed override")
-    p_sim.add_argument("--duration", type=float, help="run length in seconds")
+    _add_run_options(p_sim, "master seed override")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sens = sub.add_parser(
@@ -618,8 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p_ce)
     p_ce.add_argument("name", choices=sorted(_COUNTEREXAMPLES), help="failure mode")
-    p_ce.add_argument("--seed", type=int, help="master seed override")
-    p_ce.add_argument("--duration", type=float, help="run length in seconds")
+    _add_run_options(p_ce, "master seed override")
     p_ce.set_defaults(func=cmd_counterexample)
 
     p_ver = sub.add_parser(
@@ -627,14 +620,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p_ver)
     p_ver.add_argument(
-        "--scenario",
-        default="baseline",
-        choices=scenario_names(),
-        help="scenario name",
+        "--scenario", default="baseline", choices=tuple(SCENARIOS), help="scenario name"
     )
     p_ver.add_argument("--seeds", type=int, default=20, help="number of seeds")
-    p_ver.add_argument("--seed", type=int, help="first seed (default: the config's)")
-    p_ver.add_argument("--duration", type=float, help="run length in seconds")
+    _add_run_options(p_ver, "first seed (default: the config's)")
     p_ver.set_defaults(func=cmd_verify)
 
     return parser

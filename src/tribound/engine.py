@@ -79,6 +79,13 @@ EXPECTATIONS = ("none", "growth", "step_violation", "degradation", "alarm")
 class Scenario:
     """A named, fully reproducible run setup.
 
+    - aligned_observations: each agent's activities are its own weights'
+      unit direction and its modulation gain is held at 1, the drive that
+      bounds.growth_envelope integrates.
+    - force_meta: every meta step is applied, whatever the gate decides.
+    - theta_init, theta_star: the meta parameters' start and target, when
+      set (default: zero and the config's target).
+
     expected states what a run of this scenario is supposed to demonstrate:
     "none" for nominal operation, "growth" for unbounded weight growth,
     "step_violation" for per-tick cap breaches, "degradation" for a
@@ -91,9 +98,7 @@ class Scenario:
     overrides: Mapping[str, Any] = field(default_factory=dict)
     duration: float = 100.0
     aligned_observations: bool = False
-    unit_gain: bool = False
     force_meta: bool = False
-    record_policy_tv: bool = True
     theta_init: tuple[float, ...] | None = None
     theta_star: tuple[float, ...] | None = None
     expected: str = "none"
@@ -128,8 +133,6 @@ SCENARIOS: dict[str, Scenario] = {
             },
             duration=10000.0,
             aligned_observations=True,
-            unit_gain=True,
-            record_policy_tv=False,
             expected="growth",
         ),
         Scenario(
@@ -170,10 +173,6 @@ SCENARIOS: dict[str, Scenario] = {
         ),
     )
 }
-
-
-def scenario_names() -> tuple[str, ...]:
-    return tuple(SCENARIOS)
 
 
 def get_scenario(name: str) -> Scenario:
@@ -255,7 +254,7 @@ class _Run:
         self.margins = all_margins(self.cascade, self.theta)
         # The gains change only at coordination boundaries and the rule only
         # at meta boundaries; each refreshes the rate grids.
-        self.gains = 1.0 if scenario.unit_gain else modulation_gain(0.0, cfg)
+        self.gains = 1.0 if scenario.aligned_observations else modulation_gain(0.0, cfg)
         self.work.set_rates(self.rule, cfg.eta1, self.gains)
         self.obs_rng = stream_rng(cfg.seed, "observations")
         if scenario.aligned_observations:
@@ -276,7 +275,8 @@ class _Run:
         step_norms = np.zeros((self.ticks, n))
         clamped = np.zeros((self.ticks, n), dtype=bool)
         max_weight_norm = np.zeros(self.ticks)
-        tick_policy_tv = np.zeros(self.ticks) if scenario.record_policy_tv else None
+        # Only the stable regime has a policy drift ceiling to record for.
+        tick_policy_tv = np.zeros(self.ticks) if cfg.delta < 0.0 else None
         batch = max(1, _BATCH_BYTES // (n * cfg.weight_dim * 8))
         self.block = np.empty((min(batch, self.ticks), n, cfg.weight_dim))
 
@@ -303,7 +303,7 @@ class _Run:
             weight_drift=drift, embedding_drift=drift,
             events=self.monitor.events, last_verdicts=self.monitor.latest,
         )
-        if scenario.record_policy_tv:
+        if tick_policy_tv is not None:
             self.prev_dists = policy_distributions(self.policy, embeddings, cfg)
 
     def _observations(
@@ -405,7 +405,7 @@ class _Run:
                 self.weights, self.encoder, cycle
             )
             aggregated = self.mix @ realized
-            if not self.scenario.unit_gain:
+            if not self.scenario.aligned_observations:
                 signals = modulation(aggregated, aggregated.mean(axis=0), cfg)
                 self.gains = modulation_gain(signals, cfg)
                 self.work.set_rates(self.rule, cfg.eta1, self.gains)

@@ -29,7 +29,6 @@ ROOT_API = [
     "load_config",
     "load_config_path",
     "run",
-    "scenario_names",
     "total_bound",
     "validate",
     "validate_conditions",

@@ -19,7 +19,6 @@ from tribound import (
     confirm_expectation,
     get_scenario,
     run,
-    scenario_names,
     total_bound,
     verify,
 )
@@ -36,7 +35,7 @@ def short_baseline():
 
 
 def test_scenario_registry():
-    names = scenario_names()
+    names = tuple(SCENARIOS)
     assert set(names) == {
         "baseline", "delta_zero", "no_clamp", "slow_marl",
         "crafted_margin_breach",
@@ -344,6 +343,25 @@ def test_a_nan_in_a_replayed_stream_fails_with_a_note_naming_it(
         assert math.isnan(report.check("non_accumulation").worst)
 
 
+def test_a_replay_that_overflows_fails_with_a_note_saying_so(short_baseline):
+    """Finite weight norms near the float limit overflow the late-half
+    slope's mean: non_accumulation alone fails, and its note blames the
+    replay, not the recorded values."""
+    planted = dataclasses.replace(
+        short_baseline,
+        max_weight_norm=np.linspace(1.0e308, 1.7e308, short_baseline.ticks),
+    )
+    with pytest.warns(RuntimeWarning) as caught:
+        report = verify(planted)
+    assert {str(w.message) for w in caught} == {
+        "overflow encountered in reduce", "invalid value encountered in matmul"
+    }
+    assert [c.check_id for c in report.checks if c.passed is False] == ["non_accumulation"]
+    check = report.check("non_accumulation")
+    assert math.isnan(check.worst)
+    assert check.note == "NaN from finite recorded values: the replay overflowed"
+
+
 def test_least_squares_slope():
     t = np.arange(10.0)
     assert _least_squares_slope(t, 3.0 * t + 1.0) == pytest.approx(3.0, rel=1e-12)
@@ -550,13 +568,14 @@ def test_saved_arrays_round_trip_bit_for_bit(tmp_path: Path):
     [
         # no tick run: empty per-tick arrays and the t = 0 snapshots alone
         ("baseline", {}, 0.0, 0),
-        # records no policy TV, so writes no policy_tv.npy
+        # unstable, so records no policy TV and writes no policy_tv.npy
         ("delta_zero", {}, 1.0, 50),
+        ("baseline", {"delta": 0.0}, 1.0, 50),
         # the golden "halted" case: the trust region halts the run at t=32,
         # after 1,600 of the 2,000 ticks asked for
         ("baseline", {"delta_pi": 1e-300}, 40.0, 1600),
     ],
-    ids=["no_ticks", "no_policy_tv", "halted"],
+    ids=["no_ticks", "no_policy_tv", "unstable_baseline", "halted"],
 )
 def test_saved_arrays_hold_exactly_the_ticks_run(
     scenario: str, overrides: dict, duration: float, ticks: int, tmp_path: Path
@@ -570,6 +589,8 @@ def test_saved_arrays_hold_exactly_the_ticks_run(
     assert (trace.halt_reason is not None) == (ticks < round(duration / trace.config.tau1))
     saved = _saved_arrays(trace, tmp_path)
     assert {name: (a.dtype, a.shape) for name, a in saved.items()} == _saved_layout(trace)
+    # the per-tick policy TV is recorded and saved exactly in the stable regime
+    assert (trace.tick_policy_tv is not None) == (trace.config.delta < 0.0)
     assert ("policy_tv" in saved) == (trace.tick_policy_tv is not None)
     # save writes exactly these files, each record file even when it is empty
     records = _saved_records(trace)
@@ -626,7 +647,7 @@ def skip_traces():
         "no_ticks": run("baseline", duration=0.0),
         "no_cycle": run("baseline", duration=1.0),
         "unstable": run("baseline", config=unstable, duration=4.0),
-        # also unstable: the missing stream names the skip
+        # also unstable, so also without the per-tick policy TV
         "untracked": run("delta_zero", duration=1.0),
     }
 
@@ -644,7 +665,8 @@ def skip_traces():
          "no complete coordination cycle recorded"),
         ("induced_policy_drift_per_tick", "untracked", 1.5e-3,
          "per-tick policy drift not recorded"),
-        ("induced_policy_drift_per_tick", "unstable", 1.5e-3, _UNSTABLE),
+        ("induced_policy_drift_per_tick", "unstable", 1.5e-3,
+         "per-tick policy drift not recorded"),
         ("induced_policy_drift_per_tick", "no_ticks", 1.5e-3, "no fast ticks recorded"),
         ("meta_effect_per_cycle", "no_cycle", 3e-4, "no complete meta cycle recorded"),
         ("non_accumulation", "no_ticks", SLOPE_TOL,
