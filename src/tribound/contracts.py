@@ -213,18 +213,21 @@ class SafetyReadout:
         self.base = initial_weights @ self.danger_masked.T
         self.frozen_base = initial_weights[:, : self.frozen].copy()
 
-    def deltas(self, block: np.ndarray) -> np.ndarray:
-        """One measurement per tick of a (ticks, n_agents, weight_dim) block.
+    def deltas(self, block: np.ndarray, weight_norms: np.ndarray) -> np.ndarray:
+        """One measurement per tick of a (ticks, n_agents, weight_dim) block,
+        given each tick's largest weight row norm.
 
         Plastic coordinates meet zero probe weights, so while every weight is
         finite and the frozen columns still equal their initial values, each
         readout sums the same products in the same order as at t = 0 and the
-        measurement is exactly 0.0. Any other block is measured by the
-        definition; a non-finite weight then yields NaN, a failed check.
+        measurement is exactly 0.0. A finite row norm vouches for finite
+        entries; any other block, including finite weights whose squares
+        overflow, is measured by the definition, where a non-finite weight
+        yields NaN, a failed check.
         """
         if not self.frozen:
             return np.zeros(block.shape[0])
-        if np.isfinite(block).all() and (
+        if np.isfinite(weight_norms).all() and (
             block[..., : self.frozen] == self.frozen_base
         ).all():
             return np.zeros(block.shape[0])

@@ -379,12 +379,15 @@ class _Run:
         step_norms = trace.step_norms[start:stop]
         if self.cfg.enforce_clamp:
             clamp_norms(step_norms, trace.clamped[start:stop], self.cfg.delta_np)
+        weight_norms = np.max(
+            row_norms(block), axis=1, out=trace.max_weight_norm[start:stop]
+        )
         times = (np.arange(start, stop) + 1) * self.cfg.tau1
         self.monitor.observe_block(
             times,
             {
                 "NP-C1": step_norms.max(axis=1),
-                "NP-C2": self.safety.deltas(block),
+                "NP-C2": self.safety.deltas(block, weight_norms),
             },
             self.margins,
         )
@@ -393,7 +396,6 @@ class _Run:
             previous = np.concatenate((self.prev_dists[None], dists[:-1]))
             trace.tick_policy_tv[start:stop] = tv_rows(dists, previous).max(axis=1)
             self.prev_dists = dists[-1]
-        trace.max_weight_norm[start:stop] = row_norms(block).max(axis=1)
 
     def _coordination_step(self, ticks_done: int) -> bool:
         """Every coordination boundary the last tick reached; False on a halt."""

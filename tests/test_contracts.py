@@ -30,6 +30,7 @@ from tribound.contracts import (
     ml2_increase,
     rolling_means,
 )
+from tribound.hebbian import row_norms
 from tribound.meta import (
     ADAPT_BASE_PERTURBATION,
     ADAPT_CAP,
@@ -457,6 +458,13 @@ def _safety_setup(config):
     return SafetyReadout(weights, danger, frozen), block, weights, danger * mask
 
 
+def _safety_deltas(readout, block):
+    """The readout's measurement, given each tick's largest row norm as the
+    run computes it (inf where a square overflows)."""
+    with np.errstate(over="ignore"):
+        return readout.deltas(block, row_norms(block).max(axis=1))
+
+
 def _safety_by_definition(block, weights, danger_masked):
     base = weights @ danger_masked.T
     return np.array([np.abs(w @ danger_masked.T - base).max() for w in block])
@@ -464,7 +472,7 @@ def _safety_by_definition(block, weights, danger_masked):
 
 def test_safety_readout_is_exactly_zero_while_frozen_columns_hold(base_config):
     readout, block, weights, danger_masked = _safety_setup(base_config)
-    deltas = readout.deltas(block)
+    deltas = _safety_deltas(readout, block)
     assert deltas.tolist() == [0.0] * 4
     np.testing.assert_array_equal(
         deltas, _safety_by_definition(block, weights, danger_masked)
@@ -475,7 +483,7 @@ def test_safety_readout_is_exactly_zero_while_frozen_columns_hold(base_config):
 def test_safety_readout_falls_back_to_the_definition(base_config):
     readout, block, weights, danger_masked = _safety_setup(base_config)
     block[2, 3, readout.frozen] = math.inf
-    deltas = readout.deltas(block)
+    deltas = _safety_deltas(readout, block)
     want = _safety_by_definition(block, weights, danger_masked)
     np.testing.assert_array_equal(deltas, want)
     assert math.isnan(deltas[2]) and deltas[[0, 1, 3]].tolist() == [0.0] * 3
@@ -493,7 +501,7 @@ def test_safety_readout_falls_back_to_the_definition(base_config):
 
     moved = _safety_setup(base_config)[1]
     moved[3, 0, readout.frozen - 1] += 1.0
-    got = readout.deltas(moved)
+    got = _safety_deltas(readout, moved)
     np.testing.assert_array_equal(
         got, _safety_by_definition(moved, weights, danger_masked)
     )
@@ -504,4 +512,22 @@ def test_safety_readout_without_frozen_columns(base_config):
     cfg = apply_overrides(base_config, {"frozen_fraction": 0.0})
     readout, block, _, _ = _safety_setup(cfg)
     block[0, 0, 0] = math.nan
-    assert readout.deltas(block).tolist() == [0.0] * 4
+    assert _safety_deltas(readout, block).tolist() == [0.0] * 4
+
+
+@pytest.mark.parametrize("n_agents", [7, 30, 300])
+def test_safety_readout_of_a_weight_whose_square_overflows(n_agents, base_config):
+    """A finite plastic weight of 1e200 gives an infinite row norm, so the
+    readout is measured by the definition, which still reads exactly 0.0;
+    an infinite or NaN weight reads NaN."""
+    cfg = apply_overrides(base_config, {"n_agents": n_agents})
+    readout, block, weights, danger_masked = _safety_setup(cfg)
+    block[2, n_agents - 1, readout.frozen] = 1e200
+    with np.errstate(over="ignore"):
+        assert math.isinf(row_norms(block[2]).max())
+    assert _safety_deltas(readout, block).tolist() == [0.0] * 4
+    for bad in (math.inf, math.nan):
+        block[2, n_agents - 1, readout.frozen] = bad
+        with np.errstate(invalid="ignore"):
+            deltas = _safety_deltas(readout, block)
+        assert math.isnan(deltas[2]) and deltas[[0, 1, 3]].tolist() == [0.0] * 3
