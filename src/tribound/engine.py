@@ -272,13 +272,16 @@ class _Run:
         # The ticks the horizon holds; finish() cuts the per-tick arrays to
         # the ticks run.
         self.ticks = ticks_by(horizon, cfg.tau1)
-        step_norms = np.zeros((self.ticks, n))
+        step_norms = np.zeros(self.ticks)
         clamped = np.zeros((self.ticks, n), dtype=bool)
         max_weight_norm = np.zeros(self.ticks)
         # Only the stable regime has a policy drift ceiling to record for.
         tick_policy_tv = np.zeros(self.ticks) if cfg.delta < 0.0 else None
-        batch = max(1, _BATCH_BYTES // (n * cfg.weight_dim * 8))
-        self.block = np.empty((min(batch, self.ticks), n, cfg.weight_dim))
+        batch = min(max(1, _BATCH_BYTES // (n * cfg.weight_dim * 8)), self.ticks)
+        self.block = np.empty((batch, n, cfg.weight_dim))
+        # Each tick's per-agent step norms; _record_block reduces them to
+        # the trace's one norm per tick.
+        self.block_norms = np.empty((batch, n))
 
         embeddings = self.encoder.encode(self.weights)
         # Only the stable regime has drift ceilings; elsewhere no fold runs.
@@ -358,12 +361,12 @@ class _Run:
         if ends.size:
             stop = start + int(ends[0]) + 1
         observations, work = self._observations, self.work
-        block, step_norms = self.block, trace.step_norms
+        block, norms = self.block, self.block_norms
         weights = self.weights
         for i in range(start, stop):
             x_pre, x_post = observations(i, weights)
             new_weights = block[i - start]
-            hebbian_tick(cfg, weights, x_pre, x_post, work, new_weights, step_norms[i])
+            hebbian_tick(cfg, weights, x_pre, x_post, work, new_weights, norms[i - start])
             weights = new_weights
         # Copied out of the block, which the next block overwrites: the
         # snapshots hold self.weights.
@@ -372,13 +375,15 @@ class _Run:
         return stop
 
     def _record_block(self, start: int, stop: int) -> None:
-        """Clamp flags and applied step norms, weight norms, NP-C1, NP-C2
-        and policy TV of ticks start..stop-1."""
+        """Clamp flags and the largest applied step norm, weight norms,
+        NP-C1, NP-C2 and policy TV of ticks start..stop-1."""
         trace = self.trace
         block = self.block[: stop - start]
-        step_norms = trace.step_norms[start:stop]
+        norms = self.block_norms[: stop - start]
         if self.cfg.enforce_clamp:
-            clamp_norms(step_norms, trace.clamped[start:stop], self.cfg.delta_np)
+            clamp_norms(norms, trace.clamped[start:stop], self.cfg.delta_np)
+        # np.max keeps a tick's NaN norm.
+        step_norms = np.max(norms, axis=1, out=trace.step_norms[start:stop])
         weight_norms = np.max(
             row_norms(block), axis=1, out=trace.max_weight_norm[start:stop]
         )
@@ -386,7 +391,7 @@ class _Run:
         self.monitor.observe_block(
             times,
             {
-                "NP-C1": step_norms.max(axis=1),
+                "NP-C1": step_norms,
                 "NP-C2": self.safety.deltas(block, weight_norms),
             },
             self.margins,

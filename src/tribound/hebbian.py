@@ -145,10 +145,12 @@ def hebbian_tick(
     (n_agents,). The rule and the gains are the ones last given to
     work.set_rates. The proposed step, in work.steps, is
     x_pre * (alpha * x_post + beta) + gamma_h * x_post + delta * weights
-    over the rate grids, and step_norms receives its row norms. With the
-    clamp on, each step is then scaled by delta_np / max(norm, delta_np);
-    clamp_norms over the recorded norms gives the applied norms and the
-    clamp flags. new_weights receives weights plus the steps, after holding
+    over the rate grids, and step_norms receives its row norms, one per
+    agent. With the clamp on, each step is then scaled by
+    delta_np / max(norm, delta_np); clamp_norms over these proposed norms
+    gives the applied norms and the clamp flags (the run does this for a
+    block of ticks at once, then keeps each tick's largest applied norm).
+    new_weights receives weights plus the steps, after holding
     the grid products, so it must share no memory with weights, x_pre or
     x_post. The grids are zero on the frozen columns, so a frozen step is
     +-0 for finite activity and weights and adds nothing to the step size

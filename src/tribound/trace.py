@@ -30,12 +30,15 @@ def ticks_by(t: float, tau1: float) -> int:
 class Trace:
     """Everything one run recorded.
 
-    Per-tick streams are dense arrays. Weight, embedding and policy
-    snapshots are taken at t = 0 and at every coordination boundary, meta
-    snapshots at t = 0 and at every meta boundary: snapshot k + 1 is at
-    the time "t" of record k (marl_records for the first three, meta_records
-    for the last); snap_weights and snap_embeddings are None unless the run
-    kept them for a save. Where config.delta >= 0 no drift has a ceiling:
+    Per-tick streams are dense arrays of one value per tick: step_norms
+    the largest applied step norm of any agent (NaN if any agent's is),
+    max_weight_norm the largest weight row norm, tick_policy_tv the policy
+    TV; clamped alone holds one flag per agent per tick. Weight, embedding
+    and policy snapshots are taken at t = 0 and at every coordination
+    boundary, meta snapshots at t = 0 and at every meta boundary: snapshot
+    k + 1 is at the time "t" of record k (marl_records for the first three,
+    meta_records for the last); snap_weights and snap_embeddings are None
+    unless the run kept them for a save. Where config.delta >= 0 no drift has a ceiling:
     tick_policy_tv is then None, and weight_drift and embedding_drift, the
     largest row-norm change between consecutive snapshots, are NaN (as they
     are once a change is). snap_weight_norm is the largest row norm of any

@@ -52,10 +52,10 @@ def test_verify_frees_each_trace_before_the_next_seed_runs(monkeypatch, capsys):
     assert len(traces) == 3
 
 
-# A shape whose per-tick streams (1,500 ticks x 300 agents) outweigh the
-# arrays a run works in.
+# A shape whose per-tick streams (3,000 ticks, 300 agents' clamp flags)
+# outweigh the arrays a run works in.
 _TRACE_HEAVY = [
-    "--duration", "30", "--set", "n_agents=300", "--set", "weight_dim=2",
+    "--duration", "60", "--set", "n_agents=300", "--set", "weight_dim=2",
     "--set", "embed_dim=1", "--set", "n_actions=2",
 ]
 
@@ -74,8 +74,9 @@ def test_verify_peaks_at_the_memory_of_one_seed(capsys):
     config = apply_overrides(
         SystemConfig(), {"n_agents": 300, "weight_dim": 2, "embed_dim": 1, "n_actions": 2}
     )
-    trace = run("baseline", config=config, duration=30.0)
-    assert trace.step_norms.nbytes + trace.clamped.nbytes > 0.1 * peaks[0]
+    trace = run("baseline", config=config, duration=60.0)
+    streams = (trace.step_norms, trace.clamped, trace.max_weight_norm, trace.tick_policy_tv)
+    assert sum(stream.nbytes for stream in streams) > 0.1 * peaks[0]
     assert peaks[1] <= 1.1 * peaks[0]
 
 

@@ -88,7 +88,8 @@ def test_baseline_trace_shape(short_baseline):
     assert trace.ticks == 500
     assert len(trace.marl_records) == 5
     assert trace.meta_records == []
-    assert trace.step_norms.shape == (500, cfg.n_agents)
+    assert trace.step_norms.shape == (500,)
+    assert trace.clamped.shape == (500, cfg.n_agents)
     assert trace.max_weight_norm.shape == (500,)
     assert trace.fail_count == 0 and trace.alarm_count == 0
     assert trace.halt_reason is None
@@ -207,6 +208,35 @@ def test_drawn_observation_radii_are_uniform(monkeypatch):
     assert ks < 1.95 / math.sqrt(n)
 
 
+@pytest.mark.parametrize("scenario", ["baseline", "no_clamp"])
+def test_the_step_stream_is_each_ticks_largest_applied_norm(scenario, monkeypatch):
+    """hebbian_tick writes each agent's proposed step norm; the trace keeps,
+    bit for bit, each tick's largest applied norm (the proposed norm, capped
+    at delta_np when the clamp is on) and flags each agent the clamp scaled,
+    also when the ticks are recorded in blocks of three."""
+    proposed = []
+
+    def spy(config, weights, x_pre, x_post, work, new_weights, step_norms):
+        hebbian_tick(config, weights, x_pre, x_post, work, new_weights, step_norms)
+        proposed.append(step_norms.copy())
+
+    cfg = SystemConfig()
+    monkeypatch.setattr(engine, "_BATCH_BYTES", 3 * cfg.n_agents * cfg.weight_dim * 8)
+    monkeypatch.setattr(engine, "hebbian_tick", spy)
+    trace = run(scenario, duration=4.0)
+    proposed = np.array(proposed)
+    assert proposed.shape == (trace.ticks, cfg.n_agents) == (200, 30)
+    delta_np = trace.config.delta_np
+    over = proposed > delta_np
+    assert over.any()
+    if trace.config.enforce_clamp:
+        applied, flags = np.minimum(proposed, delta_np), over
+    else:
+        applied, flags = proposed, np.zeros_like(over)
+    assert trace.step_norms.tobytes() == applied.max(axis=1).tobytes()
+    np.testing.assert_array_equal(trace.clamped, flags)
+
+
 def test_rate_grids_are_refreshed_when_the_gains_or_the_rule_change(monkeypatch):
     """set_rates runs once at the start, at every coordination boundary
     (new gains) and at every applied meta update (new rule), and never per
@@ -244,7 +274,7 @@ def test_user_config_flows_into_scenario():
     cfg = apply_overrides(SystemConfig(), {"n_agents": 8})
     trace = run("baseline", config=cfg, duration=4.0)
     assert trace.config.n_agents == 8
-    assert trace.step_norms.shape[1] == 8
+    assert trace.clamped.shape[1] == 8
 
 
 def test_scenario_overrides_win():
@@ -513,7 +543,7 @@ def _saved_layout(trace) -> dict[str, tuple[np.dtype, tuple[int, ...]]]:
     snaps, metas = len(trace.snap_weights), len(trace.meta_snaps)
     f8 = np.dtype(np.float64)
     layout = {
-        "step_norms": (f8, (ticks, cfg.n_agents)),
+        "step_norms": (f8, (ticks,)),
         "clamped": (np.dtype(bool), (ticks, cfg.n_agents)),
         "max_weight_norm": (f8, (ticks,)),
         "snap_times": (f8, (snaps,)),
