@@ -148,10 +148,9 @@ def hebbian_tick(
     over the rate grids, and step_norms receives its row norms, one per
     agent. With the clamp on, each step is then scaled by
     delta_np / max(norm, delta_np); clamp_norms over these proposed norms
-    gives the applied norms and the clamp flags (the run does this for a
-    block of ticks at once, then keeps each tick's largest applied norm).
-    new_weights receives weights plus the steps, after holding
-    the grid products, so it must share no memory with weights, x_pre or
+    gives the applied norms and the clamp flags, for a block of ticks at
+    once. new_weights receives weights plus the steps, after holding the
+    grid products, so it must share no memory with weights, x_pre or
     x_post. The grids are zero on the frozen columns, so a frozen step is
     +-0 for finite activity and weights and adds nothing to the step size
     the clamp contract governs; the frozen columns are copied bit-exactly

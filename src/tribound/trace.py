@@ -38,14 +38,14 @@ class Trace:
     boundary, meta snapshots at t = 0 and at every meta boundary: snapshot
     k + 1 is at the time "t" of record k (marl_records for the first three,
     meta_records for the last); snap_weights and snap_embeddings are None
-    unless the run kept them for a save. Where config.delta >= 0 no drift has a ceiling:
-    tick_policy_tv is then None, and weight_drift and embedding_drift, the
-    largest row-norm change between consecutive snapshots, are NaN (as they
-    are once a change is). snap_weight_norm is the largest row norm of any
-    weight snapshot. Each fact is held once: the seed is config.seed, the
-    snapshot times and the cycle counts come from the record lists, and a
-    run halted when halt_reason is set. The records, events and counts
-    start empty and fill as the run goes.
+    unless the run kept them for a save. Where config.delta >= 0 no drift
+    has a ceiling: tick_policy_tv is then None, and weight_drift and
+    embedding_drift, the largest row-norm change between consecutive
+    snapshots, are NaN (as they are once a change is). snap_weight_norm is
+    the largest row norm of any weight snapshot. Each fact is held once:
+    the seed is config.seed, the snapshot times and the cycle counts come
+    from the record lists, and a run halted when halt_reason is set. The
+    records, events and counts start empty and fill as the run goes.
     """
 
     config: SystemConfig

@@ -521,7 +521,7 @@ def test_safety_readout_of_a_weight_whose_square_overflows(n_agents, base_config
     readout is measured by the definition, which still reads exactly 0.0;
     an infinite or NaN weight reads NaN."""
     cfg = apply_overrides(base_config, {"n_agents": n_agents})
-    readout, block, weights, danger_masked = _safety_setup(cfg)
+    readout, block, _, _ = _safety_setup(cfg)
     block[2, n_agents - 1, readout.frozen] = 1e200
     with np.errstate(over="ignore"):
         assert math.isinf(row_norms(block[2]).max())
