@@ -54,6 +54,8 @@ CASES: dict[str, tuple[str, dict, float]] = {
     "clamp_off": ("baseline", {"enforce_clamp": False}, 10.0),
     # the trust region cannot fit its cap at t=32, so the run halts there
     "halted": ("baseline", {"delta_pi": 1e-300}, 40.0),
+    # every agent aggregates the whole swarm
+    "complete_graph": ("baseline", {"graph_topology": "complete"}, 20.0),
 }
 
 # name -> CLI arguments, run with --out; durations as in tests/test_cli.py
