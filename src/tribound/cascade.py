@@ -221,7 +221,7 @@ class MarlStepInfo:
 
 def marl_step(
     theta: np.ndarray,
-    aggregated: np.ndarray,
+    mean_aggregate: np.ndarray,
     config: SystemConfig,
     target_map: PolicyTarget,
     probes: np.ndarray,
@@ -233,8 +233,6 @@ def marl_step(
     halving until the worst-case total-variation move over the probe set
     fits under the trust-region cap.
     """
-    aggregated = np.atleast_2d(np.asarray(aggregated, dtype=float))
-    mean_aggregate = aggregated.mean(axis=0)
     target = target_map(mean_aggregate)
     step = -2.0 * config.eta2 * (theta - target)
     before = policy_distributions(theta, probes, config)

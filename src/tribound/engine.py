@@ -412,13 +412,14 @@ class _Run:
                 self.weights, self.encoder, cycle
             )
             aggregated = self.mix @ realized
+            mean_aggregate = aggregated.mean(axis=0)
             if not self.scenario.aligned_observations:
-                signals = modulation(aggregated, aggregated.mean(axis=0), cfg)
+                signals = modulation(aggregated, mean_aggregate, cfg)
                 self.gains = modulation_gain(signals, cfg)
                 self.work.set_rates(self.rule, cfg.eta1, self.gains)
             try:
                 self.policy, info = marl_step(
-                    self.policy, aggregated, cfg, self.target_map, self.probes
+                    self.policy, mean_aggregate, cfg, self.target_map, self.probes
                 )
             except EnforcementError as exc:
                 trace.halt_reason = f"coordination update at t={boundary!r}: {exc}"

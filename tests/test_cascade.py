@@ -393,8 +393,8 @@ def test_marl_step_respects_trust_region(base_config):
     probes = probe_embeddings(cfg)
     params = np.zeros(cfg.n_actions * cfg.embed_dim)
     rng = stream_rng(123, "observations")
-    aggregated = rng.standard_normal((cfg.n_agents, cfg.embed_dim))
-    new_params, info = marl_step(params, aggregated, cfg, target_map, probes)
+    mean_aggregate = rng.standard_normal((cfg.n_agents, cfg.embed_dim)).mean(axis=0)
+    new_params, info = marl_step(params, mean_aggregate, cfg, target_map, probes)
     assert info.tv_step <= cfg.delta_pi
     assert info.halvings >= 0
     assert info.target_distance >= 0.0
@@ -407,10 +407,10 @@ def test_marl_step_converges_toward_target(base_config):
     target_map = PolicyTarget.from_config(cfg)
     probes = probe_embeddings(cfg)
     params = np.zeros(cfg.n_actions * cfg.embed_dim)
-    aggregated = np.zeros((cfg.n_agents, cfg.embed_dim))
+    mean_aggregate = np.zeros(cfg.embed_dim)
     distances = []
     for _ in range(5):
-        params, info = marl_step(params, aggregated, cfg, target_map, probes)
+        params, info = marl_step(params, mean_aggregate, cfg, target_map, probes)
         distances.append(info.target_distance)
     assert distances == sorted(distances, reverse=True)
 
@@ -419,9 +419,9 @@ def test_marl_step_default_target(base_config):
     """The config's seeded target and probes, as the engine passes them."""
     cfg = base_config
     params = np.zeros(cfg.n_actions * cfg.embed_dim)
-    aggregated = np.zeros((cfg.n_agents, cfg.embed_dim))
+    mean_aggregate = np.zeros(cfg.embed_dim)
     target_map = PolicyTarget.from_config(cfg)
-    _, info = marl_step(params, aggregated, cfg, target_map, probe_embeddings(cfg))
+    _, info = marl_step(params, mean_aggregate, cfg, target_map, probe_embeddings(cfg))
     assert info.tv_step <= cfg.delta_pi
 
 
@@ -432,9 +432,9 @@ def test_marl_step_never_returns_a_non_finite_policy(base_config):
     dim = cfg.n_actions * cfg.embed_dim
     target_map = PolicyTarget.from_config(cfg)
     probes = probe_embeddings(cfg)
-    for theta, aggregated in (
-        (np.full(dim, np.nan), np.zeros((cfg.n_agents, cfg.embed_dim))),
-        (np.zeros(dim), np.full((cfg.n_agents, cfg.embed_dim), np.nan)),
+    for theta, mean_aggregate in (
+        (np.full(dim, np.nan), np.zeros(cfg.embed_dim)),
+        (np.zeros(dim), np.full(cfg.embed_dim, np.nan)),
     ):
         with pytest.raises(EnforcementError):
-            marl_step(theta, aggregated, cfg, target_map, probes)
+            marl_step(theta, mean_aggregate, cfg, target_map, probes)
