@@ -1,13 +1,13 @@
 """Coordination-level dynamics.
 
 Once per coordination cycle the swarm compresses each agent's weight vector
-into an embedding, mixes embeddings over the communication graph (one
-matrix, built from the config by mix_matrix), and nudges the shared policy
-toward a target computed from the mean aggregate. The policy step runs
-under a trust region: if the induced total-variation move on a fixed probe
-set exceeds the declared cap, the step is halved until it fits. Every map
-here carries an explicit sensitivity constant so the analytic drift bounds
-compose.
+into an embedding, sums the embeddings over each agent's closed
+neighbourhood in the communication graph (aggregate, the one place that
+knows the graph), and nudges the shared policy toward a target computed
+from the mean aggregate. The policy step runs under a trust region: if the
+induced total-variation move on a fixed probe set exceeds the declared cap,
+the step is halved until it fits. Every map here carries an explicit
+sensitivity constant so the analytic drift bounds compose.
 
 The encoder has an ideal output and a realized one. The realized output
 adds a perturbation of norm below eps_gnn to each agent's embedding,
@@ -96,26 +96,24 @@ def realized_embeddings(weights: np.ndarray, encoder: EmbeddingEncoder, cycle: i
     return realized, ideal, error_norms
 
 
-def mix_matrix(config: SystemConfig) -> np.ndarray:
-    """Aggregation operator over the communication graph: a scaled sum over
-    each agent's closed neighbourhood.
+def aggregate(embeddings: np.ndarray, config: SystemConfig) -> np.ndarray:
+    """Each agent's embedding summed over its closed neighbourhood in the
+    communication graph, scaled by lip_gnn / sqrt(deg_max + 1).
 
     The graph is complete, or a ring joining each agent to its
     min(ring_neighbors, n_agents - 1) // 2 nearest agents on either side.
-    The scale lip_gnn / sqrt(deg_max + 1) keeps the stacked-input
-    sensitivity of each output at lip_gnn and the uniform-input gain at
-    lip_gnn * sqrt(deg_max + 1), inside the lip_gnn * sqrt(n) envelope.
+    The scale keeps the stacked-input sensitivity of each output at lip_gnn
+    and the uniform-input gain at lip_gnn * sqrt(deg_max + 1), inside the
+    lip_gnn * sqrt(n) envelope. Under the complete graph the one column sum
+    is repeated, so every agent gets the same bits.
     """
     n = config.n_agents
     if config.graph_topology == "complete":
-        closed = np.ones((n, n), dtype=bool)
-    else:
-        agents = np.arange(n)
-        closed = np.eye(n, dtype=bool)
-        for offset in range(1, min(config.ring_neighbors, n - 1) // 2 + 1):
-            closed[agents, (agents + offset) % n] = True
-            closed[agents, (agents - offset) % n] = True
-    return closed * (config.lip_gnn / math.sqrt(closed.sum(axis=1).max()))
+        total = embeddings.sum(axis=0, keepdims=True) * (config.lip_gnn / math.sqrt(n))
+        return np.repeat(total, n, axis=0)
+    reach = min(config.ring_neighbors, n - 1) // 2
+    closed = (np.arange(n)[:, None] + np.arange(-reach, reach + 1)) % n
+    return embeddings[closed].sum(axis=1) * (config.lip_gnn / math.sqrt(2 * reach + 1))
 
 
 def modulation(z: np.ndarray, z_mean: np.ndarray, config: SystemConfig) -> np.ndarray:

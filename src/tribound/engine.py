@@ -33,10 +33,10 @@ import numpy as np
 from .bounds import BoundReport, CheckResult, VerificationReport, total_bound
 from .cascade import (
     PolicyTarget,
+    aggregate,
     logit_scale,
     make_encoder,
     marl_step,
-    mix_matrix,
     modulation,
     policy_distributions,
     probe_embeddings,
@@ -235,7 +235,6 @@ class _Run:
         frozen = frozen_count(cfg)
         self.weights = initial_weights(cfg)
         self.encoder = make_encoder(cfg)
-        self.mix = mix_matrix(cfg)
         self.target_map = PolicyTarget.from_config(cfg)
         self.probes = probe_embeddings(cfg)
         self.reference_policy = np.clip(
@@ -411,7 +410,7 @@ class _Run:
             realized, ideal, error_norms = realized_embeddings(
                 self.weights, self.encoder, cycle
             )
-            aggregated = self.mix @ realized
+            aggregated = aggregate(realized, cfg)
             mean_aggregate = aggregated.mean(axis=0)
             if not self.scenario.aligned_observations:
                 signals = modulation(aggregated, mean_aggregate, cfg)

@@ -10,10 +10,10 @@ from tribound import EnforcementError, StructuralError, SystemConfig, apply_over
 from tribound.cascade import (
     EmbeddingEncoder,
     PolicyTarget,
+    aggregate,
     logit_scale,
     make_encoder,
     marl_step,
-    mix_matrix,
     modulation,
     policy_distributions,
     policy_matrix,
@@ -190,13 +190,33 @@ def test_realized_embeddings_properties(weights, eps_gnn, cycle, squash):
     assert not np.array_equal(other, error)
 
 
+def _operator(cfg: SystemConfig) -> np.ndarray:
+    """The aggregation's matrix: its output on the identity."""
+    return aggregate(np.eye(cfg.n_agents), cfg)
+
+
 def _neighbours(mix: np.ndarray, agent: int) -> list[int]:
     """The agents in one agent's open neighbourhood."""
     return [j for j in np.flatnonzero(mix[agent]).tolist() if j != agent]
 
 
+def _reference_matrix(cfg: SystemConfig) -> np.ndarray:
+    """Dense aggregation matrix built from the graph rule: agents i and j
+    are joined under the complete graph, or on the ring when their distance
+    around it is at most min(ring_neighbors, n - 1) // 2; every joined pair
+    and every agent with itself carries lip_gnn / sqrt(deg_max + 1), every
+    other entry 0."""
+    n = cfg.n_agents
+    reach = n if cfg.graph_topology == "complete" else min(cfg.ring_neighbors, n - 1) // 2
+    joined = np.array(
+        [[min((i - j) % n, (j - i) % n) <= reach for j in range(n)] for i in range(n)]
+    )
+    deg_max = int(joined.sum(axis=1).max()) - 1
+    return np.where(joined, cfg.lip_gnn / math.sqrt(deg_max + 1), 0.0)
+
+
 def test_ring_graph(base_config):
-    mix = mix_matrix(base_config)
+    mix = _operator(base_config)
     assert mix.shape == (base_config.n_agents, base_config.n_agents)
     assert all(
         len(_neighbours(mix, i)) == base_config.ring_neighbors
@@ -207,7 +227,7 @@ def test_ring_graph(base_config):
 
 def test_complete_graph(base_config):
     cfg = apply_overrides(base_config, {"graph_topology": "complete", "n_agents": 5})
-    mix = mix_matrix(cfg)
+    mix = _operator(cfg)
     assert all(len(_neighbours(mix, i)) == 4 for i in range(5))
     assert np.all(mix == cfg.lip_gnn / math.sqrt(5))
 
@@ -215,25 +235,54 @@ def test_complete_graph(base_config):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 12])
 @pytest.mark.parametrize("ring_neighbors", [0, 1, 2, 3, 4, 5, 6, 11])
 def test_ring_mix_matrix_joins_the_nearest_agents(base_config, n, ring_neighbors):
-    """Agents i and j are joined when their distance around the ring is at
-    most min(ring_neighbors, n - 1) // 2; every joined pair and every agent
-    with itself carries lip_gnn / sqrt(deg_max + 1), every other entry 0."""
     cfg = apply_overrides(base_config, {"n_agents": n, "ring_neighbors": ring_neighbors})
-    reach = min(ring_neighbors, n - 1) // 2
-    joined = np.array(
-        [[min((i - j) % n, (j - i) % n) <= reach for j in range(n)] for i in range(n)]
-    )
-    deg_max = int(joined.sum(axis=1).max()) - 1
-    expected = np.where(joined, cfg.lip_gnn / math.sqrt(deg_max + 1), 0.0)
-    np.testing.assert_array_equal(mix_matrix(cfg), expected)
+    np.testing.assert_array_equal(_operator(cfg), _reference_matrix(cfg))
 
 
 def test_mix_matrix_row_gain(base_config):
     """Per-output sensitivity to the stacked input stays at the declared level."""
-    mix = mix_matrix(base_config)
+    mix = _operator(base_config)
     row_norms = np.linalg.norm(mix, axis=1)
     assert float(row_norms.max()) == pytest.approx(base_config.lip_gnn, rel=1e-12)
     assert float(row_norms.min()) >= 0.0
+
+
+@st.composite
+def _aggregation_inputs(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    cfg = apply_overrides(
+        SystemConfig(),
+        {
+            "n_agents": n,
+            "ring_neighbors": draw(st.integers(min_value=0, max_value=11)),
+            "graph_topology": draw(st.sampled_from(["ring", "complete"])),
+        },
+    )
+    dim = draw(st.integers(min_value=1, max_value=8))
+    x = draw(arrays(float, (n, dim), elements=st.floats(-1e6, 1e6)))
+    return cfg, x
+
+
+@given(_aggregation_inputs())
+def test_aggregate_is_the_dense_neighbourhood_sum(inputs):
+    """aggregate(x) is the reference matrix times x up to rounding, leaves x
+    alone, repeats its bits, and under the complete graph gives every agent
+    the same bits.
+
+    Each side sums deg_max + 1 terms of the matrix times |x|, so each is
+    within (deg_max + 1) * eps/2 of that sum of magnitudes from the exact
+    value; tiny covers products that underflow."""
+    cfg, x = inputs
+    before = x.copy()
+    got = aggregate(x, cfg)
+    mix = _reference_matrix(cfg)
+    terms = int(np.count_nonzero(mix[0]))
+    slack = terms * EPS * (mix @ np.abs(x)) + np.finfo(float).tiny
+    assert np.all(np.abs(got - mix @ x) <= slack)
+    assert x.tobytes() == before.tobytes()
+    assert aggregate(x, cfg).tobytes() == got.tobytes()
+    if cfg.graph_topology == "complete":
+        assert all(row.tobytes() == got[0].tobytes() for row in got)
 
 
 def test_modulation_signal_band(base_config):

@@ -666,6 +666,25 @@ def test_run_memory_grows_only_by_the_per_tick_arrays():
     assert peaks[1] - peaks[0] <= per_tick[1] - per_tick[0] + 0.5e6
 
 
+def test_a_coordination_cycle_holds_no_n_by_n_array():
+    """The aggregation sums each agent's neighbourhood: at 2000 agents a
+    dense (n, n) float64 array alone would take 32 MB, so a run through one
+    coordination cycle peaks below half of that."""
+    n = 2000
+    cfg = apply_overrides(
+        SystemConfig(), {"n_agents": n, "weight_dim": 2, "embed_dim": 1, "n_actions": 2}
+    )
+    run("baseline", config=cfg, duration=0.0)
+    tracemalloc.start()
+    try:
+        trace = run("baseline", config=cfg, duration=2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.marl_records) == 1
+    assert peak < n * n * 8 / 2
+
+
 _UNSTABLE = "closed-form ceiling undefined in the unstable regime"
 
 
