@@ -269,9 +269,9 @@ def test_aggregate_is_the_dense_neighbourhood_sum(inputs):
     alone, repeats its bits, and under the complete graph gives every agent
     the same bits.
 
-    Each side sums deg_max + 1 terms of the matrix times |x|, so each is
-    within (deg_max + 1) * eps/2 of that sum of magnitudes from the exact
-    value; tiny covers products that underflow."""
+    Each side rounds a sum of deg_max + 1 scaled terms, so each lies within
+    (deg_max + 1) * eps / 2 times the sum of the terms' magnitudes, mix @ |x|,
+    of the exact value; tiny covers products that underflow."""
     cfg, x = inputs
     before = x.copy()
     got = aggregate(x, cfg)
