@@ -41,9 +41,7 @@ from .errors import (
 from .model import (
     SystemConfig,
     apply_overrides,
-    config_from_dict,
     config_hash,
-    config_to_dict,
     load_config,
     load_config_path,
     validate,
@@ -71,9 +69,7 @@ __all__ = [
     "ValidationError",
     "VerificationReport",
     "apply_overrides",
-    "config_from_dict",
     "config_hash",
-    "config_to_dict",
     "confirm_expectation",
     "elasticity_sweep",
     "get_scenario",

@@ -9,13 +9,14 @@ induced total-variation move on a fixed probe set exceeds the declared cap,
 the step is halved until it fits. Every map here carries an explicit
 sensitivity constant so the analytic drift bounds compose.
 
-The encoder has an ideal output and a realized one. The realized output
-adds a perturbation of norm below eps_gnn to each agent's embedding,
-standing in for truncated message passing. Each coordination cycle draws
-all agents' perturbations at once from the "embedding_error" stream keyed
-by (seed, cycle), so they do not depend on the weights or on how the ideal
-embeddings were rounded. The ideal output is what the drift metrics see,
-and the gap is what the approximation-error contract monitors.
+The encoder holds only its map, which gives the ideal output. The realized
+output, from realized_embeddings, adds a perturbation of norm below the
+config's eps_gnn to each agent's embedding, standing in for truncated
+message passing. Each coordination cycle draws all agents' perturbations at
+once from the "embedding_error" stream keyed by (config seed, cycle), so
+they do not depend on the weights or on how the ideal embeddings were
+rounded. The ideal output is what the drift metrics see, and the gap is
+what the approximation-error contract monitors.
 """
 from __future__ import annotations
 
@@ -42,12 +43,9 @@ class EmbeddingEncoder:
     still holds.
     """
 
-    def __init__(self, matrix: np.ndarray, squash: bool, eps_gnn: float,
-                 seed: int) -> None:
+    def __init__(self, matrix: np.ndarray, squash: bool) -> None:
         self.matrix = np.asarray(matrix, dtype=float)
         self.squash = bool(squash)
-        self.eps_gnn = float(eps_gnn)
-        self.seed = int(seed)
 
     def encode(self, weights: np.ndarray) -> np.ndarray:
         """Ideal embeddings: (..., n_agents, weight_dim) -> (..., n_agents, embed_dim)."""
@@ -65,12 +63,12 @@ def make_encoder(config: SystemConfig) -> EmbeddingEncoder:
     spectral = float(np.linalg.svd(raw, compute_uv=False)[0])
     if spectral == 0.0:
         raise CalibrationError("degenerate encoder draw has zero operator norm")
-    return EmbeddingEncoder(raw * (config.lip_phi / spectral), config.encoder_squash,
-                            config.eps_gnn, config.seed)
+    return EmbeddingEncoder(raw * (config.lip_phi / spectral), config.encoder_squash)
 
 
-def realized_embeddings(weights: np.ndarray, encoder: EmbeddingEncoder, cycle: int
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def realized_embeddings(
+    weights: np.ndarray, encoder: EmbeddingEncoder, config: SystemConfig, cycle: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(realized, ideal, error_norms) for all agents at one coordination cycle.
 
     ideal is encoder.encode(weights). Agent i's error is
@@ -82,14 +80,14 @@ def realized_embeddings(weights: np.ndarray, encoder: EmbeddingEncoder, cycle: i
     """
     ideal = encoder.encode(weights)
     n, dim = ideal.shape
-    if encoder.eps_gnn == 0.0:
+    if config.eps_gnn == 0.0:
         return ideal.copy(), ideal, np.zeros(n)
-    rng = stream_rng(encoder.seed, "embedding_error", cycle)
+    rng = stream_rng(config.seed, "embedding_error", cycle)
     error = unit_rows(rng, n, dim)
-    error *= (encoder.eps_gnn * rng.uniform(size=n))[:, None]
+    error *= (config.eps_gnn * rng.uniform(size=n))[:, None]
     realized = ideal + error
     error_norms = np.linalg.norm(realized - ideal, axis=1)
-    while (over := error_norms > encoder.eps_gnn).any():
+    while (over := error_norms > config.eps_gnn).any():
         error[over] *= 0.5
         realized[over] = ideal[over] + error[over]
         error_norms[over] = np.linalg.norm(realized[over] - ideal[over], axis=1)

@@ -65,12 +65,12 @@ from .model import (
     apply_overrides,
     frozen_count,
     initial_weights,
+    rounding_slack,
 )
 from .seeding import stream_rng, unit_rows
 from .trace import TIME_TOL, Trace, ticks_by
 
 SLOPE_TOL = 1e-6
-_EPS = float(np.finfo(float).eps)
 
 EXPECTATIONS = ("none", "growth", "step_violation", "degradation", "alarm")
 
@@ -90,11 +90,11 @@ class Scenario:
     "none" for nominal operation, "growth" for unbounded weight growth,
     "step_violation" for per-tick cap breaches, "degradation" for a
     recomputed drift ceiling far above baseline, "alarm" for a margin
-    early-warning.
+    early-warning. Each library scenario's purpose is the comment above it
+    in SCENARIOS.
     """
 
     name: str
-    description: str
     overrides: Mapping[str, Any] = field(default_factory=dict)
     duration: float = 100.0
     aligned_observations: bool = False
@@ -113,17 +113,12 @@ class Scenario:
 SCENARIOS: dict[str, Scenario] = {
     scenario.name: scenario
     for scenario in (
-        Scenario(
-            name="baseline",
-            description="nominal operating point; every contract should hold",
-            duration=100.0,
-        ),
+        # Nominal operating point; every contract should hold.
+        Scenario(name="baseline", duration=100.0),
+        # Zero weight decay with the clamp disabled: weight norms grow
+        # linearly along the analytic envelope instead of saturating.
         Scenario(
             name="delta_zero",
-            description=(
-                "zero weight decay with the clamp disabled: weight norms grow "
-                "linearly along the analytic envelope instead of saturating"
-            ),
             overrides={
                 "delta": 0.0,
                 "enforce_clamp": False,
@@ -135,36 +130,29 @@ SCENARIOS: dict[str, Scenario] = {
             aligned_observations=True,
             expected="growth",
         ),
+        # Step clamp disabled at the stable operating point: intrinsic steps
+        # exceed the cap and the per-cycle drift ceiling grows by the
+        # intrinsic-to-cap ratio.
         Scenario(
             name="no_clamp",
-            description=(
-                "step clamp disabled at the stable operating point: intrinsic "
-                "steps exceed the cap and the per-cycle drift ceiling grows "
-                "by the intrinsic-to-cap ratio"
-            ),
             overrides={"enforce_clamp": False},
             duration=100.0,
             expected="step_violation",
         ),
+        # Coordination and meta periods stretched tenfold: every contract
+        # still holds per cycle, but the per-cycle drift ceiling and the
+        # total bound degrade by an order of magnitude.
         Scenario(
             name="slow_marl",
-            description=(
-                "coordination and meta periods stretched tenfold: every "
-                "contract still holds per cycle, but the per-cycle drift "
-                "ceiling and the total bound degrade by an order of magnitude"
-            ),
             overrides={"tau2": 20.0, "tau3": 200.0},
             duration=100.0,
             expected="degradation",
         ),
+        # Meta parameters start one clipped step from the box boundary and
+        # the target pulls outward: the gate rejects the step, the forced
+        # apply lands on the boundary, and the margin alarm fires.
         Scenario(
             name="crafted_margin_breach",
-            description=(
-                "meta parameters start one clipped step from the box "
-                "boundary and the target pulls outward: the gate rejects the "
-                "step, the forced apply lands on the boundary, and the "
-                "margin alarm fires"
-            ),
             duration=20.0,
             force_meta=True,
             theta_init=(1.0 - 5e-6, 0.0, 0.0, 0.0),
@@ -285,8 +273,9 @@ class _Run:
         embeddings = self.encoder.encode(self.weights)
         # Only the stable regime has drift ceilings; elsewhere no fold runs.
         drift = 0.0 if cfg.delta < 0.0 else math.nan
-        # self.weights and self.policy are only ever rebound to new arrays,
-        # never written in place, so the snapshots hold them without a copy.
+        # self.weights, self.policy and self.theta are only ever rebound to
+        # new arrays, never written in place, so the snapshots hold them
+        # without a copy.
         self.last_snaps = (self.weights, embeddings)
         self.trace = Trace(
             config=cfg,
@@ -300,7 +289,7 @@ class _Run:
             snap_weights=[self.weights] if keep else None,
             snap_embeddings=[embeddings] if keep else None,
             policy_snaps=[self.policy],
-            meta_snaps=[self.theta.copy()],
+            meta_snaps=[self.theta],
             snap_weight_norm=float(row_norms(self.weights).max()),
             weight_drift=drift, embedding_drift=drift,
             events=self.monitor.events, last_verdicts=self.monitor.latest,
@@ -408,7 +397,7 @@ class _Run:
         while (cycle := len(trace.marl_records) + 1) * cfg.tau2 <= t:
             boundary = cycle * cfg.tau2
             realized, ideal, error_norms = realized_embeddings(
-                self.weights, self.encoder, cycle
+                self.weights, self.encoder, cfg, cycle
             )
             aggregated = aggregate(realized, cfg)
             mean_aggregate = aggregated.mean(axis=0)
@@ -429,7 +418,7 @@ class _Run:
             error, note = float(error_norms.max()), ""
             if self.rule.delta < 0.0:
                 ceiling = weight_norm_ceiling(self.rule)
-                slack = _rounding_slack(ceiling, cfg.weight_dim)
+                slack = rounding_slack(ceiling, cfg.weight_dim)
                 if float(trace.max_weight_norm[ticks_done - 1]) > ceiling + slack:
                     error = None
                     note = "precondition breach: weight norm beyond the invariant ball"
@@ -479,9 +468,10 @@ class _Run:
                 self.work.set_rates(self.rule, cfg.eta1, self.gains)
                 self.margins = all_margins(self.cascade, self.theta)
 
-            trial = adaptation_trial(
+            k_inner = adaptation_trial(
                 self.cascade, self.theta, self.reference_policy, self.probes, cfg
             )
+            t_adapt = k_inner * cfg.tau1
             trace.meta_records.append(
                 {
                     "t": boundary,
@@ -493,16 +483,16 @@ class _Run:
                     "predicted_dpi": verdict.predicted_dpi,
                     "min_margin": verdict.min_margin,
                     "applied": applied,
-                    "k_inner": trial.k_inner,
-                    "t_adapt": trial.t_adapt,
+                    "k_inner": k_inner,
+                    "t_adapt": t_adapt,
                     "margins_after": dict(self.margins),
                 }
             )
-            self.monitor.observe("ML-C1", boundary, trial.t_adapt, self.margins["ML-C1"])
+            self.monitor.observe("ML-C1", boundary, t_adapt, self.margins["ML-C1"])
             increase = ml2_increase([rec["k_inner"] for rec in trace.meta_records])
             note = "" if increase is not None else f"{len(trace.meta_records)} trials so far"
             self.monitor.observe("ML-C2", boundary, increase, self.margins["ML-C2"], note)
-            trace.meta_snaps.append(self.theta.copy())
+            trace.meta_snaps.append(self.theta)
 
     def finish(self, ticks_done: int) -> Trace:
         """The trace, its per-tick arrays cut to the ticks run, with the
@@ -558,13 +548,6 @@ def _least_squares_slope(times: np.ndarray, values: np.ndarray) -> float:
     return float(t @ (values - values.mean()) / denom)
 
 
-def _rounding_slack(magnitude: float, roundings: int) -> float:
-    """Float error allowance of a value computed through `roundings`
-    rounded operations on operands of size up to `magnitude`: one eps
-    (two units of roundoff) of that size per rounding."""
-    return roundings * _EPS * magnitude
-
-
 # What a check needs of a trace, and the note of a check skipped without it.
 _POLICY_TV = (lambda trace: trace.tick_policy_tv is not None,
               "per-tick policy drift not recorded")
@@ -585,7 +568,7 @@ _Outcome = tuple[float, float] | str
 
 def _step_norm(trace: Trace, report: BoundReport, bound: float) -> _Outcome:
     # A step norm sums weight_dim squares.
-    return float(trace.step_norms.max()), _rounding_slack(bound, trace.config.weight_dim)
+    return float(trace.step_norms.max()), rounding_slack(bound, trace.config.weight_dim)
 
 
 def _weight_scale(trace: Trace, report: BoundReport) -> float:
@@ -597,7 +580,7 @@ def _weight_drift(trace: Trace, report: BoundReport, bound: float) -> _Outcome:
     # Each of a cycle's n12 ticks rounds weights + step at the weights'
     # size; the drift norm then sums weight_dim squares.
     roundings = report.n12 + trace.config.weight_dim
-    slack = _rounding_slack(_weight_scale(trace, report), roundings)
+    slack = rounding_slack(_weight_scale(trace, report), roundings)
     return trace.weight_drift, slack
 
 
@@ -605,7 +588,7 @@ def _embedding_drift(trace: Trace, report: BoundReport, bound: float) -> _Outcom
     # An embedding adds the encoder's weight_dim * embed_dim products per
     # snapshot to the weights' roundings.
     cfg = trace.config
-    slack = _rounding_slack(
+    slack = rounding_slack(
         cfg.lip_phi * _weight_scale(trace, report) + bound,
         report.n12 + cfg.weight_dim * cfg.embed_dim,
     )
@@ -621,7 +604,7 @@ def _policy_drift(trace: Trace, report: BoundReport, bound: float) -> _Outcome:
         logit_scale(cfg) * cfg.policy_box * math.sqrt(cfg.embed_dim)
         * cfg.lip_phi * float(trace.max_weight_norm.max())
     )
-    slack = _rounding_slack(1.0 + logits, cfg.n_actions + cfg.embed_dim)
+    slack = rounding_slack(1.0 + logits, cfg.n_actions + cfg.embed_dim)
     return float(trace.tick_policy_tv.max()), slack
 
 
@@ -632,7 +615,7 @@ def _meta_effect(trace: Trace, report: BoundReport, bound: float) -> _Outcome:
     steps = [np.linalg.norm(b - a) for a, b in zip(snaps, snaps[1:])]
     worst = k_cascade * float(np.max(steps))
     theta_scale = max(float(np.linalg.norm(theta)) for theta in snaps)
-    slack = _rounding_slack(k_cascade * theta_scale + bound, trace.config.meta_dim)
+    slack = rounding_slack(k_cascade * theta_scale + bound, trace.config.meta_dim)
     return worst, slack
 
 

@@ -9,7 +9,8 @@ backstops the gate so no reachable rule is growth-unstable.
 
 The adaptation trial is the measurable attached to the adaptation-time
 contract: a deterministic inner recovery loop whose iteration count scales
-with how far the meta parameters sit from their target.
+with how far the meta parameters sit from their target. The trial returns
+that count; the adaptation time is the count times the fast period tau1.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 from .cascade import policy_distributions, tv_rows
 from .errors import StructuralError, ValidationError
 from .hebbian import HebbianRule, rule_from_config
-from .model import SystemConfig
+from .model import SystemConfig, rounding_slack
 from .seeding import stream_rng
 
 META_LOSS_SMOOTHNESS = 1.0
@@ -51,9 +52,9 @@ def meta_target(config: SystemConfig) -> np.ndarray:
 
 
 def meta_point(values: Sequence[float], config: SystemConfig, name: str) -> np.ndarray:
-    """values as a meta point: meta_dim finite numbers, else StructuralError."""
+    """values as a new meta point: meta_dim finite numbers, else StructuralError."""
     try:
-        point = np.asarray(values, dtype=float)
+        point = np.array(values, dtype=float)
         valid = point.shape == (config.meta_dim,) and bool(np.isfinite(point).all())
     except (TypeError, ValueError):
         valid = False
@@ -113,7 +114,7 @@ def compatibility_check(
     min_margin = min(margins)
     budget = config.eta3 * config.g_max
     # the step is a difference of meta points: one eps of their size per coordinate
-    slack = config.meta_dim * float(np.finfo(float).eps) * (config.theta_box + budget)
+    slack = rounding_slack(config.theta_box + budget, config.meta_dim)
     return CompatibilityVerdict(
         m1=all(m > 0.0 for m in margins),
         m2=delta_theta_norm <= budget + slack,
@@ -121,14 +122,6 @@ def compatibility_check(
         predicted_dpi=cascading_sensitivity(config) * delta_theta_norm,
         min_margin=min_margin,
     )
-
-
-@dataclass(frozen=True)
-class AdaptationResult:
-    """Outcome of one adaptation trial."""
-
-    t_adapt: float
-    k_inner: int
 
 
 class MetaCascade:
@@ -216,14 +209,14 @@ def adaptation_trial(
     reference_policy: np.ndarray,
     probes: np.ndarray,
     config: SystemConfig,
-) -> AdaptationResult:
-    """Measure recovery time after a simulated environment shift.
+) -> int:
+    """Inner steps to recover from a simulated environment shift.
 
     The trial displaces a reference policy by a seeded direction whose
     magnitude grows with the meta parameters' distance from their target,
     then runs a fixed-rate inner recovery loop until the worst-case
-    total-variation gap to the reference drops under tolerance. Adaptation
-    time is the iteration count times the fast period.
+    total-variation gap to the reference drops under tolerance, for at most
+    ADAPT_CAP steps. Adaptation time is the step count times the fast period.
     """
     distance = float(np.linalg.norm(np.asarray(theta, dtype=float) - cascade.theta_star))
     magnitude = ADAPT_BASE_PERTURBATION * (1.0 + distance / config.theta_box)
@@ -247,4 +240,4 @@ def adaptation_trial(
             break
         current = current + ADAPT_INNER_RATE * (reference_policy - current)
         k_inner += 1
-    return AdaptationResult(k_inner * config.tau1, k_inner)
+    return k_inner

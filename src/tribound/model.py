@@ -143,8 +143,7 @@ class SystemConfig:
     enforce_clamp: bool = True
 
 
-_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SystemConfig))
-# Each field's declared type: bool, int, float or str.
+# Each field's name and declared type: bool, int, float or str.
 _FIELD_TYPES = typing.get_type_hints(SystemConfig)
 _EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
@@ -161,6 +160,8 @@ _POSITIVE_FLOAT = (
 )
 _FINITE_FLOAT = ("alpha", "beta", "gamma_h", "delta")
 
+_EPS = float(np.finfo(float).eps)
+
 
 def _coerce(name: str, value: Any) -> Any:
     kind = _FIELD_TYPES[name]
@@ -173,15 +174,10 @@ def _coerce(name: str, value: Any) -> Any:
     return float(value) if kind is float else value
 
 
-def config_from_dict(data: Mapping[str, Any]) -> SystemConfig:
-    """Build and validate a config from a plain mapping. Unknown keys are fatal."""
-    return apply_overrides(SystemConfig(), data)
-
-
 def load_config(source: str) -> SystemConfig:
     """Parse a JSON config document. An empty document yields all defaults."""
     if not source.strip():
-        return config_from_dict({})
+        return apply_overrides(SystemConfig(), {})
     try:
         data = json.loads(source)
     except json.JSONDecodeError as exc:
@@ -190,7 +186,7 @@ def load_config(source: str) -> SystemConfig:
         ) from exc
     if not isinstance(data, dict):
         raise SchemaError("config document must be a JSON object of key-value pairs")
-    return config_from_dict(data)
+    return apply_overrides(SystemConfig(), data)
 
 
 def load_config_path(path: str) -> SystemConfig:
@@ -207,7 +203,7 @@ def load_config_path(path: str) -> SystemConfig:
 
 def apply_overrides(config: SystemConfig, overrides: Mapping[str, Any]) -> SystemConfig:
     """Return a validated copy of config with the given fields replaced."""
-    unknown = sorted(set(overrides) - set(_FIELD_NAMES))
+    unknown = sorted(set(overrides) - _FIELD_TYPES.keys())
     if unknown:
         raise SchemaError(f"unknown config keys: {', '.join(unknown)}")
     kwargs = {name: _coerce(name, value) for name, value in overrides.items()}
@@ -216,13 +212,9 @@ def apply_overrides(config: SystemConfig, overrides: Mapping[str, Any]) -> Syste
     return updated
 
 
-def config_to_dict(config: SystemConfig) -> dict[str, Any]:
-    return {name: getattr(config, name) for name in _FIELD_NAMES}
-
-
 def config_to_json(config: SystemConfig) -> str:
     """Canonical JSON form: sorted keys, round-trip float repr."""
-    return json.dumps(config_to_dict(config), sort_keys=True)
+    return json.dumps(dataclasses.asdict(config), sort_keys=True)
 
 
 def config_hash(config: SystemConfig) -> str:
@@ -265,6 +257,13 @@ def validate(config: SystemConfig) -> None:
             "timescale separation is degraded",
             stacklevel=2,
         )
+
+
+def rounding_slack(magnitude: float, roundings: int) -> float:
+    """Float error allowance of a value computed through `roundings`
+    rounded operations on operands of size up to `magnitude`: one eps
+    (two units of roundoff) of that size per rounding."""
+    return roundings * _EPS * magnitude
 
 
 def frozen_count(config: SystemConfig) -> int:

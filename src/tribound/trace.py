@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -14,7 +14,7 @@ import numpy as np
 
 from .contracts import ContractVerdict
 from .errors import ValidationError
-from .model import SystemConfig, config_hash, config_to_dict
+from .model import SystemConfig, config_hash
 
 # Relative tolerance of the run's clock, so that it holds at any time scale:
 # a boundary within this fraction of a tick's time falls due at that tick.
@@ -89,7 +89,7 @@ class Trace:
             "alarm_count": self.alarm_count,
             "halted": self.halt_reason is not None,
             "halt_reason": self.halt_reason,
-            "config": config_to_dict(self.config),
+            "config": asdict(self.config),
             "config_hash": config_hash(self.config),
         }
 

@@ -1,4 +1,6 @@
 """The package root exports exactly what the CLI and a trace analysis use."""
+from dataclasses import fields
+
 import tribound
 
 ROOT_API = [
@@ -20,9 +22,7 @@ ROOT_API = [
     "ValidationError",
     "VerificationReport",
     "apply_overrides",
-    "config_from_dict",
     "config_hash",
-    "config_to_dict",
     "confirm_expectation",
     "elasticity_sweep",
     "get_scenario",
@@ -36,8 +36,24 @@ ROOT_API = [
 ]
 
 
+SCENARIO_FIELDS = [
+    "name",
+    "overrides",
+    "duration",
+    "aligned_observations",
+    "force_meta",
+    "theta_init",
+    "theta_star",
+    "expected",
+]
+
+
 def test_root_exports_exactly_the_pinned_names():
     assert tribound.__all__ == ROOT_API
+
+
+def test_scenario_has_exactly_the_pinned_fields():
+    assert [f.name for f in fields(tribound.Scenario)] == SCENARIO_FIELDS
 
 
 def test_every_exported_name_resolves():

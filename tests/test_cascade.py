@@ -103,7 +103,7 @@ def test_realized_embedding_error_is_bounded(base_config):
     rng = np.random.default_rng(0)
     weights = rng.standard_normal((base_config.n_agents, base_config.weight_dim))
     for cycle in range(1, 21):
-        realized, ideal, errors = realized_embeddings(weights, encoder, cycle)
+        realized, ideal, errors = realized_embeddings(weights, encoder, base_config, cycle)
         assert np.all(errors >= 0.0)
         assert np.all(errors < base_config.eps_gnn)
         np.testing.assert_array_equal(errors, np.linalg.norm(realized - ideal, axis=1))
@@ -117,7 +117,7 @@ def test_realized_error_stays_within_its_cap(eps_gnn):
     encoder = make_encoder(cfg)
     weights = initial_weights(cfg)
     for cycle in range(1, 201):
-        realized, ideal, errors = realized_embeddings(weights, encoder, cycle)
+        realized, ideal, errors = realized_embeddings(weights, encoder, cfg, cycle)
         assert errors.max() <= eps_gnn
         np.testing.assert_array_equal(errors, np.linalg.norm(realized - ideal, axis=1))
 
@@ -126,7 +126,7 @@ def test_zero_error_budget_means_ideal(base_config):
     cfg = apply_overrides(base_config, {"eps_gnn": 0.0})
     encoder = make_encoder(cfg)
     weights = np.linspace(-1.0, 1.0, 3 * cfg.weight_dim).reshape(3, cfg.weight_dim)
-    realized, ideal, errors = realized_embeddings(weights, encoder, 1)
+    realized, ideal, errors = realized_embeddings(weights, encoder, cfg, 1)
     assert realized.tobytes() == ideal.tobytes() == encoder.encode(weights).tobytes()
     np.testing.assert_array_equal(errors, np.zeros(3))
 
@@ -136,7 +136,7 @@ def test_realized_embeddings_batch_matches_single(base_config):
     encoder = make_encoder(base_config)
     rng = np.random.default_rng(1)
     weights = rng.standard_normal((5, base_config.weight_dim))
-    realized, ideal, errors = realized_embeddings(weights, encoder, 3)
+    realized, ideal, errors = realized_embeddings(weights, encoder, base_config, 3)
     drawn = _drawn_error(
         base_config.seed, 3, 5, base_config.embed_dim, base_config.eps_gnn
     )
@@ -164,10 +164,11 @@ def _weight_batches(draw):
 )
 @settings(max_examples=50)
 def test_realized_embeddings_properties(weights, eps_gnn, cycle, squash):
-    base = make_encoder(SystemConfig())
-    encoder = EmbeddingEncoder(base.matrix, squash, eps_gnn, base.seed)
+    cfg = apply_overrides(SystemConfig(), {"eps_gnn": eps_gnn})
+    base = make_encoder(cfg)
+    encoder = EmbeddingEncoder(base.matrix, squash)
     n, p = weights.shape[0], base.matrix.shape[0]
-    realized, ideal, errors = realized_embeddings(weights, encoder, cycle)
+    realized, ideal, errors = realized_embeddings(weights, encoder, cfg, cycle)
 
     assert ideal.tobytes() == encoder.encode(weights).tobytes()
     assert np.all(errors >= 0.0)
@@ -177,16 +178,16 @@ def test_realized_embeddings_properties(weights, eps_gnn, cycle, squash):
     # At zero weights the ideal embedding is exactly zero, so realized is
     # the error itself; at any other weights the same error is added, up to
     # the rounding of ideal + error.
-    error, _, _ = realized_embeddings(np.zeros_like(weights), encoder, cycle)
+    error, _, _ = realized_embeddings(np.zeros_like(weights), encoder, cfg, cycle)
     np.testing.assert_allclose(
-        error, _drawn_error(base.seed, cycle, n, p, eps_gnn), rtol=1e-14, atol=0.0
+        error, _drawn_error(cfg.seed, cycle, n, p, eps_gnn), rtol=1e-14, atol=0.0
     )
     slack = 2.0 * np.finfo(float).eps * (np.abs(ideal) + np.abs(error))
     assert np.all(np.abs((realized - ideal) - error) <= slack)
 
-    again = realized_embeddings(weights, encoder, cycle)
+    again = realized_embeddings(weights, encoder, cfg, cycle)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(again, (realized, ideal, errors)))
-    other, _, _ = realized_embeddings(np.zeros_like(weights), encoder, cycle + 1)
+    other, _, _ = realized_embeddings(np.zeros_like(weights), encoder, cfg, cycle + 1)
     assert not np.array_equal(other, error)
 
 

@@ -135,6 +135,25 @@ def test_conditions_passes(capsys):
     assert capsys.readouterr().out.startswith("start-time admissibility conditions")
 
 
+# A rule with no drive: every gain but the decay is zero.
+_DRIVE_FREE = ["--set", "alpha=0", "--set", "beta=0", "--set", "gamma_h=0"]
+
+
+def test_conditions_of_a_drive_free_rule_pass_at_an_infinite_threshold(capsys):
+    assert main(["conditions", *_DRIVE_FREE]) == PASS_EXIT
+    s1 = next(row for row in capsys.readouterr().out.splitlines() if row.startswith("S1 "))
+    assert s1.split()[1:4] == ["pass", "0.001", "inf"]
+
+
+def test_bounds_of_a_drive_free_rule_pass(capsys):
+    assert main(["bounds", *_DRIVE_FREE]) == PASS_EXIT
+    line = next(
+        row for row in capsys.readouterr().out.splitlines()
+        if row.startswith("fast-rate stability threshold")
+    )
+    assert line.split()[-1] == "inf"
+
+
 def test_sensitivity_passes(capsys):
     assert main(["sensitivity"]) == PASS_EXIT
     assert "exact sweep of the total bound" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Every config that passes validate() completes or fails with a TriboundError."""
 import contextlib
+import dataclasses
 import json
 
 import pytest
@@ -10,7 +11,6 @@ from tribound import (
     TriboundError,
     ValidationError,
     apply_overrides,
-    config_to_dict,
     elasticity_sweep,
     run,
     total_bound,
@@ -63,7 +63,7 @@ def validated_configs(draw) -> tuple[SystemConfig, float]:
 def test_validated_configs_complete_or_raise_a_tribound_error(drawn, tmp_path_factory):
     config, duration = drawn
     path = tmp_path_factory.mktemp("config") / "config.json"
-    path.write_text(json.dumps(config_to_dict(config)))
+    path.write_text(json.dumps(dataclasses.asdict(config)))
     for call in (
         lambda: total_bound(config),
         lambda: validate_conditions(config),

@@ -48,7 +48,7 @@ def test_scenario_registry():
 
 def test_scenario_expected_is_validated():
     with pytest.raises(ValidationError):
-        Scenario(name="x", description="", expected="explodes")
+        Scenario(name="x", expected="explodes")
 
 
 @pytest.mark.parametrize("seed", [None, 3])
@@ -76,9 +76,18 @@ def test_run_rejects_bad_duration():
     ids=["init_short", "init_nan", "init_text", "star_nan", "star_long"],
 )
 def test_a_scenario_meta_point_must_be_meta_dim_finite_numbers(field_name, point):
-    scenario = Scenario(name="x", description="", **{field_name: point})
+    scenario = Scenario(name="x", **{field_name: point})
     with pytest.raises(StructuralError, match=f"^{field_name} must be 4 finite numbers"):
         run(scenario, duration=1.0)
+
+
+def test_a_run_holds_its_own_copy_of_the_meta_start():
+    """The run's meta snapshots hold its meta point without a copy, so the
+    start point is a new array, not the scenario's own."""
+    theta_init = np.zeros(4)
+    trace = run(Scenario(name="x", theta_init=theta_init), duration=0.0)
+    theta_init[0] = 1.0
+    assert trace.meta_snaps[0].tolist() == [0.0] * 4
 
 
 def test_baseline_trace_shape(short_baseline):
@@ -482,6 +491,17 @@ def test_crafted_breach_is_detected():
     assert trace.alarm_count > 0
     assert min(record["margins_after"].values()) == 0.0
     assert confirm_expectation(trace, verify(trace))
+
+
+def test_each_meta_record_adapts_in_its_inner_steps_times_tau1():
+    """Every meta record's t_adapt is exactly its k_inner fast periods, and
+    ML-C1 observes that time."""
+    trace = run("crafted_margin_breach", duration=100.0)
+    assert len(trace.meta_records) == 5
+    for record in trace.meta_records:
+        assert type(record["k_inner"]) is int
+        assert record["t_adapt"] == record["k_inner"] * trace.config.tau1
+    assert trace.last_verdicts["ML-C1"].measured == trace.meta_records[-1]["t_adapt"]
 
 
 def test_confirm_expectation_rejects_dirty_baseline():

@@ -587,6 +587,13 @@ def test_eta1_threshold_oracle(base_config):
         eta1_threshold(HebbianRule(0.5, 0.1, 0.1, 0.01), base_config)
 
 
+def test_eta1_threshold_is_infinite_without_drive(base_config):
+    """A rule with no correlation, presynaptic or postsynaptic gain has no
+    drive and a zero stationary radius, so every fast rate is contractive."""
+    rule = HebbianRule(0.0, 0.0, 0.0, base_config.delta)
+    assert eta1_threshold(rule, base_config) == math.inf
+
+
 def test_step_bounds_oracle(base_config):
     # eta1 * sigma_max * (0.7 + 0.01 * 71) = 1e-3 * 1.5 * 1.41
     want = 1e-3 * 1.5 * 1.41

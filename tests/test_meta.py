@@ -210,9 +210,9 @@ def test_adaptation_trial_recovers(base_config):
     cascade = MetaCascade(cfg)
     probes = probe_embeddings(cfg)
     reference = np.zeros(cfg.n_actions * cfg.embed_dim)
-    result = adaptation_trial(cascade, np.zeros(4), reference, probes, cfg)
-    assert 0 < result.k_inner < ADAPT_CAP
-    assert result.t_adapt == pytest.approx(result.k_inner * cfg.tau1, rel=1e-12)
+    k_inner = adaptation_trial(cascade, np.zeros(4), reference, probes, cfg)
+    assert type(k_inner) is int
+    assert 0 < k_inner < ADAPT_CAP
 
 
 def test_adaptation_is_slower_far_from_target(base_config):
@@ -228,4 +228,4 @@ def test_adaptation_is_slower_far_from_target(base_config):
     near = adaptation_trial(cascade, cascade.theta_star, reference, probes, cfg)
     far_point = cascade.theta_star + np.array([2.0, 0.0, 0.0, 0.0])
     far = adaptation_trial(cascade, far_point, reference, probes, cfg)
-    assert far.k_inner > near.k_inner
+    assert far > near

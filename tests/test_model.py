@@ -1,4 +1,5 @@
 """Config schema, validation, start-time conditions, and initial state."""
+import dataclasses
 import math
 
 import numpy as np
@@ -10,9 +11,7 @@ from tribound import (
     SystemConfig,
     ValidationError,
     apply_overrides,
-    config_from_dict,
     config_hash,
-    config_to_dict,
     load_config,
     validate,
     validate_conditions,
@@ -45,25 +44,25 @@ def test_baseline_defaults():
 
 
 def test_dict_round_trip(base_config):
-    rebuilt = config_from_dict(config_to_dict(base_config))
+    rebuilt = apply_overrides(SystemConfig(), dataclasses.asdict(base_config))
     assert rebuilt == base_config
     assert config_hash(rebuilt) == config_hash(base_config)
 
 
 def test_unknown_key_is_fatal():
     with pytest.raises(SchemaError, match="unknown config keys"):
-        config_from_dict({"learning_rate": 0.1})
+        apply_overrides(SystemConfig(), {"learning_rate": 0.1})
 
 
 def test_type_errors_are_schema_errors():
     with pytest.raises(SchemaError):
-        config_from_dict({"n_agents": 2.5})
+        apply_overrides(SystemConfig(), {"n_agents": 2.5})
     with pytest.raises(SchemaError):
-        config_from_dict({"eta1": "fast"})
+        apply_overrides(SystemConfig(), {"eta1": "fast"})
     with pytest.raises(SchemaError):
-        config_from_dict({"enforce_clamp": 1})
+        apply_overrides(SystemConfig(), {"enforce_clamp": 1})
     with pytest.raises(SchemaError):
-        config_from_dict({"n_agents": True})
+        apply_overrides(SystemConfig(), {"n_agents": True})
 
 
 def test_load_config_json():
@@ -93,7 +92,7 @@ def test_hash_distinguishes_configs(base_config):
 
 def test_json_form_is_canonical(base_config):
     text = config_to_json(base_config)
-    assert text == config_to_json(config_from_dict(config_to_dict(base_config)))
+    assert text == config_to_json(apply_overrides(SystemConfig(), dataclasses.asdict(base_config)))
 
 
 @pytest.mark.parametrize(
