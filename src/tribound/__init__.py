@@ -44,7 +44,6 @@ from .model import (
     config_hash,
     load_config,
     load_config_path,
-    validate,
 )
 from .trace import Trace
 
@@ -77,7 +76,6 @@ __all__ = [
     "load_config_path",
     "run",
     "total_bound",
-    "validate",
     "validate_conditions",
     "verify",
 ]

@@ -4,9 +4,10 @@ total_bound derives every closed-form quantity of a config once: the
 fast-level invariant ball and step bounds, the per-cycle embedding drift
 cap, the effective horizon, the three suboptimality components and their
 total, and the recommended rate caps. The sensitivity sweep recomputes the
-total under parameter scaling, next to a tabulated reference column so
-deviations from the published rounded values are reported instead of
-silently absorbed.
+total in each cell of a tabulated reference, a parameter scaled by a
+factor, so deviations from the published rounded values are reported
+instead of silently absorbed. A swept config is a SystemConfig too, so a
+cell scaled outside the valid range raises a ValidationError.
 
 A config is checked against these quantities twice, and both checks report
 a VerificationReport of CheckResults: before a run by the five start-time
@@ -103,8 +104,6 @@ def total_bound(config: SystemConfig, h_eff_override: int | None = None) -> Boun
     rule = hebbian.rule_from_config(config)
     w0 = hebbian.stationary_radius(rule)
     w_max = hebbian.weight_norm_ceiling(rule)
-    if config.gamma_disc >= 1.0:
-        raise ValidationError("discount factor must be below 1")
     if h_eff_override is None:
         h_eff = min(
             _ceil_guarded(1.0 / (1.0 - config.gamma_disc), "1 / (1 - gamma_disc)"),
@@ -240,8 +239,6 @@ def growth_envelope(config: SystemConfig, t: float) -> float:
     return config.eta1 * drive * t / config.tau1
 
 
-SWEEPABLE = ("delta_np", "h_eff", "lip_phi", "lip_pi", "n_agents", "eta1", "eta3")
-
 REFERENCE_BASE_TOTAL = 75.1
 REFERENCE_TOTALS: dict[tuple[str, float], float] = {
     ("delta_np", 2.0): 143.9,
@@ -269,8 +266,8 @@ class SensitivityRow:
     factor: float
     eps_total: float
     elasticity: float | None
-    reference: float | None
-    deviation: float | None
+    reference: float
+    deviation: float
 
 
 def _swept_total(
@@ -287,37 +284,24 @@ def _swept_total(
     return total_bound(swept).eps_total
 
 
-def elasticity_sweep(
-    config: SystemConfig, parameter: str, factors: list[float]
-) -> list[SensitivityRow]:
-    """Exact recomputation of the total bound under parameter scaling.
+def elasticity_sweep(config: SystemConfig) -> list[SensitivityRow]:
+    """Exact recomputation of the total bound in every REFERENCE_TOTALS
+    cell, in the table's order.
 
     Elasticity is the relative response ratio (total(f)/total(1) - 1)
     divided by (f - 1), or None when total(1) is 0. The eta1 sweep
     deliberately holds the step cap fixed, reproducing clamping dominance.
     """
-    if parameter not in SWEEPABLE:
-        raise ValidationError(
-            f"unknown sweep parameter {parameter!r}; expected one of {SWEEPABLE}"
-        )
     base = total_bound(config)
     base_total = base.eps_total
     rows = []
-    for factor in factors:
-        if factor <= 0.0:
-            raise ValidationError("sweep factors must be positive")
-        if factor == 1.0:
-            raise ValidationError("sweep factors must differ from 1")
+    for (parameter, factor), reference in REFERENCE_TOTALS.items():
         swept_total = _swept_total(config, base, parameter, factor)
         # + 0.0 makes an unchanged total's elasticity 0.0, not -0.0 below 1.
         elasticity = (
             None if base_total == 0.0
             else (swept_total / base_total - 1.0) / (factor - 1.0) + 0.0
         )
-        reference = REFERENCE_TOTALS.get((parameter, factor))
-        deviation = None
-        if reference is not None:
-            deviation = (swept_total - reference) / reference
         rows.append(
             SensitivityRow(
                 parameter=parameter,
@@ -325,7 +309,7 @@ def elasticity_sweep(
                 eps_total=swept_total,
                 elasticity=elasticity,
                 reference=reference,
-                deviation=deviation,
+                deviation=(swept_total - reference) / reference,
             )
         )
     return rows

@@ -23,7 +23,6 @@ from typing import Any, Callable, Sequence
 
 from .bounds import (
     REFERENCE_BASE_TOTAL,
-    SWEEPABLE,
     VerificationReport,
     elasticity_sweep,
     growth_envelope,
@@ -104,10 +103,7 @@ def _build_config(args: argparse.Namespace) -> SystemConfig:
     config = (
         load_config_path(args.config) if args.config is not None else SystemConfig()
     )
-    overrides = _parse_overrides(args.set)
-    if overrides:
-        config = apply_overrides(config, overrides)
-    return config
+    return apply_overrides(config, _parse_overrides(args.set))
 
 
 def _write_json(out_dir: str, name: str, payload: Any) -> None:
@@ -319,22 +315,13 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         f"(reference about {REFERENCE_BASE_TOTAL})"
     )
     print()
-    rows = []
-    payload = []
-    for parameter in SWEEPABLE:
-        for row in elasticity_sweep(config, parameter, [2.0, 0.5]):
-            deviation_pct = None if row.deviation is None else 100.0 * row.deviation
-            rows.append(
-                [
-                    row.parameter,
-                    row.factor,
-                    row.eps_total,
-                    row.elasticity,
-                    row.reference,
-                    deviation_pct,
-                ]
-            )
-            payload.append(dataclasses.asdict(row))
+    sweep = elasticity_sweep(config)
+    rows = [
+        [row.parameter, row.factor, row.eps_total, row.elasticity, row.reference,
+         100.0 * row.deviation]
+        for row in sweep
+    ]
+    payload = [dataclasses.asdict(row) for row in sweep]
     print("exact sweep of the total bound against the tabulated reference")
     print(
         _table(

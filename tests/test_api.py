@@ -30,7 +30,6 @@ ROOT_API = [
     "load_config_path",
     "run",
     "total_bound",
-    "validate",
     "validate_conditions",
     "verify",
 ]

@@ -6,14 +6,13 @@ from hypothesis import given, strategies as st
 
 from tribound import (
     SystemConfig,
-    TriboundError,
     UnboundedRegimeError,
     ValidationError,
     apply_overrides,
     elasticity_sweep,
     total_bound,
 )
-from tribound.bounds import REFERENCE_BASE_TOTAL, SWEEPABLE, growth_envelope
+from tribound.bounds import REFERENCE_BASE_TOTAL, REFERENCE_TOTALS, growth_envelope
 
 
 def expected_coord(n_agents: int, h_eff: int = 10) -> float:
@@ -107,56 +106,61 @@ def test_growth_envelope(base_config):
     assert growth_envelope(base_config, 10_000.0) == pytest.approx(350.0, rel=1e-12)
 
 
+def _cells(config, parameter):
+    """The sweep's rows for one parameter, in the table's order."""
+    return [row for row in elasticity_sweep(config) if row.parameter == parameter]
+
+
 def test_sweep_parameters(base_config):
-    for parameter in SWEEPABLE:
-        rows = elasticity_sweep(base_config, parameter, [2.0, 0.5])
+    for parameter in dict.fromkeys(name for name, _ in REFERENCE_TOTALS):
+        rows = _cells(base_config, parameter)
         assert [r.factor for r in rows] == [2.0, 0.5]
         for row in rows:
-            assert row.parameter == parameter
             assert math.isfinite(row.eps_total)
-    with pytest.raises(TriboundError):
-        elasticity_sweep(base_config, "tau9", [2.0])
 
 
-@pytest.mark.parametrize(
-    "factor, message", [(0.0, "be positive"), (-2.0, "be positive"), (1.0, "differ from 1")]
-)
-def test_sweep_rejects_a_factor(base_config, factor, message):
-    with pytest.raises(ValidationError, match=f"sweep factors must {message}"):
-        elasticity_sweep(base_config, "lip_pi", [factor])
+def test_sweep_runs_exactly_the_reference_cells_in_order(base_config):
+    rows = elasticity_sweep(base_config)
+    assert [(row.parameter, row.factor) for row in rows] == list(REFERENCE_TOTALS)
+    for row in rows:
+        assert row.reference == REFERENCE_TOTALS[row.parameter, row.factor]
+        assert type(row.deviation) is float
+        assert row.deviation == (row.eps_total - row.reference) / row.reference
 
 
 def test_total_bound_rejects_an_undiscounted_config_built_directly():
-    with pytest.raises(ValidationError, match="discount factor must be below 1"):
+    with pytest.raises(
+        ValidationError, match="gamma_disc must lie strictly between 0 and 1"
+    ):
         total_bound(SystemConfig(gamma_disc=1.0))
 
 
 def test_sweep_exact_elasticities(base_config):
     """Two structural facts: the policy constant is exactly proportional,
     and the fast rate is invisible while the step clamp is active."""
-    pi_rows = elasticity_sweep(base_config, "lip_pi", [2.0, 0.5])
+    pi_rows = _cells(base_config, "lip_pi")
     assert all(row.elasticity == 1.0 for row in pi_rows)
-    eta1_rows = elasticity_sweep(base_config, "eta1", [2.0, 0.5])
+    eta1_rows = _cells(base_config, "eta1")
     assert all(row.elasticity == 0.0 for row in eta1_rows)
 
 
 def test_an_unchanged_total_has_elasticity_positive_zero(base_config):
     """The eta1 sweep leaves the total as it is; below a factor of 1 the
     zero response divided by f - 1 < 0 must not print as -0."""
-    for row in elasticity_sweep(base_config, "eta1", [2.0, 0.5, 0.25]):
-        assert math.copysign(1.0, row.elasticity) == 1.0, row
+    (row,) = (r for r in _cells(base_config, "eta1") if r.factor == 0.5)
+    assert math.copysign(1.0, row.elasticity) == 1.0, row
 
 
 def test_sweep_doubling_lip_pi_doubles_total(base_config):
     base = total_bound(base_config).eps_total
-    rows = elasticity_sweep(base_config, "lip_pi", [2.0])
-    assert rows[0].eps_total == 2.0 * base
+    (row,) = (r for r in _cells(base_config, "lip_pi") if r.factor == 2.0)
+    assert row.eps_total == 2.0 * base
 
 
 def test_sweep_n_agents_rounds_to_integers(base_config):
-    rows = elasticity_sweep(base_config, "n_agents", [0.5])
+    (row,) = (r for r in _cells(base_config, "n_agents") if r.factor == 0.5)
     cfg15 = apply_overrides(base_config, {"n_agents": 15})
-    assert rows[0].eps_total == pytest.approx(
+    assert row.eps_total == pytest.approx(
         total_bound(cfg15).eps_total, rel=1e-12
     )
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from tribound import SystemConfig, apply_overrides, cli, engine, run
-from tribound.bounds import SWEEPABLE
+from tribound.bounds import REFERENCE_TOTALS
 from tribound.cli import CONFIRMED_EXIT, PASS_EXIT, UNEXPECTED_EXIT, main
 
 
@@ -268,6 +268,35 @@ def test_a_run_warns_of_unordered_rates_once(argv, capsys):
     assert "timescale separation is degraded" in str(caught[0].message)
 
 
+def test_a_simulate_validates_its_config_once(capsys):
+    """The CLI builds the config; a run that overrides nothing reuses it, so
+    even the "always" filter shows the rate-ordering warning once."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        main(["simulate", "--duration", "0", "--set", "eta1=1e-6"])
+    assert [str(w.message) for w in caught] == [
+        "learning rates do not satisfy eta1 > eta2 > eta3; "
+        "timescale separation is degraded"
+    ]
+
+
+def test_a_sweep_cell_outside_the_valid_range_fails_without_traceback(capsys):
+    """Doubling lip_phi=1e308 overflows to inf, which no config holds."""
+    assert main(["sensitivity", "--set", "lip_phi=1e308"]) == UNEXPECTED_EXIT
+    err = capsys.readouterr().err
+    assert err == "error: lip_phi must be a positive finite real\n"
+
+
+def test_a_sweep_cell_with_unordered_rates_warns(capsys):
+    """eta2=1.5e-5 keeps the configured rates ordered; the eta3 x 2 cell
+    (2e-5) breaks the order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sensitivity", "--set", "eta2=1.5e-5"]) == PASS_EXIT
+    assert len(caught) == 1
+    assert "timescale separation is degraded" in str(caught[0].message)
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -427,7 +456,7 @@ def _line(out: str, start: str) -> str:
             PASS_EXIT,
             lambda out: [
                 line.split()[3] for line in out.splitlines()
-                if line.split(" ", 1)[0] in SWEEPABLE
+                if line.split(" ", 1)[0] in {name for name, _ in REFERENCE_TOTALS}
             ],
         ),
         (

@@ -57,6 +57,11 @@ def test_run_validates_a_config_built_directly(seed):
         run("baseline", config=SystemConfig(n_agents=0), seed=seed, duration=0.0)
 
 
+def test_a_run_keeps_the_config_it_leaves_unchanged():
+    config = apply_overrides(SystemConfig(), {"n_agents": 4})
+    assert run("baseline", config=config, duration=0.0).config is config
+
+
 def test_run_rejects_bad_duration():
     with pytest.raises(ValidationError):
         run("baseline", duration=-1.0)

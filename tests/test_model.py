@@ -13,10 +13,10 @@ from tribound import (
     apply_overrides,
     config_hash,
     load_config,
-    validate,
     validate_conditions,
 )
 from tribound.model import (
+    _FIELD_TYPES,
     config_to_json,
     frozen_count,
     initial_weights,
@@ -117,11 +117,62 @@ def test_json_form_is_canonical(base_config):
 def test_validate_rejects(base_config, overrides):
     with pytest.raises(ValidationError):
         apply_overrides(base_config, overrides)
+    with pytest.raises(ValidationError):
+        SystemConfig(**overrides)
+    with pytest.raises(ValidationError):
+        dataclasses.replace(base_config, **overrides)
+
+
+def test_a_config_validates_itself_however_it_is_built():
+    with pytest.raises(ValidationError, match="n_agents must be a positive integer"):
+        SystemConfig(n_agents=0)
+    with pytest.raises(ValidationError, match="tau1 < tau2 violated"):
+        dataclasses.replace(SystemConfig(), tau1=3.0)
+    with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+        load_config('{"seed": -1}')
+
+
+def test_no_overrides_return_the_config_itself(base_config):
+    assert apply_overrides(base_config, {}) is base_config
 
 
 def test_rate_ordering_only_warns(base_config):
     with pytest.warns(UserWarning, match="timescale separation"):
         apply_overrides(base_config, {"eta3": 0.01})
+
+
+def test_rate_ordering_warning_names_the_line_that_built_the_config():
+    with pytest.warns(UserWarning, match="timescale separation") as caught:
+        SystemConfig(eta3=0.01)
+    assert caught[0].filename == __file__
+
+
+# A value of each field's declared type, valid or not.
+_TYPED_VALUES = {
+    bool: st.booleans(),
+    int: st.integers(min_value=-2, max_value=64),
+    float: st.floats(allow_nan=True, allow_infinity=True),
+    str: st.sampled_from(("ring", "complete", "torus")),
+}
+
+
+@pytest.mark.filterwarnings("ignore:learning rates do not satisfy")
+@given(
+    st.fixed_dictionaries(
+        {}, optional={name: _TYPED_VALUES[kind] for name, kind in _FIELD_TYPES.items()}
+    )
+)
+def test_construction_and_overrides_agree(values):
+    """Building a config directly and overriding the defaults accept the
+    same typed values and reject the rest with the same message."""
+    try:
+        direct = SystemConfig(**values)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as caught:
+            apply_overrides(SystemConfig(), values)
+        assert str(caught.value) == str(exc)
+    else:
+        assert apply_overrides(SystemConfig(), values) == direct
 
 
 def test_conditions_baseline_all_pass(base_config):
@@ -186,7 +237,3 @@ def test_initial_weights_norms_for_any_seed(seed):
     norms = np.linalg.norm(initial_weights(cfg), axis=1)
     np.testing.assert_allclose(norms, 2.5, rtol=1e-12)
 
-
-def test_validate_is_pure(base_config):
-    validate(base_config)
-    assert base_config == SystemConfig()
