@@ -28,16 +28,7 @@ from .engine import (
     run,
     verify,
 )
-from .errors import (
-    CalibrationError,
-    EnforcementError,
-    ModulationBoundError,
-    SchemaError,
-    StructuralError,
-    TriboundError,
-    UnboundedRegimeError,
-    ValidationError,
-)
+from .errors import EnforcementError, TriboundError, ValidationError
 from .model import (
     SystemConfig,
     apply_overrides,
@@ -52,19 +43,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "CONTRACT_IDS",
-    "CalibrationError",
     "ContractVerdict",
     "EnforcementError",
-    "ModulationBoundError",
     "SCENARIOS",
     "Scenario",
-    "SchemaError",
     "SensitivityRow",
-    "StructuralError",
     "SystemConfig",
     "Trace",
     "TriboundError",
-    "UnboundedRegimeError",
     "ValidationError",
     "VerificationReport",
     "apply_overrides",

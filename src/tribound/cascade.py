@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, EnforcementError, StructuralError
+from .errors import EnforcementError, ValidationError
 from .model import SystemConfig
 from .seeding import stream_rng, unit_rows
 
@@ -62,7 +62,7 @@ def make_encoder(config: SystemConfig) -> EmbeddingEncoder:
     )
     spectral = float(np.linalg.svd(raw, compute_uv=False)[0])
     if spectral == 0.0:
-        raise CalibrationError("degenerate encoder draw has zero operator norm")
+        raise ValidationError("degenerate encoder draw has zero operator norm")
     return EmbeddingEncoder(raw * (config.lip_phi / spectral), config.encoder_squash)
 
 
@@ -140,7 +140,7 @@ def policy_matrix(theta: np.ndarray, config: SystemConfig) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     expected = config.n_actions * config.embed_dim
     if theta.shape != (expected,):
-        raise StructuralError(f"policy parameter vector must have length {expected}")
+        raise ValidationError(f"policy parameter vector must have length {expected}")
     return theta.reshape(config.n_actions, config.embed_dim)
 
 

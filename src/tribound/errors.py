@@ -11,28 +11,12 @@ class TriboundError(Exception):
     """Base class for all package errors."""
 
 
-class SchemaError(TriboundError):
-    """Config document cannot be parsed or contains unknown keys."""
-
-
 class ValidationError(TriboundError):
-    """Config values violate a structural invariant."""
-
-
-class StructuralError(TriboundError):
-    """Array shapes, dimensions, or value domains do not line up."""
-
-
-class ModulationBoundError(TriboundError):
-    """Modulation signal outside the admissible band."""
-
-
-class UnboundedRegimeError(TriboundError):
-    """Weight-decay coefficient is not negative, so no finite weight bound exists."""
-
-
-class CalibrationError(TriboundError):
-    """A seeded map has zero operator norm, so it cannot be calibrated."""
+    """An input or a model quantity lies outside the admissible domain: a
+    config document that cannot be parsed or names unknown keys, a value of
+    the wrong type or range, a shape that does not line up, a modulation
+    signal past its bound, a non-negative decay coefficient, or a seeded map
+    that cannot be calibrated."""
 
 
 class EnforcementError(TriboundError):

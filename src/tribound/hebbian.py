@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModulationBoundError, UnboundedRegimeError
+from .errors import ValidationError
 from .model import SystemConfig
 
 
@@ -39,7 +39,7 @@ class HebbianRule:
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma_h", "delta"):
             if not math.isfinite(getattr(self, name)):
-                raise UnboundedRegimeError(f"rule coefficient {name} must be finite")
+                raise ValidationError(f"rule coefficient {name} must be finite")
 
     @property
     def drive_bound(self) -> float:
@@ -78,7 +78,7 @@ def modulation_gain(
     """
     values = np.asarray(m_signal, dtype=float)
     if np.any(np.abs(values) > config.m_max):
-        raise ModulationBoundError(
+        raise ValidationError(
             f"modulation signal exceeds the declared bound {config.m_max}"
         )
     gain = config.sigma_max * _logistic(values) / _logistic(config.m_max)
@@ -181,7 +181,7 @@ def hebbian_tick(
 def stationary_radius(rule: HebbianRule) -> float:
     """Norm radius the decay term can hold against the bounded drive."""
     if rule.delta >= 0.0:
-        raise UnboundedRegimeError(
+        raise ValidationError(
             "stationary radius requires a negative decay coefficient"
         )
     return rule.drive_bound / abs(rule.delta)
@@ -195,7 +195,7 @@ def weight_norm_ceiling(rule: HebbianRule) -> float:
 def eta1_threshold(rule: HebbianRule, config: SystemConfig) -> float:
     """Largest fast rate keeping the one-tick map contractive on the ball."""
     if rule.delta >= 0.0:
-        raise UnboundedRegimeError(
+        raise ValidationError(
             "stability threshold requires a negative decay coefficient"
         )
     peak_drive = rule.drive_bound + abs(rule.delta) * stationary_radius(rule)

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .cascade import policy_distributions, tv_rows
-from .errors import StructuralError, ValidationError
+from .errors import ValidationError
 from .hebbian import HebbianRule, rule_from_config
 from .model import SystemConfig, rounding_slack
 from .seeding import stream_rng
@@ -52,14 +52,14 @@ def meta_target(config: SystemConfig) -> np.ndarray:
 
 
 def meta_point(values: Sequence[float], config: SystemConfig, name: str) -> np.ndarray:
-    """values as a new meta point: meta_dim finite numbers, else StructuralError."""
+    """values as a new meta point: meta_dim finite numbers, else ValidationError."""
     try:
         point = np.array(values, dtype=float)
         valid = point.shape == (config.meta_dim,) and bool(np.isfinite(point).all())
     except (TypeError, ValueError):
         valid = False
     if not valid:
-        raise StructuralError(
+        raise ValidationError(
             f"{name} must be {config.meta_dim} finite numbers, got {values!r}"
         )
     return point

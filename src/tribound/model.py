@@ -81,7 +81,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
+from .errors import ValidationError
 from .seeding import stream_rng, unit_rows
 
 
@@ -211,7 +211,7 @@ def _coerce(name: str, value: Any) -> Any:
     accepted = (int, float) if kind is float else kind
     # bool is an int subclass; only a bool field takes True or False.
     if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
-        raise SchemaError(
+        raise ValidationError(
             f"config key {name!r} expects {_EXPECTED[kind]}, got {value!r}"
         )
     return float(value) if kind is float else value
@@ -224,23 +224,23 @@ def load_config(source: str) -> SystemConfig:
     try:
         data = json.loads(source)
     except json.JSONDecodeError as exc:
-        raise SchemaError(
+        raise ValidationError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     if not isinstance(data, dict):
-        raise SchemaError("config document must be a JSON object of key-value pairs")
+        raise ValidationError("config document must be a JSON object of key-value pairs")
     return apply_overrides(SystemConfig(), data)
 
 
 def load_config_path(path: str) -> SystemConfig:
-    """Parse the JSON config file at path; an unreadable file is a SchemaError."""
+    """Parse the JSON config file at path; an unreadable file is a ValidationError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
     except OSError as exc:
-        raise SchemaError(f"cannot read config file {path!r}: {exc.strerror}") from exc
+        raise ValidationError(f"cannot read config file {path!r}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
-        raise SchemaError(f"config file {path!r} is not UTF-8 text: {exc}") from exc
+        raise ValidationError(f"config file {path!r} is not UTF-8 text: {exc}") from exc
     return load_config(source)
 
 
@@ -249,7 +249,7 @@ def apply_overrides(config: SystemConfig, overrides: Mapping[str, Any]) -> Syste
     type; config itself when there are none."""
     unknown = sorted(set(overrides) - _FIELD_TYPES.keys())
     if unknown:
-        raise SchemaError(f"unknown config keys: {', '.join(unknown)}")
+        raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
     if not overrides:
         return config
     coerced = {name: _coerce(name, value) for name, value in overrides.items()}

@@ -6,19 +6,14 @@ import tribound
 ROOT_API = [
     "BoundReport",
     "CONTRACT_IDS",
-    "CalibrationError",
     "ContractVerdict",
     "EnforcementError",
-    "ModulationBoundError",
     "SCENARIOS",
     "Scenario",
-    "SchemaError",
     "SensitivityRow",
-    "StructuralError",
     "SystemConfig",
     "Trace",
     "TriboundError",
-    "UnboundedRegimeError",
     "ValidationError",
     "VerificationReport",
     "apply_overrides",

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from tribound import (
     SystemConfig,
-    UnboundedRegimeError,
     ValidationError,
     apply_overrides,
     elasticity_sweep,
@@ -78,7 +77,9 @@ def test_total_bound_report(base_config):
 
 
 def test_total_bound_requires_stable_regime(base_config):
-    with pytest.raises(UnboundedRegimeError):
+    with pytest.raises(
+        ValidationError, match="stationary radius requires a negative decay coefficient"
+    ):
         total_bound(apply_overrides(base_config, {"delta": 0.0}))
 
 
@@ -126,13 +127,6 @@ def test_sweep_runs_exactly_the_reference_cells_in_order(base_config):
         assert row.reference == REFERENCE_TOTALS[row.parameter, row.factor]
         assert type(row.deviation) is float
         assert row.deviation == (row.eps_total - row.reference) / row.reference
-
-
-def test_total_bound_rejects_an_undiscounted_config_built_directly():
-    with pytest.raises(
-        ValidationError, match="gamma_disc must lie strictly between 0 and 1"
-    ):
-        total_bound(SystemConfig(gamma_disc=1.0))
 
 
 def test_sweep_exact_elasticities(base_config):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tribound import EnforcementError, StructuralError, SystemConfig, apply_overrides
+from tribound import EnforcementError, SystemConfig, ValidationError, apply_overrides
 from tribound.cascade import (
     EmbeddingEncoder,
     PolicyTarget,
@@ -400,7 +400,7 @@ def test_policy_distributions_match_a_last_axis_max_bit_for_bit(inputs):
 
 
 def test_policy_dimension_guard(base_config):
-    with pytest.raises(StructuralError):
+    with pytest.raises(ValidationError, match="policy parameter vector must have length"):
         policy_distributions(
             np.zeros(3), np.zeros((1, base_config.embed_dim)), base_config
         )

@@ -245,6 +245,12 @@ def test_a_malformed_command_line_is_unexpected_not_confirmed(argv, message, cap
         # Not JSON: the value reaches the override parser as a raw string.
         (["simulate", "--set", "graph_topology=torus"],
          "graph_topology must be 'ring' or 'complete'"),
+        # No negative decay, so no finite weight bound: the stable-regime
+        # check fails before a bound or sweep cell is derived.
+        (["bounds", "--set", "delta=0"],
+         "stationary radius requires a negative decay coefficient"),
+        (["sensitivity", "--set", "delta=0"],
+         "stationary radius requires a negative decay coefficient"),
     ],
 )
 def test_an_invalid_argument_value_fails_without_traceback(argv, message, capsys):

@@ -12,7 +12,6 @@ import pytest
 from tribound import (
     SCENARIOS,
     Scenario,
-    StructuralError,
     SystemConfig,
     ValidationError,
     apply_overrides,
@@ -51,12 +50,6 @@ def test_scenario_expected_is_validated():
         Scenario(name="x", expected="explodes")
 
 
-@pytest.mark.parametrize("seed", [None, 3])
-def test_run_validates_a_config_built_directly(seed):
-    with pytest.raises(ValidationError, match="n_agents must be a positive integer"):
-        run("baseline", config=SystemConfig(n_agents=0), seed=seed, duration=0.0)
-
-
 def test_a_run_keeps_the_config_it_leaves_unchanged():
     config = apply_overrides(SystemConfig(), {"n_agents": 4})
     assert run("baseline", config=config, duration=0.0).config is config
@@ -82,7 +75,7 @@ def test_run_rejects_bad_duration():
 )
 def test_a_scenario_meta_point_must_be_meta_dim_finite_numbers(field_name, point):
     scenario = Scenario(name="x", **{field_name: point})
-    with pytest.raises(StructuralError, match=f"^{field_name} must be 4 finite numbers"):
+    with pytest.raises(ValidationError, match=f"^{field_name} must be 4 finite numbers"):
         run(scenario, duration=1.0)
 
 

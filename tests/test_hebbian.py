@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tribound import (
-    ModulationBoundError,
     SystemConfig,
-    UnboundedRegimeError,
+    ValidationError,
     apply_overrides,
     total_bound,
 )
@@ -98,9 +97,9 @@ def test_drive_bound():
 
 
 def test_rule_rejects_non_finite():
-    with pytest.raises(UnboundedRegimeError):
+    with pytest.raises(ValidationError, match="rule coefficient alpha must be finite"):
         HebbianRule(math.nan, 0.0, 0.0, 0.0)
-    with pytest.raises(UnboundedRegimeError):
+    with pytest.raises(ValidationError, match="rule coefficient beta must be finite"):
         HebbianRule(0.0, math.inf, 0.0, 0.0)
 
 
@@ -114,10 +113,11 @@ def test_modulation_gain_range_and_peak(base_config):
 
 
 def test_modulation_gain_rejects_out_of_band(base_config):
-    with pytest.raises(ModulationBoundError):
-        modulation_gain(base_config.m_max + 1.0, base_config)
-    with pytest.raises(ModulationBoundError):
-        modulation_gain(np.array([0.0, -5.0]), base_config)
+    for signal in (base_config.m_max + 1.0, np.array([0.0, -5.0])):
+        with pytest.raises(
+            ValidationError, match="modulation signal exceeds the declared bound"
+        ):
+            modulation_gain(signal, base_config)
 
 
 @pytest.mark.parametrize("m_max", [1e-12, 4.0, 1e6])
@@ -126,7 +126,9 @@ def test_modulation_gain_rejects_any_signal_past_the_bound(m_max):
     cfg = apply_overrides(SystemConfig(), {"m_max": m_max})
     assert modulation_gain(m_max, cfg) == pytest.approx(cfg.sigma_max, rel=1e-12)
     for signal in (1.5 * m_max, np.array([0.0, -1.5 * m_max])):
-        with pytest.raises(ModulationBoundError):
+        with pytest.raises(
+            ValidationError, match="modulation signal exceeds the declared bound"
+        ):
             modulation_gain(signal, cfg)
 
 
@@ -573,7 +575,9 @@ def test_safety_output_constant_under_plastic_updates(base_config):
 def test_stationary_radius_and_ceiling():
     assert stationary_radius(BASE_RULE) == 70.0
     assert weight_norm_ceiling(BASE_RULE) == 71.0
-    with pytest.raises(UnboundedRegimeError):
+    with pytest.raises(
+        ValidationError, match="stationary radius requires a negative decay coefficient"
+    ):
         stationary_radius(HebbianRule(0.5, 0.1, 0.1, 0.0))
 
 
@@ -583,7 +587,9 @@ def test_eta1_threshold_oracle(base_config):
     got = eta1_threshold(BASE_RULE, base_config)
     assert got == pytest.approx(want, rel=1e-12)
     assert base_config.eta1 <= got
-    with pytest.raises(UnboundedRegimeError):
+    with pytest.raises(
+        ValidationError, match="stability threshold requires a negative decay coefficient"
+    ):
         eta1_threshold(HebbianRule(0.5, 0.1, 0.1, 0.01), base_config)
 
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tribound import (
-    StructuralError,
     SystemConfig,
     ValidationError,
     apply_overrides,
@@ -153,7 +152,7 @@ def test_theta_to_rule_accepts_both_forms(base_config):
 
 
 def test_target_dimension_guard(base_config):
-    with pytest.raises(StructuralError):
+    with pytest.raises(ValidationError, match="theta_star must be 4 finite numbers"):
         MetaCascade(base_config, theta_star=np.zeros(3))
 
 
