@@ -4,7 +4,7 @@ Six verbs: bounds (closed-form report), conditions (start-time checks),
 simulate (run a scenario and monitor it), sensitivity (parameter sweep
 against the tabulated reference), counterexample (regenerate a published
 failure mode and confirm it), and verify (replay traces against the
-ceilings over many seeds).
+ceilings over many seeds, in up to one forked process per CPU).
 
 Exit status: 0 on a clean pass, 2 when a scenario that exists to
 demonstrate a violation confirmed that violation, 1 on any unexpected
@@ -17,12 +17,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import pickle
+import signal
 import sys
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, BinaryIO, Callable, Iterator, NoReturn, Sequence
 
 from .bounds import (
     REFERENCE_BASE_TOTAL,
+    CheckResult,
     VerificationReport,
     elasticity_sweep,
     growth_envelope,
@@ -309,13 +313,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_sensitivity(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    base_total = total_bound(config).eps_total
+    base = total_bound(config)
+    base_total = base.eps_total
     print(
         f"total bound at the operating point: {base_total:.10g} "
         f"(reference about {REFERENCE_BASE_TOTAL})"
     )
     print()
-    sweep = elasticity_sweep(config)
+    sweep = elasticity_sweep(config, base)
     rows = [
         [row.parameter, row.factor, row.eps_total, row.elasticity, row.reference,
          100.0 * row.deviation]
@@ -489,27 +494,104 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     return status
 
 
+# One seed's replay: (report.checks, contract failures, margin alarms, confirmed).
+_SeedOutcome = tuple[tuple[CheckResult, ...], int, int, bool]
+
+
 def _replay_seed(
     scenario: Scenario, config: SystemConfig, seed: int, duration: float | None,
-    tallies: dict[str, dict[str, Any]],
-) -> tuple[int, int, bool]:
-    """Run and replay one seed and fold its checks into tallies; return its
-    (contract failures, margin alarms, confirmed). Only scalars leave this
-    call, so the seed's trace, with no snapshots, is freed before the next seed runs."""
+) -> _SeedOutcome:
+    """Run and replay one seed. Only its checks and scalars leave this call,
+    so the seed's trace, with no snapshots, is freed before the next seed runs."""
     trace = run(scenario, config=config, seed=seed, duration=duration)
     report = verify(trace)
-    for check in report.checks:
-        tally = tallies.setdefault(
-            check.check_id,
-            {"pass": 0, "fail": 0, "skip": 0, "worst": None, "bound": check.bound},
-        )
-        tally[_status(check.passed, "skip")] += 1
-        if check.worst == check.worst:
-            tally["worst"] = (
-                check.worst if tally["worst"] is None else max(tally["worst"], check.worst)
-            )
     confirmed = confirm_expectation(trace, report, config)
-    return trace.fail_count, trace.alarm_count, confirmed
+    return report.checks, trace.fail_count, trace.alarm_count, confirmed
+
+
+def _serve_share(write_fd: int, share: Iterator[_SeedOutcome]) -> NoReturn:
+    """In a forked process: pickle each seed's outcome into the pipe as it
+    comes, or the message of the TriboundError that ends the share, then
+    leave by os._exit, so that nothing reaches stdout and the caller's stack
+    never unwinds here."""
+    status = 1
+    try:
+        with os.fdopen(write_fd, "wb") as pipe:
+            try:
+                for outcome in share:
+                    pickle.dump(outcome, pipe)
+                    pipe.flush()
+            except TriboundError as exc:
+                pickle.dump(str(exc), pipe)
+        status = 0
+    except Exception:
+        sys.excepthook(*sys.exc_info())
+    finally:
+        os._exit(status)
+
+
+def _received(pipe: BinaryIO) -> Iterator[_SeedOutcome | str]:
+    """What a forked process pickled, until it closed its pipe."""
+    while True:
+        try:
+            yield pickle.load(pipe)
+        except EOFError:
+            return
+
+
+def _replay_seeds(
+    scenario: Scenario, config: SystemConfig, seeds: range, duration: float | None,
+) -> list[_SeedOutcome]:
+    """Every seed's outcome, in seed order, from W processes.
+
+    W is the number of CPUs this process may run on, at most one per seed,
+    and 1 where the platform has no affinity mask. Process r runs the seeds
+    at offsets r, r + W, ...; this process runs r = 0 and forks one process
+    for each other r (none when W = 1). Outcomes are taken in seed order,
+    and this process runs its next seed only when that seed is due, so the
+    lowest seed that raises a TriboundError raises it here, as in a serial
+    run. Every forked process is ended and reaped before this returns or
+    raises.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(len(seeds), len(affinity(0))) if affinity else 1
+
+    def share(rank: int) -> Iterator[_SeedOutcome]:
+        return (
+            _replay_seed(scenario, config, seed, duration)
+            for seed in seeds[rank::workers]
+        )
+
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        for rank in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _serve_share(write_fd, share(rank))
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        shares = [share(0), *(_received(pipe) for _, pipe in children)]
+        outcomes = []
+        for offset, seed in enumerate(seeds):
+            outcome = next(shares[offset % workers], None)
+            if outcome is None:
+                raise TriboundError(
+                    f"the process replaying seed {seed} ended without its outcome"
+                )
+            if isinstance(outcome, str):
+                raise TriboundError(outcome)
+            outcomes.append(outcome)
+        return outcomes
+    finally:
+        for pid, pipe in children:
+            # A process whose share was read has nothing left to do; one
+            # still running holds only seeds after one that raised. It is
+            # killed before its pipe closes, so it never meets a broken pipe.
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -518,14 +600,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise TriboundError("--seeds must be at least 1")
     base_seed = config.seed if args.seed is None else args.seed
+    seeds = range(base_seed, base_seed + args.seeds)
     tallies: dict[str, dict[str, Any]] = {}
     fail_total = 0
     alarm_total = 0
     confirmations = []
-    for offset in range(args.seeds):
-        fails, alarms, confirmed = _replay_seed(
-            scenario, config, base_seed + offset, args.duration, tallies
-        )
+    for checks, fails, alarms, confirmed in _replay_seeds(
+        scenario, config, seeds, args.duration
+    ):
+        for check in checks:
+            tally = tallies.setdefault(
+                check.check_id,
+                {"pass": 0, "fail": 0, "skip": 0, "worst": None, "bound": check.bound},
+            )
+            tally[_status(check.passed, "skip")] += 1
+            if check.worst == check.worst:
+                tally["worst"] = (
+                    check.worst if tally["worst"] is None
+                    else max(tally["worst"], check.worst)
+                )
         fail_total += fails
         alarm_total += alarms
         confirmations.append(confirmed)

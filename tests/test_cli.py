@@ -1,6 +1,7 @@
 """Exit codes of the command-line verbs, run in-process through main(argv)."""
 import gc
 import json
+import os
 import tracemalloc
 import warnings
 import weakref
@@ -8,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from tribound import SystemConfig, apply_overrides, cli, engine, run
+from tribound import SystemConfig, apply_overrides, bounds, cli, engine, run
 from tribound.bounds import REFERENCE_TOTALS
 from tribound.cli import CONFIRMED_EXIT, PASS_EXIT, UNEXPECTED_EXIT, main
+from tribound.errors import TriboundError
 
 
 def test_simulate_baseline_passes(tmp_path: Path, capsys):
@@ -32,9 +34,16 @@ def test_verify_two_seeds_passes(capsys):
     assert "replayed 2 seeds" in capsys.readouterr().out
 
 
+def _cpus(monkeypatch, count: int) -> None:
+    """Let verify see `count` CPUs in its affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
 def test_verify_frees_each_trace_before_the_next_seed_runs(monkeypatch, capsys):
     """With the cycle collector off, each seed's trace is gone, freed by
-    reference counts alone, before the next seed's run starts."""
+    reference counts alone, before the next seed's run starts. One CPU, so
+    every seed runs in this process."""
+    _cpus(monkeypatch, 1)
     traces = []
 
     def tracked(*args, _run=cli.run, **kwargs):
@@ -50,6 +59,109 @@ def test_verify_frees_each_trace_before_the_next_seed_runs(monkeypatch, capsys):
     finally:
         gc.enable()
     assert len(traces) == 3
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_prints_and_writes_the_same_at_any_cpu_count(
+    tmp_path: Path, monkeypatch, capsys
+):
+    """Forked seeds are merged in seed order: 1, 2 and 3 CPUs give the same
+    stdout, verify.json and exit code, from 0, 1 and 2 forked processes."""
+    forks = []
+
+    def fork(_fork=os.fork):
+        forks.append(1)
+        return _fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    results = []
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        out_dir = tmp_path / str(cpus)
+        code = main(["verify", "--seeds", "5", "--duration", "4", "--out", str(out_dir)])
+        results.append((code, capsys.readouterr(), (out_dir / "verify.json").read_text()))
+        assert len(forks) == cpus * (cpus - 1) // 2
+        _no_child_left()
+    assert "replayed 5 seeds" in results[0][1].out
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+
+
+@pytest.mark.parametrize(
+    "planted",
+    [(3,), (1, 2), (2, 3), (0,)],
+    ids=["forked", "forked-first", "own-first", "own-at-once"],
+)
+def test_a_seed_error_surfaces_as_in_a_serial_run(monkeypatch, capsys, planted):
+    """At 2 CPUs the odd seeds run in a forked process. The lowest planted
+    seed's error is the one printed, with the serial run's exit code, and no
+    forked process is left, even one still running when the error surfaced."""
+
+    def failing(*args, seed, _run=cli.run, **kwargs):
+        if seed in planted:
+            raise TriboundError(f"planted at seed {seed}")
+        return _run(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(cli, "run", failing)
+    argv = ["verify", "--seeds", "5", "--seed", "0", "--duration", "4"]
+    results = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        results.append((main(argv), capsys.readouterr()))
+        _no_child_left()
+    assert results[0] == (UNEXPECTED_EXIT, ("", f"error: planted at seed {planted[0]}\n"))
+    assert results[1] == results[0]
+
+
+def test_a_forked_process_that_crashes_is_an_error_of_its_seed(monkeypatch, capsys):
+    """A forked process that ends on an exception other than a TriboundError
+    sends no outcome for its seed; the CLI names that seed and exits 1."""
+    parent = os.getpid()
+
+    def crashing(*args, seed, _run=cli.run, **kwargs):
+        if os.getpid() != parent and seed == 3:
+            raise RuntimeError("planted")
+        return _run(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(cli, "run", crashing)
+    _cpus(monkeypatch, 2)
+    argv = ["verify", "--seeds", "5", "--seed", "0", "--duration", "4"]
+    assert main(argv) == UNEXPECTED_EXIT
+    assert capsys.readouterr().err == (
+        "error: the process replaying seed 3 ended without its outcome\n"
+    )
+    _no_child_left()
+
+
+def test_an_interrupt_ends_every_forked_process(monkeypatch, capsys):
+    """An interrupt in this process, while the forked one runs its seed,
+    ends and reaps that process before it reaches the caller."""
+    parent = os.getpid()
+
+    def interrupted(*args, _run=cli.run, **kwargs):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return _run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", interrupted)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(KeyboardInterrupt):
+        main(["verify", "--seeds", "4", "--duration", "4"])
+    _no_child_left()
+
+
+def test_verify_of_one_seed_forks_nothing(monkeypatch, capsys):
+    def fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", fork)
+    _cpus(monkeypatch, 2)
+    assert main(["verify", "--seeds", "1", "--duration", "10"]) == PASS_EXIT
+    assert "replayed 1 seeds" in capsys.readouterr().out
 
 
 # A shape whose per-tick streams (3,000 ticks, 300 agents' clamp flags)
@@ -157,6 +269,21 @@ def test_bounds_of_a_drive_free_rule_pass(capsys):
 def test_sensitivity_passes(capsys):
     assert main(["sensitivity"]) == PASS_EXIT
     assert "exact sweep of the total bound" in capsys.readouterr().out
+
+
+def test_sensitivity_derives_the_base_bound_once(monkeypatch, capsys):
+    """One total_bound for the operating point, shared by the header and the
+    sweep, and one for each of the reference table's cells."""
+    calls = []
+    for module in (cli, bounds):
+        def counted(*args, _total_bound=module.total_bound, _name=module.__name__, **kwargs):
+            calls.append(_name)
+            return _total_bound(*args, **kwargs)
+
+        monkeypatch.setattr(module, "total_bound", counted)
+    assert main(["sensitivity"]) == PASS_EXIT
+    assert calls.count("tribound.cli") == 1
+    assert calls.count("tribound.bounds") == len(REFERENCE_TOTALS)
 
 
 def test_counterexample_no_clamp_confirms(capsys):
@@ -411,6 +538,8 @@ def test_verify_exits_one_when_a_run_halts(capsys):
     ids=["counterexample", "simulate", "verify"],
 )
 def test_each_run_verb_replays_each_trace_once(monkeypatch, argv, exit_code, replays):
+    """One CPU, so a verify replays every seed in this process."""
+    _cpus(monkeypatch, 1)
     calls = []
     for module in (cli, engine):
         def counted(*args, _verify=module.verify, **kwargs):
