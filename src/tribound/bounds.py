@@ -284,19 +284,14 @@ def _swept_total(
     return total_bound(swept).eps_total
 
 
-def elasticity_sweep(
-    config: SystemConfig, base: BoundReport | None = None
-) -> list[SensitivityRow]:
+def elasticity_sweep(config: SystemConfig, base: BoundReport) -> list[SensitivityRow]:
     """Exact recomputation of the total bound in every REFERENCE_TOTALS
-    cell, in the table's order. base is total_bound(config), derived here
-    when the caller has not already derived it.
+    cell, in the table's order. base is total_bound(config).
 
     Elasticity is the relative response ratio (total(f)/total(1) - 1)
     divided by (f - 1), or None when total(1) is 0. The eta1 sweep
     deliberately holds the step cap fixed, reproducing clamping dominance.
     """
-    if base is None:
-        base = total_bound(config)
     base_total = base.eps_total
     rows = []
     for (parameter, factor), reference in REFERENCE_TOTALS.items():

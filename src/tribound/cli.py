@@ -530,6 +530,23 @@ def _serve_share(write_fd: int, share: Iterator[_SeedOutcome]) -> NoReturn:
         os._exit(status)
 
 
+def _fork_share(share: Iterator[_SeedOutcome]) -> tuple[int, BinaryIO]:
+    """Fork a process that serves share; its pid and the pipe to read it from.
+    If the fork fails, the pipe is closed before the OSError propagates."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        os.close(read_fd)
+        _serve_share(write_fd, share)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
 def _received(pipe: BinaryIO) -> Iterator[_SeedOutcome | str]:
     """What a forked process pickled, until it closed its pipe."""
     while True:
@@ -539,22 +556,29 @@ def _received(pipe: BinaryIO) -> Iterator[_SeedOutcome | str]:
             return
 
 
+# The most processes a verify runs its seeds in. Two is what was measured
+# (BENCH_parallel_seeds.json, 2 CPUs); on more CPUs each forked process
+# brings its own BLAS thread pool and its own trace, which was not measured.
+_SEED_PROCESSES = 2
+
+
 def _replay_seeds(
     scenario: Scenario, config: SystemConfig, seeds: range, duration: float | None,
 ) -> list[_SeedOutcome]:
     """Every seed's outcome, in seed order, from W processes.
 
-    W is the number of CPUs this process may run on, at most one per seed,
-    and 1 where the platform has no affinity mask. Process r runs the seeds
-    at offsets r, r + W, ...; this process runs r = 0 and forks one process
-    for each other r (none when W = 1). Outcomes are taken in seed order,
-    and this process runs its next seed only when that seed is due, so the
-    lowest seed that raises a TriboundError raises it here, as in a serial
-    run. Every forked process is ended and reaped before this returns or
-    raises.
+    W is the number of CPUs this process may run on, at most one per seed
+    and at most _SEED_PROCESSES, and 1 where the platform has no affinity
+    mask. Share r is the seeds at offsets r, r + W, ...; this process runs
+    share 0 and forks one process for each other share (none when W = 1).
+    A share whose fork fails (no process to spare) runs in this process
+    too. Outcomes are taken in seed order, and this process runs its next
+    seed only when that seed is due, so the lowest seed that raises a
+    TriboundError raises it here, as in a serial run. Every forked process
+    is ended and reaped before this returns or raises.
     """
     affinity = getattr(os, "sched_getaffinity", None)
-    workers = min(len(seeds), len(affinity(0))) if affinity else 1
+    workers = min(len(seeds), _SEED_PROCESSES, len(affinity(0))) if affinity else 1
 
     def share(rank: int) -> Iterator[_SeedOutcome]:
         return (
@@ -565,14 +589,15 @@ def _replay_seeds(
     children: list[tuple[int, BinaryIO]] = []
     try:
         for rank in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read_fd)
-                _serve_share(write_fd, share(rank))
-            os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb")))
-        shares = [share(0), *(_received(pipe) for _, pipe in children)]
+            try:
+                children.append(_fork_share(share(rank)))
+            except OSError:
+                break
+        shares = [
+            share(0),
+            *(_received(pipe) for _, pipe in children),
+            *(share(rank) for rank in range(len(children) + 1, workers)),
+        ]
         outcomes = []
         for offset, seed in enumerate(seeds):
             outcome = next(shares[offset % workers], None)

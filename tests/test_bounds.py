@@ -109,7 +109,8 @@ def test_growth_envelope(base_config):
 
 def _cells(config, parameter):
     """The sweep's rows for one parameter, in the table's order."""
-    return [row for row in elasticity_sweep(config) if row.parameter == parameter]
+    rows = elasticity_sweep(config, total_bound(config))
+    return [row for row in rows if row.parameter == parameter]
 
 
 def test_sweep_parameters(base_config):
@@ -121,7 +122,7 @@ def test_sweep_parameters(base_config):
 
 
 def test_sweep_runs_exactly_the_reference_cells_in_order(base_config):
-    rows = elasticity_sweep(base_config)
+    rows = elasticity_sweep(base_config, total_bound(base_config))
     assert [(row.parameter, row.factor) for row in rows] == list(REFERENCE_TOTALS)
     for row in rows:
         assert row.reference == REFERENCE_TOTALS[row.parameter, row.factor]

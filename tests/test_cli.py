@@ -1,4 +1,5 @@
 """Exit codes of the command-line verbs, run in-process through main(argv)."""
+import errno
 import gc
 import json
 import os
@@ -66,29 +67,71 @@ def _no_child_left() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
+def _counted_forks(monkeypatch, fail_at: int | None = None) -> list[int]:
+    """Count os.fork calls; the call numbered fail_at raises EAGAIN instead."""
+    forks: list[int] = []
+
+    def fork(_fork=os.fork):
+        forks.append(1)
+        if len(forks) == fail_at:
+            raise BlockingIOError(errno.EAGAIN, "planted")
+        return _fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
 def test_verify_prints_and_writes_the_same_at_any_cpu_count(
     tmp_path: Path, monkeypatch, capsys
 ):
     """Forked seeds are merged in seed order: 1, 2 and 3 CPUs give the same
-    stdout, verify.json and exit code, from 0, 1 and 2 forked processes."""
-    forks = []
-
-    def fork(_fork=os.fork):
-        forks.append(1)
-        return _fork()
-
-    monkeypatch.setattr(os, "fork", fork)
+    stdout, verify.json and exit code, from 0, 1 and 2 forked processes with
+    the cap on processes raised to 3, and 3 CPUs at the default cap of 2
+    processes fork once."""
+    forks = _counted_forks(monkeypatch)
     results = []
-    for cpus in (1, 2, 3):
+    for cpus, cap, forked in ((1, 3, 0), (2, 3, 1), (3, 3, 2), (3, cli._SEED_PROCESSES, 1)):
         _cpus(monkeypatch, cpus)
-        out_dir = tmp_path / str(cpus)
+        monkeypatch.setattr(cli, "_SEED_PROCESSES", cap)
+        out_dir = tmp_path / f"{cpus}-{cap}"
+        forks.clear()
         code = main(["verify", "--seeds", "5", "--duration", "4", "--out", str(out_dir)])
         results.append((code, capsys.readouterr(), (out_dir / "verify.json").read_text()))
-        assert len(forks) == cpus * (cpus - 1) // 2
+        assert len(forks) == forked
         _no_child_left()
     assert "replayed 5 seeds" in results[0][1].out
-    assert results[1] == results[0]
-    assert results[2] == results[0]
+    assert results[1:] == [results[0]] * 3
+
+
+def test_a_share_whose_fork_fails_runs_in_this_process(
+    tmp_path: Path, monkeypatch, capsys
+):
+    """At 3 CPUs the second fork fails, as it does with no process to spare:
+    its share runs in this process, the output is the one-CPU run's, the
+    failed fork's pipe is closed and no forked process is left."""
+    argv = ["verify", "--seeds", "5", "--duration", "4", "--out"]
+    _cpus(monkeypatch, 1)
+    serial = (main([*argv, str(tmp_path / "1")]), capsys.readouterr())
+    pipe_fds = []
+
+    def pipe(_pipe=os.pipe):
+        fds = _pipe()
+        pipe_fds.extend(fds)
+        return fds
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    forks = _counted_forks(monkeypatch, fail_at=2)
+    monkeypatch.setattr(cli, "_SEED_PROCESSES", 3)
+    _cpus(monkeypatch, 3)
+    assert (main([*argv, str(tmp_path / "3")]), capsys.readouterr()) == serial
+    assert (tmp_path / "3" / "verify.json").read_text() == (
+        tmp_path / "1" / "verify.json"
+    ).read_text()
+    assert (len(forks), len(pipe_fds)) == (2, 4)
+    for fd in pipe_fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    _no_child_left()
 
 
 @pytest.mark.parametrize(

@@ -67,7 +67,7 @@ def test_validated_configs_complete_or_raise_a_tribound_error(drawn, tmp_path_fa
         lambda: total_bound(config),
         lambda: validate_conditions(config),
         lambda: verify(run("baseline", config=config, duration=duration)),
-        lambda: elasticity_sweep(config),
+        lambda: elasticity_sweep(config, total_bound(config)),
         # main reports a TriboundError as "error: ..." and returns 1.
         lambda: main(["bounds", "--config", str(path)]),
         *(
