@@ -4,7 +4,7 @@ Six verbs: bounds (closed-form report), conditions (start-time checks),
 simulate (run a scenario and monitor it), sensitivity (parameter sweep
 against the tabulated reference), counterexample (regenerate a published
 failure mode and confirm it), and verify (replay traces against the
-ceilings over many seeds, in up to one forked process per CPU).
+ceilings over many seeds, in up to two processes).
 
 Exit status: 0 on a clean pass, 2 when a scenario that exists to
 demonstrate a violation confirmed that violation, 1 on any unexpected
@@ -22,7 +22,7 @@ import pickle
 import signal
 import sys
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterator, NoReturn, Sequence
+from typing import Any, BinaryIO, Callable, Iterator, Sequence
 
 from .bounds import (
     REFERENCE_BASE_TOTAL,
@@ -509,13 +509,25 @@ def _replay_seed(
     return report.checks, trace.fail_count, trace.alarm_count, confirmed
 
 
-def _serve_share(write_fd: int, share: Iterator[_SeedOutcome]) -> NoReturn:
-    """In a forked process: pickle each seed's outcome into the pipe as it
-    comes, or the message of the TriboundError that ends the share, then
-    leave by os._exit, so that nothing reaches stdout and the caller's stack
-    never unwinds here."""
+def _fork_share(share: Iterator[_SeedOutcome]) -> tuple[int, BinaryIO]:
+    """Fork a process that pickles each of share's outcomes into a pipe as it
+    comes, or the message of the TriboundError that ends share, and leaves by
+    os._exit, so that nothing reaches stdout and the caller's stack never
+    unwinds there. Returns its pid and the pipe to read; if the fork fails,
+    the pipe is closed before the OSError propagates."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, os.fdopen(read_fd, "rb")
     status = 1
     try:
+        os.close(read_fd)
         with os.fdopen(write_fd, "wb") as pipe:
             try:
                 for outcome in share:
@@ -530,23 +542,6 @@ def _serve_share(write_fd: int, share: Iterator[_SeedOutcome]) -> NoReturn:
         os._exit(status)
 
 
-def _fork_share(share: Iterator[_SeedOutcome]) -> tuple[int, BinaryIO]:
-    """Fork a process that serves share; its pid and the pipe to read it from.
-    If the fork fails, the pipe is closed before the OSError propagates."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        os.close(read_fd)
-        _serve_share(write_fd, share)
-    os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb")
-
-
 def _received(pipe: BinaryIO) -> Iterator[_SeedOutcome | str]:
     """What a forked process pickled, until it closed its pipe."""
     while True:
@@ -556,51 +551,36 @@ def _received(pipe: BinaryIO) -> Iterator[_SeedOutcome | str]:
             return
 
 
-# The most processes a verify runs its seeds in. Two is what was measured
-# (BENCH_parallel_seeds.json, 2 CPUs); on more CPUs each forked process
-# brings its own BLAS thread pool and its own trace, which was not measured.
-_SEED_PROCESSES = 2
-
-
 def _replay_seeds(
     scenario: Scenario, config: SystemConfig, seeds: range, duration: float | None,
 ) -> list[_SeedOutcome]:
-    """Every seed's outcome, in seed order, from W processes.
+    """Every seed's outcome, in seed order, from at most two processes.
 
-    W is the number of CPUs this process may run on, at most one per seed
-    and at most _SEED_PROCESSES, and 1 where the platform has no affinity
-    mask. Share r is the seeds at offsets r, r + W, ...; this process runs
-    share 0 and forks one process for each other share (none when W = 1).
-    A share whose fork fails (no process to spare) runs in this process
-    too. Outcomes are taken in seed order, and this process runs its next
-    seed only when that seed is due, so the lowest seed that raises a
-    TriboundError raises it here, as in a serial run. Every forked process
-    is ended and reaped before this returns or raises.
+    With two seeds or more and two CPUs or more in this process's affinity
+    mask, one forked process runs the seeds at odd offsets and this process
+    the even ones; two is the count that was measured
+    (BENCH_parallel_seeds.json). Otherwise, with no affinity mask, or when
+    the pipe or the fork fails (no process to spare), this process runs
+    every seed. Outcomes are taken in seed order, and this process runs its
+    next seed only when that seed is due, so the lowest seed that raises a
+    TriboundError raises it here, as in a serial run. The forked process is
+    ended and reaped before this returns or raises.
     """
+    def replayed(share: range) -> Iterator[_SeedOutcome]:
+        return (_replay_seed(scenario, config, seed, duration) for seed in share)
+
     affinity = getattr(os, "sched_getaffinity", None)
-    workers = min(len(seeds), _SEED_PROCESSES, len(affinity(0))) if affinity else 1
-
-    def share(rank: int) -> Iterator[_SeedOutcome]:
-        return (
-            _replay_seed(scenario, config, seed, duration)
-            for seed in seeds[rank::workers]
-        )
-
-    children: list[tuple[int, BinaryIO]] = []
+    if len(seeds) < 2 or not affinity or len(affinity(0)) < 2:
+        return list(replayed(seeds))
     try:
-        for rank in range(1, workers):
-            try:
-                children.append(_fork_share(share(rank)))
-            except OSError:
-                break
-        shares = [
-            share(0),
-            *(_received(pipe) for _, pipe in children),
-            *(share(rank) for rank in range(len(children) + 1, workers)),
-        ]
+        pid, pipe = _fork_share(replayed(seeds[1::2]))
+    except OSError:
+        return list(replayed(seeds))
+    try:
+        shares = replayed(seeds[::2]), _received(pipe)
         outcomes = []
         for offset, seed in enumerate(seeds):
-            outcome = next(shares[offset % workers], None)
+            outcome = next(shares[offset % 2], None)
             if outcome is None:
                 raise TriboundError(
                     f"the process replaying seed {seed} ended without its outcome"
@@ -610,13 +590,12 @@ def _replay_seeds(
             outcomes.append(outcome)
         return outcomes
     finally:
-        for pid, pipe in children:
-            # A process whose share was read has nothing left to do; one
-            # still running holds only seeds after one that raised. It is
-            # killed before its pipe closes, so it never meets a broken pipe.
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pipe.close()
+        # Once its share is read the forked process has nothing left to do;
+        # if still running, it holds only seeds after one that raised. It is
+        # killed before its pipe closes, so it never meets a broken pipe.
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pipe.close()
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -85,29 +85,26 @@ def test_verify_prints_and_writes_the_same_at_any_cpu_count(
     tmp_path: Path, monkeypatch, capsys
 ):
     """Forked seeds are merged in seed order: 1, 2 and 3 CPUs give the same
-    stdout, verify.json and exit code, from 0, 1 and 2 forked processes with
-    the cap on processes raised to 3, and 3 CPUs at the default cap of 2
-    processes fork once."""
+    stdout, verify.json and exit code, from 0, 1 and 1 forked processes."""
     forks = _counted_forks(monkeypatch)
     results = []
-    for cpus, cap, forked in ((1, 3, 0), (2, 3, 1), (3, 3, 2), (3, cli._SEED_PROCESSES, 1)):
+    for cpus, forked in ((1, 0), (2, 1), (3, 1)):
         _cpus(monkeypatch, cpus)
-        monkeypatch.setattr(cli, "_SEED_PROCESSES", cap)
-        out_dir = tmp_path / f"{cpus}-{cap}"
+        out_dir = tmp_path / str(cpus)
         forks.clear()
         code = main(["verify", "--seeds", "5", "--duration", "4", "--out", str(out_dir)])
         results.append((code, capsys.readouterr(), (out_dir / "verify.json").read_text()))
         assert len(forks) == forked
         _no_child_left()
     assert "replayed 5 seeds" in results[0][1].out
-    assert results[1:] == [results[0]] * 3
+    assert results[1:] == [results[0]] * 2
 
 
 def test_a_share_whose_fork_fails_runs_in_this_process(
     tmp_path: Path, monkeypatch, capsys
 ):
-    """At 3 CPUs the second fork fails, as it does with no process to spare:
-    its share runs in this process, the output is the one-CPU run's, the
+    """At 2 CPUs the only fork fails, as it does with no process to spare:
+    every seed runs in this process, the output is the one-CPU run's, the
     failed fork's pipe is closed and no forked process is left."""
     argv = ["verify", "--seeds", "5", "--duration", "4", "--out"]
     _cpus(monkeypatch, 1)
@@ -120,18 +117,32 @@ def test_a_share_whose_fork_fails_runs_in_this_process(
         return fds
 
     monkeypatch.setattr(os, "pipe", pipe)
-    forks = _counted_forks(monkeypatch, fail_at=2)
-    monkeypatch.setattr(cli, "_SEED_PROCESSES", 3)
-    _cpus(monkeypatch, 3)
-    assert (main([*argv, str(tmp_path / "3")]), capsys.readouterr()) == serial
-    assert (tmp_path / "3" / "verify.json").read_text() == (
+    forks = _counted_forks(monkeypatch, fail_at=1)
+    _cpus(monkeypatch, 2)
+    assert (main([*argv, str(tmp_path / "2")]), capsys.readouterr()) == serial
+    assert (tmp_path / "2" / "verify.json").read_text() == (
         tmp_path / "1" / "verify.json"
     ).read_text()
-    assert (len(forks), len(pipe_fds)) == (2, 4)
+    assert (len(forks), len(pipe_fds)) == (1, 2)
     for fd in pipe_fds:
         with pytest.raises(OSError):
             os.fstat(fd)
     _no_child_left()
+
+
+def test_verify_without_an_affinity_mask_runs_in_this_process(monkeypatch, capsys):
+    """A platform with no os.sched_getaffinity forks nothing and prints what
+    the one-CPU run prints."""
+    argv = ["verify", "--seeds", "3", "--duration", "4"]
+    _cpus(monkeypatch, 1)
+    serial = (main(argv), capsys.readouterr())
+
+    def fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert (main(argv), capsys.readouterr()) == serial
 
 
 @pytest.mark.parametrize(
