@@ -10,9 +10,9 @@ instead of silently absorbed. A swept config is a SystemConfig too, so a
 cell scaled outside the valid range raises a ValidationError.
 
 A config is checked against these quantities twice, and both checks report
-a VerificationReport of CheckResults: before a run by the five start-time
-conditions (validate_conditions), and after it by the trace replay
-(engine.verify).
+a VerificationReport of CheckResults: before a run by the start-time
+conditions S1-S5 and this package's own rate_order (validate_conditions),
+and after it by the trace replay (engine.verify).
 """
 from __future__ import annotations
 
@@ -175,7 +175,7 @@ def total_bound(config: SystemConfig, h_eff_override: int | None = None) -> Boun
 
 
 def validate_conditions(config: SystemConfig) -> VerificationReport:
-    """Evaluate the five start-time conditions on a config. Pure function."""
+    """Evaluate the start-time conditions S1-S5 and rate_order. Pure function."""
     rule = hebbian.rule_from_config(config)
 
     if config.delta < 0.0:
@@ -226,7 +226,15 @@ def validate_conditions(config: SystemConfig) -> VerificationReport:
         "assumed at start time; enforced at runtime by the contract monitors",
     )
 
-    return VerificationReport(checks=(s1, s2, s3, s4, s5))
+    rate_order = CheckResult(
+        "rate_order",
+        config.eta1 > config.eta2 > config.eta3,
+        max(config.eta2 / config.eta1, config.eta3 / config.eta2),
+        1.0,
+        "learning-rate ratios eta2/eta1 and eta3/eta2; the order is strict",
+    )
+
+    return VerificationReport(checks=(s1, s2, s3, s4, s5, rate_order))
 
 
 def growth_envelope(config: SystemConfig, t: float) -> float:

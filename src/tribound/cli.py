@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Six verbs: bounds (closed-form report), conditions (start-time checks),
-simulate (run a scenario and monitor it), sensitivity (parameter sweep
-against the tabulated reference), counterexample (regenerate a published
-failure mode and confirm it), and verify (replay traces against the
-ceilings over many seeds, in up to two processes).
+Six verbs: bounds (closed-form report), conditions (start-time checks S1-S5
+and rate_order), simulate (run a scenario and monitor it), sensitivity
+(parameter sweep against the tabulated reference), counterexample
+(regenerate a published failure mode and confirm it), and verify (replay
+traces against the ceilings over many seeds, in up to two processes).
 
 Exit status: 0 on a clean pass, 2 when a scenario that exists to
 demonstrate a violation confirmed that violation, 1 on any unexpected

@@ -74,7 +74,6 @@ import dataclasses
 import json
 import math
 import typing
-import warnings
 from dataclasses import dataclass
 from hashlib import sha256
 from typing import Any, Mapping
@@ -190,13 +189,6 @@ class SystemConfig:
             raise ValidationError("tau2 < tau3 violated")
         if self.graph_topology not in ("ring", "complete"):
             raise ValidationError("graph_topology must be 'ring' or 'complete'")
-        if not self.eta1 > self.eta2 > self.eta3:
-            # Level 3 skips this method and the generated __init__.
-            warnings.warn(
-                "learning rates do not satisfy eta1 > eta2 > eta3; "
-                "timescale separation is degraded",
-                stacklevel=3,
-            )
 
 
 # Each field's name and declared type: bool, int, float or str.

@@ -3,6 +3,8 @@ import errno
 import gc
 import json
 import os
+import signal
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -205,6 +207,39 @@ def test_an_interrupt_ends_every_forked_process(monkeypatch, capsys):
     _cpus(monkeypatch, 2)
     with pytest.raises(KeyboardInterrupt):
         main(["verify", "--seeds", "4", "--duration", "4"])
+    _no_child_left()
+
+
+def test_a_seed_error_kills_the_forked_process_without_waiting(monkeypatch, capsys):
+    """When this process's seed 0 raises, the forked process, asleep in seed
+    1, is killed, not waited for: main returns well inside the sleep, and
+    the reaped process ended on SIGKILL."""
+    parent = os.getpid()
+
+    def stalled(*args, seed, _run=cli.run, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(30)
+        elif seed == 0:
+            raise TriboundError("planted at seed 0")
+        return _run(*args, seed=seed, **kwargs)
+
+    statuses = []
+
+    def waitpid(pid, options, _waitpid=os.waitpid):
+        reaped = _waitpid(pid, options)
+        statuses.append(reaped[1])
+        return reaped
+
+    monkeypatch.setattr(cli, "run", stalled)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    _cpus(monkeypatch, 2)
+    start = time.monotonic()
+    assert main(["verify", "--seeds", "2", "--duration", "4"]) == UNEXPECTED_EXIT
+    assert time.monotonic() - start < 10
+    assert capsys.readouterr().err == "error: planted at seed 0\n"
+    assert [os.WIFSIGNALED(status) and os.WTERMSIG(status) for status in statuses] == [
+        signal.SIGKILL
+    ]
     _no_child_left()
 
 
@@ -440,31 +475,45 @@ def test_an_invalid_argument_value_fails_without_traceback(argv, message, capsys
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, exit_code",
     [
-        ["simulate", "--duration", "0"],
-        ["verify", "--seeds", "2", "--duration", "0"],
-        ["counterexample", "slow_marl", "--duration", "0"],
+        (["simulate", "--duration", "0", "--set", "eta1=1e-6"], UNEXPECTED_EXIT),
+        (["verify", "--seeds", "2", "--duration", "0", "--set", "eta1=1e-6"],
+         UNEXPECTED_EXIT),
+        (["counterexample", "slow_marl", "--duration", "0", "--set", "eta1=1e-6"],
+         UNEXPECTED_EXIT),
+        # eta2=1.5e-5 keeps the configured rates ordered; the sweep's eta3 x 2
+        # cell (2e-5) breaks the order.
+        (["sensitivity", "--set", "eta2=1.5e-5"], PASS_EXIT),
+        (["conditions", "--set", "eta1=1e-6"], UNEXPECTED_EXIT),
     ],
+    ids=["simulate", "verify", "counterexample_slow_marl", "sensitivity", "conditions"],
 )
-def test_a_run_warns_of_unordered_rates_once(argv, capsys):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("default")
-        main([*argv, "--set", "eta1=1e-6"])
-    assert len(caught) == 1
-    assert "timescale separation is degraded" in str(caught[0].message)
-
-
-def test_a_simulate_validates_its_config_once(capsys):
-    """The CLI builds the config; a run that overrides nothing reuses it, so
-    even the "always" filter shows the rate-ordering warning once."""
+def test_unordered_rates_warn_in_no_verb(argv, exit_code, capsys):
+    """Unordered rates are reported only by the rate_order row of
+    conditions, never as a warning, even under the "always" filter. Only
+    UserWarnings count: os.fork may raise a DeprecationWarning."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        main(["simulate", "--duration", "0", "--set", "eta1=1e-6"])
-    assert [str(w.message) for w in caught] == [
-        "learning rates do not satisfy eta1 > eta2 > eta3; "
-        "timescale separation is degraded"
-    ]
+        assert main(argv) == exit_code
+    assert [w for w in caught if issubclass(w.category, UserWarning)] == []
+    if argv[0] == "conditions":
+        row = _line(capsys.readouterr().out, "rate_order ")
+        assert row.split()[1:4] == ["fail", "100", "1"]
+
+
+def test_a_simulate_validates_its_config_once(monkeypatch, capsys):
+    """The CLI builds the default config, then its --set override; a run
+    that overrides nothing reuses that config and builds none of its own."""
+    built = []
+
+    def counted(self, _check=SystemConfig.__post_init__):
+        built.append(self.eta1)
+        _check(self)
+
+    monkeypatch.setattr(SystemConfig, "__post_init__", counted)
+    main(["simulate", "--duration", "0", "--set", "eta1=1e-6"])
+    assert built == [1e-3, 1e-6]
 
 
 def test_a_sweep_cell_outside_the_valid_range_fails_without_traceback(capsys):
@@ -472,16 +521,6 @@ def test_a_sweep_cell_outside_the_valid_range_fails_without_traceback(capsys):
     assert main(["sensitivity", "--set", "lip_phi=1e308"]) == UNEXPECTED_EXIT
     err = capsys.readouterr().err
     assert err == "error: lip_phi must be a positive finite real\n"
-
-
-def test_a_sweep_cell_with_unordered_rates_warns(capsys):
-    """eta2=1.5e-5 keeps the configured rates ordered; the eta3 x 2 cell
-    (2e-5) breaks the order."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["sensitivity", "--set", "eta2=1.5e-5"]) == PASS_EXIT
-    assert len(caught) == 1
-    assert "timescale separation is degraded" in str(caught[0].message)
 
 
 def test_help_exits_zero(capsys):

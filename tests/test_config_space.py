@@ -56,7 +56,6 @@ def validated_configs(draw) -> tuple[SystemConfig, float]:
     return config, tau1 * draw(st.integers(0, 200))
 
 
-@pytest.mark.filterwarnings("ignore:learning rates do not satisfy")
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @given(drawn=validated_configs())
 def test_validated_configs_complete_or_raise_a_tribound_error(drawn, tmp_path_factory):

@@ -1,6 +1,7 @@
 """Config schema, validation, start-time conditions, and initial state."""
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,15 +140,23 @@ def test_no_overrides_return_the_config_itself(base_config):
     assert apply_overrides(base_config, {}) is base_config
 
 
-def test_rate_ordering_only_warns(base_config):
-    with pytest.warns(UserWarning, match="timescale separation"):
-        apply_overrides(base_config, {"eta3": 0.01})
-
-
-def test_rate_ordering_warning_names_the_line_that_built_the_config():
-    with pytest.warns(UserWarning, match="timescale separation") as caught:
-        SystemConfig(eta3=0.01)
-    assert caught[0].filename == __file__
+def test_rate_order_is_a_condition_not_a_warning():
+    """A config with unordered rates builds without a warning; rate_order
+    is the comparison eta1 > eta2 > eta3 itself, so equal rates fail and
+    adjacent floats pass."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unordered = SystemConfig(eta3=0.01)
+    base = SystemConfig()
+    for config, passed in (
+        (unordered, False),
+        (SystemConfig(eta2=base.eta1), False),
+        (SystemConfig(eta1=1e-6), False),
+        (SystemConfig(eta2=float(np.nextafter(base.eta1, 0.0))), True),
+    ):
+        check = validate_conditions(config).check("rate_order")
+        assert (check.passed, check.bound) == (passed, 1.0)
+        assert check.worst == max(config.eta2 / config.eta1, config.eta3 / config.eta2)
 
 
 # A value of each field's declared type, valid or not.
@@ -159,7 +168,6 @@ _TYPED_VALUES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:learning rates do not satisfy")
 @given(
     st.fixed_dictionaries(
         {}, optional={name: _TYPED_VALUES[kind] for name, kind in _FIELD_TYPES.items()}
@@ -180,7 +188,9 @@ def test_construction_and_overrides_agree(values):
 
 def test_conditions_baseline_all_pass(base_config):
     report = validate_conditions(base_config)
-    assert [c.check_id for c in report.checks] == ["S1", "S2", "S3", "S4", "S5"]
+    assert [c.check_id for c in report.checks] == [
+        "S1", "S2", "S3", "S4", "S5", "rate_order"
+    ]
     assert report.all_passed
     assert report.check("S1").passed is True
     assert report.check("S5").passed is None
