@@ -154,9 +154,7 @@ def test_rate_order_is_a_condition_not_a_warning():
         (SystemConfig(eta1=1e-6), False),
         (SystemConfig(eta2=float(np.nextafter(base.eta1, 0.0))), True),
     ):
-        check = validate_conditions(config).check("rate_order")
-        assert (check.passed, check.bound) == (passed, 1.0)
-        assert check.worst == max(config.eta2 / config.eta1, config.eta3 / config.eta2)
+        assert validate_conditions(config).check("rate_order").passed is passed
 
 
 # A value of each field's declared type, valid or not.
