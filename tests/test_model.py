@@ -140,21 +140,39 @@ def test_no_overrides_return_the_config_itself(base_config):
     assert apply_overrides(base_config, {}) is base_config
 
 
-def test_rate_order_is_a_condition_not_a_warning():
-    """A config with unordered rates builds without a warning; rate_order
-    is the comparison eta1 > eta2 > eta3 itself, so equal rates fail and
-    adjacent floats pass."""
+def test_rate_ordering_only_warns(base_config):
+    """Unordered rates are reported, never rejected: the config builds
+    without raising or warning, and the rate_order condition fails. The
+    order is the comparison eta1 > eta2 > eta3 itself, so equal rates fail
+    and adjacent floats pass."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         unordered = SystemConfig(eta3=0.01)
-    base = SystemConfig()
     for config, passed in (
         (unordered, False),
-        (SystemConfig(eta2=base.eta1), False),
+        (SystemConfig(eta2=base_config.eta1), False),
         (SystemConfig(eta1=1e-6), False),
-        (SystemConfig(eta2=float(np.nextafter(base.eta1, 0.0))), True),
+        (SystemConfig(eta2=float(np.nextafter(base_config.eta1, 0.0))), True),
     ):
         assert validate_conditions(config).check("rate_order").passed is passed
+
+
+def test_rate_ordering_warning_names_the_line_that_built_the_config(base_config):
+    """No warning blames any line for unordered rates, dataclasses.py
+    included: a config built directly, by dataclasses.replace or by
+    apply_overrides records none, and all three get the same failing
+    rate_order row from validate_conditions."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        built = (
+            SystemConfig(eta3=0.01),
+            dataclasses.replace(base_config, eta3=0.01),
+            apply_overrides(base_config, {"eta3": 0.01}),
+        )
+    assert caught == []
+    rows = [validate_conditions(config).check("rate_order") for config in built]
+    assert rows[0].passed is False
+    assert rows == [rows[0]] * 3
 
 
 # A value of each field's declared type, valid or not.
