@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnforcementError, ValidationError
-from .model import SystemConfig
-from .seeding import stream_rng, unit_rows
+from .model import SystemConfig, row_norms, unit_rows
+from .seeding import stream_rng
 
 BACKTRACK_CAP = 60
 
@@ -240,7 +240,7 @@ def marl_step(
             info = MarlStepInfo(
                 tv_step=tv_step,
                 halvings=halvings,
-                target_distance=float(np.linalg.norm(candidate - target)),
+                target_distance=float(row_norms(candidate - target)),
             )
             return candidate, info
         step = 0.5 * step

@@ -36,8 +36,7 @@ from .bounds import (
 from .contracts import CONTRACT_IDS
 from .engine import SCENARIOS, Scenario, confirm_expectation, get_scenario, run, verify
 from .errors import TriboundError
-from .hebbian import row_norms
-from .model import SystemConfig, apply_overrides, initial_weights, load_config_path
+from .model import SystemConfig, apply_overrides, initial_weights, load_config_path, row_norms
 from .trace import Trace, ticks_by
 
 PASS_EXIT = 0

@@ -50,7 +50,6 @@ from .hebbian import (
     clamp_norms,
     hebbian_tick,
     modulation_gain,
-    row_norms,
     weight_norm_ceiling,
 )
 from .meta import (
@@ -66,8 +65,10 @@ from .model import (
     frozen_count,
     initial_weights,
     rounding_slack,
+    row_norms,
+    unit_rows,
 )
-from .seeding import stream_rng, unit_rows
+from .seeding import stream_rng
 from .trace import TIME_TOL, Trace, ticks_by
 
 SLOPE_TOL = 1e-6
@@ -459,7 +460,7 @@ class _Run:
         while (cycle := len(trace.meta_records) + 1) * cfg.tau3 <= t:
             boundary = cycle * cfg.tau3
             candidate, grad_norm = self.cascade.step(self.theta)
-            step_norm = float(np.linalg.norm(candidate - self.theta))
+            step_norm = float(row_norms(candidate - self.theta))
             verdict = compatibility_check(step_norm, list(self.margins.values()), cfg)
             applied = verdict.passed or self.scenario.force_meta
             if applied:
@@ -610,12 +611,13 @@ def _policy_drift(trace: Trace, report: BoundReport, bound: float) -> _Outcome:
 
 def _meta_effect(trace: Trace, report: BoundReport, bound: float) -> _Outcome:
     k_cascade = cascading_sensitivity(trace.config)
-    snaps = trace.meta_snaps
-    # np.max, unlike max, returns NaN when any step is NaN.
-    steps = [np.linalg.norm(b - a) for a, b in zip(snaps, snaps[1:])]
+    snaps = np.array(trace.meta_snaps)
+    # Each step's norm, then each snapshot's, from one call; np.max returns
+    # NaN when any is NaN.
+    norms = row_norms(np.concatenate((np.diff(snaps, axis=0), snaps)))
+    steps, thetas = np.split(norms, [len(snaps) - 1])
     worst = k_cascade * float(np.max(steps))
-    theta_scale = max(float(np.linalg.norm(theta)) for theta in snaps)
-    slack = rounding_slack(k_cascade * theta_scale + bound, trace.config.meta_dim)
+    slack = rounding_slack(k_cascade * float(np.max(thetas)) + bound, trace.config.meta_dim)
     return worst, slack
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import SystemConfig
+from .model import SystemConfig, row_norms
 
 
 @dataclass(frozen=True)
@@ -49,17 +49,6 @@ class HebbianRule:
 
 def rule_from_config(config: SystemConfig) -> HebbianRule:
     return HebbianRule(config.alpha, config.beta, config.gamma_h, config.delta)
-
-
-def row_norms(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Euclidean norms along the last axis, from one np.vecdot pass, written
-    into out when given.
-
-    vecdot sums the squares in its own order, so a norm may differ from
-    np.linalg.norm's in the last bits: by at most d * eps * ||x|| for rows
-    of d entries, short of overflow or underflow of the squares.
-    """
-    return np.sqrt(np.vecdot(x, x, out=out), out=out)
 
 
 def _logistic(x: np.ndarray | float) -> np.ndarray | float:

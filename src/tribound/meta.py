@@ -22,7 +22,7 @@ import numpy as np
 from .cascade import policy_distributions, tv_rows
 from .errors import ValidationError
 from .hebbian import HebbianRule, rule_from_config
-from .model import SystemConfig, rounding_slack
+from .model import SystemConfig, rounding_slack, row_norms
 from .seeding import stream_rng
 
 META_LOSS_SMOOTHNESS = 1.0
@@ -43,7 +43,7 @@ def meta_target(config: SystemConfig) -> np.ndarray:
     """
     rng = stream_rng(config.seed, "meta_target")
     raw = rng.standard_normal(config.meta_dim)
-    norm = float(np.linalg.norm(raw))
+    norm = float(row_norms(raw))
     if norm == 0.0:
         raw = np.zeros(config.meta_dim)
         raw[0] = 1.0
@@ -178,7 +178,7 @@ class MetaCascade:
     def flip_distance(self, theta: np.ndarray) -> float:
         """Euclidean distance from theta to the decay sign-flip surface."""
         row = self.matrix[3]
-        row_norm = float(np.linalg.norm(row))
+        row_norm = float(row_norms(row))
         raw_delta = self.base_rule.delta + float(row @ np.asarray(theta, dtype=float))
         if row_norm == 0.0:
             return np.inf if raw_delta < 0.0 else 0.0
@@ -186,7 +186,7 @@ class MetaCascade:
 
     def clipped_gradient(self, theta: np.ndarray) -> np.ndarray:
         grad = np.asarray(theta, dtype=float) - self.theta_star
-        norm = float(np.linalg.norm(grad))
+        norm = float(row_norms(grad))
         if norm > self.config.g_max:
             grad = grad * (self.config.g_max / norm)
         return grad
@@ -200,7 +200,7 @@ class MetaCascade:
         candidate = np.clip(
             theta - self.config.eta3 * grad, -self.config.theta_box, self.config.theta_box
         )
-        return candidate, float(np.linalg.norm(grad))
+        return candidate, float(row_norms(grad))
 
 
 def adaptation_trial(
@@ -218,11 +218,11 @@ def adaptation_trial(
     total-variation gap to the reference drops under tolerance, for at most
     ADAPT_CAP steps. Adaptation time is the step count times the fast period.
     """
-    distance = float(np.linalg.norm(np.asarray(theta, dtype=float) - cascade.theta_star))
+    distance = float(row_norms(np.asarray(theta, dtype=float) - cascade.theta_star))
     magnitude = ADAPT_BASE_PERTURBATION * (1.0 + distance / config.theta_box)
     rng = stream_rng(config.seed, "adaptation")
     direction = rng.standard_normal(reference_policy.shape[0])
-    direction /= float(np.linalg.norm(direction))
+    direction /= float(row_norms(direction))
     current = np.clip(
         reference_policy + magnitude * direction,
         -config.policy_box,

@@ -11,6 +11,11 @@ dataclasses.replace, apply_overrides or load_config, so every instance holds
 valid values; apply_overrides adds only the name and type checks a JSON or
 key=value input needs.
 
+The numeric helpers every level shares live here too: rounding_slack, the
+float error allowance, and row_norms, the one Euclidean norm, whose
+rounding error rounding_slack bounds; unit_rows scales draws to unit
+directions with it.
+
 Config schema (all keys optional, unknown keys rejected):
 
   population and dimensions
@@ -81,7 +86,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .seeding import stream_rng, unit_rows
+from .seeding import stream_rng
 
 
 _POSITIVE_INT = (
@@ -262,6 +267,26 @@ def rounding_slack(magnitude: float, roundings: int) -> float:
     rounded operations on operands of size up to `magnitude`: one eps
     (two units of roundoff) of that size per rounding."""
     return roundings * _EPS * magnitude
+
+
+def row_norms(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean norms along the last axis, written into out when given:
+    the one norm the package takes, of a vector or of every row at once.
+
+    np.vecdot computes each sum of squares with BLAS dot, so a norm of d
+    entries is within d * eps * ||x|| of the exact one,
+    rounding_slack(||x||, d), short of overflow or underflow of the squares.
+    The order of the sum, and so the last bits, follow the BLAS kernel.
+    """
+    return np.sqrt(np.vecdot(x, x, out=out), out=out)
+
+
+def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """(n, dim) array of independent uniform unit directions."""
+    raw = rng.standard_normal((n, dim))
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    return raw / norms
 
 
 def frozen_count(config: SystemConfig) -> int:

@@ -10,7 +10,9 @@ activity a chunk of ticks at a time and is most of a run's random
 numbers, uses SFC64, which fills uniform doubles faster; every other
 stream uses PCG64. A stream drawn afresh at each coordination cycle,
 such as "embedding_error", takes the cycle index as an integer key, so each
-cycle's draw is fixed by (seed, stream, cycle) alone.
+cycle's draw is fixed by (seed, stream, cycle) alone. This module holds
+only the table and stream_rng; what a consumer makes of its draws, such as
+model.unit_rows, lives with the consumer.
 """
 from __future__ import annotations
 
@@ -40,10 +42,3 @@ def stream_rng(seed: int, stream: str, key: int | None = None) -> np.random.Gene
         entropy.append(int(key))
     return np.random.Generator(bit_generator(np.random.SeedSequence(entropy)))
 
-
-def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    """(n, dim) array of independent uniform unit directions."""
-    raw = rng.standard_normal((n, dim))
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return raw / norms

@@ -30,7 +30,6 @@ from tribound.contracts import (
     ml2_increase,
     rolling_means,
 )
-from tribound.hebbian import row_norms
 from tribound.meta import (
     ADAPT_BASE_PERTURBATION,
     ADAPT_CAP,
@@ -39,8 +38,8 @@ from tribound.meta import (
     MetaCascade,
     adaptation_trial,
 )
-from tribound.model import frozen_count, initial_weights
-from tribound.seeding import stream_rng, unit_rows
+from tribound.model import frozen_count, initial_weights, row_norms, unit_rows
+from tribound.seeding import stream_rng
 
 
 def test_contract_ids_and_thresholds(base_config):

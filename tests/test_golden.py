@@ -33,7 +33,7 @@ import pytest
 
 from tribound import SystemConfig, apply_overrides, engine, run, verify
 from tribound.cli import main
-from tribound.hebbian import row_norms
+from tribound.model import row_norms
 
 FIXTURE = Path(__file__).with_name("golden_hashes.json")
 

@@ -20,12 +20,11 @@ from tribound.hebbian import (
     eta1_threshold,
     hebbian_tick,
     modulation_gain,
-    row_norms,
     rule_from_config,
     stationary_radius,
     weight_norm_ceiling,
 )
-from tribound.model import frozen_count
+from tribound.model import frozen_count, row_norms
 
 BASE_RULE = HebbianRule(0.5, 0.1, 0.1, -0.01)
 
