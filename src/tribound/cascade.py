@@ -86,11 +86,11 @@ def realized_embeddings(
     error = unit_rows(rng, n, dim)
     error *= (config.eps_gnn * rng.uniform(size=n))[:, None]
     realized = ideal + error
-    error_norms = np.linalg.norm(realized - ideal, axis=1)
+    error_norms = row_norms(realized - ideal)
     while (over := error_norms > config.eps_gnn).any():
         error[over] *= 0.5
         realized[over] = ideal[over] + error[over]
-        error_norms[over] = np.linalg.norm(realized[over] - ideal[over], axis=1)
+        error_norms[over] = row_norms(realized[over] - ideal[over])
     return realized, ideal, error_norms
 
 
@@ -120,7 +120,7 @@ def modulation(z: np.ndarray, z_mean: np.ndarray, config: SystemConfig) -> np.nd
     The squashing function saturates to 1.0 in floats at large deviations,
     so the upper end of the band is attained.
     """
-    return config.m_max * np.tanh(np.linalg.norm(z - z_mean, axis=1))
+    return config.m_max * np.tanh(row_norms(z - z_mean))
 
 
 def logit_scale(config: SystemConfig) -> float:

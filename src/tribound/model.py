@@ -284,9 +284,9 @@ def row_norms(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     """(n, dim) array of independent uniform unit directions."""
     raw = rng.standard_normal((n, dim))
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    norms = row_norms(raw)
     norms[norms == 0.0] = 1.0
-    return raw / norms
+    return raw / norms[:, None]
 
 
 def frozen_count(config: SystemConfig) -> int:

@@ -21,7 +21,7 @@ from tribound.cascade import (
     realized_embeddings,
     tv_rows,
 )
-from tribound.model import initial_weights
+from tribound.model import initial_weights, row_norms
 from tribound.seeding import stream_rng
 
 
@@ -106,7 +106,7 @@ def test_realized_embedding_error_is_bounded(base_config):
         realized, ideal, errors = realized_embeddings(weights, encoder, base_config, cycle)
         assert np.all(errors >= 0.0)
         assert np.all(errors < base_config.eps_gnn)
-        np.testing.assert_array_equal(errors, np.linalg.norm(realized - ideal, axis=1))
+        np.testing.assert_array_equal(errors, row_norms(realized - ideal))
 
 
 @pytest.mark.parametrize("eps_gnn", [1e-15, 1e-12, 1e-6])
@@ -119,7 +119,7 @@ def test_realized_error_stays_within_its_cap(eps_gnn):
     for cycle in range(1, 201):
         realized, ideal, errors = realized_embeddings(weights, encoder, cfg, cycle)
         assert errors.max() <= eps_gnn
-        np.testing.assert_array_equal(errors, np.linalg.norm(realized - ideal, axis=1))
+        np.testing.assert_array_equal(errors, row_norms(realized - ideal))
 
 
 def test_zero_error_budget_means_ideal(base_config):
@@ -173,7 +173,7 @@ def test_realized_embeddings_properties(weights, eps_gnn, cycle, squash):
     assert ideal.tobytes() == encoder.encode(weights).tobytes()
     assert np.all(errors >= 0.0)
     assert np.all(errors < eps_gnn)
-    np.testing.assert_array_equal(errors, np.linalg.norm(realized - ideal, axis=1))
+    np.testing.assert_array_equal(errors, row_norms(realized - ideal))
 
     # At zero weights the ideal embedding is exactly zero, so realized is
     # the error itself; at any other weights the same error is added, up to
