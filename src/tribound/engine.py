@@ -328,8 +328,7 @@ class _Run:
         not isotropic, each scaled to a uniform radius in [0, 1)."""
         obs = self.obs_rng.random(out=self.obs)
         obs -= 0.5
-        # einsum sums the squares in one pass, without a squares buffer.
-        norms = np.sqrt(np.einsum("...i,...i->...", obs, obs))
+        norms = row_norms(obs)
         norms[norms == 0.0] = 1.0
         scale = self.obs_rng.uniform(size=norms.shape)
         scale /= norms
