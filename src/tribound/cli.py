@@ -56,6 +56,15 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+def _pair(value: Any, bound: Any) -> list[Any]:
+    """A measured value and its threshold, both at round-trip (repr)
+    precision when they differ but _fmt prints them alike."""
+    if isinstance(value, float) and isinstance(bound, float) and value != bound:
+        if _fmt(value) == _fmt(bound) != "-":
+            return [repr(float(value)), repr(float(bound))]
+    return [value, bound]
+
+
 def _table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     cells = [[_fmt(v) for v in row] for row in rows]
     widths = [
@@ -146,23 +155,20 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         n_values = [config.n_agents]
     report = total_bound(config)
     print("closed-form quantities at the configured operating point")
-    print(
-        _table(
-            ["quantity", "value"],
-            [
-                ["stationary weight norm", report.w0],
-                ["weight norm ceiling", report.w_max],
-                ["fast-rate stability threshold", report.eta1_bar],
-                ["intrinsic step bound", report.delta1_int],
-                ["effective step bound", report.delta1_eff],
-                ["ticks per coordination cycle", report.n12],
-                ["effective horizon (cycles)", report.h_eff],
-                ["per-cycle embedding drift ceiling", report.phi_max],
-                ["cascading sensitivity", report.k_cascade],
-                ["recommended max fast rate", report.eta1_max_rec],
-                ["recommended max meta rate", report.eta3_max_rec],
-            ],
-        )
+    _quantities(
+        [
+            ("stationary weight norm", None, report.w0),
+            ("weight norm ceiling", None, report.w_max),
+            ("fast-rate stability threshold", None, report.eta1_bar),
+            ("intrinsic step bound", None, report.delta1_int),
+            ("effective step bound", None, report.delta1_eff),
+            ("ticks per coordination cycle", None, report.n12),
+            ("effective horizon (cycles)", None, report.h_eff),
+            ("per-cycle embedding drift ceiling", None, report.phi_max),
+            ("cascading sensitivity", None, report.k_cascade),
+            ("recommended max fast rate", None, report.eta1_max_rec),
+            ("recommended max meta rate", None, report.eta3_max_rec),
+        ]
     )
     rows = []
     per_n = []
@@ -212,7 +218,7 @@ def cmd_conditions(args: argparse.Namespace) -> int:
     config = _build_config(args)
     report = validate_conditions(config)
     rows = [
-        [c.check_id, _status(c.passed, "assumed"), c.worst, c.bound, c.note]
+        [c.check_id, _status(c.passed, "assumed"), *_pair(c.worst, c.bound), c.note]
         for c in report.checks
     ]
     print("start-time admissibility conditions")
@@ -230,22 +236,19 @@ def cmd_conditions(args: argparse.Namespace) -> int:
 
 
 def _print_run_summary(trace: Trace) -> None:
-    print(
-        _table(
-            ["quantity", "value"],
-            [
-                ["scenario", trace.scenario_name],
-                ["seed", trace.config.seed],
-                ["duration (s)", trace.duration],
-                ["fast ticks", trace.ticks],
-                ["coordination cycles", len(trace.marl_records)],
-                ["meta cycles", len(trace.meta_records)],
-                ["contract failures", trace.fail_count],
-                ["margin alarms", trace.alarm_count],
-                ["final max weight norm", _max_weight_norm(trace, trace.ticks)],
-                ["halted early", trace.halt_reason is not None],
-            ],
-        )
+    _quantities(
+        [
+            ("scenario", None, trace.scenario_name),
+            ("seed", None, trace.config.seed),
+            ("duration (s)", None, trace.duration),
+            ("fast ticks", None, trace.ticks),
+            ("coordination cycles", None, len(trace.marl_records)),
+            ("meta cycles", None, len(trace.meta_records)),
+            ("contract failures", None, trace.fail_count),
+            ("margin alarms", None, trace.alarm_count),
+            ("final max weight norm", None, _max_weight_norm(trace, trace.ticks)),
+            ("halted early", None, trace.halt_reason is not None),
+        ]
     )
     if trace.halt_reason:
         print(f"halt reason: {trace.halt_reason}")
@@ -264,7 +267,7 @@ def _print_run_summary(trace: Trace) -> None:
 
 def _print_replay(report: VerificationReport) -> None:
     rows = [
-        [c.check_id, _status(c.passed, "skipped"), c.worst, c.bound, c.note]
+        [c.check_id, _status(c.passed, "skipped"), *_pair(c.worst, c.bound), c.note]
         for c in report.checks
     ]
     print()
@@ -626,7 +629,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         alarm_total += alarms
         confirmations.append(confirmed)
     rows = [
-        [cid, t["pass"], t["fail"], t["skip"], t["worst"], t["bound"]]
+        [cid, t["pass"], t["fail"], t["skip"], *_pair(t["worst"], t["bound"])]
         for cid, t in tallies.items()
     ]
     print(

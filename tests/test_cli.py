@@ -502,6 +502,15 @@ def test_unordered_rates_warn_in_no_verb(argv, exit_code, capsys):
         assert row.split()[1:4] == ["fail", "100", "1"]
 
 
+def test_adjacent_rates_print_their_ratio_apart_from_the_threshold(capsys):
+    """eta2 at the float just under eta1 puts eta2/eta1 just under 1, which
+    ten significant digits would print as the threshold; the row prints both
+    at round-trip precision instead."""
+    assert main(["conditions", "--set", "eta2=0.0009999999999999998"]) == PASS_EXIT
+    row = _line(capsys.readouterr().out, "rate_order ")
+    assert row.split()[1:4] == ["pass", "0.9999999999999998", "1.0"]
+
+
 def test_a_simulate_validates_its_config_once(monkeypatch, capsys):
     """The CLI builds the default config, then its --set override; a run
     that overrides nothing reuses that config and builds none of its own."""
