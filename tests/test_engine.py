@@ -4,6 +4,7 @@ import filecmp
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -460,6 +461,29 @@ def test_aligned_directions_of_edge_rows(row, want):
     np.testing.assert_array_equal(dirs[others], plain[others])
     np.testing.assert_array_equal(dirs[2], want)
     assert np.signbit(dirs[2]).tolist()[1:] == np.signbit(want).tolist()[1:]
+
+
+class _Halves:
+    """A stub observation stream: every uniform direction coordinate is 0.5,
+    which the draw centres to 0, and every radius 0.75."""
+
+    def random(self, out):
+        out.fill(0.5)
+        return out
+
+    def uniform(self, size):
+        return np.full(size, 0.75)
+
+
+def test_a_zero_drawn_direction_stays_zero():
+    """A drawn direction of norm 0 is scaled by its radius over 1, not over
+    its zero norm: every observation stays +-0, with no RuntimeWarning."""
+    state = engine._Run(get_scenario("baseline"), SystemConfig(), 1.0, False)
+    state.obs_rng = _Halves()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state._draw_observations()
+    assert not state.obs.any()
 
 
 def test_no_clamp_violates_step_contract():

@@ -20,6 +20,7 @@ from tribound.model import (
     config_to_json,
     frozen_count,
     initial_weights,
+    unit_rows,
 )
 
 
@@ -265,4 +266,26 @@ def test_initial_weights_norms_for_any_seed(seed):
     )
     norms = np.linalg.norm(initial_weights(cfg), axis=1)
     np.testing.assert_allclose(norms, 2.5, rtol=1e-12)
+
+
+class _Draws:
+    """A stub generator whose standard normal draw is the given rows."""
+
+    def __init__(self, rows):
+        self.rows = np.array(rows)
+
+    def standard_normal(self, shape):
+        assert shape == self.rows.shape
+        return self.rows.copy()
+
+
+def test_unit_rows_keeps_a_zero_draw_zero():
+    """A zero row is divided by 1, not by its zero norm: it stays +-0 with
+    no RuntimeWarning, and the rows beside it still come out unit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = unit_rows(_Draws([[0.0, -0.0, 0.0], [3.0, 0.0, -4.0]]), 2, 3)
+    assert rows[0].tolist() == [0.0, 0.0, 0.0]
+    assert np.signbit(rows[0]).tolist() == [False, True, False]
+    assert rows[1].tolist() == [0.6, 0.0, -0.8]
 

@@ -11,7 +11,9 @@ every exception src/ raises by name is a TriboundError, so that a caller
 catches all of the package's failures with one except clause, apart from
 two lookups that raise KeyError, listed in RAISE_ALLOWED. And every
 function, class and method src/ defines is named somewhere in src/, so no
-definition is kept for the tests alone."""
+definition is kept for the tests alone. And src/ takes every Euclidean norm
+through model.row_norms: no module calls or imports np.linalg.norm or
+np.einsum, so a second norm cannot come back unnoticed."""
 import ast
 from pathlib import Path
 
@@ -115,6 +117,23 @@ def unnamed_definitions(sources: list[str]) -> list[str]:
     return sorted(defined - named)
 
 
+def other_norms(source: str) -> list[str]:
+    """`line: name` for each call or import of a linalg.norm or an einsum."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            names = [ast.unparse(node.func)]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [
+            f"{node.lineno}: {name}" for name in names
+            if f".{name}".endswith((".linalg.norm", ".einsum"))
+        ]
+    return found
+
+
 def _source_id(path: Path) -> str:
     return str(path.relative_to(ROOT))
 
@@ -137,6 +156,13 @@ def test_module_imports_only_at_module_level(path: Path):
 def test_module_raises_only_package_errors(path: Path):
     raised = foreign_raises(path.read_text(encoding="utf-8"), path.stem)
     assert [found for found in raised if found not in RAISE_ALLOWED] == []
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path.is_relative_to(ROOT / "src")], ids=_source_id
+)
+def test_module_takes_norms_only_through_row_norms(path: Path):
+    assert other_norms(path.read_text(encoding="utf-8")) == []
 
 
 def test_src_defines_nothing_that_only_tests_name():
@@ -188,6 +214,19 @@ def test_foreign_raises_names_each_raise_outside_the_package_errors():
     )
     assert foreign_raises(source, "m") == [
         "m.C.g: ValueError", "m.C.h: np.linalg.LinAlgError"
+    ]
+
+
+def test_other_norms_finds_each_linalg_norm_and_einsum():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import norm\n"
+        "a = np.linalg.norm(x, axis=1)\n"
+        "b = np.sqrt(np.einsum('i,i', x, x))\n"
+        "c = row_norms(x) + np.linalg.svd(x)[1] + normalise(x)\n"
+    )
+    assert other_norms(source) == [
+        "2: numpy.linalg.norm", "3: np.linalg.norm", "4: np.einsum"
     ]
 
 
