@@ -14,7 +14,7 @@ contraction on it; bounds.total_bound derives the step bounds from them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -101,7 +101,7 @@ class FastWorkspace:
 
     def set_rates(self, rule: HebbianRule, eta1: float, gains: np.ndarray | float) -> None:
         rates = np.multiply(eta1, np.reshape(gains, (-1, 1)))
-        coefficients = np.array([rule.alpha, rule.beta, rule.gamma_h, rule.delta])
+        coefficients = np.array(astuple(rule))
         np.multiply(rates, coefficients[:, None, None], out=self.grids[:4])
         np.add(self.beta, self.gamma_h, out=self.summed)
         self.grids[..., : self.frozen] = 0.0

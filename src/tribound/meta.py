@@ -14,7 +14,7 @@ that count; the adaptation time is the count times the fast period tau1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from .cascade import policy_distributions, tv_rows
 from .errors import ValidationError
 from .hebbian import HebbianRule, rule_from_config
-from .model import SystemConfig, rounding_slack, row_norms
+from .model import SystemConfig, rounding_slack, row_norms, unit_rows
 from .seeding import stream_rng
 
 META_LOSS_SMOOTHNESS = 1.0
@@ -143,14 +143,7 @@ class MetaCascade:
             self.theta_star = meta_point(theta_star, config, "theta_star")
 
     def raw_coefficients(self, theta: np.ndarray) -> np.ndarray:
-        base = np.array(
-            [
-                self.base_rule.alpha,
-                self.base_rule.beta,
-                self.base_rule.gamma_h,
-                self.base_rule.delta,
-            ]
-        )
+        base = np.array(astuple(self.base_rule))
         return base + self.matrix @ np.asarray(theta, dtype=float)
 
     def rule_for(self, theta: np.ndarray) -> HebbianRule:
@@ -221,8 +214,7 @@ def adaptation_trial(
     distance = float(row_norms(np.asarray(theta, dtype=float) - cascade.theta_star))
     magnitude = ADAPT_BASE_PERTURBATION * (1.0 + distance / config.theta_box)
     rng = stream_rng(config.seed, "adaptation")
-    direction = rng.standard_normal(reference_policy.shape[0])
-    direction /= float(row_norms(direction))
+    direction = unit_rows(rng, 1, reference_policy.shape[0])[0]
     current = np.clip(
         reference_policy + magnitude * direction,
         -config.policy_box,

@@ -11,10 +11,9 @@ dataclasses.replace, apply_overrides or load_config, so every instance holds
 valid values; apply_overrides adds only the name and type checks a JSON or
 key=value input needs.
 
-The numeric helpers every level shares live here too: rounding_slack, the
-float error allowance, and row_norms, the one Euclidean norm, whose
-rounding error rounding_slack bounds; unit_rows scales draws to unit
-directions with it.
+The levels share three numeric helpers from here: row_norms, the one
+Euclidean norm; unit_rows, the unit directions scaled by it; and
+rounding_slack, the float error allowance that bounds its rounding.
 
 Config schema (all keys optional, unknown keys rejected):
 
@@ -270,14 +269,11 @@ def rounding_slack(magnitude: float, roundings: int) -> float:
 
 
 def row_norms(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Euclidean norms along the last axis, written into out when given:
-    the one norm the package takes, of a vector or of every row at once.
-
-    np.vecdot computes each sum of squares with BLAS dot, so a norm of d
-    entries is within d * eps * ||x|| of the exact one,
-    rounding_slack(||x||, d), short of overflow or underflow of the squares.
-    The order of the sum, and so the last bits, follow the BLAS kernel.
-    """
+    """The package's one Euclidean norm, along the last axis: of a vector or
+    of every row at once, written into out when given. BLAS dot sums each
+    row's squares, through np.vecdot, in an order its kernel sets, so a norm
+    of d entries is within d * eps * ||x|| of the exact one, which is
+    rounding_slack(||x||, d), short of overflow or underflow of the squares."""
     return np.sqrt(np.vecdot(x, x, out=out), out=out)
 
 
