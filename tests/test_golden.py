@@ -12,8 +12,9 @@ changed against the recorded ones, with the files that changed, so the
 declaration can list them.
 
 The hashes are pinned to the numeric stack they were recorded on: matrix
-products go through BLAS, whose summation order depends on its version and
-on the CPU kernels it selects. The fixture records that stack, and the test
+products, and every norm (model.row_norms sums its squares with BLAS dot),
+go through BLAS, whose summation order depends on its version and on the
+CPU kernels it selects. The fixture records that stack, and the test
 skips, naming the difference, when it runs on another one.
 """
 from __future__ import annotations
