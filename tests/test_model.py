@@ -288,4 +288,3 @@ def test_unit_rows_keeps_a_zero_draw_zero():
     assert rows[0].tolist() == [0.0, 0.0, 0.0]
     assert np.signbit(rows[0]).tolist() == [False, True, False]
     assert rows[1].tolist() == [0.6, 0.0, -0.8]
-
