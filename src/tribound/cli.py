@@ -511,12 +511,13 @@ def _replay_seed(
     return report.checks, trace.fail_count, trace.alarm_count, confirmed
 
 
-def _fork_share(share: Iterator[_SeedOutcome]) -> tuple[int, BinaryIO]:
-    """Fork a process that pickles each of share's outcomes into a pipe as it
-    comes, or the message of the TriboundError that ends share, and leaves by
-    os._exit, so that nothing reaches stdout and the caller's stack never
-    unwinds there. Returns its pid and the pipe to read; if the fork fails,
-    the pipe is closed before the OSError propagates."""
+def _fork_share(share: Iterator[_SeedOutcome], cpu: int) -> tuple[int, BinaryIO]:
+    """Fork a process that keeps to the one CPU `cpu`, pickles each of
+    share's outcomes into a pipe as it comes, or the message of the
+    TriboundError that ends share, and leaves by os._exit, so that nothing
+    reaches stdout and the caller's stack never unwinds there. Returns its
+    pid and the pipe to read; if the fork fails, the pipe is closed before
+    the OSError propagates."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -529,6 +530,7 @@ def _fork_share(share: Iterator[_SeedOutcome]) -> tuple[int, BinaryIO]:
         return pid, os.fdopen(read_fd, "rb")
     status = 1
     try:
+        os.sched_setaffinity(0, {cpu})
         os.close(read_fd)
         with os.fdopen(write_fd, "wb") as pipe:
             try:
@@ -561,43 +563,53 @@ def _replay_seeds(
     With two seeds or more and two CPUs or more in this process's affinity
     mask, one forked process runs the seeds at odd offsets and this process
     the even ones; two is the count that was measured
-    (BENCH_parallel_seeds.json). Otherwise, with no affinity mask, or when
+    (BENCH_parallel_seeds.json). Each keeps to one CPU of the mask, this
+    process's main thread until it returns or raises, so neither run forks
+    a draw process (engine) and the verb stays at two busy processes; if
     the pipe or the fork fails (no process to spare), this process runs
-    every seed. Outcomes are taken in seed order, and this process runs its
-    next seed only when that seed is due, so the lowest seed that raises a
-    TriboundError raises it here, as in a serial run. The forked process is
-    ended and reaped before this returns or raises.
+    every seed on its one CPU. Otherwise, with one seed, one CPU or no
+    affinity mask, this process runs every seed unpinned. Outcomes are
+    taken in seed order, and this process runs its next seed only when that
+    seed is due, so the lowest seed that raises a TriboundError raises it
+    here, as in a serial run. The forked process is ended and reaped before
+    this returns or raises.
     """
     def replayed(share: range) -> Iterator[_SeedOutcome]:
         return (_replay_seed(scenario, config, seed, duration) for seed in share)
 
     affinity = getattr(os, "sched_getaffinity", None)
-    if len(seeds) < 2 or not affinity or len(affinity(0)) < 2:
+    cpus = sorted(affinity(0)) if affinity else []
+    if len(seeds) < 2 or len(cpus) < 2:
         return list(replayed(seeds))
+    os.sched_setaffinity(0, cpus[:1])
     try:
-        pid, pipe = _fork_share(replayed(seeds[1::2]))
-    except OSError:
-        return list(replayed(seeds))
-    try:
-        shares = replayed(seeds[::2]), _received(pipe)
-        outcomes = []
-        for offset, seed in enumerate(seeds):
-            outcome = next(shares[offset % 2], None)
-            if outcome is None:
-                raise TriboundError(
-                    f"the process replaying seed {seed} ended without its outcome"
-                )
-            if isinstance(outcome, str):
-                raise TriboundError(outcome)
-            outcomes.append(outcome)
-        return outcomes
+        try:
+            pid, pipe = _fork_share(replayed(seeds[1::2]), cpus[1])
+        except OSError:
+            return list(replayed(seeds))
+        try:
+            shares = replayed(seeds[::2]), _received(pipe)
+            outcomes = []
+            for offset, seed in enumerate(seeds):
+                outcome = next(shares[offset % 2], None)
+                if outcome is None:
+                    raise TriboundError(
+                        f"the process replaying seed {seed} ended without its outcome"
+                    )
+                if isinstance(outcome, str):
+                    raise TriboundError(outcome)
+                outcomes.append(outcome)
+            return outcomes
+        finally:
+            # Once its share is read the forked process has nothing left to
+            # do; if still running, it holds only seeds after one that
+            # raised. It is killed before its pipe closes, so it never meets
+            # a broken pipe.
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
     finally:
-        # Once its share is read the forked process has nothing left to do;
-        # if still running, it holds only seeds after one that raised. It is
-        # killed before its pipe closes, so it never meets a broken pipe.
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        pipe.close()
+        os.sched_setaffinity(0, cpus)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -21,10 +21,25 @@ directions (not isotropic; the bounds assume only ||x|| <= 1), one uniform
 draw of radii, each row scaled into the unit ball. The chunk length follows
 from the swarm shape alone and every chunk is drawn in full, so the horizon
 and the batch size never move a draw.
+
+A run spends at most the two CPUs its process's affinity mask allows. With
+two or more in the mask, drawn observations and a horizon of more than one
+chunk, it draws chunk 0 itself, then forks one process that draws each later
+chunk while the ticks read the one before, into two chunk slots of one
+shared anonymous mapping; one byte per chunk on each of two pipes hands a
+slot over and back. That process alone draws from the "observations" stream
+after chunk 0, in the same order, so the trace is byte for byte the one a
+run that draws every chunk itself makes, as it does with one CPU, aligned
+observations, one chunk or less, or when the mapping, a pipe or the fork
+fails. run() ends and reaps the draw process before it returns or raises.
 """
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Mapping
 
@@ -44,7 +59,7 @@ from .cascade import (
     tv_rows,
 )
 from .contracts import Monitor, SafetyReadout, all_margins, ml2_increase
-from .errors import EnforcementError, ValidationError
+from .errors import EnforcementError, TriboundError, ValidationError
 from .hebbian import (
     FastWorkspace,
     clamp_norms,
@@ -245,6 +260,12 @@ class _Run:
         self.gains = 1.0 if scenario.aligned_observations else modulation_gain(0.0, cfg)
         self.work.set_rates(self.rule, cfg.eta1, self.gains)
         self.obs_rng = stream_rng(cfg.seed, "observations")
+        # The ticks the horizon holds; finish() cuts the per-tick arrays to
+        # the ticks run.
+        self.ticks = ticks_by(horizon, cfg.tau1)
+        # (pid, ready fd, free fd) of the draw process, once forked.
+        self.drawer: tuple[int, int, int] | None = None
+        self.slots: np.ndarray | None = None
         if scenario.aligned_observations:
             # Reused every tick: the directions and their norms.
             self.dirs = np.empty((n, cfg.weight_dim))
@@ -252,14 +273,22 @@ class _Run:
             self.dir_norm_column = self.dir_norms[:, None]
         else:
             chunk = max(1, _OBS_CHUNK_VALUES // (2 * n * cfg.weight_dim))
+            shape = (chunk, 2, n, cfg.weight_dim)
+            affinity = getattr(os, "sched_getaffinity", None)
+            if self.ticks > chunk and affinity is not None and len(affinity(0)) >= 2:
+                # Two chunk slots, shared with the draw process, which fills
+                # one while the ticks read the other. Without memory to
+                # share, the run draws here.
+                try:
+                    shared = mmap.mmap(-1, 2 * 8 * math.prod(shape))
+                except OSError:
+                    pass
+                else:
+                    self.slots = np.ndarray((2, *shape), buffer=shared)
             # Reused for every chunk: at large swarm sizes fresh draw-sized
             # arrays come back from the allocator unmapped and fault in page
             # by page.
-            self.obs = np.empty((chunk, 2, n, cfg.weight_dim))
-
-        # The ticks the horizon holds; finish() cuts the per-tick arrays to
-        # the ticks run.
-        self.ticks = ticks_by(horizon, cfg.tau1)
+            self.obs = np.empty(shape) if self.slots is None else self.slots[0]
         step_norms = np.zeros(self.ticks)
         clamped = np.zeros((self.ticks, n), dtype=bool)
         max_weight_norm = np.zeros(self.ticks)
@@ -318,10 +347,79 @@ class _Run:
                 np.divide(weights, column, out=dirs, where=column > 0.0)
                 dirs[norms == 0.0, 0] = 1.0
             return dirs, dirs
-        row = i % self.obs.shape[0]
+        chunk = self.obs.shape[0]
+        row = i % chunk
         if row == 0:
-            self._draw_observations()
+            self._next_chunk(i // chunk)
         return self.obs[row, 0], self.obs[row, 1]
+
+    def _next_chunk(self, index: int) -> None:
+        """Make chunk `index` the one self.obs holds: read from the draw
+        process once it is forked, else drawn here. With shared slots the
+        process is forked once chunk 0 is drawn."""
+        if self.drawer is None:
+            self._draw_observations()
+            if index == 0 and self.slots is not None:
+                self._fork_drawer()
+            return
+        _, ready, free = self.drawer
+        if not os.read(ready, 1):
+            raise TriboundError(f"the observation draw process ended before chunk {index}")
+        self.obs = self.slots[index % 2]
+        # The other slot, read for the previous chunk, is free for the next.
+        if (index + 1) * self.obs.shape[0] < self.ticks:
+            os.write(free, b"\0")
+
+    def _fork_drawer(self) -> None:
+        """Fork the process that draws chunks 1, 2, ... from here on, each
+        into the slot the run last handed back, one byte on the ready pipe
+        per chunk drawn and one on the free pipe per slot handed back. It
+        owns the "observations" stream and leaves by os._exit once the last
+        chunk the horizon holds is drawn. If a pipe or the fork fails (no
+        process to spare), its pipes are closed and the run goes on drawing
+        here."""
+        fds: list[int] = []
+        try:
+            fds.extend(os.pipe())
+            fds.extend(os.pipe())
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            return
+        ready_read, ready_write, free_read, free_write = fds
+        if pid:
+            os.close(ready_write)
+            os.close(free_read)
+            self.drawer = (pid, ready_read, free_write)
+            return
+        status = 1
+        try:
+            os.close(ready_read)
+            os.close(free_write)
+            chunk = self.obs.shape[0]
+            for index in range(1, -(-self.ticks // chunk)):
+                if index > 1 and not os.read(free_read, 1):
+                    break
+                self.obs = self.slots[index % 2]
+                self._draw_observations()
+                os.write(ready_write, b"\0")
+            status = 0
+        except Exception:
+            sys.excepthook(*sys.exc_info())
+        finally:
+            os._exit(status)
+
+    def close(self) -> None:
+        """End and reap the draw process, if one was forked, and close its
+        pipes."""
+        if self.drawer is not None:
+            pid, ready, free = self.drawer
+            self.drawer = None
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(ready)
+            os.close(free)
 
     def _draw_observations(self) -> None:
         """Fill the chunk buffer: directions from the cube [-0.5, 0.5)^dim,
@@ -527,17 +625,21 @@ def run(
 
     try:
         state = _Run(scenario, cfg, horizon, keep_snapshots)
-    except (ValueError, MemoryError) as exc:
-        # The swarm shape or the horizon sizes an array numpy cannot allocate.
+    except (ValueError, MemoryError, OverflowError) as exc:
+        # The swarm shape or the horizon sizes an array numpy cannot allocate
+        # or slots mmap cannot map.
         ticks = ticks_by(horizon, cfg.tau1)
         raise ValidationError(f"{ticks:.3g} ticks x {cfg.n_agents} agents: {exc}") from None
-    done = 0
-    while done < state.ticks:
-        done = state._fast_block(done)
-        if not state._coordination_step(done):
-            break
-        state._meta_step(done)
-    return state.finish(done)
+    try:
+        done = 0
+        while done < state.ticks:
+            done = state._fast_block(done)
+            if not state._coordination_step(done):
+                break
+            state._meta_step(done)
+        return state.finish(done)
+    finally:
+        state.close()
 
 
 def _least_squares_slope(times: np.ndarray, values: np.ndarray) -> float:

@@ -4,10 +4,12 @@ import gc
 import json
 import os
 import signal
+import sys
 import time
 import tracemalloc
 import warnings
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -38,8 +40,16 @@ def test_verify_two_seeds_passes(capsys):
 
 
 def _cpus(monkeypatch, count: int) -> None:
-    """Let verify see `count` CPUs in its affinity mask."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    """Let verify and the runs see `count` CPUs in their affinity mask; a
+    process that sets its mask then sees the mask it set."""
+    mask = set(range(count))
+
+    def setaffinity(pid, cpus):
+        mask.clear()
+        mask.update(cpus)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask))
+    monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
 
 
 def test_verify_frees_each_trace_before_the_next_seed_runs(monkeypatch, capsys):
@@ -69,12 +79,14 @@ def _no_child_left() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
-def _counted_forks(monkeypatch, fail_at: int | None = None) -> list[int]:
-    """Count os.fork calls; the call numbered fail_at raises EAGAIN instead."""
-    forks: list[int] = []
+def _counted_forks(monkeypatch, fail_at: int | None = None) -> list[str]:
+    """Record each os.fork call in this process by the function that made
+    it: _fork_share forks a seed process, _fork_drawer a draw process. The
+    call numbered fail_at raises EAGAIN instead."""
+    forks: list[str] = []
 
     def fork(_fork=os.fork):
-        forks.append(1)
+        forks.append(sys._getframe(1).f_code.co_name)
         if len(forks) == fail_at:
             raise BlockingIOError(errno.EAGAIN, "planted")
         return _fork()
@@ -87,16 +99,37 @@ def test_verify_prints_and_writes_the_same_at_any_cpu_count(
     tmp_path: Path, monkeypatch, capsys
 ):
     """Forked seeds are merged in seed order: 1, 2 and 3 CPUs give the same
-    stdout, verify.json and exit code, from 0, 1 and 1 forked processes."""
-    forks = _counted_forks(monkeypatch)
+    stdout, verify.json and exit code, from 0, 1 and 1 forked seed
+    processes. At 2 or 3 CPUs this process runs its seeds on the first CPU
+    of the mask and the forked one on the second, so neither forks a draw
+    process, and this process's mask is its own again afterwards."""
+    log = tmp_path / "log"
+
+    def logged(line: str) -> None:
+        # Appended to from every process.
+        with log.open("a") as fh:
+            fh.write(line + "\n")
+
+    def fork(_fork=os.fork):
+        logged(sys._getframe(1).f_code.co_name)
+        return _fork()
+
+    def placed(*args, _run=cli.run, **kwargs):
+        logged("run@" + ",".join(map(str, sorted(os.sched_getaffinity(0)))))
+        return _run(*args, **kwargs)
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cli, "run", placed)
+    split = {"_fork_share": 1, "run@0": 3, "run@1": 2}
     results = []
-    for cpus, forked in ((1, 0), (2, 1), (3, 1)):
+    for cpus, logs in ((1, {"run@0": 5}), (2, split), (3, split)):
         _cpus(monkeypatch, cpus)
         out_dir = tmp_path / str(cpus)
-        forks.clear()
+        log.write_text("")
         code = main(["verify", "--seeds", "5", "--duration", "4", "--out", str(out_dir)])
         results.append((code, capsys.readouterr(), (out_dir / "verify.json").read_text()))
-        assert len(forks) == forked
+        assert Counter(log.read_text().split()) == logs
+        assert os.sched_getaffinity(0) == set(range(cpus))
         _no_child_left()
     assert "replayed 5 seeds" in results[0][1].out
     assert results[1:] == [results[0]] * 2
@@ -243,14 +276,16 @@ def test_a_seed_error_kills_the_forked_process_without_waiting(monkeypatch, caps
     _no_child_left()
 
 
-def test_verify_of_one_seed_forks_nothing(monkeypatch, capsys):
-    def fork():
-        raise AssertionError("os.fork called")
-
-    monkeypatch.setattr(os, "fork", fork)
+def test_verify_of_one_seed_forks_only_its_draw_process(monkeypatch, capsys):
+    """One seed runs in this process, unpinned: at 2 CPUs its run forks one
+    draw process, and verify forks no seed process."""
+    forks = _counted_forks(monkeypatch)
     _cpus(monkeypatch, 2)
     assert main(["verify", "--seeds", "1", "--duration", "10"]) == PASS_EXIT
     assert "replayed 1 seeds" in capsys.readouterr().out
+    assert forks == ["_fork_drawer"]
+    assert os.sched_getaffinity(0) == {0, 1}
+    _no_child_left()
 
 
 # A shape whose per-tick streams (3,000 ticks, 300 agents' clamp flags)
@@ -261,9 +296,12 @@ _TRACE_HEAVY = [
 ]
 
 
-def test_verify_peaks_at_the_memory_of_one_seed(capsys):
+def test_verify_peaks_at_the_memory_of_one_seed(monkeypatch, capsys):
     """Three seeds allocate at their peak within 10% of one seed, though one
-    seed's per-tick streams alone are more than 10% of that peak."""
+    seed's per-tick streams alone are more than 10% of that peak. One CPU,
+    so every seed runs here and draws into arrays tracemalloc traces; the
+    slots a run shares with a draw process are mapped, which it does not."""
+    _cpus(monkeypatch, 1)
     peaks = []
     for seeds in ("1", "3"):
         tracemalloc.start()

@@ -1,8 +1,11 @@
 """Scenario library, trace recording, determinism, replay verification."""
 import dataclasses
+import errno
 import filecmp
 import json
 import math
+import mmap
+import os
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -14,6 +17,7 @@ from tribound import (
     SCENARIOS,
     Scenario,
     SystemConfig,
+    TriboundError,
     ValidationError,
     apply_overrides,
     confirm_expectation,
@@ -815,3 +819,183 @@ def test_boundaries_and_snapshot_queries_hold_at_tiny_periods():
     assert (trace.ticks, len(trace.marl_records), len(trace.meta_records)) == (300, 3, 0)
     assert [rec["t"] for rec in trace.marl_records] == [1e-10, 2e-10, 3e-10]
     assert len(trace.snap_weights) == 4
+
+
+def _cpus(monkeypatch, count: int) -> None:
+    """Let a run see `count` CPUs in its affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _counted_forks(monkeypatch, error: OSError | None = None) -> list[int]:
+    """Record each os.fork call in this process; with error, each raises it."""
+    forks: list[int] = []
+
+    def fork(_fork=os.fork):
+        forks.append(1)
+        if error is not None:
+            raise error
+        return _fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _saved(scenario: str, overrides: dict, duration: float, path: Path) -> tuple:
+    """Every byte a run saves, and its replay checks by repr."""
+    config = apply_overrides(SystemConfig(), overrides)
+    trace = run(scenario, config=config, duration=duration, keep_snapshots=True)
+    trace.save(path)
+    files = {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+    checks = [
+        (c.check_id, c.passed, repr(c.worst), repr(c.bound), c.note)
+        for c in verify(trace).checks
+    ]
+    return files, checks, trace.halt_reason
+
+
+# name -> (scenario, overrides, duration): runs with drawn observations of
+# many chunks each.
+_DRAWN = {
+    "baseline": ("baseline", {}, 20.0),
+    "no_clamp": ("no_clamp", {}, 10.0),
+    # halts at t=32, with chunks left to draw
+    "halted": ("baseline", {"delta_pi": 1e-300}, 40.0),
+    "off_grid_periods": ("baseline", {"tau1": 0.03, "tau2": 1.0, "tau3": 5.0}, 12.0),
+    # a chunk of one tick
+    "300x64": ("baseline", {"n_agents": 300, "tau2": 0.2, "tau3": 2.0}, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DRAWN))
+def test_a_draw_process_leaves_every_saved_byte_unchanged(name, tmp_path, monkeypatch):
+    """At 2 CPUs a run forks one process that draws its observations a
+    chunk ahead; it saves and replays byte for byte what the 1-CPU run,
+    which draws them itself and forks nothing, does."""
+    forks = _counted_forks(monkeypatch)
+    results = []
+    for cpus, forked in ((1, 0), (2, 1)):
+        _cpus(monkeypatch, cpus)
+        forks.clear()
+        results.append(_saved(*_DRAWN[name], tmp_path / str(cpus)))
+        assert len(forks) == forked
+        _no_child_left()
+    assert results[1] == results[0]
+    assert (results[0][2] is not None) == (name == "halted")
+
+
+@pytest.mark.parametrize(
+    "scenario, duration",
+    # 10 and 17 ticks against a chunk of 17; delta_zero's are aligned.
+    [("baseline", 0.2), ("baseline", 0.34), ("delta_zero", 20.0)],
+    ids=["shorter_than_a_chunk", "one_chunk", "aligned"],
+)
+def test_a_run_with_nothing_to_draw_ahead_forks_nothing(scenario, duration, monkeypatch):
+    _cpus(monkeypatch, 2)
+    forks = _counted_forks(monkeypatch)
+    assert run(scenario, duration=duration).ticks == round(duration / 0.02)
+    assert forks == []
+
+
+class _Planted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("planted", [None, "halt", _Planted, KeyboardInterrupt])
+def test_no_draw_process_outlives_its_run(planted, monkeypatch):
+    """A run that ends, halts, or meets an exception or an interrupt at its
+    second coordination cycle, with chunks left to draw, ends and reaps
+    its draw process."""
+    _cpus(monkeypatch, 2)
+    forks = _counted_forks(monkeypatch)
+    if planted is not None and planted != "halt":
+        calls = []
+
+        def failing(*args, _step=engine.marl_step, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise planted("planted")
+            return _step(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "marl_step", failing)
+    config = apply_overrides(SystemConfig(), {"delta_pi": 1e-300} if planted == "halt" else {})
+    if planted in (_Planted, KeyboardInterrupt):
+        with pytest.raises(planted, match="planted"):
+            run("baseline", config=config, duration=20.0)
+    else:
+        trace = run("baseline", config=config, duration=40.0)
+        assert (trace.halt_reason is not None) == (planted == "halt")
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_a_fork_that_fails_draws_here(tmp_path, monkeypatch):
+    """At 2 CPUs the fork raises EAGAIN, as with no process to spare: the
+    run draws its observations itself, saves what the 1-CPU run saves, and
+    both pipes it made are closed."""
+    _cpus(monkeypatch, 1)
+    want = _saved(*_DRAWN["baseline"], tmp_path / "1")
+    pipe_fds = []
+
+    def pipe(_pipe=os.pipe):
+        fds = _pipe()
+        pipe_fds.extend(fds)
+        return fds
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    forks = _counted_forks(monkeypatch, BlockingIOError(errno.EAGAIN, "planted"))
+    _cpus(monkeypatch, 2)
+    assert _saved(*_DRAWN["baseline"], tmp_path / "2") == want
+    assert (len(forks), len(pipe_fds)) == (1, 4)
+    for fd in pipe_fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+def test_a_draw_process_that_dies_is_an_error_of_its_chunk(monkeypatch):
+    """The draw process leaves by os._exit before it draws chunk 2: the run
+    raises a TriboundError naming that chunk, and no process is left."""
+    parent = os.getpid()
+    draws = []
+
+    def dying(self, _draw=engine._Run._draw_observations):
+        if os.getpid() != parent:
+            draws.append(1)
+            if len(draws) == 2:
+                os._exit(0)
+        _draw(self)
+
+    monkeypatch.setattr(engine._Run, "_draw_observations", dying)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(TriboundError, match="^the observation draw process ended before chunk 2$"):
+        run("baseline", duration=20.0)
+    _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "scale, outcome",
+    [(1 << 63, "ValidationError"), (1 << 40, "drawn here")],
+    ids=["beyond_ssize_t", "beyond_memory"],
+)
+def test_slots_mmap_cannot_map(scale, outcome, tmp_path, monkeypatch):
+    """Slots scaled to a length mmap cannot take make the run a
+    ValidationError; slots it has no memory for (ENOMEM) leave the run to
+    draw here, as at 1 CPU."""
+    _cpus(monkeypatch, 1)
+    want = _saved(*_DRAWN["baseline"], tmp_path / "1")
+    monkeypatch.setattr(
+        mmap, "mmap", lambda fileno, length, _mmap=mmap.mmap: _mmap(fileno, length * scale)
+    )
+    forks = _counted_forks(monkeypatch)
+    _cpus(monkeypatch, 2)
+    if outcome == "ValidationError":
+        message = r"^1e\+03 ticks x 30 agents: Python int too large to convert to C ssize_t$"
+        with pytest.raises(ValidationError, match=message):
+            run("baseline", duration=20.0)
+    else:
+        assert _saved(*_DRAWN["baseline"], tmp_path / "2") == want
+        assert forks == []
