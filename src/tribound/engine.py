@@ -24,17 +24,23 @@ and the batch size never move a draw.
 
 A run spends at most the two CPUs its process's affinity mask allows. With
 two or more in the mask, drawn observations and a horizon of more than one
-chunk, it draws chunk 0 itself, then forks one process that draws each later
-chunk while the ticks read the one before, into two chunk slots of one
-shared anonymous mapping; one byte per chunk on each of two pipes hands a
-slot over and back. That process alone draws from the "observations" stream
-after chunk 0, in the same order, so the trace is byte for byte the one a
-run that draws every chunk itself makes, as it does with one CPU, aligned
-observations, one chunk or less, or when the mapping, a pipe or the fork
-fails. run() ends and reaps the draw process before it returns or raises.
+chunk, it draws chunk 0 itself, then forks one process that draws each
+later chunk into three chunk slots of one shared anonymous mapping, so it
+stays two chunks ahead of the ticks. In the stable regime the ticks write
+their weights into two block buffers of the same mapping, and that process
+also records each block's policy TV there, from a header the run writes
+beside each buffer: the block's ticks, the policy in force and the reset a
+coordination step makes. One byte per chunk or block on each of two pipes
+hands work over and back. That process alone draws from the "observations"
+stream after chunk 0, in the same order, and runs the same code on the same
+bytes, so the trace is byte for byte the one a run that draws and records
+everything itself makes, as it does with one CPU, aligned observations,
+one chunk or less, or when the mapping, a pipe or the fork fails. run()
+ends and reaps the draw process before it returns or raises.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import os
@@ -206,10 +212,29 @@ def _resolve_config(
 # weight_dim) only.
 _OBS_CHUNK_VALUES = 1 << 16
 
-# Bytes of fast-tick weights one batch may hold. The per-batch recording
-# then works on arrays of about this size at any swarm size: a whole
-# coordination cycle at 1000 agents x 256 weights would need 205 MB.
+# Bytes of fast-tick weights the batch buffers hold together: one buffer, or
+# the two a draw process records the policy TV from, the ticks writing one
+# while it reads the other. The per-batch recording then works on arrays of
+# about this size at any swarm size: a whole coordination cycle at 1000
+# agents x 256 weights would need 205 MB.
 _BATCH_BYTES = 1 << 20
+
+# The byte the run and its draw process pass for a chunk (a slot handed back,
+# a chunk drawn) and for a block (weights to record, their policy TV done).
+_CHUNK, _BLOCK = b"c", b"b"
+
+
+def _shared_arrays(*specs: tuple[tuple[int, ...], Any]) -> list[np.ndarray]:
+    """Zeroed arrays of the given (shape, dtype), laid end to end in one
+    anonymous mapping that a forked process shares."""
+    dtypes = [np.dtype(dtype) for _, dtype in specs]
+    sizes = [math.prod(shape) * dtype.itemsize for (shape, _), dtype in zip(specs, dtypes)]
+    shared = mmap.mmap(-1, sum(sizes))
+    offsets = itertools.accumulate(sizes, initial=0)
+    return [
+        np.ndarray(shape, dtype, shared, offset)
+        for (shape, _), dtype, offset in zip(specs, dtypes, offsets)
+    ]
 
 
 class _Run:
@@ -263,9 +288,18 @@ class _Run:
         # The ticks the horizon holds; finish() cuts the per-tick arrays to
         # the ticks run.
         self.ticks = ticks_by(horizon, cfg.tau1)
-        # (pid, ready fd, free fd) of the draw process, once forked.
+        # Only the stable regime has a policy drift ceiling to record for.
+        record_tv = cfg.delta < 0.0
+        tick_weights = n * cfg.weight_dim * 8
+        # (pid, ready fd, order fd) of the draw process, once forked; the
+        # bytes of each kind it sent that the run has not yet taken; the
+        # (start, stop) of each block handed to it and not yet recorded, and
+        # the count handed.
         self.drawer: tuple[int, int, int] | None = None
-        self.slots: np.ndarray | None = None
+        self.received = {_CHUNK: 0, _BLOCK: 0}
+        self.pending: list[tuple[int, int]] = []
+        self.handed = 0
+        self.slots = self.blocks = self.heads = tick_policy_tv = None
         if scenario.aligned_observations:
             # Reused every tick: the directions and their norms.
             self.dirs = np.empty((n, cfg.weight_dim))
@@ -276,15 +310,37 @@ class _Run:
             shape = (chunk, 2, n, cfg.weight_dim)
             affinity = getattr(os, "sched_getaffinity", None)
             if self.ticks > chunk and affinity is not None and len(affinity(0)) >= 2:
-                # Two chunk slots, shared with the draw process, which fills
-                # one while the ticks read the other. Without memory to
-                # share, the run draws here.
+                # Three chunk slots, shared with the draw process, which
+                # fills two while the ticks read the third; with the policy
+                # TV, the two block buffers, the TV and each buffer's
+                # header. Without memory to share, the run draws and
+                # records here.
+                specs = [((3, *shape), float)]
+                if record_tv:
+                    batch = min(max(1, _BATCH_BYTES // (2 * tick_weights)), self.ticks)
+                    # A buffer's header: the block's ticks, the policy in
+                    # force, and whether a coordination step reset the
+                    # previous tick's distributions, and to what.
+                    head = np.dtype(
+                        [
+                            ("start", np.int64), ("stop", np.int64), ("reset", bool),
+                            ("policy", float, self.policy.shape),
+                            ("dists", float, (n, cfg.n_actions)),
+                        ],
+                        align=True,
+                    )
+                    specs += [
+                        ((2, batch, n, cfg.weight_dim), float),
+                        ((self.ticks,), float),
+                        ((2,), head),
+                    ]
                 try:
-                    shared = mmap.mmap(-1, 2 * 8 * math.prod(shape))
+                    self.slots, *recording = _shared_arrays(*specs)
                 except OSError:
                     pass
                 else:
-                    self.slots = np.ndarray((2, *shape), buffer=shared)
+                    if recording:
+                        self.blocks, tick_policy_tv, self.heads = recording
             # Reused for every chunk: at large swarm sizes fresh draw-sized
             # arrays come back from the allocator unmapped and fault in page
             # by page.
@@ -292,13 +348,15 @@ class _Run:
         step_norms = np.zeros(self.ticks)
         clamped = np.zeros((self.ticks, n), dtype=bool)
         max_weight_norm = np.zeros(self.ticks)
-        # Only the stable regime has a policy drift ceiling to record for.
-        tick_policy_tv = np.zeros(self.ticks) if cfg.delta < 0.0 else None
-        batch = min(max(1, _BATCH_BYTES // (n * cfg.weight_dim * 8)), self.ticks)
-        self.block = np.empty((batch, n, cfg.weight_dim))
+        if record_tv and tick_policy_tv is None:
+            tick_policy_tv = np.zeros(self.ticks)
+        if self.blocks is None:
+            batch = min(max(1, _BATCH_BYTES // tick_weights), self.ticks)
+            self.blocks = np.empty((1, batch, n, cfg.weight_dim))
+        self.block = self.blocks[0]
         # Each tick's per-agent step norms; _record_block reduces them to
         # the trace's one norm per tick.
-        self.block_norms = np.empty((batch, n))
+        self.block_norms = np.empty(self.block.shape[:2])
 
         embeddings = self.encoder.encode(self.weights)
         # Only the stable regime has drift ceilings; elsewhere no fold runs.
@@ -362,22 +420,43 @@ class _Run:
             if index == 0 and self.slots is not None:
                 self._fork_drawer()
             return
-        _, ready, free = self.drawer
-        if not os.read(ready, 1):
-            raise TriboundError(f"the observation draw process ended before chunk {index}")
-        self.obs = self.slots[index % 2]
-        # The other slot, read for the previous chunk, is free for the next.
-        if (index + 1) * self.obs.shape[0] < self.ticks:
-            os.write(free, b"\0")
+        self._receive(_CHUNK, f"chunk {index}")
+        self.obs = self.slots[index % 3]
+        # The slot read for the previous chunk is free for chunk index + 2.
+        if (index + 2) * self.obs.shape[0] < self.ticks:
+            self._send(_CHUNK)
+
+    def _send(self, order: bytes) -> None:
+        """Hand the draw process a slot or a block. One it can no longer
+        take, because it has ended (EPIPE), is dropped: the run's next wait
+        on it then meets the end of its pipe and raises the TriboundError
+        naming the chunk or block it waited for."""
+        try:
+            os.write(self.drawer[2], order)
+        except BrokenPipeError:
+            pass
+
+    def _receive(self, kind: bytes, what: str) -> None:
+        """Take the draw process's next byte of this kind, a chunk drawn or a
+        block recorded, counting those of the other kind that come first."""
+        while not self.received[kind]:
+            byte = os.read(self.drawer[1], 1)
+            if not byte:
+                raise TriboundError(f"the observation draw process ended before {what}")
+            self.received[byte] += 1
+        self.received[kind] -= 1
+
+    def _take_recorded(self) -> None:
+        """Wait until the draw process has recorded the oldest block handed
+        to it."""
+        start, stop = self.pending.pop(0)
+        self._receive(_BLOCK, f"the policy TV of ticks {start} to {stop - 1}")
 
     def _fork_drawer(self) -> None:
-        """Fork the process that draws chunks 1, 2, ... from here on, each
-        into the slot the run last handed back, one byte on the ready pipe
-        per chunk drawn and one on the free pipe per slot handed back. It
-        owns the "observations" stream and leaves by os._exit once the last
-        chunk the horizon holds is drawn. If a pipe or the fork fails (no
-        process to spare), its pipes are closed and the run goes on drawing
-        here."""
+        """Fork the process that draws chunks 1, 2, ... from here on and
+        records the policy TV of each block handed to it (_serve). If a pipe
+        or the fork fails (no process to spare), its pipes are closed and
+        the run goes on drawing and recording here."""
         fds: list[int] = []
         try:
             fds.extend(os.pipe())
@@ -387,39 +466,66 @@ class _Run:
             for fd in fds:
                 os.close(fd)
             return
-        ready_read, ready_write, free_read, free_write = fds
+        ready_read, ready_write, order_read, order_write = fds
         if pid:
             os.close(ready_write)
-            os.close(free_read)
-            self.drawer = (pid, ready_read, free_write)
+            os.close(order_read)
+            self.drawer = (pid, ready_read, order_write)
             return
         status = 1
         try:
             os.close(ready_read)
-            os.close(free_write)
-            chunk = self.obs.shape[0]
-            for index in range(1, -(-self.ticks // chunk)):
-                if index > 1 and not os.read(free_read, 1):
-                    break
-                self.obs = self.slots[index % 2]
-                self._draw_observations()
-                os.write(ready_write, b"\0")
+            os.close(order_write)
+            self._serve(ready_write, order_read)
             status = 0
         except Exception:
             sys.excepthook(*sys.exc_info())
         finally:
             os._exit(status)
 
+    def _serve(self, ready: int, orders: int) -> None:
+        """The draw process: while a slot is free and the horizon holds
+        another chunk, draw it into that slot and say so on the ready pipe;
+        else take the run's next order, a slot handed back or a block to
+        record, and say when the block is recorded. Returns when the run
+        closes its pipe. It owns the "observations" stream."""
+        chunk = self.obs.shape[0]
+        chunks = -(-self.ticks // chunk)
+        # Chunk 0 is being read; slots 1 and 2 are free.
+        drawn, free, recorded = 1, 2, 0
+        while True:
+            if free and drawn < chunks:
+                self.obs = self.slots[drawn % 3]
+                self._draw_observations()
+                os.write(ready, _CHUNK)
+                drawn, free = drawn + 1, free - 1
+                continue
+            order = os.read(orders, 1)
+            if not order:
+                return
+            if order == _CHUNK:
+                free += 1
+                continue
+            head = self.heads[recorded % 2]
+            start, stop = int(head["start"]), int(head["stop"])
+            # Copied out, so that they are laid out as the run's own are.
+            self.policy = head["policy"].copy()
+            if head["reset"]:
+                self.prev_dists = head["dists"].copy()
+            self._record_policy_tv(self.blocks[recorded % 2][: stop - start], start, stop)
+            os.write(ready, _BLOCK)
+            recorded += 1
+
     def close(self) -> None:
         """End and reap the draw process, if one was forked, and close its
         pipes."""
         if self.drawer is not None:
-            pid, ready, free = self.drawer
+            pid, ready, orders = self.drawer
             self.drawer = None
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(ready)
-            os.close(free)
+            os.close(orders)
 
     def _draw_observations(self) -> None:
         """Fill the chunk buffer: directions from the cube [-0.5, 0.5)^dim,
@@ -435,6 +541,9 @@ class _Run:
     def _fast_block(self, start: int) -> int:
         """Run fast ticks from index start; return the index after the last."""
         cfg, trace = self.cfg, self.trace
+        if len(self.pending) == 2:
+            # The buffer these ticks write to holds the older block.
+            self._take_recorded()
         stop = min(self.ticks, start + self.block.shape[0])
         # The next coordination or meta boundary; its tick ends the block.
         due = min(
@@ -482,11 +591,32 @@ class _Run:
             },
             self.margins,
         )
-        if trace.tick_policy_tv is not None:
-            dists = policy_distributions(self.policy, self.encoder.encode(block), self.cfg)
-            previous = np.concatenate((self.prev_dists[None], dists[:-1]))
-            trace.tick_policy_tv[start:stop] = tv_rows(dists, previous).max(axis=1)
-            self.prev_dists = dists[-1]
+        if trace.tick_policy_tv is None:
+            return
+        if self.drawer is None or self.heads is None:
+            self._record_policy_tv(block, start, stop)
+            return
+        # The draw process records it, the ticks meanwhile writing the other
+        # buffer; it holds the last tick's distributions unless reset.
+        head = self.heads[self.handed % 2]
+        head["start"], head["stop"], head["policy"] = start, stop, self.policy
+        head["reset"] = self.prev_dists is not None
+        if head["reset"]:
+            head["dists"], self.prev_dists = self.prev_dists, None
+        self._send(_BLOCK)
+        self.pending.append((start, stop))
+        self.handed += 1
+        self.block = self.blocks[self.handed % 2]
+
+    def _record_policy_tv(self, block: np.ndarray, start: int, stop: int) -> None:
+        """The policy TV of ticks start..stop-1, whose weights block holds:
+        each tick's largest change of any agent's action distribution from
+        the tick before, or from the distributions a coordination step reset
+        them to."""
+        dists = policy_distributions(self.policy, self.encoder.encode(block), self.cfg)
+        previous = np.concatenate((self.prev_dists[None], dists[:-1]))
+        self.trace.tick_policy_tv[start:stop] = tv_rows(dists, previous).max(axis=1)
+        self.prev_dists = dists[-1]
 
     def _coordination_step(self, ticks_done: int) -> bool:
         """Every coordination boundary the last tick reached; False on a halt."""
@@ -594,13 +724,16 @@ class _Run:
 
     def finish(self, ticks_done: int) -> Trace:
         """The trace, its per-tick arrays cut to the ticks run, with the
-        monitor's counts."""
+        monitor's counts, once the draw process has recorded every block."""
+        while self.pending:
+            self._take_recorded()
         trace = self.trace
         trace.step_norms = trace.step_norms[:ticks_done]
         trace.clamped = trace.clamped[:ticks_done]
         trace.max_weight_norm = trace.max_weight_norm[:ticks_done]
         if trace.tick_policy_tv is not None:
-            trace.tick_policy_tv = trace.tick_policy_tv[:ticks_done]
+            # A copy: the trace then holds no view of the shared mapping.
+            trace.tick_policy_tv = trace.tick_policy_tv[:ticks_done].copy()
         trace.fail_count = self.monitor.fail_count
         trace.alarm_count = self.monitor.alarm_count
         return trace

@@ -693,10 +693,12 @@ def test_save_needs_the_kept_snapshots(tmp_path: Path):
     assert not (tmp_path / "out").exists()
 
 
-def test_run_memory_grows_only_by_the_per_tick_arrays():
+def test_run_memory_grows_only_by_the_per_tick_arrays(monkeypatch):
     """Without kept snapshots, a run's allocation peak grows from 2 s to 10 s
     by no more than its per-tick arrays grow, plus 0.5 MB; 40 more cycles of
-    300 x 64 weight and 300 x 16 embedding snapshots would add 7.7 MB."""
+    300 x 64 weight and 300 x 16 embedding snapshots would add 7.7 MB. At
+    one CPU: tracemalloc does not trace the mapping a draw process shares."""
+    _cpus(monkeypatch, 1)
     cfg = apply_overrides(SystemConfig(), {"n_agents": 300, "tau2": 0.2, "tau3": 2.0})
     peaks, per_tick = [], []
     for duration in (2.0, 10.0):
@@ -974,6 +976,82 @@ def test_a_draw_process_that_dies_is_an_error_of_its_chunk(monkeypatch):
     with pytest.raises(TriboundError, match="^the observation draw process ended before chunk 2$"):
         run("baseline", duration=20.0)
     _no_child_left()
+
+
+def test_a_draw_process_gone_before_a_slot_is_handed_back_is_an_error_of_its_chunk(
+    monkeypatch,
+):
+    """The draw process leaves by os._exit just after it hands over chunk 1,
+    and is gone when the run hands a slot back, so that write meets a broken
+    pipe: the run raises the TriboundError naming chunk 2, the next it
+    waits for, and no process is left."""
+    parent = os.getpid()
+
+    def write(fd, data, _write=os.write):
+        if os.getpid() != parent:
+            _write(fd, data)
+            os._exit(0)
+        # Wait until the draw process has left, without reaping it.
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+        return _write(fd, data)
+
+    monkeypatch.setattr(os, "write", write)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(TriboundError, match="^the observation draw process ended before chunk 2$"):
+        run("baseline", duration=20.0)
+    _no_child_left()
+
+
+def test_a_draw_process_that_dies_is_an_error_of_its_block(monkeypatch):
+    """The draw process leaves by os._exit as it starts on the policy TV of
+    the first block, ticks 0 to 33: the run raises the TriboundError naming
+    that block when its buffer is next due, and no process is left."""
+    parent = os.getpid()
+
+    def dying(self, block, start, stop, _record=engine._Run._record_policy_tv):
+        if os.getpid() != parent:
+            os._exit(0)
+        _record(self, block, start, stop)
+
+    monkeypatch.setattr(engine._Run, "_record_policy_tv", dying)
+    _cpus(monkeypatch, 2)
+    message = "^the observation draw process ended before the policy TV of ticks 0 to 33$"
+    with pytest.raises(TriboundError, match=message):
+        run("baseline", duration=20.0)
+    _no_child_left()
+
+
+# Bytes of the three chunk slots at 30 x 64 (chunks of 17 ticks), and of the
+# two block buffers (34 ticks each, inside _BATCH_BYTES together), the
+# policy TV of 1,000 ticks and the two block headers.
+_SLOT_BYTES = 3 * 17 * 2 * 30 * 64 * 8
+_RECORDING_BYTES = 2 * 34 * 30 * 64 * 8 + 1000 * 8 + 2 * 2968
+
+
+@pytest.mark.parametrize(
+    "cpus, overrides, mapped",
+    [(1, {}, []), (2, {"delta": 0.0}, [_SLOT_BYTES]), (2, {}, [_SLOT_BYTES + _RECORDING_BYTES])],
+    ids=["one_cpu", "unstable", "stable"],
+)
+def test_only_a_draw_process_that_records_the_policy_tv_shares_block_buffers(
+    cpus, overrides, mapped, monkeypatch
+):
+    """A run maps shared memory only for a draw process, and block buffers
+    only for one that records the policy TV: in the stable regime. The
+    trace's TV is then its own copy, no view of the mapping."""
+    lengths = []
+
+    def mapping(fileno, length, _mmap=mmap.mmap):
+        lengths.append(length)
+        return _mmap(fileno, length)
+
+    monkeypatch.setattr(mmap, "mmap", mapping)
+    _cpus(monkeypatch, cpus)
+    trace = run("baseline", config=apply_overrides(SystemConfig(), overrides), duration=20.0)
+    assert lengths == mapped
+    assert (trace.tick_policy_tv is None) == ("delta" in overrides)
+    if trace.tick_policy_tv is not None:
+        assert trace.tick_policy_tv.flags.owndata
 
 
 @pytest.mark.parametrize(
