@@ -6,6 +6,7 @@ import json
 import math
 import mmap
 import os
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -999,6 +1000,28 @@ def test_a_draw_process_gone_before_a_slot_is_handed_back_is_an_error_of_its_chu
     _cpus(monkeypatch, 2)
     with pytest.raises(TriboundError, match="^the observation draw process ended before chunk 2$"):
         run("baseline", duration=20.0)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("name", ["baseline", "halted"])
+def test_a_run_returns_once_its_draw_process_has_recorded_every_block(
+    name, tmp_path, monkeypatch
+):
+    """The draw process takes 10 ms more over each block's policy TV, so it
+    is still at work when the last ticks end or the run halts: the run
+    still saves what the 1-CPU run does."""
+    _cpus(monkeypatch, 1)
+    want = _saved(*_DRAWN[name], tmp_path / "1")
+    parent = os.getpid()
+
+    def slow(self, block, start, stop, _record=engine._Run._record_policy_tv):
+        if os.getpid() != parent:
+            time.sleep(0.01)
+        _record(self, block, start, stop)
+
+    monkeypatch.setattr(engine._Run, "_record_policy_tv", slow)
+    _cpus(monkeypatch, 2)
+    assert _saved(*_DRAWN[name], tmp_path / "2") == want
     _no_child_left()
 
 
