@@ -34,7 +34,7 @@ from .bounds import (
     validate_conditions,
 )
 from .contracts import CONTRACT_IDS
-from .engine import SCENARIOS, Scenario, confirm_expectation, get_scenario, run, verify
+from .engine import SCENARIOS, Scenario, confirm_expectation, get_scenario, pin_to, run, verify
 from .errors import TriboundError
 from .model import SystemConfig, apply_overrides, initial_weights, load_config_path, row_norms
 from .trace import Trace, ticks_by
@@ -512,7 +512,8 @@ def _replay_seed(
 
 
 def _fork_share(share: Iterator[_SeedOutcome], cpu: int) -> tuple[int, BinaryIO]:
-    """Fork a process that keeps to the one CPU `cpu`, pickles each of
+    """Fork a process that keeps to the one CPU `cpu` (or, if that pin
+    fails, to the caller's mask, which is one CPU too), pickles each of
     share's outcomes into a pipe as it comes, or the message of the
     TriboundError that ends share, and leaves by os._exit, so that nothing
     reaches stdout and the caller's stack never unwinds there. Returns its
@@ -530,7 +531,7 @@ def _fork_share(share: Iterator[_SeedOutcome], cpu: int) -> tuple[int, BinaryIO]
         return pid, os.fdopen(read_fd, "rb")
     status = 1
     try:
-        os.sched_setaffinity(0, {cpu})
+        pin_to({cpu})
         os.close(read_fd)
         with os.fdopen(write_fd, "wb") as pipe:
             try:
@@ -567,21 +568,22 @@ def _replay_seeds(
     process's main thread until it returns or raises, so neither run forks
     a draw process (engine) and the verb stays at two busy processes; if
     the pipe or the fork fails (no process to spare), this process runs
-    every seed on its one CPU. Otherwise, with one seed, one CPU or no
-    affinity mask, this process runs every seed unpinned. Outcomes are
-    taken in seed order, and this process runs its next seed only when that
-    seed is due, so the lowest seed that raises a TriboundError raises it
-    here, as in a serial run. The forked process is ended and reaped before
-    this returns or raises.
+    every seed on its one CPU. Otherwise, with one seed, one CPU, no
+    affinity mask or a pin of this process that fails (engine.pin_to), this
+    process runs every seed unpinned. Outcomes are taken in seed order, and
+    this process runs its next seed only when that seed is due, so the
+    lowest seed that raises a TriboundError raises it here, as in a serial
+    run. The forked process is ended and reaped before this returns or
+    raises.
     """
     def replayed(share: range) -> Iterator[_SeedOutcome]:
         return (_replay_seed(scenario, config, seed, duration) for seed in share)
 
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = sorted(affinity(0)) if affinity else []
-    if len(seeds) < 2 or len(cpus) < 2:
+    held = pin_to(cpus[:1]) if len(seeds) >= 2 and len(cpus) >= 2 else None
+    if held is None:
         return list(replayed(seeds))
-    os.sched_setaffinity(0, cpus[:1])
     try:
         try:
             pid, pipe = _fork_share(replayed(seeds[1::2]), cpus[1])
@@ -609,7 +611,7 @@ def _replay_seeds(
             os.waitpid(pid, 0)
             pipe.close()
     finally:
-        os.sched_setaffinity(0, cpus)
+        pin_to(held)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

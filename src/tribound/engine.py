@@ -26,17 +26,20 @@ A run spends at most the two CPUs its process's affinity mask allows. With
 two or more in the mask, drawn observations and a horizon of more than one
 chunk, it draws chunk 0 itself, then forks one process that draws each
 later chunk into three chunk slots of one shared anonymous mapping, so it
-stays two chunks ahead of the ticks. In the stable regime the ticks write
-their weights into two block buffers of the same mapping, and that process
-also records each block's policy TV there, from a header the run writes
-beside each buffer: the block's ticks, the policy in force and the reset a
-coordination step makes. One byte per chunk or block on each of two pipes
-hands work over and back. That process alone draws from the "observations"
-stream after chunk 0, in the same order, and runs the same code on the same
-bytes, so the trace is byte for byte the one a run that draws and records
-everything itself makes, as it does with one CPU, aligned observations,
-one chunk or less, or when the mapping, a pipe or the fork fails. run()
-ends and reaps the draw process before it returns or raises.
+stays two chunks ahead of the ticks. That process keeps to the first CPU of
+the mask and the run to the others until the run ends (pin_to), so that the
+bytes the run sends it never wake it on the ticks' CPU. In the stable
+regime the ticks write their weights into two block buffers of the same
+mapping, and that process also records each block's policy TV there, from
+a header the run writes beside each buffer: the block's ticks, the policy
+in force and the reset a coordination step makes. One byte per chunk or
+block on each of two pipes hands work over and back. That process alone
+draws from the "observations" stream after chunk 0, in the same order, and
+runs the same code on the same bytes, so the trace is byte for byte the
+one a run that draws and records everything itself makes, as it does with
+one CPU, aligned observations, one chunk or less, or when the mapping, a
+pipe or the fork fails. run() ends and reaps the draw process, and gives
+the run its mask back, before it returns or raises.
 """
 from __future__ import annotations
 
@@ -47,7 +50,7 @@ import os
 import signal
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -237,6 +240,19 @@ def _shared_arrays(*specs: tuple[tuple[int, ...], Any]) -> list[np.ndarray]:
     ]
 
 
+def pin_to(cpus: Iterable[int]) -> set[int] | None:
+    """Keep this process to `cpus` and return the mask it held, which
+    pin_to(mask) gives back. If the kernel refuses the mask (an OSError, as
+    EINVAL when a CPU has left the cpuset), the process stays on the mask it
+    held and this returns None: a pin that fails is no pin."""
+    try:
+        held = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        return None
+    return held
+
+
 class _Run:
     """State of one run, advanced by three phase methods.
 
@@ -291,11 +307,13 @@ class _Run:
         # Only the stable regime has a policy drift ceiling to record for.
         record_tv = cfg.delta < 0.0
         tick_weights = n * cfg.weight_dim * 8
-        # (pid, ready fd, order fd) of the draw process, once forked; the
-        # bytes of each kind it sent that the run has not yet taken; the
-        # (start, stop) of each block handed to it and not yet recorded, and
-        # the count handed.
+        # (pid, ready fd, order fd) of the draw process, once forked, and the
+        # affinity mask the run held before it kept to the CPUs that process
+        # leaves it; the bytes of each kind it sent that the run has not yet
+        # taken; the (start, stop) of each block handed to it and not yet
+        # recorded, and the count handed.
         self.drawer: tuple[int, int, int] | None = None
+        self.mask: set[int] | None = None
         self.received = {_CHUNK: 0, _BLOCK: 0}
         self.pending: list[tuple[int, int]] = []
         self.handed = 0
@@ -454,9 +472,15 @@ class _Run:
 
     def _fork_drawer(self) -> None:
         """Fork the process that draws chunks 1, 2, ... from here on and
-        records the policy TV of each block handed to it (_serve). If a pipe
-        or the fork fails (no process to spare), its pipes are closed and
-        the run goes on drawing and recording here."""
+        records the policy TV of each block handed to it (_serve). It keeps
+        to the first CPU of the run's affinity mask and the run to the others
+        until close(): unpinned, a byte the run sends it can wake it on the
+        ticks' CPU, where it preempts them. The first CPU is the one device
+        interrupts most often go to, and the draw process, two chunks ahead,
+        has the slack to share it. If a pipe or the fork fails (no process
+        to spare), its pipes are closed and the run goes on drawing and
+        recording here."""
+        cpus = sorted(os.sched_getaffinity(0))
         fds: list[int] = []
         try:
             fds.extend(os.pipe())
@@ -471,9 +495,11 @@ class _Run:
             os.close(ready_write)
             os.close(order_read)
             self.drawer = (pid, ready_read, order_write)
+            self.mask = pin_to(cpus[1:])
             return
         status = 1
         try:
+            pin_to(cpus[:1])
             os.close(ready_read)
             os.close(order_write)
             self._serve(ready_write, order_read)
@@ -517,8 +543,8 @@ class _Run:
             recorded += 1
 
     def close(self) -> None:
-        """End and reap the draw process, if one was forked, and close its
-        pipes."""
+        """End and reap the draw process, if one was forked, close its
+        pipes, and give the run back the affinity mask it held."""
         if self.drawer is not None:
             pid, ready, orders = self.drawer
             self.drawer = None
@@ -526,6 +552,9 @@ class _Run:
             os.waitpid(pid, 0)
             os.close(ready)
             os.close(orders)
+        if self.mask is not None:
+            pin_to(self.mask)
+            self.mask = None
 
     def _draw_observations(self) -> None:
         """Fill the chunk buffer: directions from the cube [-0.5, 0.5)^dim,

@@ -165,6 +165,38 @@ def test_a_share_whose_fork_fails_runs_in_this_process(
     _no_child_left()
 
 
+@pytest.mark.parametrize("refused", ["cli", "seed"])
+def test_verify_with_a_pin_the_kernel_refuses_prints_the_same(
+    refused, tmp_path: Path, monkeypatch, capsys
+):
+    """At 2 CPUs a pin raises EINVAL, as when a CPU has left the cpuset,
+    and leaves its process on the mask it had. Refused in this process,
+    every seed runs here unpinned and each run forks its draw process;
+    refused in the seed process, that process runs its seeds on this
+    process's one CPU. Either way verify prints, writes and exits as at
+    one CPU, no process is left and this process's mask is its own."""
+    argv = ["verify", "--seeds", "3", "--duration", "4", "--out"]
+    _cpus(monkeypatch, 1)
+    serial = (main([*argv, str(tmp_path / "1")]), capsys.readouterr())
+    _cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def setaffinity(pid, cpus, _set=os.sched_setaffinity):
+        if (os.getpid() == parent) == (refused == "cli"):
+            raise OSError(errno.EINVAL, "planted")
+        _set(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
+    forks = _counted_forks(monkeypatch)
+    assert (main([*argv, str(tmp_path / "2")]), capsys.readouterr()) == serial
+    assert (tmp_path / "2" / "verify.json").read_text() == (
+        tmp_path / "1" / "verify.json"
+    ).read_text()
+    assert forks == (["_fork_drawer"] * 3 if refused == "cli" else ["_fork_share"])
+    _no_child_left()
+    assert os.sched_getaffinity(0) == {0, 1}
+
+
 def test_verify_without_an_affinity_mask_runs_in_this_process(monkeypatch, capsys):
     """A platform with no os.sched_getaffinity forks nothing and prints what
     the one-CPU run prints."""

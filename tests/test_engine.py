@@ -825,8 +825,43 @@ def test_boundaries_and_snapshot_queries_hold_at_tiny_periods():
 
 
 def _cpus(monkeypatch, count: int) -> None:
-    """Let a run see `count` CPUs in its affinity mask."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    """Let a run see `count` CPUs in its affinity mask; a process that sets
+    its mask then sees the mask it set, and no mask reaches the kernel. An
+    empty mask raises EINVAL, as the kernel's does."""
+    mask = set(range(count))
+
+    def setaffinity(pid, cpus):
+        if not cpus:
+            raise OSError(errno.EINVAL, "Invalid argument")
+        mask.clear()
+        mask.update(cpus)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask))
+    monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
+
+
+def _logged_pins(monkeypatch, log: Path, refused: str | None = None) -> None:
+    """After _cpus: append each mask a process sets to log, as "run" or
+    "drawer" and its CPUs. The process named by refused raises EINVAL
+    instead, as when a CPU has left the cpuset, and keeps its mask."""
+    parent = os.getpid()
+
+    def setaffinity(pid, cpus, _set=os.sched_setaffinity):
+        who = "run" if os.getpid() == parent else "drawer"
+        if who == refused:
+            raise OSError(errno.EINVAL, "planted")
+        _set(pid, cpus)
+        # Appended to from both processes.
+        with log.open("a") as fh:
+            fh.write(f"{who} {','.join(map(str, sorted(cpus)))}\n")
+
+    monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
+
+
+def _pins(log: Path, who: str) -> list[str]:
+    """The masks one process set, in order."""
+    lines = [line.split() for line in log.read_text().splitlines()]
+    return [cpus for name, cpus in lines if name == who]
 
 
 def _counted_forks(monkeypatch, error: OSError | None = None) -> list[int]:
@@ -909,11 +944,13 @@ class _Planted(Exception):
 
 
 @pytest.mark.parametrize("planted", [None, "halt", _Planted, KeyboardInterrupt])
-def test_no_draw_process_outlives_its_run(planted, monkeypatch):
+def test_no_draw_process_outlives_its_run(planted, tmp_path, monkeypatch):
     """A run that ends, halts, or meets an exception or an interrupt at its
     second coordination cycle, with chunks left to draw, ends and reaps
-    its draw process."""
+    its draw process, and gives itself back the mask it kept to one CPU of
+    while that process ran."""
     _cpus(monkeypatch, 2)
+    _logged_pins(monkeypatch, tmp_path / "pins")
     forks = _counted_forks(monkeypatch)
     if planted is not None and planted != "halt":
         calls = []
@@ -934,6 +971,55 @@ def test_no_draw_process_outlives_its_run(planted, monkeypatch):
         assert (trace.halt_reason is not None) == (planted == "halt")
     assert len(forks) == 1
     _no_child_left()
+    assert _pins(tmp_path / "pins", "run") == ["1", "0,1"]
+    assert os.sched_getaffinity(0) == {0, 1}
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_run_and_its_draw_process_keep_to_cpus_apart(cpus, tmp_path, monkeypatch):
+    """The draw process keeps to the first CPU of the run's mask and the run
+    to the others, so the two masks are disjoint and together the run's;
+    the run has its whole mask back when it returns."""
+    _cpus(monkeypatch, cpus)
+    log = tmp_path / "pins"
+    _logged_pins(monkeypatch, log)
+    forks = _counted_forks(monkeypatch)
+    run("baseline", duration=20.0)
+    assert len(forks) == 1
+    _no_child_left()
+    everything = ",".join(map(str, range(cpus)))
+    kept = ",".join(map(str, range(1, cpus)))
+    assert _pins(log, "run") == [kept, everything]
+    assert _pins(log, "drawer") == ["0"]
+    assert os.sched_getaffinity(0) == set(range(cpus))
+
+
+@pytest.mark.parametrize("refused", ["run", "drawer"])
+def test_a_pin_the_kernel_refuses_is_no_pin(refused, tmp_path, monkeypatch):
+    """A pin that raises EINVAL, in the run or in its draw process, leaves
+    that process on the mask it had: the run saves what the 1-CPU run does,
+    no process is left, and the run's mask is its own again."""
+    _cpus(monkeypatch, 1)
+    want = _saved(*_DRAWN["baseline"], tmp_path / "1")
+    _cpus(monkeypatch, 2)
+    log = tmp_path / "pins"
+    _logged_pins(monkeypatch, log, refused)
+    forks = _counted_forks(monkeypatch)
+    assert _saved(*_DRAWN["baseline"], tmp_path / "2") == want
+    assert len(forks) == 1
+    _no_child_left()
+    # The other process kept to its CPUs.
+    assert _pins(log, "run") == ([] if refused == "run" else ["1", "0,1"])
+    assert _pins(log, "drawer") == (["0"] if refused == "run" else [])
+    assert os.sched_getaffinity(0) == {0, 1}
+
+
+def test_a_run_gives_this_process_its_own_mask_back():
+    """Unfaked: whatever this process's mask, a run that may fork its draw
+    process leaves the mask as it found it."""
+    mask = os.sched_getaffinity(0)
+    run("baseline", duration=2.0)
+    assert os.sched_getaffinity(0) == mask
 
 
 def test_a_fork_that_fails_draws_here(tmp_path, monkeypatch):
