@@ -947,7 +947,7 @@ class _Planted(Exception):
 def test_no_draw_process_outlives_its_run(planted, tmp_path, monkeypatch):
     """A run that ends, halts, or meets an exception or an interrupt at its
     second coordination cycle, with chunks left to draw, ends and reaps
-    its draw process, and gives itself back the mask it kept to one CPU of
+    its draw process, and gets back the whole mask it narrowed to one CPU
     while that process ran."""
     _cpus(monkeypatch, 2)
     _logged_pins(monkeypatch, tmp_path / "pins")
