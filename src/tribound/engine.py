@@ -31,15 +31,15 @@ the mask and the run to the others until the run ends (pin_to), so that the
 bytes the run sends it never wake it on the ticks' CPU. In the stable
 regime the ticks write their weights into two block buffers of the same
 mapping, and that process also records each block's policy TV there, from
-a header the run writes beside each buffer: the block's ticks, the policy
-in force and the reset a coordination step makes. One byte per chunk or
-block on each of two pipes hands work over and back. That process alone
-draws from the "observations" stream after chunk 0, in the same order, and
-runs the same code on the same bytes, so the trace is byte for byte the
-one a run that draws and records everything itself makes, as it does with
-one CPU, aligned observations, one chunk or less, or when the mapping, a
-pipe or the fork fails. run() ends and reaps the draw process, and gives
-the run its mask back, before it returns or raises.
+a header the run writes beside each buffer: the block's ticks and the
+policy in force; the recorder keeps the previous tick's embeddings itself.
+One byte per chunk or block on each of two pipes hands work over and back.
+That process alone draws from the "observations" stream after chunk 0, in
+the same order, and runs the same code on the same bytes, so the trace is
+byte for byte the one a run that draws and records everything itself
+makes, as it does with one CPU, aligned observations, one chunk or less,
+or when the mapping, a pipe or the fork fails. run() ends and reaps the
+draw process, and gives the run its mask back, before it returns or raises.
 """
 from __future__ import annotations
 
@@ -310,13 +310,11 @@ class _Run:
         # (pid, ready fd, order fd) of the draw process, once forked, and the
         # affinity mask the run held before it kept to the CPUs that process
         # leaves it; the bytes of each kind it sent that the run has not yet
-        # taken; the (start, stop) of each block handed to it and not yet
-        # recorded, and the count handed.
+        # taken; the counts of blocks handed to it and recorded.
         self.drawer: tuple[int, int, int] | None = None
         self.mask: set[int] | None = None
         self.received = {_CHUNK: 0, _BLOCK: 0}
-        self.pending: list[tuple[int, int]] = []
-        self.handed = 0
+        self.handed = self.recorded = 0
         self.slots = self.blocks = self.heads = tick_policy_tv = None
         if scenario.aligned_observations:
             # Reused every tick: the directions and their norms.
@@ -336,17 +334,9 @@ class _Run:
                 specs = [((3, *shape), float)]
                 if record_tv:
                     batch = min(max(1, _BATCH_BYTES // (2 * tick_weights)), self.ticks)
-                    # A buffer's header: the block's ticks, the policy in
-                    # force, and whether a coordination step reset the
-                    # previous tick's distributions, and to what.
-                    head = np.dtype(
-                        [
-                            ("start", np.int64), ("stop", np.int64), ("reset", bool),
-                            ("policy", float, self.policy.shape),
-                            ("dists", float, (n, cfg.n_actions)),
-                        ],
-                        align=True,
-                    )
+                    # A buffer's header: the block's ticks and the policy in force.
+                    head = np.dtype([("start", np.int64), ("stop", np.int64),
+                                     ("policy", float, self.policy.shape)])
                     specs += [
                         ((2, batch, n, cfg.weight_dim), float),
                         ((self.ticks,), float),
@@ -383,6 +373,8 @@ class _Run:
         # new arrays, never written in place, so the snapshots hold them
         # without a copy.
         self.last_snaps = (self.weights, embeddings)
+        # The previous tick's embeddings, which _record_policy_tv carries on.
+        self.prev_embeddings = embeddings
         self.trace = Trace(
             config=cfg,
             scenario_name=scenario.name,
@@ -400,8 +392,6 @@ class _Run:
             weight_drift=drift, embedding_drift=drift,
             events=self.monitor.events, last_verdicts=self.monitor.latest,
         )
-        if tick_policy_tv is not None:
-            self.prev_dists = policy_distributions(self.policy, embeddings, cfg)
 
     def _observations(
         self, i: int, weights: np.ndarray
@@ -467,8 +457,10 @@ class _Run:
     def _take_recorded(self) -> None:
         """Wait until the draw process has recorded the oldest block handed
         to it."""
-        start, stop = self.pending.pop(0)
+        head = self.heads[self.recorded % 2]
+        start, stop = int(head["start"]), int(head["stop"])
         self._receive(_BLOCK, f"the policy TV of ticks {start} to {stop - 1}")
+        self.recorded += 1
 
     def _fork_drawer(self) -> None:
         """Fork the process that draws chunks 1, 2, ... from here on and
@@ -534,10 +526,8 @@ class _Run:
                 continue
             head = self.heads[recorded % 2]
             start, stop = int(head["start"]), int(head["stop"])
-            # Copied out, so that they are laid out as the run's own are.
+            # Copied out, so that it is laid out as the run's own is.
             self.policy = head["policy"].copy()
-            if head["reset"]:
-                self.prev_dists = head["dists"].copy()
             self._record_policy_tv(self.blocks[recorded % 2][: stop - start], start, stop)
             os.write(ready, _BLOCK)
             recorded += 1
@@ -570,7 +560,7 @@ class _Run:
     def _fast_block(self, start: int) -> int:
         """Run fast ticks from index start; return the index after the last."""
         cfg, trace = self.cfg, self.trace
-        if len(self.pending) == 2:
+        if self.handed - self.recorded == 2:
             # The buffer these ticks write to holds the older block.
             self._take_recorded()
         stop = min(self.ticks, start + self.block.shape[0])
@@ -625,27 +615,29 @@ class _Run:
         if self.drawer is None or self.heads is None:
             self._record_policy_tv(block, start, stop)
             return
-        # The draw process records it, the ticks meanwhile writing the other
-        # buffer; it holds the last tick's distributions unless reset.
+        # The draw process records it, the ticks meanwhile writing the other buffer.
         head = self.heads[self.handed % 2]
         head["start"], head["stop"], head["policy"] = start, stop, self.policy
-        head["reset"] = self.prev_dists is not None
-        if head["reset"]:
-            head["dists"], self.prev_dists = self.prev_dists, None
         self._send(_BLOCK)
-        self.pending.append((start, stop))
         self.handed += 1
         self.block = self.blocks[self.handed % 2]
 
     def _record_policy_tv(self, block: np.ndarray, start: int, stop: int) -> None:
         """The policy TV of ticks start..stop-1, whose weights block holds:
         each tick's largest change of any agent's action distribution from
-        the tick before, or from the distributions a coordination step reset
-        them to."""
-        dists = policy_distributions(self.policy, self.encoder.encode(block), self.cfg)
-        previous = np.concatenate((self.prev_dists[None], dists[:-1]))
-        self.trace.tick_policy_tv[start:stop] = tv_rows(dists, previous).max(axis=1)
-        self.prev_dists = dists[-1]
+        the tick before, both under the policy in force at the tick. The
+        tick before the block is the row kept from the block before, or the
+        t = 0 embeddings."""
+        embeddings = self.encoder.encode(block)
+        dists = policy_distributions(self.policy, embeddings, self.cfg)
+        before = policy_distributions(self.policy, self.prev_embeddings, self.cfg)
+        # The first tick apart, since a block-sized concatenation of
+        # distributions raises a run's peak memory.
+        tv = self.trace.tick_policy_tv[start:stop]
+        tv[0] = tv_rows(dists[0], before).max()
+        tv[1:] = tv_rows(dists[1:], dists[:-1]).max(axis=1)
+        # A copy: a view would hold the whole block's embeddings.
+        self.prev_embeddings = embeddings[-1].copy()
 
     def _coordination_step(self, ticks_done: int) -> bool:
         """Every coordination boundary the last tick reached; False on a halt."""
@@ -689,8 +681,6 @@ class _Run:
                     "subopt_proxy": cfg.lip_pi * info.target_distance,
                 }
             )
-            if trace.tick_policy_tv is not None:
-                self.prev_dists = policy_distributions(self.policy, ideal, cfg)
             # Folds in snapshot order: np.maximum keeps a NaN change, as np.max
             # over every change does; max keeps a NaN norm only from snapshot
             # 0, as max over every snapshot does.
@@ -754,7 +744,7 @@ class _Run:
     def finish(self, ticks_done: int) -> Trace:
         """The trace, its per-tick arrays cut to the ticks run, with the
         monitor's counts, once the draw process has recorded every block."""
-        while self.pending:
+        while self.recorded < self.handed:
             self._take_recorded()
         trace = self.trace
         trace.step_norms = trace.step_norms[:ticks_done]

@@ -32,8 +32,10 @@ class Trace:
 
     Per-tick streams are dense arrays of one value per tick: step_norms
     the largest applied step norm of any agent (NaN if any agent's is),
-    max_weight_norm the largest weight row norm, tick_policy_tv the policy
-    TV; clamped alone holds one flag per agent per tick. Weight, embedding
+    max_weight_norm the largest weight row norm, tick_policy_tv the largest
+    TV of any agent's action distribution between its weights after the
+    tick and before it, both under the policy in force at the tick; clamped
+    alone holds one flag per agent per tick. Weight, embedding
     and policy snapshots are taken at t = 0 and at every coordination
     boundary, meta snapshots at t = 0 and at every meta boundary: snapshot
     k + 1 is at the time "t" of record k (marl_records for the first three,

@@ -9,6 +9,7 @@ import os
 import time
 import tracemalloc
 import warnings
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +29,12 @@ from tribound import (
     verify,
 )
 from tribound import engine
+from tribound.cascade import make_encoder, policy_distributions, tv_rows
 from tribound.engine import SLOPE_TOL, _least_squares_slope
 from tribound.hebbian import FastWorkspace, hebbian_tick
 from tribound.model import initial_weights
 from tribound.seeding import stream_rng
+from tribound.trace import TIME_TOL
 
 
 @pytest.fixture(scope="module")
@@ -904,6 +907,8 @@ _DRAWN = {
     # halts at t=32, with chunks left to draw
     "halted": ("baseline", {"delta_pi": 1e-300}, 40.0),
     "off_grid_periods": ("baseline", {"tau1": 0.03, "tau2": 1.0, "tau3": 5.0}, 12.0),
+    # the tanh encoder, in chunks of 73 ticks
+    "encoder_squash": ("baseline", {"encoder_squash": True, "n_agents": 7}, 20.0),
     # a chunk of one tick
     "300x64": ("baseline", {"n_agents": 300, "tau2": 0.2, "tau3": 2.0}, 2.0),
 }
@@ -924,6 +929,44 @@ def test_a_draw_process_leaves_every_saved_byte_unchanged(name, tmp_path, monkey
         _no_child_left()
     assert results[1] == results[0]
     assert (results[0][2] is not None) == (name == "halted")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("name", ["baseline", "encoder_squash", "off_grid_periods"])
+def test_the_policy_tv_of_a_tick_is_its_change_under_the_policy_in_force(
+    name, cpus, monkeypatch
+):
+    """Tick i's policy TV is the largest TV of any agent's action
+    distribution between the weights after tick i and after tick i - 1 (the
+    initial weights for tick 0), both under the policy in force at tick i.
+    Blocks of at most 6 ticks split every coordination cycle; at 2 CPUs the
+    draw process records them."""
+    scenario, overrides, duration = _DRAWN[name]
+    config = apply_overrides(SystemConfig(), overrides)
+    monkeypatch.setattr(engine, "_BATCH_BYTES", 6 * config.n_agents * config.weight_dim * 8)
+    weights = [initial_weights(config)]
+
+    def spy(cfg, w, x_pre, x_post, work, new_weights, norms, _tick=engine.hebbian_tick):
+        _tick(cfg, w, x_pre, x_post, work, new_weights, norms)
+        weights.append(new_weights.copy())
+
+    monkeypatch.setattr(engine, "hebbian_tick", spy)
+    forks = _counted_forks(monkeypatch)
+    _cpus(monkeypatch, cpus)
+    trace = run(scenario, config=config, duration=duration)
+    assert len(forks) == cpus - 1
+    cfg, encoder = trace.config, make_encoder(trace.config)
+    boundaries = [rec["t"] for rec in trace.marl_records]
+    want = []
+    for i in range(trace.ticks):
+        # The coordination steps the run takes before tick i.
+        policy = trace.policy_snaps[bisect_right(boundaries, i * cfg.tau1 * (1.0 + TIME_TOL))]
+        now, before = (
+            policy_distributions(policy, encoder.encode(w), cfg)
+            for w in (weights[i + 1], weights[i])
+        )
+        want.append(tv_rows(now, before).max())
+    assert np.array(want).tobytes() == trace.tick_policy_tv.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -1132,9 +1175,10 @@ def test_a_draw_process_that_dies_is_an_error_of_its_block(monkeypatch):
 
 # Bytes of the three chunk slots at 30 x 64 (chunks of 17 ticks), and of the
 # two block buffers (34 ticks each, inside _BATCH_BYTES together), the
-# policy TV of 1,000 ticks and the two block headers.
+# policy TV of 1,000 ticks and the two block headers, each the block's start
+# and stop and the policy of 8 actions x 16 embedding dimensions.
 _SLOT_BYTES = 3 * 17 * 2 * 30 * 64 * 8
-_RECORDING_BYTES = 2 * 34 * 30 * 64 * 8 + 1000 * 8 + 2 * 2968
+_RECORDING_BYTES = 2 * 34 * 30 * 64 * 8 + 1000 * 8 + 2 * (2 * 8 + 8 * 16 * 8)
 
 
 @pytest.mark.parametrize(
