@@ -16,9 +16,10 @@ runs once per block of ticks, with the same results as tick by tick.
 Everything is deterministic given (scenario, config, seed): all randomness
 flows through named seed streams, so repeated runs produce byte-identical
 traces. Drawn observations come from the SFC64 "observations" stream a
-chunk of ticks at a time (_OBS_CHUNK_VALUES): one uniform fill of cube
-directions (not isotropic; the bounds assume only ||x|| <= 1), one uniform
-draw of radii, each row scaled into the unit ball. The chunk length follows
+chunk of ticks at a time (_OBS_CHUNK_VALUES): one random sign per
+coordinate, a bit of the stream's raw output, then one uniform draw of
+radii, each row its signs times its radius over sqrt(weight_dim) (not
+isotropic; the bounds assume only ||x|| <= 1). The chunk length follows
 from the swarm shape alone and every chunk is drawn in full, so the horizon
 and the batch size never move a draw.
 
@@ -211,9 +212,20 @@ def _resolve_config(
 # max(1, _OBS_CHUNK_VALUES // (2 * n_agents * weight_dim)) fast ticks. Part
 # of the "observations" stream layout: the chunk length depends on the swarm
 # shape alone, never on _BATCH_BYTES or the horizon, and every chunk is
-# drawn in full, so a run's observations depend on (seed, n_agents,
-# weight_dim) only.
+# drawn in full, its signs from ceil(values / 64) raw outputs and then its
+# radii, so a run's observations depend on (seed, n_agents, weight_dim) only.
 _OBS_CHUNK_VALUES = 1 << 16
+
+
+def _root_scale(dim: int) -> float:
+    """The largest double c with c * c * dim <= 1 exactly, by which
+    _draw_observations scales each row's radius: floor(2**p / sqrt(dim)),
+    of more than 53 bits, cut to 53 and scaled back by 2**-p."""
+    p = 64 + dim.bit_length()
+    root = math.isqrt((1 << 2 * p) // dim)
+    cut = root.bit_length() - 53
+    return math.ldexp(root >> cut, cut - p)
+
 
 # Bytes of fast-tick weights the batch buffers hold together: one buffer, or
 # the two a draw process records the policy TV from, the ticks writing one
@@ -324,6 +336,7 @@ class _Run:
         else:
             chunk = max(1, _OBS_CHUNK_VALUES // (2 * n * cfg.weight_dim))
             shape = (chunk, 2, n, cfg.weight_dim)
+            self.obs_scale = _root_scale(cfg.weight_dim)
             affinity = getattr(os, "sched_getaffinity", None)
             if self.ticks > chunk and affinity is not None and len(affinity(0)) >= 2:
                 # Three chunk slots, shared with the draw process, which
@@ -547,15 +560,26 @@ class _Run:
             self.mask = None
 
     def _draw_observations(self) -> None:
-        """Fill the chunk buffer: directions from the cube [-0.5, 0.5)^dim,
-        not isotropic, each scaled to a uniform radius in [0, 1)."""
-        obs = self.obs_rng.random(out=self.obs)
-        obs -= 0.5
-        norms = row_norms(obs)
-        norms[norms == 0.0] = 1.0
-        scale = self.obs_rng.uniform(size=norms.shape)
-        scale /= norms
-        obs *= scale[..., None]
+        """Fill the chunk buffer: coordinate j of row k is +-r_k * c, with
+        + where its bit is set and r_k uniform on [0, 1). The bit of the
+        value at flat index i of the C-order chunk is bit i % 64 of raw
+        output i // 64; the chunk takes its raw outputs first, then its
+        radii. c is the largest double with c * c * dim <= 1 exactly, not
+        1 / sqrt(dim) rounded, which exceeds 1 / sqrt(dim) at some dim (3,
+        6, 10, ...): at dim 6, the largest r_k then gives a row of norm past
+        1. As r_k < 1, r_k * c rounds to at most c, so every row's norm is
+        at most 1."""
+        obs = self.obs
+        raw = self.obs_rng.bit_generator.random_raw(-(-obs.size // 64))
+        # Little-endian bytes, so the bits keep their order on any host.
+        bits = raw.astype("<u8", copy=False).view(np.uint8)
+        signs = np.unpackbits(bits, count=obs.size, bitorder="little").view(np.int8)
+        signs *= 2
+        signs -= 1
+        np.copyto(obs, signs.reshape(obs.shape))
+        radii = self.obs_rng.uniform(size=obs.shape[:-1])
+        radii *= self.obs_scale
+        obs *= radii[..., None]
 
     def _fast_block(self, start: int) -> int:
         """Run fast ticks from index start; return the index after the last."""

@@ -2,6 +2,7 @@
 import dataclasses
 import errno
 import filecmp
+import hashlib
 import json
 import math
 import mmap
@@ -10,6 +11,7 @@ import time
 import tracemalloc
 import warnings
 from bisect import bisect_right
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +224,68 @@ def test_drawn_observation_radii_are_uniform(monkeypatch):
     ranks = np.arange(1, n + 1)
     ks = max(float((ranks / n - r).max()), float((r - (ranks - 1) / n).max()))
     assert ks < 1.95 / math.sqrt(n)
+
+
+def _below_inverse_root(dim):
+    """The largest double c with c * c * dim <= 1 exactly, found by steps of
+    one ulp from 1 / sqrt(dim) rounded."""
+    def fits(c):
+        return Fraction(c) ** 2 * dim <= 1
+
+    c = 1.0 / math.sqrt(dim)
+    while not fits(c):
+        c = math.nextafter(c, 0.0)
+    while fits(math.nextafter(c, 2.0)):
+        c = math.nextafter(c, 2.0)
+    return c
+
+
+def _drawn_chunk_zero(n_agents, weight_dim):
+    """A run's first observation chunk at seed 0, drawn by the run."""
+    cfg = apply_overrides(SystemConfig(), {"n_agents": n_agents, "weight_dim": weight_dim})
+    state = engine._Run(get_scenario("baseline"), cfg, 1.0, False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state._draw_observations()
+    return state.obs
+
+
+@pytest.mark.parametrize(
+    "n_agents, weight_dim", [(30, 64), (3, 7), (1, 6)], ids=["30x64", "3x7", "1x6"]
+)
+def test_drawn_observations_follow_the_sign_law(n_agents, weight_dim):
+    """Chunk 0 rebuilt from the stream with shifts and masks: the value at
+    flat index i takes the sign of bit i % 64 of raw output i // 64 (+ when
+    set), after which the chunk draws its radii r; every value is +-r * c,
+    c the largest double at most 1 / sqrt(dim). So each row holds one
+    magnitude, and even the largest radius below 1 keeps a row's exact norm
+    within 1, which at dim 6 r / sqrt(dim) rounded would not."""
+    obs = _drawn_chunk_zero(n_agents, weight_dim)
+    chunk = max(1, engine._OBS_CHUNK_VALUES // (2 * n_agents * weight_dim))
+    shape = (chunk, 2, n_agents, weight_dim)
+    assert obs.shape == shape
+    rng = stream_rng(0, "observations")
+    index = np.arange(math.prod(shape), dtype=np.uint64)
+    raw = rng.bit_generator.random_raw(-(-index.size // 64))
+    bits = (raw[index >> np.uint64(6)] >> (index & np.uint64(63))) & np.uint64(1)
+    scale = _below_inverse_root(weight_dim)
+    magnitudes = rng.uniform(size=shape[:-1]) * scale
+    want = np.where(bits.reshape(shape) == 1, 1.0, -1.0) * magnitudes[..., None]
+    assert obs.tobytes() == want.tobytes()
+    assert (np.abs(obs) == np.abs(obs[..., :1])).all()
+    # The exact norm of the chunk's longest row, and of a row of the
+    # largest radius the stream can draw.
+    for magnitude in (np.abs(obs).max(), (1.0 - 2.0**-53) * scale):
+        assert Fraction(magnitude) ** 2 * weight_dim <= 1
+
+
+def test_the_first_observation_chunk_is_pinned():
+    """The draw calls no BLAS, so its bytes do not depend on the numeric
+    stack: chunk 0 at seed 0 and 30x64, as little-endian doubles, hashes to
+    one value on every host."""
+    obs = _drawn_chunk_zero(30, 64)
+    digest = hashlib.sha256(obs.astype("<f8").tobytes()).hexdigest()
+    assert digest == "ebf898509ee94ef27e82649b938f069ff9ecd948851ff5af7343175271a73906"
 
 
 @pytest.mark.parametrize("scenario", ["baseline", "no_clamp"])
@@ -469,29 +533,6 @@ def test_aligned_directions_of_edge_rows(row, want):
     np.testing.assert_array_equal(dirs[others], plain[others])
     np.testing.assert_array_equal(dirs[2], want)
     assert np.signbit(dirs[2]).tolist()[1:] == np.signbit(want).tolist()[1:]
-
-
-class _Halves:
-    """A stub observation stream: every uniform direction coordinate is 0.5,
-    which the draw centres to 0, and every radius 0.75."""
-
-    def random(self, out):
-        out.fill(0.5)
-        return out
-
-    def uniform(self, size):
-        return np.full(size, 0.75)
-
-
-def test_a_zero_drawn_direction_stays_zero():
-    """A drawn direction of norm 0 is scaled by its radius over 1, not over
-    its zero norm: every observation stays +-0, with no RuntimeWarning."""
-    state = engine._Run(get_scenario("baseline"), SystemConfig(), 1.0, False)
-    state.obs_rng = _Halves()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        state._draw_observations()
-    assert not state.obs.any()
 
 
 def test_no_clamp_violates_step_contract():
