@@ -7,7 +7,8 @@ hashes, so the mapping is stable across platforms and releases. Id 4 is
 retired: its stream is gone, and the id is never reused. The table fixes each
 stream's bit generator: "observations", which draws the fast ticks'
 activity a chunk of ticks at a time and is most of a run's random
-numbers, uses SFC64, which fills uniform doubles faster; every other
+numbers, uses SFC64, which gives raw 64-bit outputs (a chunk's sign bits)
+and uniform doubles (its radii) at least as fast as PCG64; every other
 stream uses PCG64. A stream drawn afresh at each coordination cycle,
 such as "embedding_error", takes the cycle index as an integer key, so each
 cycle's draw is fixed by (seed, stream, cycle) alone. This module holds

@@ -952,6 +952,8 @@ _DRAWN = {
     "encoder_squash": ("baseline", {"encoder_squash": True, "n_agents": 7}, 20.0),
     # a chunk of one tick
     "300x64": ("baseline", {"n_agents": 300, "tau2": 0.2, "tau3": 2.0}, 2.0),
+    # chunks of 156 ticks, whose sign bits straddle the raw 64-bit outputs
+    "odd_dim": ("baseline", {"weight_dim": 7}, 4.0),
 }
 
 
