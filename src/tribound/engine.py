@@ -572,8 +572,8 @@ class _Run:
         obs = self.obs
         raw = self.obs_rng.bit_generator.random_raw(-(-obs.size // 64))
         # Little-endian bytes, so the bits keep their order on any host.
-        bits = raw.astype("<u8", copy=False).view(np.uint8)
-        signs = np.unpackbits(bits, count=obs.size, bitorder="little").view(np.int8)
+        packed = raw.astype("<u8", copy=False).view(np.uint8)
+        signs = np.unpackbits(packed, count=obs.size, bitorder="little").view(np.int8)
         signs *= 2
         signs -= 1
         np.copyto(obs, signs.reshape(obs.shape))
