@@ -12,6 +12,11 @@ coordination, then meta. Between two boundaries nothing the fast ticks
 depend on changes, so the per-tick recording (the clamp flags and the cap
 on the step norms, weight norms, the NP-C1 and NP-C2 checks, policy TV)
 runs once per block of ticks, with the same results as tick by tick.
+Aligned observations, each weight row over its norm, are checked once per
+block too: a block divides plainly and checks at its end that every
+proposed step norm is finite. Only a block that fails that check, or whose
+first weights hold a zero or NaN norm, runs by the per-tick law, which
+gives such a row a direction of its own (_Run._observations).
 
 Everything is deterministic given (scenario, config, seed): all randomness
 flows through named seed streams, so repeated runs produce byte-identical
@@ -409,9 +414,9 @@ class _Run:
     def _observations(
         self, i: int, weights: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Tick i's (x_pre, x_post): the weights' unit directions when
-        aligned, else tick i's rows of the drawn chunk, which is drawn at
-        its first tick."""
+        """Tick i's (x_pre, x_post) by the per-tick law: the weights' unit
+        directions when aligned, else tick i's rows of the drawn chunk,
+        which is drawn at its first tick."""
         if self.scenario.aligned_observations:
             dirs, norms, column = self.dirs, self.dir_norms, self.dir_norm_column
             row_norms(weights, out=norms)
@@ -582,7 +587,10 @@ class _Run:
         obs *= radii[..., None]
 
     def _fast_block(self, start: int) -> int:
-        """Run fast ticks from index start; return the index after the last."""
+        """Run fast ticks from index start; return the index after the last.
+        An aligned block runs by _aligned_ticks, and by the per-tick law of
+        _ticks only when that pass declines it; drawn observations always
+        run by _ticks."""
         cfg, trace = self.cfg, self.trace
         if self.handed - self.recorded == 2:
             # The buffer these ticks write to holds the older block.
@@ -598,19 +606,51 @@ class _Run:
         )
         if ends.size:
             stop = start + int(ends[0]) + 1
-        observations, work = self._observations, self.work
-        block, norms = self.block, self.block_norms
-        weights = self.weights
-        for i in range(start, stop):
-            x_pre, x_post = observations(i, weights)
-            new_weights = block[i - start]
-            hebbian_tick(cfg, weights, x_pre, x_post, work, new_weights, norms[i - start])
-            weights = new_weights
+        if not (self.scenario.aligned_observations and self._aligned_ticks(start, stop)):
+            self._ticks(start, stop)
         # Copied out of the block, which the next block overwrites: the
         # snapshots hold self.weights.
-        self.weights = weights.copy()
+        self.weights = self.block[stop - start - 1].copy()
         self._record_block(start, stop)
         return stop
+
+    def _ticks(self, start: int, stop: int) -> None:
+        """Ticks start..stop-1 by the per-tick law: each tick's observations
+        from _observations."""
+        cfg, work, observations = self.cfg, self.work, self._observations
+        weights = self.weights
+        for i, new_weights, norms in zip(range(start, stop), self.block, self.block_norms):
+            x_pre, x_post = observations(i, weights)
+            hebbian_tick(cfg, weights, x_pre, x_post, work, new_weights, norms)
+            weights = new_weights
+
+    def _aligned_ticks(self, start: int, stop: int) -> bool:
+        """Ticks start..stop-1 with aligned observations, each tick's
+        directions the plain divide of the weights by their norms; True when
+        the block then ran as the per-tick law runs it. The law differs only
+        at a zero or NaN norm, whose row divides to NaN or inf and so gives
+        its tick a non-finite proposed step norm. A block whose first
+        weights hold such a norm is left to the law; one whose proposed norms
+        are not all finite is run by the law again, which raises the divide
+        and invalid warnings silenced here. So is one that raises a warning
+        as an error: a tick before it may have silenced the law's first."""
+        norms, column, dirs = self.dir_norms, self.dir_norm_column, self.dirs
+        weights = self.weights
+        # The least norm is NaN if any is.
+        if not np.minimum.reduce(row_norms(weights, out=norms)) > 0.0:
+            return False
+        cfg, work = self.cfg, self.work
+        step_norms = self.block_norms[: stop - start]
+        try:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for new_weights, tick_norms in zip(self.block, step_norms):
+                    row_norms(weights, out=norms)
+                    np.divide(weights, column, out=dirs)
+                    hebbian_tick(cfg, weights, dirs, dirs, work, new_weights, tick_norms)
+                    weights = new_weights
+        except (FloatingPointError, RuntimeWarning):
+            return False
+        return bool(np.isfinite(step_norms).all())
 
     def _record_block(self, start: int, stop: int) -> None:
         """Clamp flags and the largest applied step norm, weight norms,

@@ -34,6 +34,35 @@ def test_counterexample_delta_zero_confirms(capsys):
     assert "unbounded growth confirmed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_a_scenarios_own_overrides_win_over_set_and_config(
+    source, tmp_path: Path, monkeypatch, capsys
+):
+    """delta_zero runs its own 10 agents at delta 0, whatever --set or
+    --config gives those keys, and prints what it prints without them."""
+    argv = ["counterexample", "delta_zero", "--duration", "20"]
+    assert main(argv) == CONFIRMED_EXIT
+    alone = capsys.readouterr().out
+    if source == "set":
+        argv += ["--set", "n_agents=1", "--set", "delta=-0.5"]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n_agents": 1, "delta": -0.5}))
+        argv += ["--config", str(path)]
+    configs = []
+
+    def spy(*args, **kwargs):
+        trace = engine.run(*args, **kwargs)
+        configs.append(trace.config)
+        return trace
+
+    monkeypatch.setattr(cli, "run", spy)
+    assert main(argv) == CONFIRMED_EXIT
+    assert capsys.readouterr().out == alone
+    [config] = configs
+    assert (config.n_agents, config.delta) == (10, 0.0)
+
+
 def test_verify_two_seeds_passes(capsys):
     assert main(["verify", "--seeds", "2", "--duration", "10"]) == PASS_EXIT
     assert "replayed 2 seeds" in capsys.readouterr().out

@@ -535,6 +535,123 @@ def test_aligned_directions_of_edge_rows(row, want):
     assert np.signbit(dirs[2]).tolist()[1:] == np.signbit(want).tolist()[1:]
 
 
+# Aligned, at the stable default config but for delta_zero's 10 agents, so
+# that a block is a coordination cycle of 100 ticks: the weights start at
+# norm 1, so its first block runs by the block pass too.
+ALIGNED_STABLE = Scenario(
+    name="aligned_stable", overrides={"n_agents": 10}, aligned_observations=True
+)
+
+
+def _ticks_spied(monkeypatch, planted=()):
+    """Spy on the fast ticks of a run: the returned passes list gets (method,
+    start) of each call of _Run._aligned_ticks and _Run._ticks, ticks the
+    index of the tick each engine.hebbian_tick call runs, and proposed each
+    tick's proposed step norms from the last pass over it. Each (tick, row,
+    value) of planted writes value into that row of the weights the tick
+    makes, in every pass over it."""
+    passes, ticks, proposed = [], [], {}
+    at = [0]
+
+    def spied(name):
+        method = getattr(engine._Run, name)
+
+        def wrapper(state, start, stop):
+            passes.append((name, start))
+            at[0] = start
+            return method(state, start, stop)
+
+        return wrapper
+
+    for name in ("_aligned_ticks", "_ticks"):
+        monkeypatch.setattr(engine._Run, name, spied(name))
+
+    def spy(cfg, weights, x_pre, x_post, work, new_weights, norms, _tick=engine.hebbian_tick):
+        tick = at[0]
+        at[0] += 1
+        _tick(cfg, weights, x_pre, x_post, work, new_weights, norms)
+        for when, row, value in planted:
+            if tick == when:
+                new_weights[row] = value
+        ticks.append(tick)
+        proposed[tick] = norms.tobytes()
+
+    monkeypatch.setattr(engine, "hebbian_tick", spy)
+    return passes, ticks, proposed
+
+
+@pytest.mark.parametrize("scenario", ["delta_zero", ALIGNED_STABLE], ids=["delta_zero", "stable"])
+def test_an_aligned_run_calls_hebbian_tick_once_per_tick(scenario, monkeypatch):
+    """delta_zero's zero start goes straight to the per-tick law, not through
+    a rerun; every other block runs once, by the block pass."""
+    passes, ticks, _ = _ticks_spied(monkeypatch)
+    trace = run(scenario, duration=6.0)
+    assert ticks == list(range(trace.ticks)) and trace.ticks == 300
+    law = [("_ticks", 0)] if scenario == "delta_zero" else []
+    blocks = [("_aligned_ticks", start) for start in (100, 200)]
+    assert passes == [("_aligned_ticks", 0), *law, *blocks]
+
+
+@pytest.mark.parametrize("scenario", ["delta_zero", ALIGNED_STABLE], ids=["delta_zero", "stable"])
+@pytest.mark.parametrize(
+    "planted",
+    [
+        [(150, 2, 0.0)],
+        [(150, 2, -0.0)],
+        [(150, 2, math.nan)],
+        [(150, 2, math.inf)],
+        [(150, 2, math.inf), (160, 3, 1e200)],
+    ],
+    ids=["zero", "negative_zero", "nan", "inf", "inf_then_overflow"],
+)
+def test_an_edge_row_made_mid_block_runs_as_the_per_tick_law_runs_it(
+    scenario, planted, monkeypatch
+):
+    """A zero, -0.0, NaN or inf row made in the middle of a block (ticks 100
+    to 199) gives the same weights, proposed and applied step norms, weight
+    norms and events as a run by the per-tick law alone, which reruns the
+    block. With warnings as errors, or numpy's raising FloatingPointError,
+    the run raises what the law raises first, also when an overflow at a
+    later tick is the block pass's first."""
+
+    def outcome(law_only: bool, mode: str):
+        with monkeypatch.context() as patch:
+            passes, _, proposed = _ticks_spied(patch, planted)
+            if law_only:
+                patch.setattr(engine._Run, "_aligned_ticks", lambda state, start, stop: False)
+            raised = "raise" if mode == "raise" else None
+            with warnings.catch_warnings(), np.errstate(
+                divide=raised, invalid=raised, over=raised
+            ):
+                warnings.simplefilter("error" if mode == "error" else "ignore")
+                try:
+                    trace = run(scenario, duration=4.0, keep_snapshots=True)
+                except (RuntimeWarning, FloatingPointError) as exc:
+                    return passes, repr(exc)
+        return passes, (
+            [weights.tobytes() for weights in trace.snap_weights],
+            trace.step_norms.tobytes(),
+            trace.clamped.tobytes(),
+            trace.max_weight_norm.tobytes(),
+            proposed,
+            [_typed(verdict.to_record()) for verdict in trace.events],
+        )
+
+    first = [("_aligned_ticks", 0), ("_aligned_ticks", 100), ("_ticks", 100)]
+    if scenario == "delta_zero":
+        first[1:1] = [("_ticks", 0)]
+    inf = any(value == math.inf for _, _, value in planted)
+    for mode, error in (("ignore", None), ("error", "RuntimeWarning"),
+                        ("raise", "FloatingPointError")):
+        passes, ran = outcome(False, mode)
+        assert ran == outcome(True, mode)[1]
+        assert passes[: len(first)] == first
+        if inf and error:
+            assert ran == f"{error}('invalid value encountered in divide')"
+        else:
+            assert not isinstance(ran, str)
+
+
 def test_no_clamp_violates_step_contract():
     scenario = get_scenario("no_clamp")
     trace = run(scenario, duration=10.0)
