@@ -18,8 +18,8 @@ import argparse
 import dataclasses
 import json
 import os
+import functools
 import pickle
-import signal
 import sys
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterator, Sequence
@@ -34,9 +34,10 @@ from .bounds import (
     validate_conditions,
 )
 from .contracts import CONTRACT_IDS
-from .engine import SCENARIOS, Scenario, confirm_expectation, get_scenario, pin_to, run, verify
+from .engine import SCENARIOS, Scenario, confirm_expectation, get_scenario, run, verify
 from .errors import TriboundError
-from .model import SystemConfig, apply_overrides, initial_weights, load_config_path, row_norms
+from .model import SystemConfig, apply_overrides, config_file_items, initial_weights, row_norms
+from .procs import cpus, fork_child, pin_to
 from .trace import Trace, ticks_by
 
 PASS_EXIT = 0
@@ -111,11 +112,22 @@ def _parse_overrides(pairs: list[str] | None) -> dict[str, Any]:
     return overrides
 
 
-def _build_config(args: argparse.Namespace) -> SystemConfig:
-    config = (
-        load_config_path(args.config) if args.config is not None else SystemConfig()
-    )
-    return apply_overrides(config, _parse_overrides(args.set))
+def _build_config(args: argparse.Namespace, scenario: Scenario | None = None) -> SystemConfig:
+    """The config --config and then --set give. With a scenario, one line on
+    stderr first names each key they give that the scenario's own overrides
+    fix to another value, and the value the scenario runs."""
+    data = {} if args.config is None else config_file_items(args.config)
+    config = apply_overrides(SystemConfig(), data)
+    overrides = _parse_overrides(args.set)
+    config = apply_overrides(config, overrides)
+    fixed = [
+        f"{key}={json.dumps(value)}" for key, value in getattr(scenario, "overrides", {}).items()
+        if (key in data or key in overrides) and getattr(config, key) != value
+    ]
+    if fixed:
+        print(f"note: scenario {scenario.name} runs {', '.join(fixed)} in place of the "
+              "values given", file=sys.stderr)
+    return config
 
 
 def _write_json(out_dir: str, name: str, payload: Any) -> None:
@@ -173,44 +185,20 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     rows = []
     per_n = []
     for n in n_values:
-        swept = apply_overrides(config, {"n_agents": n})
-        rep = total_bound(swept)
-        rows.append(
-            [
-                n,
-                rep.eps_hebb,
-                rep.eps_coord,
-                rep.eps_meta,
-                rep.eps_total,
-                _ratio(100.0 * rep.eps_coord, rep.eps_total),
-                rep.j_star,
-                100.0 * rep.relative_subopt,
-            ]
-        )
+        rep = total_bound(apply_overrides(config, {"n_agents": n}))
+        rows.append([
+            n, rep.eps_hebb, rep.eps_coord, rep.eps_meta, rep.eps_total,
+            _ratio(100.0 * rep.eps_coord, rep.eps_total), rep.j_star,
+            100.0 * rep.relative_subopt,
+        ])
         per_n.append({"n_agents": n, **dataclasses.asdict(rep)})
     print()
     print("suboptimality decomposition by swarm size")
-    print(
-        _table(
-            [
-                "n_agents",
-                "fast_term",
-                "coord_term",
-                "meta_term",
-                "total",
-                "coord_share_pct",
-                "ideal_return",
-                "rel_subopt_pct",
-            ],
-            rows,
-        )
-    )
+    headers = ["n_agents", "fast_term", "coord_term", "meta_term", "total",
+               "coord_share_pct", "ideal_return", "rel_subopt_pct"]
+    print(_table(headers, rows))
     if args.out:
-        _write_json(
-            args.out,
-            "bounds.json",
-            {"base": dataclasses.asdict(report), "per_n": per_n},
-        )
+        _write_json(args.out, "bounds.json", {"base": dataclasses.asdict(report), "per_n": per_n})
     return PASS_EXIT
 
 
@@ -223,16 +211,11 @@ def cmd_conditions(args: argparse.Namespace) -> int:
     ]
     print("start-time admissibility conditions")
     print(_table(["condition", "status", "measured", "threshold", "note"], rows))
+    passed = report.all_passed
     if args.out:
-        _write_json(
-            args.out,
-            "conditions.json",
-            {
-                "all_passed": report.all_passed,
-                "checks": [dataclasses.asdict(c) for c in report.checks],
-            },
-        )
-    return PASS_EXIT if report.all_passed else UNEXPECTED_EXIT
+        checks = [dataclasses.asdict(c) for c in report.checks]
+        _write_json(args.out, "conditions.json", {"all_passed": passed, "checks": checks})
+    return PASS_EXIT if passed else UNEXPECTED_EXIT
 
 
 def _print_run_summary(trace: Trace) -> None:
@@ -297,8 +280,8 @@ def _verdict(
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _build_config(args)
     scenario = get_scenario(args.scenario)
+    config = _build_config(args, scenario)
     trace = run(scenario, config, args.seed, args.duration, keep_snapshots=bool(args.out))
     report = verify(trace)
     _print_run_summary(trace)
@@ -330,18 +313,10 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     ]
     payload = [dataclasses.asdict(row) for row in sweep]
     print("exact sweep of the total bound against the tabulated reference")
-    print(
-        _table(
-            ["parameter", "factor", "total", "elasticity", "reference", "deviation_pct"],
-            rows,
-        )
-    )
+    headers = ["parameter", "factor", "total", "elasticity", "reference", "deviation_pct"]
+    print(_table(headers, rows))
     if args.out:
-        _write_json(
-            args.out,
-            "sensitivity.json",
-            {"base_total": base_total, "rows": payload},
-        )
+        _write_json(args.out, "sensitivity.json", {"base_total": base_total, "rows": payload})
     return PASS_EXIT
 
 
@@ -475,9 +450,9 @@ _COUNTEREXAMPLES = {
 
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
-    config = _build_config(args)
     example = _COUNTEREXAMPLES[args.name]
     scenario = get_scenario(args.name)
+    config = _build_config(args, scenario)
     trace = run(scenario, config=config, seed=args.seed, duration=args.duration)
     report = verify(trace)
     payload = example.report(trace, config)
@@ -511,40 +486,16 @@ def _replay_seed(
     return report.checks, trace.fail_count, trace.alarm_count, confirmed
 
 
-def _fork_share(share: Iterator[_SeedOutcome], cpu: int) -> tuple[int, BinaryIO]:
-    """Fork a process that keeps to the one CPU `cpu` (or, if that pin
-    fails, to the caller's mask, which is one CPU too), pickles each of
-    share's outcomes into a pipe as it comes, or the message of the
-    TriboundError that ends share, and leaves by os._exit, so that nothing
-    reaches stdout and the caller's stack never unwinds there. Returns its
-    pid and the pipe to read; if the fork fails, the pipe is closed before
-    the OSError propagates."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, os.fdopen(read_fd, "rb")
-    status = 1
-    try:
-        pin_to({cpu})
-        os.close(read_fd)
-        with os.fdopen(write_fd, "wb") as pipe:
-            try:
-                for outcome in share:
-                    pickle.dump(outcome, pipe)
-                    pipe.flush()
-            except TriboundError as exc:
-                pickle.dump(str(exc), pipe)
-        status = 0
-    except Exception:
-        sys.excepthook(*sys.exc_info())
-    finally:
-        os._exit(status)
+def _send_outcomes(share: Iterator[_SeedOutcome], fd: int) -> None:
+    """Pickle each of share's outcomes into the pipe fd as it comes, or the
+    message of the TriboundError that ends share."""
+    with os.fdopen(fd, "wb") as pipe:
+        try:
+            for outcome in share:
+                pickle.dump(outcome, pipe)
+                pipe.flush()
+        except TriboundError as exc:
+            pickle.dump(str(exc), pipe)
 
 
 def _received(pipe: BinaryIO) -> Iterator[_SeedOutcome | str]:
@@ -566,10 +517,10 @@ def _replay_seeds(
     the even ones; two is the count that was measured
     (BENCH_parallel_seeds.json). Each keeps to one CPU of the mask, this
     process's main thread until it returns or raises, so neither run forks
-    a draw process (engine) and the verb stays at two busy processes; if
+    a draw process (procs.Drawer) and the verb stays at two busy processes; if
     the pipe or the fork fails (no process to spare), this process runs
     every seed on its one CPU. Otherwise, with one seed, one CPU, no
-    affinity mask or a pin of this process that fails (engine.pin_to), this
+    affinity mask or a pin of this process that fails (procs.pin_to), this
     process runs every seed unpinned. Outcomes are taken in seed order, and
     this process runs its next seed only when that seed is due, so the
     lowest seed that raises a TriboundError raises it here, as in a serial
@@ -579,17 +530,19 @@ def _replay_seeds(
     def replayed(share: range) -> Iterator[_SeedOutcome]:
         return (_replay_seed(scenario, config, seed, duration) for seed in share)
 
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = sorted(affinity(0)) if affinity else []
-    held = pin_to(cpus[:1]) if len(seeds) >= 2 and len(cpus) >= 2 else None
+    mask = cpus()
+    held = pin_to(mask[:1]) if len(seeds) >= 2 and len(mask) >= 2 else None
     if held is None:
         return list(replayed(seeds))
     try:
-        try:
-            pid, pipe = _fork_share(replayed(seeds[1::2]), cpus[1])
-        except OSError:
+        # The forked process keeps to the second CPU, or if that pin fails
+        # to this process's one; nothing it prints reaches stdout.
+        share = replayed(seeds[1::2])
+        child = fork_child(functools.partial(_send_outcomes, share), mask[1:2])
+        if child is None:
             return list(replayed(seeds))
         try:
+            pipe = os.fdopen(child.ends[0], "rb", closefd=False)
             shares = replayed(seeds[::2]), _received(pipe)
             outcomes = []
             for offset, seed in enumerate(seeds):
@@ -605,18 +558,15 @@ def _replay_seeds(
         finally:
             # Once its share is read the forked process has nothing left to
             # do; if still running, it holds only seeds after one that
-            # raised. It is killed before its pipe closes, so it never meets
-            # a broken pipe.
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pipe.close()
+            # raised.
+            child.end()
     finally:
         pin_to(held)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = _build_config(args)
     scenario = get_scenario(args.scenario)
+    config = _build_config(args, scenario)
     if args.seeds < 1:
         raise TriboundError("--seeds must be at least 1")
     base_seed = config.seed if args.seed is None else args.seed
@@ -652,17 +602,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     print(_table(["check", "pass", "fail", "skip", "worst", "ceiling"], rows))
     if args.out:
-        _write_json(
-            args.out,
-            "verify.json",
-            {
-                "scenario": scenario.name,
-                "seeds": args.seeds,
-                "fail_total": fail_total,
-                "alarm_total": alarm_total,
-                "checks": tallies,
-            },
-        )
+        _write_json(args.out, "verify.json", {
+            "scenario": scenario.name, "seeds": args.seeds, "fail_total": fail_total,
+            "alarm_total": alarm_total, "checks": tallies,
+        })
     return _verdict(
         scenario.expected, all(confirmations),
         any(t["pass"] or t["fail"] for t in tallies.values()),
@@ -701,23 +644,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_options(p_sim, "master seed override")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_sens = sub.add_parser(
-        "sensitivity", help="parameter sweep of the total bound"
-    )
+    p_sens = sub.add_parser("sensitivity", help="parameter sweep of the total bound")
     _add_common(p_sens)
     p_sens.set_defaults(func=cmd_sensitivity)
 
-    p_ce = sub.add_parser(
-        "counterexample", help="regenerate one published failure mode"
-    )
+    p_ce = sub.add_parser("counterexample", help="regenerate one published failure mode")
     _add_common(p_ce)
     p_ce.add_argument("name", choices=sorted(_COUNTEREXAMPLES), help="failure mode")
     _add_run_options(p_ce, "master seed override")
     p_ce.set_defaults(func=cmd_counterexample)
 
-    p_ver = sub.add_parser(
-        "verify", help="replay traces against the ceilings over many seeds"
-    )
+    p_ver = sub.add_parser("verify", help="replay traces against the ceilings over many seeds")
     _add_common(p_ver)
     p_ver.add_argument(
         "--scenario", default="baseline", choices=tuple(SCENARIOS), help="scenario name"

@@ -29,34 +29,23 @@ from the swarm shape alone and every chunk is drawn in full, so the horizon
 and the batch size never move a draw.
 
 A run spends at most the two CPUs its process's affinity mask allows. With
-two or more in the mask, drawn observations and a horizon of more than one
-chunk, it draws chunk 0 itself, then forks one process that draws each
-later chunk into three chunk slots of one shared anonymous mapping, so it
-stays two chunks ahead of the ticks. That process keeps to the first CPU of
-the mask and the run to the others until the run ends (pin_to), so that the
-bytes the run sends it never wake it on the ticks' CPU. In the stable
-regime the ticks write their weights into two block buffers of the same
-mapping, and that process also records each block's policy TV there, from
-a header the run writes beside each buffer: the block's ticks and the
-policy in force; the recorder keeps the previous tick's embeddings itself.
-One byte per chunk or block on each of two pipes hands work over and back.
-That process alone draws from the "observations" stream after chunk 0, in
-the same order, and runs the same code on the same bytes, so the trace is
-byte for byte the one a run that draws and records everything itself
-makes, as it does with one CPU, aligned observations, one chunk or less,
-or when the mapping, a pipe or the fork fails. run() ends and reaps the
-draw process, and gives the run its mask back, before it returns or raises.
+two or more in the mask, drawn observations and a horizon of more than two
+chunks, it draws chunks 0 and 1 itself, then forks one process that draws
+the later chunks, two ahead of the ticks, and in the stable regime records
+each block's policy TV too (procs.Drawer, the module that holds every fork,
+pin and pipe). That process alone draws from the "observations" stream
+after chunk 1, in the same order, and runs the same code on the same bytes,
+so the trace is byte for byte the one a run that draws and records
+everything itself makes, as it does with one CPU, aligned observations, two
+chunks or less, or when the mapping, a pipe or the fork fails. run() ends
+and reaps the draw process, and gives the run its mask back, before it
+returns or raises.
 """
 from __future__ import annotations
 
-import itertools
 import math
-import mmap
-import os
-import signal
-import sys
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -74,7 +63,7 @@ from .cascade import (
     tv_rows,
 )
 from .contracts import Monitor, SafetyReadout, all_margins, ml2_increase
-from .errors import EnforcementError, TriboundError, ValidationError
+from .errors import EnforcementError, ValidationError
 from .hebbian import (
     FastWorkspace,
     clamp_norms,
@@ -98,6 +87,7 @@ from .model import (
     row_norms,
     unit_rows,
 )
+from .procs import Drawer, cpus
 from .seeding import stream_rng
 from .trace import TIME_TOL, Trace, ticks_by
 
@@ -224,7 +214,7 @@ _OBS_CHUNK_VALUES = 1 << 16
 
 def _root_scale(dim: int) -> float:
     """The largest double c with c * c * dim <= 1 exactly, by which
-    _draw_observations scales each row's radius: floor(2**p / sqrt(dim)),
+    draw_chunk scales each row's radius: floor(2**p / sqrt(dim)),
     of more than 53 bits, cut to 53 and scaled back by 2**-p."""
     p = 64 + dim.bit_length()
     root = math.isqrt((1 << 2 * p) // dim)
@@ -239,35 +229,27 @@ def _root_scale(dim: int) -> float:
 # agents x 256 weights would need 205 MB.
 _BATCH_BYTES = 1 << 20
 
-# The byte the run and its draw process pass for a chunk (a slot handed back,
-# a chunk drawn) and for a block (weights to record, their policy TV done).
-_CHUNK, _BLOCK = b"c", b"b"
 
-
-def _shared_arrays(*specs: tuple[tuple[int, ...], Any]) -> list[np.ndarray]:
-    """Zeroed arrays of the given (shape, dtype), laid end to end in one
-    anonymous mapping that a forked process shares."""
-    dtypes = [np.dtype(dtype) for _, dtype in specs]
-    sizes = [math.prod(shape) * dtype.itemsize for (shape, _), dtype in zip(specs, dtypes)]
-    shared = mmap.mmap(-1, sum(sizes))
-    offsets = itertools.accumulate(sizes, initial=0)
-    return [
-        np.ndarray(shape, dtype, shared, offset)
-        for (shape, _), dtype, offset in zip(specs, dtypes, offsets)
-    ]
-
-
-def pin_to(cpus: Iterable[int]) -> set[int] | None:
-    """Keep this process to `cpus` and return the mask it held, which
-    pin_to(mask) gives back. If the kernel refuses the mask (an OSError, as
-    EINVAL when a CPU has left the cpuset), the process stays on the mask it
-    held and this returns None: a pin that fails is no pin."""
-    try:
-        held = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        return None
-    return held
+def draw_chunk(rng: np.random.Generator, out: np.ndarray, scale: float) -> None:
+    """Fill `out`, a chunk of observations, from `rng`: coordinate j of row
+    k is +-r_k * scale, with + where its bit is set and r_k uniform on [0,
+    1). The bit of the value at flat index i of the C-order chunk is bit i %
+    64 of raw output i // 64; the chunk takes its raw outputs first, then
+    its radii. A run's scale is _root_scale(dim), the largest double c with
+    c * c * dim <= 1 exactly, not 1 / sqrt(dim) rounded, which exceeds 1 /
+    sqrt(dim) at some dim (3, 6, 10, ...): at dim 6, the largest r_k then
+    gives a row of norm past 1. As r_k < 1, r_k * c rounds to at most c, so
+    every row's norm is at most 1."""
+    raw = rng.bit_generator.random_raw(-(-out.size // 64))
+    # Little-endian bytes, so the bits keep their order on any host.
+    packed = raw.astype("<u8", copy=False).view(np.uint8)
+    signs = np.unpackbits(packed, count=out.size, bitorder="little").view(np.int8)
+    signs *= 2
+    signs -= 1
+    np.copyto(out, signs.reshape(out.shape))
+    radii = rng.uniform(size=out.shape[:-1])
+    radii *= scale
+    out *= radii[..., None]
 
 
 class _Run:
@@ -324,15 +306,7 @@ class _Run:
         # Only the stable regime has a policy drift ceiling to record for.
         record_tv = cfg.delta < 0.0
         tick_weights = n * cfg.weight_dim * 8
-        # (pid, ready fd, order fd) of the draw process, once forked, and the
-        # affinity mask the run held before it kept to the CPUs that process
-        # leaves it; the bytes of each kind it sent that the run has not yet
-        # taken; the counts of blocks handed to it and recorded.
-        self.drawer: tuple[int, int, int] | None = None
-        self.mask: set[int] | None = None
-        self.received = {_CHUNK: 0, _BLOCK: 0}
-        self.handed = self.recorded = 0
-        self.slots = self.blocks = self.heads = tick_policy_tv = None
+        self.drawer: Drawer | None = None
         if scenario.aligned_observations:
             # Reused every tick: the directions and their norms.
             self.dirs = np.empty((n, cfg.weight_dim))
@@ -342,44 +316,32 @@ class _Run:
             chunk = max(1, _OBS_CHUNK_VALUES // (2 * n * cfg.weight_dim))
             shape = (chunk, 2, n, cfg.weight_dim)
             self.obs_scale = _root_scale(cfg.weight_dim)
-            affinity = getattr(os, "sched_getaffinity", None)
-            if self.ticks > chunk and affinity is not None and len(affinity(0)) >= 2:
-                # Three chunk slots, shared with the draw process, which
-                # fills two while the ticks read the third; with the policy
-                # TV, the two block buffers, the TV and each buffer's
-                # header. Without memory to share, the run draws and
-                # records here.
-                specs = [((3, *shape), float)]
-                if record_tv:
-                    batch = min(max(1, _BATCH_BYTES // (2 * tick_weights)), self.ticks)
-                    # A buffer's header: the block's ticks and the policy in force.
-                    head = np.dtype([("start", np.int64), ("stop", np.int64),
-                                     ("policy", float, self.policy.shape)])
-                    specs += [
-                        ((2, batch, n, cfg.weight_dim), float),
-                        ((self.ticks,), float),
-                        ((2,), head),
-                    ]
+            if self.ticks > 2 * chunk and len(cpus()) >= 2:
+                # With the policy TV, the two block buffers share _BATCH_BYTES.
+                # Without memory to share, the run draws and records here.
                 try:
-                    self.slots, *recording = _shared_arrays(*specs)
+                    self.drawer = Drawer(
+                        shape, self.ticks,
+                        lambda out: draw_chunk(self.obs_rng, out, self.obs_scale),
+                        self._record_handed if record_tv else None,
+                        min(max(1, _BATCH_BYTES // (2 * tick_weights)), self.ticks),
+                        self.policy.size,
+                    )
                 except OSError:
                     pass
-                else:
-                    if recording:
-                        self.blocks, tick_policy_tv, self.heads = recording
             # Reused for every chunk: at large swarm sizes fresh draw-sized
             # arrays come back from the allocator unmapped and fault in page
             # by page.
-            self.obs = np.empty(shape) if self.slots is None else self.slots[0]
+            self.obs = np.empty(shape) if self.drawer is None else self.drawer.slots[0]
         step_norms = np.zeros(self.ticks)
         clamped = np.zeros((self.ticks, n), dtype=bool)
         max_weight_norm = np.zeros(self.ticks)
-        if record_tv and tick_policy_tv is None:
-            tick_policy_tv = np.zeros(self.ticks)
-        if self.blocks is None:
+        if self.drawer is not None and self.drawer.blocks is not None:
+            tick_policy_tv, self.block = self.drawer.tv, self.drawer.blocks[0]
+        else:
+            tick_policy_tv = np.zeros(self.ticks) if record_tv else None
             batch = min(max(1, _BATCH_BYTES // tick_weights), self.ticks)
-            self.blocks = np.empty((1, batch, n, cfg.weight_dim))
-        self.block = self.blocks[0]
+            self.block = np.empty((batch, n, cfg.weight_dim))
         # Each tick's per-agent step norms; _record_block reduces them to
         # the trace's one norm per tick.
         self.block_norms = np.empty(self.block.shape[:2])
@@ -411,9 +373,7 @@ class _Run:
             events=self.monitor.events, last_verdicts=self.monitor.latest,
         )
 
-    def _observations(
-        self, i: int, weights: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _observations(self, i: int, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Tick i's (x_pre, x_post) by the per-tick law: the weights' unit
         directions when aligned, else tick i's rows of the drawn chunk,
         which is drawn at its first tick."""
@@ -434,157 +394,11 @@ class _Run:
         chunk = self.obs.shape[0]
         row = i % chunk
         if row == 0:
-            self._next_chunk(i // chunk)
+            if self.drawer is None:
+                draw_chunk(self.obs_rng, self.obs, self.obs_scale)
+            else:
+                self.obs = self.drawer.next_chunk(i // chunk)
         return self.obs[row, 0], self.obs[row, 1]
-
-    def _next_chunk(self, index: int) -> None:
-        """Make chunk `index` the one self.obs holds: read from the draw
-        process once it is forked, else drawn here. With shared slots the
-        process is forked once chunk 0 is drawn."""
-        if self.drawer is None:
-            self._draw_observations()
-            if index == 0 and self.slots is not None:
-                self._fork_drawer()
-            return
-        self._receive(_CHUNK, f"chunk {index}")
-        self.obs = self.slots[index % 3]
-        # The slot read for the previous chunk is free for chunk index + 2.
-        if (index + 2) * self.obs.shape[0] < self.ticks:
-            self._send(_CHUNK)
-
-    def _send(self, order: bytes) -> None:
-        """Hand the draw process a slot or a block. One it can no longer
-        take, because it has ended (EPIPE), is dropped: the run's next wait
-        on it then meets the end of its pipe and raises the TriboundError
-        naming the chunk or block it waited for."""
-        try:
-            os.write(self.drawer[2], order)
-        except BrokenPipeError:
-            pass
-
-    def _receive(self, kind: bytes, what: str) -> None:
-        """Take the draw process's next byte of this kind, a chunk drawn or a
-        block recorded, counting those of the other kind that come first."""
-        while not self.received[kind]:
-            byte = os.read(self.drawer[1], 1)
-            if not byte:
-                raise TriboundError(f"the observation draw process ended before {what}")
-            self.received[byte] += 1
-        self.received[kind] -= 1
-
-    def _take_recorded(self) -> None:
-        """Wait until the draw process has recorded the oldest block handed
-        to it."""
-        head = self.heads[self.recorded % 2]
-        start, stop = int(head["start"]), int(head["stop"])
-        self._receive(_BLOCK, f"the policy TV of ticks {start} to {stop - 1}")
-        self.recorded += 1
-
-    def _fork_drawer(self) -> None:
-        """Fork the process that draws chunks 1, 2, ... from here on and
-        records the policy TV of each block handed to it (_serve). It keeps
-        to the first CPU of the run's affinity mask and the run to the others
-        until close(): unpinned, a byte the run sends it can wake it on the
-        ticks' CPU, where it preempts them. The first CPU is the one device
-        interrupts most often go to, and the draw process, two chunks ahead,
-        has the slack to share it. If a pipe or the fork fails (no process
-        to spare), its pipes are closed and the run goes on drawing and
-        recording here."""
-        cpus = sorted(os.sched_getaffinity(0))
-        fds: list[int] = []
-        try:
-            fds.extend(os.pipe())
-            fds.extend(os.pipe())
-            pid = os.fork()
-        except OSError:
-            for fd in fds:
-                os.close(fd)
-            return
-        ready_read, ready_write, order_read, order_write = fds
-        if pid:
-            os.close(ready_write)
-            os.close(order_read)
-            self.drawer = (pid, ready_read, order_write)
-            self.mask = pin_to(cpus[1:])
-            return
-        status = 1
-        try:
-            pin_to(cpus[:1])
-            os.close(ready_read)
-            os.close(order_write)
-            self._serve(ready_write, order_read)
-            status = 0
-        except Exception:
-            sys.excepthook(*sys.exc_info())
-        finally:
-            os._exit(status)
-
-    def _serve(self, ready: int, orders: int) -> None:
-        """The draw process: while a slot is free and the horizon holds
-        another chunk, draw it into that slot and say so on the ready pipe;
-        else take the run's next order, a slot handed back or a block to
-        record, and say when the block is recorded. Returns when the run
-        closes its pipe. It owns the "observations" stream."""
-        chunk = self.obs.shape[0]
-        chunks = -(-self.ticks // chunk)
-        # Chunk 0 is being read; slots 1 and 2 are free.
-        drawn, free, recorded = 1, 2, 0
-        while True:
-            if free and drawn < chunks:
-                self.obs = self.slots[drawn % 3]
-                self._draw_observations()
-                os.write(ready, _CHUNK)
-                drawn, free = drawn + 1, free - 1
-                continue
-            order = os.read(orders, 1)
-            if not order:
-                return
-            if order == _CHUNK:
-                free += 1
-                continue
-            head = self.heads[recorded % 2]
-            start, stop = int(head["start"]), int(head["stop"])
-            # Copied out, so that it is laid out as the run's own is.
-            self.policy = head["policy"].copy()
-            self._record_policy_tv(self.blocks[recorded % 2][: stop - start], start, stop)
-            os.write(ready, _BLOCK)
-            recorded += 1
-
-    def close(self) -> None:
-        """End and reap the draw process, if one was forked, close its
-        pipes, and give the run back the affinity mask it held."""
-        if self.drawer is not None:
-            pid, ready, orders = self.drawer
-            self.drawer = None
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(ready)
-            os.close(orders)
-        if self.mask is not None:
-            pin_to(self.mask)
-            self.mask = None
-
-    def _draw_observations(self) -> None:
-        """Fill the chunk buffer: coordinate j of row k is +-r_k * c, with
-        + where its bit is set and r_k uniform on [0, 1). The bit of the
-        value at flat index i of the C-order chunk is bit i % 64 of raw
-        output i // 64; the chunk takes its raw outputs first, then its
-        radii. c is the largest double with c * c * dim <= 1 exactly, not
-        1 / sqrt(dim) rounded, which exceeds 1 / sqrt(dim) at some dim (3,
-        6, 10, ...): at dim 6, the largest r_k then gives a row of norm past
-        1. As r_k < 1, r_k * c rounds to at most c, so every row's norm is
-        at most 1."""
-        obs = self.obs
-        raw = self.obs_rng.bit_generator.random_raw(-(-obs.size // 64))
-        # Little-endian bytes, so the bits keep their order on any host.
-        packed = raw.astype("<u8", copy=False).view(np.uint8)
-        signs = np.unpackbits(packed, count=obs.size, bitorder="little").view(np.int8)
-        signs *= 2
-        signs -= 1
-        np.copyto(obs, signs.reshape(obs.shape))
-        radii = self.obs_rng.uniform(size=obs.shape[:-1])
-        radii *= self.obs_scale
-        obs *= radii[..., None]
 
     def _fast_block(self, start: int) -> int:
         """Run fast ticks from index start; return the index after the last.
@@ -592,9 +406,9 @@ class _Run:
         _ticks only when that pass declines it; drawn observations always
         run by _ticks."""
         cfg, trace = self.cfg, self.trace
-        if self.handed - self.recorded == 2:
-            # The buffer these ticks write to holds the older block.
-            self._take_recorded()
+        if self.drawer is not None:
+            # The buffer these ticks write to may hold the older block.
+            self.drawer.wait(1)
         stop = min(self.ticks, start + self.block.shape[0])
         # The next coordination or meta boundary; its tick ends the block.
         due = min(
@@ -676,15 +490,11 @@ class _Run:
         )
         if trace.tick_policy_tv is None:
             return
-        if self.drawer is None or self.heads is None:
+        if self.drawer is None or self.drawer.blocks is None:
             self._record_policy_tv(block, start, stop)
-            return
-        # The draw process records it, the ticks meanwhile writing the other buffer.
-        head = self.heads[self.handed % 2]
-        head["start"], head["stop"], head["policy"] = start, stop, self.policy
-        self._send(_BLOCK)
-        self.handed += 1
-        self.block = self.blocks[self.handed % 2]
+        else:
+            # The draw process records it, the ticks meanwhile writing the other buffer.
+            self.block = self.drawer.hand(start, stop, self.policy)
 
     def _record_policy_tv(self, block: np.ndarray, start: int, stop: int) -> None:
         """The policy TV of ticks start..stop-1, whose weights block holds:
@@ -702,6 +512,12 @@ class _Run:
         tv[1:] = tv_rows(dists[1:], dists[:-1]).max(axis=1)
         # A copy: a view would hold the whole block's embeddings.
         self.prev_embeddings = embeddings[-1].copy()
+
+    def _record_handed(self, block: np.ndarray, start: int, stop: int, policy: np.ndarray) -> None:
+        """_record_policy_tv of a block handed to the draw process, under the
+        policy in force at its ticks."""
+        self.policy = policy
+        self._record_policy_tv(block, start, stop)
 
     def _coordination_step(self, ticks_done: int) -> bool:
         """Every coordination boundary the last tick reached; False on a halt."""
@@ -808,8 +624,8 @@ class _Run:
     def finish(self, ticks_done: int) -> Trace:
         """The trace, its per-tick arrays cut to the ticks run, with the
         monitor's counts, once the draw process has recorded every block."""
-        while self.recorded < self.handed:
-            self._take_recorded()
+        if self.drawer is not None:
+            self.drawer.wait()
         trace = self.trace
         trace.step_norms = trace.step_norms[:ticks_done]
         trace.clamped = trace.clamped[:ticks_done]
@@ -855,7 +671,8 @@ def run(
             state._meta_step(done)
         return state.finish(done)
     finally:
-        state.close()
+        if state.drawer is not None:
+            state.drawer.close()
 
 
 def _least_squares_slope(times: np.ndarray, values: np.ndarray) -> float:

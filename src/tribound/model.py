@@ -213,10 +213,10 @@ def _coerce(name: str, value: Any) -> Any:
     return float(value) if kind is float else value
 
 
-def load_config(source: str) -> SystemConfig:
-    """Parse a JSON config document. An empty document yields all defaults."""
+def _config_items(source: str) -> dict[str, Any]:
+    """The key-value pairs of a JSON config document; an empty one has none."""
     if not source.strip():
-        return SystemConfig()
+        return {}
     try:
         data = json.loads(source)
     except json.JSONDecodeError as exc:
@@ -225,11 +225,17 @@ def load_config(source: str) -> SystemConfig:
         ) from exc
     if not isinstance(data, dict):
         raise ValidationError("config document must be a JSON object of key-value pairs")
-    return apply_overrides(SystemConfig(), data)
+    return data
 
 
-def load_config_path(path: str) -> SystemConfig:
-    """Parse the JSON config file at path; an unreadable file is a ValidationError."""
+def load_config(source: str) -> SystemConfig:
+    """Parse a JSON config document. An empty document yields all defaults."""
+    return apply_overrides(SystemConfig(), _config_items(source))
+
+
+def config_file_items(path: str) -> dict[str, Any]:
+    """The key-value pairs of the JSON config file at path; an unreadable
+    file is a ValidationError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
@@ -237,7 +243,12 @@ def load_config_path(path: str) -> SystemConfig:
         raise ValidationError(f"cannot read config file {path!r}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(f"config file {path!r} is not UTF-8 text: {exc}") from exc
-    return load_config(source)
+    return _config_items(source)
+
+
+def load_config_path(path: str) -> SystemConfig:
+    """Parse the JSON config file at path; an unreadable file is a ValidationError."""
+    return apply_overrides(SystemConfig(), config_file_items(path))
 
 
 def apply_overrides(config: SystemConfig, overrides: Mapping[str, Any]) -> SystemConfig:

@@ -34,21 +34,27 @@ def test_counterexample_delta_zero_confirms(capsys):
     assert "unbounded growth confirmed" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("source", ["set", "config"])
+@pytest.mark.parametrize("source", ["set", "config", "unfixed"])
 def test_a_scenarios_own_overrides_win_over_set_and_config(
     source, tmp_path: Path, monkeypatch, capsys
 ):
     """delta_zero runs its own 10 agents at delta 0, whatever --set or
-    --config gives those keys, and prints what it prints without them."""
+    --config gives those keys, and prints what it prints without them; one
+    stderr line names each key given that it fixes to another value, with
+    the value it runs. A key it fixes to the value given (n_agents=10), or
+    one it does not fix (seed), draws no note."""
     argv = ["counterexample", "delta_zero", "--duration", "20"]
     assert main(argv) == CONFIRMED_EXIT
-    alone = capsys.readouterr().out
-    if source == "set":
-        argv += ["--set", "n_agents=1", "--set", "delta=-0.5"]
-    else:
+    alone = capsys.readouterr()
+    assert alone.err == ""
+    given = {"set": {"n_agents": 1, "delta": -0.5}, "config": {"n_agents": 1, "delta": -0.5},
+             "unfixed": {"n_agents": 10, "seed": 0}}[source]
+    if source == "config":
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"n_agents": 1, "delta": -0.5}))
+        path.write_text(json.dumps(given))
         argv += ["--config", str(path)]
+    else:
+        argv += [arg for key, value in given.items() for arg in ("--set", f"{key}={value}")]
     configs = []
 
     def spy(*args, **kwargs):
@@ -58,9 +64,28 @@ def test_a_scenarios_own_overrides_win_over_set_and_config(
 
     monkeypatch.setattr(cli, "run", spy)
     assert main(argv) == CONFIRMED_EXIT
-    assert capsys.readouterr().out == alone
+    out, err = capsys.readouterr()
+    assert out == alone.out
     [config] = configs
     assert (config.n_agents, config.delta) == (10, 0.0)
+    if source == "unfixed":
+        assert err == ""
+    else:
+        assert err == "note: scenario delta_zero runs delta=0.0, n_agents=10 in place of the values given\n"
+
+
+@pytest.mark.parametrize("verb", [["simulate"], ["verify", "--seeds", "1"]])
+def test_a_note_names_the_keys_a_scenario_drops_in_every_verb_that_runs_one(verb, capsys):
+    """simulate and verify print the note counterexample does, for a key
+    --set gives that their scenario fixes, and none for the baseline, which
+    fixes none."""
+    argv = [*verb, "--duration", "0", "--set", "enforce_clamp=true"]
+    main([*argv, "--scenario", "no_clamp"])
+    assert capsys.readouterr().err == (
+        "note: scenario no_clamp runs enforce_clamp=false in place of the values given\n"
+    )
+    main(argv)
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_two_seeds_passes(capsys):
@@ -109,13 +134,14 @@ def _no_child_left() -> None:
 
 
 def _counted_forks(monkeypatch, fail_at: int | None = None) -> list[str]:
-    """Record each os.fork call in this process by the function that made
-    it: _fork_share forks a seed process, _fork_drawer a draw process. The
-    call numbered fail_at raises EAGAIN instead."""
+    """Record each os.fork call in this process by the function that called
+    procs.fork_child to make it: _replay_seeds forks a seed process, and
+    Drawer.next_chunk a draw process. The call numbered fail_at raises
+    EAGAIN instead."""
     forks: list[str] = []
 
     def fork(_fork=os.fork):
-        forks.append(sys._getframe(1).f_code.co_name)
+        forks.append(sys._getframe(2).f_code.co_name)
         if len(forks) == fail_at:
             raise BlockingIOError(errno.EAGAIN, "planted")
         return _fork()
@@ -140,7 +166,8 @@ def test_verify_prints_and_writes_the_same_at_any_cpu_count(
             fh.write(line + "\n")
 
     def fork(_fork=os.fork):
-        logged(sys._getframe(1).f_code.co_name)
+        # The function that called procs.fork_child.
+        logged(sys._getframe(2).f_code.co_name)
         return _fork()
 
     def placed(*args, _run=cli.run, **kwargs):
@@ -149,7 +176,7 @@ def test_verify_prints_and_writes_the_same_at_any_cpu_count(
 
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(cli, "run", placed)
-    split = {"_fork_share": 1, "run@0": 3, "run@1": 2}
+    split = {"_replay_seeds": 1, "run@0": 3, "run@1": 2}
     results = []
     for cpus, logs in ((1, {"run@0": 5}), (2, split), (3, split)):
         _cpus(monkeypatch, cpus)
@@ -221,7 +248,7 @@ def test_verify_with_a_pin_the_kernel_refuses_prints_the_same(
     assert (tmp_path / "2" / "verify.json").read_text() == (
         tmp_path / "1" / "verify.json"
     ).read_text()
-    assert forks == (["_fork_drawer"] * 3 if refused == "cli" else ["_fork_share"])
+    assert forks == (["next_chunk"] * 3 if refused == "cli" else ["_replay_seeds"])
     _no_child_left()
     assert os.sched_getaffinity(0) == {0, 1}
 
@@ -344,7 +371,7 @@ def test_verify_of_one_seed_forks_only_its_draw_process(monkeypatch, capsys):
     _cpus(monkeypatch, 2)
     assert main(["verify", "--seeds", "1", "--duration", "10"]) == PASS_EXIT
     assert "replayed 1 seeds" in capsys.readouterr().out
-    assert forks == ["_fork_drawer"]
+    assert forks == ["next_chunk"]
     assert os.sched_getaffinity(0) == {0, 1}
     _no_child_left()
 

@@ -241,12 +241,13 @@ def _below_inverse_root(dim):
 
 
 def _drawn_chunk_zero(n_agents, weight_dim):
-    """A run's first observation chunk at seed 0, drawn by the run."""
+    """A run's first observation chunk at seed 0, drawn from the run's
+    stream into its chunk buffer at its scale."""
     cfg = apply_overrides(SystemConfig(), {"n_agents": n_agents, "weight_dim": weight_dim})
     state = engine._Run(get_scenario("baseline"), cfg, 1.0, False)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        state._draw_observations()
+        engine.draw_chunk(state.obs_rng, state.obs, state.obs_scale)
     return state.obs
 
 
@@ -1070,7 +1071,7 @@ _DRAWN = {
     # a chunk of one tick
     "300x64": ("baseline", {"n_agents": 300, "tau2": 0.2, "tau3": 2.0}, 2.0),
     # chunks of 156 ticks, whose sign bits straddle the raw 64-bit outputs
-    "odd_dim": ("baseline", {"weight_dim": 7}, 4.0),
+    "odd_dim": ("baseline", {"weight_dim": 7}, 8.0),
 }
 
 
@@ -1131,9 +1132,9 @@ def test_the_policy_tv_of_a_tick_is_its_change_under_the_policy_in_force(
 
 @pytest.mark.parametrize(
     "scenario, duration",
-    # 10 and 17 ticks against a chunk of 17; delta_zero's are aligned.
-    [("baseline", 0.2), ("baseline", 0.34), ("delta_zero", 20.0)],
-    ids=["shorter_than_a_chunk", "one_chunk", "aligned"],
+    # 10, 17 and 34 ticks against a chunk of 17; delta_zero's are aligned.
+    [("baseline", 0.2), ("baseline", 0.34), ("baseline", 0.68), ("delta_zero", 20.0)],
+    ids=["shorter_than_a_chunk", "one_chunk", "two_chunks", "aligned"],
 )
 def test_a_run_with_nothing_to_draw_ahead_forks_nothing(scenario, duration, monkeypatch):
     _cpus(monkeypatch, 2)
@@ -1249,21 +1250,22 @@ def test_a_fork_that_fails_draws_here(tmp_path, monkeypatch):
 
 
 def test_a_draw_process_that_dies_is_an_error_of_its_chunk(monkeypatch):
-    """The draw process leaves by os._exit before it draws chunk 2: the run
-    raises a TriboundError naming that chunk, and no process is left."""
+    """The draw process leaves by os._exit before it draws chunk 3, its
+    second: the run raises a TriboundError naming that chunk, and no process
+    is left."""
     parent = os.getpid()
     draws = []
 
-    def dying(self, _draw=engine._Run._draw_observations):
+    def dying(rng, out, scale, _draw=engine.draw_chunk):
         if os.getpid() != parent:
             draws.append(1)
             if len(draws) == 2:
                 os._exit(0)
-        _draw(self)
+        _draw(rng, out, scale)
 
-    monkeypatch.setattr(engine._Run, "_draw_observations", dying)
+    monkeypatch.setattr(engine, "draw_chunk", dying)
     _cpus(monkeypatch, 2)
-    with pytest.raises(TriboundError, match="^the observation draw process ended before chunk 2$"):
+    with pytest.raises(TriboundError, match="^the observation draw process ended before chunk 3$"):
         run("baseline", duration=20.0)
     _no_child_left()
 
@@ -1271,9 +1273,9 @@ def test_a_draw_process_that_dies_is_an_error_of_its_chunk(monkeypatch):
 def test_a_draw_process_gone_before_a_slot_is_handed_back_is_an_error_of_its_chunk(
     monkeypatch,
 ):
-    """The draw process leaves by os._exit just after it hands over chunk 1,
+    """The draw process leaves by os._exit just after it hands over chunk 2,
     and is gone when the run hands a slot back, so that write meets a broken
-    pipe: the run raises the TriboundError naming chunk 2, the next it
+    pipe: the run raises the TriboundError naming chunk 3, the next it
     waits for, and no process is left."""
     parent = os.getpid()
 
@@ -1287,7 +1289,7 @@ def test_a_draw_process_gone_before_a_slot_is_handed_back_is_an_error_of_its_chu
 
     monkeypatch.setattr(os, "write", write)
     _cpus(monkeypatch, 2)
-    with pytest.raises(TriboundError, match="^the observation draw process ended before chunk 2$"):
+    with pytest.raises(TriboundError, match="^the observation draw process ended before chunk 3$"):
         run("baseline", duration=20.0)
     _no_child_left()
 
