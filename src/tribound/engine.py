@@ -28,18 +28,12 @@ isotropic; the bounds assume only ||x|| <= 1). The chunk length follows
 from the swarm shape alone and every chunk is drawn in full, so the horizon
 and the batch size never move a draw.
 
-A run spends at most the two CPUs its process's affinity mask allows. With
-two or more in the mask, drawn observations and a horizon of more than two
-chunks, it draws chunks 0 and 1 itself, then forks one process that draws
-the later chunks, two ahead of the ticks, and in the stable regime records
-each block's policy TV too (procs.Drawer, the module that holds every fork,
-pin and pipe). That process alone draws from the "observations" stream
-after chunk 1, in the same order, and runs the same code on the same bytes,
-so the trace is byte for byte the one a run that draws and records
-everything itself makes, as it does with one CPU, aligned observations, two
-chunks or less, or when the mapping, a pipe or the fork fails. run() ends
-and reaps the draw process, and gives the run its mask back, before it
-returns or raises.
+A run with drawn observations, two CPUs or more in its affinity mask and a
+horizon of more than two chunks draws chunks 0 and 1 itself, then hands
+the rest of the stream to a draw process (procs.Drawer, the module that
+holds every fork, pin and pipe), which also records the stable regime's
+per-tick policy TV. It runs the same code on the same bytes, so the trace
+is byte for byte the one the run would make alone.
 """
 from __future__ import annotations
 
@@ -323,7 +317,7 @@ class _Run:
                     self.drawer = Drawer(
                         shape, self.ticks,
                         lambda out: draw_chunk(self.obs_rng, out, self.obs_scale),
-                        self._record_handed if record_tv else None,
+                        self._record_policy_tv if record_tv else None,
                         min(max(1, _BATCH_BYTES // (2 * tick_weights)), self.ticks),
                         self.policy.size,
                     )
@@ -491,20 +485,22 @@ class _Run:
         if trace.tick_policy_tv is None:
             return
         if self.drawer is None or self.drawer.blocks is None:
-            self._record_policy_tv(block, start, stop)
+            self._record_policy_tv(block, start, stop, self.policy)
         else:
             # The draw process records it, the ticks meanwhile writing the other buffer.
             self.block = self.drawer.hand(start, stop, self.policy)
 
-    def _record_policy_tv(self, block: np.ndarray, start: int, stop: int) -> None:
+    def _record_policy_tv(
+        self, block: np.ndarray, start: int, stop: int, policy: np.ndarray
+    ) -> None:
         """The policy TV of ticks start..stop-1, whose weights block holds:
         each tick's largest change of any agent's action distribution from
-        the tick before, both under the policy in force at the tick. The
-        tick before the block is the row kept from the block before, or the
-        t = 0 embeddings."""
+        the tick before, both under `policy`, the policy in force at the
+        block's ticks. The tick before the block is the row kept from the
+        block before, or the t = 0 embeddings."""
         embeddings = self.encoder.encode(block)
-        dists = policy_distributions(self.policy, embeddings, self.cfg)
-        before = policy_distributions(self.policy, self.prev_embeddings, self.cfg)
+        dists = policy_distributions(policy, embeddings, self.cfg)
+        before = policy_distributions(policy, self.prev_embeddings, self.cfg)
         # The first tick apart, since a block-sized concatenation of
         # distributions raises a run's peak memory.
         tv = self.trace.tick_policy_tv[start:stop]
@@ -512,12 +508,6 @@ class _Run:
         tv[1:] = tv_rows(dists[1:], dists[:-1]).max(axis=1)
         # A copy: a view would hold the whole block's embeddings.
         self.prev_embeddings = embeddings[-1].copy()
-
-    def _record_handed(self, block: np.ndarray, start: int, stop: int, policy: np.ndarray) -> None:
-        """_record_policy_tv of a block handed to the draw process, under the
-        policy in force at its ticks."""
-        self.policy = policy
-        self._record_policy_tv(block, start, stop)
 
     def _coordination_step(self, ticks_done: int) -> bool:
         """Every coordination boundary the last tick reached; False on a halt."""

@@ -1305,10 +1305,10 @@ def test_a_run_returns_once_its_draw_process_has_recorded_every_block(
     want = _saved(*_DRAWN[name], tmp_path / "1")
     parent = os.getpid()
 
-    def slow(self, block, start, stop, _record=engine._Run._record_policy_tv):
+    def slow(self, block, start, stop, policy, _record=engine._Run._record_policy_tv):
         if os.getpid() != parent:
             time.sleep(0.01)
-        _record(self, block, start, stop)
+        _record(self, block, start, stop, policy)
 
     monkeypatch.setattr(engine._Run, "_record_policy_tv", slow)
     _cpus(monkeypatch, 2)
@@ -1322,10 +1322,10 @@ def test_a_draw_process_that_dies_is_an_error_of_its_block(monkeypatch):
     that block when its buffer is next due, and no process is left."""
     parent = os.getpid()
 
-    def dying(self, block, start, stop, _record=engine._Run._record_policy_tv):
+    def dying(self, block, start, stop, policy, _record=engine._Run._record_policy_tv):
         if os.getpid() != parent:
             os._exit(0)
-        _record(self, block, start, stop)
+        _record(self, block, start, stop, policy)
 
     monkeypatch.setattr(engine._Run, "_record_policy_tv", dying)
     _cpus(monkeypatch, 2)
