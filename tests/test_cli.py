@@ -74,7 +74,9 @@ def test_a_scenarios_own_overrides_win_over_set_and_config(
         assert err == "note: scenario delta_zero runs delta=0.0, n_agents=10 in place of the values given\n"
 
 
-@pytest.mark.parametrize("verb", [["simulate"], ["verify", "--seeds", "1"]])
+@pytest.mark.parametrize(
+    "verb", [["simulate"], ["verify", "--seeds", "1"]], ids=["simulate", "verify"]
+)
 def test_a_note_names_the_keys_a_scenario_drops_in_every_verb_that_runs_one(verb, capsys):
     """simulate and verify print the note counterexample does, for a key
     --set gives that their scenario fixes, and none for the baseline, which

@@ -1,8 +1,15 @@
-"""One module of src/ handles processes: it alone forks, makes pipes, leaves
-by os._exit, sends signals or sets CPU affinity, and it alone imports mmap
-or signal. Read with ast, as tests/test_unused_imports.py reads src/."""
+"""procs, the one module of src/ that handles processes. It alone forks,
+makes pipes, leaves by os._exit, sends signals or sets CPU affinity, and it
+alone imports mmap or signal, which src/ read with ast (as
+tests/test_unused_imports.py reads it) shows; and its fork helper's child
+leaves by os._exit, whatever its body does."""
 import ast
+import os
 from pathlib import Path
+
+import pytest
+
+from tribound import procs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PROCESS_CALLS = {"fork", "pipe", "_exit", "kill", "sched_setaffinity"}
@@ -52,3 +59,28 @@ def test_process_uses_finds_each_call_and_import():
         "1: mmap", "2: signal.SIGKILL", "3: os.pipe", "4: os.fork",
         "5: os.sched_setaffinity", "7: os._exit",
     ]
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+def test_a_forked_child_leaves_by_exit_whatever_its_body_does(raises, capfd):
+    """The child calls its body with the write end of the pipe and exits 0
+    when the body returns, or 1 after sys.excepthook prints what it raised.
+    It never returns into the caller, whose next line runs here alone."""
+    parent = os.getpid()
+
+    def body(fd):
+        os.write(fd, b"x")
+        if raises:
+            raise RuntimeError("planted")
+
+    child = procs.fork_child(body, procs.cpus())
+    if os.getpid() != parent:
+        # A child that returned here leaves with a status of its own.
+        os._exit(3)
+    try:
+        assert os.read(child.ends[0], 2) == b"x"
+        _, status = os.waitpid(child.pid, 0)
+    finally:
+        os.close(child.ends[0])
+    assert os.waitstatus_to_exitcode(status) == int(raises)
+    assert ("RuntimeError: planted" in capfd.readouterr().err) == raises
