@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
-import functools
 import pickle
 import sys
 from pathlib import Path
@@ -121,7 +121,8 @@ def _build_config(args: argparse.Namespace, scenario: Scenario | None = None) ->
     overrides = _parse_overrides(args.set)
     config = apply_overrides(config, overrides)
     fixed = [
-        f"{key}={json.dumps(value)}" for key, value in getattr(scenario, "overrides", {}).items()
+        f"{key}={json.dumps(value)}"
+        for key, value in (scenario.overrides if scenario else {}).items()
         if (key in data or key in overrides) and getattr(config, key) != value
     ]
     if fixed:

@@ -33,7 +33,8 @@ horizon of more than two chunks draws chunks 0 and 1 itself, then hands
 the rest of the stream to a draw process (procs.Drawer, the module that
 holds every fork, pin and pipe), which also records the stable regime's
 per-tick policy TV. It runs the same code on the same bytes, so the trace
-is byte for byte the one the run would make alone.
+is byte for byte the one the run would make alone. run() ends and reaps it,
+and gives the run its mask back, before it returns or raises.
 """
 from __future__ import annotations
 

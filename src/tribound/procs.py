@@ -108,8 +108,8 @@ class Drawer:
 
     def __init__(
         self, shape: tuple[int, ...], ticks: int, draw: Callable[[np.ndarray], None],
-        record: Callable[[np.ndarray, int, int, np.ndarray], None] | None = None,
-        batch: int = 0, policy_size: int = 0,
+        record: Callable[[np.ndarray, int, int, np.ndarray], None] | None,
+        batch: int, policy_size: int,
     ) -> None:
         specs = [((3, *shape), np.dtype(float))]
         if record is not None:
@@ -180,7 +180,10 @@ class Drawer:
 
     def close(self) -> None:
         """End and reap the process, if one was forked, and give the run back
-        the affinity mask it held."""
+        the affinity mask it held. The run's functions are dropped too: they
+        hold the run, which holds this drawer, and that cycle would keep both
+        and the mapping alive until the collector runs."""
+        self.draw = self.record = None
         if self.child is not None:
             child, self.child = self.child, None
             child.end()

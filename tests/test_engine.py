@@ -2,6 +2,7 @@
 import dataclasses
 import errno
 import filecmp
+import gc
 import hashlib
 import json
 import math
@@ -10,6 +11,7 @@ import os
 import time
 import tracemalloc
 import warnings
+import weakref
 from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
@@ -1177,6 +1179,28 @@ def test_no_draw_process_outlives_its_run(planted, tmp_path, monkeypatch):
     _no_child_left()
     assert _pins(tmp_path / "pins", "run") == ["1", "0,1"]
     assert os.sched_getaffinity(0) == {0, 1}
+
+
+def test_a_run_with_a_draw_process_is_freed_by_reference_counts(monkeypatch):
+    """With the cycle collector off, a run that forked its draw process,
+    and the mapping it shared with that process, are gone once run()
+    returns: the drawer holds none of the run's functions after close()."""
+    _cpus(monkeypatch, 2)
+    forks = _counted_forks(monkeypatch)
+    states = []
+
+    def tracked(state, *args, _init=engine._Run.__init__):
+        _init(state, *args)
+        states.append(weakref.ref(state))
+
+    monkeypatch.setattr(engine._Run, "__init__", tracked)
+    gc.disable()
+    try:
+        run("baseline", duration=2.0)
+    finally:
+        gc.enable()
+    assert len(forks) == 1
+    assert [state() for state in states] == [None]
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
