@@ -37,7 +37,7 @@ from .contracts import CONTRACT_IDS
 from .engine import SCENARIOS, Scenario, confirm_expectation, get_scenario, run, verify
 from .errors import TriboundError
 from .model import SystemConfig, apply_overrides, config_file_items, initial_weights, row_norms
-from .procs import cpus, fork_child, pin_to
+from .procs import affinity, fork_child, pin_to
 from .trace import Trace, ticks_by
 
 PASS_EXIT = 0
@@ -531,7 +531,7 @@ def _replay_seeds(
     def replayed(share: range) -> Iterator[_SeedOutcome]:
         return (_replay_seed(scenario, config, seed, duration) for seed in share)
 
-    mask = cpus()
+    mask = affinity()
     held = pin_to(mask[:1]) if len(seeds) >= 2 and len(mask) >= 2 else None
     if held is None:
         return list(replayed(seeds))

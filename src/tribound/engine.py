@@ -82,7 +82,7 @@ from .model import (
     row_norms,
     unit_rows,
 )
-from .procs import Drawer, cpus
+from .procs import Drawer, affinity
 from .seeding import stream_rng
 from .trace import TIME_TOL, Trace, ticks_by
 
@@ -311,7 +311,7 @@ class _Run:
             chunk = max(1, _OBS_CHUNK_VALUES // (2 * n * cfg.weight_dim))
             shape = (chunk, 2, n, cfg.weight_dim)
             self.obs_scale = _root_scale(cfg.weight_dim)
-            if self.ticks > 2 * chunk and len(cpus()) >= 2:
+            if self.ticks > 2 * chunk and len(affinity()) >= 2:
                 # With the policy TV, the two block buffers share _BATCH_BYTES.
                 # Without memory to share, the run draws and records here.
                 try:

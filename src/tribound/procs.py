@@ -18,7 +18,7 @@ import numpy as np
 from .errors import TriboundError
 
 
-def cpus() -> list[int]:
+def affinity() -> list[int]:
     """This process's affinity mask, sorted; empty on a platform without one."""
     affinity = getattr(os, "sched_getaffinity", None)
     return sorted(affinity(0)) if affinity else []
@@ -140,7 +140,7 @@ class Drawer:
         if index == 0:
             self.draw(slot)
             self.draw(self.slots[1])
-            mask = cpus()
+            mask = affinity()
             self.child = fork_child(self._serve, mask[:1], pipes=2)
             if self.child is not None:
                 self.mask = pin_to(mask[1:])

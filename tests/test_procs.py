@@ -73,7 +73,7 @@ def test_a_forked_child_leaves_by_exit_whatever_its_body_does(raises, capfd):
         if raises:
             raise RuntimeError("planted")
 
-    child = procs.fork_child(body, procs.cpus())
+    child = procs.fork_child(body, procs.affinity())
     if os.getpid() != parent:
         # A child that returned here leaves with a status of its own.
         os._exit(3)
