@@ -21,7 +21,7 @@ what the approximation-error contract monitors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,8 +110,19 @@ def aggregate(embeddings: np.ndarray, config: SystemConfig) -> np.ndarray:
         total = embeddings.sum(axis=0, keepdims=True) * (config.lip_gnn / math.sqrt(n))
         return np.repeat(total, n, axis=0)
     reach = min(config.ring_neighbors, n - 1) // 2
-    closed = (np.arange(n)[:, None] + np.arange(-reach, reach + 1)) % n
-    return embeddings[closed].sum(axis=1) * (config.lip_gnn / math.sqrt(2 * reach + 1))
+    scale = config.lip_gnn / math.sqrt(2 * reach + 1)
+    if embeddings.shape[1] == 1:
+        # numpy sums a gather of one column pairwise, not from the left.
+        closed = (np.arange(n)[:, None] + np.arange(-reach, reach + 1)) % n
+        return embeddings[closed].sum(axis=1) * scale
+    # Agent i's neighbours i - reach .. i + reach are rows i .. i + 2 * reach
+    # of the embeddings wrapped by reach rows on either side. They are added
+    # to +0.0 from the left, as numpy sums a gather of more than one column.
+    wrapped = np.concatenate((embeddings[n - reach:], embeddings, embeddings[:reach]))
+    total = 0.0 + wrapped[:n]
+    for offset in range(1, 2 * reach + 1):
+        total += wrapped[offset : offset + n]
+    return total * scale
 
 
 def modulation(z: np.ndarray, z_mean: np.ndarray, config: SystemConfig) -> np.ndarray:
@@ -208,11 +219,13 @@ class PolicyTarget:
 
 @dataclass(frozen=True)
 class MarlStepInfo:
-    """Trust-region outcome for one coordination step."""
+    """Trust-region outcome for one coordination step. dists holds the new
+    policy's action distributions on the probes, where the next step starts."""
 
     tv_step: float
     halvings: int
     target_distance: float
+    dists: np.ndarray = field(repr=False, compare=False)
 
 
 def marl_step(
@@ -221,17 +234,20 @@ def marl_step(
     config: SystemConfig,
     target_map: PolicyTarget,
     probes: np.ndarray,
+    before: np.ndarray | None = None,
 ) -> tuple[np.ndarray, MarlStepInfo]:
     """One coordination update of the shared policy.
 
     Gradient ascent on the negated squared distance to the target of the
     mean aggregate, clipped into the admissible box, then backtracked by
     halving until the worst-case total-variation move over the probe set
-    fits under the trust-region cap.
+    fits under the trust-region cap. before, when given, is theta's action
+    distributions on the probes: the last step's info.dists.
     """
     target = target_map(mean_aggregate)
     step = -2.0 * config.eta2 * (theta - target)
-    before = policy_distributions(theta, probes, config)
+    if before is None:
+        before = policy_distributions(theta, probes, config)
     for halvings in range(BACKTRACK_CAP + 1):
         candidate = np.clip(theta + step, -config.policy_box, config.policy_box)
         after = policy_distributions(candidate, probes, config)
@@ -241,6 +257,7 @@ def marl_step(
                 tv_step=tv_step,
                 halvings=halvings,
                 target_distance=float(row_norms(candidate - target)),
+                dists=after,
             )
             return candidate, info
         step = 0.5 * step

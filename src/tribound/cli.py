@@ -518,7 +518,7 @@ def _replay_seeds(
     the even ones; two is the count that was measured
     (BENCH_parallel_seeds.json). Each keeps to one CPU of the mask, this
     process's main thread until it returns or raises, so neither run forks
-    a draw process (procs.Drawer) and the verb stays at two busy processes; if
+    a second process (procs.Drawer) and the verb stays at two busy processes; if
     the pipe or the fork fails (no process to spare), this process runs
     every seed on its one CPU. Otherwise, with one seed, one CPU, no
     affinity mask or a pin of this process that fails (procs.pin_to), this

@@ -32,9 +32,15 @@ A run with drawn observations, two CPUs or more in its affinity mask and a
 horizon of more than two chunks draws chunks 0 and 1 itself, then hands
 the rest of the stream to a draw process (procs.Drawer, the module that
 holds every fork, pin and pipe), which also records the stable regime's
-per-tick policy TV. It runs the same code on the same bytes, so the trace
-is byte for byte the one the run would make alone. run() ends and reaps it,
-and gives the run its mask back, before it returns or raises.
+per-tick policy TV. A run with aligned observations, two CPUs or more and
+a horizon of more than two block buffers forks a recording process
+instead: it records each block of ticks and takes the coordination and
+meta steps at its end, while the run ticks on under the rule each meta
+step's gate gives, and at the end it sends back the records, events and
+snapshots, or the exception it met. Either process runs the same code on
+the same bytes, so the trace is byte for byte the one the run would make
+alone, and an error is the one the run would raise first. run() ends and
+reaps it, and gives the run its mask back, before it returns or raises.
 """
 from __future__ import annotations
 
@@ -67,6 +73,7 @@ from .hebbian import (
     weight_norm_ceiling,
 )
 from .meta import (
+    CompatibilityVerdict,
     MetaCascade,
     adaptation_trial,
     cascading_sensitivity,
@@ -87,6 +94,15 @@ from .seeding import stream_rng
 from .trace import TIME_TOL, Trace, ticks_by
 
 SLOPE_TOL = 1e-6
+
+# The Trace fields that the second process of an aligned run fills and sends
+# back; the per-tick arrays it fills are in the mapping it shares. Each
+# snapshot list goes as one stacked array, which pickles faster than its rows.
+_SNAPSHOTS = ("snap_weights", "snap_embeddings", "policy_snaps", "meta_snaps")
+_FILLED = (
+    *_SNAPSHOTS, "snap_weight_norm", "weight_drift", "embedding_drift", "marl_records",
+    "meta_records", "events", "last_verdicts", "halt_reason",
+)
 
 EXPECTATIONS = ("none", "growth", "step_violation", "degradation", "alarm")
 
@@ -256,6 +272,13 @@ class _Run:
     block's last tick reached. Gains, rule, margins and policy change only
     at those boundaries, so every tick of a block shares them. Each method
     records into self.trace, which finish() returns.
+
+    An aligned run's ticks depend on nothing the coordination step makes,
+    as its gains stay at 1, and the meta step's gate reads only the meta
+    point and the margins. So when it has a second process (pipelined),
+    _fast_block hands each block to that process's copy of the run, which
+    records it and takes both steps (_record_and_step), while the run
+    ticks on and takes each meta step only up to its gate (_tick_ahead).
     """
 
     def __init__(
@@ -298,29 +321,46 @@ class _Run:
         # The ticks the horizon holds; finish() cuts the per-tick arrays to
         # the ticks run.
         self.ticks = ticks_by(horizon, cfg.tau1)
-        # Only the stable regime has a policy drift ceiling to record for.
-        record_tv = cfg.delta < 0.0
-        tick_weights = n * cfg.weight_dim * 8
+        ticks, tick_weights = self.ticks, n * cfg.weight_dim * 8
+        # The trace's per-tick arrays, the flags last. Only the stable regime
+        # has a policy drift ceiling to record for.
+        tv = {"tick_policy_tv": ((ticks,), float)} if cfg.delta < 0.0 else {}
+        per_tick = {
+            "step_norms": ((ticks,), float), "max_weight_norm": ((ticks,), float),
+            **tv, "clamped": ((ticks, n), bool),
+        }
+        # Two block buffers, the ticks writing one while the second process
+        # records the other, share _BATCH_BYTES. Without memory to share,
+        # the run draws and records here.
+        batch = min(max(1, _BATCH_BYTES // (2 * tick_weights)), ticks)
         self.drawer: Drawer | None = None
         if scenario.aligned_observations:
             # Reused every tick: the directions and their norms.
             self.dirs = np.empty((n, cfg.weight_dim))
             self.dir_norms = np.empty(n)
             self.dir_norm_column = self.dir_norms[:, None]
+            if ticks > 2 * batch and len(affinity()) >= 2:
+                # ended: the tick after the block at whose end the second
+                # process halted or raised, 0 until then.
+                shared = {"ended": ((1,), np.int64), **per_tick}
+                try:
+                    self.drawer = Drawer(
+                        policy_size=self.policy.size, record=self._record_and_step, batch=batch,
+                        blocks=[(n, cfg.weight_dim), (n,)], shared=shared, finish=self._rest,
+                    )
+                except OSError:
+                    pass
         else:
             chunk = max(1, _OBS_CHUNK_VALUES // (2 * n * cfg.weight_dim))
             shape = (chunk, 2, n, cfg.weight_dim)
             self.obs_scale = _root_scale(cfg.weight_dim)
-            if self.ticks > 2 * chunk and len(affinity()) >= 2:
-                # With the policy TV, the two block buffers share _BATCH_BYTES.
-                # Without memory to share, the run draws and records here.
+            if ticks > 2 * chunk and len(affinity()) >= 2:
                 try:
                     self.drawer = Drawer(
-                        shape, self.ticks,
-                        lambda out: draw_chunk(self.obs_rng, out, self.obs_scale),
-                        self._record_policy_tv if record_tv else None,
-                        min(max(1, _BATCH_BYTES // (2 * tick_weights)), self.ticks),
-                        self.policy.size,
+                        policy_size=self.policy.size,
+                        draw=lambda out: draw_chunk(self.obs_rng, out, self.obs_scale),
+                        chunk=shape, ticks=ticks, record=self._record_policy_tv if tv else None,
+                        batch=batch, blocks=[(n, cfg.weight_dim)], shared=tv,
                     )
                 except OSError:
                     pass
@@ -328,18 +368,28 @@ class _Run:
             # arrays come back from the allocator unmapped and fault in page
             # by page.
             self.obs = np.empty(shape) if self.drawer is None else self.drawer.slots[0]
-        step_norms = np.zeros(self.ticks)
-        clamped = np.zeros((self.ticks, n), dtype=bool)
-        max_weight_norm = np.zeros(self.ticks)
+        shared = {} if self.drawer is None else self.drawer.shared
+        arrays = {
+            name: shared[name] if name in shared else np.zeros(size, dtype)
+            for name, (size, dtype) in per_tick.items()
+        }
         if self.drawer is not None and self.drawer.blocks is not None:
-            tick_policy_tv, self.block = self.drawer.tv, self.drawer.blocks[0]
+            self.block, *norms = (buffers[0] for buffers in self.drawer.blocks)
         else:
-            tick_policy_tv = np.zeros(self.ticks) if record_tv else None
-            batch = min(max(1, _BATCH_BYTES // tick_weights), self.ticks)
+            batch, norms = min(max(1, _BATCH_BYTES // tick_weights), ticks), []
             self.block = np.empty((batch, n, cfg.weight_dim))
         # Each tick's per-agent step norms; _record_block reduces them to
         # the trace's one norm per tick.
-        self.block_norms = np.empty(self.block.shape[:2])
+        self.block_norms = norms[0] if norms else np.empty(self.block.shape[:2])
+        # The coordination and meta boundaries the ticks have reached.
+        self.cycles = [0, 0]
+        # The exception the second process of an aligned run met, which it
+        # sends back.
+        self.error: Exception | None = None
+        # The inner steps of the adaptation trial at the current meta point,
+        # and the policy's action distributions on the probes, once known.
+        self.k_inner: int | None = None
+        self.probe_dists: np.ndarray | None = None
 
         embeddings = self.encoder.encode(self.weights)
         # Only the stable regime has drift ceilings; elsewhere no fold runs.
@@ -355,10 +405,8 @@ class _Run:
             scenario_name=scenario.name,
             expected=scenario.expected,
             duration=horizon,
-            step_norms=step_norms,
-            clamped=clamped,
-            max_weight_norm=max_weight_norm,
-            tick_policy_tv=tick_policy_tv,
+            tick_policy_tv=arrays.pop("tick_policy_tv", None),
+            **arrays,
             snap_weights=[self.weights] if keep else None,
             snap_embeddings=[embeddings] if keep else None,
             policy_snaps=[self.policy],
@@ -396,20 +444,18 @@ class _Run:
         return self.obs[row, 0], self.obs[row, 1]
 
     def _fast_block(self, start: int) -> int:
-        """Run fast ticks from index start; return the index after the last.
-        An aligned block runs by _aligned_ticks, and by the per-tick law of
-        _ticks only when that pass declines it; drawn observations always
-        run by _ticks."""
-        cfg, trace = self.cfg, self.trace
+        """Run fast ticks from index start, and record them or hand them to
+        the second process that records them; return the index after the
+        last. An aligned block runs by _aligned_ticks, and by the per-tick
+        law of _ticks only when that pass declines it; drawn observations
+        always run by _ticks."""
+        cfg = self.cfg
         if self.drawer is not None:
             # The buffer these ticks write to may hold the older block.
             self.drawer.wait(1)
         stop = min(self.ticks, start + self.block.shape[0])
         # The next coordination or meta boundary; its tick ends the block.
-        due = min(
-            (len(trace.marl_records) + 1) * cfg.tau2,
-            (len(trace.meta_records) + 1) * cfg.tau3,
-        )
+        due = min((self.cycles[0] + 1) * cfg.tau2, (self.cycles[1] + 1) * cfg.tau3)
         ends = np.flatnonzero(
             due <= np.arange(start + 1, stop + 1) * cfg.tau1 * (1.0 + TIME_TOL)
         )
@@ -420,7 +466,11 @@ class _Run:
         # Copied out of the block, which the next block overwrites: the
         # snapshots hold self.weights.
         self.weights = self.block[stop - start - 1].copy()
-        self._record_block(start, stop)
+        if self.pipelined:
+            # The second process records it, the ticks meanwhile writing the other buffers.
+            self.block, self.block_norms = self.drawer.hand(start, stop, self.policy)
+        else:
+            self._record_block(start, stop)
         return stop
 
     def _ticks(self, start: int, stop: int) -> None:
@@ -485,11 +535,11 @@ class _Run:
         )
         if trace.tick_policy_tv is None:
             return
-        if self.drawer is None or self.drawer.blocks is None:
+        if self.scenario.aligned_observations or self.drawer is None or self.drawer.blocks is None:
             self._record_policy_tv(block, start, stop, self.policy)
         else:
             # The draw process records it, the ticks meanwhile writing the other buffer.
-            self.block = self.drawer.hand(start, stop, self.policy)
+            self.block = self.drawer.hand(start, stop, self.policy)[0]
 
     def _record_policy_tv(
         self, block: np.ndarray, start: int, stop: int, policy: np.ndarray
@@ -510,11 +560,59 @@ class _Run:
         # A copy: a view would hold the whole block's embeddings.
         self.prev_embeddings = embeddings[-1].copy()
 
+    @property
+    def pipelined(self) -> bool:
+        """Whether a second process records the blocks of this aligned run,
+        and takes its coordination and meta steps."""
+        return self.scenario.aligned_observations and self.drawer is not None
+
+    def _record_and_step(
+        self, block: np.ndarray, norms: np.ndarray, start: int, stop: int, policy: np.ndarray
+    ) -> None:
+        """In the second process of an aligned run: record ticks start..stop-1,
+        from the weights and step norms handed over in block and norms, then
+        take the coordination and meta steps at their end. A halt, or an
+        exception, which self.error keeps, ends the run at stop: later blocks
+        are not recorded. The policy handed over is the run's, which takes no
+        coordination step; this process's own is the one in force."""
+        ended = self.drawer.shared["ended"]
+        if ended[0]:
+            return
+        self.block, self.block_norms = block, norms
+        self.weights = block[-1].copy()
+        try:
+            self._record_block(start, stop)
+            if self._coordination_step(stop):
+                self._meta_step(stop)
+                return
+        except Exception as exc:
+            self.error = exc
+        ended[0] = stop
+
+    def _rest(self) -> tuple:
+        """What the second process of an aligned run sends back at the end:
+        its monitor, the trace fields it filled and the exception it met."""
+        filled = {name: getattr(self.trace, name) for name in _FILLED}
+        for name in _SNAPSHOTS:
+            if filled[name] is not None:
+                filled[name] = np.stack(filled[name])
+        return self.monitor, filled, self.error
+
+    def _reached(self, ticks_done: int, level: int) -> range:
+        """The coordination (level 0) or meta (level 1) cycles whose
+        boundaries tick ticks_done reached and no call before returned."""
+        period = (self.cfg.tau2, self.cfg.tau3)[level]
+        t = ticks_done * self.cfg.tau1 * (1.0 + TIME_TOL)
+        first = last = self.cycles[level]
+        while (last + 1) * period <= t:
+            last += 1
+        self.cycles[level] = last
+        return range(first + 1, last + 1)
+
     def _coordination_step(self, ticks_done: int) -> bool:
         """Every coordination boundary the last tick reached; False on a halt."""
         cfg, trace = self.cfg, self.trace
-        t = ticks_done * cfg.tau1 * (1.0 + TIME_TOL)
-        while (cycle := len(trace.marl_records) + 1) * cfg.tau2 <= t:
+        for cycle in self._reached(ticks_done, 0):
             boundary = cycle * cfg.tau2
             realized, ideal, error_norms = realized_embeddings(
                 self.weights, self.encoder, cfg, cycle
@@ -527,11 +625,13 @@ class _Run:
                 self.work.set_rates(self.rule, cfg.eta1, self.gains)
             try:
                 self.policy, info = marl_step(
-                    self.policy, mean_aggregate, cfg, self.target_map, self.probes
+                    self.policy, mean_aggregate, cfg, self.target_map, self.probes,
+                    self.probe_dists,
                 )
             except EnforcementError as exc:
                 trace.halt_reason = f"coordination update at t={boundary!r}: {exc}"
                 return False
+            self.probe_dists = info.dists
             self.monitor.observe("MARL-C1", boundary, info.tv_step, self.margins["MARL-C1"])
             # An error bound presumes weights inside the invariant ball, whose
             # recorded norm sums weight_dim squares.
@@ -570,25 +670,37 @@ class _Run:
             trace.policy_snaps.append(self.policy)
         return True
 
+    def _meta_gate(self) -> tuple[float, float, CompatibilityVerdict, bool]:
+        """One meta step up to its gate: (step norm, gradient norm, verdict,
+        applied). An applied step brings its meta point, rule, rates and
+        margins. Both processes of an aligned run with a second process
+        take it, that one to record the step and the run to tick under its
+        rule."""
+        cfg = self.cfg
+        candidate, grad_norm = self.cascade.step(self.theta)
+        step_norm = float(row_norms(candidate - self.theta))
+        verdict = compatibility_check(step_norm, list(self.margins.values()), cfg)
+        applied = verdict.passed or self.scenario.force_meta
+        if applied:
+            self.theta = candidate
+            self.rule = self.cascade.rule_for(self.theta)
+            self.work.set_rates(self.rule, cfg.eta1, self.gains)
+            self.margins = all_margins(self.cascade, self.theta)
+        return step_norm, grad_norm, verdict, applied
+
     def _meta_step(self, ticks_done: int) -> None:
         """Every meta boundary the last tick reached."""
         cfg, trace = self.cfg, self.trace
-        t = ticks_done * cfg.tau1 * (1.0 + TIME_TOL)
-        while (cycle := len(trace.meta_records) + 1) * cfg.tau3 <= t:
+        for cycle in self._reached(ticks_done, 1):
             boundary = cycle * cfg.tau3
-            candidate, grad_norm = self.cascade.step(self.theta)
-            step_norm = float(row_norms(candidate - self.theta))
-            verdict = compatibility_check(step_norm, list(self.margins.values()), cfg)
-            applied = verdict.passed or self.scenario.force_meta
-            if applied:
-                self.theta = candidate
-                self.rule = self.cascade.rule_for(self.theta)
-                self.work.set_rates(self.rule, cfg.eta1, self.gains)
-                self.margins = all_margins(self.cascade, self.theta)
-
-            k_inner = adaptation_trial(
-                self.cascade, self.theta, self.reference_policy, self.probes, cfg
-            )
+            step_norm, grad_norm, verdict, applied = self._meta_gate()
+            # The trial depends on the meta point alone, which only an
+            # applied step moves.
+            if applied or self.k_inner is None:
+                self.k_inner = adaptation_trial(
+                    self.cascade, self.theta, self.reference_policy, self.probes, cfg
+                )
+            k_inner = self.k_inner
             t_adapt = k_inner * cfg.tau1
             trace.meta_records.append(
                 {
@@ -612,17 +724,48 @@ class _Run:
             self.monitor.observe("ML-C2", boundary, increase, self.margins["ML-C2"], note)
             trace.meta_snaps.append(self.theta)
 
+    def _tick_ahead(self) -> int:
+        """The loop of an aligned run whose second process records: each
+        block's ticks, handed over, then the gate of each meta step they
+        reach, until the horizon or the second process ends the run; the
+        index after the last tick. An exception here gives way to a halt or
+        an exception the second process met, which is at a block handed
+        before and so comes first."""
+        done, ended = 0, self.drawer.shared["ended"]
+        try:
+            while done < self.ticks and not ended[0]:
+                done = self._fast_block(done)
+                self._reached(done, 0)
+                for _ in self._reached(done, 1):
+                    self._meta_gate()
+        except Exception:
+            self.drawer.wait()
+            if not ended[0]:
+                raise
+        return done
+
     def finish(self, ticks_done: int) -> Trace:
         """The trace, its per-tick arrays cut to the ticks run, with the
-        monitor's counts, once the draw process has recorded every block."""
-        if self.drawer is not None:
-            self.drawer.wait()
+        monitor's counts, once the second process has recorded every block;
+        an aligned run's records and monitor come from that process, and
+        so does the exception it met, which is raised here."""
         trace = self.trace
+        if self.pipelined:
+            self.monitor, filled, error = self.drawer.collect()
+            if error is not None:
+                raise error
+            for name, value in filled.items():
+                setattr(trace, name, list(value) if name in _SNAPSHOTS and value is not None else value)
+            ticks_done = int(self.drawer.shared["ended"][0]) or ticks_done
+        elif self.drawer is not None:
+            self.drawer.wait()
+        # An aligned run's trace holds views of the mapping its second
+        # process wrote these arrays in, which it then keeps.
         trace.step_norms = trace.step_norms[:ticks_done]
         trace.clamped = trace.clamped[:ticks_done]
         trace.max_weight_norm = trace.max_weight_norm[:ticks_done]
         if trace.tick_policy_tv is not None:
-            # A copy: the trace then holds no view of the shared mapping.
+            # A copy: a drawing run's trace then holds no view of the mapping.
             trace.tick_policy_tv = trace.tick_policy_tv[:ticks_done].copy()
         trace.fail_count = self.monitor.fail_count
         trace.alarm_count = self.monitor.alarm_count
@@ -654,12 +797,19 @@ def run(
         ticks = ticks_by(horizon, cfg.tau1)
         raise ValidationError(f"{ticks:.3g} ticks x {cfg.n_agents} agents: {exc}") from None
     try:
-        done = 0
-        while done < state.ticks:
-            done = state._fast_block(done)
-            if not state._coordination_step(done):
-                break
-            state._meta_step(done)
+        if state.pipelined and not state.drawer.start():
+            # No process to spare: the run records its blocks itself.
+            state.drawer.close()
+            state.drawer = None
+        if state.pipelined:
+            done = state._tick_ahead()
+        else:
+            done = 0
+            while done < state.ticks:
+                done = state._fast_block(done)
+                if not state._coordination_step(done):
+                    break
+                state._meta_step(done)
         return state.finish(done)
     finally:
         if state.drawer is not None:

@@ -1,17 +1,19 @@
 """The one module that forks, pins, or passes bytes between processes:
-pin_to; fork_child, which forks verify's seed process and a run's draw
-process; and Drawer, the draw process seen from the run: next_chunk, hand
-(a block), wait (for the oldest block) and close."""
+pin_to; fork_child, which forks verify's seed process and a run's second
+process; and Drawer, that second process seen from the run: start or
+next_chunk, hand (a block), wait (for the oldest block), collect (what it
+sends back at the end) and close."""
 from __future__ import annotations
 
 import itertools
 import math
 import mmap
 import os
+import pickle
 import signal
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -86,47 +88,66 @@ def fork_child(body: Callable[..., None], cpus: Iterable[int], pipes: int = 1) -
         os._exit(status)
 
 
-# The byte the run and its draw process pass for a chunk (a slot handed back,
-# a chunk drawn) and for a block (weights to record, their policy TV done).
-_CHUNK, _BLOCK = b"c", b"b"
+# The byte the run and its second process pass for a chunk (a slot handed
+# back, a chunk drawn) and for a block (weights to record, their record
+# done), and the one the run sends at the end, for what `finish` returns.
+_CHUNK, _BLOCK, _END = b"c", b"b", b"e"
 
 
 class Drawer:
-    """A run's draw process, seen from the run.
+    """A run's second process, seen from the run.
 
-    The constructor maps, or raises: three slots of a chunk of observations
-    (`shape`) and, given `record`, two block buffers of `batch` ticks'
-    weights, the policy TV of the run's `ticks` (tv) and a header per buffer.
-    next_chunk(0) draws chunks 0 and 1 with `draw`, then forks the process,
-    which draws each later chunk two ahead of the ticks and calls
-    record(block, start, stop, policy) on each block handed to it. It keeps
-    to the first CPU of the run's mask, the one device interrupts most often
-    go to, and the run to the others until close(): unpinned, a byte the run
-    sends it can wake it on the ticks' CPU, where it preempts them. If the
-    fork fails, each call does its work here, on the same bytes.
+    The constructor maps, or raises: given `draw`, three slots of a chunk of
+    observations (`chunk`) for the run's `ticks`; given `record`, two block
+    buffers of `batch` ticks for each per-tick shape in `blocks`, and a
+    header per buffer; and each array of `shared`, kept by name in shared.
+    A run that draws calls next_chunk(0), which draws chunks 0 and 1 with
+    `draw`, then forks the process, which draws each later chunk two ahead
+    of the ticks; a run with aligned observations forks it by start(). The
+    process calls record(*buffers, start, stop, policy) on each block handed
+    to it, with each buffer cut to the block's ticks: a drawing run's policy
+    TV, or an aligned run's whole recording, coordination and meta steps.
+    collect() has it send back what `finish` returns there. It keeps to the
+    first CPU of the run's mask, the one device interrupts most often go to,
+    and the run to the others until close(): unpinned, a byte the run sends
+    it can wake it on the ticks' CPU, where it preempts them. If the fork
+    of a drawing run fails, each call does its work here, on the same bytes;
+    an aligned run whose fork fails closes its drawer and records itself.
     """
 
     def __init__(
-        self, shape: tuple[int, ...], ticks: int, draw: Callable[[np.ndarray], None],
-        record: Callable[[np.ndarray, int, int, np.ndarray], None] | None,
-        batch: int, policy_size: int,
+        self, *, policy_size: int, draw: Callable[[np.ndarray], None] | None = None,
+        chunk: tuple[int, ...] = (), ticks: int = 0,
+        record: Callable[..., None] | None = None, batch: int = 0,
+        blocks: Sequence[tuple[int, ...]] = (),
+        shared: Mapping[str, tuple[tuple[int, ...], type]] = {},
+        finish: Callable[[], Any] | None = None,
     ) -> None:
-        specs = [((3, *shape), np.dtype(float))]
+        specs = [] if draw is None else [((3, *chunk), np.dtype(float))]
         if record is not None:
             head = np.dtype([("start", np.int64), ("stop", np.int64),
                              ("policy", float, (policy_size,))])
-            specs += [((2, batch, *shape[2:]), np.dtype(float)),
-                      ((ticks,), np.dtype(float)), ((2,), head)]
-        sizes = [math.prod(size) * dtype.itemsize for size, dtype in specs]
-        shared = mmap.mmap(-1, sum(sizes))
+            specs += [((2, batch, *shape), np.dtype(float)) for shape in blocks]
+            specs.append(((2,), head))
+        specs += [(shape, np.dtype(dtype)) for shape, dtype in shared.values()]
+        # Rounded up to 8 bytes, so that an array after a bool array is aligned.
+        sizes = [-(-math.prod(size) * dtype.itemsize // 8) * 8 for size, dtype in specs]
+        mapping = mmap.mmap(-1, sum(sizes))
         offsets = itertools.accumulate(sizes, initial=0)
-        self.slots, *recording = [
-            np.ndarray(size, dtype, shared, offset)
+        arrays = iter([
+            np.ndarray(size, dtype, mapping, offset)
             for (size, dtype), offset in zip(specs, offsets)
-        ]
-        self.blocks, self.tv, self.heads = recording or (None, None, None)
-        self.draw, self.record = draw, record
-        self.chunks = -(-ticks // shape[0])
+        ])
+        self.slots = None if draw is None else next(arrays)
+        self.blocks = self.heads = None
+        if record is not None:
+            self.blocks = tuple(itertools.islice(arrays, len(blocks)))
+            self.heads = next(arrays)
+        self.shared = dict(zip(shared, arrays))
+        self.draw, self.record, self.finish = draw, record, finish
+        self.chunks = 0 if draw is None else -(-ticks // chunk[0])
+        self.name = "the recording process" if draw is None else "the observation draw process"
+        self.work = "the record" if draw is None else "the policy TV"
         # The run's mask before the fork; the bytes of each kind the process
         # sent and the run has not taken; the blocks handed over and recorded.
         self.child: Child | None = None
@@ -134,16 +155,22 @@ class Drawer:
         self.received = {_CHUNK: 0, _BLOCK: 0}
         self.handed = self.recorded = 0
 
+    def start(self) -> bool:
+        """Fork the process, keep it to the first CPU of the run's mask and
+        the run to the others; False if the fork failed."""
+        mask = affinity()
+        self.child = fork_child(self._serve, mask[:1], pipes=2)
+        if self.child is not None:
+            self.mask = pin_to(mask[1:])
+        return self.child is not None
+
     def next_chunk(self, index: int) -> np.ndarray:
         """The slot that holds chunk `index`, asked for in order from 0."""
         slot = self.slots[index % 3]
         if index == 0:
             self.draw(slot)
             self.draw(self.slots[1])
-            mask = affinity()
-            self.child = fork_child(self._serve, mask[:1], pipes=2)
-            if self.child is not None:
-                self.mask = pin_to(mask[1:])
+            self.start()
         elif index > 1 and self.child is None:
             self.draw(slot)
         elif self.child is not None:
@@ -154,20 +181,20 @@ class Drawer:
                 self._send(_CHUNK)
         return slot
 
-    def hand(self, start: int, stop: int, policy: np.ndarray) -> np.ndarray:
-        """Have the policy TV of ticks start..stop-1 recorded under `policy`,
-        their weights in the block buffer the last call returned (blocks[0]
-        at first); return the buffer the next block goes to, which wait(1)
+    def hand(self, start: int, stop: int, policy: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Have ticks start..stop-1 recorded under `policy`, their arrays in
+        the block buffers the last call returned (each buffer's first at
+        first); return the buffers the next block goes to, which wait(1)
         frees."""
-        block = self.blocks[self.handed % 2]
+        buffers = tuple(block[self.handed % 2] for block in self.blocks)
         if self.child is None:
-            self.record(block[: stop - start], start, stop, policy)
-            return block
+            self.record(*(buffer[: stop - start] for buffer in buffers), start, stop, policy)
+            return buffers
         head = self.heads[self.handed % 2]
         head["start"], head["stop"], head["policy"] = start, stop, policy
         self._send(_BLOCK)
         self.handed += 1
-        return self.blocks[self.handed % 2]
+        return tuple(block[self.handed % 2] for block in self.blocks)
 
     def wait(self, left: int = 0) -> None:
         """Wait until at most `left` of the blocks handed over are not yet
@@ -175,15 +202,26 @@ class Drawer:
         while self.handed - self.recorded > left:
             head = self.heads[self.recorded % 2]
             start, stop = int(head["start"]), int(head["stop"])
-            self._receive(_BLOCK, f"the policy TV of ticks {start} to {stop - 1}")
+            self._receive(_BLOCK, f"{self.work} of ticks {start} to {stop - 1}")
             self.recorded += 1
+
+    def collect(self) -> Any:
+        """What `finish` returns in the process, once it has recorded every
+        block handed to it."""
+        self.wait()
+        self._send(_END)
+        with os.fdopen(self.child.ends[0], "rb", closefd=False) as sent:
+            try:
+                return pickle.load(sent)
+            except Exception:
+                raise TriboundError(f"{self.name} ended before it sent its trace") from None
 
     def close(self) -> None:
         """End and reap the process, if one was forked, and give the run back
         the affinity mask it held. The run's functions are dropped too: they
         hold the run, which holds this drawer, and that cycle would keep both
         and the mapping alive until the collector runs."""
-        self.draw = self.record = None
+        self.draw = self.record = self.finish = None
         if self.child is not None:
             child, self.child = self.child, None
             child.end()
@@ -191,9 +229,10 @@ class Drawer:
                 pin_to(self.mask)
 
     def _send(self, order: bytes) -> None:
-        """Hand the process a slot or a block. One it can no longer take, as
-        it has ended (EPIPE), is dropped: the run's next wait on it meets the
-        end of its pipe and raises the TriboundError naming what it waits for."""
+        """Hand the process a slot, a block or the end. One it can no longer
+        take, as it has ended (EPIPE), is dropped: the run's next wait on it
+        meets the end of its pipe and raises the TriboundError naming what it
+        waits for."""
         try:
             os.write(self.child.ends[1], order)
         except BrokenPipeError:
@@ -205,15 +244,16 @@ class Drawer:
         while not self.received[kind]:
             byte = os.read(self.child.ends[0], 1)
             if not byte:
-                raise TriboundError(f"the observation draw process ended before {what}")
+                raise TriboundError(f"{self.name} ended before {what}")
             self.received[byte] += 1
         self.received[kind] -= 1
 
     def _serve(self, ready: int, orders: int) -> None:
-        """The draw process: while a slot is free and the horizon holds
-        another chunk, draw it there and say so; else take the run's next
-        order, a slot handed back or a block to record, and say when the
-        block is recorded, until the run closes its pipe."""
+        """The process: while a slot is free and the horizon holds another
+        chunk, draw it there and say so; else take the run's next order, a
+        slot handed back, a block to record or the end, and say when the
+        block is recorded, until the run closes its pipe or, at the end,
+        until what `finish` returns is sent."""
         # Chunk 0 is being read and chunk 1 is drawn; slot 2 is free.
         drawn, free, recorded = 2, 1, 0
         while True:
@@ -228,10 +268,14 @@ class Drawer:
             if order == _CHUNK:
                 free += 1
                 continue
+            if order == _END:
+                with os.fdopen(ready, "wb", closefd=False) as sent:
+                    pickle.dump(self.finish(), sent)
+                return
             head = self.heads[recorded % 2]
             start, stop = int(head["start"]), int(head["stop"])
             # The policy is copied out, so that it is laid out as the run's own is.
-            block = self.blocks[recorded % 2][: stop - start]
-            self.record(block, start, stop, head["policy"].copy())
+            buffers = (block[recorded % 2][: stop - start] for block in self.blocks)
+            self.record(*buffers, start, stop, head["policy"].copy())
             os.write(ready, _BLOCK)
             recorded += 1

@@ -264,11 +264,20 @@ def _aggregation_inputs(draw):
     return cfg, x
 
 
+def _gathered(x: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """The ring sum as a gather of each agent's closed neighbourhood along a
+    new axis, summed by numpy over that axis, and scaled."""
+    n = cfg.n_agents
+    reach = min(cfg.ring_neighbors, n - 1) // 2
+    closed = (np.arange(n)[:, None] + np.arange(-reach, reach + 1)) % n
+    return x[closed].sum(axis=1) * (cfg.lip_gnn / math.sqrt(2 * reach + 1))
+
+
 @given(_aggregation_inputs())
 def test_aggregate_is_the_dense_neighbourhood_sum(inputs):
     """aggregate(x) is the reference matrix times x up to rounding, leaves x
     alone, repeats its bits, and under the complete graph gives every agent
-    the same bits.
+    the same bits; on the ring it has the bits of the gathered sum.
 
     Each side rounds a sum of deg_max + 1 scaled terms, so each lies within
     (deg_max + 1) * eps / 2 times the sum of the terms' magnitudes, mix @ |x|,
@@ -284,6 +293,25 @@ def test_aggregate_is_the_dense_neighbourhood_sum(inputs):
     assert aggregate(x, cfg).tobytes() == got.tobytes()
     if cfg.graph_topology == "complete":
         assert all(row.tobytes() == got[0].tobytes() for row in got)
+    else:
+        assert got.tobytes() == _gathered(x, cfg).tobytes()
+
+
+@pytest.mark.parametrize("embed_dim", [1, 2, 16])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 30, 300])
+def test_the_ring_sum_has_the_bits_of_the_gathered_sum(base_config, n, embed_dim):
+    """At every reach, up to past the whole ring: embeddings of many scales,
+    a -0.0 among them, which a sum that starts from its first term keeps.
+    numpy sums a one-column gather of 9 terms or more pairwise."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, embed_dim)) * 10.0 ** rng.integers(-5, 5, (n, 1))
+    x[0, 0] = -0.0
+    for ring_neighbors in (0, 1, 2, 3, 4, 7, 8, 9, n + 3):
+        cfg = apply_overrides(
+            base_config,
+            {"n_agents": n, "ring_neighbors": ring_neighbors, "embed_dim": embed_dim},
+        )
+        assert aggregate(x, cfg).tobytes() == _gathered(x, cfg).tobytes()
 
 
 def test_modulation_signal_band(base_config):

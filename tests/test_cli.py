@@ -138,7 +138,7 @@ def _no_child_left() -> None:
 def _counted_forks(monkeypatch, fail_at: int | None = None) -> list[str]:
     """Record each os.fork call in this process by the function that called
     procs.fork_child to make it: _replay_seeds forks a seed process, and
-    Drawer.next_chunk a draw process. The call numbered fail_at raises
+    Drawer.start a run's second process. The call numbered fail_at raises
     EAGAIN instead."""
     forks: list[str] = []
 
@@ -250,7 +250,7 @@ def test_verify_with_a_pin_the_kernel_refuses_prints_the_same(
     assert (tmp_path / "2" / "verify.json").read_text() == (
         tmp_path / "1" / "verify.json"
     ).read_text()
-    assert forks == (["next_chunk"] * 3 if refused == "cli" else ["_replay_seeds"])
+    assert forks == (["start"] * 3 if refused == "cli" else ["_replay_seeds"])
     _no_child_left()
     assert os.sched_getaffinity(0) == {0, 1}
 
@@ -373,7 +373,7 @@ def test_verify_of_one_seed_forks_only_its_draw_process(monkeypatch, capsys):
     _cpus(monkeypatch, 2)
     assert main(["verify", "--seeds", "1", "--duration", "10"]) == PASS_EXIT
     assert "replayed 1 seeds" in capsys.readouterr().out
-    assert forks == ["next_chunk"]
+    assert forks == ["start"]
     assert os.sched_getaffinity(0) == {0, 1}
     _no_child_left()
 

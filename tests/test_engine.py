@@ -1134,8 +1134,9 @@ def test_the_policy_tv_of_a_tick_is_its_change_under_the_policy_in_force(
 
 @pytest.mark.parametrize(
     "scenario, duration",
-    # 10, 17 and 34 ticks against a chunk of 17; delta_zero's are aligned.
-    [("baseline", 0.2), ("baseline", 0.34), ("baseline", 0.68), ("delta_zero", 20.0)],
+    # 10, 17 and 34 ticks against a chunk of 17; delta_zero's 204 ticks are
+    # two block buffers of 102 at 10 x 64, aligned.
+    [("baseline", 0.2), ("baseline", 0.34), ("baseline", 0.68), ("delta_zero", 4.08)],
     ids=["shorter_than_a_chunk", "one_chunk", "two_chunks", "aligned"],
 )
 def test_a_run_with_nothing_to_draw_ahead_forks_nothing(scenario, duration, monkeypatch):
@@ -1243,11 +1244,23 @@ def test_a_pin_the_kernel_refuses_is_no_pin(refused, tmp_path, monkeypatch):
 
 
 def test_a_run_gives_this_process_its_own_mask_back():
-    """Unfaked: whatever this process's mask, a run that may fork its draw
-    process leaves the mask as it found it."""
-    mask = os.sched_getaffinity(0)
-    run("baseline", duration=2.0)
-    assert os.sched_getaffinity(0) == mask
+    """Unfaked, on two CPUs this process may use, whatever mask the tests
+    before left it: a run that forks its draw process, and an aligned run
+    that forks its recording process, each leave the mask as they found it.
+    Skipped below two CPUs, where neither forks."""
+    held = os.sched_getaffinity(0)
+    try:
+        # Every CPU the process's cpuset allows.
+        os.sched_setaffinity(0, range(os.cpu_count()))
+        cpus = set(sorted(os.sched_getaffinity(0))[:2])
+        if len(cpus) < 2:
+            pytest.skip("fewer than two CPUs to run on")
+        os.sched_setaffinity(0, cpus)
+        for scenario, duration in (("baseline", 2.0), ("delta_zero", 20.0)):
+            run(scenario, duration=duration)
+            assert os.sched_getaffinity(0) == cpus
+    finally:
+        os.sched_setaffinity(0, held)
 
 
 def test_a_fork_that_fails_draws_here(tmp_path, monkeypatch):
@@ -1357,6 +1370,230 @@ def test_a_draw_process_that_dies_is_an_error_of_its_block(monkeypatch):
     with pytest.raises(TriboundError, match=message):
         run("baseline", duration=20.0)
     _no_child_left()
+
+
+# name -> (scenario, overrides, duration): aligned runs of more than two
+# block buffers (102 ticks each at 10 x 64), which fork a recording process
+# at 2 CPUs.
+_ALIGNED = {
+    "delta_zero": ("delta_zero", {}, 20.0),
+    # 205 ticks, one past two block buffers: the last block holds 5 ticks
+    "three_blocks": ("delta_zero", {}, 4.1),
+    # 365 ticks: the horizon ends in the middle of a block
+    "mid_block": ("delta_zero", {}, 7.3),
+    # the stable regime, whose policy TV the recording process records and
+    # whose meta steps pass the gate, at ticks 1000 and 2000, so that the
+    # ticks after each run under a new rule (delta_zero's gate fails)
+    "stable": (ALIGNED_STABLE, {}, 50.0),
+    "off_grid_periods": (ALIGNED_STABLE, {"tau1": 0.03, "tau2": 1.0, "tau3": 5.0}, 12.0),
+    # halts at t=26, with blocks left to tick
+    "halted": ("delta_zero", {"delta_pi": 1e-300}, 40.0),
+}
+
+
+def _unkept(scenario, overrides: dict, duration: float) -> tuple:
+    """What a run without kept snapshots records, each float by its bytes
+    or repr, and its replay checks by repr."""
+    config = apply_overrides(SystemConfig(), overrides)
+    trace = run(scenario, config=config, duration=duration)
+    arrays = (trace.step_norms, trace.clamped, trace.max_weight_norm, trace.tick_policy_tv)
+    records = {
+        name: [json.dumps(record, sort_keys=True) for record in records]
+        for name, records in _saved_records(trace).items()
+    }
+    latest = {cid: verdict.to_record() for cid, verdict in trace.last_verdicts.items()}
+    return (
+        [None if array is None else array.tobytes() for array in arrays],
+        records,
+        json.dumps(latest, sort_keys=True),
+        [np.stack(snaps).tobytes() for snaps in (trace.policy_snaps, trace.meta_snaps)],
+        repr((trace.snap_weight_norm, trace.weight_drift, trace.embedding_drift)),
+        (trace.fail_count, trace.alarm_count, trace.halt_reason, trace.snap_weights),
+        [(c.check_id, c.passed, repr(c.worst), repr(c.bound), c.note) for c in verify(trace).checks],
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_ALIGNED))
+def test_a_recording_process_leaves_every_saved_byte_unchanged(name, tmp_path, monkeypatch):
+    """At 2 CPUs an aligned run forks one process that records its blocks
+    and takes its coordination and meta steps; it saves and replays byte for
+    byte what the 1-CPU run, which forks nothing, does, and without kept
+    snapshots records the same."""
+    forks = _counted_forks(monkeypatch)
+    results = []
+    for cpus, forked in ((1, 0), (2, 1)):
+        _cpus(monkeypatch, cpus)
+        forks.clear()
+        results.append(
+            (_saved(*_ALIGNED[name], tmp_path / str(cpus)), _unkept(*_ALIGNED[name]))
+        )
+        assert len(forks) == 2 * forked
+        _no_child_left()
+    assert results[1] == results[0]
+    assert (results[0][0][2] is not None) == (name == "halted")
+
+
+def _planted(monkeypatch, method: str, at: int, error: BaseException) -> None:
+    """Have _Run.<method>(state, tick) raise error when tick is `at`: the
+    start of a block for _fast_block, the tick after one for a step."""
+
+    def failing(state, tick, _method=getattr(engine._Run, method)):
+        if tick == at:
+            raise error
+        return _method(state, tick)
+
+    monkeypatch.setattr(engine._Run, method, failing)
+
+
+def _outcome(scenario, overrides: dict, duration: float) -> tuple:
+    """The type and message of what a run raises, or its halt reason."""
+    config = apply_overrides(SystemConfig(), overrides)
+    try:
+        trace = run(scenario, config=config, duration=duration)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None, trace.halt_reason
+
+
+@pytest.mark.parametrize(
+    "error",
+    [FloatingPointError("planted"), RuntimeWarning("planted"), ValidationError("planted")],
+    ids=["floating_point", "warning", "package"],
+)
+def test_an_exception_in_the_recording_process_is_the_runs(error, monkeypatch):
+    """The coordination step at tick 300, which the recording process takes
+    at 2 CPUs, raises: the run raises the same type and message as the
+    1-CPU run, and no process is left."""
+    _planted(monkeypatch, "_coordination_step", 300, error)
+    forks = _counted_forks(monkeypatch)
+    outcomes = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        outcomes.append(_outcome("delta_zero", {}, 20.0))
+        _no_child_left()
+    assert outcomes == [(type(error), "planted")] * 2
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize(
+    "ticks_at, step_at", [(200, 500), (500, 200)], ids=["ticks_first", "step_first"]
+)
+def test_the_error_of_the_earlier_block_wins(ticks_at, step_at, monkeypatch):
+    """The run's own block from tick ticks_at raises, and so does the
+    coordination step at tick step_at, which the recording process takes:
+    at 2 CPUs the run raises the error of the earlier block, as the 1-CPU
+    run does, whichever process meets its error first."""
+    _planted(monkeypatch, "_fast_block", ticks_at, FloatingPointError("ticks"))
+    _planted(monkeypatch, "_coordination_step", step_at, FloatingPointError("step"))
+    outcomes = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        outcomes.append(_outcome("delta_zero", {}, 20.0))
+        _no_child_left()
+    want = "ticks" if ticks_at < step_at else "step"
+    assert outcomes == [(FloatingPointError, want)] * 2
+
+
+def test_a_halt_wins_over_a_later_error_of_the_ticks(monkeypatch):
+    """The halted run's ticks raise one block after its halt, which at 2
+    CPUs the run may reach before the recording process's halt reaches it:
+    the run still returns the 1-CPU run's halted trace."""
+    _cpus(monkeypatch, 1)
+    halted = _unkept(*_ALIGNED["halted"])
+    ticks = len(halted[0][0]) // 8
+    _planted(monkeypatch, "_fast_block", ticks + 100, FloatingPointError("after the halt"))
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        assert _unkept(*_ALIGNED["halted"]) == halted
+        _no_child_left()
+
+
+@pytest.mark.parametrize("planted", [None, "halt", _Planted, KeyboardInterrupt])
+def test_no_recording_process_outlives_its_run(planted, tmp_path, monkeypatch):
+    """An aligned run that ends, halts, meets an exception in its recording
+    process (at its second coordination step) or an interrupt in its own
+    ticks (its block from tick 200) ends and reaps that process, and gets
+    back the whole mask it narrowed to one CPU while that process ran."""
+    _cpus(monkeypatch, 2)
+    _logged_pins(monkeypatch, tmp_path / "pins")
+    forks = _counted_forks(monkeypatch)
+    if planted is _Planted:
+        _planted(monkeypatch, "_coordination_step", 200, _Planted("planted"))
+    elif planted is KeyboardInterrupt:
+        _planted(monkeypatch, "_fast_block", 200, KeyboardInterrupt("planted"))
+    config = apply_overrides(SystemConfig(), {"delta_pi": 1e-300} if planted == "halt" else {})
+    if planted in (_Planted, KeyboardInterrupt):
+        with pytest.raises(planted, match="planted"):
+            run("delta_zero", config=config, duration=20.0)
+    else:
+        trace = run("delta_zero", config=config, duration=40.0)
+        assert (trace.halt_reason is not None) == (planted == "halt")
+    assert len(forks) == 1
+    _no_child_left()
+    assert _pins(tmp_path / "pins", "run") == ["1", "0,1"]
+    assert os.sched_getaffinity(0) == {0, 1}
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_run_and_its_recording_process_keep_to_cpus_apart(cpus, tmp_path, monkeypatch):
+    """The recording process keeps to the first CPU of the run's mask and
+    the run to the others; the run has its whole mask back when it returns."""
+    _cpus(monkeypatch, cpus)
+    log = tmp_path / "pins"
+    _logged_pins(monkeypatch, log)
+    forks = _counted_forks(monkeypatch)
+    run("delta_zero", duration=20.0)
+    assert len(forks) == 1
+    _no_child_left()
+    assert _pins(log, "run") == [",".join(map(str, range(1, cpus))), ",".join(map(str, range(cpus)))]
+    assert _pins(log, "drawer") == ["0"]
+    assert os.sched_getaffinity(0) == set(range(cpus))
+
+
+def test_a_fork_that_fails_records_here(tmp_path, monkeypatch):
+    """At 2 CPUs the fork raises EAGAIN: the aligned run records its blocks
+    and takes its steps itself, saves what the 1-CPU run saves, and both
+    pipes it made are closed."""
+    _cpus(monkeypatch, 1)
+    want = _saved(*_ALIGNED["stable"], tmp_path / "1")
+    pipe_fds = []
+
+    def pipe(_pipe=os.pipe):
+        fds = _pipe()
+        pipe_fds.extend(fds)
+        return fds
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    forks = _counted_forks(monkeypatch, BlockingIOError(errno.EAGAIN, "planted"))
+    _cpus(monkeypatch, 2)
+    assert _saved(*_ALIGNED["stable"], tmp_path / "2") == want
+    assert (len(forks), len(pipe_fds)) == (1, 4)
+    for fd in pipe_fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+def test_a_run_with_a_recording_process_is_freed_by_reference_counts(monkeypatch):
+    """With the cycle collector off, an aligned run that forked its
+    recording process, its mapping and what that process sent back are gone
+    once the trace is: the drawer holds none of the run's functions after
+    close()."""
+    _cpus(monkeypatch, 2)
+    forks = _counted_forks(monkeypatch)
+    states = []
+
+    def tracked(state, *args, _init=engine._Run.__init__):
+        _init(state, *args)
+        states.append(weakref.ref(state))
+
+    monkeypatch.setattr(engine._Run, "__init__", tracked)
+    gc.disable()
+    try:
+        trace = weakref.ref(run("delta_zero", duration=20.0))
+    finally:
+        gc.enable()
+    assert len(forks) == 1
+    assert [state() for state in states] == [None] and trace() is None
 
 
 # Bytes of the three chunk slots at 30 x 64 (chunks of 17 ticks), and of the
