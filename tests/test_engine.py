@@ -1409,7 +1409,10 @@ def _unkept(scenario, overrides: dict, duration: float) -> tuple:
         [np.stack(snaps).tobytes() for snaps in (trace.policy_snaps, trace.meta_snaps)],
         repr((trace.snap_weight_norm, trace.weight_drift, trace.embedding_drift)),
         (trace.fail_count, trace.alarm_count, trace.halt_reason, trace.snap_weights),
-        [(c.check_id, c.passed, repr(c.worst), repr(c.bound), c.note) for c in verify(trace).checks],
+        [
+            (c.check_id, c.passed, repr(c.worst), repr(c.bound), c.note)
+            for c in verify(trace).checks
+        ],
     )
 
 
@@ -1445,6 +1448,19 @@ def _planted(monkeypatch, method: str, at: int, error: BaseException) -> None:
     monkeypatch.setattr(engine._Run, method, failing)
 
 
+def _slow_recording(monkeypatch) -> None:
+    """Have the recording process take 10 ms more over each block, so that
+    the run's ticks are as far ahead of it as the two buffers allow."""
+    parent = os.getpid()
+
+    def slow(state, start, stop, _record=engine._Run._record_block):
+        if os.getpid() != parent:
+            time.sleep(0.01)
+        _record(state, start, stop)
+
+    monkeypatch.setattr(engine._Run, "_record_block", slow)
+
+
 def _outcome(scenario, overrides: dict, duration: float) -> tuple:
     """The type and message of what a run raises, or its halt reason."""
     config = apply_overrides(SystemConfig(), overrides)
@@ -1476,13 +1492,15 @@ def test_an_exception_in_the_recording_process_is_the_runs(error, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "ticks_at, step_at", [(200, 500), (500, 200)], ids=["ticks_first", "step_first"]
+    "ticks_at, step_at", [(200, 500), (300, 200)], ids=["ticks_first", "step_first"]
 )
 def test_the_error_of_the_earlier_block_wins(ticks_at, step_at, monkeypatch):
     """The run's own block from tick ticks_at raises, and so does the
     coordination step at tick step_at, which the recording process takes:
     at 2 CPUs the run raises the error of the earlier block, as the 1-CPU
-    run does, whichever process meets its error first."""
+    run does. The recording process is slowed, so that at step_first the
+    run meets its own error before that process meets the earlier one."""
+    _slow_recording(monkeypatch)
     _planted(monkeypatch, "_fast_block", ticks_at, FloatingPointError("ticks"))
     _planted(monkeypatch, "_coordination_step", step_at, FloatingPointError("step"))
     outcomes = []
@@ -1496,10 +1514,11 @@ def test_the_error_of_the_earlier_block_wins(ticks_at, step_at, monkeypatch):
 
 def test_a_halt_wins_over_a_later_error_of_the_ticks(monkeypatch):
     """The halted run's ticks raise one block after its halt, which at 2
-    CPUs the run may reach before the recording process's halt reaches it:
-    the run still returns the 1-CPU run's halted trace."""
+    CPUs the run reaches before the slowed recording process halts: the run
+    still returns the 1-CPU run's halted trace."""
     _cpus(monkeypatch, 1)
     halted = _unkept(*_ALIGNED["halted"])
+    _slow_recording(monkeypatch)
     ticks = len(halted[0][0]) // 8
     _planted(monkeypatch, "_fast_block", ticks + 100, FloatingPointError("after the halt"))
     for cpus in (1, 2):
@@ -1545,9 +1564,29 @@ def test_a_run_and_its_recording_process_keep_to_cpus_apart(cpus, tmp_path, monk
     run("delta_zero", duration=20.0)
     assert len(forks) == 1
     _no_child_left()
-    assert _pins(log, "run") == [",".join(map(str, range(1, cpus))), ",".join(map(str, range(cpus)))]
+    everything = ",".join(map(str, range(cpus)))
+    assert _pins(log, "run") == [",".join(map(str, range(1, cpus))), everything]
     assert _pins(log, "drawer") == ["0"]
     assert os.sched_getaffinity(0) == set(range(cpus))
+
+
+@pytest.mark.parametrize("refused", ["run", "drawer"])
+def test_a_pin_the_kernel_refuses_leaves_an_aligned_run_as_it_was(refused, tmp_path, monkeypatch):
+    """A pin that raises EINVAL, in the run or in its recording process,
+    leaves that process on the mask it had: the aligned run saves what the
+    1-CPU run does, no process is left, and the run's mask is its own."""
+    _cpus(monkeypatch, 1)
+    want = _saved(*_ALIGNED["stable"], tmp_path / "1")
+    _cpus(monkeypatch, 2)
+    log = tmp_path / "pins"
+    _logged_pins(monkeypatch, log, refused)
+    forks = _counted_forks(monkeypatch)
+    assert _saved(*_ALIGNED["stable"], tmp_path / "2") == want
+    assert len(forks) == 1
+    _no_child_left()
+    assert _pins(log, "run") == ([] if refused == "run" else ["1", "0,1"])
+    assert _pins(log, "drawer") == (["0"] if refused == "run" else [])
+    assert os.sched_getaffinity(0) == {0, 1}
 
 
 def test_a_fork_that_fails_records_here(tmp_path, monkeypatch):
